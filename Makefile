@@ -41,7 +41,7 @@ bench-trial:
 	@cat BENCH_trial.json
 
 # Deployment-harness throughput at the 10^5-connection workload; regenerates
-# BENCH_fleet.json with conns/s across the worker × shard ladder (see
+# BENCH_fleet.json with conns/s across the worker ladder (see
 # tools/benchjson -set fleet). The FleetResult is identical at every width —
 # only the wall clock moves. Set GENEVA_FLEET_SMOKE=1 to add the
 # 10^6-connection smoke rung (slow; see EXPERIMENTS.md).
@@ -60,19 +60,21 @@ bench-fleet-gate:
 		$(GO) run ./tools/benchjson -compare BENCH_fleet.json -compare-metrics $(GATE_METRICS)
 
 # The fleet determinism gate: the whole FleetResult must be bit-identical
-# across the workers × shards matrix (1/2/8 × 1/2/8 plus shards=auto), with
-# a live residual ledger, under the race detector. CI runs exactly this.
+# across the workers × GOMAXPROCS matrix (1/2/8 × 1/2/8 plus the default
+# GOMAXPROCS), with a live residual ledger, under the race detector. CI runs
+# exactly this.
 fleet-determinism:
-	$(GO) test -race -run 'TestFleetDeterminism|TestFleetMetricsMatchResult|TestFleetResidualLedgerProperty|TestFleetLongHorizonShardInvariance' -v . ./internal/fleet/
+	$(GO) test -race -run 'TestFleetDeterminism|TestFleetMetricsMatchResult|TestFleetResidualLedgerProperty|TestFleetLongHorizonWorkerInvariance' -v . ./internal/fleet/
 
 # The control-plane determinism gate: with online selection live (bandit
 # pulls, barrier merges, a mid-run censor shift) the FleetResult must stay
-# bit-identical across the workers × shards matrix; with Selection unset it
-# must be byte-identical to the committed pre-control-plane goldens; and the
-# collapse-and-recover scenario must hold. Runs under the race detector next
-# to the selector's own unit determinism tests. CI runs exactly this.
+# bit-identical across the workers × GOMAXPROCS matrix; with Selection unset
+# it must be byte-identical to the committed goldens; a pinned portfolio must
+# serve its first strategy only; and the collapse-and-recover scenario must
+# hold. Runs under the race detector next to the selector's own unit
+# determinism tests. CI runs exactly this.
 selector-determinism:
-	$(GO) test -race -run 'TestFleetSelectionDeterminism|TestFleetPinnedByteIdentity|TestFleetCollapseAndRecover' -v .
+	$(GO) test -race -run 'TestFleetSelectionDeterminism|TestFleetPinnedByteIdentity|TestFleetPinnedPortfolio|TestFleetCollapseAndRecover' -v .
 	$(GO) test -race ./internal/selector/
 
 # Hot-path microbenchmarks: the netsim event queue and the per-censor

@@ -1,8 +1,8 @@
 // BenchmarkFleet is the deployment-harness throughput benchmark behind
 // make bench-fleet / BENCH_fleet.json: a 10^5-connection mixed-country,
-// mixed-protocol workload served at a ladder of worker × shard widths. The
-// reported conns/s metric is connections served per wall-clock second;
-// comparing the ladder rungs shows how shard-level parallelism scales
+// mixed-protocol workload served at a ladder of worker widths. The reported
+// conns/s metric is connections served per wall-clock second; comparing the
+// ladder rungs shows how cell-level parallelism scales
 // (near-linear on a multi-core host; on a single-core host the ladder is
 // flat and CI only records the ratio, it does not gate on it). The
 // FleetResult itself is identical at every rung (TestFleetDeterminism), so
@@ -54,7 +54,7 @@ func fleetLongHorizonWorkload() Deployment {
 
 // fleetSelectionWorkload is the control-plane rung's shape: the one-shot
 // ladder workload with a three-strategy portfolio raced by the epsilon-greedy
-// bandit. Comparing its allocs/op against workers=8/shards=8 bounds the
+// bandit. Comparing its allocs/op against workers=8 bounds the
 // per-connection cost of online selection (the ≤ +2 allocs/conn budget that
 // TestFleetAllocBudget enforces exactly).
 func fleetSelectionWorkload() Deployment {
@@ -70,36 +70,32 @@ func fleetSelectionWorkload() Deployment {
 
 func BenchmarkFleet(b *testing.B) {
 	base := fleetBenchWorkload()
-	for _, r := range []struct{ workers, shards int }{
-		{1, 1}, {2, 2}, {4, 4}, {8, 8},
-	} {
-		r := r
-		b.Run(fmt.Sprintf("workers=%d/shards=%d", r.workers, r.shards), func(b *testing.B) {
-			runFleetRung(b, base, r.workers, r.shards)
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			runFleetRung(b, base, workers)
 		})
 	}
-	b.Run("longhorizon/workers=8/shards=8", func(b *testing.B) {
-		runFleetRung(b, fleetLongHorizonWorkload(), 8, 8)
+	b.Run("longhorizon/workers=8", func(b *testing.B) {
+		runFleetRung(b, fleetLongHorizonWorkload(), 8)
 	})
-	b.Run("selection/workers=8/shards=8", func(b *testing.B) {
-		runFleetRung(b, fleetSelectionWorkload(), 8, 8)
+	b.Run("selection/workers=8", func(b *testing.B) {
+		runFleetRung(b, fleetSelectionWorkload(), 8)
 	})
 	if os.Getenv("GENEVA_FLEET_SMOKE") != "" {
 		d := base
 		d.Connections = 1_000_000
-		b.Run("smoke-1e6/workers=8/shards=8", func(b *testing.B) {
-			runFleetRung(b, d, 8, 8)
+		b.Run("smoke-1e6/workers=8", func(b *testing.B) {
+			runFleetRung(b, d, 8)
 		})
 	}
 }
 
-func runFleetRung(b *testing.B, d Deployment, workers, shards int) {
+func runFleetRung(b *testing.B, d Deployment, workers int) {
 	d.Workers = workers
-	d.Shards = shards
 	// One untimed warm-up run: the global pools (rng, router leases) and
 	// the heap size ramp up on the first fleet of the process, and without
 	// this the first ladder rung eats that cost and fakes a scaling ratio
-	// even on a single core. The ladder compares shard scheduling only.
+	// even on a single core. The ladder compares worker scheduling only.
 	if _, err := RunDeployment(d); err != nil {
 		b.Fatal(err)
 	}

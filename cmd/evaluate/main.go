@@ -11,9 +11,10 @@
 //	         [-loss P] [-dup P] [-reorder P] [-jitter D]
 //	         [-metrics] [-manifest out.json]
 //
-// -workers caps the trial worker pool (0 = one per CPU). Every number
-// printed is identical at any width; the closing stats line reports the
-// width used and the wall-clock time.
+// -workers sets GOMAXPROCS, and with it the default width of every worker
+// pool (0 = leave it at one per CPU). Every number printed is identical at
+// any width; the closing stats line reports the width used and the
+// wall-clock time.
 //
 // -metrics enables the cross-layer counters (internal/obs) and prints the
 // nonzero ones after the run; -manifest additionally writes the structured
@@ -31,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,7 +46,7 @@ import (
 
 func main() {
 	trials := flag.Int("trials", 200, "trials per Table 2 cell / experiment sample size")
-	workers := flag.Int("workers", 0, "default worker-pool width for every experiment (0 = one per CPU); results are identical at any width")
+	workers := flag.Int("workers", 0, "GOMAXPROCS, the default worker-pool width for every experiment (0 = one per CPU); results are identical at any width")
 	table := flag.String("table", "", "reproduce a table: 1, 2, or compat")
 	figure := flag.String("figure", "", "reproduce a figure: 1, 2, or 3")
 	experiment := flag.String("experiment", "", "run a follow-up experiment (see doc)")
@@ -57,7 +59,9 @@ func main() {
 	metrics := flag.Bool("metrics", false, "enable cross-layer counters and print the nonzero ones after the run")
 	manifest := flag.String("manifest", "", "write a structured run manifest (JSON) to this file; implies -metrics")
 	flag.Parse()
-	eval.SetWorkers(*workers)
+	if *workers > 0 {
+		runtime.GOMAXPROCS(*workers)
+	}
 	if *metrics || *manifest != "" {
 		obs.SetEnabled(true)
 		obs.Reset()

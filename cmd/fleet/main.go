@@ -12,7 +12,7 @@
 //	      [-portfolio list] [-select policy] [-epsilon P] [-ucb-c C]
 //	      [-decay F] [-min-pulls N] [-collapse-below P] [-quarantine N]
 //	      [-shift-wave N] [-shift-country c] [-shift-params k=v,...]
-//	      [-seed N] [-workers N] [-shards N]
+//	      [-seed N] [-workers N]
 //	      [-loss P] [-dup P] [-reorder P] [-jitter D]
 //	      [-json] [-metrics] [-manifest out.json]
 //	      [-cpuprofile cpu.prof] [-memprofile mem.prof]
@@ -33,11 +33,9 @@
 // mid-way — together they turn the table's availability column into the
 // long-horizon outcome a first-connection evasion rate cannot see.
 //
-// -workers bounds the wave worker pool (0 = one per CPU) and -shards bounds
-// how many scheduling shards each country's cells split into (0 = one shard
-// per cell, the finest parallelism). Both are pure scheduling knobs: every
-// number printed is identical at any width; only the closing conns/sec
-// line — a wall-clock measurement — varies with them.
+// -workers bounds the wave worker pool (0 = one per CPU). It is a pure
+// scheduling knob: every number printed is identical at any width; only the
+// closing conns/sec line — a wall-clock measurement — varies with it.
 package main
 
 import (
@@ -82,7 +80,6 @@ func main() {
 	shiftParams := flag.String("shift-params", "", "comma-separated censor re-tunes, name=value (e.g. prst=0 or http.prst=0)")
 	seed := flag.Int64("seed", 1, "base seed; equal workloads agree exactly")
 	workers := flag.Int("workers", 0, "wave worker-pool width (0 = one per CPU); results are identical at any width")
-	shards := flag.Int("shards", 0, "scheduling shards per country (0 = one shard per cell); results are identical at any width")
 	loss := flag.Float64("loss", 0, "per-packet loss probability on every cell network")
 	dup := flag.Float64("dup", 0, "per-packet duplication probability")
 	reorder := flag.Float64("reorder", 0, "per-packet reordering probability")
@@ -112,9 +109,8 @@ func main() {
 			Backoff:     *reconnectBackoff,
 			RetryAll:    *retryAll,
 		},
-		Seed: *seed,
-		Workers:            *workers,
-		Shards:             *shards,
+		Seed:    *seed,
+		Workers: *workers,
 		Impairments: geneva.Impairments{
 			Loss: *loss, Duplicate: *dup, Reorder: *reorder, Jitter: *jitter,
 		},
@@ -187,9 +183,9 @@ func main() {
 	if secs := elapsed.Seconds(); secs > 0 {
 		rate = fmt.Sprintf("%.0f", float64(res.Connections)/secs)
 	}
-	fmt.Printf("\n%d connections in %d cells in %v (%s conns/sec, workers=%d, shards=%d)\n",
+	fmt.Printf("\n%d connections in %d cells in %v (%s conns/sec, workers=%d)\n",
 		res.Connections, res.Cells, elapsed.Round(time.Millisecond),
-		rate, *workers, *shards)
+		rate, *workers)
 	stopCPU()
 	profiling.WriteHeap(*memprofile)
 }

@@ -3,19 +3,83 @@ package geneva
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
 
+// The fleet determinism tests sweep a scheduling matrix: the cell worker
+// pool width (Deployment.Workers) × the number of OS threads the pool's
+// goroutines run on (GOMAXPROCS, 0 = left unchanged). Subtests are labelled
+// "workers=W_shards=P" — the second label predates cells becoming the only
+// scheduling unit and is kept so test IDs stay comparable across history;
+// P is the GOMAXPROCS value.
+var (
+	schedWorkers = []int{1, 2, 8}
+	schedProcs   = []int{1, 2, 8}
+)
+
+// atProcs runs f with GOMAXPROCS set to procs (0 = unchanged) and restores
+// the previous setting.
+func atProcs(procs int, f func()) {
+	if procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	}
+	f()
+}
+
+// encodeDeployment runs d at the given scheduling point and returns its
+// FleetResult as JSON.
+func encodeDeployment(t *testing.T, d Deployment, workers, procs int) string {
+	t.Helper()
+	d.Workers = workers
+	var res FleetResult
+	var err error
+	atProcs(procs, func() { res, err = RunDeployment(d) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Connections != d.Connections {
+		t.Fatalf("workers=%d/procs=%d: served %d connections, want %d",
+			workers, procs, res.Connections, d.Connections)
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// sweepSchedules checks that d's FleetResult at every point of the
+// workers × GOMAXPROCS matrix equals its single-threaded one, which it
+// returns.
+func sweepSchedules(t *testing.T, prefix string, d Deployment) string {
+	want := encodeDeployment(t, d, 1, 1)
+	for _, w := range schedWorkers {
+		for _, p := range schedProcs {
+			if w == 1 && p == 1 {
+				continue
+			}
+			t.Run(fmt.Sprintf("%sworkers=%d_shards=%d", prefix, w, p), func(t *testing.T) {
+				if got := encodeDeployment(t, d, w, p); got != want {
+					t.Errorf("workers=%d/procs=%d diverged from workers=1/procs=1:\n%s\nvs\n%s",
+						w, p, got, want)
+				}
+			})
+		}
+	}
+	return want
+}
+
 // TestFleetDeterminism is the tentpole guarantee of the deployment harness:
 // the entire FleetResult — totals, per-country breakdown, outcome mix, and
-// manifest — must be bit-identical at any worker width AND any shard width,
+// manifest — must be bit-identical at any worker width and thread count,
 // because every cell derives its seeds from its stable index in the
 // workload plan, never from scheduling order, and the only cross-cell state
 // (the per-country residual-censorship ledger) is folded with an
 // order-independent max-merge at the wave barriers. Run under -race in CI
-// (make fleet-determinism), the full workers × shards matrix also proves
-// the sharded wave scheduler shares nothing it shouldn't.
+// (make fleet-determinism), the full matrix also proves the wave scheduler
+// shares nothing it shouldn't.
 func TestFleetDeterminism(t *testing.T) {
 	base := Deployment{
 		Countries: []string{China, India, IndiaJio, IndiaVodafone, Iran,
@@ -24,48 +88,16 @@ func TestFleetDeterminism(t *testing.T) {
 		Connections: 128,
 		Seed:        1234,
 	}
-	encode := func(workers, shards int) string {
-		d := base
-		d.Workers = workers
-		d.Shards = shards
-		res, err := RunDeployment(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Connections != 128 {
-			t.Fatalf("workers=%d/shards=%d: served %d connections, want 128",
-				workers, shards, res.Connections)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	want := encode(1, 1)
-	for _, w := range []int{1, 2, 8} {
-		for _, s := range []int{1, 2, 8} {
-			if w == 1 && s == 1 {
-				continue
-			}
-			t.Run(fmt.Sprintf("workers=%d_shards=%d", w, s), func(t *testing.T) {
-				if got := encode(w, s); got != want {
-					t.Errorf("workers=%d/shards=%d diverged from workers=1/shards=1:\n%s\nvs\n%s",
-						w, s, got, want)
-				}
-			})
-		}
-	}
-	// Shards=0 (the default: one shard per cell, the finest parallelism)
-	// must agree with every explicit layout too.
+	want := sweepSchedules(t, "", base)
+	// The process's own GOMAXPROCS must agree with every explicit setting.
 	t.Run("workers=8_shards=auto", func(t *testing.T) {
-		if got := encode(8, 0); got != want {
-			t.Errorf("workers=8/shards=0 diverged from workers=1/shards=1:\n%s\nvs\n%s", got, want)
+		if got := encodeDeployment(t, base, 8, 0); got != want {
+			t.Errorf("workers=8 at default GOMAXPROCS diverged from workers=1/procs=1:\n%s\nvs\n%s", got, want)
 		}
 	})
 }
 
-// TestFleetDeterminismLongHorizon runs the same workers × shards matrix over
+// TestFleetDeterminismLongHorizon runs the same scheduling matrix over
 // the long-horizon workload shape: keep-alive sessions spanning minutes of
 // virtual time, reconnect backoff timers on the cell clocks, and tail
 // sessions of varying length. Every one of those is new scheduling surface,
@@ -80,32 +112,5 @@ func TestFleetDeterminismLongHorizon(t *testing.T) {
 		Reconnect:       ReconnectPolicy{MaxAttempts: 3, Backoff: 50 * time.Second, RetryAll: true},
 		Seed:            1234,
 	}
-	encode := func(workers, shards int) string {
-		d := base
-		d.Workers = workers
-		d.Shards = shards
-		res, err := RunDeployment(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	want := encode(1, 1)
-	for _, w := range []int{1, 2, 8} {
-		for _, s := range []int{1, 2, 8} {
-			if w == 1 && s == 1 {
-				continue
-			}
-			t.Run(fmt.Sprintf("workers=%d_shards=%d", w, s), func(t *testing.T) {
-				if got := encode(w, s); got != want {
-					t.Errorf("workers=%d/shards=%d diverged from workers=1/shards=1:\n%s\nvs\n%s",
-						w, s, got, want)
-				}
-			})
-		}
-	}
+	sweepSchedules(t, "", base)
 }

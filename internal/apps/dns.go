@@ -3,8 +3,6 @@ package apps
 import (
 	"encoding/binary"
 	"strings"
-
-	"geneva/internal/packet"
 )
 
 // dnsQueryID is the fixed transaction ID used by the simulated resolver
@@ -63,14 +61,4 @@ func prefixLen(msg []byte) []byte {
 	out := make([]byte, 2, 2+len(msg))
 	binary.BigEndian.PutUint16(out, uint16(len(msg)))
 	return append(out, msg...)
-}
-
-// DNSQueryName extracts the first question name from a DNS-over-TCP stream
-// chunk (length prefix + message). It is the parser the GFW's DNS box runs;
-// it fails closed to ("", false) on anything malformed or truncated, which
-// per §6 makes the censor fail *open*. The parser body lives in
-// internal/packet so packet.Packet can memoize it per lifecycle
-// (DNSQueryName); this wrapper serves callers holding bare byte slices.
-func DNSQueryName(data []byte) (string, bool) {
-	return packet.ParseDNSQueryName(data)
 }

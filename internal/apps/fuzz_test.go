@@ -1,6 +1,10 @@
 package apps
 
-import "testing"
+import (
+	"testing"
+
+	"geneva/internal/packet"
+)
 
 // FuzzDNSQueryName: the GFW's DNS parser sees every byte a client sends;
 // it must never panic and never mis-frame (its fail-open behaviour is what
@@ -10,7 +14,7 @@ func FuzzDNSQueryName(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		name, ok := DNSQueryName(data)
+		name, ok := packet.ParseDNSQueryName(data)
 		if ok && len(name) == 0 {
 			t.Fatal("claimed success with an empty name")
 		}
@@ -26,7 +30,7 @@ func FuzzExtractSNI(f *testing.F) {
 	f.Add([]byte{0x16, 0x03, 0x01, 0x00, 0x00})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sni, ok := ExtractSNI(data)
+		sni, ok := packet.ParseTLSServerName(data)
 		if ok && sni == "" {
 			t.Fatal("claimed success with an empty SNI")
 		}
@@ -50,8 +54,8 @@ func FuzzHTTPParsers(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		check(t, "HTTPRequestTarget", HTTPRequestTarget, refHTTPRequestTarget, data)
-		check(t, "HTTPHostHeader", HTTPHostHeader, refHTTPHostHeader, data)
+		check(t, "ParseHTTPRequestTarget", packet.ParseHTTPRequestTarget, refHTTPRequestTarget, data)
+		check(t, "ParseHTTPHostHeader", packet.ParseHTTPHostHeader, refHTTPHostHeader, data)
 		check(t, "FTPRetrTarget", FTPRetrTarget, refFTPRetrTarget, data)
 		check(t, "SMTPRcptTarget", SMTPRcptTarget, refSMTPRcptTarget, data)
 	})

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"geneva/internal/packet"
 	"geneva/internal/tcpstack"
 )
 
@@ -237,25 +236,11 @@ func concat(parts ...[]byte) []byte {
 
 // --- DPI payload parsers used by the censor models ---
 //
-// The HTTP/TLS/DNS field extractors moved to internal/packet (appdata.go)
-// so packet.Packet can memoize them per packet lifecycle; the wrappers here
-// keep the historical API for callers holding bare byte slices (and the
-// differential fuzz targets proving old and new semantics identical). The
-// FTP/SMTP command parsers stay here — no censor hot path runs them against
-// the same payload twice — but now scan bytes directly instead of
-// string-converting the whole payload first.
-
-// HTTPRequestTarget returns the request path+query of an HTTP request line
-// contained in data, if one is fully present.
-func HTTPRequestTarget(data []byte) (string, bool) {
-	return packet.ParseHTTPRequestTarget(data)
-}
-
-// HTTPHostHeader returns the Host header value of an HTTP request contained
-// in data, if fully present (terminated by CRLF).
-func HTTPHostHeader(data []byte) (string, bool) {
-	return packet.ParseHTTPHostHeader(data)
-}
+// The HTTP/TLS/DNS field extractors live in internal/packet (appdata.go) so
+// packet.Packet can memoize them per packet lifecycle. The FTP/SMTP command
+// parsers stay here — no censor hot path runs them against the same payload
+// twice — and scan bytes directly instead of string-converting the whole
+// payload first.
 
 // FTPRetrTarget returns the argument of a RETR command in data, if fully
 // present.

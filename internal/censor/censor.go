@@ -17,7 +17,7 @@ import (
 
 // ResidualCarrier is implemented by censor models that keep cross-connection
 // residual-censorship state (the GFW's ~90 s poisoned server windows, §4.2).
-// It is the narrow seam the sharded fleet harness merges censor state
+// It is the narrow seam the cell-based fleet harness merges censor state
 // through: each simulated censor instance exports its live windows at a wave
 // barrier and is re-seeded with the merged view before the next wave.
 //

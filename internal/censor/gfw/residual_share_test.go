@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// TestResidualExportSeed covers the ResidualCarrier contract the sharded
-// fleet's barrier ledger depends on: exports are relative remaining
+// TestResidualExportSeed covers the ResidualCarrier contract the fleet's
+// barrier ledger depends on: exports are relative remaining
 // durations, seeds max-merge (never shorten a live window), and a box whose
 // parameters carry no residual censorship silently ignores seeds.
 func TestResidualExportSeed(t *testing.T) {

@@ -21,7 +21,7 @@ func TestTamperDNSQnameReplace(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("emitted %d packets", len(out))
 	}
-	name, ok := apps.DNSQueryName(out[0].TCP.Payload)
+	name, ok := packet.ParseDNSQueryName(out[0].TCP.Payload)
 	if !ok || name != "benign.example" {
 		t.Errorf("rewritten qname = %q, %v", name, ok)
 	}
@@ -35,7 +35,7 @@ func TestTamperDNSQnameReplace(t *testing.T) {
 func TestTamperDNSQnameCorruptKeepsStructure(t *testing.T) {
 	s := MustParse(`[TCP:flags:PA]-tamper{DNS:qname:corrupt}-| \/ `)
 	out := NewEngine(s, rng()).Outbound(dnsPacket("www.wikipedia.org"))
-	name, ok := apps.DNSQueryName(out[0].TCP.Payload)
+	name, ok := packet.ParseDNSQueryName(out[0].TCP.Payload)
 	if !ok {
 		t.Fatal("corrupted message no longer parses; corruption must keep label structure")
 	}

@@ -4,37 +4,16 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"geneva/internal/core"
 )
 
-// workerCap caps the width of every worker pool in this package; 0 means
-// "one worker per CPU" (GOMAXPROCS).
-var workerCap atomic.Int32
-
-// SetWorkers sets the process-wide default worker-pool width, used whenever
-// a per-call knob (Config.Workers, EvolveOptions.Workers, fleet
-// Workload.Workers) is left zero. 0 (or negative) restores the default of
-// one worker per CPU. Results are identical at any width: every trial and
-// every fitness sample derives its randomness from seeds alone, never from
-// scheduling order. New code should prefer the per-call fields; this global
-// survives as the seam behind the deprecated geneva.SetWorkers shim and the
-// cmd/ -workers flags.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workerCap.Store(int32(n))
-}
-
-// Workers returns the effective worker-pool width.
-func Workers() int {
-	if v := workerCap.Load(); v > 0 {
-		return int(v)
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// Workers is the default worker-pool width, one worker per CPU
+// (GOMAXPROCS), used whenever a per-call knob (Config.Workers,
+// EvolveOptions.Workers, fleet Workload.Workers) is left zero. Results are
+// identical at any width: every trial and every fitness sample derives its
+// randomness from seeds alone, never from scheduling order.
+func Workers() int { return runtime.GOMAXPROCS(0) }
 
 // EvalStats counts an Evaluator's fitness-cache traffic. Counts depend only
 // on the sequence of BatchFitness/Fitness calls, never on worker scheduling,

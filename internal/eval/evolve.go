@@ -33,8 +33,8 @@ type EvolveOptions struct {
 	// TrialsPerEval is the fitness sample size per individual.
 	TrialsPerEval int
 	Seed          int64
-	// Workers bounds the population-evaluation pool (0 = eval.Workers(),
-	// one worker per CPU). Any width returns the same Result.
+	// Workers bounds the population-evaluation pool (0 = Workers(), one
+	// worker per CPU). Any width returns the same Result.
 	Workers int
 	// NoCache disables the cross-generation fitness memo, re-measuring
 	// every canonical strategy each generation. Fitness is pure, so the

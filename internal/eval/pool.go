@@ -6,7 +6,7 @@ import "sync"
 // of up to workers goroutines, and returns when all have finished. It is
 // the one worker-pool shape every harness layer shares — per-trial fan-out
 // (RateStats), per-individual fan-out (Evaluator.BatchFitness), and the
-// fleet's per-shard wave dispatch — so the layers compose without each
+// fleet's per-cell wave dispatch — so the layers compose without each
 // reimplementing channel plumbing.
 //
 // Tasks must be independent: fn typically writes only results[i]. With

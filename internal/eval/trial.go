@@ -94,7 +94,7 @@ type Config struct {
 	// byte-identical to an impairment-free build.
 	Impairments netsim.Impairments
 	// Workers bounds the per-trial worker pool Rate/RateStats fan out on
-	// (0 = the process default, Workers()). Purely a scheduling knob: every
+	// (0 = Workers(), one per CPU). Purely a scheduling knob: every
 	// trial derives its randomness from Seed and its own index, so results
 	// are identical at any width.
 	Workers int

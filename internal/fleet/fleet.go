@@ -13,24 +13,23 @@
 // flows to the same server port).
 //
 // Every cell owns its own virtual clock and event queue, so cells are
-// independent between wave barriers. For scheduling they are grouped into
-// shards — contiguous runs of a country's cells — and the whole fleet
-// advances in wave lockstep: all shards run wave w concurrently on a
-// bounded worker pool, then meet at a barrier where the only genuine
-// cross-cell censor state — the GFW's ~90 s residual-censorship windows —
-// is merged. Each cell exports its live windows as (server key, time
-// remaining); the barrier folds them into a per-country ledger with a
-// max-merge (commutative and associative, so the ledger is identical in
-// any merge order); at the next wave's start each cell of the country is
-// re-seeded with every ledger window that outlives the wave gap. With the
-// default 120 s gap nothing outlives the 90 s window and the ledger is
-// provably empty — sharding changes nothing — while short gaps let one
-// cell's collateral poison a whole country's fleet, the paper's
-// deployment-scale risk, at any shard layout.
+// independent between wave barriers, and the cell is the scheduling unit:
+// the whole fleet advances in wave lockstep, every cell running wave w
+// concurrently on a bounded worker pool, then all meet at a barrier where
+// the only genuine cross-cell censor state — the GFW's ~90 s
+// residual-censorship windows — is merged. Each cell exports its live
+// windows as (server key, time remaining); the barrier folds them, in cell
+// index order, into a per-country ledger with a max-merge (commutative and
+// associative, so the ledger is identical in any merge order); at the next
+// wave's start each cell of the country is re-seeded with every ledger
+// window that outlives the wave gap. With the default 120 s gap nothing
+// outlives the 90 s window and the ledger is provably empty, while short
+// gaps let one cell's collateral poison a whole country's fleet — the
+// paper's deployment-scale risk.
 //
 // Every seed derives from the cell's stable index in the workload plan —
 // never from scheduling order — and the ledger merge is order-independent,
-// so a Result is bit-identical at any worker and shard width.
+// so a Result is bit-identical at any worker width.
 package fleet
 
 import (
@@ -64,7 +63,7 @@ const (
 	seedRouter      = 2  // base for the router's per-strategy engine rngs
 	seedCensor      = 3  // censor model rng
 	seedImpairments = 4  // network impairment schedule
-	seedSelector    = 5  // strategy-selection exploration rng (when enabled)
+	seedSelector    = 5  // strategy-selection exploration rng (Selection on)
 	seedClients     = 10 // client endpoint s uses seedClients + s
 	// Portfolio arm a's engine rng sits at eval.SeedArmBase + a (1000+),
 	// far above the client slots.
@@ -114,19 +113,10 @@ type Workload struct {
 	WaveGap time.Duration
 	// Seed fixes all randomness; two equal Workloads agree exactly.
 	Seed int64
-	// Workers bounds the cell worker pool (0 = the process default,
-	// eval.Workers()). Purely a scheduling knob: the Result is
-	// bit-identical at any width.
+	// Workers bounds the cell worker pool (0 = eval.Workers(), one per
+	// CPU). Purely a scheduling knob: the Result and manifest are
+	// bit-identical at any width (TestFleetDeterminism pins this).
 	Workers int
-	// Shards bounds how many scheduling shards each country's cells are
-	// grouped into (0 = one shard per cell, the finest and default). A
-	// shard's cells run sequentially within a wave; distinct shards run
-	// concurrently on the worker pool. Like Workers this is purely a
-	// scheduling knob — residual state is merged per country at the wave
-	// barrier regardless of shard layout, so the Result and manifest are
-	// bit-identical at any shard width (TestFleetDeterminism pins the
-	// workers × shards matrix).
-	Shards int
 	// Impairments degrades every cell network symmetrically in both
 	// directions and arms endpoint retransmission; the zero value keeps
 	// the links lossless.
@@ -146,23 +136,21 @@ type Workload struct {
 	// session instead of always expiring between connections.
 	RequestGap time.Duration
 	// Reconnect is the client's reconnect-after-failure policy. The zero
-	// value reproduces the harness's historical behaviour exactly: retry
-	// only abortively-torn-down attempts, immediately, within the
-	// protocol's eval.TriesFor budget.
+	// value retries only abortively-torn-down attempts, immediately, within
+	// the protocol's eval.TriesFor budget.
 	Reconnect ReconnectPolicy
 	// Portfolio is the ordered strategy list routed clients are served
-	// from. Zero value (with Selection also unset): the historical §8
-	// router, one registry-pinned strategy per country, byte-identical to
-	// builds without the control plane. Set without Selection: every routed
-	// client gets the portfolio's FIRST strategy — single-strategy use as a
-	// one-element portfolio. Set with Selection: the bandit picks an arm
-	// per connection attempt.
+	// from. Zero value (with Selection also unset): the §8 router, one
+	// registry-pinned strategy per country. Set without Selection: every
+	// routed client gets the portfolio's FIRST strategy — single-strategy
+	// use as a one-element portfolio. Set with Selection: the bandit picks
+	// an arm per connection attempt.
 	Portfolio selector.Portfolio
 	// Selection enables the online strategy-selection control plane. Zero
 	// value: disabled (see Portfolio). When enabled with a zero Portfolio,
 	// the distinct §8 deployment strategies (eval.DefaultPortfolio) are the
 	// arms. Selector state merges at wave barriers in stable cell order, so
-	// results stay bit-identical at any Workers × Shards.
+	// results stay bit-identical at any Workers width.
 	Selection selector.Selection
 	// Shift re-tunes censor parameters mid-run (zero value: never). It is
 	// the collapse-and-recover scenario's lever: shift the parameter a
@@ -191,12 +179,12 @@ func (cs CensorShift) Enabled() bool { return len(cs.Params) > 0 }
 
 // ReconnectPolicy says how a client behaves after a connection attempt
 // fails: how long it waits, how many times it tries, and which failures it
-// retries at all. The zero value is the historical policy (teardown-only
-// retries, no backoff, per-protocol attempt budget).
+// retries at all. The zero value retries teardowns only, with no backoff,
+// within the per-protocol attempt budget.
 type ReconnectPolicy struct {
 	// MaxAttempts caps total connection attempts per planned connection,
-	// reconnects included (0 = the protocol's eval.TriesFor budget, the
-	// historical default; 1 = give up after the first failure).
+	// reconnects included (0 = the protocol's eval.TriesFor budget; 1 =
+	// give up after the first failure).
 	MaxAttempts int
 	// Backoff is the virtual time a client waits before each reconnect
 	// (0 = reconnect immediately). Against censors with expiring state,
@@ -205,7 +193,7 @@ type ReconnectPolicy struct {
 	Backoff time.Duration
 	// RetryAll reconnects after any failure — blackholed, corrupted, or
 	// never-established attempts included — not only after an abortive
-	// teardown (the historical trigger).
+	// teardown (the default trigger).
 	RetryAll bool
 }
 
@@ -257,10 +245,9 @@ type CountryStats struct {
 	// Selection maps each portfolio strategy (by canonical text, in
 	// portfolio order under the hood) to its lifetime selection outcomes
 	// in this country: how often the control plane picked it and how each
-	// attempt ended. Present only on Portfolio/Selection runs — absent
-	// (and omitted from JSON) on pinned runs, keeping their output
-	// byte-identical to pre-control-plane builds.
-	Selection map[string]selector.ArmReport `json:"selection,omitempty"`
+	// attempt ended. nil when Selection is off or the country is unrouted
+	// (no arm was ever pulled there).
+	Selection map[string]selector.ArmReport `json:"selection"`
 }
 
 // EvasionRate is the clean routed success fraction — the per-country number
@@ -294,15 +281,14 @@ func (c CountryStats) MeanReconnectsToRecovery() float64 {
 }
 
 // Result is the structured outcome of a fleet run. It contains no
-// wall-clock measurements and no worker- or shard-width echo, so two runs
-// of the same Workload are bit-identical regardless of scheduling
-// (TestFleetDeterminism pins this).
+// wall-clock measurements and no worker-width echo, so two runs of the same
+// Workload are bit-identical regardless of scheduling (TestFleetDeterminism
+// pins this).
 type Result struct {
-	// Connections and Succeeded total the whole fleet.
-	Connections int `json:"connections"`
-	Succeeded   int `json:"succeeded"`
-	// RequestsAttempted/RequestsServed and the virtual uptime/lifetime sums
-	// total the per-country long-horizon outcomes.
+	// Connections, Succeeded, RequestsAttempted/RequestsServed and the
+	// virtual uptime/lifetime sums total PerCountry over the whole fleet.
+	Connections       int           `json:"connections"`
+	Succeeded         int           `json:"succeeded"`
 	RequestsAttempted int           `json:"requests_attempted"`
 	RequestsServed    int           `json:"requests_served"`
 	UptimeVirtual     time.Duration `json:"uptime_virtual_ns"`
@@ -317,12 +303,12 @@ type Result struct {
 	Outcomes map[string]int `json:"outcomes"`
 	// Fallbacks counts collapse-quarantine events: how many times the
 	// control plane benched a cratered incumbent strategy and re-explored.
-	// Always 0 (and omitted from JSON) on pinned runs.
-	Fallbacks int `json:"fallbacks,omitempty"`
+	// Always 0 when Selection is off.
+	Fallbacks int `json:"fallbacks"`
 	// Manifest is the diffable run record (geneva-run-manifest/v1): the
 	// workload config, the cell seed schedule, and — when obs collection is
-	// enabled — every counter. Worker and shard width are deliberately
-	// absent: they cannot affect what the fleet did.
+	// enabled — every counter. Worker width is deliberately absent: it
+	// cannot affect what the fleet did.
 	Manifest obs.Manifest `json:"manifest"`
 }
 
@@ -375,6 +361,11 @@ type cellResult struct {
 	censorEvents int
 	waves        int
 	maxWave      int // widest wave started (virtual-time concurrency)
+
+	// Residual-ledger traffic: windows the cell exported at wave barriers
+	// and ledger windows planted into it at wave starts.
+	residualPublished int
+	residualSeeded    int
 }
 
 // withDefaults resolves the zero-value fields. It returns a copy; the
@@ -445,33 +436,24 @@ func (wl Workload) validate() error {
 
 // control is the run's resolved strategy-delivery mode.
 type control struct {
-	// portfolio is the arm list (zero when the run uses the historical
-	// registry-pinned router).
+	// portfolio is the arm list; zero when routed clients get the §8
+	// router's registry pins.
 	portfolio selector.Portfolio
 	// state is the merged bandit state; nil when Selection is disabled
-	// (a non-zero portfolio then pins its first strategy everywhere).
+	// (a non-zero portfolio then serves its first strategy everywhere).
 	state *selector.State
-	// active is true whenever a portfolio routes clients (pinned or
-	// selected) — i.e. whenever the historical router is overridden.
-	active bool
 }
 
-// resolveControl interprets the Portfolio × Selection matrix. Both unset:
-// historical behaviour, untouched. Selection without a portfolio races the
-// distinct §8 deployment strategies against each other.
+// resolveControl interprets the Portfolio × Selection matrix. Selection
+// without a portfolio races the distinct §8 deployment strategies against
+// each other.
 func resolveControl(wl Workload) control {
-	var ctl control
-	switch {
-	case wl.Selection.Enabled():
-		ctl.portfolio = wl.Portfolio
+	ctl := control{portfolio: wl.Portfolio}
+	if wl.Selection.Enabled() {
 		if ctl.portfolio.IsZero() {
 			ctl.portfolio = eval.DefaultPortfolio()
 		}
 		ctl.state = selector.NewState(wl.Selection, ctl.portfolio.Len())
-		ctl.active = true
-	case !wl.Portfolio.IsZero():
-		ctl.portfolio = wl.Portfolio
-		ctl.active = true
 	}
 	return ctl
 }
@@ -480,8 +462,7 @@ func resolveControl(wl Workload) control {
 // countries (earlier countries absorb the remainder), each country's share
 // chunked into cells wave by wave. The enumeration order here is the only
 // order that matters — global connection and cell indices are assigned by
-// it, and every seed derives from them. Each country's cells come out
-// contiguous, which is what lets buildShards slice them without sorting.
+// it, and every seed derives from them.
 func plan(wl Workload) []cellPlan {
 	var cells []cellPlan
 	global := 0
@@ -579,9 +560,9 @@ type portedScript struct {
 }
 
 // cell is one wired cell network, alive from construction to the end of its
-// last wave so the sharded scheduler can drive all cells in wave lockstep.
+// last wave so the scheduler can drive all cells in wave lockstep.
 // Everything in a cell runs on a single goroutine per wave against the
-// cell's own virtual clock; only the shard's export ledger leaves it.
+// cell's own virtual clock; only its residual exports leave it.
 type cell struct {
 	wl   Workload
 	plan cellPlan
@@ -600,12 +581,18 @@ type cell struct {
 	lease     *eval.RouterLease
 	rngs      []*rand.Rand
 
-	// Online selection control plane; all nil/unset on pinned runs (and on
-	// unrouted-country cells — the uncensored population matches no route,
-	// so no server-side strategy applies to it either way).
+	// Portfolio delivery: armLease is nil without a portfolio and on
+	// unrouted-country cells (the uncensored population matches no route,
+	// so no server-side strategy applies to it either way); selCell and
+	// selRng are nil unless Selection is on as well.
 	armLease *eval.PortfolioLease
 	selCell  *selector.Cell
 	selRng   *rand.Rand
+
+	// exports holds the residual windows the cell published in the current
+	// wave (nil when its censor shares no residual state); the barrier
+	// folds and clears it.
+	exports residualLedger
 
 	byWave  [][]int // wave -> indices into plan.conns (contiguous from 0)
 	res     cellResult
@@ -643,26 +630,15 @@ func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 	c.server.ReleaseClosed = true
 
 	// Portfolio delivery: routed countries get one engine per arm, seeded
-	// per cell at cellSeed + eval.SeedArmBase + arm. With selection, arms
-	// are pinned to client addresses per attempt in runWave; without it
-	// (portfolio-pinned mode) every routed slot is pinned to arm 0 here,
-	// once. Unrouted countries (the uncensored population) keep matching
-	// no route — the server doesn't know them, selected or not.
-	if _, routed := eval.RouterPrefixes[cp.country]; ctl.active && routed {
+	// per cell at cellSeed + eval.SeedArmBase + arm, and pullArm pins an
+	// arm to the client's address per attempt. Unrouted countries (the
+	// uncensored population) keep matching no route — the server doesn't
+	// know them, selected or not.
+	if _, routed := eval.RouterPrefixes[cp.country]; routed && !ctl.portfolio.IsZero() {
 		c.armLease = eval.AcquirePortfolioEngines(ctl.portfolio, cellSeed)
 		if ctl.state != nil {
 			c.selCell = ctl.state.NewCell()
 			c.selRng = c.rng(cellSeed + seedSelector)
-		} else {
-			pinned := map[int]bool{}
-			for _, cn := range cp.conns {
-				if cn.unprotected || pinned[cn.slot] {
-					continue
-				}
-				pinned[cn.slot] = true
-				c.lease.Router.PinClient(clientAddr(cp.country, cn.slot, false),
-					c.armLease.Engines[0])
-			}
 		}
 	}
 
@@ -727,6 +703,9 @@ func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 
 	c.cen = eval.NewCensor(cp.country, censor.Default(), c.rng(cellSeed+seedCensor))
 	c.resid, _ = c.cen.(censor.ResidualCarrier)
+	if c.resid != nil {
+		c.exports = residualLedger{}
+	}
 	c.shifter, _ = c.cen.(censor.ParamShifter)
 	if c.cen != nil {
 		c.net = netsim.NewMulti(c.server, hosts, c.cen)
@@ -817,18 +796,22 @@ func (c *cell) releaseClient(key scriptKey, s *apps.Script) {
 	c.clientFree[key] = append(c.clientFree[key], s)
 }
 
-// pullArm asks the control plane for the arm serving one connection
-// attempt and pins its engine to the client's address, so the router
-// delivers it when the SYN+ACK opens the flow. Returns -1 (and touches
-// nothing) when selection is off for this cell or the client is
-// unprotected. Safe against concurrent wave-mates: each slot address has at
-// most one un-opened flow at a time, and opened flows cache their engine,
-// so re-pins never switch a strategy mid-connection.
+// pullArm picks the portfolio arm serving one connection attempt — the
+// bandit's choice with Selection on, arm 0 without — and pins its engine to
+// the client's address, so the router delivers it when the SYN+ACK opens
+// the flow. Returns -1 (and touches nothing) when the cell has no portfolio
+// or the client is unprotected; the router's §8 prefix routes then apply.
+// Safe against concurrent wave-mates: each slot address has at most one
+// un-opened flow at a time, and opened flows cache their engine, so re-pins
+// never switch a strategy mid-connection.
 func (c *cell) pullArm(cn *connPlan) int {
-	if c.selCell == nil || cn.unprotected {
+	if c.armLease == nil || cn.unprotected {
 		return -1
 	}
-	arm := c.selCell.Next(c.plan.country, cn.protocol, c.selRng)
+	arm := 0
+	if c.selCell != nil {
+		arm = c.selCell.Next(c.plan.country, cn.protocol, c.selRng)
+	}
 	c.lease.Router.PinClient(clientAddr(c.plan.country, cn.slot, false), c.armLease.Engines[arm])
 	return arm
 }
@@ -836,10 +819,9 @@ func (c *cell) pullArm(cn *connPlan) int {
 // runWave drives one wave of the cell to completion: advance the wave gap,
 // plant ledger windows into the censor, start every connection of the wave,
 // drain and retry until settled, then export the censor's live residual
-// windows into the shard's ledger contribution. Waves a cell does not
-// participate in are skipped entirely (its clock does not advance — the
-// cell's run is over).
-func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
+// windows for the barrier to fold. Waves a cell does not participate in are
+// skipped entirely (its clock does not advance — the cell's run is over).
+func (c *cell) runWave(w int, ledger residualLedger) {
 	if w >= len(c.byWave) {
 		return
 	}
@@ -850,7 +832,7 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 
 	// Apply the censor shift once, at the start of its wave. Purely a
 	// constant re-tune (no randomness, no flow state), so it is identical
-	// at any worker or shard width.
+	// at any worker width.
 	if !c.shifted && c.wl.Shift.Enabled() && w >= c.wl.Shift.AtWave &&
 		(c.wl.Shift.Country == "" || c.wl.Shift.Country == c.plan.country) {
 		c.shifted = true
@@ -871,7 +853,7 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 				continue
 			}
 			c.resid.SeedResidual(key, now+remaining-c.wl.WaveGap)
-			sh.local.Inc(mResidualSeeded)
+			c.res.residualSeeded++
 		}
 	}
 
@@ -885,6 +867,9 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 	// re-attempt failed connections under the reconnect policy (the zero
 	// value retries torn-down attempts immediately within eval.TriesFor,
 	// RFC 7766 DNS behaviour, same as eval.Run) until the wave settles.
+	// Every reconnect is a timer on the cell clock; the network has
+	// drained when they are scheduled, so zero-backoff reconnects fire at
+	// once, in the order they were scheduled.
 	pol := c.wl.Reconnect
 	now := c.net.Clock.Now()
 	live := c.live[:0]
@@ -907,7 +892,7 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 		for _, f := range live {
 			r := &c.res.conns[f.idx]
 			cn := &c.plan.conns[f.idx]
-			if f.arm >= 0 {
+			if c.selCell != nil && f.arm >= 0 {
 				// Credit the settled attempt back to the arm that served
 				// it — the control plane's per-attempt reward signal.
 				switch {
@@ -946,18 +931,11 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 				app := c.clientScript(sess, scriptKey{proto: cn.protocol, exch: sess.Exchanges()})
 				arm := c.pullArm(cn) // a reconnect is a fresh pull
 				r.attempts++
-				at := c.net.Clock.Now()
-				if pol.Backoff > 0 {
-					slot, port := c.slots[cn.slot], sess.Port
-					at += pol.Backoff
-					c.net.After(pol.Backoff, func() {
-						slot.Connect(eval.ServerAddr, port, app)
-					})
-				} else {
-					// Inline, exactly where the historical loop connected:
-					// the zero-value policy reproduces its event order.
-					c.slots[cn.slot].Connect(eval.ServerAddr, sess.Port, app)
-				}
+				slot, port := c.slots[cn.slot], sess.Port
+				c.net.After(pol.Backoff, func() {
+					slot.Connect(eval.ServerAddr, port, app)
+				})
+				at := c.net.Clock.Now() + pol.Backoff
 				live[n] = inflight{idx: f.idx, app: app, connectAt: at, exchanges: sess.Exchanges(), arm: arm}
 				n++
 			} else {
@@ -989,10 +967,10 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 	if c.resid != nil {
 		now := c.net.Clock.Now()
 		c.resid.ExportResidual(now, func(key string, remaining time.Duration) {
-			if cur, ok := sh.exports[key]; !ok || remaining > cur {
-				sh.exports[key] = remaining
+			if cur, ok := c.exports[key]; !ok || remaining > cur {
+				c.exports[key] = remaining
 			}
-			sh.local.Inc(mResidualPublished)
+			c.res.residualPublished++
 		})
 	}
 }
@@ -1015,60 +993,15 @@ func (c *cell) finish() cellResult {
 		c.rngs[i] = nil
 	}
 	c.rngs = nil
-	c.server, c.slots, c.net, c.cen, c.resid = nil, nil, nil, nil, nil
+	c.server, c.slots, c.net, c.cen, c.resid, c.exports = nil, nil, nil, nil, nil, nil
 	return c.res
 }
 
-// shardRun is one scheduling shard: a contiguous slice of one country's
-// cells plus the shard-local state the wave barrier merges — the residual
-// windows its cells exported and the batched counters.
-type shardRun struct {
-	country string
-	cells   []*cell
-	exports residualLedger
-	local   obs.Local
-}
-
-// buildShards groups cells into per-country scheduling shards. plan emits
-// each country's cells contiguously, so shards are plain sub-slices; Shards
-// <= 0 puts every cell in its own shard (maximum parallelism).
-func buildShards(wl Workload, cells []*cell) []*shardRun {
-	var shards []*shardRun
-	for start := 0; start < len(cells); {
-		country := cells[start].plan.country
-		end := start
-		for end < len(cells) && cells[end].plan.country == country {
-			end++
-		}
-		n := end - start
-		want := n
-		if wl.Shards > 0 && wl.Shards < n {
-			want = wl.Shards
-		}
-		base, extra := n/want, n%want
-		at := start
-		for s := 0; s < want; s++ {
-			size := base
-			if s < extra {
-				size++
-			}
-			shards = append(shards, &shardRun{
-				country: country,
-				cells:   cells[at : at+size],
-				exports: residualLedger{},
-			})
-			at += size
-		}
-		start = end
-	}
-	return shards
-}
-
 // Run executes the workload and aggregates the fleet result. Cells are
-// built, driven wave by wave (shards of one wave run concurrently on a pool
-// of up to wl.Workers goroutines, meeting at a residual-merge barrier
+// built, driven wave by wave (one wave of every cell runs concurrently on a
+// pool of up to wl.Workers goroutines, meeting at a residual-merge barrier
 // between waves), and finished; results are merged in cell order, so the
-// Result is identical at any worker or shard width.
+// Result is identical at any worker width.
 func Run(wl Workload) (Result, error) {
 	wl = wl.withDefaults()
 	if err := wl.validate(); err != nil {
@@ -1096,46 +1029,39 @@ func Run(wl Workload) (Result, error) {
 			selCells[i] = c.selCell
 		}
 	}
-	shards := buildShards(wl, cells)
 	maxWaves := 0
 	for _, c := range cells {
-		if len(c.byWave) > maxWaves {
-			maxWaves = len(c.byWave)
-		}
+		maxWaves = max(maxWaves, len(c.byWave))
 	}
 
-	// Wave lockstep: all shards run wave w, then the barrier folds their
-	// residual exports into next wave's per-country ledgers. The fold is a
-	// max-merge over (key, remaining) pairs — commutative and associative —
-	// so neither shard layout nor merge order can change the ledger, and a
-	// ledger entry is re-published by any cell still holding the window, so
-	// windows survive as many barriers as their 90 s lifetime spans.
+	// Wave lockstep: every cell runs wave w, then the barrier folds their
+	// residual exports, in cell order, into next wave's per-country
+	// ledgers. The fold is a max-merge over (key, remaining) pairs —
+	// commutative and associative — so merge order cannot change the
+	// ledger, and a ledger entry is re-published by any cell still holding
+	// the window, so windows survive as many barriers as their 90 s
+	// lifetime spans.
 	ledgers := map[string]residualLedger{}
 	for w := 0; w < maxWaves; w++ {
-		eval.RunParallel(workers, len(shards), func(si int) {
-			sh := shards[si]
-			led := ledgers[sh.country]
-			for _, c := range sh.cells {
-				c.runWave(w, led, sh)
-			}
+		eval.RunParallel(workers, len(cells), func(i int) {
+			cells[i].runWave(w, ledgers[cells[i].plan.country])
 		})
 		next := map[string]residualLedger{}
-		for _, sh := range shards {
-			sh.local.Flush()
-			if len(sh.exports) == 0 {
+		for _, c := range cells {
+			if len(c.exports) == 0 {
 				continue
 			}
-			led := next[sh.country]
+			led := next[c.plan.country]
 			if led == nil {
 				led = residualLedger{}
-				next[sh.country] = led
+				next[c.plan.country] = led
 			}
-			for k, rem := range sh.exports {
+			for k, rem := range c.exports {
 				if cur, ok := led[k]; !ok || rem > cur {
 					led[k] = rem
 				}
 			}
-			clear(sh.exports)
+			clear(c.exports)
 		}
 		ledgers = next
 		if ctl.state != nil {
@@ -1150,16 +1076,22 @@ func Run(wl Workload) (Result, error) {
 	eval.RunParallel(workers, len(cells), func(i int) {
 		results[i] = cells[i].finish()
 	})
+	out := aggregate(results, ctl)
+	out.Manifest = manifest(wl, len(cells), ctl)
+	record(out, results)
+	return out, nil
+}
 
+// aggregate folds every settled connection, once, into its country's
+// CountryStats and the fleet outcome mix; the fleet totals are then sums
+// over PerCountry.
+func aggregate(results []cellResult, ctl control) Result {
 	out := Result{
-		Cells:      len(cells),
+		Cells:      len(results),
 		PerCountry: map[string]CountryStats{},
 		Outcomes:   map[string]int{"served": 0, "torn_down": 0, "never_established": 0},
 	}
 	for _, cr := range results {
-		mCells.Inc()
-		mWaves.Add(uint64(cr.waves))
-		mConcurrent.SetMax(uint64(cr.maxWave))
 		cs := out.PerCountry[cr.country]
 		cs.CensorEvents += cr.censorEvents
 		mixedWave := map[int]bool{}
@@ -1169,47 +1101,29 @@ func Run(wl Workload) (Result, error) {
 			}
 		}
 		for _, c := range cr.conns {
-			out.Connections++
 			cs.Connections++
-			mConnections.Inc()
-			mAttempts.Add(uint64(c.attempts))
-			mCountryConns[cr.country].Inc()
 			cs.RequestsAttempted += c.planned
 			cs.RequestsServed += c.served
 			cs.UptimeVirtual += c.uptime
 			cs.LifetimeVirtual += c.lifetime
-			out.RequestsAttempted += c.planned
-			out.RequestsServed += c.served
-			out.UptimeVirtual += c.uptime
-			out.LifetimeVirtual += c.lifetime
-			mRequestsAttempted.Add(uint64(c.planned))
-			mRequestsServed.Add(uint64(c.served))
-			mUptimeVirtual.Add(uint64(c.uptime))
-			mLifetimeVirtual.Add(uint64(c.lifetime))
 			if c.firstSuccess {
 				cs.FirstAttemptSucceeded++
 			}
 			if reconnects := c.attempts - 1; reconnects > 0 {
 				cs.Reconnects += reconnects
-				mReconnects.Add(uint64(reconnects))
 				if c.success && !c.firstSuccess {
 					cs.Recoveries++
 					cs.ReconnectsToRecover += reconnects
-					mRecoveries.Inc()
 				}
 			}
-			if c.success {
-				out.Succeeded++
+			switch {
+			case c.success:
 				cs.Succeeded++
 				out.Outcomes["served"]++
-				mServed.Inc()
-				mCountryEvaded[cr.country].Inc()
-			} else if c.established {
+			case c.established:
 				out.Outcomes["torn_down"]++
-				mTornDown.Inc()
-			} else {
+			default:
 				out.Outcomes["never_established"]++
-				mUnestablished.Inc()
 			}
 			switch {
 			case c.plan.unprotected:
@@ -1231,100 +1145,133 @@ func Run(wl Workload) (Result, error) {
 		}
 		out.PerCountry[cr.country] = cs
 	}
+	for country, cs := range out.PerCountry {
+		out.Connections += cs.Connections
+		out.Succeeded += cs.Succeeded
+		out.RequestsAttempted += cs.RequestsAttempted
+		out.RequestsServed += cs.RequestsServed
+		out.UptimeVirtual += cs.UptimeVirtual
+		out.LifetimeVirtual += cs.LifetimeVirtual
+		if ctl.state == nil {
+			continue
+		}
+		rep := ctl.state.CountryReport(country)
+		var pulls uint64
+		for _, r := range rep {
+			pulls += r.Pulls
+		}
+		if pulls == 0 {
+			continue // unrouted population: the control plane never ran
+		}
+		cs.Selection = make(map[string]selector.ArmReport, len(rep))
+		for i, r := range rep {
+			cs.Selection[ctl.portfolio.Name(i)] = r
+		}
+		out.PerCountry[country] = cs
+	}
 	if ctl.state != nil {
 		out.Fallbacks = int(ctl.state.Fallbacks())
-		for country, cs := range out.PerCountry {
-			rep := ctl.state.CountryReport(country)
-			var pulls uint64
-			for _, r := range rep {
-				pulls += r.Pulls
-			}
-			if pulls == 0 {
-				continue // unrouted population: the control plane never ran
-			}
-			cs.Selection = make(map[string]selector.ArmReport, len(rep))
-			for i, r := range rep {
-				cs.Selection[ctl.portfolio.Name(i)] = r
-			}
-			out.PerCountry[country] = cs
-		}
 	}
-	out.Manifest = manifest(wl, len(cells), ctl)
-	return out, nil
+	return out
 }
 
-// manifest assembles the run record. Worker and shard width are
-// deliberately omitted: they cannot affect the simulation, and their
-// absence is what lets two runs at different widths produce byte-identical
-// Results.
+// record publishes every fleet.* counter from the finished Result plus the
+// per-cell scheduling tallies the Result does not carry.
+func record(out Result, results []cellResult) {
+	var waves, published, seeded, widest int
+	for _, cr := range results {
+		waves += cr.waves
+		published += cr.residualPublished
+		seeded += cr.residualSeeded
+		widest = max(widest, cr.maxWave)
+	}
+	var reconnects, recoveries int
+	for country, cs := range out.PerCountry {
+		mCountryConns[country].Add(uint64(cs.Connections))
+		mCountryEvaded[country].Add(uint64(cs.Succeeded))
+		reconnects += cs.Reconnects
+		recoveries += cs.Recoveries
+	}
+	mCells.Add(uint64(out.Cells))
+	mWaves.Add(uint64(waves))
+	mConcurrent.SetMax(uint64(widest))
+	mResidualPublished.Add(uint64(published))
+	mResidualSeeded.Add(uint64(seeded))
+	mConnections.Add(uint64(out.Connections))
+	mAttempts.Add(uint64(out.Connections + reconnects))
+	mReconnects.Add(uint64(reconnects))
+	mRecoveries.Add(uint64(recoveries))
+	mServed.Add(uint64(out.Outcomes["served"]))
+	mTornDown.Add(uint64(out.Outcomes["torn_down"]))
+	mUnestablished.Add(uint64(out.Outcomes["never_established"]))
+	mRequestsAttempted.Add(uint64(out.RequestsAttempted))
+	mRequestsServed.Add(uint64(out.RequestsServed))
+	mUptimeVirtual.Add(uint64(out.UptimeVirtual))
+	mLifetimeVirtual.Add(uint64(out.LifetimeVirtual))
+}
+
+// manifest assembles the run record. Worker width is deliberately omitted:
+// it cannot affect the simulation, and its absence is what lets two runs at
+// different widths produce byte-identical Results. Every other key is
+// always present, whether or not its feature is on.
 func manifest(wl Workload, cells int, ctl control) obs.Manifest {
+	sel := wl.Selection.WithDefaults()
+	keys := make([]string, 0, len(wl.Shift.Params))
+	for k := range wl.Shift.Params {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var shift strings.Builder
+	for i, k := range keys {
+		if i > 0 {
+			shift.WriteByte(',')
+		}
+		shift.WriteString(k)
+		shift.WriteByte('=')
+		shift.WriteString(strconv.FormatFloat(wl.Shift.Params[k], 'g', -1, 64))
+	}
 	cfg := map[string]string{
-		"countries":            strings.Join(wl.Countries, ","),
-		"protocols":            strings.Join(wl.Protocols, ","),
-		"connections":          strconv.Itoa(wl.Connections),
-		"clients_per_cell":     strconv.Itoa(wl.ClientsPerCell),
-		"waves_per_cell":       strconv.Itoa(wl.WavesPerCell),
-		"unprotected_per_cell": strconv.Itoa(wl.UnprotectedPerCell),
-		"wave_gap":             wl.WaveGap.String(),
-		"session_requests":     strconv.Itoa(wl.SessionRequests),
-		"request_gap":          wl.RequestGap.String(),
-		"reconnect_max":        strconv.Itoa(wl.Reconnect.MaxAttempts),
-		"reconnect_backoff":    wl.Reconnect.Backoff.String(),
-		"reconnect_retry_all":  strconv.FormatBool(wl.Reconnect.RetryAll),
-		"cells":                strconv.Itoa(cells),
-		"loss":                 strconv.FormatFloat(wl.Impairments.Loss, 'g', -1, 64),
-		"duplicate":            strconv.FormatFloat(wl.Impairments.Duplicate, 'g', -1, 64),
-		"reorder":              strconv.FormatFloat(wl.Impairments.Reorder, 'g', -1, 64),
-		"jitter":               wl.Impairments.Jitter.String(),
-	}
-	streams := map[string]int64{
-		"server":      seedServer,
-		"router":      seedRouter,
-		"censor":      seedCensor,
-		"impairments": seedImpairments,
-		"clients":     seedClients, // client slot s at clients + s
-	}
-	// Control-plane and censor-shift keys appear ONLY when those features
-	// are on: a pinned workload's manifest is byte-identical to builds that
-	// predate the control plane.
-	if ctl.active {
-		cfg["portfolio"] = ctl.portfolio.Hash()
-		cfg["portfolio_size"] = strconv.Itoa(ctl.portfolio.Len())
-		streams["portfolio_arms"] = eval.SeedArmBase // arm a at SeedArmBase + a
-	}
-	if ctl.state != nil {
-		sel := wl.Selection.WithDefaults()
-		cfg["selection_policy"] = string(sel.Policy)
-		cfg["selection_epsilon"] = strconv.FormatFloat(sel.Epsilon, 'g', -1, 64)
-		cfg["selection_ucb_c"] = strconv.FormatFloat(sel.UCBC, 'g', -1, 64)
-		cfg["selection_decay"] = strconv.FormatFloat(sel.Decay, 'g', -1, 64)
-		cfg["selection_min_pulls"] = strconv.FormatFloat(sel.MinPulls, 'g', -1, 64)
-		cfg["selection_collapse_below"] = strconv.FormatFloat(sel.CollapseBelow, 'g', -1, 64)
-		cfg["selection_quarantine_waves"] = strconv.Itoa(sel.QuarantineWaves)
-		streams["selector"] = seedSelector
-	}
-	if wl.Shift.Enabled() {
-		cfg["shift_wave"] = strconv.Itoa(wl.Shift.AtWave)
-		cfg["shift_country"] = wl.Shift.Country
-		keys := make([]string, 0, len(wl.Shift.Params))
-		for k := range wl.Shift.Params {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var b strings.Builder
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(k)
-			b.WriteByte('=')
-			b.WriteString(strconv.FormatFloat(wl.Shift.Params[k], 'g', -1, 64))
-		}
-		cfg["shift_params"] = b.String()
+		"countries":                  strings.Join(wl.Countries, ","),
+		"protocols":                  strings.Join(wl.Protocols, ","),
+		"connections":                strconv.Itoa(wl.Connections),
+		"clients_per_cell":           strconv.Itoa(wl.ClientsPerCell),
+		"waves_per_cell":             strconv.Itoa(wl.WavesPerCell),
+		"unprotected_per_cell":       strconv.Itoa(wl.UnprotectedPerCell),
+		"wave_gap":                   wl.WaveGap.String(),
+		"session_requests":           strconv.Itoa(wl.SessionRequests),
+		"request_gap":                wl.RequestGap.String(),
+		"reconnect_max":              strconv.Itoa(wl.Reconnect.MaxAttempts),
+		"reconnect_backoff":          wl.Reconnect.Backoff.String(),
+		"reconnect_retry_all":        strconv.FormatBool(wl.Reconnect.RetryAll),
+		"cells":                      strconv.Itoa(cells),
+		"loss":                       strconv.FormatFloat(wl.Impairments.Loss, 'g', -1, 64),
+		"duplicate":                  strconv.FormatFloat(wl.Impairments.Duplicate, 'g', -1, 64),
+		"reorder":                    strconv.FormatFloat(wl.Impairments.Reorder, 'g', -1, 64),
+		"jitter":                     wl.Impairments.Jitter.String(),
+		"portfolio":                  ctl.portfolio.Hash(),
+		"portfolio_size":             strconv.Itoa(ctl.portfolio.Len()),
+		"selection_policy":           string(sel.Policy),
+		"selection_epsilon":          strconv.FormatFloat(sel.Epsilon, 'g', -1, 64),
+		"selection_ucb_c":            strconv.FormatFloat(sel.UCBC, 'g', -1, 64),
+		"selection_decay":            strconv.FormatFloat(sel.Decay, 'g', -1, 64),
+		"selection_min_pulls":        strconv.FormatFloat(sel.MinPulls, 'g', -1, 64),
+		"selection_collapse_below":   strconv.FormatFloat(sel.CollapseBelow, 'g', -1, 64),
+		"selection_quarantine_waves": strconv.Itoa(sel.QuarantineWaves),
+		"shift_wave":                 strconv.Itoa(wl.Shift.AtWave),
+		"shift_country":              wl.Shift.Country,
+		"shift_params":               shift.String(),
 	}
 	return obs.NewManifest("fleet", cfg, obs.SeedSchedule{
 		Base:      wl.Seed,
 		TrialStep: cellSeedStride, // per cell, not per trial
-		Streams:   streams,
+		Streams: map[string]int64{
+			"server":         seedServer,
+			"router":         seedRouter,
+			"censor":         seedCensor,
+			"impairments":    seedImpairments,
+			"selector":       seedSelector,
+			"clients":        seedClients,      // client slot s at clients + s
+			"portfolio_arms": eval.SeedArmBase, // arm a at portfolio_arms + a
+		},
 	})
 }

@@ -37,7 +37,7 @@ func fleetSnapshot(t *testing.T, wl Workload) (string, map[string]uint64) {
 }
 
 // TestFleetResidualLedgerProperty is the property test for the one piece of
-// genuinely cross-connection censor state the sharded fleet shares: the
+// genuinely cross-connection censor state the fleet's cells share: the
 // GFW's ~90s residual-censorship windows.
 //
 // Property 1 (window arithmetic): cross-wave residual state fires iff the
@@ -47,10 +47,10 @@ func fleetSnapshot(t *testing.T, wl Workload) (string, map[string]uint64) {
 // exceed the long-gap run; with WaveGap beyond the window the ledger must
 // seed nothing and stay provably empty.
 //
-// Property 2 (shard invariance): the totals are identical whether the
-// affected connections land in the same shard or different shards — the
-// whole point of routing residual state through the deterministic
-// max-merge at the wave barrier instead of letting shards race on it.
+// Property 2 (worker invariance): the totals are identical whether the
+// affected cells run on one worker or many — the whole point of routing
+// residual state through the deterministic max-merge at the wave barrier
+// instead of letting concurrent cells race on it.
 func TestFleetResidualLedgerProperty(t *testing.T) {
 	base := Workload{
 		Countries:   []string{eval.CountryChina},
@@ -59,19 +59,18 @@ func TestFleetResidualLedgerProperty(t *testing.T) {
 		Workers:     1,
 		Seed:        42,
 	}
-	run := func(gap time.Duration, workers, shards int) (string, map[string]uint64) {
+	run := func(gap time.Duration, workers int) (string, map[string]uint64) {
 		wl := base
 		wl.WaveGap = gap
 		wl.Workers = workers
-		wl.Shards = shards
 		return fleetSnapshot(t, wl)
 	}
 
 	const inside = 30 * time.Second   // < 90s residual window
 	const outside = 120 * time.Second // > 90s residual window
 
-	_, short := run(inside, 1, 1)
-	_, long := run(outside, 1, 1)
+	_, short := run(inside, 1)
+	_, long := run(outside, 1)
 
 	if short["fleet.residual_ledger_seeded"] == 0 {
 		t.Error("WaveGap=30s inside the 90s residual window, but the barrier ledger seeded nothing")
@@ -87,16 +86,14 @@ func TestFleetResidualLedgerProperty(t *testing.T) {
 		t.Errorf("residual hits: short-gap %d <= long-gap %d; cross-wave residual state never fired", s, l)
 	}
 
-	// Shard invariance, asserted at the gap where the ledger is live (the
-	// hard case: residual windows really flow between shards here).
-	wantRes, wantCtrs := run(inside, 1, 1)
-	for _, layout := range []struct{ workers, shards int }{
-		{1, 2}, {1, 8}, {4, 2}, {4, 0},
-	} {
-		name := fmt.Sprintf("workers=%d/shards=%d", layout.workers, layout.shards)
-		gotRes, gotCtrs := run(inside, layout.workers, layout.shards)
+	// Worker invariance, asserted at the gap where the ledger is live (the
+	// hard case: residual windows really flow between cells here).
+	wantRes, wantCtrs := run(inside, 1)
+	for _, workers := range []int{2, 8} {
+		name := fmt.Sprintf("workers=%d", workers)
+		gotRes, gotCtrs := run(inside, workers)
 		if gotRes != wantRes {
-			t.Errorf("%s: Result diverged from workers=1/shards=1 under live residual ledger:\n%s\nvs\n%s",
+			t.Errorf("%s: Result diverged from workers=1 under live residual ledger:\n%s\nvs\n%s",
 				name, gotRes, wantRes)
 		}
 		for k, want := range wantCtrs {
@@ -115,20 +112,19 @@ func TestFleetResidualLedgerProperty(t *testing.T) {
 	// workload is the adversarial case for barrier bookkeeping. The window
 	// arithmetic must still hold — a wave gap inside the window seeds the
 	// ledger, one beyond it provably doesn't — and the totals must stay
-	// invariant under every shard layout.
+	// invariant at every worker width.
 	churn := base
 	churn.SessionRequests = 3
 	churn.RequestGap = 40 * time.Second
 	churn.Reconnect = ReconnectPolicy{MaxAttempts: 3, Backoff: 20 * time.Second, RetryAll: true}
-	runChurn := func(gap time.Duration, workers, shards int) (string, map[string]uint64) {
+	runChurn := func(gap time.Duration, workers int) (string, map[string]uint64) {
 		wl := churn
 		wl.WaveGap = gap
 		wl.Workers = workers
-		wl.Shards = shards
 		return fleetSnapshot(t, wl)
 	}
-	_, churnShort := runChurn(inside, 1, 1)
-	_, churnLong := runChurn(outside, 1, 1)
+	_, churnShort := runChurn(inside, 1)
+	_, churnLong := runChurn(outside, 1)
 	if churnShort["fleet.residual_ledger_seeded"] == 0 {
 		t.Error("reconnect churn at WaveGap=30s seeded no ledger windows")
 	}
@@ -139,14 +135,12 @@ func TestFleetResidualLedgerProperty(t *testing.T) {
 	if churnShort["fleet.reconnects"] == 0 {
 		t.Error("reconnect-churn workload never reconnected; property 3 exercised nothing")
 	}
-	churnRes, churnCtrs := runChurn(inside, 1, 1)
-	for _, layout := range []struct{ workers, shards int }{
-		{1, 2}, {4, 2}, {4, 0},
-	} {
-		name := fmt.Sprintf("churn/workers=%d/shards=%d", layout.workers, layout.shards)
-		gotRes, gotCtrs := runChurn(inside, layout.workers, layout.shards)
+	churnRes, churnCtrs := runChurn(inside, 1)
+	for _, workers := range []int{2, 8} {
+		name := fmt.Sprintf("churn/workers=%d", workers)
+		gotRes, gotCtrs := runChurn(inside, workers)
 		if gotRes != churnRes {
-			t.Errorf("%s: Result diverged from workers=1/shards=1 under reconnect churn:\n%s\nvs\n%s",
+			t.Errorf("%s: Result diverged from workers=1 under reconnect churn:\n%s\nvs\n%s",
 				name, gotRes, churnRes)
 		}
 		for k, want := range churnCtrs {
@@ -159,7 +153,7 @@ func TestFleetResidualLedgerProperty(t *testing.T) {
 
 // TestFleetAllocBudget pins the per-connection allocation budget of the
 // fleet hot path, the satellite tripwire mirroring eval's
-// TestTrialAllocBudget. The pre-sharding harness ran at ~32 allocs per
+// TestTrialAllocBudget. The pre-cell harness ran at ~32 allocs per
 // connection on this shape, the pooled cell/wave loop at ~21, and the
 // parse-once/TCB-recycling pass at ~16. The budget leaves headroom for
 // cross-seed variance but fails long before a regression to any earlier
@@ -177,7 +171,6 @@ func TestFleetAllocBudget(t *testing.T) {
 		Protocols:   []string{"http", "dns", "smtp"},
 		Connections: 500,
 		Workers:     1,
-		Shards:      1,
 		Seed:        1,
 	}
 	seed := int64(1)
@@ -192,7 +185,7 @@ func TestFleetAllocBudget(t *testing.T) {
 	perConn := allocs / float64(wl.Connections)
 	const budget = 19.0
 	if perConn > budget {
-		t.Errorf("fleet allocates %.1f objects per connection (%.0f total), budget is %.0f/conn (pre-sharding baseline was ~32)",
+		t.Errorf("fleet allocates %.1f objects per connection (%.0f total), budget is %.0f/conn (pre-cell baseline was ~32)",
 			perConn, allocs, budget)
 	}
 	perConnOneShot := perConn

@@ -5,10 +5,11 @@ import (
 	"geneva/internal/obs"
 )
 
-// Fleet counters. Totals are sums of per-connection events whose randomness
-// is purely seed-derived, and the concurrency gauge is a high-water mark
-// over per-cell virtual-time concurrency, so every instrument here is
-// worker-width invariant (the PR-4 metrics discipline).
+// Fleet counters, published once per run by record from the finished Result
+// and per-cell tallies. Totals are sums of per-connection events whose
+// randomness is purely seed-derived, and the concurrency gauge is a
+// high-water mark over per-cell virtual-time concurrency, so every
+// instrument here is worker-width invariant (the PR-4 metrics discipline).
 var (
 	mCells         = obs.NewCounter("fleet.cells")
 	mWaves         = obs.NewCounter("fleet.waves")
@@ -27,7 +28,7 @@ var (
 	// windows outliving the wave gap are planted, so with the default gap
 	// both stay at published-only/zero). Each cell's contribution is a pure
 	// function of its seeds and the merged ledger, so both totals are
-	// worker- and shard-width invariant.
+	// worker-width invariant.
 	mResidualPublished = obs.NewCounter("fleet.residual_windows_published")
 	mResidualSeeded    = obs.NewCounter("fleet.residual_ledger_seeded")
 	// Long-horizon session counters: per-exchange demand and delivery,

@@ -80,7 +80,6 @@ var keepAliveChina = Workload{
 	RequestGap:      40 * time.Second,
 	Seed:            42,
 	Workers:         1,
-	Shards:          1,
 }
 
 // TestFleetReconnectPolicyChangesAvailability is the scenario the issue
@@ -150,11 +149,11 @@ func TestFleetReconnectPolicyChangesAvailability(t *testing.T) {
 	}
 }
 
-// TestFleetLongHorizonShardInvariance: the committed scenario — keep-alive
+// TestFleetLongHorizonWorkerInvariance: the committed scenario — keep-alive
 // sessions, reconnect backoff, residual windows straddling both — is
-// bit-identical (Result and every counter) at any workers × shards layout,
-// the same guarantee the one-shot fleet has always carried.
-func TestFleetLongHorizonShardInvariance(t *testing.T) {
+// bit-identical (Result and every counter) at any worker width, the same
+// guarantee the one-shot fleet has always carried.
+func TestFleetLongHorizonWorkerInvariance(t *testing.T) {
 	for _, pol := range []ReconnectPolicy{
 		{MaxAttempts: 3},
 		{MaxAttempts: 3, Backoff: 100 * time.Second},
@@ -164,16 +163,13 @@ func TestFleetLongHorizonShardInvariance(t *testing.T) {
 		wl.Connections = 24
 		wl.Reconnect = pol
 		wantRes, wantCtrs := fleetSnapshot(t, wl)
-		for _, layout := range []struct{ workers, shards int }{
-			{2, 2}, {8, 8}, {8, 0},
-		} {
+		for _, workers := range []int{2, 8} {
 			w := wl
-			w.Workers = layout.workers
-			w.Shards = layout.shards
-			name := fmt.Sprintf("backoff=%v/workers=%d/shards=%d", pol.Backoff, layout.workers, layout.shards)
+			w.Workers = workers
+			name := fmt.Sprintf("backoff=%v/workers=%d", pol.Backoff, workers)
 			gotRes, gotCtrs := fleetSnapshot(t, w)
 			if gotRes != wantRes {
-				t.Errorf("%s: Result diverged from workers=1/shards=1:\n%s\nvs\n%s", name, gotRes, wantRes)
+				t.Errorf("%s: Result diverged from workers=1:\n%s\nvs\n%s", name, gotRes, wantRes)
 			}
 			for k, want := range wantCtrs {
 				if got := gotCtrs[k]; got != want {

@@ -5,8 +5,7 @@ import "geneva/internal/obs"
 // Selector counters. All three are incremented only during the
 // single-threaded wave-barrier fold (State.Barrier), from integer deltas
 // whose values are pure functions of the seeds and the plan — so like
-// every other instrument in the tree they are worker- and shard-width
-// invariant.
+// every other instrument in the tree they are worker-width invariant.
 var (
 	// mPulls counts strategy selections (one per connection attempt
 	// routed through the control plane).

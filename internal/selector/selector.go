@@ -14,7 +14,7 @@
 //
 // The selector is one more seeded component of the fleet, subject to the
 // same bit-identity contract as everything else: a FleetResult must be
-// identical at any worker and shard width. That shapes the design exactly
+// identical at any worker width. That shapes the design exactly
 // like the residual ledger:
 //
 //   - Global state (State) only changes at wave barriers, on one

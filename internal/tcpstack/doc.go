@@ -23,14 +23,14 @@
 //     checksum-corrupted "insertion packet" is processed by censors (which
 //     do not validate) but not by any client — the §7 compatibility fix.
 //
-// Retransmission is opt-in (Endpoint.Retransmit). Historically there was
-// deliberately no retransmission timer — the virtual network never lost
-// packets except by explicit censor action — and that remains the zero-value
-// behaviour: with the policy disabled no timer is ever armed, packet traces
-// are byte-identical to older builds, and the experiment harness treats a
-// quiescent, unanswered connection as the failure it is (e.g. Iran's
-// blackholing). When netsim impairments (loss, duplication, reordering,
-// jitter) are active, the harness enables the policy: every
+// Retransmission is opt-in (Endpoint.Retransmit) because on a lossless link
+// it costs without helping: it would arm a virtual-clock timer for every
+// sequence-consuming segment, while the only packets that ever go missing
+// are the ones a censor drops on purpose. With the policy disabled no timer
+// is ever armed, and the experiment harness treats a quiescent, unanswered
+// connection as the failure it is (e.g. Iran's blackholing). When netsim
+// impairments (loss, duplication, reordering, jitter) are active, the
+// harness enables the policy: every
 // sequence-consuming segment (SYN, SYN+ACK, data, FIN) is tracked in a
 // retransmit queue and re-sent on a virtual-clock RTO with doubling backoff,
 // aborting cleanly after a bounded number of retries. Retransmissions

@@ -24,8 +24,8 @@ type Endpoint struct {
 	// the §5 follow-up experiments).
 	Outbound func(*packet.Packet) []*packet.Packet
 	// Retransmit arms RTO-driven retransmission for sequence-consuming
-	// segments. The zero value disables it — required on a lossless
-	// network to keep historical packet traces byte-identical.
+	// segments. The zero value disables it: on a lossless network it would
+	// only arm a timer per segment (see the package doc).
 	Retransmit RetransmitPolicy
 	// ReleaseClosed opts the endpoint into connection recycling: a
 	// connection is removed from the table the moment it finishes (clean

@@ -7,9 +7,9 @@ import (
 )
 
 // RetransmitPolicy configures the endpoint's retransmission machinery. The
-// zero value disables it entirely — the historical lossless-network
-// behaviour, under which no timer is ever armed and packet emission is
-// byte-identical to builds that predate retransmission.
+// zero value disables it entirely, so no timer is ever armed — the right
+// setting on a lossless network, where the only lost packets are the ones a
+// censor drops on purpose.
 type RetransmitPolicy struct {
 	// Enabled arms an RTO timer for every sequence-consuming segment
 	// (SYN, SYN+ACK, data, FIN).

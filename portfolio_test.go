@@ -30,12 +30,14 @@ func pinnedGolden(t *testing.T, d Deployment) []byte {
 	return append(b, '\n')
 }
 
-// TestFleetPinnedByteIdentity is the regression half of the control-plane
-// contract: a Deployment with Portfolio and Selection both unset must
-// reproduce the pre-control-plane FleetResult + manifest byte-for-byte. The
-// goldens under testdata/ were generated at the PR 9 tree, before
-// internal/selector existed, on the exact TestFleetDeterminism and
-// TestFleetDeterminismLongHorizon workload shapes.
+// TestFleetPinnedByteIdentity pins the registry-pinned fleet — Portfolio and
+// Selection both unset — byte-for-byte: the FleetResult and manifest of the
+// exact TestFleetDeterminism and TestFleetDeterminismLongHorizon workload
+// shapes must match the committed goldens under testdata/. Any change to a
+// served connection, a seed stream or a manifest key shows up here as a
+// reviewable diff; regenerate with
+//
+//	UPDATE_GOLDEN=1 go test -run TestFleetPinnedByteIdentity .
 func TestFleetPinnedByteIdentity(t *testing.T) {
 	cases := []struct {
 		golden string
@@ -60,23 +62,30 @@ func TestFleetPinnedByteIdentity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.golden, func(t *testing.T) {
+			got := pinnedGolden(t, tc.d)
+			if os.Getenv("UPDATE_GOLDEN") != "" {
+				if err := os.WriteFile(tc.golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("wrote %s", tc.golden)
+				return
+			}
 			want, err := os.ReadFile(tc.golden)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%v (regenerate with UPDATE_GOLDEN=1)", err)
 			}
-			got := pinnedGolden(t, tc.d)
 			if string(got) != string(want) {
-				t.Errorf("pinned run diverged from the pre-control-plane golden %s:\n%s", tc.golden, got)
+				t.Errorf("pinned run diverged from the golden %s (UPDATE_GOLDEN=1 to regen):\n%s", tc.golden, got)
 			}
 		})
 	}
 }
 
-// TestFleetSelectionDeterminism re-proves the workers × shards bit-identity
-// matrix with the control plane live: a portfolio of three §8 strategies,
-// the epsilon-greedy bandit picking per attempt, selector state merging at
-// wave barriers, and a mid-run censor shift — every new scheduling surface
-// this PR adds. UCB1 gets the same matrix on a reduced grid.
+// TestFleetSelectionDeterminism re-proves the scheduling-matrix bit-identity
+// (see sweepSchedules) with the control plane live: a portfolio of three §8
+// strategies, the epsilon-greedy bandit picking per attempt, selector state
+// merging at wave barriers, and a mid-run censor shift. UCB1 gets the same
+// matrix on a reduced grid.
 func TestFleetSelectionDeterminism(t *testing.T) {
 	portfolio, err := NewPortfolio(Strategy1.DSL, Strategy2.DSL, Strategy11.DSL)
 	if err != nil {
@@ -91,42 +100,17 @@ func TestFleetSelectionDeterminism(t *testing.T) {
 		Selection:   Selection{Policy: EpsilonGreedy},
 		Shift:       CensorShift{AtWave: 2, Params: map[string]float64{"prst": 0}},
 	}
-	encode := func(d Deployment, workers, shards int) string {
-		d.Workers = workers
-		d.Shards = shards
-		res, err := RunDeployment(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	want := encode(base, 1, 1)
-	for _, w := range []int{1, 2, 8} {
-		for _, s := range []int{1, 2, 8} {
-			if w == 1 && s == 1 {
-				continue
-			}
-			t.Run(fmt.Sprintf("eps/workers=%d_shards=%d", w, s), func(t *testing.T) {
-				if got := encode(base, w, s); got != want {
-					t.Errorf("selection run diverged from workers=1/shards=1:\n%s\nvs\n%s", got, want)
-				}
-			})
-		}
-	}
+	want := sweepSchedules(t, "eps/", base)
 	ucb := base
 	ucb.Selection = Selection{Policy: UCB1}
-	wantUCB := encode(ucb, 1, 1)
+	wantUCB := encodeDeployment(t, ucb, 1, 1)
 	if wantUCB == want {
 		t.Error("UCB1 and epsilon-greedy produced identical output; the policy knob is dead")
 	}
-	for _, layout := range []struct{ w, s int }{{2, 2}, {8, 0}} {
-		t.Run(fmt.Sprintf("ucb1/workers=%d_shards=%d", layout.w, layout.s), func(t *testing.T) {
-			if got := encode(ucb, layout.w, layout.s); got != wantUCB {
-				t.Errorf("UCB1 run diverged from workers=1/shards=1:\n%s\nvs\n%s", got, wantUCB)
+	for _, layout := range []struct{ w, p int }{{2, 2}, {8, 0}} {
+		t.Run(fmt.Sprintf("ucb1/workers=%d_shards=%d", layout.w, layout.p), func(t *testing.T) {
+			if got := encodeDeployment(t, ucb, layout.w, layout.p); got != wantUCB {
+				t.Errorf("UCB1 run diverged from workers=1/procs=1:\n%s\nvs\n%s", got, wantUCB)
 			}
 		})
 	}
@@ -155,6 +139,57 @@ func TestFleetSelectionDeterminism(t *testing.T) {
 	}
 	if res.PerCountry[NoCensor].Selection != nil {
 		t.Error("uncensored (unrouted) country has a selection table; no arms should be pulled there")
+	}
+}
+
+// TestFleetPinnedPortfolio covers portfolio-pinned mode (Portfolio set,
+// Selection unset): every routed client is served the portfolio's first
+// strategy, so the trailing arms change nothing a client sees, and no
+// control plane runs — no selection tables, no fallbacks.
+func TestFleetPinnedPortfolio(t *testing.T) {
+	run := func(strategies ...string) FleetResult {
+		t.Helper()
+		p, err := NewPortfolio(strategies...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunDeployment(Deployment{
+			Countries:   []string{China, Kazakhstan, NoCensor},
+			Protocols:   []string{"http", "https"},
+			Connections: 96,
+			Seed:        1234,
+			Portfolio:   p,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	outcomes := func(res FleetResult) string {
+		b, err := json.Marshal(struct {
+			PerCountry map[string]CountryStats
+			Outcomes   map[string]int
+		}{res.PerCountry, res.Outcomes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	wide := run(Strategy2.DSL, Strategy1.DSL, Strategy11.DSL)
+	alone := run(Strategy2.DSL)
+	if got, want := outcomes(wide), outcomes(alone); got != want {
+		t.Errorf("portfolio {S2, S1, S11} served differently from {S2} alone:\n%s\nvs\n%s", got, want)
+	}
+	if outcomes(alone) == outcomes(run(Strategy1.DSL)) {
+		t.Error("{S2} and {S1} portfolios produced identical outcomes; the portfolio is not being served")
+	}
+	for country, cs := range wide.PerCountry {
+		if cs.Selection != nil {
+			t.Errorf("%s: selection table on a run without Selection: %+v", country, cs.Selection)
+		}
+	}
+	if wide.Fallbacks != 0 {
+		t.Errorf("Fallbacks = %d on a run without Selection", wide.Fallbacks)
 	}
 }
 

@@ -148,17 +148,17 @@ func main() {
 	switch *set {
 	case "fleet":
 		out.Note = "deployment-harness throughput (BenchmarkFleet): conns/s per " +
-			"worker × shard ladder rung at the 10^5-connection workload, plus " +
+			"worker ladder rung at the 10^5-connection workload, plus " +
 			"the longhorizon rung (keep-alive sessions with reconnect backoff " +
 			"at 5×10^4 connections); fleet_scaling_8w_over_1w is the " +
-			"wall-clock speedup of workers=8/shards=8 over workers=1/shards=1 " +
+			"wall-clock speedup of workers=8 over workers=1 " +
 			"(~1.0 on a single-core host — the FleetResult itself is identical " +
 			"at every width); regenerate with `make bench-fleet`, gate allocs " +
 			"with `make bench-fleet-gate`"
 		for name, r := range current {
 			if v, ok := r.Metrics["conns/s"]; ok {
 				// The rung is the full sub-benchmark path (e.g.
-				// "workers=8/shards=8"), not just the last segment —
+				// "longhorizon/workers=8"), not just the last segment —
 				// flattened into a stable summary key.
 				rung := name
 				if i := strings.Index(rung, "/"); i >= 0 {
@@ -169,8 +169,8 @@ func main() {
 				out.Summary["conns_per_sec_"+rung] = round2(v)
 			}
 		}
-		w1, ok1 := current["BenchmarkFleet/workers=1/shards=1"]
-		w8, ok8 := current["BenchmarkFleet/workers=8/shards=8"]
+		w1, ok1 := current["BenchmarkFleet/workers=1"]
+		w8, ok8 := current["BenchmarkFleet/workers=8"]
 		if ok1 && ok8 && w8.NsPerOp > 0 {
 			out.Summary["fleet_scaling_8w_over_1w"] = round2(w1.NsPerOp / w8.NsPerOp)
 		}
