@@ -1,0 +1,315 @@
+package fleet
+
+import (
+	"math/rand"
+	"sync"
+
+	"geneva/internal/apps"
+	"geneva/internal/censor"
+	"geneva/internal/eval"
+	"geneva/internal/netsim"
+	"geneva/internal/selector"
+	"geneva/internal/tcpstack"
+)
+
+// rngPool recycles rand.Rand instances across cells. Seeding a pooled
+// generator reinitializes its entire state, so a reseeded instance's stream
+// is identical to a freshly constructed one — this only exists because each
+// generator carries a ~5 KB state table whose initialization dominated cell
+// setup CPU before pooling.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// scriptKey identifies one client-script shape: scripts of the same protocol
+// but different keep-alive lengths (a reconnect resumes with only the
+// remaining exchanges) have different transcripts, so the freelists keep
+// them apart.
+type scriptKey struct {
+	proto string
+	exch  int
+}
+
+// portedScript is a leased server-side script, keyed by the port whose
+// session template it clones.
+type portedScript struct {
+	port uint16
+	s    *apps.Script
+}
+
+// cell is one wired cell network, alive from construction to the end of its
+// last wave so the scheduler can drive all cells in wave lockstep.
+// Everything in a cell runs on a single goroutine per wave against the
+// cell's own virtual clock; only its residual exports leave it.
+type cell struct {
+	wl   Workload
+	plan cellPlan
+
+	server    *tcpstack.Endpoint
+	slots     map[int]*tcpstack.Endpoint
+	sessions  map[string]*apps.Session // full-length session per protocol
+	base      map[string]*apps.Session // single-exchange originals (reconnect tails derive from these)
+	tails     map[scriptKey]*apps.Session
+	factories map[uint16]func(*tcpstack.Conn) tcpstack.App
+	net       *netsim.Network
+	cen       eval.CensorCounter
+	resid     censor.ResidualCarrier // non-nil iff the censor shares residual state
+	shifter   censor.ParamShifter    // non-nil iff the censor can shift mid-run
+	shifted   bool
+	lease     *eval.RouterLease
+	rngs      []*rand.Rand
+
+	// Portfolio delivery: armLease is nil without a portfolio and on
+	// unrouted-country cells (the uncensored population matches no route,
+	// so no server-side strategy applies to it either way); selCell and
+	// selRng are nil unless Selection is on as well.
+	armLease *eval.PortfolioLease
+	selCell  *selector.Cell
+	selRng   *rand.Rand
+
+	// exports holds the residual windows the cell published in the current
+	// wave (nil when its censor shares no residual state); the barrier
+	// folds and clears it.
+	exports residualLedger
+
+	byWave  [][]int // wave -> indices into plan.conns (contiguous from 0)
+	res     cellResult
+	started bool
+
+	// Script freelists: client scripts by protocol and exchange count,
+	// server scripts by port. Leases are reclaimed once their connection
+	// can no longer receive a packet (settled attempts; wave end for
+	// server scripts).
+	clientFree map[scriptKey][]*apps.Script
+	serverFree map[uint16][]*apps.Script
+	serverLive []portedScript
+	live       []inflight
+}
+
+// rng takes a pooled generator, seeds it, and remembers it for release at
+// cell finish.
+func (c *cell) rng(seed int64) *rand.Rand {
+	r := rngPool.Get().(*rand.Rand)
+	r.Seed(seed)
+	c.rngs = append(c.rngs, r)
+	return r
+}
+
+// newCell wires one cell — server + pooled deployment router, censor,
+// clients — without running anything. The construction order (and thus
+// every rng draw) is exactly the plan order, never scheduling order.
+func newCell(wl Workload, cp cellPlan, ctl control) *cell {
+	c := &cell{wl: wl, plan: cp}
+	cellSeed := wl.Seed + int64(cp.index)*cellSeedStride
+
+	c.server = tcpstack.NewEndpoint(eval.ServerAddr, tcpstack.DefaultServer, c.rng(cellSeed+seedServer))
+	c.lease = eval.AcquireDeploymentRouter(cellSeed + seedRouter)
+	c.server.Outbound = c.lease.Router.Outbound
+	c.server.ReleaseClosed = true
+
+	// Portfolio delivery: routed countries get one engine per arm, seeded
+	// per cell at cellSeed + eval.SeedArmBase + arm, and pullArm pins an
+	// arm to the client's address per attempt. Unrouted countries (the
+	// uncensored population) keep matching no route — the server doesn't
+	// know them, selected or not.
+	if _, routed := eval.RouterPrefixes[cp.country]; routed && !ctl.portfolio.IsZero() {
+		c.armLease = eval.AcquirePortfolioEngines(ctl.portfolio, cellSeed)
+		if ctl.state != nil {
+			c.selCell = ctl.state.NewCell()
+			c.selRng = c.rng(cellSeed + seedSelector)
+		}
+	}
+
+	// One forbidden session per protocol in the cell; the server listens on
+	// every port and dispatches the matching application by the port the
+	// client connected to. Fleet scripts close after their transcripts
+	// (CloseAtEnd) so both sides' connections finish and recycle — without
+	// that, a 10^5-connection run accretes every connection ever served in
+	// the server's table.
+	c.sessions = map[string]*apps.Session{}
+	c.base = map[string]*apps.Session{}
+	c.factories = map[uint16]func(*tcpstack.Conn) tcpstack.App{}
+	for _, cn := range cp.conns {
+		if _, ok := c.sessions[cn.protocol]; ok {
+			continue
+		}
+		sess := eval.SessionFor(cp.country, cn.protocol, true)
+		c.base[cn.protocol] = sess
+		if wl.SessionRequests > 1 {
+			// Extend the one-shot session into a keep-alive one. Protocols
+			// whose transcript isn't a single exchange come back unchanged
+			// and keep running one-shot. The server factory installed below
+			// answers each request as it arrives, so the same listener also
+			// serves shorter reconnect-tail sessions.
+			sess = sess.KeepAlive(wl.SessionRequests, wl.RequestGap)
+		}
+		c.sessions[cn.protocol] = sess
+		c.factories[sess.Port] = sess.ServerFactory()
+		c.server.Listen(sess.Port)
+	}
+	c.clientFree = make(map[scriptKey][]*apps.Script, len(c.sessions))
+	c.serverFree = make(map[uint16][]*apps.Script, len(c.sessions))
+	c.server.NewServerApp = func(conn *tcpstack.Conn) tcpstack.App {
+		port := conn.Flow().SrcPort
+		if l := c.serverFree[port]; len(l) > 0 {
+			s := l[len(l)-1]
+			l[len(l)-1] = nil
+			c.serverFree[port] = l[:len(l)-1]
+			s.Restart()
+			c.serverLive = append(c.serverLive, portedScript{port: port, s: s})
+			return s
+		}
+		s := c.factories[port](conn).(*apps.Script)
+		s.CloseAtEnd = true
+		c.serverLive = append(c.serverLive, portedScript{port: port, s: s})
+		return s
+	}
+
+	// Client endpoints, one per slot the plan uses.
+	c.slots = map[int]*tcpstack.Endpoint{}
+	var hosts []netsim.Host
+	for _, cn := range cp.conns {
+		if _, ok := c.slots[cn.slot]; ok {
+			continue
+		}
+		ep := tcpstack.NewEndpoint(clientAddr(cp.country, cn.slot, cn.unprotected),
+			tcpstack.DefaultClient, c.rng(cellSeed+seedClients+int64(cn.slot)))
+		ep.ReleaseClosed = true
+		c.slots[cn.slot] = ep
+		hosts = append(hosts, ep)
+	}
+
+	c.cen = eval.NewCensor(cp.country, censor.Default(), c.rng(cellSeed+seedCensor))
+	c.resid, _ = c.cen.(censor.ResidualCarrier)
+	if c.resid != nil {
+		c.exports = residualLedger{}
+	}
+	c.shifter, _ = c.cen.(censor.ParamShifter)
+	if c.cen != nil {
+		c.net = netsim.NewMulti(c.server, hosts, c.cen)
+	} else {
+		c.net = netsim.NewMulti(c.server, hosts)
+	}
+	c.net.RecyclePackets = true
+	if im := netsim.Symmetric(wl.Impairments); im.Enabled() {
+		c.net.SetImpairments(im, c.rng(cellSeed+seedImpairments))
+		c.server.Retransmit = tcpstack.DefaultRetransmit
+		for _, ep := range c.slots {
+			ep.Retransmit = tcpstack.DefaultRetransmit
+		}
+	}
+	c.server.Attach(c.net)
+	for _, ep := range c.slots {
+		ep.Attach(c.net)
+	}
+
+	// Waves are assigned contiguously from 0 by plan, so the per-wave
+	// index lists slot straight into a slice.
+	waves := 0
+	for _, cn := range cp.conns {
+		if cn.wave+1 > waves {
+			waves = cn.wave + 1
+		}
+	}
+	c.byWave = make([][]int, waves)
+	for i, cn := range cp.conns {
+		c.byWave[cn.wave] = append(c.byWave[cn.wave], i)
+	}
+	c.res = cellResult{country: cp.country, conns: make([]connResult, len(cp.conns))}
+	return c
+}
+
+// drain runs the cell network until no event is pending.
+func (c *cell) drain() {
+	for !c.net.Quiet() {
+		c.net.Run(0)
+	}
+}
+
+// sessionFor returns the session a new attempt should run: the protocol's
+// full session when the whole transcript is still owed, or a shorter
+// keep-alive tail carrying only the m exchanges a reconnecting client has
+// left. Tails are cached per length — a cell reconnects into the same few
+// shapes over and over.
+func (c *cell) sessionFor(proto string, m int) *apps.Session {
+	full := c.sessions[proto]
+	if m >= full.Exchanges() {
+		return full
+	}
+	if m <= 1 {
+		return c.base[proto]
+	}
+	k := scriptKey{proto: proto, exch: m}
+	if s, ok := c.tails[k]; ok {
+		return s
+	}
+	s := c.base[proto].KeepAlive(m, c.wl.RequestGap)
+	if c.tails == nil {
+		c.tails = map[scriptKey]*apps.Session{}
+	}
+	c.tails[k] = s
+	return s
+}
+
+// clientScript leases a client script for one session shape: freelist first,
+// session clone after.
+func (c *cell) clientScript(sess *apps.Session, key scriptKey) *apps.Script {
+	if l := c.clientFree[key]; len(l) > 0 {
+		s := l[len(l)-1]
+		l[len(l)-1] = nil
+		c.clientFree[key] = l[:len(l)-1]
+		s.Restart()
+		return s
+	}
+	s := sess.NewClient()
+	s.CloseAtEnd = true
+	return s
+}
+
+// releaseClient returns a settled attempt's script to the freelist. Safe
+// because a settled attempt's flow can never receive another packet: client
+// ports only move forward, and the wave drained to quiescence before
+// settlement was read.
+func (c *cell) releaseClient(key scriptKey, s *apps.Script) {
+	c.clientFree[key] = append(c.clientFree[key], s)
+}
+
+// pullArm picks the portfolio arm serving one connection attempt — the
+// bandit's choice with Selection on, arm 0 without — and pins its engine to
+// the client's address, so the router delivers it when the SYN+ACK opens
+// the flow. Returns -1 (and touches nothing) when the cell has no portfolio
+// or the client is unprotected; the router's §8 prefix routes then apply.
+// Safe against concurrent wave-mates: each slot address has at most one
+// un-opened flow at a time, and opened flows cache their engine, so re-pins
+// never switch a strategy mid-connection.
+func (c *cell) pullArm(cn *connPlan) int {
+	if c.armLease == nil || cn.unprotected {
+		return -1
+	}
+	arm := 0
+	if c.selCell != nil {
+		arm = c.selCell.Next(c.plan.country, cn.protocol, c.selRng)
+	}
+	c.lease.Router.PinClient(clientAddr(c.plan.country, cn.slot, false), c.armLease.Engines[arm])
+	return arm
+}
+
+// finish closes the cell out: stamp plans and censor totals into the
+// result, and hand the pooled router and rngs back.
+func (c *cell) finish() cellResult {
+	for i := range c.res.conns {
+		c.res.conns[i].plan = c.plan.conns[i]
+	}
+	if c.cen != nil {
+		c.res.censorEvents = c.cen.CensoredCount()
+	}
+	eval.ReleaseDeploymentRouter(c.lease)
+	c.lease = nil
+	eval.ReleasePortfolioEngines(c.armLease)
+	c.armLease, c.selCell, c.selRng = nil, nil, nil
+	for i, r := range c.rngs {
+		rngPool.Put(r)
+		c.rngs[i] = nil
+	}
+	c.rngs = nil
+	c.server, c.slots, c.net, c.cen, c.resid, c.exports = nil, nil, nil, nil, nil, nil
+	return c.res
+}

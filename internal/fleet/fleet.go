@@ -34,21 +34,12 @@ package fleet
 
 import (
 	"fmt"
-	"math/rand"
-	"net/netip"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 
-	"geneva/internal/apps"
-	"geneva/internal/censor"
 	"geneva/internal/eval"
 	"geneva/internal/netsim"
 	"geneva/internal/obs"
 	"geneva/internal/selector"
-	"geneva/internal/tcpstack"
 )
 
 // cellSeedStride separates the seed spaces of consecutive cells; each cell
@@ -321,53 +312,6 @@ func (r Result) Availability() float64 {
 	return float64(r.UptimeVirtual) / float64(r.LifetimeVirtual)
 }
 
-// connPlan is one planned connection.
-type connPlan struct {
-	global      int // stable global connection index
-	wave        int
-	slot        int // endpoint slot within the cell
-	unprotected bool
-	protocol    string
-}
-
-// cellPlan is one cell's share of the workload.
-type cellPlan struct {
-	index   int // stable global cell index
-	country string
-	conns   []connPlan
-}
-
-// connResult is one connection's outcome.
-type connResult struct {
-	plan        connPlan
-	success     bool
-	established bool
-	attempts    int
-
-	// Long-horizon accounting.
-	planned      int  // exchanges the plan asked this connection to carry
-	served       int  // exchanges that arrived intact, across all attempts
-	firstSettled bool // the first attempt has settled (guards firstSuccess)
-	firstSuccess bool // the FIRST attempt served the whole session
-	startAt      time.Duration
-	uptime       time.Duration // Σ per-attempt SYN → last verified byte
-	lifetime     time.Duration // settle − start, floored at the planned span
-}
-
-// cellResult is one cell's outcome.
-type cellResult struct {
-	country      string
-	conns        []connResult
-	censorEvents int
-	waves        int
-	maxWave      int // widest wave started (virtual-time concurrency)
-
-	// Residual-ledger traffic: windows the cell exported at wave barriers
-	// and ledger windows planted into it at wave starts.
-	residualPublished int
-	residualSeeded    int
-}
-
 // withDefaults resolves the zero-value fields. It returns a copy; the
 // caller's Workload is never mutated.
 func (wl Workload) withDefaults() Workload {
@@ -458,545 +402,6 @@ func resolveControl(wl Workload) control {
 	return ctl
 }
 
-// plan partitions the workload into cells: connections split evenly across
-// countries (earlier countries absorb the remainder), each country's share
-// chunked into cells wave by wave. The enumeration order here is the only
-// order that matters — global connection and cell indices are assigned by
-// it, and every seed derives from them.
-func plan(wl Workload) []cellPlan {
-	var cells []cellPlan
-	global := 0
-	base := wl.Connections / len(wl.Countries)
-	extra := wl.Connections % len(wl.Countries)
-	for ci, country := range wl.Countries {
-		quota := base
-		if ci < extra {
-			quota++
-		}
-		for quota > 0 {
-			cell := cellPlan{index: len(cells), country: country}
-			for w := 0; w < wl.WavesPerCell && quota > 0; w++ {
-				for s := 0; s < wl.ClientsPerCell && quota > 0; s++ {
-					cell.conns = append(cell.conns, connPlan{
-						global:   global,
-						wave:     w,
-						slot:     s,
-						protocol: wl.Protocols[global%len(wl.Protocols)],
-					})
-					global++
-					quota--
-				}
-				if w%2 == 1 {
-					for u := 0; u < wl.UnprotectedPerCell && quota > 0; u++ {
-						cell.conns = append(cell.conns, connPlan{
-							global:      global,
-							wave:        w,
-							slot:        wl.ClientsPerCell + u,
-							unprotected: true,
-							protocol:    wl.Protocols[global%len(wl.Protocols)],
-						})
-						global++
-						quota--
-					}
-				}
-			}
-			cells = append(cells, cell)
-		}
-	}
-	return cells
-}
-
-// clientAddr places a cell's client endpoints: routed slots inside the
-// country's router prefix, unprotected slots (and uncensored populations)
-// in ranges no route covers.
-func clientAddr(country string, slot int, unprotected bool) netip.Addr {
-	if unprotected {
-		return netip.AddrFrom4([4]byte{172, 16, 0, byte(2 + slot)})
-	}
-	p, ok := eval.RouterPrefixes[country]
-	if !ok { // eval.CountryNone: an uncensored client outside every prefix
-		return netip.AddrFrom4([4]byte{198, 18, 0, byte(2 + slot)})
-	}
-	a := p.Addr().As4()
-	a[3] = byte(2 + slot)
-	return netip.AddrFrom4(a)
-}
-
-// rngPool recycles rand.Rand instances across cells. Seeding a pooled
-// generator reinitializes its entire state, so a reseeded instance's stream
-// is identical to a freshly constructed one — this only exists because each
-// generator carries a ~5 KB state table whose initialization dominated cell
-// setup CPU before pooling.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
-// residualLedger maps a residual-censorship server key to the longest
-// remaining window any cell of one country reported at the last wave
-// barrier.
-type residualLedger map[string]time.Duration
-
-// inflight is one connection attempt awaiting settlement in a wave.
-type inflight struct {
-	idx       int // index into plan.conns / res.conns
-	app       *apps.Script
-	connectAt time.Duration // virtual time the attempt's SYN left
-	exchanges int           // exchanges this attempt's script carries
-	arm       int           // portfolio arm serving the attempt (-1 = none)
-}
-
-// scriptKey identifies one client-script shape: scripts of the same protocol
-// but different keep-alive lengths (a reconnect resumes with only the
-// remaining exchanges) have different transcripts, so the freelists keep
-// them apart.
-type scriptKey struct {
-	proto string
-	exch  int
-}
-
-// portedScript is a leased server-side script, keyed by the port whose
-// session template it clones.
-type portedScript struct {
-	port uint16
-	s    *apps.Script
-}
-
-// cell is one wired cell network, alive from construction to the end of its
-// last wave so the scheduler can drive all cells in wave lockstep.
-// Everything in a cell runs on a single goroutine per wave against the
-// cell's own virtual clock; only its residual exports leave it.
-type cell struct {
-	wl   Workload
-	plan cellPlan
-
-	server    *tcpstack.Endpoint
-	slots     map[int]*tcpstack.Endpoint
-	sessions  map[string]*apps.Session // full-length session per protocol
-	base      map[string]*apps.Session // single-exchange originals (reconnect tails derive from these)
-	tails     map[scriptKey]*apps.Session
-	factories map[uint16]func(*tcpstack.Conn) tcpstack.App
-	net       *netsim.Network
-	cen       eval.CensorCounter
-	resid     censor.ResidualCarrier // non-nil iff the censor shares residual state
-	shifter   censor.ParamShifter    // non-nil iff the censor can shift mid-run
-	shifted   bool
-	lease     *eval.RouterLease
-	rngs      []*rand.Rand
-
-	// Portfolio delivery: armLease is nil without a portfolio and on
-	// unrouted-country cells (the uncensored population matches no route,
-	// so no server-side strategy applies to it either way); selCell and
-	// selRng are nil unless Selection is on as well.
-	armLease *eval.PortfolioLease
-	selCell  *selector.Cell
-	selRng   *rand.Rand
-
-	// exports holds the residual windows the cell published in the current
-	// wave (nil when its censor shares no residual state); the barrier
-	// folds and clears it.
-	exports residualLedger
-
-	byWave  [][]int // wave -> indices into plan.conns (contiguous from 0)
-	res     cellResult
-	started bool
-
-	// Script freelists: client scripts by protocol and exchange count,
-	// server scripts by port. Leases are reclaimed once their connection
-	// can no longer receive a packet (settled attempts; wave end for
-	// server scripts).
-	clientFree map[scriptKey][]*apps.Script
-	serverFree map[uint16][]*apps.Script
-	serverLive []portedScript
-	live       []inflight
-}
-
-// rng takes a pooled generator, seeds it, and remembers it for release at
-// cell finish.
-func (c *cell) rng(seed int64) *rand.Rand {
-	r := rngPool.Get().(*rand.Rand)
-	r.Seed(seed)
-	c.rngs = append(c.rngs, r)
-	return r
-}
-
-// newCell wires one cell — server + pooled deployment router, censor,
-// clients — without running anything. The construction order (and thus
-// every rng draw) is exactly the plan order, never scheduling order.
-func newCell(wl Workload, cp cellPlan, ctl control) *cell {
-	c := &cell{wl: wl, plan: cp}
-	cellSeed := wl.Seed + int64(cp.index)*cellSeedStride
-
-	c.server = tcpstack.NewEndpoint(eval.ServerAddr, tcpstack.DefaultServer, c.rng(cellSeed+seedServer))
-	c.lease = eval.AcquireDeploymentRouter(cellSeed + seedRouter)
-	c.server.Outbound = c.lease.Router.Outbound
-	c.server.ReleaseClosed = true
-
-	// Portfolio delivery: routed countries get one engine per arm, seeded
-	// per cell at cellSeed + eval.SeedArmBase + arm, and pullArm pins an
-	// arm to the client's address per attempt. Unrouted countries (the
-	// uncensored population) keep matching no route — the server doesn't
-	// know them, selected or not.
-	if _, routed := eval.RouterPrefixes[cp.country]; routed && !ctl.portfolio.IsZero() {
-		c.armLease = eval.AcquirePortfolioEngines(ctl.portfolio, cellSeed)
-		if ctl.state != nil {
-			c.selCell = ctl.state.NewCell()
-			c.selRng = c.rng(cellSeed + seedSelector)
-		}
-	}
-
-	// One forbidden session per protocol in the cell; the server listens on
-	// every port and dispatches the matching application by the port the
-	// client connected to. Fleet scripts close after their transcripts
-	// (CloseAtEnd) so both sides' connections finish and recycle — without
-	// that, a 10^5-connection run accretes every connection ever served in
-	// the server's table.
-	c.sessions = map[string]*apps.Session{}
-	c.base = map[string]*apps.Session{}
-	c.factories = map[uint16]func(*tcpstack.Conn) tcpstack.App{}
-	for _, cn := range cp.conns {
-		if _, ok := c.sessions[cn.protocol]; ok {
-			continue
-		}
-		sess := eval.SessionFor(cp.country, cn.protocol, true)
-		c.base[cn.protocol] = sess
-		if wl.SessionRequests > 1 {
-			// Extend the one-shot session into a keep-alive one. Protocols
-			// whose transcript isn't a single exchange come back unchanged
-			// and keep running one-shot. The server factory installed below
-			// answers each request as it arrives, so the same listener also
-			// serves shorter reconnect-tail sessions.
-			sess = sess.KeepAlive(wl.SessionRequests, wl.RequestGap)
-		}
-		c.sessions[cn.protocol] = sess
-		c.factories[sess.Port] = sess.ServerFactory()
-		c.server.Listen(sess.Port)
-	}
-	c.clientFree = make(map[scriptKey][]*apps.Script, len(c.sessions))
-	c.serverFree = make(map[uint16][]*apps.Script, len(c.sessions))
-	c.server.NewServerApp = func(conn *tcpstack.Conn) tcpstack.App {
-		port := conn.Flow().SrcPort
-		if l := c.serverFree[port]; len(l) > 0 {
-			s := l[len(l)-1]
-			l[len(l)-1] = nil
-			c.serverFree[port] = l[:len(l)-1]
-			s.Restart()
-			c.serverLive = append(c.serverLive, portedScript{port: port, s: s})
-			return s
-		}
-		s := c.factories[port](conn).(*apps.Script)
-		s.CloseAtEnd = true
-		c.serverLive = append(c.serverLive, portedScript{port: port, s: s})
-		return s
-	}
-
-	// Client endpoints, one per slot the plan uses.
-	c.slots = map[int]*tcpstack.Endpoint{}
-	var hosts []netsim.Host
-	for _, cn := range cp.conns {
-		if _, ok := c.slots[cn.slot]; ok {
-			continue
-		}
-		ep := tcpstack.NewEndpoint(clientAddr(cp.country, cn.slot, cn.unprotected),
-			tcpstack.DefaultClient, c.rng(cellSeed+seedClients+int64(cn.slot)))
-		ep.ReleaseClosed = true
-		c.slots[cn.slot] = ep
-		hosts = append(hosts, ep)
-	}
-
-	c.cen = eval.NewCensor(cp.country, censor.Default(), c.rng(cellSeed+seedCensor))
-	c.resid, _ = c.cen.(censor.ResidualCarrier)
-	if c.resid != nil {
-		c.exports = residualLedger{}
-	}
-	c.shifter, _ = c.cen.(censor.ParamShifter)
-	if c.cen != nil {
-		c.net = netsim.NewMulti(c.server, hosts, c.cen)
-	} else {
-		c.net = netsim.NewMulti(c.server, hosts)
-	}
-	c.net.RecyclePackets = true
-	if im := netsim.Symmetric(wl.Impairments); im.Enabled() {
-		c.net.SetImpairments(im, c.rng(cellSeed+seedImpairments))
-		c.server.Retransmit = tcpstack.DefaultRetransmit
-		for _, ep := range c.slots {
-			ep.Retransmit = tcpstack.DefaultRetransmit
-		}
-	}
-	c.server.Attach(c.net)
-	for _, ep := range c.slots {
-		ep.Attach(c.net)
-	}
-
-	// Waves are assigned contiguously from 0 by plan, so the per-wave
-	// index lists slot straight into a slice.
-	waves := 0
-	for _, cn := range cp.conns {
-		if cn.wave+1 > waves {
-			waves = cn.wave + 1
-		}
-	}
-	c.byWave = make([][]int, waves)
-	for i, cn := range cp.conns {
-		c.byWave[cn.wave] = append(c.byWave[cn.wave], i)
-	}
-	c.res = cellResult{country: cp.country, conns: make([]connResult, len(cp.conns))}
-	return c
-}
-
-// drain runs the cell network until no event is pending.
-func (c *cell) drain() {
-	for !c.net.Quiet() {
-		c.net.Run(0)
-	}
-}
-
-// sessionFor returns the session a new attempt should run: the protocol's
-// full session when the whole transcript is still owed, or a shorter
-// keep-alive tail carrying only the m exchanges a reconnecting client has
-// left. Tails are cached per length — a cell reconnects into the same few
-// shapes over and over.
-func (c *cell) sessionFor(proto string, m int) *apps.Session {
-	full := c.sessions[proto]
-	if m >= full.Exchanges() {
-		return full
-	}
-	if m <= 1 {
-		return c.base[proto]
-	}
-	k := scriptKey{proto: proto, exch: m}
-	if s, ok := c.tails[k]; ok {
-		return s
-	}
-	s := c.base[proto].KeepAlive(m, c.wl.RequestGap)
-	if c.tails == nil {
-		c.tails = map[scriptKey]*apps.Session{}
-	}
-	c.tails[k] = s
-	return s
-}
-
-// clientScript leases a client script for one session shape: freelist first,
-// session clone after.
-func (c *cell) clientScript(sess *apps.Session, key scriptKey) *apps.Script {
-	if l := c.clientFree[key]; len(l) > 0 {
-		s := l[len(l)-1]
-		l[len(l)-1] = nil
-		c.clientFree[key] = l[:len(l)-1]
-		s.Restart()
-		return s
-	}
-	s := sess.NewClient()
-	s.CloseAtEnd = true
-	return s
-}
-
-// releaseClient returns a settled attempt's script to the freelist. Safe
-// because a settled attempt's flow can never receive another packet: client
-// ports only move forward, and the wave drained to quiescence before
-// settlement was read.
-func (c *cell) releaseClient(key scriptKey, s *apps.Script) {
-	c.clientFree[key] = append(c.clientFree[key], s)
-}
-
-// pullArm picks the portfolio arm serving one connection attempt — the
-// bandit's choice with Selection on, arm 0 without — and pins its engine to
-// the client's address, so the router delivers it when the SYN+ACK opens
-// the flow. Returns -1 (and touches nothing) when the cell has no portfolio
-// or the client is unprotected; the router's §8 prefix routes then apply.
-// Safe against concurrent wave-mates: each slot address has at most one
-// un-opened flow at a time, and opened flows cache their engine, so re-pins
-// never switch a strategy mid-connection.
-func (c *cell) pullArm(cn *connPlan) int {
-	if c.armLease == nil || cn.unprotected {
-		return -1
-	}
-	arm := 0
-	if c.selCell != nil {
-		arm = c.selCell.Next(c.plan.country, cn.protocol, c.selRng)
-	}
-	c.lease.Router.PinClient(clientAddr(c.plan.country, cn.slot, false), c.armLease.Engines[arm])
-	return arm
-}
-
-// runWave drives one wave of the cell to completion: advance the wave gap,
-// plant ledger windows into the censor, start every connection of the wave,
-// drain and retry until settled, then export the censor's live residual
-// windows for the barrier to fold. Waves a cell does not participate in are
-// skipped entirely (its clock does not advance — the cell's run is over).
-func (c *cell) runWave(w int, ledger residualLedger) {
-	if w >= len(c.byWave) {
-		return
-	}
-	if c.started {
-		c.net.Clock.Advance(c.wl.WaveGap)
-	}
-	c.started = true
-
-	// Apply the censor shift once, at the start of its wave. Purely a
-	// constant re-tune (no randomness, no flow state), so it is identical
-	// at any worker width.
-	if !c.shifted && c.wl.Shift.Enabled() && w >= c.wl.Shift.AtWave &&
-		(c.wl.Shift.Country == "" || c.wl.Shift.Country == c.plan.country) {
-		c.shifted = true
-		if c.shifter != nil {
-			c.shifter.ShiftParams(c.wl.Shift.Params)
-		}
-	}
-
-	// Seed the country ledger's windows that survive the gap. The expiry
-	// reconstruction (now + remaining - gap) makes re-seeding a cell's own
-	// exports the exact expiry it already holds, so the max-merge inside
-	// SeedResidual turns self-seeding into a no-op: a cell's behaviour is
-	// unchanged by its own ledger contribution.
-	if c.resid != nil && len(ledger) > 0 {
-		now := c.net.Clock.Now()
-		for key, remaining := range ledger {
-			if remaining <= c.wl.WaveGap {
-				continue
-			}
-			c.resid.SeedResidual(key, now+remaining-c.wl.WaveGap)
-			c.res.residualSeeded++
-		}
-	}
-
-	idxs := c.byWave[w]
-	c.res.waves++
-	if len(idxs) > c.res.maxWave {
-		c.res.maxWave = len(idxs)
-	}
-
-	// Start every connection of the wave, drain the network, then
-	// re-attempt failed connections under the reconnect policy (the zero
-	// value retries torn-down attempts immediately within eval.TriesFor,
-	// RFC 7766 DNS behaviour, same as eval.Run) until the wave settles.
-	// Every reconnect is a timer on the cell clock; the network has
-	// drained when they are scheduled, so zero-backoff reconnects fire at
-	// once, in the order they were scheduled.
-	pol := c.wl.Reconnect
-	now := c.net.Clock.Now()
-	live := c.live[:0]
-	for _, idx := range idxs {
-		cn := &c.plan.conns[idx]
-		sess := c.sessions[cn.protocol]
-		m := sess.Exchanges()
-		r := &c.res.conns[idx]
-		r.planned = m
-		r.startAt = now
-		app := c.clientScript(sess, scriptKey{proto: cn.protocol, exch: m})
-		arm := c.pullArm(cn)
-		c.slots[cn.slot].Connect(eval.ServerAddr, sess.Port, app)
-		r.attempts++
-		live = append(live, inflight{idx: idx, app: app, connectAt: now, exchanges: m, arm: arm})
-	}
-	for len(live) > 0 {
-		c.drain()
-		n := 0
-		for _, f := range live {
-			r := &c.res.conns[f.idx]
-			cn := &c.plan.conns[f.idx]
-			if c.selCell != nil && f.arm >= 0 {
-				// Credit the settled attempt back to the arm that served
-				// it — the control plane's per-attempt reward signal.
-				switch {
-				case f.app.Succeeded():
-					c.selCell.Observe(c.plan.country, cn.protocol, f.arm, selector.Served)
-				case f.app.Established():
-					c.selCell.Observe(c.plan.country, cn.protocol, f.arm, selector.TornDown)
-				default:
-					c.selCell.Observe(c.plan.country, cn.protocol, f.arm, selector.Unestablished)
-				}
-			}
-			r.established = r.established || f.app.Established()
-			r.served += f.app.Served()
-			if f.app.Established() && f.app.LastProgressAt() > f.app.EstablishedAt() {
-				// The attempt visibly worked from its SYN until the last
-				// verified byte landed.
-				r.uptime += f.app.LastProgressAt() - f.connectAt
-			}
-			if !r.firstSettled {
-				r.firstSettled = true
-				r.firstSuccess = f.app.Succeeded()
-			}
-			budget := eval.TriesFor(cn.protocol)
-			if pol.MaxAttempts > 0 {
-				budget = pol.MaxAttempts
-			}
-			retryable := f.app.Reset() || (pol.RetryAll && !f.app.Succeeded())
-			if !f.app.Succeeded() && retryable && r.attempts < budget {
-				// Reconnect with a session carrying only the exchanges still
-				// owed: whole exchanges already served stay served.
-				remaining := r.planned - r.served
-				if remaining < 1 {
-					remaining = 1
-				}
-				sess := c.sessionFor(cn.protocol, remaining)
-				app := c.clientScript(sess, scriptKey{proto: cn.protocol, exch: sess.Exchanges()})
-				arm := c.pullArm(cn) // a reconnect is a fresh pull
-				r.attempts++
-				slot, port := c.slots[cn.slot], sess.Port
-				c.net.After(pol.Backoff, func() {
-					slot.Connect(eval.ServerAddr, port, app)
-				})
-				at := c.net.Clock.Now() + pol.Backoff
-				live[n] = inflight{idx: f.idx, app: app, connectAt: at, exchanges: sess.Exchanges(), arm: arm}
-				n++
-			} else {
-				// Settled for good. The session succeeded if every planned
-				// exchange was served, whether on the first attempt or
-				// across reconnects.
-				r.success = r.served >= r.planned
-				r.lifetime = c.net.Clock.Now() - r.startAt
-				if span := time.Duration(r.planned-1) * c.wl.RequestGap; r.lifetime < span {
-					// A give-up-early policy doesn't shrink the denominator:
-					// the user wanted service across the whole planned span.
-					r.lifetime = span
-				}
-			}
-			c.releaseClient(scriptKey{proto: cn.protocol, exch: f.exchanges}, f.app)
-		}
-		live = live[:n]
-	}
-	c.live = live[:0]
-
-	// Every connection of the wave has settled, so no server-side script
-	// can see another byte; reclaim the leases for the next wave.
-	for i, ps := range c.serverLive {
-		c.serverFree[ps.port] = append(c.serverFree[ps.port], ps.s)
-		c.serverLive[i] = portedScript{}
-	}
-	c.serverLive = c.serverLive[:0]
-
-	if c.resid != nil {
-		now := c.net.Clock.Now()
-		c.resid.ExportResidual(now, func(key string, remaining time.Duration) {
-			if cur, ok := c.exports[key]; !ok || remaining > cur {
-				c.exports[key] = remaining
-			}
-			c.res.residualPublished++
-		})
-	}
-}
-
-// finish closes the cell out: stamp plans and censor totals into the
-// result, and hand the pooled router and rngs back.
-func (c *cell) finish() cellResult {
-	for i := range c.res.conns {
-		c.res.conns[i].plan = c.plan.conns[i]
-	}
-	if c.cen != nil {
-		c.res.censorEvents = c.cen.CensoredCount()
-	}
-	eval.ReleaseDeploymentRouter(c.lease)
-	c.lease = nil
-	eval.ReleasePortfolioEngines(c.armLease)
-	c.armLease, c.selCell, c.selRng = nil, nil, nil
-	for i, r := range c.rngs {
-		rngPool.Put(r)
-		c.rngs[i] = nil
-	}
-	c.rngs = nil
-	c.server, c.slots, c.net, c.cen, c.resid, c.exports = nil, nil, nil, nil, nil, nil
-	return c.res
-}
-
 // Run executes the workload and aggregates the fleet result. Cells are
 // built, driven wave by wave (one wave of every cell runs concurrently on a
 // pool of up to wl.Workers goroutines, meeting at a residual-merge barrier
@@ -1080,198 +485,4 @@ func Run(wl Workload) (Result, error) {
 	out.Manifest = manifest(wl, len(cells), ctl)
 	record(out, results)
 	return out, nil
-}
-
-// aggregate folds every settled connection, once, into its country's
-// CountryStats and the fleet outcome mix; the fleet totals are then sums
-// over PerCountry.
-func aggregate(results []cellResult, ctl control) Result {
-	out := Result{
-		Cells:      len(results),
-		PerCountry: map[string]CountryStats{},
-		Outcomes:   map[string]int{"served": 0, "torn_down": 0, "never_established": 0},
-	}
-	for _, cr := range results {
-		cs := out.PerCountry[cr.country]
-		cs.CensorEvents += cr.censorEvents
-		mixedWave := map[int]bool{}
-		for _, c := range cr.conns {
-			if c.plan.unprotected {
-				mixedWave[c.plan.wave] = true
-			}
-		}
-		for _, c := range cr.conns {
-			cs.Connections++
-			cs.RequestsAttempted += c.planned
-			cs.RequestsServed += c.served
-			cs.UptimeVirtual += c.uptime
-			cs.LifetimeVirtual += c.lifetime
-			if c.firstSuccess {
-				cs.FirstAttemptSucceeded++
-			}
-			if reconnects := c.attempts - 1; reconnects > 0 {
-				cs.Reconnects += reconnects
-				if c.success && !c.firstSuccess {
-					cs.Recoveries++
-					cs.ReconnectsToRecover += reconnects
-				}
-			}
-			switch {
-			case c.success:
-				cs.Succeeded++
-				out.Outcomes["served"]++
-			case c.established:
-				out.Outcomes["torn_down"]++
-			default:
-				out.Outcomes["never_established"]++
-			}
-			switch {
-			case c.plan.unprotected:
-				cs.Unprotected++
-				if c.success {
-					cs.UnprotectedSucceeded++
-				}
-			case mixedWave[c.plan.wave]:
-				cs.Contested++
-				if c.success {
-					cs.ContestedSucceeded++
-				}
-			default:
-				cs.Routed++
-				if c.success {
-					cs.RoutedSucceeded++
-				}
-			}
-		}
-		out.PerCountry[cr.country] = cs
-	}
-	for country, cs := range out.PerCountry {
-		out.Connections += cs.Connections
-		out.Succeeded += cs.Succeeded
-		out.RequestsAttempted += cs.RequestsAttempted
-		out.RequestsServed += cs.RequestsServed
-		out.UptimeVirtual += cs.UptimeVirtual
-		out.LifetimeVirtual += cs.LifetimeVirtual
-		if ctl.state == nil {
-			continue
-		}
-		rep := ctl.state.CountryReport(country)
-		var pulls uint64
-		for _, r := range rep {
-			pulls += r.Pulls
-		}
-		if pulls == 0 {
-			continue // unrouted population: the control plane never ran
-		}
-		cs.Selection = make(map[string]selector.ArmReport, len(rep))
-		for i, r := range rep {
-			cs.Selection[ctl.portfolio.Name(i)] = r
-		}
-		out.PerCountry[country] = cs
-	}
-	if ctl.state != nil {
-		out.Fallbacks = int(ctl.state.Fallbacks())
-	}
-	return out
-}
-
-// record publishes every fleet.* counter from the finished Result plus the
-// per-cell scheduling tallies the Result does not carry.
-func record(out Result, results []cellResult) {
-	var waves, published, seeded, widest int
-	for _, cr := range results {
-		waves += cr.waves
-		published += cr.residualPublished
-		seeded += cr.residualSeeded
-		widest = max(widest, cr.maxWave)
-	}
-	var reconnects, recoveries int
-	for country, cs := range out.PerCountry {
-		mCountryConns[country].Add(uint64(cs.Connections))
-		mCountryEvaded[country].Add(uint64(cs.Succeeded))
-		reconnects += cs.Reconnects
-		recoveries += cs.Recoveries
-	}
-	mCells.Add(uint64(out.Cells))
-	mWaves.Add(uint64(waves))
-	mConcurrent.SetMax(uint64(widest))
-	mResidualPublished.Add(uint64(published))
-	mResidualSeeded.Add(uint64(seeded))
-	mConnections.Add(uint64(out.Connections))
-	mAttempts.Add(uint64(out.Connections + reconnects))
-	mReconnects.Add(uint64(reconnects))
-	mRecoveries.Add(uint64(recoveries))
-	mServed.Add(uint64(out.Outcomes["served"]))
-	mTornDown.Add(uint64(out.Outcomes["torn_down"]))
-	mUnestablished.Add(uint64(out.Outcomes["never_established"]))
-	mRequestsAttempted.Add(uint64(out.RequestsAttempted))
-	mRequestsServed.Add(uint64(out.RequestsServed))
-	mUptimeVirtual.Add(uint64(out.UptimeVirtual))
-	mLifetimeVirtual.Add(uint64(out.LifetimeVirtual))
-}
-
-// manifest assembles the run record. Worker width is deliberately omitted:
-// it cannot affect the simulation, and its absence is what lets two runs at
-// different widths produce byte-identical Results. Every other key is
-// always present, whether or not its feature is on.
-func manifest(wl Workload, cells int, ctl control) obs.Manifest {
-	sel := wl.Selection.WithDefaults()
-	keys := make([]string, 0, len(wl.Shift.Params))
-	for k := range wl.Shift.Params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var shift strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			shift.WriteByte(',')
-		}
-		shift.WriteString(k)
-		shift.WriteByte('=')
-		shift.WriteString(strconv.FormatFloat(wl.Shift.Params[k], 'g', -1, 64))
-	}
-	cfg := map[string]string{
-		"countries":                  strings.Join(wl.Countries, ","),
-		"protocols":                  strings.Join(wl.Protocols, ","),
-		"connections":                strconv.Itoa(wl.Connections),
-		"clients_per_cell":           strconv.Itoa(wl.ClientsPerCell),
-		"waves_per_cell":             strconv.Itoa(wl.WavesPerCell),
-		"unprotected_per_cell":       strconv.Itoa(wl.UnprotectedPerCell),
-		"wave_gap":                   wl.WaveGap.String(),
-		"session_requests":           strconv.Itoa(wl.SessionRequests),
-		"request_gap":                wl.RequestGap.String(),
-		"reconnect_max":              strconv.Itoa(wl.Reconnect.MaxAttempts),
-		"reconnect_backoff":          wl.Reconnect.Backoff.String(),
-		"reconnect_retry_all":        strconv.FormatBool(wl.Reconnect.RetryAll),
-		"cells":                      strconv.Itoa(cells),
-		"loss":                       strconv.FormatFloat(wl.Impairments.Loss, 'g', -1, 64),
-		"duplicate":                  strconv.FormatFloat(wl.Impairments.Duplicate, 'g', -1, 64),
-		"reorder":                    strconv.FormatFloat(wl.Impairments.Reorder, 'g', -1, 64),
-		"jitter":                     wl.Impairments.Jitter.String(),
-		"portfolio":                  ctl.portfolio.Hash(),
-		"portfolio_size":             strconv.Itoa(ctl.portfolio.Len()),
-		"selection_policy":           string(sel.Policy),
-		"selection_epsilon":          strconv.FormatFloat(sel.Epsilon, 'g', -1, 64),
-		"selection_ucb_c":            strconv.FormatFloat(sel.UCBC, 'g', -1, 64),
-		"selection_decay":            strconv.FormatFloat(sel.Decay, 'g', -1, 64),
-		"selection_min_pulls":        strconv.FormatFloat(sel.MinPulls, 'g', -1, 64),
-		"selection_collapse_below":   strconv.FormatFloat(sel.CollapseBelow, 'g', -1, 64),
-		"selection_quarantine_waves": strconv.Itoa(sel.QuarantineWaves),
-		"shift_wave":                 strconv.Itoa(wl.Shift.AtWave),
-		"shift_country":              wl.Shift.Country,
-		"shift_params":               shift.String(),
-	}
-	return obs.NewManifest("fleet", cfg, obs.SeedSchedule{
-		Base:      wl.Seed,
-		TrialStep: cellSeedStride, // per cell, not per trial
-		Streams: map[string]int64{
-			"server":         seedServer,
-			"router":         seedRouter,
-			"censor":         seedCensor,
-			"impairments":    seedImpairments,
-			"selector":       seedSelector,
-			"clients":        seedClients,      // client slot s at clients + s
-			"portfolio_arms": eval.SeedArmBase, // arm a at portfolio_arms + a
-		},
-	})
 }

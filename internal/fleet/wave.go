@@ -1,0 +1,182 @@
+package fleet
+
+import (
+	"time"
+
+	"geneva/internal/apps"
+	"geneva/internal/eval"
+	"geneva/internal/selector"
+)
+
+// residualLedger maps a residual-censorship server key to the longest
+// remaining window any cell of one country reported at the last wave
+// barrier.
+type residualLedger map[string]time.Duration
+
+// inflight is one connection attempt awaiting settlement in a wave.
+type inflight struct {
+	idx       int // index into plan.conns / res.conns
+	app       *apps.Script
+	connectAt time.Duration // virtual time the attempt's SYN left
+	exchanges int           // exchanges this attempt's script carries
+	arm       int           // portfolio arm serving the attempt (-1 = none)
+}
+
+// runWave drives one wave of the cell to completion: advance the wave gap,
+// plant ledger windows into the censor, start every connection of the wave,
+// drain and retry until settled, then export the censor's live residual
+// windows for the barrier to fold. Waves a cell does not participate in are
+// skipped entirely (its clock does not advance — the cell's run is over).
+func (c *cell) runWave(w int, ledger residualLedger) {
+	if w >= len(c.byWave) {
+		return
+	}
+	if c.started {
+		c.net.Clock.Advance(c.wl.WaveGap)
+	}
+	c.started = true
+
+	// Apply the censor shift once, at the start of its wave. Purely a
+	// constant re-tune (no randomness, no flow state), so it is identical
+	// at any worker width.
+	if !c.shifted && c.wl.Shift.Enabled() && w >= c.wl.Shift.AtWave &&
+		(c.wl.Shift.Country == "" || c.wl.Shift.Country == c.plan.country) {
+		c.shifted = true
+		if c.shifter != nil {
+			c.shifter.ShiftParams(c.wl.Shift.Params)
+		}
+	}
+
+	// Seed the country ledger's windows that survive the gap. The expiry
+	// reconstruction (now + remaining - gap) makes re-seeding a cell's own
+	// exports the exact expiry it already holds, so the max-merge inside
+	// SeedResidual turns self-seeding into a no-op: a cell's behaviour is
+	// unchanged by its own ledger contribution.
+	if c.resid != nil && len(ledger) > 0 {
+		now := c.net.Clock.Now()
+		for key, remaining := range ledger {
+			if remaining <= c.wl.WaveGap {
+				continue
+			}
+			c.resid.SeedResidual(key, now+remaining-c.wl.WaveGap)
+			c.res.residualSeeded++
+		}
+	}
+
+	idxs := c.byWave[w]
+	c.res.waves++
+	if len(idxs) > c.res.maxWave {
+		c.res.maxWave = len(idxs)
+	}
+
+	// Start every connection of the wave, drain the network, then
+	// re-attempt failed connections under the reconnect policy (the zero
+	// value retries torn-down attempts immediately within eval.TriesFor,
+	// RFC 7766 DNS behaviour, same as eval.Run) until the wave settles.
+	// Every reconnect is a timer on the cell clock; the network has
+	// drained when they are scheduled, so zero-backoff reconnects fire at
+	// once, in the order they were scheduled.
+	pol := c.wl.Reconnect
+	now := c.net.Clock.Now()
+	live := c.live[:0]
+	for _, idx := range idxs {
+		cn := &c.plan.conns[idx]
+		sess := c.sessions[cn.protocol]
+		m := sess.Exchanges()
+		r := &c.res.conns[idx]
+		r.planned = m
+		r.startAt = now
+		app := c.clientScript(sess, scriptKey{proto: cn.protocol, exch: m})
+		arm := c.pullArm(cn)
+		c.slots[cn.slot].Connect(eval.ServerAddr, sess.Port, app)
+		r.attempts++
+		live = append(live, inflight{idx: idx, app: app, connectAt: now, exchanges: m, arm: arm})
+	}
+	for len(live) > 0 {
+		c.drain()
+		n := 0
+		for _, f := range live {
+			r := &c.res.conns[f.idx]
+			cn := &c.plan.conns[f.idx]
+			if c.selCell != nil && f.arm >= 0 {
+				// Credit the settled attempt back to the arm that served
+				// it — the control plane's per-attempt reward signal.
+				switch {
+				case f.app.Succeeded():
+					c.selCell.Observe(c.plan.country, cn.protocol, f.arm, selector.Served)
+				case f.app.Established():
+					c.selCell.Observe(c.plan.country, cn.protocol, f.arm, selector.TornDown)
+				default:
+					c.selCell.Observe(c.plan.country, cn.protocol, f.arm, selector.Unestablished)
+				}
+			}
+			r.established = r.established || f.app.Established()
+			r.served += f.app.Served()
+			if f.app.Established() && f.app.LastProgressAt() > f.app.EstablishedAt() {
+				// The attempt visibly worked from its SYN until the last
+				// verified byte landed.
+				r.uptime += f.app.LastProgressAt() - f.connectAt
+			}
+			if !r.firstSettled {
+				r.firstSettled = true
+				r.firstSuccess = f.app.Succeeded()
+			}
+			budget := eval.TriesFor(cn.protocol)
+			if pol.MaxAttempts > 0 {
+				budget = pol.MaxAttempts
+			}
+			retryable := f.app.Reset() || (pol.RetryAll && !f.app.Succeeded())
+			if !f.app.Succeeded() && retryable && r.attempts < budget {
+				// Reconnect with a session carrying only the exchanges still
+				// owed: whole exchanges already served stay served.
+				remaining := r.planned - r.served
+				if remaining < 1 {
+					remaining = 1
+				}
+				sess := c.sessionFor(cn.protocol, remaining)
+				app := c.clientScript(sess, scriptKey{proto: cn.protocol, exch: sess.Exchanges()})
+				arm := c.pullArm(cn) // a reconnect is a fresh pull
+				r.attempts++
+				slot, port := c.slots[cn.slot], sess.Port
+				c.net.After(pol.Backoff, func() {
+					slot.Connect(eval.ServerAddr, port, app)
+				})
+				at := c.net.Clock.Now() + pol.Backoff
+				live[n] = inflight{idx: f.idx, app: app, connectAt: at, exchanges: sess.Exchanges(), arm: arm}
+				n++
+			} else {
+				// Settled for good. The session succeeded if every planned
+				// exchange was served, whether on the first attempt or
+				// across reconnects.
+				r.success = r.served >= r.planned
+				r.lifetime = c.net.Clock.Now() - r.startAt
+				if span := time.Duration(r.planned-1) * c.wl.RequestGap; r.lifetime < span {
+					// A give-up-early policy doesn't shrink the denominator:
+					// the user wanted service across the whole planned span.
+					r.lifetime = span
+				}
+			}
+			c.releaseClient(scriptKey{proto: cn.protocol, exch: f.exchanges}, f.app)
+		}
+		live = live[:n]
+	}
+	c.live = live[:0]
+
+	// Every connection of the wave has settled, so no server-side script
+	// can see another byte; reclaim the leases for the next wave.
+	for i, ps := range c.serverLive {
+		c.serverFree[ps.port] = append(c.serverFree[ps.port], ps.s)
+		c.serverLive[i] = portedScript{}
+	}
+	c.serverLive = c.serverLive[:0]
+
+	if c.resid != nil {
+		now := c.net.Clock.Now()
+		c.resid.ExportResidual(now, func(key string, remaining time.Duration) {
+			if cur, ok := c.exports[key]; !ok || remaining > cur {
+				c.exports[key] = remaining
+			}
+			c.res.residualPublished++
+		})
+	}
+}
