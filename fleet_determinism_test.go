@@ -8,17 +8,6 @@ import (
 	"time"
 )
 
-// The fleet determinism tests sweep a scheduling matrix: the cell worker
-// pool width (Deployment.Workers) × the number of OS threads the pool's
-// goroutines run on (GOMAXPROCS, 0 = left unchanged). Subtests are labelled
-// "workers=W_shards=P" — the second label predates cells becoming the only
-// scheduling unit and is kept so test IDs stay comparable across history;
-// P is the GOMAXPROCS value.
-var (
-	schedWorkers = []int{1, 2, 8}
-	schedProcs   = []int{1, 2, 8}
-)
-
 // atProcs runs f with GOMAXPROCS set to procs (0 = unchanged) and restores
 // the previous setting.
 func atProcs(procs int, f func()) {
@@ -50,13 +39,16 @@ func encodeDeployment(t *testing.T, d Deployment, workers, procs int) string {
 	return string(b)
 }
 
-// sweepSchedules checks that d's FleetResult at every point of the
-// workers × GOMAXPROCS matrix equals its single-threaded one, which it
-// returns.
+// sweepSchedules checks that d's FleetResult is the same at every point of
+// a scheduling matrix — the cell worker pool width (Deployment.Workers) ×
+// the number of OS threads its goroutines run on (GOMAXPROCS) — and returns
+// the single-threaded one. Subtests are labelled "workers=W_shards=P": the
+// second label predates cells becoming the only scheduling unit and is kept
+// so test IDs stay comparable across history; P is the GOMAXPROCS value.
 func sweepSchedules(t *testing.T, prefix string, d Deployment) string {
 	want := encodeDeployment(t, d, 1, 1)
-	for _, w := range schedWorkers {
-		for _, p := range schedProcs {
+	for _, w := range []int{1, 2, 8} {
+		for _, p := range []int{1, 2, 8} {
 			if w == 1 && p == 1 {
 				continue
 			}
