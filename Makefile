@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint bench bench-evolve bench-trial bench-fleet bench-hotpath bench-gate bench-compare alloc-budget fleet-determinism selector-determinism fuzz-smoke evaluate figures short cover race
+.PHONY: all build test vet lint bench bench-smoke alloc-budget fleet-determinism selector-determinism fuzz-smoke evaluate figures short cover race
 
 all: build vet test
 
@@ -27,37 +27,13 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One pass over the evolution-engine benchmarks (cache hit rates + worker
-# scaling); the CI smoke step runs exactly this.
-bench-evolve:
-	$(GO) test -run '^$$' -bench Evolve -benchtime 1x ./...
-
-# Trial hot-path benchmarks; regenerates BENCH_trial.json with the current
-# numbers next to the frozen pre-pooling baseline (see tools/benchjson).
-BENCH_TRIAL = 'BenchmarkTrial|BenchmarkPacketRoundtrip|BenchmarkPacketMarshal|BenchmarkPacketParse|BenchmarkEngineApply|BenchmarkFullConnection'
-bench-trial:
-	$(GO) test -run '^$$' -bench $(BENCH_TRIAL) -benchmem -benchtime 2000x . | tee /tmp/bench_trial.txt
-	$(GO) run ./tools/benchjson < /tmp/bench_trial.txt > BENCH_trial.json
-	@cat BENCH_trial.json
-
-# Deployment-harness throughput at the 10^5-connection workload; regenerates
-# BENCH_fleet.json with conns/s across the worker ladder (see
-# tools/benchjson -set fleet). The FleetResult is identical at every width —
-# only the wall clock moves. Set GENEVA_FLEET_SMOKE=1 to add the
-# 10^6-connection smoke rung (slow; see EXPERIMENTS.md).
-bench-fleet:
-	$(GO) test -run '^$$' -bench BenchmarkFleet -benchmem -benchtime 3x -timeout 30m . | tee /tmp/bench_fleet.txt
-	$(GO) run ./tools/benchjson -set fleet < /tmp/bench_fleet.txt > BENCH_fleet.json
-	@cat BENCH_fleet.json
-
-# The fleet allocation gate: re-measure the fleet ladder (one iteration per
-# rung, enough for allocs/op, which is deterministic) and compare against the
-# committed BENCH_fleet.json. Catches per-connection or per-exchange alloc
-# leaks in both the one-shot rungs and the keep-alive/reconnect longhorizon
-# rung. CI runs exactly this in the fleet bench smoke.
-bench-fleet-gate:
-	$(GO) test -run '^$$' -bench BenchmarkFleet -benchmem -benchtime 1x -timeout 30m . | \
-		$(GO) run ./tools/benchjson -compare BENCH_fleet.json -compare-metrics $(GATE_METRICS)
+# The benchmark module (bench/) is its own Go module, so the root
+# `go test ./...` never builds it; this vets and tests it under the race
+# detector so an internal API change that breaks the harness fails here.
+# Measurements themselves come from `bash bench/run.sh` (see
+# bench/README.md). CI runs exactly this.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test -race ./...
 
 # The fleet determinism gate: the whole FleetResult must be bit-identical
 # across the workers × GOMAXPROCS matrix (1/2/8 × 1/2/8 plus the default
@@ -77,36 +53,13 @@ selector-determinism:
 	$(GO) test -race -run 'TestFleetSelectionDeterminism|TestFleetPinnedByteIdentity|TestFleetPinnedPortfolio|TestFleetCollapseAndRecover' -v .
 	$(GO) test -race ./internal/selector/
 
-# Hot-path microbenchmarks: the netsim event queue and the per-censor
-# Process cost; regenerates BENCH_hotpath.json (see tools/benchjson -set
-# hotpath).
-BENCH_HOTPATH = 'BenchmarkEventQueue|BenchmarkCensorProcess'
-bench-hotpath:
-	$(GO) test -run '^$$' -bench $(BENCH_HOTPATH) -benchmem -benchtime 100000x . ./internal/netsim/ | tee /tmp/bench_hotpath.txt
-	$(GO) run ./tools/benchjson -set hotpath < /tmp/bench_hotpath.txt > BENCH_hotpath.json
-	@cat BENCH_hotpath.json
-
-# The benchmark regression gate: re-measure the hot-path benchmarks and
-# compare against the committed BENCH_hotpath.json. allocs/op is
-# deterministic, so it gates everywhere; add ns/op locally with
-# GATE_METRICS=ns,allocs (same-machine numbers only). CI runs exactly this.
-GATE_METRICS ?= allocs
-bench-gate:
-	$(GO) test -run '^$$' -bench $(BENCH_HOTPATH) -benchmem -benchtime 100000x . ./internal/netsim/ | \
-		$(GO) run ./tools/benchjson -compare BENCH_hotpath.json -compare-metrics $(GATE_METRICS)
-
-# benchstat comparison against the committed BENCH_trial numbers
-# (informational; benchstat is optional and never installed by this repo).
-bench-compare:
-	@command -v benchstat >/dev/null 2>&1 || { echo "benchstat not installed; skipping (go install golang.org/x/perf/cmd/benchstat@latest)"; exit 0; }
-	$(GO) test -run '^$$' -bench $(BENCH_TRIAL) -benchmem -count 6 . > /tmp/bench_new.txt
-	benchstat /tmp/bench_new.txt
-
-# The allocation-budget tripwires: fail when the zero-alloc hot paths, the
-# per-trial budget, or the fleet's per-connection budget regress. CI runs
-# exactly this.
+# The allocation-budget tripwires: fail when the zero-alloc hot paths (the
+# event queue, pooled packets, compiled triggers), the per-censor
+# connection budgets, the per-trial budget, or the fleet's per-connection
+# budgets regress. Allocation counts are deterministic, so these gate on
+# any host. CI runs exactly this.
 alloc-budget:
-	$(GO) test -run 'TestAllocBudget|TestTrialAllocBudget|TestFleetAllocBudget' -v ./internal/packet/ ./internal/core/ ./internal/eval/ ./internal/fleet/
+	$(GO) test -run 'TestAllocBudget|TestTrialAllocBudget|TestFleetAllocBudget' -v ./internal/netsim/ ./internal/packet/ ./internal/core/ ./internal/eval/ ./internal/fleet/
 
 # Coverage-guided fuzzing bursts — the fuzz targets promoted from
 # seed-corpus-only to live mutation. Go's fuzz engine takes one -fuzz

@@ -164,72 +164,6 @@ func BenchmarkSection7(b *testing.B) {
 	}
 }
 
-// BenchmarkEvolve benchmarks the parallel population-evaluation engine on
-// small reference training runs: one sub-benchmark per country x protocol
-// reporting the fitness cache's hit rate and unique-evaluation count, plus
-// a worker-scaling ladder on a fixed reference population (compare
-// workers=1 vs workers=8 for the wall-clock speedup; on a multi-core host
-// the 8-worker run should be at least 2x faster).
-func BenchmarkEvolve(b *testing.B) {
-	for _, c := range []struct{ country, proto string }{
-		{eval.CountryChina, "http"},
-		{eval.CountryChina, "ftp"},
-		{eval.CountryKazakhstan, "http"},
-		{eval.CountryIndia, "http"},
-	} {
-		c := c
-		b.Run(c.country+"/"+c.proto, func(b *testing.B) {
-			var stats eval.EvalStats
-			for i := 0; i < b.N; i++ {
-				_, stats, _ = eval.EvolveWithStats(eval.EvolveOptions{
-					Country:       c.country,
-					Protocol:      c.proto,
-					Population:    24,
-					Generations:   4,
-					TrialsPerEval: 2,
-					Seed:          17,
-				})
-			}
-			b.ReportMetric(stats.HitRate(), "cache_hit_rate")
-			b.ReportMetric(float64(stats.Misses), "unique_evals")
-		})
-	}
-	for _, w := range []int{1, 2, 8} {
-		w := w
-		b.Run(fmt.Sprintf("china/http/workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, _ = eval.Evolve(eval.EvolveOptions{
-					Country:       eval.CountryChina,
-					Protocol:      "http",
-					Population:    48,
-					Generations:   3,
-					TrialsPerEval: 4,
-					Seed:          29,
-					Workers:       w,
-				})
-			}
-		})
-	}
-	// Cache ablation on the same reference run: the no-cache column is the
-	// price of re-measuring elites and clones every generation.
-	for _, noCache := range []bool{false, true} {
-		noCache := noCache
-		b.Run(fmt.Sprintf("china/http/cache=%v", !noCache), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, _ = eval.Evolve(eval.EvolveOptions{
-					Country:       eval.CountryChina,
-					Protocol:      "http",
-					Population:    48,
-					Generations:   3,
-					TrialsPerEval: 4,
-					Seed:          29,
-					NoCache:       noCache,
-				})
-			}
-		})
-	}
-}
-
 // BenchmarkEvolution runs a small §4.1 training round per iteration.
 func BenchmarkEvolution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -300,20 +234,9 @@ func BenchmarkStrategyParse(b *testing.B) {
 	}
 }
 
-// BenchmarkFullConnection measures one complete simulated evasion attempt
-// (handshake + strategy + censor + data) end to end.
-func BenchmarkFullConnection(b *testing.B) {
-	s1, _ := strategies.ByNumber(1)
-	st := s1.Parse()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchTrial(eval.CountryChina, "http", st, int64(i))
-	}
-}
-
-// BenchmarkTrial is the canonical hot-path benchmark the allocation budget
-// tracks (make bench-trial / BENCH_trial.json): one complete China/http
-// evasion trial with Strategy 1 — serialize, impair, censor, deliver. The
+// BenchmarkTrial is the canonical hot-path benchmark: one complete
+// China/http evasion trial with Strategy 1 — serialize, impair, censor,
+// deliver (TestTrialAllocBudget in internal/eval pins its allocations). The
 // trace sub-benchmark runs the identical trial with packet tracing enabled,
 // pricing the opt-in capture path against the nop default.
 func BenchmarkTrial(b *testing.B) {

@@ -82,9 +82,12 @@ func main() {
 		runExperiment(*experiment, *trials)
 		any = true
 	}
-	if (*loss != -1 && (*loss < 0 || *loss > 1)) || *dup < 0 || *dup > 1 ||
-		*reorder < 0 || *reorder > 1 || *jitter < 0 {
-		fmt.Fprintln(os.Stderr, "impairment flags: -loss/-dup/-reorder must be probabilities in [0,1] and -jitter non-negative")
+	imp := netsim.Profile{Loss: *loss, Duplicate: *dup, Reorder: *reorder, Jitter: *jitter}
+	if *loss == -1 { // unset
+		imp.Loss = 0
+	}
+	if err := eval.CheckProfile(imp); err != nil {
+		fmt.Fprintln(os.Stderr, "impairment flags:", err)
 		os.Exit(2)
 	}
 	if *loss >= 0 || *dup > 0 || *reorder > 0 || *jitter > 0 {
@@ -92,8 +95,7 @@ func main() {
 		if *loss >= 0 {
 			ladder = []float64{*loss}
 		}
-		runRobustness(netsim.Profile{Duplicate: *dup, Reorder: *reorder, Jitter: *jitter},
-			ladder, *trials)
+		runRobustness(imp, ladder, *trials)
 		any = true
 	}
 	if !any {

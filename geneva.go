@@ -190,6 +190,9 @@ func Run(s Simulation) (Result, error) {
 	if err := eval.CheckCountryProtocol(s.Country, s.Protocol); err != nil {
 		return Result{}, err
 	}
+	if err := eval.CheckProfile(s.Impairments); err != nil {
+		return Result{}, err
+	}
 	cfg := eval.Config{
 		Country:     s.Country,
 		Session:     eval.SessionFor(s.Country, s.Protocol, true),

@@ -1,9 +1,11 @@
 package geneva
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestPublicParseAndEngine(t *testing.T) {
@@ -201,5 +203,49 @@ func TestRunRejectsUnknownCountryAndProtocol(t *testing.T) {
 	}
 	if _, err := RunDeployment(Deployment{Countries: []string{"narnia"}, Connections: 1}); err == nil {
 		t.Error("RunDeployment with unknown country: want error, got nil")
+	}
+}
+
+// TestRejectsSilentlyWrongInputs covers inputs that used to run to
+// completion with wrong results instead of failing: more clients per cell
+// than host addresses (slots alias in the network's client map and their
+// connections never establish), impairment probabilities outside [0,1] or
+// NaN, negative jitter, and non-finite selection tuning.
+func TestRejectsSilentlyWrongInputs(t *testing.T) {
+	nan := math.NaN()
+	badImpairments := []struct {
+		name string
+		imp  Impairments
+	}{
+		{"loss above one", Impairments{Loss: 2}},
+		{"negative duplicate", Impairments{Duplicate: -0.1}},
+		{"NaN reorder", Impairments{Reorder: nan}},
+		{"negative jitter", Impairments{Jitter: -time.Millisecond}},
+	}
+	for _, c := range badImpairments {
+		if _, err := Run(Simulation{Country: China, Protocol: "http", Trials: 1, Impairments: c.imp}); err == nil {
+			t.Errorf("Run with %s: want error, got nil", c.name)
+		}
+		if _, err := RunDeployment(Deployment{Connections: 8, Impairments: c.imp}); err == nil {
+			t.Errorf("RunDeployment with %s: want error, got nil", c.name)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		d    Deployment
+	}{
+		{"aliased cell clients", Deployment{Countries: []string{China}, Connections: 600, ClientsPerCell: 2, UnprotectedPerCell: 300}},
+		{"NaN decay", Deployment{Connections: 8, Selection: Selection{Policy: EpsilonGreedy, Decay: nan}}},
+		{"NaN epsilon", Deployment{Connections: 8, Selection: Selection{Policy: EpsilonGreedy, Epsilon: nan}}},
+		{"infinite UCB coefficient", Deployment{Connections: 8, Selection: Selection{Policy: UCB1, UCBC: math.Inf(1)}}},
+		{"infinite collapse threshold", Deployment{Connections: 8, Selection: Selection{Policy: UCB1, CollapseBelow: math.Inf(-1)}}},
+	} {
+		if _, err := RunDeployment(c.d); err == nil {
+			t.Errorf("RunDeployment with %s: want error, got nil", c.name)
+		}
+	}
+	// The largest cell that still fits its address range runs.
+	if _, err := RunDeployment(Deployment{Countries: []string{China}, Connections: 8, ClientsPerCell: 4, UnprotectedPerCell: 249}); err != nil {
+		t.Errorf("RunDeployment with 253 clients per cell: %v", err)
 	}
 }

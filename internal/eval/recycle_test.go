@@ -160,8 +160,8 @@ func TestRingRecorderBounded(t *testing.T) {
 
 // TestTrialAllocBudget pins the end-to-end per-trial allocation budget.
 // The seed PR measured ~151 allocs per China/http trial; the pooled hot
-// path runs at ~61. The budget leaves headroom for cross-seed variance but
-// fails long before a regression to the unpooled numbers. It runs with
+// path runs at 56–57. The budget leaves a little headroom for cross-seed
+// variance, so a handful of new allocations per trial fails it. It runs with
 // metrics explicitly disabled: the obs layer's zero-cost-when-off guarantee
 // is part of what this tripwire enforces.
 func TestTrialAllocBudget(t *testing.T) {
@@ -185,7 +185,8 @@ func TestTrialAllocBudget(t *testing.T) {
 			Seed:     seed,
 		})
 	})
-	const budget = 110
+	t.Logf("%.0f allocs per trial", allocs)
+	const budget = 63
 	if allocs > budget {
 		t.Errorf("full trial allocates %.0f objects/op, budget is %d (seed baseline was ~151)",
 			allocs, budget)

@@ -2,10 +2,16 @@ package eval
 
 import (
 	"math/rand"
+	"net/netip"
 	"strings"
 	"testing"
+	"time"
 
+	"geneva/internal/apps"
 	"geneva/internal/censor"
+	"geneva/internal/netsim"
+	"geneva/internal/packet"
+	"geneva/internal/race"
 )
 
 // TestRegistryWellFormed is the structural contract every registry entry
@@ -155,6 +161,97 @@ func TestRegistryProtocolsAreHonest(t *testing.T) {
 				t.Errorf("%s: does not claim %s but the session failed anyway (%d censor events)",
 					d.Country, proto, res.CensorEvents)
 			}
+		}
+	}
+}
+
+// censorProcessBudget is each registry censor's allocation budget for one
+// censored connection through Process: the measured steady state plus 10%,
+// floored. Registering a censor means giving it a budget here.
+var censorProcessBudget = map[string]float64{
+	CountryChina:         22,
+	CountryIndia:         8,
+	CountryIndiaJio:      3,
+	CountryIndiaVodafone: 9,
+	CountryIran:          2,
+	CountryKazakhstan:    8,
+	CountryTurkmenistan:  13,
+}
+
+// TestAllocBudgetCensorProcess pins the per-connection allocation cost of
+// each registry censor's Process path. Each op drives one canned forbidden
+// connection — handshake plus a triggering request — straight through the
+// censor. Client and server addresses both vary per op, so no 4-tuple ever
+// repeats and every op pays flow-table setup, DPI parse and teardown the way
+// independent fleet connections do. The clock advances one second per op,
+// so residual censors (China, Turkmenistan) sweep their poison windows
+// instead of accumulating them.
+func TestAllocBudgetCensorProcess(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; budgets are enforced by make alloc-budget")
+	}
+	for _, def := range Registry() {
+		budget, ok := censorProcessBudget[def.Country]
+		if !ok {
+			t.Errorf("%s: registered censor has no allocation budget", def.Country)
+			continue
+		}
+		c := def.New(censor.Default(), rand.New(rand.NewSource(1)))
+
+		// The trigger: HTTPS censors that ignore port 80 get a forbidden
+		// ClientHello; everyone else a forbidden GET.
+		port := uint16(80)
+		payload := []byte("GET /?q=ultrasurf HTTP/1.1\r\nHost: www.wikipedia.org\r\n\r\n")
+		if def.Country == CountryIndiaJio {
+			port = 443
+			payload = apps.EncodeClientHello("youtube.com")
+		}
+		syn := packet.New(netip.IPv4Unspecified(), netip.IPv4Unspecified(), 0, port)
+		syn.TCP.Flags = packet.FlagSYN
+		syn.TCP.Seq = 1000
+		synack := packet.New(netip.IPv4Unspecified(), netip.IPv4Unspecified(), port, 0)
+		synack.TCP.Flags = packet.FlagSYN | packet.FlagACK
+		synack.TCP.Seq = 5000
+		synack.TCP.Ack = 1001
+		ack := packet.New(netip.IPv4Unspecified(), netip.IPv4Unspecified(), 0, port)
+		ack.TCP.Flags = packet.FlagACK
+		ack.TCP.Seq = 1001
+		ack.TCP.Ack = 5001
+		req := packet.New(netip.IPv4Unspecified(), netip.IPv4Unspecified(), 0, port)
+		req.TCP.Flags = packet.FlagPSH | packet.FlagACK
+		req.TCP.Seq = 1001
+		req.TCP.Ack = 5001
+		req.TCP.Payload = payload
+
+		i := 0
+		allocs := testing.AllocsPerRun(2000, func() {
+			i++
+			cli := netip.AddrFrom4([4]byte{10, 9, byte(i >> 8), byte(i)})
+			srv := netip.AddrFrom4([4]byte{10, 8, byte(i >> 24), byte(i >> 16)})
+			cport := uint16(32768 + i%16384)
+			now := time.Duration(i) * time.Second
+			for _, p := range []*packet.Packet{syn, ack, req} {
+				p.IP.Src, p.IP.Dst = cli, srv
+				p.TCP.SrcPort = cport
+			}
+			synack.IP.Src, synack.IP.Dst = srv, cli
+			synack.TCP.DstPort = cport
+			// A fleet connection arrives with an unparsed payload; clearing
+			// the memo charges this op the parse, like the first censor on a
+			// real path pays it.
+			req.ClearAppView()
+
+			c.Process(syn, netsim.ToServer, now)
+			c.Process(synack, netsim.ToClient, now)
+			c.Process(ack, netsim.ToServer, now)
+			c.Process(req, netsim.ToServer, now)
+		})
+		if c.CensoredCount() == 0 {
+			t.Errorf("%s: canned forbidden connection was never censored; the budget is not measuring the censored path", def.Country)
+		}
+		t.Logf("%s: %.0f allocs per censored connection (budget %.0f)", def.Country, allocs, budget)
+		if allocs > budget {
+			t.Errorf("%s: censoring one connection allocates %.0f objects, budget is %.0f", def.Country, allocs, budget)
 		}
 	}
 }

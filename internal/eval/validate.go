@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"geneva/internal/netsim"
 )
 
 // Sentinel errors for input validation, matchable with errors.Is. Every
@@ -61,6 +63,23 @@ func CheckCountryProtocol(country, protocol string) error {
 	}
 	if !ValidProtocol(protocol) {
 		return fmt.Errorf("%w %q (valid: %s)", ErrUnknownProtocol, protocol, strings.Join(Protocols(), ", "))
+	}
+	return nil
+}
+
+// CheckProfile validates an impairment profile: Loss, Duplicate and Reorder
+// are probabilities in [0,1] (NaN is not), and Jitter is non-negative. The
+// netsim layer does not check its inputs — a Loss of 2 simply drops every
+// packet — so every public entry point taking a profile calls this first.
+func CheckProfile(p netsim.Profile) error {
+	for _, v := range []float64{p.Loss, p.Duplicate, p.Reorder} {
+		if !(v >= 0 && v <= 1) {
+			return fmt.Errorf("impairment probabilities must lie in [0,1]: loss %v, duplicate %v, reorder %v",
+				p.Loss, p.Duplicate, p.Reorder)
+		}
+	}
+	if p.Jitter < 0 {
+		return fmt.Errorf("impairment jitter %v is negative", p.Jitter)
 	}
 	return nil
 }

@@ -367,8 +367,13 @@ func (wl Workload) validate() error {
 			return fmt.Errorf("fleet: %w", eval.CheckCountryProtocol(wl.Countries[0], p))
 		}
 	}
-	if wl.ClientsPerCell > 250 {
-		return fmt.Errorf("fleet: ClientsPerCell %d exceeds the 250 addresses available per cell prefix", wl.ClientsPerCell)
+	// clientAddr gives slot s host byte 2+s; past 254, hosts alias in the
+	// network's client map and their connections never establish.
+	if n := wl.ClientsPerCell + wl.UnprotectedPerCell; n > 253 {
+		return fmt.Errorf("fleet: ClientsPerCell + UnprotectedPerCell = %d exceeds the 253 client addresses available per cell", n)
+	}
+	if err := eval.CheckProfile(wl.Impairments); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	if wl.Selection.Enabled() {
 		if err := wl.Selection.Validate(); err != nil {

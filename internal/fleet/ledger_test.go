@@ -155,10 +155,10 @@ func TestFleetResidualLedgerProperty(t *testing.T) {
 // fleet hot path, the satellite tripwire mirroring eval's
 // TestTrialAllocBudget. The pre-cell harness ran at ~32 allocs per
 // connection on this shape, the pooled cell/wave loop at ~21, and the
-// parse-once/TCB-recycling pass at ~16. The budget leaves headroom for
-// cross-seed variance but fails long before a regression to any earlier
-// plateau. Metrics must be off: obs's zero-cost-when-disabled guarantee is
-// part of what is being enforced.
+// parse-once/TCB-recycling pass at ~16 (15.99–16.20 across seed bases). The
+// budget leaves headroom for cross-seed variance, so one or two new
+// allocations per connection fail it. Metrics must be off: obs's
+// zero-cost-when-disabled guarantee is part of what is being enforced.
 func TestFleetAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; budgets are enforced by make alloc-budget")
@@ -183,18 +183,19 @@ func TestFleetAllocBudget(t *testing.T) {
 		}
 	})
 	perConn := allocs / float64(wl.Connections)
-	const budget = 19.0
+	t.Logf("one-shot: %.2f allocs/conn", perConn)
+	const budget = 17.5
 	if perConn > budget {
-		t.Errorf("fleet allocates %.1f objects per connection (%.0f total), budget is %.0f/conn (pre-cell baseline was ~32)",
+		t.Errorf("fleet allocates %.1f objects per connection (%.0f total), budget is %.1f/conn (pre-cell baseline was ~32)",
 			perConn, allocs, budget)
 	}
 	perConnOneShot := perConn
 
 	// The keep-alive + reconnect shape carries extra per-connection cost —
 	// delayed-send timers per exchange, tail-session scripts and reconnect
-	// attempts — that the freelists must still bound. ~29/conn when the
-	// shape landed; the budget fails well before a leak per exchange or per
-	// reconnect creeps in.
+	// attempts — that the freelists must still bound. 28.56–28.94/conn
+	// across seed bases; a leak per exchange or per reconnect fails the
+	// budget.
 	ka := wl
 	ka.SessionRequests = 3
 	ka.RequestGap = 40 * time.Second
@@ -208,9 +209,10 @@ func TestFleetAllocBudget(t *testing.T) {
 		}
 	})
 	perConn = allocs / float64(ka.Connections)
-	const kaBudget = 34.0
+	t.Logf("keep-alive: %.2f allocs/conn", perConn)
+	const kaBudget = 31.5
 	if perConn > kaBudget {
-		t.Errorf("keep-alive fleet allocates %.1f objects per connection (%.0f total), budget is %.0f/conn",
+		t.Errorf("keep-alive fleet allocates %.1f objects per connection (%.0f total), budget is %.1f/conn",
 			perConn, allocs, kaBudget)
 	}
 
@@ -233,6 +235,7 @@ func TestFleetAllocBudget(t *testing.T) {
 		}
 	})
 	selPerConn := selAllocs / float64(sel.Connections)
+	t.Logf("selection: %.2f allocs/conn", selPerConn)
 	if selPerConn > pinnedPerConn+2 {
 		t.Errorf("selection fleet allocates %.1f objects per connection, pinned path costs %.1f; budget is pinned+2",
 			selPerConn, pinnedPerConn)

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"geneva/internal/race"
 )
 
 // refQueue is a container/heap reference with the original comparator —
@@ -168,33 +170,58 @@ func FuzzEventQueue(f *testing.F) {
 	})
 }
 
-// BenchmarkEventQueue measures the steady-state push/pop churn the
-// simulator drives: hold a small working set (a connection keeps a handful
-// of events in flight) and cycle events through it.
+// queueDepths are the steady-state queue depths the churn loop holds: a
+// connection keeps a handful of events in flight, a busy cell a few dozen.
+var queueDepths = []int{4, 16, 64}
+
+// queueChurn fills a heap to depth and returns one step of the steady-state
+// push/pop churn the simulator drives: pop the earliest event, move it
+// forward in time, push it back. The timestamp tape is pre-generated so rng
+// cost stays out of the step.
+func queueChurn(depth int) func() {
+	rng := rand.New(rand.NewSource(7))
+	tape := make([]time.Duration, 4096)
+	for i := range tape {
+		tape[i] = time.Duration(rng.Int63n(1 << 20))
+	}
+	var h eventHeap
+	seq := 0
+	for i := 0; i < depth; i++ {
+		seq++
+		h.push(event{at: tape[seq&4095], seq: seq})
+	}
+	return func() {
+		e := h.pop()
+		seq++
+		e.at += tape[seq&4095]
+		e.seq = seq
+		h.push(e)
+	}
+}
+
+// TestAllocBudgetEventQueue pins the event queue's churn at zero
+// allocations at every depth: the heap is a value slice, and every packet
+// and timer of every run passes through it.
+func TestAllocBudgetEventQueue(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; budgets are enforced by make alloc-budget")
+	}
+	for _, depth := range queueDepths {
+		if allocs := testing.AllocsPerRun(1000, queueChurn(depth)); allocs > 0 {
+			t.Errorf("depth=%d: event queue churn allocates %.1f objects/op, budget is 0", depth, allocs)
+		}
+	}
+}
+
+// BenchmarkEventQueue measures the cost of one churn step at each depth.
 func BenchmarkEventQueue(b *testing.B) {
-	for _, depth := range []int{4, 16, 64} {
+	for _, depth := range queueDepths {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			// Pre-generate the timestamp tape so rng cost stays out of the
-			// measured loop.
-			tape := make([]time.Duration, 4096)
-			for i := range tape {
-				tape[i] = time.Duration(rng.Int63n(1 << 20))
-			}
-			var h eventHeap
-			seq := 0
-			for i := 0; i < depth; i++ {
-				seq++
-				h.push(event{at: tape[seq&4095], seq: seq})
-			}
+			step := queueChurn(depth)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e := h.pop()
-				seq++
-				e.at += tape[seq&4095]
-				e.seq = seq
-				h.push(e)
+				step()
 			}
 		})
 	}

@@ -46,9 +46,9 @@ func DefaultSeedSchedule(base int64) SeedSchedule {
 // (config, seed schedule) and what the simulation mechanically did (every
 // counter). It deliberately carries no timestamps or wall-clock durations —
 // two runs of the same config on the same build must be byte-identical, so
-// any diff localizes a behaviour change. It complements BENCH_trial.json
-// (tools/benchjson): that file tracks how fast the hot path runs, this one
-// tracks what it did.
+// any diff localizes a behaviour change. It complements the benchmark
+// module (bench/): that records how fast a run went and on what host, this
+// records what it did.
 type Manifest struct {
 	Schema  string            `json:"schema"`
 	Go      string            `json:"go"`

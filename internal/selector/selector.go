@@ -214,6 +214,13 @@ func (s Selection) Validate() error {
 		return fmt.Errorf("selector: unknown policy %q (valid: %q, %q)",
 			string(s.Policy), string(EpsilonGreedy), string(UCB1))
 	}
+	// NaN passes every range check below and WithDefaults, then poisons
+	// every decayed window.
+	for _, v := range []float64{s.Epsilon, s.UCBC, s.Decay, s.MinPulls, s.CollapseBelow} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("selector: tuning values must be finite: %+v", s)
+		}
+	}
 	if s.Epsilon < 0 || s.Epsilon > 1 {
 		return fmt.Errorf("selector: Epsilon %v outside [0,1]", s.Epsilon)
 	}

@@ -2,6 +2,7 @@ package selector
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -59,6 +60,21 @@ func TestSelectionDefaultsAndValidate(t *testing.T) {
 	}
 	if (Selection{}).Enabled() {
 		t.Fatal("zero-value Selection must be disabled")
+	}
+	// NaN slips past every range check and survives WithDefaults, so
+	// Validate must reject it (and ±Inf) in each float field.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, s := range []Selection{
+			{Policy: EpsilonGreedy, Epsilon: bad},
+			{Policy: UCB1, UCBC: bad},
+			{Policy: EpsilonGreedy, Decay: bad},
+			{Policy: EpsilonGreedy, MinPulls: bad},
+			{Policy: EpsilonGreedy, CollapseBelow: bad},
+		} {
+			if err := s.Validate(); err == nil {
+				t.Errorf("%+v: want error, got nil", s)
+			}
+		}
 	}
 }
 
