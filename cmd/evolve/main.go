@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 
 	"geneva/internal/eval"
 	"geneva/internal/genetic"
@@ -32,7 +33,7 @@ import (
 )
 
 func main() {
-	country := flag.String("country", "china", "china, india, iran, or kazakhstan")
+	country := flag.String("country", "china", "censor to evolve against: "+strings.Join(eval.CensoredCountries(), ", "))
 	protocol := flag.String("protocol", "http", "dns, ftp, http, https, or smtp")
 	population := flag.Int("population", 300, "population size (paper: 300)")
 	generations := flag.Int("generations", 50, "generation budget (paper: 50)")

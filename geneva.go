@@ -5,7 +5,8 @@
 // It exposes the Geneva strategy language and packet-manipulation engine
 // (extended to run server-side), the paper's eleven server-side strategies,
 // the genetic algorithm that discovers them, and a simulation harness with
-// mechanistic models of the censors in China, India, Iran, and Kazakhstan.
+// mechanistic models of seven censors: China's GFW, India's Airtel, Jio and
+// Vodafone, Iran, Kazakhstan, and Turkmenistan's TMC (see Countries).
 //
 // Quick start — apply Strategy 1 to a server's outbound packets:
 //

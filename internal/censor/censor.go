@@ -1,11 +1,14 @@
 // Package censor provides the machinery shared by all the nation-state
-// censor models: blocklists, censor-relative flow bookkeeping, and the
-// packet fabrication helpers (injected RSTs, block pages, and redirects).
+// censor models: blocklists and the HTTP-Host matcher, the timed-window
+// tables (blackholes and the residual-censorship table behind every
+// ResidualCarrier), the packet fabrication helpers (injected RSTs, block
+// pages, and redirects), and DPI, the one stateless-DPI censor model.
 //
-// The concrete censors live in the subpackages gfw (China), india (the
-// multi-ISP family: Airtel, Jio, Vodafone), iran, kazakh, and tmc
-// (Turkmenistan), each implementing netsim.Middlebox with the mechanics
-// the source papers reverse-engineer for that country.
+// The concrete censors live in the subpackages gfw (China) and kazakh,
+// each a netsim.Middlebox with the mechanics the source papers
+// reverse-engineer for that country, and india (the multi-ISP family:
+// Airtel, Jio, Vodafone), iran and tmc (Turkmenistan), which are
+// calibrations of DPI.
 package censor
 
 import (
@@ -77,37 +80,6 @@ func Default() Blocklist {
 	return defaultBlocklist
 }
 
-// New builds a blocklist with every entry normalized (lowercased, trailing
-// dots and surrounding space stripped), so matching is case-insensitive no
-// matter how the operator wrote the list. Prefer this over a struct literal:
-// the Match methods also normalize entries defensively, but a pre-normalized
-// list keeps their fast path allocation-free.
-func New(domains, keywords, emails []string) Blocklist {
-	return Blocklist{
-		Domains:  normalizeAll(domains, normDomain),
-		Keywords: normalizeAll(keywords, strings.ToLower),
-		Emails:   normalizeAll(emails, normEmail),
-	}
-}
-
-// Normalize returns a copy of b with every entry normalized, the same way
-// New does. Harnesses apply it once to caller-supplied blocklists at rig
-// construction.
-func (b Blocklist) Normalize() Blocklist {
-	return New(b.Domains, b.Keywords, b.Emails)
-}
-
-func normalizeAll(in []string, norm func(string) string) []string {
-	if in == nil {
-		return nil
-	}
-	out := make([]string, len(in))
-	for i, s := range in {
-		out[i] = norm(s)
-	}
-	return out
-}
-
 func normDomain(d string) string {
 	return strings.ToLower(strings.TrimSuffix(strings.TrimSpace(d), "."))
 }
@@ -131,6 +103,33 @@ func (b Blocklist) MatchDomain(name string) bool {
 		}
 	}
 	return false
+}
+
+// ForbiddenHost returns the first blocked Host among the HTTP requests pkt
+// carries: the first request's, then each pipelined follow-up's. The match
+// is anchored at a well-formed request line, so a packet that starts
+// mid-request is not recognized as HTTP at all — the single-packet DPI
+// blind spot client segmentation (Strategy 8) exploits.
+func (b Blocklist) ForbiddenHost(pkt *packet.Packet) (string, bool) {
+	if _, ok := pkt.HTTPRequestTarget(); !ok {
+		return "", false
+	}
+	if host, ok := pkt.HTTPHostHeader(); ok && b.MatchDomain(host) {
+		return host, true
+	}
+	off := pkt.HTTPNextRequestOffset()
+	if off <= 0 {
+		return "", false
+	}
+	var host string
+	found := packet.VisitHTTPRequests(pkt.TCP.Payload[off:], func(_, h string, hok bool) bool {
+		if hok && b.MatchDomain(h) {
+			host = h
+			return true
+		}
+		return false
+	})
+	return host, found
 }
 
 // MatchKeyword reports whether s contains a blocked keyword

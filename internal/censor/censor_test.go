@@ -60,26 +60,6 @@ func TestBlocklistMixedCaseEntries(t *testing.T) {
 	}
 }
 
-// TestBlocklistNormalize covers the construction-time path: New and
-// Normalize must pre-lowercase entries so the per-packet Match fast path
-// never re-normalizes a cold string.
-func TestBlocklistNormalize(t *testing.T) {
-	bl := New([]string{"YouTube.COM."}, []string{"FALUN"}, []string{"X@Y.Z"})
-	for i, want := range []struct{ got, want string }{
-		{bl.Domains[0], "youtube.com"},
-		{bl.Keywords[0], "falun"},
-		{bl.Emails[0], "x@y.z"},
-	} {
-		if want.got != want.want {
-			t.Errorf("entry %d = %q, want %q", i, want.got, want.want)
-		}
-	}
-	n := Blocklist{Domains: []string{"A.B"}}.Normalize()
-	if n.Domains[0] != "a.b" || n.Keywords != nil || n.Emails != nil {
-		t.Errorf("Normalize mangled: %+v", n)
-	}
-}
-
 // TestMatchDomainNoAlloc pins the hot-path guarantee: matching against an
 // already-normalized (Default) blocklist allocates nothing.
 func TestMatchDomainNoAlloc(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
-	"strconv"
 	"time"
 
 	"geneva/internal/apps"
@@ -47,7 +46,6 @@ type tcb struct {
 	clientPort uint16
 	serverAddr netip.Addr
 	serverPort uint16
-	srvKey     string // memoized residual-censorship key ("ip:port")
 
 	clientISS     uint32
 	expClient     uint32 // next expected client sequence number
@@ -75,7 +73,7 @@ func (t *tcb) fromClient(p *packet.Packet) bool {
 // maxFlows bounds a box's TCB table. Real censors evict aggressively to
 // survive at national scale (§2.1: "maintaining a TCB on a per-flow basis
 // is challenging at scale, and thus on-path censors naturally take several
-// shortcuts"); torn-down and dealt-with flows go first.
+// shortcuts").
 const maxFlows = 65536
 
 // Box is one of the GFW's per-protocol censorship engines.
@@ -89,10 +87,10 @@ type Box struct {
 	// connection per trial fanned out to five boxes, so keeping flow #1
 	// out of the map means most trials never allocate per-flow state at
 	// all. Additional concurrent flows spill into the flows map.
-	flow0   packet.Flow
-	tcb0    tcb
-	have0   bool
-	flows   map[packet.Flow]*tcb
+	flow0 packet.Flow
+	tcb0  tcb
+	have0 bool
+	flows map[packet.Flow]*tcb
 	// free recycles TCBs of dealt-with flows (see dropFlow). At fleet
 	// scale the table would otherwise accumulate one dead entry per
 	// connection until the maxFlows sweep; recycling keeps the map sized
@@ -100,8 +98,8 @@ type Box struct {
 	// buffer across flows.
 	free    []*tcb
 	lastNow time.Duration
-	// poisoned maps server ip:port -> residual-censorship expiry.
-	poisoned map[string]time.Duration
+	// residual holds the poisoned server windows (boxes with Residual only).
+	residual censor.ResidualTable
 
 	// Censored counts censorship events (for experiments).
 	Censored int
@@ -109,10 +107,10 @@ type Box struct {
 	Evicted int
 }
 
-// NewBox builds a box with its own RNG stream. The flow and poisoned
+// NewBox builds a box with its own RNG stream. The flow and residual
 // tables are lazy: single-connection trials use the inline TCB slot, and
 // only the box whose Params carry residual censorship (HTTP) ever writes
-// the poisoned map, so the common trial allocates neither.
+// the residual table, so the common trial allocates neither.
 func NewBox(p Params, bl censor.Blocklist, rng *rand.Rand) *Box {
 	return &Box{
 		P:     p,
@@ -260,14 +258,10 @@ func (b *Box) dispatch(t *tcb, pkt *packet.Packet, now time.Duration) netsim.Ver
 	// tear-down right after any new three-way handshake (§4.2). The expiry
 	// is inclusive: a connection at exactly poison-time + 90s is still
 	// censored, and the first packet after that boundary passes.
-	if b.P.Residual > 0 && t.fromClient(pkt) && pkt.TCP.Flags&packet.FlagACK != 0 {
-		if exp, ok := b.poisoned[b.serverKey(t)]; ok {
-			if now <= exp {
-				b.m.residual.Inc()
-				return b.censorVerdict(t, "residual censorship")
-			}
-			delete(b.poisoned, b.serverKey(t))
-		}
+	if b.P.Residual > 0 && t.fromClient(pkt) && pkt.TCP.Flags&packet.FlagACK != 0 &&
+		b.residual.Live(netip.AddrPortFrom(t.serverAddr, t.serverPort), now) {
+		b.m.residual.Inc()
+		return b.censorVerdict(t, "residual censorship")
 	}
 
 	if t.fromClient(pkt) {
@@ -276,43 +270,18 @@ func (b *Box) dispatch(t *tcb, pkt *packet.Packet, now time.Duration) netsim.Ver
 	return b.processServer(t, pkt)
 }
 
-// ExportResidual implements censor.ResidualCarrier: it reports every
-// still-live poisoned server window as (key, time remaining at now). Expired
-// entries are skipped, not deleted — Process and censorVerdict own the
-// sweeping. The emit order is map order and therefore unspecified; callers
-// needing determinism must fold with an order-independent merge.
+// ExportResidual implements censor.ResidualCarrier over the box's residual
+// table.
 func (b *Box) ExportResidual(now time.Duration, emit func(key string, remaining time.Duration)) {
-	for k, exp := range b.poisoned {
-		if now <= exp {
-			emit(k, exp-now)
-		}
-	}
+	b.residual.ExportResidual(now, emit)
 }
 
-// SeedResidual implements censor.ResidualCarrier: it installs a poisoned
-// window for a server key, expiring at expiry on this box's clock. An
-// existing longer window wins (max-merge), so seeding is idempotent and
-// order-independent. Boxes without residual censorship ignore the seed.
+// SeedResidual implements censor.ResidualCarrier (a max-merge into the
+// residual table). Boxes without residual censorship ignore the seed.
 func (b *Box) SeedResidual(key string, expiry time.Duration) {
-	if b.P.Residual <= 0 {
-		return
+	if b.P.Residual > 0 {
+		b.residual.SeedResidual(key, expiry)
 	}
-	if exp, ok := b.poisoned[key]; ok && exp >= expiry {
-		return
-	}
-	if b.poisoned == nil {
-		b.poisoned = make(map[string]time.Duration)
-	}
-	b.poisoned[key] = expiry
-}
-
-// serverKey returns the residual-censorship key for t's server, formatted
-// once per TCB instead of once per packet.
-func (b *Box) serverKey(t *tcb) string {
-	if t.srvKey == "" {
-		t.srvKey = t.serverAddr.String() + ":" + strconv.Itoa(int(t.serverPort))
-	}
-	return t.srvKey
 }
 
 // processServer applies the resynchronization triggers, which all key off
@@ -609,23 +578,11 @@ func (b *Box) censorVerdict(t *tcb, note string) netsim.Verdict {
 	t.censored = true
 	t.torn = true // the box considers the connection dealt with
 	if b.P.Residual > 0 {
-		if b.poisoned == nil {
-			b.poisoned = make(map[string]time.Duration)
-		}
-		// Sweep dead entries before adding one. Expired servers that no
-		// client ever revisits are otherwise never deleted (the lookup in
-		// Process only clears the key it hits), so a long evolve run against
-		// many servers would grow the map without bound. Sweeping here keeps
-		// the table no larger than the set of currently-poisoned servers,
-		// and the now-based predicate is deterministic regardless of map
-		// iteration order.
-		for k, exp := range b.poisoned {
-			if b.lastNow > exp {
-				b.m.residualSwept.Inc()
-				delete(b.poisoned, k)
-			}
-		}
-		b.poisoned[b.serverKey(t)] = b.lastNow + b.P.Residual
+		// Opening the window sweeps expired ones, so a long evolve run
+		// against many servers keeps the table at the poisoned set.
+		srv := netip.AddrPortFrom(t.serverAddr, t.serverPort)
+		swept := b.residual.Open(srv, b.lastNow, b.lastNow+b.P.Residual)
+		b.m.residualSwept.Add(uint64(swept))
 	}
 	srvFlow := packet.Flow{
 		SrcAddr: t.serverAddr, SrcPort: t.serverPort,
@@ -642,26 +599,12 @@ func (b *Box) censorVerdict(t *tcb, note string) netsim.Verdict {
 	return v
 }
 
-// evict trims the flow table: dealt-with (torn) flows first, then
-// arbitrary entries if the table is still full. The occasional live-flow
-// eviction is itself faithful to real on-path censors, whose shortcuts
-// under load are one source of the paper's baseline miss rates.
+// evict trims the spill map of a full flow table to half its bound. Every
+// tracked flow is live (dropFlow retires dealt-with flows eagerly), so the
+// victims are arbitrary live flows — itself faithful to real on-path
+// censors, whose shortcuts under load are one source of the paper's
+// baseline miss rates.
 func (b *Box) evict() {
-	if b.have0 && b.tcb0.torn {
-		b.have0 = false
-		b.Evicted++
-		b.m.evicted.Inc()
-	}
-	for k, t := range b.flows {
-		if t.torn {
-			delete(b.flows, k)
-			b.Evicted++
-			b.m.evicted.Inc()
-			if b.flowCount() < maxFlows/2 {
-				return
-			}
-		}
-	}
 	for k := range b.flows {
 		if b.flowCount() < maxFlows/2 {
 			return

@@ -466,7 +466,7 @@ func TestResidualMapBoundedGrowth(t *testing.T) {
 	if b.Censored != rounds {
 		t.Fatalf("censored %d flows, want %d", b.Censored, rounds)
 	}
-	if got := len(b.poisoned); got > 1 {
+	if got := b.residual.Len(); got > 1 {
 		t.Errorf("poisoned table holds %d entries after %d expired-and-gone servers, want <= 1", got, rounds)
 	}
 }

@@ -33,17 +33,17 @@ func FuzzIndiaProcess(f *testing.F) {
 			p.TCP.Ack = 2000
 			p.TCP.Payload = payload
 			v := in.Process(p, netsim.ToServer, 0)
-			if v.Drop && params.HTTP != ActionBlackhole && params.SNI != ActionBlackhole {
-				t.Fatalf("%s dropped but has no blackhole action", params.ISP)
+			if v.Drop && params.HTTP != censor.ActionBlackhole && params.SNI != censor.ActionBlackhole {
+				t.Fatalf("%s dropped but has no blackhole action", params.Name)
 			}
 			if v.Drop && (len(v.InjectToClient) != 0 || len(v.InjectToServer) != 0) {
-				t.Fatalf("%s both dropped and injected", params.ISP)
+				t.Fatalf("%s both dropped and injected", params.Name)
 			}
 			// Server-direction traffic is always a no-op for this family.
 			rev := packet.New(srv, cli, port, 40000)
 			rev.TCP.Payload = payload
 			if rv := in.Process(rev, netsim.ToClient, time.Second); rv.Drop || len(rv.InjectToClient) != 0 {
-				t.Fatalf("%s acted on server-to-client traffic", params.ISP)
+				t.Fatalf("%s acted on server-to-client traffic", params.Name)
 			}
 		}
 	})

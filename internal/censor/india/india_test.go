@@ -91,11 +91,11 @@ func TestSegmentedRequestPassesEverySibling(t *testing.T) {
 	for _, p := range ISPs() {
 		a := New(p, censor.Default(), nil)
 		full := forbiddenReq(80).TCP.Payload
-		if p.SNI != ActionNone {
+		if p.SNI != censor.ActionNone {
 			full = forbiddenHello(443).TCP.Payload
 		}
 		port := uint16(80)
-		if p.SNI != ActionNone {
+		if p.SNI != censor.ActionNone {
 			port = 443
 		}
 		for _, cut := range []int{5, 10, 20} {
@@ -105,10 +105,10 @@ func TestSegmentedRequestPassesEverySibling(t *testing.T) {
 			seg2.TCP.Payload = full[cut:]
 			seg2.TCP.Seq += uint32(cut)
 			if v := a.Process(seg1, netsim.ToServer, 0); len(v.InjectToClient) != 0 || v.Drop {
-				t.Errorf("%s cut %d: first segment censored", p.ISP, cut)
+				t.Errorf("%s cut %d: first segment censored", p.Name, cut)
 			}
 			if v := a.Process(seg2, netsim.ToServer, 0); len(v.InjectToClient) != 0 || v.Drop {
-				t.Errorf("%s cut %d: second segment censored (no reassembly expected)", p.ISP, cut)
+				t.Errorf("%s cut %d: second segment censored (no reassembly expected)", p.Name, cut)
 			}
 		}
 	}
@@ -121,7 +121,7 @@ func TestServerDirectionIgnoredEverySibling(t *testing.T) {
 		p.IP.Src, p.IP.Dst = srv, cli
 		p.TCP.SrcPort, p.TCP.DstPort = 80, 40000
 		if v := a.Process(p, netsim.ToClient, 0); len(v.InjectToClient) != 0 || v.Drop {
-			t.Errorf("%s: censored server-to-client traffic", params.ISP)
+			t.Errorf("%s: censored server-to-client traffic", params.Name)
 		}
 	}
 }
@@ -218,7 +218,7 @@ func TestPipelinedForbiddenRequestCensored(t *testing.T) {
 	const pipelined = "GET /index.html HTTP/1.1\r\nHost: example.com\r\nAccept: */*\r\n\r\n" +
 		"GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n"
 	for _, params := range ISPs() {
-		if params.HTTP == ActionNone {
+		if params.HTTP == censor.ActionNone {
 			continue // Jio filters SNI only
 		}
 		a := New(params, censor.Default(), nil)
@@ -226,10 +226,28 @@ func TestPipelinedForbiddenRequestCensored(t *testing.T) {
 		p.TCP.Payload = []byte(pipelined)
 		v := a.Process(p, netsim.ToServer, 0)
 		if len(v.InjectToClient) == 0 {
-			t.Errorf("%s: pipelined forbidden request not censored", params.ISP)
+			t.Errorf("%s: pipelined forbidden request not censored", params.Name)
 		}
 		if !strings.Contains(v.Note, "blocked.example") {
-			t.Errorf("%s: note %q does not name the matched host", params.ISP, v.Note)
+			t.Errorf("%s: note %q does not name the matched host", params.Name, v.Note)
 		}
+	}
+}
+
+// TestJioBlackholeTableBounded blackholes 1000 distinct flows, the clock
+// moving past each window before the next opens: the table must shrink
+// back to the live blackholes instead of keeping every expired flow.
+func TestJioBlackholeTableBounded(t *testing.T) {
+	j := New(Jio(), censor.Default(), nil)
+	const rounds = 1000
+	for i := 0; i < rounds; i++ {
+		p := forbiddenHello(443)
+		p.TCP.SrcPort = uint16(20000 + i)
+		if v := j.Process(p, netsim.ToServer, time.Duration(i)*2*time.Minute); !v.Drop {
+			t.Fatalf("flow %d not blackholed", i)
+		}
+	}
+	if n, _ := j.Tracked(); n != 1 {
+		t.Errorf("blackhole table holds %d windows after %d expired ones, want 1 live", n, rounds-1)
 	}
 }

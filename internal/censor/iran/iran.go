@@ -9,6 +9,9 @@
 //   - on a match, drops the offending packet and all future packets from
 //     the client in that flow for one minute (no injection at all);
 //   - DNS-over-TCP is no longer censored (contra Aryan et al.).
+//
+// It is a calibration of censor.DPI, the stateless-DPI model it shares
+// with India's ISPs and Turkmenistan.
 package iran
 
 import (
@@ -16,86 +19,24 @@ import (
 	"time"
 
 	"geneva/internal/censor"
-	"geneva/internal/netsim"
-	"geneva/internal/obs"
-	"geneva/internal/packet"
 )
 
-var (
-	mCensored   = obs.NewCounter("censor.iran.censored")
-	mBlackholed = obs.NewCounter("censor.iran.blackholed_drops")
-)
+var metrics = censor.NewDPIMetrics("censor.iran.", "censored", "blackholed_drops")
 
-// blackholeDuration is how long an offending client flow is dropped.
-const blackholeDuration = time.Minute
-
-// Iran is the Iranian middlebox.
-type Iran struct {
-	Block censor.Blocklist
-	// Censored counts censorship events (new blackholes).
-	Censored int
-
-	blackholed map[packet.Flow]time.Duration
+// Params returns Iran's calibration: HTTP Host and TLS SNI triggers both
+// blackhole the client flow for one minute.
+func Params() censor.DPIParams {
+	return censor.DPIParams{
+		Name:            "Iran",
+		HTTP:            censor.ActionBlackhole,
+		SNI:             censor.ActionBlackhole,
+		BlackholeWindow: time.Minute,
+		TerseNotes:      true,
+		Metrics:         metrics,
+	}
 }
 
 // New builds the censor (deterministic; rng accepted for symmetry).
-func New(bl censor.Blocklist, _ *rand.Rand) *Iran {
-	return &Iran{Block: bl, blackholed: make(map[packet.Flow]time.Duration)}
+func New(bl censor.Blocklist, _ *rand.Rand) *censor.DPI {
+	return censor.NewDPI(Params(), bl)
 }
-
-// Name implements netsim.Middlebox.
-func (ir *Iran) Name() string { return "Iran" }
-
-// Process implements netsim.Middlebox.
-func (ir *Iran) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duration) netsim.Verdict {
-	if dir != netsim.ToServer {
-		return netsim.Verdict{}
-	}
-	flow := pkt.Flow()
-	if exp, ok := ir.blackholed[flow]; ok {
-		if now < exp {
-			mBlackholed.Inc()
-			return netsim.Verdict{Drop: true, Note: "blackholed"}
-		}
-		delete(ir.blackholed, flow)
-	}
-	if len(pkt.TCP.Payload) == 0 {
-		return netsim.Verdict{}
-	}
-	matched := false
-	switch pkt.TCP.DstPort {
-	case 80:
-		// Anchored at a well-formed request line, like Airtel: a
-		// mid-request segment is not recognized as HTTP (Strategy 8).
-		// Views are memoized on the packet, shared with any other censor
-		// inspecting the same bytes.
-		if _, ok := pkt.HTTPRequestTarget(); !ok {
-			break
-		}
-		if host, ok := pkt.HTTPHostHeader(); ok && ir.Block.MatchDomain(host) {
-			matched = true
-		} else if off := pkt.HTTPNextRequestOffset(); off > 0 {
-			// Keep-alive pipelining: every request in the packet gets its
-			// Host matched, not just the first (which is all the DPI used
-			// to look at).
-			matched = packet.VisitHTTPRequests(pkt.TCP.Payload[off:], func(_, h string, hok bool) bool {
-				return hok && ir.Block.MatchDomain(h)
-			})
-		}
-	case 443:
-		if sni, ok := pkt.TLSServerName(); ok && ir.Block.MatchDomain(sni) {
-			matched = true
-		}
-	}
-	if !matched {
-		return netsim.Verdict{}
-	}
-	ir.Censored++
-	mCensored.Inc()
-	ir.blackholed[flow] = now + blackholeDuration
-	return netsim.Verdict{Drop: true, Note: "blackhole started"}
-}
-
-// CensoredCount returns the number of censorship events (eval harness
-// interface).
-func (ir *Iran) CensoredCount() int { return ir.Censored }

@@ -117,3 +117,21 @@ func TestPipelinedForbiddenRequestBlackholed(t *testing.T) {
 		t.Errorf("Censored = %d, want 1", ir.CensoredCount())
 	}
 }
+
+// TestBlackholeTableBounded blackholes 1000 distinct flows, the clock
+// moving past each window before the next opens: the table must shrink
+// back to the live blackholes instead of keeping every expired flow.
+func TestBlackholeTableBounded(t *testing.T) {
+	ir := New(censor.Default(), nil)
+	const rounds = 1000
+	for i := 0; i < rounds; i++ {
+		p := httpReq("blocked.example", 80)
+		p.TCP.SrcPort = uint16(20000 + i)
+		if v := ir.Process(p, netsim.ToServer, time.Duration(i)*2*time.Minute); !v.Drop {
+			t.Fatalf("flow %d not blackholed", i)
+		}
+	}
+	if n, _ := ir.Tracked(); n != 1 {
+		t.Errorf("blackhole table holds %d windows after %d expired ones, want 1 live", n, rounds-1)
+	}
+}

@@ -50,6 +50,8 @@ const hijackDuration = 15 * time.Second
 var getPrefix = regexp.MustCompile(`^GET /\S* HTTP/?1\.`)
 
 type flowState struct {
+	clientISN        uint32 // the tracked connection's client SYN sequence number
+	sawSYN           bool
 	handshakeDone    bool
 	serverPayloadRun int
 	serverGets       [][]byte
@@ -100,6 +102,18 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 	// Active hijack: the MITM intercepts the stream.
 	if st.hijacked && now < st.hijackUntil && dir == netsim.ToServer {
 		return netsim.Verdict{Drop: true, Note: "intercepted (MITM)"}
+	}
+
+	// 4-tuple reuse: a client SYN with a new ISN on a tracked tuple is a
+	// new connection (an endpoint churning through reconnects wraps its
+	// ephemeral ports), so the previous tenant's verdicts — an ignored or
+	// role-swapped flow — must not carry over. A retransmitted SYN (same
+	// ISN) is the same connection and leaves the state alone.
+	if dir == netsim.ToServer && pkt.TCP.Flags == packet.FlagSYN {
+		if st.sawSYN && pkt.TCP.Seq != st.clientISN {
+			*st = flowState{}
+		}
+		st.sawSYN, st.clientISN = true, pkt.TCP.Seq
 	}
 
 	if st.ignore {
@@ -172,29 +186,9 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 		return k.processServerRequest(st, pkt.TCP.Payload, pkt, true)
 	}
 	if dir == netsim.ToServer && len(pkt.TCP.Payload) > 0 {
-		// Anchored at a well-formed request line; no reassembly, so a
-		// segmented request is never recognized (Strategy 8). Memoized on
-		// the packet, shared with any other censor inspecting it.
-		if _, ok := pkt.HTTPRequestTarget(); !ok {
-			return netsim.Verdict{}
-		}
-		host, matched := pkt.HTTPHostHeader()
-		matched = matched && k.Block.MatchDomain(host)
-		if !matched {
-			if off := pkt.HTTPNextRequestOffset(); off > 0 {
-				// Keep-alive pipelining: each request's Host is matched, not
-				// just the first one in the payload (all the MITM used to
-				// inspect).
-				matched = packet.VisitHTTPRequests(pkt.TCP.Payload[off:], func(_, h string, hok bool) bool {
-					if hok && k.Block.MatchDomain(h) {
-						host = h
-						return true
-					}
-					return false
-				})
-			}
-		}
-		if matched {
+		// No reassembly, so a segmented request is never recognized
+		// (Strategy 8); pipelined requests are each matched.
+		if host, matched := k.Block.ForbiddenHost(pkt); matched {
 			// Censor: hijack the flow and inject the block page.
 			k.Censored++
 			mCensored.Inc()

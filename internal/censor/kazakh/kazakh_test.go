@@ -236,3 +236,30 @@ func TestPipelinedForbiddenRequestHijacked(t *testing.T) {
 		t.Errorf("Censored = %d, want 1", k.Censored)
 	}
 }
+
+// 4-tuple reuse: once a connection is ignored (Strategy 11's null flags), a
+// later connection on the same tuple used to inherit the verdict, so its
+// forbidden request passed uncensored — on a fresh tuple the same request
+// is censored.
+func TestTupleReuseResetsFlowState(t *testing.T) {
+	syn := func(isn uint32) *packet.Packet {
+		p := cliPkt(sy, "")
+		p.TCP.Seq = isn
+		return p
+	}
+	k := New(censor.Default(), nil)
+	feed(k, 0, syn(100), srvPkt(0, ""), srvPkt(sa, ""), cliPkt(ak, ""))
+	if v := feed(k, 0, cliPkt(pa, forbidden))[0]; v.Drop {
+		t.Fatal("null-flags handshake did not make the censor ignore the flow")
+	}
+	// A retransmitted SYN (same ISN) is the same connection.
+	feed(k, time.Second, syn(100))
+	if v := feed(k, time.Second, cliPkt(pa, forbidden))[0]; v.Drop {
+		t.Error("a retransmitted SYN reset the ignored flow")
+	}
+	// A new connection (new ISN) on the same tuple starts clean.
+	vs := feed(k, time.Minute, syn(900), srvPkt(sa, ""), cliPkt(ak, ""), cliPkt(pa, forbidden))
+	if !vs[len(vs)-1].Drop {
+		t.Error("a new connection on a reused tuple inherited the ignored verdict")
+	}
+}

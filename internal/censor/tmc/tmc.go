@@ -20,19 +20,18 @@
 // tear-down the server endpoint stays tainted for a window, and any new
 // connection to it is torn down on the first ACK-bearing client packet.
 // That state rides the fleet's residual ledger via censor.ResidualCarrier,
-// the same seam the GFW's poisoned windows use.
+// in the same residual table the GFW's poisoned windows use.
+//
+// The TMC is a calibration of censor.DPI, the stateless-DPI model it
+// shares with India's ISPs and Iran: bidirectional, with two-sided
+// tear-down and forged-DNS actions.
 package tmc
 
 import (
 	"math/rand"
-	"net/netip"
-	"strconv"
 	"time"
 
-	"geneva/internal/apps"
 	"geneva/internal/censor"
-	"geneva/internal/netsim"
-	"geneva/internal/packet"
 )
 
 // ResidualWindow is how long a server endpoint stays tainted after an
@@ -41,223 +40,25 @@ import (
 // outside the window so routed cells stay deterministic.
 const ResidualWindow = time.Minute
 
-// bogusAddr is the address the TMC's forged DNS responses resolve
-// forbidden names to (the loopback answer Nourin et al. observe).
-var bogusAddr = [4]byte{127, 0, 0, 1}
+var metrics = censor.NewDPIMetrics("censor.tmc.", "censored", "injected_rsts", "forged_dns", "residual_hits")
 
-// TMC is the Turkmenistan censor middlebox.
-type TMC struct {
-	Block censor.Blocklist
-	// Censored counts censorship events.
-	Censored int
-
-	// poisoned maps server ip:port -> residual-censorship expiry
-	// (lazily allocated; only HTTP/HTTPS tear-downs write it).
-	poisoned map[string]time.Duration
+// Params returns the TMC's calibration. Forged DNS answers resolve
+// forbidden names to the loopback address Nourin et al. observe.
+func Params() censor.DPIParams {
+	return censor.DPIParams{
+		Name:          "TMC",
+		DNS:           censor.ActionForgeDNS,
+		HTTP:          censor.ActionTeardown,
+		SNI:           censor.ActionTeardown,
+		Bidirectional: true,
+		Residual:      ResidualWindow,
+		ForgedAddr:    [4]byte{127, 0, 0, 1},
+		Metrics:       metrics,
+	}
 }
 
 // New builds the TMC. The rng is unused (the model is deterministic) but
 // accepted for constructor symmetry with the other censors.
-func New(bl censor.Blocklist, _ *rand.Rand) *TMC {
-	return &TMC{Block: bl}
-}
-
-// Name implements netsim.Middlebox.
-func (c *TMC) Name() string { return "TMC" }
-
-// CensoredCount returns the number of censorship events (eval harness
-// interface).
-func (c *TMC) CensoredCount() int { return c.Censored }
-
-// servicePort returns the well-known port of the packet's flow (the DPI
-// engine keyed by it), or 0 if neither endpoint is on a modeled port.
-func servicePort(pkt *packet.Packet) uint16 {
-	for _, p := range [...]uint16{53, 80, 443} {
-		if pkt.TCP.DstPort == p || pkt.TCP.SrcPort == p {
-			return p
-		}
-	}
-	return 0
-}
-
-// isDNSQuery reports whether a DNS-over-TCP chunk frames a query (QR=0).
-// The framing is a 2-byte length prefix, then the 12-byte header whose
-// flags' top bit distinguishes queries from responses — without this check
-// the engine would re-trigger on the real server's response, whose
-// question section also carries the forbidden name.
-func isDNSQuery(payload []byte) bool {
-	return len(payload) >= 6 && payload[4]&0x80 == 0
-}
-
-// Process implements netsim.Middlebox. The TMC is on-path: it injects in
-// both directions but never drops.
-func (c *TMC) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duration) netsim.Verdict {
-	port := servicePort(pkt)
-	if port == 0 {
-		return netsim.Verdict{}
-	}
-	m := metricsFor(protoForPort(port))
-
-	// Residual censorship: a tainted server endpoint tears down every new
-	// connection at the first ACK-bearing client packet (inclusive expiry,
-	// like the GFW's poisoned windows).
-	if c.poisoned != nil && dir == netsim.ToServer && pkt.TCP.Flags&packet.FlagACK != 0 {
-		key := serverKey(pkt.IP.Dst, pkt.TCP.DstPort)
-		if exp, ok := c.poisoned[key]; ok {
-			if now <= exp {
-				c.Censored++
-				m.censored.Inc()
-				m.residual.Inc()
-				return c.teardown(pkt, dir, "residual censorship", m)
-			}
-			delete(c.poisoned, key)
-		}
-	}
-
-	payload := pkt.TCP.Payload
-	if len(payload) == 0 {
-		return netsim.Verdict{}
-	}
-
-	switch port {
-	case 53:
-		// Single-packet DNS engine: a segmented query never frames, so
-		// the parser fails and the censor fails open (Strategy 8).
-		if !isDNSQuery(payload) {
-			break
-		}
-		name, ok := pkt.DNSQueryName()
-		if !ok || !c.Block.MatchDomain(name) {
-			break
-		}
-		c.Censored++
-		m.censored.Inc()
-		m.forged.Inc()
-		// Forge the answer toward whichever side asked, impersonating
-		// the other endpoint: the bogus response outruns (and, at the
-		// receiver's reassembler, shadows) the real one.
-		resp := packet.Get(pkt.IP.Dst, pkt.IP.Src, pkt.TCP.DstPort, pkt.TCP.SrcPort)
-		resp.IP.TTL = 64
-		resp.TCP.Flags = packet.FlagPSH | packet.FlagACK
-		resp.TCP.Seq = pkt.TCP.Ack
-		resp.TCP.Ack = pkt.TCP.Seq + uint32(len(payload))
-		resp.TCP.Window = 65535
-		resp.TCP.Payload = append(resp.TCP.Payload[:0], apps.EncodeDNSResponse(name, bogusAddr)...)
-		v := netsim.Verdict{Note: "forged DNS response for " + name}
-		if dir == netsim.ToServer {
-			v.InjectToClient = []*packet.Packet{resp}
-		} else {
-			v.InjectToServer = []*packet.Packet{resp}
-		}
-		return v
-	case 80:
-		// Anchored single-packet HTTP engine, run in both directions.
-		// (Views are memoized on the packet; see packet.Packet.)
-		if _, ok := pkt.HTTPRequestTarget(); !ok {
-			break
-		}
-		host, ok := pkt.HTTPHostHeader()
-		matched := ok && c.Block.MatchDomain(host)
-		if !matched {
-			if off := pkt.HTTPNextRequestOffset(); off > 0 {
-				// Keep-alive pipelining: every request in the payload gets
-				// its Host matched, not only the first (which was all the
-				// engine used to examine).
-				matched = packet.VisitHTTPRequests(pkt.TCP.Payload[off:], func(_, h string, hok bool) bool {
-					if hok && c.Block.MatchDomain(h) {
-						host = h
-						return true
-					}
-					return false
-				})
-			}
-		}
-		if !matched {
-			break
-		}
-		c.Censored++
-		m.censored.Inc()
-		c.taint(pkt, dir, now)
-		return c.teardown(pkt, dir, "blocked Host "+host+"; bidirectional tear-down", m)
-	case 443:
-		// Single-packet SNI engine, run in both directions.
-		sni, ok := pkt.TLSServerName()
-		if !ok || !c.Block.MatchDomain(sni) {
-			break
-		}
-		c.Censored++
-		m.censored.Inc()
-		c.taint(pkt, dir, now)
-		return c.teardown(pkt, dir, "blocked SNI "+sni+"; bidirectional tear-down", m)
-	}
-	return netsim.Verdict{}
-}
-
-// teardown fabricates the TMC's two-sided tear-down: one RST toward the
-// packet's receiver impersonating the sender, one toward the sender
-// impersonating the receiver. All numbering is derived statelessly from
-// the offending packet.
-func (c *TMC) teardown(pkt *packet.Packet, dir netsim.Direction, note string, m *engineMetrics) netsim.Verdict {
-	end := pkt.TCP.Seq + uint32(len(pkt.TCP.Payload))
-	// Toward the receiver, as if the sender reset.
-	fwd := censor.InjectRST(pkt.Flow(), pkt.Flow().Reverse(), end, pkt.TCP.Ack)
-	// Toward the sender, as if the receiver reset.
-	rev := censor.InjectRST(pkt.Flow().Reverse(), pkt.Flow(), pkt.TCP.Ack, end)
-	m.rsts.Inc()
-	m.rsts.Inc()
-	v := netsim.Verdict{Note: note}
-	if dir == netsim.ToServer {
-		v.InjectToServer = []*packet.Packet{fwd}
-		v.InjectToClient = []*packet.Packet{rev}
-	} else {
-		v.InjectToClient = []*packet.Packet{fwd}
-		v.InjectToServer = []*packet.Packet{rev}
-	}
-	return v
-}
-
-// taint opens (or extends) the residual window for the offending flow's
-// server endpoint — the side on the well-known port.
-func (c *TMC) taint(pkt *packet.Packet, dir netsim.Direction, now time.Duration) {
-	addr, port := pkt.IP.Dst, pkt.TCP.DstPort
-	if dir == netsim.ToClient {
-		addr, port = pkt.IP.Src, pkt.TCP.SrcPort
-	}
-	if c.poisoned == nil {
-		c.poisoned = make(map[string]time.Duration)
-	}
-	key := serverKey(addr, port)
-	if exp, ok := c.poisoned[key]; ok && exp >= now+ResidualWindow {
-		return
-	}
-	c.poisoned[key] = now + ResidualWindow
-}
-
-func serverKey(addr netip.Addr, port uint16) string {
-	return addr.String() + ":" + strconv.Itoa(int(port))
-}
-
-// ExportResidual implements censor.ResidualCarrier: it reports every
-// still-live tainted server window as (key, time remaining at now).
-// Expired entries are skipped, not deleted — Process owns the sweeping.
-func (c *TMC) ExportResidual(now time.Duration, emit func(key string, remaining time.Duration)) {
-	for k, exp := range c.poisoned {
-		if now <= exp {
-			emit(k, exp-now)
-		}
-	}
-}
-
-// SeedResidual implements censor.ResidualCarrier: it installs a tainted
-// window expiring at expiry on this instance's clock. An existing longer
-// window wins (max-merge), so seeding is idempotent and order-independent
-// — the property the fleet's residual ledger relies on.
-func (c *TMC) SeedResidual(key string, expiry time.Duration) {
-	if exp, ok := c.poisoned[key]; ok && exp >= expiry {
-		return
-	}
-	if c.poisoned == nil {
-		c.poisoned = make(map[string]time.Duration)
-	}
-	c.poisoned[key] = expiry
+func New(bl censor.Blocklist, _ *rand.Rand) censor.ResidualDPI {
+	return censor.ResidualDPI{DPI: censor.NewDPI(Params(), bl)}
 }

@@ -253,3 +253,23 @@ func TestPipelinedForbiddenRequestTornDown(t *testing.T) {
 		t.Errorf("Censored = %d, want 1", c.Censored)
 	}
 }
+
+// TestResidualTableBounded opens 1000 residual windows on distinct servers,
+// the clock moving past each window before the next opens: the table must
+// shrink back to the live windows instead of keeping every expired server
+// no client revisits.
+func TestResidualTableBounded(t *testing.T) {
+	c := New(censor.Default(), nil)
+	const rounds = 1000
+	for i := 0; i < rounds; i++ {
+		p := trigger(80, []byte("GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n"))
+		p.IP.Dst = netip.AddrFrom4([4]byte{198, 51, byte(i >> 8), byte(i)})
+		c.Process(p, netsim.ToServer, time.Duration(i)*2*ResidualWindow)
+	}
+	if c.Censored != rounds {
+		t.Fatalf("censored %d, want %d", c.Censored, rounds)
+	}
+	if _, n := c.Tracked(); n != 1 {
+		t.Errorf("residual table holds %d windows after %d expired ones, want 1 live", n, rounds-1)
+	}
+}

@@ -86,8 +86,6 @@ type Config struct {
 	ServerHook func(*tcpstack.Endpoint)
 	// WithTrace records a packet trace (waterfalls).
 	WithTrace bool
-	// Blocklist defaults to censor.Default().
-	Blocklist *censor.Blocklist
 	// Impairments adds seedable loss/duplication/reordering/jitter to the
 	// path and arms endpoint retransmission. The zero value leaves the
 	// network lossless, the retransmission timers unarmed, and every trial
@@ -134,13 +132,6 @@ func NewRig(cfg Config) *Rig {
 	if cfg.ClientOS.Name == "" {
 		cfg.ClientOS = tcpstack.DefaultClient
 	}
-	bl := censor.Default()
-	if cfg.Blocklist != nil {
-		// Normalize once at rig construction so mixed-case or padded
-		// entries match, and the per-packet Match fast path never pays for
-		// re-normalizing.
-		bl = cfg.Blocklist.Normalize()
-	}
 	seed := cfg.Seed
 	clientAddr := cfg.ClientAddress
 	if !clientAddr.IsValid() {
@@ -154,7 +145,7 @@ func NewRig(cfg Config) *Rig {
 		server.Outbound = core.NewEngine(cfg.Strategy, rand.New(rand.NewSource(seed+2))).Outbound
 	}
 
-	cen := NewCensor(cfg.Country, bl, rand.New(rand.NewSource(seed+3)))
+	cen := NewCensor(cfg.Country, censor.Default(), rand.New(rand.NewSource(seed+3)))
 	var n *netsim.Network
 	if cen != nil {
 		n = netsim.New(client, server, cen)

@@ -165,8 +165,7 @@ func TestFleetTMCResidual(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := obs.Take().Counters
-		return c["censor.tmc.dns.residual_hits"] + c["censor.tmc.http.residual_hits"] +
-			c["censor.tmc.https.residual_hits"]
+		return c["censor.tmc.residual_hits"]
 	}
 	gapped := run(120 * time.Second)
 	merged := run(-1)

@@ -78,17 +78,18 @@ func NewCounter(name string) *Counter {
 	return c
 }
 
-// Inc adds 1 when metrics are enabled.
+// Inc adds 1 when metrics are enabled. A nil Counter counts nothing, so a
+// counter set can leave the instruments it does not report unregistered.
 func (c *Counter) Inc() {
-	if !enabled.Load() {
+	if c == nil || !enabled.Load() {
 		return
 	}
 	c.v.Add(1)
 }
 
-// Add adds n when metrics are enabled.
+// Add adds n when metrics are enabled (nil-safe, like Inc).
 func (c *Counter) Add(n uint64) {
-	if !enabled.Load() {
+	if c == nil || !enabled.Load() {
 		return
 	}
 	c.v.Add(n)
