@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint bench bench-smoke alloc-budget fleet-determinism selector-determinism fuzz-smoke evaluate figures short cover race
+.PHONY: all build test vet lint bench-smoke alloc-budget fleet-determinism selector-determinism fuzz-smoke evaluate figures short cover race
 
 all: build vet test
 
@@ -24,9 +24,6 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-bench:
-	$(GO) test -bench=. -benchmem ./...
-
 # The benchmark module (bench/) is its own Go module, so the root
 # `go test ./...` never builds it; this vets and tests it under the race
 # detector so an internal API change that breaks the harness fails here.
@@ -37,10 +34,12 @@ bench-smoke:
 
 # The fleet determinism gate: the whole FleetResult must be bit-identical
 # across the workers × GOMAXPROCS matrix (1/2/8 × 1/2/8 plus the default
-# GOMAXPROCS), with a live residual ledger, under the race detector. CI runs
-# exactly this.
+# GOMAXPROCS), with a live residual ledger, under the race detector. The
+# second line runs the 75,900-connection cell that fills the GFW's flow
+# table, which skips itself under -race. CI runs exactly this.
 fleet-determinism:
 	$(GO) test -race -run 'TestFleetDeterminism|TestFleetMetricsMatchResult|TestFleetResidualLedgerProperty|TestFleetLongHorizonWorkerInvariance' -v . ./internal/fleet/
+	$(GO) test -run 'TestFleetDeterminismFullFlowTable' -v .
 
 # The control-plane determinism gate: with online selection live (bandit
 # pulls, barrier merges, a mid-run censor shift) the FleetResult must stay
@@ -79,9 +78,10 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzTMCProcess$$' -fuzztime $(FUZZTIME) ./internal/censor/tmc/
 	$(GO) test -fuzz '^FuzzDPIProcess$$' -fuzztime $(FUZZTIME) ./internal/censor/
 
-# Static checks: vet always; gocritic (checks like hugeParam — catching
-# accidental by-value copies of packet structs) only when installed.
+# Static checks: vet and gofmt always; gocritic (checks like hugeParam —
+# catching accidental by-value copies of packet structs) only when installed.
 lint: vet
+	test -z "$$(gofmt -l .)"
 	@command -v gocritic >/dev/null 2>&1 && gocritic check ./... || echo "gocritic not installed; skipped"
 
 evaluate:

@@ -41,7 +41,6 @@ import (
 	"geneva/internal/eval"
 	"geneva/internal/netsim"
 	"geneva/internal/obs"
-	"geneva/internal/profiling"
 )
 
 func main() {
@@ -54,8 +53,6 @@ func main() {
 	dup := flag.Float64("dup", 0, "robustness sweep: per-packet duplication probability")
 	reorder := flag.Float64("reorder", 0, "robustness sweep: per-packet reordering probability")
 	jitter := flag.Duration("jitter", 0, "robustness sweep: max random extra delivery delay (e.g. 3ms)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	metrics := flag.Bool("metrics", false, "enable cross-layer counters and print the nonzero ones after the run")
 	manifest := flag.String("manifest", "", "write a structured run manifest (JSON) to this file; implies -metrics")
 	flag.Parse()
@@ -66,7 +63,6 @@ func main() {
 		obs.SetEnabled(true)
 		obs.Reset()
 	}
-	stopCPU := profiling.Start(*cpuprofile)
 	start := time.Now()
 
 	any := false
@@ -132,8 +128,6 @@ func main() {
 		}
 		fmt.Printf("manifest written to %s\n", *manifest)
 	}
-	stopCPU()
-	profiling.WriteHeap(*memprofile)
 }
 
 func header(s string) { fmt.Printf("\n=== %s ===\n\n", s) }

@@ -29,7 +29,6 @@ import (
 	"geneva/internal/eval"
 	"geneva/internal/genetic"
 	"geneva/internal/obs"
-	"geneva/internal/profiling"
 )
 
 func main() {
@@ -41,8 +40,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "RNG seed")
 	minimize := flag.Bool("minimize", true, "prune the winner while fitness holds")
 	workers := flag.Int("workers", 0, "population-evaluation workers (0 = one per CPU); any width gives the same result")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	metrics := flag.Bool("metrics", false, "enable cross-layer counters and print the nonzero ones after the run")
 	manifest := flag.String("manifest", "", "write a structured run manifest (JSON) to this file; implies -metrics")
 	flag.Parse()
@@ -51,7 +48,6 @@ func main() {
 		obs.SetEnabled(true)
 		obs.Reset()
 	}
-	stopCPU := profiling.Start(*cpuprofile)
 
 	fmt.Printf("Evolving server-side strategies against %s / %s (population %d, <= %d generations, %d trials/individual)\n\n",
 		*country, *protocol, *population, *generations, *trials)
@@ -115,6 +111,4 @@ func main() {
 		}
 		fmt.Printf("manifest written to %s\n", *manifest)
 	}
-	stopCPU()
-	profiling.WriteHeap(*memprofile)
 }

@@ -15,7 +15,6 @@
 //	      [-seed N] [-workers N]
 //	      [-loss P] [-dup P] [-reorder P] [-jitter D]
 //	      [-json] [-metrics] [-manifest out.json]
-//	      [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // -portfolio takes a ";"-separated strategy list — each entry a raw Geneva
 // DSL program or a bare paper-strategy number (1-11) — and serves routed
@@ -50,7 +49,6 @@ import (
 
 	"geneva"
 	"geneva/internal/obs"
-	"geneva/internal/profiling"
 )
 
 func main() {
@@ -87,15 +85,12 @@ func main() {
 	asJSON := flag.Bool("json", false, "print the full FleetResult as JSON instead of the table")
 	metrics := flag.Bool("metrics", false, "enable cross-layer counters and print the nonzero ones after the run")
 	manifest := flag.String("manifest", "", "write the run manifest (JSON) to this file; implies -metrics")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
 
 	if *metrics || *manifest != "" {
 		obs.SetEnabled(true)
 		obs.Reset()
 	}
-	stopCPU := profiling.Start(*cpuprofile)
 	d := geneva.Deployment{
 		Connections:        *connections,
 		ClientsPerCell:     *clients,
@@ -186,8 +181,6 @@ func main() {
 	fmt.Printf("\n%d connections in %d cells in %v (%s conns/sec, workers=%d)\n",
 		res.Connections, res.Cells, elapsed.Round(time.Millisecond),
 		rate, *workers)
-	stopCPU()
-	profiling.WriteHeap(*memprofile)
 }
 
 // parsePortfolio resolves a ";"-separated strategy list: each entry is a raw

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"geneva/internal/race"
 )
 
 // atProcs runs f with GOMAXPROCS set to procs (0 = unchanged) and restores
@@ -105,4 +107,30 @@ func TestFleetDeterminismLongHorizon(t *testing.T) {
 		Seed:            1234,
 	}
 	sweepSchedules(t, "", base)
+}
+
+// TestFleetDeterminismFullFlowTable drives one China cell past the GFW's
+// flow-table bound: 253 clients × 300 waves is 75,900 connections, and the
+// flows the deployed strategy desynchronizes are never torn down, so the
+// table fills and trims itself. The trim must pick its victims in a fixed
+// order, or two runs of the same Deployment serve different counts. It
+// takes seconds without the race detector and most of a minute with it, so
+// it skips under -race and -short; make fleet-determinism runs it without
+// -race.
+func TestFleetDeterminismFullFlowTable(t *testing.T) {
+	if race.Enabled || testing.Short() {
+		t.Skip("a 75,900-connection cell; run without -race and -short")
+	}
+	d := Deployment{
+		Countries:          []string{China},
+		Protocols:          []string{"http", "https", "dns"},
+		ClientsPerCell:     253,
+		UnprotectedPerCell: -1,
+		WavesPerCell:       300,
+		Connections:        253 * 300,
+		Seed:               3,
+	}
+	if one, two := encodeDeployment(t, d, 1, 0), encodeDeployment(t, d, 2, 0); one != two {
+		t.Errorf("workers=2 diverged from workers=1:\n%s\nvs\n%s", two, one)
+	}
 }

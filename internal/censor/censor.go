@@ -1,5 +1,6 @@
 // Package censor provides the machinery shared by all the nation-state
-// censor models: blocklists and the HTTP-Host matcher, the timed-window
+// censor models: blocklists and the HTTP-Host matcher, the bounded flow
+// table the on-path censors keep their per-flow state in, the timed-window
 // tables (blackholes and the residual-censorship table behind every
 // ResidualCarrier), the packet fabrication helpers (injected RSTs, block
 // pages, and redirects), and DPI, the one stateless-DPI censor model.

@@ -14,7 +14,7 @@ import (
 
 // resyncTarget says which future packet a box in the resynchronization
 // state will re-sync its TCB on.
-type resyncTarget int
+type resyncTarget uint8
 
 const (
 	resyncNone resyncTarget = iota
@@ -30,7 +30,7 @@ const (
 // resyncReason records why the box most recently entered/consumed a resync,
 // which changes its later behaviour (§5.1: "depending on the reason the GFW
 // enters the resynchronization state, it behaves differently").
-type resyncReason int
+type resyncReason uint8
 
 const (
 	reasonNone resyncReason = iota
@@ -40,20 +40,20 @@ const (
 	reasonLoadSA
 )
 
-// tcb is one box's per-flow transmission control block.
+// tcb is one box's per-flow transmission control block. Small fields sit
+// together: the GFW's flow table holds five per entry.
 type tcb struct {
 	clientAddr netip.Addr
-	clientPort uint16
 	serverAddr netip.Addr
+	stream     []byte // reassembled client stream (if the box reassembles)
+	clientPort uint16
 	serverPort uint16
 
 	clientISS     uint32
 	expClient     uint32 // next expected client sequence number
 	expServer     uint32 // next expected server sequence number
 	haveServerISN bool
-
-	stream      []byte // reassembled client stream (if the box reassembles)
-	reassembles bool
+	reassembles   bool
 
 	target       resyncTarget
 	reason       resyncReason
@@ -70,47 +70,24 @@ func (t *tcb) fromClient(p *packet.Packet) bool {
 	return p.IP.Src == t.clientAddr && p.TCP.SrcPort == t.clientPort
 }
 
-// maxFlows bounds a box's TCB table. Real censors evict aggressively to
-// survive at national scale (§2.1: "maintaining a TCB on a per-flow basis
-// is challenging at scale, and thus on-path censors naturally take several
-// shortcuts").
-const maxFlows = 65536
-
-// Box is one of the GFW's per-protocol censorship engines.
+// Box is one of the GFW's per-protocol censorship engines. Its TCBs live
+// in the GFW's flow table, one slot per box in every entry.
 type Box struct {
 	P     Params
 	Block censor.Blocklist
 
 	rng *rand.Rand
 	m   *boxMetrics
-	// The first tracked flow lives inline: the standard rig is one
-	// connection per trial fanned out to five boxes, so keeping flow #1
-	// out of the map means most trials never allocate per-flow state at
-	// all. Additional concurrent flows spill into the flows map.
-	flow0 packet.Flow
-	tcb0  tcb
-	have0 bool
-	flows map[packet.Flow]*tcb
-	// free recycles TCBs of dealt-with flows (see dropFlow). At fleet
-	// scale the table would otherwise accumulate one dead entry per
-	// connection until the maxFlows sweep; recycling keeps the map sized
-	// to the *live* flow population and reuses each TCB's reassembly
-	// buffer across flows.
-	free    []*tcb
-	lastNow time.Duration
 	// residual holds the poisoned server windows (boxes with Residual only).
 	residual censor.ResidualTable
 
 	// Censored counts censorship events (for experiments).
 	Censored int
-	// Evicted counts TCBs dropped by the scale bound.
-	Evicted int
 }
 
-// NewBox builds a box with its own RNG stream. The flow and residual
-// tables are lazy: single-connection trials use the inline TCB slot, and
+// NewBox builds a box with its own RNG stream. The residual table is lazy:
 // only the box whose Params carry residual censorship (HTTP) ever writes
-// the residual table, so the common trial allocates neither.
+// it.
 func NewBox(p Params, bl censor.Blocklist, rng *rand.Rand) *Box {
 	return &Box{
 		P:     p,
@@ -118,55 +95,6 @@ func NewBox(p Params, bl censor.Blocklist, rng *rand.Rand) *Box {
 		rng:   rng,
 		m:     metricsFor(p.Protocol),
 	}
-}
-
-// lookup finds the TCB for a canonical flow key, or nil.
-func (b *Box) lookup(key packet.Flow) *tcb {
-	if b.have0 && key == b.flow0 {
-		return &b.tcb0
-	}
-	return b.flows[key]
-}
-
-// addFlow claims a zeroed TCB slot for a new flow: the inline slot first,
-// then a recycled TCB, then a fresh allocation into the spill map.
-func (b *Box) addFlow(key packet.Flow) *tcb {
-	if !b.have0 {
-		b.have0 = true
-		b.flow0 = key
-		resetTCB(&b.tcb0)
-		return &b.tcb0
-	}
-	if b.flows == nil {
-		b.flows = make(map[packet.Flow]*tcb)
-	}
-	var t *tcb
-	if n := len(b.free); n > 0 {
-		t = b.free[n-1]
-		b.free[n-1] = nil
-		b.free = b.free[:n-1]
-	} else {
-		t = &tcb{}
-	}
-	b.flows[key] = t
-	return t
-}
-
-// dropFlow retires a dealt-with flow's TCB immediately instead of leaving
-// a tombstone for the maxFlows sweep. Semantically invisible: a torn TCB
-// ignores every packet, and an absent TCB ignores every packet except a
-// client SYN. Endpoints under long-horizon reconnect churn DO reuse
-// 4-tuples (the ephemeral-port counter wraps), but both TCB states handle
-// the reused tuple's SYN the same way: an absent TCB tracks it fresh, and a
-// present one re-tracks via the stale-TCB resync in processKeyed.
-func (b *Box) dropFlow(key packet.Flow, t *tcb) {
-	if t == &b.tcb0 {
-		b.have0 = false
-		return
-	}
-	delete(b.flows, key)
-	resetTCB(t)
-	b.free = append(b.free, t)
 }
 
 // resetTCB zeroes a TCB while keeping its reassembly buffer's capacity for
@@ -177,53 +105,23 @@ func resetTCB(t *tcb) {
 	t.stream = stream
 }
 
-// flowCount is the number of tracked flows across the inline slot and the
-// spill map.
-func (b *Box) flowCount() int {
-	n := len(b.flows)
-	if b.have0 {
-		n++
-	}
-	return n
-}
-
-// Name implements netsim.Middlebox.
-func (b *Box) Name() string { return "GFW-" + b.P.Protocol }
-
 // chance samples a Bernoulli with probability p.
 func (b *Box) chance(p float64) bool { return b.rng.Float64() < p }
 
-// Process implements netsim.Middlebox. Note it never looks at checksums:
-// insertion packets with corrupted checksums are processed like any other.
-func (b *Box) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duration) netsim.Verdict {
-	return b.processKeyed(pkt.Flow().Canonical(), pkt, dir, now)
+// track starts t on a SYN: its sender is the client (§3).
+func (b *Box) track(t *tcb, pkt *packet.Packet) {
+	resetTCB(t)
+	t.clientAddr, t.clientPort = pkt.IP.Src, pkt.TCP.SrcPort
+	t.serverAddr, t.serverPort = pkt.IP.Dst, pkt.TCP.DstPort
+	t.clientISS = pkt.TCP.Seq
+	t.expClient = pkt.TCP.Seq + 1
+	t.reassembles = !b.chance(b.P.PNoReassembly)
 }
 
-// processKeyed is Process with the canonical flow key precomputed: the
-// composite GFW fans every packet to five boxes, and hashing the 4-tuple
-// once instead of five times is a measurable win at fleet scale.
-func (b *Box) processKeyed(key packet.Flow, pkt *packet.Packet, _ netsim.Direction, now time.Duration) netsim.Verdict {
-	b.lastNow = now
-	t := b.lookup(key)
-
-	// TCB creation: only a client SYN creates state. Everything on an
-	// unknown flow is ignored (the GFW tracks connections; it does not
-	// censor stateless traffic, unlike India/Iran — §5.2).
-	if t == nil {
-		if pkt.TCP.Flags == packet.FlagSYN {
-			if b.flowCount() >= maxFlows {
-				b.evict()
-			}
-			t = b.addFlow(key)
-			t.clientAddr, t.clientPort = pkt.IP.Src, pkt.TCP.SrcPort
-			t.serverAddr, t.serverPort = pkt.IP.Dst, pkt.TCP.DstPort
-			t.clientISS = pkt.TCP.Seq
-			t.expClient = pkt.TCP.Seq + 1
-			t.reassembles = !b.chance(b.P.PNoReassembly)
-		}
-		return netsim.Verdict{}
-	}
-
+// step runs the box over one packet of a flow it tracks. It never looks at
+// checksums: insertion packets with corrupted checksums are processed like
+// any other. A flow the box is done with comes back with t.torn set.
+func (b *Box) step(t *tcb, pkt *packet.Packet, now time.Duration) netsim.Verdict {
 	// Stale-TCB resync: a fresh client SYN with a *new* ISN on a tracked
 	// 4-tuple means the endpoint reused the port for a new connection (an
 	// endpoint that churns through >33k reconnects wraps its ephemeral-port
@@ -234,26 +132,10 @@ func (b *Box) processKeyed(key packet.Flow, pkt *packet.Packet, _ netsim.Directi
 	// connection and leaves the TCB alone.
 	if pkt.TCP.Flags == packet.FlagSYN && t.fromClient(pkt) && pkt.TCP.Seq != t.clientISS {
 		b.m.tupleReuse.Inc()
-		resetTCB(t)
-		t.clientAddr, t.clientPort = pkt.IP.Src, pkt.TCP.SrcPort
-		t.serverAddr, t.serverPort = pkt.IP.Dst, pkt.TCP.DstPort
-		t.clientISS = pkt.TCP.Seq
-		t.expClient = pkt.TCP.Seq + 1
-		t.reassembles = !b.chance(b.P.PNoReassembly)
+		b.track(t, pkt)
 		return netsim.Verdict{}
 	}
 
-	v := b.dispatch(t, pkt, now)
-	if t.torn {
-		// The flow is dealt with (censored, torn down, or failed open):
-		// retire its TCB now rather than leaving a tombstone around.
-		b.dropFlow(key, t)
-	}
-	return v
-}
-
-// dispatch inspects one packet of a tracked, live flow.
-func (b *Box) dispatch(t *tcb, pkt *packet.Packet, now time.Duration) netsim.Verdict {
 	// Residual censorship (HTTP box): a poisoned server IP:port elicits
 	// tear-down right after any new three-way handshake (§4.2). The expiry
 	// is inclusive: a connection at exactly poison-time + 90s is still
@@ -261,11 +143,11 @@ func (b *Box) dispatch(t *tcb, pkt *packet.Packet, now time.Duration) netsim.Ver
 	if b.P.Residual > 0 && t.fromClient(pkt) && pkt.TCP.Flags&packet.FlagACK != 0 &&
 		b.residual.Live(netip.AddrPortFrom(t.serverAddr, t.serverPort), now) {
 		b.m.residual.Inc()
-		return b.censorVerdict(t, "residual censorship")
+		return b.censorVerdict(t, now, "residual censorship")
 	}
 
 	if t.fromClient(pkt) {
-		return b.processClient(t, pkt)
+		return b.processClient(t, pkt, now)
 	}
 	return b.processServer(t, pkt)
 }
@@ -394,7 +276,7 @@ func (b *Box) processServer(t *tcb, pkt *packet.Packet) netsim.Verdict {
 	return netsim.Verdict{}
 }
 
-func (b *Box) processClient(t *tcb, pkt *packet.Packet) netsim.Verdict {
+func (b *Box) processClient(t *tcb, pkt *packet.Packet, now time.Duration) netsim.Verdict {
 	tc := &pkt.TCP
 	hasACK := tc.Flags&packet.FlagACK != 0
 	hasSYN := tc.Flags&packet.FlagSYN != 0
@@ -494,7 +376,7 @@ func (b *Box) processClient(t *tcb, pkt *packet.Packet) netsim.Verdict {
 		}
 		t.expClient += uint32(len(tc.Payload))
 		if b.matches(pkt, scan, usePkt) && !b.chance(b.P.PMiss) {
-			return b.censorVerdict(t, "forbidden "+b.P.Protocol+" request")
+			return b.censorVerdict(t, now, "forbidden "+b.P.Protocol+" request")
 		}
 	}
 	return netsim.Verdict{}
@@ -572,7 +454,7 @@ func (b *Box) matchHTTPRequest(target, host string, hok bool) bool {
 // censorVerdict fabricates the GFW's tear-down: RST+ACK triples to the
 // client and a RST to the server, numbered from the TCB so the endpoints
 // accept them (§2.1).
-func (b *Box) censorVerdict(t *tcb, note string) netsim.Verdict {
+func (b *Box) censorVerdict(t *tcb, now time.Duration, note string) netsim.Verdict {
 	b.Censored++
 	b.m.censored.Inc()
 	t.censored = true
@@ -581,7 +463,7 @@ func (b *Box) censorVerdict(t *tcb, note string) netsim.Verdict {
 		// Opening the window sweeps expired ones, so a long evolve run
 		// against many servers keeps the table at the poisoned set.
 		srv := netip.AddrPortFrom(t.serverAddr, t.serverPort)
-		swept := b.residual.Open(srv, b.lastNow, b.lastNow+b.P.Residual)
+		swept := b.residual.Open(srv, now, now+b.P.Residual)
 		b.m.residualSwept.Add(uint64(swept))
 	}
 	srvFlow := packet.Flow{
@@ -597,20 +479,4 @@ func (b *Box) censorVerdict(t *tcb, note string) netsim.Verdict {
 	v.InjectToServer = append(v.InjectToServer,
 		censor.InjectRST(cliFlow, srvFlow, t.expClient, t.expServer))
 	return v
-}
-
-// evict trims the spill map of a full flow table to half its bound. Every
-// tracked flow is live (dropFlow retires dealt-with flows eagerly), so the
-// victims are arbitrary live flows — itself faithful to real on-path
-// censors, whose shortcuts under load are one source of the paper's
-// baseline miss rates.
-func (b *Box) evict() {
-	for k := range b.flows {
-		if b.flowCount() < maxFlows/2 {
-			return
-		}
-		delete(b.flows, k)
-		b.Evicted++
-		b.m.evicted.Inc()
-	}
 }

@@ -2,7 +2,6 @@ package gfw
 
 import (
 	"math/rand"
-	"strings"
 	"time"
 
 	"geneva/internal/censor"
@@ -16,7 +15,18 @@ import (
 // engines track all flows — but only the box whose protocol matcher fires
 // ever censors, and no box fails closed.
 type GFW struct {
+	// Boxes run on every packet in order. A GFW holds at most five, one
+	// per protocol of ChinaParams.
 	Boxes []*Box
+
+	flows censor.FlowTable[entry]
+}
+
+// entry is one tracked flow: a TCB slot per box, and a bit per box whose
+// slot is live. The flow leaves the table when its last box retires it.
+type entry struct {
+	live uint8
+	tcbs [len(chinaParams)]tcb
 }
 
 // New builds the GFW with the calibrated China parameters. All boxes share
@@ -29,66 +39,69 @@ func New(bl censor.Blocklist, rng *rand.Rand) *GFW {
 	return g
 }
 
-// NewSingle builds a GFW with only the named protocol box active — used by
-// the ablation experiments that contrast the multi-box and single-box
-// architectures.
-func NewSingle(protocol string, bl censor.Blocklist, rng *rand.Rand) *GFW {
-	g := &GFW{}
-	for _, p := range ChinaParams() {
-		if p.Protocol == protocol {
-			g.Boxes = append(g.Boxes, NewBox(p, bl, rng))
-		}
-	}
-	return g
-}
-
 // Name implements netsim.Middlebox.
 func (g *GFW) Name() string { return "GFW" }
 
-// Box returns the box for the named protocol, or nil.
-func (g *GFW) Box(protocol string) *Box {
-	for _, b := range g.Boxes {
-		if b.P.Protocol == protocol {
-			return b
+// Process implements netsim.Middlebox: one flow-table lookup, then every
+// box's state machine over its own TCB slot, in box order, merging their
+// verdicts. The GFW is on-path: it can inject but never drop.
+func (g *GFW) Process(pkt *packet.Packet, _ netsim.Direction, now time.Duration) netsim.Verdict {
+	key := pkt.Flow().Canonical()
+	syn := pkt.TCP.Flags == packet.FlagSYN
+	e := g.flows.Get(key)
+	if e == nil {
+		// Only a SYN creates state. Everything on an unknown flow is
+		// ignored (the GFW tracks connections; it does not censor
+		// stateless traffic, unlike India/Iran — §5.2).
+		if !syn {
+			return netsim.Verdict{}
+		}
+		var evicted int
+		e, evicted = g.flows.Add(key)
+		mEvicted.Add(uint64(evicted))
+		e.live = 0
+	}
+	var out netsim.Verdict
+	for i, b := range g.Boxes {
+		bit := uint8(1) << i
+		t := &e.tcbs[i]
+		if e.live&bit == 0 {
+			if syn {
+				b.track(t, pkt)
+				e.live |= bit
+			}
+			continue
+		}
+		v := b.step(t, pkt, now)
+		if t.torn {
+			// The flow is dealt with (censored, torn down, or failed
+			// open): the box retires its TCB.
+			e.live &^= bit
+		}
+		out.InjectToClient = append(out.InjectToClient, v.InjectToClient...)
+		out.InjectToServer = append(out.InjectToServer, v.InjectToServer...)
+		if v.Note != "" {
+			if out.Note != "" {
+				out.Note += "; "
+			}
+			out.Note += b.P.Protocol + " box: " + v.Note
 		}
 	}
-	return nil
+	if e.live == 0 {
+		g.flows.Delete(key)
+	}
+	return out
 }
 
-// CensorshipEvents sums censorship events across all boxes.
-func (g *GFW) CensorshipEvents() int {
+// CensoredCount returns the number of censorship events across all boxes
+// (eval harness interface).
+func (g *GFW) CensoredCount() int {
 	n := 0
 	for _, b := range g.Boxes {
 		n += b.Censored
 	}
 	return n
 }
-
-// Process implements netsim.Middlebox by fanning the packet out to every
-// box and merging their verdicts. The GFW is on-path: it can inject but
-// never drop.
-func (g *GFW) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duration) netsim.Verdict {
-	var out netsim.Verdict
-	var notes []string
-	// One canonical-key computation for all five boxes; the boxes also
-	// share the packet's memoized app view, so the payload is parsed at
-	// most once no matter how many boxes inspect it.
-	key := pkt.Flow().Canonical()
-	for _, b := range g.Boxes {
-		v := b.processKeyed(key, pkt, dir, now)
-		out.InjectToClient = append(out.InjectToClient, v.InjectToClient...)
-		out.InjectToServer = append(out.InjectToServer, v.InjectToServer...)
-		if v.Note != "" {
-			notes = append(notes, b.P.Protocol+" box: "+v.Note)
-		}
-	}
-	out.Note = strings.Join(notes, "; ")
-	return out
-}
-
-// CensoredCount returns the number of censorship events across all boxes
-// (eval harness interface).
-func (g *GFW) CensoredCount() int { return g.CensorshipEvents() }
 
 // ExportResidual implements censor.ResidualCarrier by fanning out to every
 // box; only boxes whose parameters carry residual censorship (HTTP) have

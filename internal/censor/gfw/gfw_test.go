@@ -16,10 +16,10 @@ var (
 	srv = netip.MustParseAddr("198.51.100.9")
 )
 
-// deterministic builds an HTTP box with every probabilistic trigger forced
-// on or off, so unit tests exercise mechanics, not sampling.
-func deterministic(p Params) *Box {
-	return NewBox(p, censor.Default(), rand.New(rand.NewSource(1)))
+// deterministic builds a GFW of one box with every probabilistic trigger
+// forced on or off, so unit tests exercise mechanics, not sampling.
+func deterministic(p Params) *GFW {
+	return &GFW{Boxes: []*Box{NewBox(p, censor.Default(), rand.New(rand.NewSource(1)))}}
 }
 
 func httpParamsAllOn() Params {
@@ -58,15 +58,15 @@ const (
 	fin = packet.FlagFIN
 )
 
-// feed runs packets through the box in order; dir is inferred from src.
-func feed(b *Box, pkts ...*packet.Packet) []netsim.Verdict {
+// feed runs packets through the GFW in order; dir is inferred from src.
+func feed(g *GFW, pkts ...*packet.Packet) []netsim.Verdict {
 	var out []netsim.Verdict
 	for i, p := range pkts {
 		dir := netsim.ToServer
 		if p.IP.Src == srv {
 			dir = netsim.ToClient
 		}
-		out = append(out, b.Process(p, dir, time.Duration(i)*time.Millisecond))
+		out = append(out, g.Process(p, dir, time.Duration(i)*time.Millisecond))
 	}
 	return out
 }
@@ -82,9 +82,9 @@ func handshake(iss, irs uint32) []*packet.Packet {
 }
 
 func TestCensorsForbiddenHTTPAfterHandshake(t *testing.T) {
-	b := deterministic(httpParamsAllOff())
+	g := deterministic(httpParamsAllOff())
 	pkts := append(handshake(100, 500), mk(true, pa, 101, 501, forbiddenGET))
-	vs := feed(b, pkts...)
+	vs := feed(g, pkts...)
 	last := vs[len(vs)-1]
 	if len(last.InjectToClient) == 0 || len(last.InjectToServer) == 0 {
 		t.Fatal("no tear-down injected for a forbidden request")
@@ -98,66 +98,66 @@ func TestCensorsForbiddenHTTPAfterHandshake(t *testing.T) {
 	if got, want := last.InjectToServer[0].TCP.Seq, uint32(101+len(forbiddenGET)); got != want {
 		t.Errorf("RST to server seq = %d, want expClient %d", got, want)
 	}
-	if b.Censored != 1 {
-		t.Errorf("Censored = %d", b.Censored)
+	if g.CensoredCount() != 1 {
+		t.Errorf("Censored = %d", g.CensoredCount())
 	}
 }
 
 func TestFailsOpenWithoutTCB(t *testing.T) {
-	b := deterministic(httpParamsAllOff())
-	vs := feed(b, mk(true, pa, 101, 501, forbiddenGET))
+	g := deterministic(httpParamsAllOff())
+	vs := feed(g, mk(true, pa, 101, 501, forbiddenGET))
 	if len(vs[0].InjectToClient) != 0 {
 		t.Error("censored a flow with no TCB (the GFW requires a SYN)")
 	}
 }
 
 func TestBenignRequestPasses(t *testing.T) {
-	b := deterministic(httpParamsAllOff())
+	g := deterministic(httpParamsAllOff())
 	pkts := append(handshake(100, 500), mk(true, pa, 101, 501, "GET /?q=kittens HTTP/1.1\r\nHost: example.com\r\n\r\n"))
-	feed(b, pkts...)
-	if b.Censored != 0 {
+	feed(g, pkts...)
+	if g.CensoredCount() != 0 {
 		t.Error("censored a benign request")
 	}
 }
 
 func TestClientTeardownHonoredServerTeardownIgnored(t *testing.T) {
 	// §3: a valid client RST deletes the TCB; a server RST never does.
-	b := deterministic(httpParamsAllOff())
+	g := deterministic(httpParamsAllOff())
 	pkts := append(handshake(100, 500),
 		mk(true, rst, 101, 0, ""), // valid client RST
 		mk(true, pa, 101, 501, forbiddenGET))
-	feed(b, pkts...)
-	if b.Censored != 0 {
+	feed(g, pkts...)
+	if g.CensoredCount() != 0 {
 		t.Error("request censored after a valid client tear-down")
 	}
 
-	b2 := deterministic(httpParamsAllOff()) // PRst = 0: no resync either
+	g2 := deterministic(httpParamsAllOff()) // PRst = 0: no resync either
 	pkts2 := append(handshake(100, 500),
 		mk(false, rst, 501, 0, ""), // server RST
 		mk(true, pa, 101, 501, forbiddenGET))
-	feed(b2, pkts2...)
-	if b2.Censored != 1 {
+	feed(g2, pkts2...)
+	if g2.CensoredCount() != 1 {
 		t.Error("server RST affected the TCB; §3 says only client packets tear down")
 	}
 }
 
 func TestInvalidClientRstIgnored(t *testing.T) {
-	b := deterministic(httpParamsAllOff())
+	g := deterministic(httpParamsAllOff())
 	pkts := append(handshake(100, 500),
 		mk(true, rst, 0xdeadbeef, 0, ""), // garbage seq
 		mk(true, pa, 101, 501, forbiddenGET))
-	feed(b, pkts...)
-	if b.Censored != 1 {
+	feed(g, pkts...)
+	if g.CensoredCount() != 1 {
 		t.Error("out-of-sync client RST tore down the TCB")
 	}
 }
 
 func TestDesyncByOneEvades(t *testing.T) {
 	// The client stream one byte off the TCB expectation is invisible.
-	b := deterministic(httpParamsAllOff())
+	g := deterministic(httpParamsAllOff())
 	pkts := append(handshake(100, 500), mk(true, pa, 100, 501, forbiddenGET))
-	feed(b, pkts...)
-	if b.Censored != 0 {
+	feed(g, pkts...)
+	if g.CensoredCount() != 0 {
 		t.Error("desynchronized request was censored")
 	}
 }
@@ -166,8 +166,8 @@ func TestSimultaneousOpenResyncBug(t *testing.T) {
 	// Strategy-1 shape: server RST (resync), server SYN, client SYN+ACK.
 	// The box must adopt the SYN+ACK's *unincremented* seq, leaving it
 	// one byte behind the client's real data.
-	b := deterministic(httpParamsAllOn())
-	feed(b,
+	g := deterministic(httpParamsAllOn())
+	feed(g,
 		mk(true, syn, 100, 0, ""),
 		mk(false, rst, 500, 0, ""), // trigger 2 -> resync on next client pkt
 		mk(false, syn, 500, 0, ""), // sim open
@@ -175,12 +175,12 @@ func TestSimultaneousOpenResyncBug(t *testing.T) {
 		mk(false, ack, 501, 101, ""),
 		mk(true, pa, 101, 501, forbiddenGET), // real data at ISS+1
 	)
-	if b.Censored != 0 {
+	if g.CensoredCount() != 0 {
 		t.Error("simultaneous-open desync did not evade")
 	}
 	// The §5.1 confirmation: a request rebased to ISS is censored.
-	b2 := deterministic(httpParamsAllOn())
-	feed(b2,
+	g2 := deterministic(httpParamsAllOn())
+	feed(g2,
 		mk(true, syn, 100, 0, ""),
 		mk(false, rst, 500, 0, ""),
 		mk(false, syn, 500, 0, ""),
@@ -188,7 +188,7 @@ func TestSimultaneousOpenResyncBug(t *testing.T) {
 		mk(false, ack, 501, 101, ""),
 		mk(true, pa, 100, 501, forbiddenGET), // seq decremented by 1
 	)
-	if b2.Censored != 1 {
+	if g2.CensoredCount() != 1 {
 		t.Error("seq-minus-one confirmation did not restore censorship")
 	}
 }
@@ -198,8 +198,8 @@ func TestResyncOnInducedRst(t *testing.T) {
 	// — the induced RST with a garbage seq — desynchronizing the box.
 	p := httpParamsAllOn()
 	p.PReacquire = 0
-	b := deterministic(p)
-	feed(b,
+	g := deterministic(p)
+	feed(g,
 		mk(true, syn, 100, 0, ""),
 		mk(false, sa, 500, 0xbad, ""), // corrupt ack -> trigger 3
 		mk(false, sa, 500, 101, ""),   // the real SYN+ACK
@@ -207,7 +207,7 @@ func TestResyncOnInducedRst(t *testing.T) {
 		mk(true, ack, 101, 501, ""),
 		mk(true, pa, 101, 501, forbiddenGET),
 	)
-	if b.Censored != 0 {
+	if g.CensoredCount() != 0 {
 		t.Error("induced-RST resync did not desynchronize the box")
 	}
 }
@@ -215,8 +215,8 @@ func TestResyncOnInducedRst(t *testing.T) {
 func TestCleanAckReacquisition(t *testing.T) {
 	// Same as above but with re-acquisition on: the clean handshake ACK
 	// restores synchronization (Strategy 4 vs Strategy 3).
-	b := deterministic(httpParamsAllOn()) // PReacquire = 1
-	feed(b,
+	g := deterministic(httpParamsAllOn()) // PReacquire = 1
+	feed(g,
 		mk(true, syn, 100, 0, ""),
 		mk(false, sa, 500, 0xbad, ""),
 		mk(false, sa, 500, 101, ""),
@@ -224,7 +224,7 @@ func TestCleanAckReacquisition(t *testing.T) {
 		mk(true, ack, 101, 501, ""), // clean ACK: re-acquire
 		mk(true, pa, 101, 501, forbiddenGET),
 	)
-	if b.Censored != 1 {
+	if g.CensoredCount() != 1 {
 		t.Error("clean-ACK re-acquisition did not restore censorship")
 	}
 }
@@ -235,8 +235,8 @@ func TestPayloadAccountingBlocksReacquisition(t *testing.T) {
 	// matches and re-acquisition is blocked.
 	p := httpParamsAllOn()
 	p.PayloadAccounting = true
-	b := deterministic(p)
-	feed(b,
+	g := deterministic(p)
+	feed(g,
 		mk(true, syn, 100, 0, ""),
 		mk(false, sa, 500, 0xbad, ""),
 		mk(false, sa, 500, 101, "xxxx"), // payload-bearing valid SYN+ACK
@@ -244,7 +244,7 @@ func TestPayloadAccountingBlocksReacquisition(t *testing.T) {
 		mk(true, ack, 101, 501, ""), // acks 501; box expects 505
 		mk(true, pa, 101, 501, forbiddenGET),
 	)
-	if b.Censored != 0 {
+	if g.CensoredCount() != 0 {
 		t.Error("payload accounting failed to block re-acquisition")
 	}
 }
@@ -253,8 +253,8 @@ func TestTrigger1ResyncOnCorruptSynAck(t *testing.T) {
 	// Strategy 6 mechanics: FIN+load enters resync (trigger 1); the next
 	// server SYN+ACK — with a corrupted ack — is the resync target, and
 	// its garbage ack becomes the client expectation.
-	b := deterministic(httpParamsAllOn())
-	feed(b,
+	g := deterministic(httpParamsAllOn())
+	feed(g,
 		mk(true, syn, 100, 0, ""),
 		mk(false, fin, 500, 0, "junk"), // trigger 1
 		mk(false, sa, 500, 0xbad, ""),  // resync target: adopts ack 0xbad
@@ -263,7 +263,7 @@ func TestTrigger1ResyncOnCorruptSynAck(t *testing.T) {
 		mk(true, ack, 101, 501, ""),
 		mk(true, pa, 101, 501, forbiddenGET),
 	)
-	if b.Censored != 0 {
+	if g.CensoredCount() != 0 {
 		t.Error("trigger-1 resync onto corrupt SYN+ACK did not desync")
 	}
 }
@@ -271,22 +271,22 @@ func TestTrigger1ResyncOnCorruptSynAck(t *testing.T) {
 func TestNoReassemblySplitKeywordEvades(t *testing.T) {
 	p := httpParamsAllOff()
 	p.PNoReassembly = 1
-	b := deterministic(p)
+	g := deterministic(p)
 	req := forbiddenGET
 	pkts := append(handshake(100, 500),
 		mk(true, pa, 101, 501, req[:10]),
 		mk(true, pa, 111, 501, req[10:]))
-	feed(b, pkts...)
-	if b.Censored != 0 {
+	feed(g, pkts...)
+	if g.CensoredCount() != 0 {
 		t.Error("a box without reassembly censored a split keyword")
 	}
 	// The reassembling box catches the same split.
-	b2 := deterministic(httpParamsAllOff())
+	g2 := deterministic(httpParamsAllOff())
 	pkts2 := append(handshake(100, 500),
 		mk(true, pa, 101, 501, req[:10]),
 		mk(true, pa, 111, 501, req[10:]))
-	feed(b2, pkts2...)
-	if b2.Censored != 1 {
+	feed(g2, pkts2...)
+	if g2.CensoredCount() != 1 {
 		t.Error("a reassembling box missed a split keyword")
 	}
 }
@@ -295,29 +295,29 @@ func TestWindowSanityGiveUp(t *testing.T) {
 	// An SMTP box (no reassembly) gives up on a flow whose SYN+ACK
 	// advertises a tiny unscaled window (Strategy 8 / row 8 of Table 2).
 	p := Params{Protocol: "smtp", PNoReassembly: 1}
-	b := deterministic(p)
+	g := deterministic(p)
 	tiny := mk(false, sa, 500, 101, "")
 	tiny.TCP.Window = 10
-	feed(b,
+	feed(g,
 		mk(true, syn, 100, 0, ""),
 		tiny,
 		mk(true, ack, 101, 501, ""),
 		mk(true, pa, 101, 501, "RCPT TO:<tibetalk@yahoo.com.cn>\r\n"),
 	)
-	if b.Censored != 0 {
+	if g.CensoredCount() != 0 {
 		t.Error("SMTP box censored despite the tiny-window give-up")
 	}
 }
 
 func TestPartialCommandLinePoisonsLineBasedBox(t *testing.T) {
 	p := Params{Protocol: "smtp", PNoReassembly: 1}
-	b := deterministic(p)
+	g := deterministic(p)
 	pkts := append(handshake(100, 500),
 		mk(true, pa, 101, 501, "HELO clie"), // split command
 		mk(true, pa, 110, 501, "nt\r\n"),
 		mk(true, pa, 114, 501, "RCPT TO:<tibetalk@yahoo.com.cn>\r\n"))
-	feed(b, pkts...)
-	if b.Censored != 0 {
+	feed(g, pkts...)
+	if g.CensoredCount() != 0 {
 		t.Error("SMTP box censored after an unparseable split command")
 	}
 }
@@ -325,10 +325,10 @@ func TestPartialCommandLinePoisonsLineBasedBox(t *testing.T) {
 func TestResidualCensorship(t *testing.T) {
 	p := httpParamsAllOff()
 	p.Residual = 90 * time.Second
-	b := deterministic(p)
+	g := deterministic(p)
 	pkts := append(handshake(100, 500), mk(true, pa, 101, 501, forbiddenGET))
-	feed(b, pkts...)
-	if b.Censored != 1 {
+	feed(g, pkts...)
+	if g.CensoredCount() != 1 {
 		t.Fatal("initial censorship did not fire")
 	}
 	// A brand-new flow to the same server IP:port, right away.
@@ -354,13 +354,12 @@ func TestResidualCensorship(t *testing.T) {
 		if pk.IP.Src == srv {
 			dir = netsim.ToClient
 		}
-		verdicts = append(verdicts, b.Process(pk, dir, time.Duration(i)*time.Millisecond))
+		verdicts = append(verdicts, g.Process(pk, dir, time.Duration(i)*time.Millisecond))
 	}
 	if len(verdicts[2].InjectToClient) == 0 {
 		t.Error("no residual tear-down right after the handshake")
 	}
 	// After the window, the same shape passes.
-	b.lastNow = 0
 	later := []*packet.Packet{
 		mk(true, syn, 9500, 0, ""),
 		mk(false, sa, 7500, 9501, ""),
@@ -379,7 +378,7 @@ func TestResidualCensorship(t *testing.T) {
 		if pk.IP.Src == srv {
 			dir = netsim.ToClient
 		}
-		v := b.Process(pk, dir, 100*time.Second)
+		v := g.Process(pk, dir, 100*time.Second)
 		if len(v.InjectToClient) > 0 {
 			ok = false
 		}
@@ -396,15 +395,15 @@ func residualProbe(t *testing.T, probeAt time.Duration) bool {
 	t.Helper()
 	p := httpParamsAllOff()
 	p.Residual = 90 * time.Second
-	b := deterministic(p)
+	g := deterministic(p)
 	for _, pk := range append(handshake(100, 500), mk(true, pa, 101, 501, forbiddenGET)) {
 		dir := netsim.ToServer
 		if pk.IP.Src == srv {
 			dir = netsim.ToClient
 		}
-		b.Process(pk, dir, 0)
+		g.Process(pk, dir, 0)
 	}
-	if b.Censored != 1 {
+	if g.CensoredCount() != 1 {
 		t.Fatal("poisoning censorship did not fire")
 	}
 	probe := handshake(9000, 7000)
@@ -421,7 +420,7 @@ func residualProbe(t *testing.T, probeAt time.Duration) bool {
 		if pk.IP.Src == srv {
 			dir = netsim.ToClient
 		}
-		if v := b.Process(pk, dir, probeAt); len(v.InjectToClient) > 0 {
+		if v := g.Process(pk, dir, probeAt); len(v.InjectToClient) > 0 {
 			censored = true
 		}
 	}
@@ -447,7 +446,7 @@ func TestResidualExpiryBoundary(t *testing.T) {
 func TestResidualMapBoundedGrowth(t *testing.T) {
 	p := httpParamsAllOff()
 	p.Residual = 90 * time.Second
-	b := deterministic(p)
+	g := deterministic(p)
 	const rounds = 50
 	for i := 0; i < rounds; i++ {
 		now := time.Duration(i) * 100 * time.Second // > 90s apart: all prior entries expired
@@ -460,13 +459,13 @@ func TestResidualMapBoundedGrowth(t *testing.T) {
 				pk.TCP.SrcPort = sport
 				dir = netsim.ToClient
 			}
-			b.Process(pk, dir, now)
+			g.Process(pk, dir, now)
 		}
 	}
-	if b.Censored != rounds {
-		t.Fatalf("censored %d flows, want %d", b.Censored, rounds)
+	if g.CensoredCount() != rounds {
+		t.Fatalf("censored %d flows, want %d", g.CensoredCount(), rounds)
 	}
-	if got := b.residual.Len(); got > 1 {
+	if got := g.Boxes[0].residual.Len(); got > 1 {
 		t.Errorf("poisoned table holds %d entries after %d expired-and-gone servers, want <= 1", got, rounds)
 	}
 }
@@ -480,24 +479,17 @@ func TestCompositeGFWFansOutAndNeverDrops(t *testing.T) {
 	if v.Drop {
 		t.Error("the on-path GFW dropped a packet")
 	}
-	if g.Box("ftp") == nil || g.Box("nope") != nil {
-		t.Error("Box lookup broken")
-	}
-	single := NewSingle("http", censor.Default(), rand.New(rand.NewSource(4)))
-	if len(single.Boxes) != 1 || single.Boxes[0].P.Protocol != "http" {
-		t.Error("NewSingle broken")
-	}
 }
 
 func TestChecksumIgnoredByBoxes(t *testing.T) {
 	// An insertion packet with a corrupted checksum is processed normally.
-	b := deterministic(httpParamsAllOff())
+	g := deterministic(httpParamsAllOff())
 	bad := mk(true, pa, 101, 501, forbiddenGET)
 	bad.TCP.RawChecksum = true
 	bad.TCP.Checksum = 0x1234
 	pkts := append(handshake(100, 500), bad)
-	feed(b, pkts...)
-	if b.Censored != 1 {
+	feed(g, pkts...)
+	if g.CensoredCount() != 1 {
 		t.Error("the box validated checksums; real censors do not (§7)")
 	}
 }
@@ -505,28 +497,42 @@ func TestChecksumIgnoredByBoxes(t *testing.T) {
 func TestMissRateSampling(t *testing.T) {
 	p := httpParamsAllOff()
 	p.PMiss = 1 // always miss
-	b := deterministic(p)
+	g := deterministic(p)
 	pkts := append(handshake(100, 500), mk(true, pa, 101, 501, forbiddenGET))
-	feed(b, pkts...)
-	if b.Censored != 0 {
+	feed(g, pkts...)
+	if g.CensoredCount() != 0 {
 		t.Error("PMiss=1 box still censored")
 	}
 }
 
+// synFrom is a client SYN from a distinct address per i, so no two i share
+// a flow.
+func synFrom(i int) *packet.Packet {
+	p := packet.New(netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), srv, 40000, 80)
+	p.TCP.Flags = packet.FlagSYN
+	p.TCP.Seq = uint32(i)
+	return p
+}
+
+// TestFlowTableBounded fills the GFW's flow table past its 65,536-flow
+// bound with flows no box ever retires. The table must stay within the
+// bound, keep one entry per flow for all five boxes, and trim its oldest
+// flows: the last SYN's flow is tracked, the first one's is gone.
 func TestFlowTableBounded(t *testing.T) {
-	b := deterministic(httpParamsAllOff())
-	for i := 0; i < maxFlows+500; i++ {
-		p := packet.New(cli, srv, uint16(1024+i%60000), 80)
-		p.IP.Src = netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
-		p.TCP.Flags = packet.FlagSYN
-		p.TCP.Seq = uint32(i)
-		b.Process(p, netsim.ToServer, 0)
+	const bound = 65536
+	g := New(censor.Default(), rand.New(rand.NewSource(1)))
+	for i := 0; i < bound+500; i++ {
+		g.Process(synFrom(i), netsim.ToServer, 0)
 	}
-	if b.flowCount() > maxFlows {
-		t.Errorf("flow table grew to %d entries (cap %d)", b.flowCount(), maxFlows)
+	if n := g.flows.Len(); n > bound || n < bound/2 {
+		t.Errorf("flow table holds %d entries, want between %d and %d", n, bound/2, bound)
 	}
-	if b.Evicted == 0 {
-		t.Error("no evictions recorded despite overflow")
+	first, last := synFrom(0).Flow().Canonical(), synFrom(bound+499).Flow().Canonical()
+	if g.flows.Get(first) != nil {
+		t.Error("the oldest flow survived the trim")
+	}
+	if e := g.flows.Get(last); e == nil || e.live != 1<<len(g.Boxes)-1 {
+		t.Error("the newest flow is not tracked by every box")
 	}
 }
 
@@ -540,35 +546,35 @@ func TestCensorsPipelinedForbiddenRequest(t *testing.T) {
 	const forbidden = "GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n"
 
 	// Single segment carrying both requests (the memoized-view path).
-	b := deterministic(httpParamsAllOff())
+	g := deterministic(httpParamsAllOff())
 	pkts := append(handshake(100, 500), mk(true, pa, 101, 501, benign+forbidden))
-	vs := feed(b, pkts...)
+	vs := feed(g, pkts...)
 	if last := vs[len(vs)-1]; len(last.InjectToClient) == 0 {
 		t.Error("pipelined forbidden request in one segment not censored")
 	}
-	if b.Censored != 1 {
-		t.Errorf("Censored = %d, want 1", b.Censored)
+	if g.CensoredCount() != 1 {
+		t.Errorf("Censored = %d, want 1", g.CensoredCount())
 	}
 
 	// The forbidden request arrives in a later segment: the reassembled
 	// stream starts with the benign request, so only a per-request walk of
 	// the stream sees it.
-	b2 := deterministic(httpParamsAllOff())
+	g2 := deterministic(httpParamsAllOff())
 	pkts2 := append(handshake(100, 500),
 		mk(true, pa, 101, 501, benign),
 		mk(true, pa, 101+uint32(len(benign)), 501, forbidden))
-	vs2 := feed(b2, pkts2...)
+	vs2 := feed(g2, pkts2...)
 	if last := vs2[len(vs2)-1]; len(last.InjectToClient) == 0 {
 		t.Error("pipelined forbidden request in the reassembled stream not censored")
 	}
-	if b2.Censored != 1 {
-		t.Errorf("reassembly path Censored = %d, want 1", b2.Censored)
+	if g2.CensoredCount() != 1 {
+		t.Errorf("reassembly path Censored = %d, want 1", g2.CensoredCount())
 	}
 
 	// All-benign pipelining stays uncensored.
-	b3 := deterministic(httpParamsAllOff())
-	feed(b3, append(handshake(100, 500), mk(true, pa, 101, 501, benign+benign))...)
-	if b3.Censored != 0 {
+	g3 := deterministic(httpParamsAllOff())
+	feed(g3, append(handshake(100, 500), mk(true, pa, 101, 501, benign+benign))...)
+	if g3.CensoredCount() != 0 {
 		t.Error("censored an all-benign pipelined payload")
 	}
 }
@@ -580,8 +586,8 @@ func TestCensorsPipelinedForbiddenRequest(t *testing.T) {
 // fix the box stayed desynchronized for the new connection's whole life and
 // every forbidden request sailed through.
 func TestTupleReuseResyncsStaleTCB(t *testing.T) {
-	b := deterministic(httpParamsAllOff())
-	feed(b,
+	g := deterministic(httpParamsAllOff())
+	feed(g,
 		// Old connection: half-open (SYN only, never completed, never torn
 		// down). The TCB expects the client stream at 101.
 		mk(true, syn, 100, 0, ""),
@@ -591,22 +597,22 @@ func TestTupleReuseResyncsStaleTCB(t *testing.T) {
 		mk(true, ack, 5001, 701, ""),
 		mk(true, pa, 5001, 701, forbiddenGET),
 	)
-	if b.Censored != 1 {
-		t.Errorf("Censored = %d, want 1: stale TCB left the box desynchronized on tuple reuse", b.Censored)
+	if g.CensoredCount() != 1 {
+		t.Errorf("Censored = %d, want 1: stale TCB left the box desynchronized on tuple reuse", g.CensoredCount())
 	}
 
 	// A retransmitted SYN (same ISN) is NOT a new connection: the TCB —
 	// including mid-connection state like the client stream position —
 	// must survive it untouched.
-	b2 := deterministic(httpParamsAllOff())
-	feed(b2,
+	g2 := deterministic(httpParamsAllOff())
+	feed(g2,
 		mk(true, syn, 100, 0, ""),
 		mk(true, syn, 100, 0, ""), // retransmit
 		mk(false, sa, 500, 101, ""),
 		mk(true, ack, 101, 501, ""),
 		mk(true, pa, 101, 501, forbiddenGET),
 	)
-	if b2.Censored != 1 {
-		t.Errorf("retransmitted SYN disturbed the TCB: Censored = %d, want 1", b2.Censored)
+	if g2.CensoredCount() != 1 {
+		t.Errorf("retransmitted SYN disturbed the TCB: Censored = %d, want 1", g2.CensoredCount())
 	}
 }

@@ -15,7 +15,6 @@ type boxMetrics struct {
 	resyncLoadSA  *obs.Counter // payload-bearing SYN+ACK
 	reacquired    *obs.Counter // clean-ACK re-acquisitions
 	failOpen      *obs.Counter // flows the box gave up on (window sanity, partial line)
-	evicted       *obs.Counter // TCBs dropped by the scale bound
 	residualSwept *obs.Counter // expired residual entries swept
 	tupleReuse    *obs.Counter // stale TCBs re-tracked on 4-tuple reuse
 }
@@ -31,11 +30,13 @@ func newBoxMetrics(proto string) *boxMetrics {
 		resyncLoadSA:  obs.NewCounter(p + "resync_load_synack"),
 		reacquired:    obs.NewCounter(p + "reacquired"),
 		failOpen:      obs.NewCounter(p + "fail_open"),
-		evicted:       obs.NewCounter(p + "evicted"),
 		residualSwept: obs.NewCounter(p + "residual_swept"),
 		tupleReuse:    obs.NewCounter(p + "tuple_reuse_resync"),
 	}
 }
+
+// mEvicted counts flows the GFW's flow table dropped at its bound.
+var mEvicted = obs.NewCounter("censor.gfw.evicted")
 
 // protoMetrics maps each protocol to its registered counter set. The
 // "other" set catches boxes built with a protocol outside the canonical

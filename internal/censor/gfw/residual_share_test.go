@@ -12,11 +12,11 @@ import (
 func TestResidualExportSeed(t *testing.T) {
 	p := httpParamsAllOn()
 	p.Residual = 90 * time.Second
-	b := deterministic(p)
+	g := deterministic(p)
 
 	export := func(now time.Duration) map[string]time.Duration {
 		got := map[string]time.Duration{}
-		b.ExportResidual(now, func(key string, remaining time.Duration) {
+		g.ExportResidual(now, func(key string, remaining time.Duration) {
 			got[key] = remaining
 		})
 		return got
@@ -26,18 +26,18 @@ func TestResidualExportSeed(t *testing.T) {
 		t.Fatalf("fresh box exported %v, want nothing", got)
 	}
 
-	b.SeedResidual("198.51.100.9:80", 90*time.Second)
+	g.SeedResidual("198.51.100.9:80", 90*time.Second)
 	if got := export(30 * time.Second); got["198.51.100.9:80"] != 60*time.Second {
 		t.Errorf("export at t=30s: got %v, want 60s remaining", got)
 	}
 
 	// Max-merge: a shorter window must not clip the live one...
-	b.SeedResidual("198.51.100.9:80", 50*time.Second)
+	g.SeedResidual("198.51.100.9:80", 50*time.Second)
 	if got := export(30 * time.Second); got["198.51.100.9:80"] != 60*time.Second {
 		t.Errorf("shorter seed clipped the window: got %v, want 60s remaining", got)
 	}
 	// ...and a longer one extends it.
-	b.SeedResidual("198.51.100.9:80", 2*time.Minute)
+	g.SeedResidual("198.51.100.9:80", 2*time.Minute)
 	if got := export(30 * time.Second); got["198.51.100.9:80"] != 90*time.Second {
 		t.Errorf("longer seed did not extend the window: got %v, want 90s remaining", got)
 	}
@@ -74,12 +74,12 @@ func TestResidualSeedOrderInvariant(t *testing.T) {
 		{"198.51.100.10:80", 30 * time.Second},
 	}
 	snapshot := func(order []int) map[string]time.Duration {
-		b := deterministic(p)
+		g := deterministic(p)
 		for _, i := range order {
-			b.SeedResidual(windows[i].key, windows[i].exp)
+			g.SeedResidual(windows[i].key, windows[i].exp)
 		}
 		got := map[string]time.Duration{}
-		b.ExportResidual(0, func(key string, remaining time.Duration) { got[key] = remaining })
+		g.ExportResidual(0, func(key string, remaining time.Duration) { got[key] = remaining })
 		return got
 	}
 	want := snapshot([]int{0, 1, 2, 3})

@@ -49,15 +49,17 @@ const hijackDuration = 15 * time.Second
 // "HTTP/1." and the Geneva-notation "HTTP1." are accepted).
 var getPrefix = regexp.MustCompile(`^GET /\S* HTTP/?1\.`)
 
+// flowState is one flow's entry in the censor's flow table; its fields are
+// ordered to pack.
 type flowState struct {
+	serverGets       [][]byte
+	hijackUntil      time.Duration
+	serverPayloadRun int
 	clientISN        uint32 // the tracked connection's client SYN sequence number
 	sawSYN           bool
 	handshakeDone    bool
-	serverPayloadRun int
-	serverGets       [][]byte
 	ignore           bool
 	rolesSwapped     bool
-	hijackUntil      time.Duration
 	hijacked         bool
 }
 
@@ -70,12 +72,12 @@ type Kazakh struct {
 	// server-originated probes (§5.3's follow-up experiments).
 	ProbeResponses int
 
-	flows map[packet.Flow]*flowState
+	flows censor.FlowTable[flowState]
 }
 
 // New builds the censor (deterministic; rng accepted for symmetry).
 func New(bl censor.Blocklist, _ *rand.Rand) *Kazakh {
-	return &Kazakh{Block: bl, flows: make(map[packet.Flow]*flowState)}
+	return &Kazakh{Block: bl}
 }
 
 // Name implements netsim.Middlebox.
@@ -93,10 +95,10 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 		return netsim.Verdict{}
 	}
 	key := pkt.Flow().Canonical()
-	st := k.flows[key]
+	st := k.flows.Get(key)
 	if st == nil {
-		st = &flowState{}
-		k.flows[key] = st
+		st, _ = k.flows.Add(key)
+		*st = flowState{}
 	}
 
 	// Active hijack: the MITM intercepts the stream.

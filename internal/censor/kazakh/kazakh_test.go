@@ -263,3 +263,34 @@ func TestTupleReuseResetsFlowState(t *testing.T) {
 		t.Error("a new connection on a reused tuple inherited the ignored verdict")
 	}
 }
+
+// TestFlowTableBounded drives more port-80 flows than the flow table's
+// 65,536 bound through the censor, each one ignored after a null-flags
+// packet. The table must stay within the bound, and a new flow landing in
+// a slot an ignored flow vacated must start clean.
+func TestFlowTableBounded(t *testing.T) {
+	const bound = 65536
+	k := New(censor.Default(), nil)
+	from := func(i int, p *packet.Packet) *packet.Packet {
+		a := netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
+		if p.IP.Src == cli {
+			p.IP.Src = a
+		} else {
+			p.IP.Dst = a
+		}
+		return p
+	}
+	for i := 0; i < bound+1000; i++ {
+		k.Process(from(i, cliPkt(sy, "")), netsim.ToServer, 0)
+		k.Process(from(i, srvPkt(0, "")), netsim.ToClient, 0)
+	}
+	if n := k.flows.Len(); n > bound {
+		t.Errorf("flow table holds %d flows, bound is %d", n, bound)
+	}
+	const fresh = 250 << 16 // an address no flow above used
+	vs := feed(k, 0, from(fresh, cliPkt(sy, "")), from(fresh, srvPkt(sa, "")),
+		from(fresh, cliPkt(ak, "")), from(fresh, cliPkt(pa, forbidden)))
+	if !vs[len(vs)-1].Drop {
+		t.Error("a new flow in a recycled slot inherited an ignored verdict")
+	}
+}

@@ -84,7 +84,7 @@ func TestFleetOfClientsThroughOneGFW(t *testing.T) {
 	if victimApp.Succeeded() {
 		t.Error("unprotected forbidden flow evaded; TCB cross-talk?")
 	}
-	if g.CensorshipEvents() == 0 {
+	if g.CensoredCount() == 0 {
 		t.Error("the GFW never fired on the victim")
 	}
 

@@ -169,7 +169,7 @@ func TestRegistryProtocolsAreHonest(t *testing.T) {
 // censored connection through Process: the measured steady state plus 10%,
 // floored. Registering a censor means giving it a budget here.
 var censorProcessBudget = map[string]float64{
-	CountryChina:         19,
+	CountryChina:         15,
 	CountryIndia:         8,
 	CountryIndiaJio:      2,
 	CountryIndiaVodafone: 8,

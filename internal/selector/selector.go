@@ -306,12 +306,12 @@ func (st *State) armsFor(k key) []armStats {
 // delta is a cell's intra-wave observation batch for one (key, arm):
 // plain integer counts, so the barrier fold is exact in any order.
 type delta struct {
-	k       key
-	arm     int
-	pulls   uint64
-	served  uint64
-	torn    uint64
-	unest   uint64
+	k      key
+	arm    int
+	pulls  uint64
+	served uint64
+	torn   uint64
+	unest  uint64
 }
 
 // Cell is one cell's view of the control plane for one wave: the barrier
