@@ -77,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzIndiaProcess$$' -fuzztime $(FUZZTIME) ./internal/censor/india/
 	$(GO) test -fuzz '^FuzzTMCProcess$$' -fuzztime $(FUZZTIME) ./internal/censor/tmc/
 	$(GO) test -fuzz '^FuzzDPIProcess$$' -fuzztime $(FUZZTIME) ./internal/censor/
+	$(GO) test -run '^FuzzRandBitIdentical$$' -fuzz '^FuzzRandBitIdentical$$' -fuzztime $(FUZZTIME) ./internal/eval/
 
 # Static checks: vet and gofmt always; gocritic (checks like hugeParam —
 # catching accidental by-value copies of packet structs) only when installed.

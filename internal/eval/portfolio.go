@@ -51,10 +51,10 @@ type PortfolioLease struct {
 var portfolioPools sync.Map // hash -> *sync.Pool
 
 // AcquirePortfolioEngines leases one engine per portfolio arm, rng-seeded
-// at seed + SeedArmBase + arm. Reseeding a pooled engine's lazily seeded rng
-// is O(1) and recreates the exact stream of a fresh one (engines keep no
-// other per-run state — flow pinning lives in the router), so a leased set
-// is indistinguishable from newly built engines. Hand it back with
+// at seed + SeedArmBase + arm. Reseeding a pooled engine's rng is O(1) and
+// recreates the exact stream of a fresh one (engines keep no other per-run
+// state — flow pinning lives in the router), so a leased set is
+// indistinguishable from newly built engines. Hand it back with
 // ReleasePortfolioEngines.
 func AcquirePortfolioEngines(p selector.Portfolio, seed int64) *PortfolioLease {
 	hash := p.Hash()

@@ -6,64 +6,26 @@ import (
 	"sync/atomic"
 )
 
-// lazySource is a math/rand source that defers seeding to its first draw.
-// Seeding a math/rand source fills a 607-word table, which costs far more
-// than the few values most simulation streams ever draw, and some streams
-// (a censor that never randomizes, an engine with no corrupt tamper) draw
-// nothing at all. Seed only records the seed; the first Int63 or Uint64
-// builds or reseeds the real source, so the stream is exactly the one
-// rand.NewSource(seed) produces, and a stream nothing draws from costs
-// neither the seeding nor the table.
-type lazySource struct {
-	src     rand.Source64 // nil until the first draw
-	seed    int64
-	pending bool // seed recorded but not yet applied to src
-}
-
-func (s *lazySource) Seed(seed int64) {
-	s.seed, s.pending = seed, true
-}
-
-func (s *lazySource) Int63() int64 {
-	if s.pending {
-		s.apply()
-	}
-	return s.src.Int63()
-}
-
-func (s *lazySource) Uint64() uint64 {
-	if s.pending {
-		s.apply()
-	}
-	return s.src.Uint64()
-}
-
-func (s *lazySource) apply() {
-	if s.src == nil {
-		s.src = rand.NewSource(s.seed).(rand.Source64)
-	} else {
-		s.src.Seed(s.seed)
-	}
-	s.pending = false
-}
-
-// lazyRand is a generator and its lazy source in one allocation.
-type lazyRand struct {
+// generator is a *rand.Rand and its source in one allocation.
+type generator struct {
 	rand.Rand
-	src lazySource
+	src rngSource
 }
 
-// newRand returns an unpooled, lazily seeded generator whose stream equals
-// rand.New(rand.NewSource(seed))'s. Pooled leases own theirs for life and
-// reseed them in O(1) with (*rand.Rand).Seed.
+// newRand returns an unpooled generator whose stream equals
+// rand.New(rand.NewSource(seed))'s. Seeding it is O(1): each word of its
+// source table is computed when a draw first reads it, so a stream that
+// draws a few values pays for a few words, and one nothing draws from pays
+// for none. Router and portfolio leases own theirs for life and reseed them
+// with (*rand.Rand).Seed.
 func newRand(seed int64) *rand.Rand {
-	l := &lazyRand{src: lazySource{seed: seed, pending: true}}
-	l.Rand = *rand.New(&l.src)
-	return &l.Rand
+	g := new(generator)
+	g.src.Seed(seed)
+	g.Rand = *rand.New(&g.src)
+	return &g.Rand
 }
 
-// randPool recycles generators, and with them the source tables of those
-// that were drawn from.
+// randPool recycles generators, and with them their source tables.
 var randPool = sync.Pool{New: func() any { return newRand(0) }}
 
 // randOutstanding counts generators acquired and not yet released; the
@@ -71,10 +33,11 @@ var randPool = sync.Pool{New: func() any { return newRand(0) }}
 var randOutstanding atomic.Int64
 
 // AcquireRand returns a generator whose stream is exactly that of
-// rand.New(rand.NewSource(seed)), recycled from a pool and seeded only when
-// something first draws from it. Hand it back with ReleaseRand once nothing
-// that holds it will draw again; a generator that is never released is
-// simply garbage-collected.
+// rand.New(rand.NewSource(seed)), recycled from a pool and reseeded in O(1):
+// the words a reused table still holds from its last stream are recomputed
+// for the new seed as draws first read them. Hand it back with ReleaseRand
+// once nothing that holds it will draw again; a generator that is never
+// released is simply garbage-collected.
 func AcquireRand(seed int64) *rand.Rand {
 	randOutstanding.Add(1)
 	r := randPool.Get().(*rand.Rand)

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -43,10 +44,12 @@ func equalDraws(t *testing.T, label string, got, want []uint64) {
 	}
 }
 
-// TestAcquireRandBitIdentical pins the generator pool's contract: a pooled,
-// lazily seeded generator draws exactly what rand.New(rand.NewSource(seed))
-// draws, through every method, across a mid-stream reseed, and after being
-// released mid-Read and acquired again under another seed.
+// TestAcquireRandBitIdentical pins the generator pool's contract: a pooled
+// generator draws exactly what rand.New(rand.NewSource(seed)) draws, through
+// every method, across a mid-stream reseed, after being released mid-Read
+// and acquired again under another seed, and, for 1,024 seeds, through the
+// first 2,048 draws after a reseed at each of the draw counts where the
+// source's fill-on-first-read rules change.
 func TestAcquireRandBitIdentical(t *testing.T) {
 	seeds := []int64{0, 1, -1, math.MaxInt32, math.MaxInt32 + 1, math.MinInt64}
 	pick := rand.New(rand.NewSource(20))
@@ -67,9 +70,9 @@ func TestAcquireRandBitIdentical(t *testing.T) {
 		ReleaseRand(got)
 
 		// A never-drawn generator reseeded before its first draw.
-		lazy := newRand(seed + 1)
-		lazy.Seed(seed)
-		equalDraws(t, "seeded twice before drawing", drawScript(lazy), drawScript(rand.New(rand.NewSource(seed))))
+		twice := newRand(seed + 1)
+		twice.Seed(seed)
+		equalDraws(t, "seeded twice before drawing", drawScript(twice), drawScript(rand.New(rand.NewSource(seed))))
 	}
 
 	// Release generators mid-Read and acquire again under new seeds. The
@@ -92,4 +95,135 @@ func TestAcquireRandBitIdentical(t *testing.T) {
 	if reused == 0 {
 		t.Error("the pool never handed a released generator back; the re-acquire path went untested")
 	}
+
+	t.Run("fill boundaries", testFillBoundaries)
+}
+
+// fillBoundaries are the draw counts at which rngSource's fill rules
+// change: tap leaves the top rngTap words after draw 273, feed wraps after
+// draw 334, and tap wraps after draw 607.
+var fillBoundaries = []int{0, 1, 272, 273, 333, 334, 335, 606, 607}
+
+// boundarySeeds returns the seeds testFillBoundaries covers: the ones
+// math/rand's seed reduction treats specially, then random ones.
+func boundarySeeds() []int64 {
+	seeds := []int64{
+		0, 1, -1, 2, -2,
+		89482311, // what a seed ≡ 0 mod 2³¹−1 becomes
+		int32max, -int32max, 2 * int32max, 1_000_003 * int32max, -977 * int32max,
+		int32max - 1, int32max + 1, -int32max - 1, -int32max + 1,
+		math.MaxInt32, math.MinInt32, math.MaxUint32,
+		math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1,
+		math.MaxInt64 / int32max * int32max, math.MinInt64 / int32max * int32max,
+	}
+	pick := rand.New(rand.NewSource(17))
+	for len(seeds) < 1024 {
+		s := int64(pick.Uint64())
+		if len(seeds)%4 == 0 {
+			s = int64(pick.Int31n(1 << 20)) // small seeds, as the simulation uses
+		}
+		seeds = append(seeds, s)
+	}
+	return seeds
+}
+
+// testFillBoundaries pins rngSource to rand.NewSource across the draws
+// where its fill rules change. Every seed draws 2,048 values fresh from the
+// pool; then, on both a pooled and an unpooled generator, a stream under the
+// previous seed is cut after each boundary draw count and reseeded, so the
+// table a reseed leaves behind holds stale words at every position the
+// fill rules must overwrite before reading.
+func testFillBoundaries(t *testing.T) {
+	const draws = 2048
+	seeds := boundarySeeds()
+	want := make([]uint64, draws)
+	check := func(label string, seed int64, r *rand.Rand) {
+		t.Helper()
+		for i, w := range want {
+			if got := r.Uint64(); got != w {
+				t.Fatalf("seed %d, %s: draw %d = %#x, want %#x", seed, label, i, got, w)
+			}
+		}
+	}
+	for i, seed := range seeds {
+		ref := rand.New(rand.NewSource(seed))
+		for j := range want {
+			want[j] = ref.Uint64()
+		}
+		r := AcquireRand(seed)
+		check("fresh from the pool", seed, r)
+		ReleaseRand(r)
+
+		prev := seeds[(i+len(seeds)-1)%len(seeds)]
+		for _, n := range fillBoundaries {
+			pooled, own := AcquireRand(prev), newRand(prev)
+			for k := 0; k < n; k++ {
+				pooled.Uint64()
+				own.Uint64()
+			}
+			pooled.Seed(seed)
+			own.Seed(seed)
+			check(fmt.Sprintf("pooled, reseeded after %d draws", n), seed, pooled)
+			check(fmt.Sprintf("unpooled, reseeded after %d draws", n), seed, own)
+			ReleaseRand(pooled)
+		}
+	}
+}
+
+// FuzzRandBitIdentical drives a pooled and an unpooled generator next to
+// rand.New(rand.NewSource(seed)) through a mix of Int63, Uint64, Intn and
+// Read calls, reseeding all three after reseedAt calls, and requires every
+// value to match.
+func FuzzRandBitIdentical(f *testing.F) {
+	for _, n := range fillBoundaries {
+		f.Add(int64(n), uint16(n+1), uint16(0), int64(-n))
+		f.Add(int64(0), uint16(2000), uint16(n), int64(int32max))
+		f.Add(int64(math.MinInt64), uint16(n+700), uint16(n), int64(math.MaxInt64))
+	}
+	f.Add(int64(int32max), uint16(2500), uint16(1000), int64(89482311))
+	f.Fuzz(func(t *testing.T, seed int64, draws uint16, reseedAt uint16, reseed int64) {
+		want := rand.New(rand.NewSource(seed))
+		pooled, own := AcquireRand(seed), newRand(seed)
+		defer ReleaseRand(pooled)
+		gens := []*rand.Rand{pooled, own}
+		var wbuf, gbuf [9]byte
+		for i := 0; i < int(draws); i++ {
+			if i == int(reseedAt) {
+				want.Seed(reseed)
+				for _, g := range gens {
+					g.Seed(reseed)
+				}
+			}
+			var w uint64
+			switch i % 4 {
+			case 0:
+				w = uint64(want.Int63())
+			case 1:
+				w = want.Uint64()
+			case 2:
+				w = uint64(want.Intn(1 + i*7919))
+			case 3:
+				want.Read(wbuf[:i%len(wbuf)])
+			}
+			for gi, g := range gens {
+				var got uint64
+				switch i % 4 {
+				case 0:
+					got = uint64(g.Int63())
+				case 1:
+					got = g.Uint64()
+				case 2:
+					got = uint64(g.Intn(1 + i*7919))
+				case 3:
+					g.Read(gbuf[:i%len(gbuf)])
+					if gbuf != wbuf {
+						t.Fatalf("generator %d, call %d: Read %x, want %x", gi, i, gbuf, wbuf)
+					}
+				}
+				if got != w {
+					t.Fatalf("generator %d, call %d: drew %#x, want %#x", gi, i, got, w)
+				}
+			}
+		}
+	})
 }

@@ -85,8 +85,8 @@ type RouterLease struct {
 // routerPool recycles deployment routers across cells: strategy parsing,
 // rule compilation, and engine construction are identical for every lease,
 // so only the per-run state — flow pins and rng streams — is reset on reuse.
-// A lease owns its lazily seeded generators for life, so reseeding one is
-// O(1), and a route whose strategy never draws is never seeded at all.
+// A lease owns its generators for life; reseeding one is O(1), and a route
+// whose strategy never draws computes no word of its table.
 var routerPool sync.Pool
 
 // AcquireDeploymentRouter returns a deployment router identical in behaviour
