@@ -121,7 +121,7 @@ func main() {
 		}
 		// The harness's experiment seed bases are fixed in source; the
 		// schedule records the derivation every trial applies to its base.
-		m := obs.NewManifest("evaluate", cfg, obs.DefaultSeedSchedule(0))
+		m := obs.NewManifest("evaluate", cfg, eval.SeedSchedule(0))
 		if err := m.WriteFile(*manifest); err != nil {
 			fmt.Fprintf(os.Stderr, "writing manifest: %v\n", err)
 			os.Exit(1)

@@ -104,7 +104,7 @@ func main() {
 			"minimize":    strconv.FormatBool(*minimize),
 			"best":        best.String(),
 		}
-		m := obs.NewManifest("evolve", cfg, obs.DefaultSeedSchedule(*seed))
+		m := obs.NewManifest("evolve", cfg, eval.SeedSchedule(*seed))
 		if err := m.WriteFile(*manifest); err != nil {
 			fmt.Fprintf(os.Stderr, "writing manifest: %v\n", err)
 			os.Exit(1)

@@ -14,7 +14,6 @@ import (
 
 	"geneva/internal/eval"
 	"geneva/internal/strategies"
-	"geneva/internal/tcpstack"
 )
 
 func main() {
@@ -41,8 +40,8 @@ func main() {
 		ClientAddress: netip.MustParseAddr("10.4.0.2"), // inside the Kazakhstan route
 		Seed:          1,
 		WithTrace:     true,
-		ServerHook: func(ep *tcpstack.Endpoint) {
-			ep.Outbound = eval.NewDeploymentRouter(1).Outbound
+		Hook: func(r *eval.Rig) {
+			r.Server.Outbound = eval.NewDeploymentRouter(1).Outbound
 		},
 	}
 	res := eval.Run(cfg)

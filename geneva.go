@@ -238,7 +238,7 @@ func runManifest(s Simulation, trials int) obs.Manifest {
 		"duplicate": strconv.FormatFloat(s.Impairments.Duplicate, 'g', -1, 64),
 		"reorder":   strconv.FormatFloat(s.Impairments.Reorder, 'g', -1, 64),
 		"jitter":    s.Impairments.Jitter.String(),
-	}, obs.DefaultSeedSchedule(s.Seed))
+	}, eval.SeedSchedule(s.Seed))
 }
 
 // EvasionRate runs the simulation and returns just the §4.2 success rate:

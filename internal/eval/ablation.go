@@ -1,61 +1,31 @@
 package eval
 
 import (
-	"geneva/internal/censor"
 	"geneva/internal/censor/gfw"
 	"geneva/internal/core"
-	"geneva/internal/netsim"
-	"geneva/internal/tcpstack"
 )
 
 // This file ablates the GFW model's load-bearing design choices, showing
 // that each mechanism in DESIGN.md is necessary to reproduce the paper's
 // observations — and what the world would look like without it.
 
-// gfwVariant builds a GFW whose per-box parameters have been rewritten by
-// mod, then measures a strategy's success rate against it.
+// gfwVariant measures a strategy's success rate against the registry's
+// China censor — the model Table 2 measures — with every box's parameters
+// rewritten by mod.
 func gfwVariant(mod func(*gfw.Params), strategy *core.Strategy, proto string, trials int, seed int64) float64 {
-	succ := 0
-	session := SessionFor(CountryChina, proto, true)
-	var rngs Rands
-	for i := 0; i < trials; i++ {
-		s := seed + int64(i)*7919
-		client := tcpstack.NewEndpoint(ClientAddr, tcpstack.DefaultClient, rngs.Acquire(s))
-		server := tcpstack.NewEndpoint(ServerAddr, tcpstack.DefaultServer, rngs.Acquire(s+1))
-		server.NewServerApp = session.ServerFactory()
-		server.Listen(session.Port)
-		if strategy != nil {
-			server.Outbound = core.NewEngine(strategy, rngs.Acquire(s+2)).Outbound
-		}
-		// Every box draws from a stream of its own, all seeded alike.
-		g := &gfw.GFW{}
-		for _, p := range gfw.ChinaParams() {
-			mod(&p)
-			g.Boxes = append(g.Boxes, gfw.NewBox(p, censor.Default(), rngs.Acquire(s+3)))
-		}
-		n := netsim.New(client, server, g)
-		client.Attach(n)
-		server.Attach(n)
-		tries := TriesFor(proto)
-		ok := false
-		for try := 0; try < tries; try++ {
-			app := session.NewClient()
-			client.Connect(ServerAddr, session.Port, app)
-			n.Run(0)
-			if app.Succeeded() {
-				ok = true
-				break
+	cfg := Config{
+		Country:  CountryChina,
+		Session:  SessionFor(CountryChina, proto, true),
+		Strategy: strategy,
+		Tries:    TriesFor(proto),
+		Seed:     seed,
+		Hook: func(r *Rig) {
+			for _, b := range r.Censor.(*gfw.GFW).Boxes {
+				mod(&b.P)
 			}
-			if !app.Reset() {
-				break
-			}
-		}
-		if ok {
-			succ++
-		}
-		rngs.Release()
+		},
 	}
-	return float64(succ) / float64(trials)
+	return Rate(cfg, trials)
 }
 
 // AblationResult contrasts a strategy's success with a mechanism present

@@ -71,3 +71,41 @@ func TestStrategyRuleDependence(t *testing.T) {
 		}
 	}
 }
+
+// TestAblationsMeasureRegistryModel pins the ablations to the model Table 2
+// measures: every identity row of Ablations and SingleBoxAblation's
+// multi-box column must equal Rate against the registry's China censor at
+// the same seed and trial count.
+func TestAblationsMeasureRegistryModel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("many trials")
+	}
+	const trials = 200
+	rate := func(num int, proto string, seed int64) float64 {
+		s, _ := byNumber(num)
+		return Rate(Config{
+			Country:  CountryChina,
+			Session:  SessionFor(CountryChina, proto, true),
+			Strategy: s,
+			Tries:    TriesFor(proto),
+			Seed:     seed,
+		}, trials)
+	}
+	rows := Ablations(trials)
+	for _, c := range []struct {
+		row  int
+		seed int64
+	}{{0, 100}, {1, 300}, {2, 500}, {4, 900}} {
+		a := rows[c.row]
+		if want := rate(a.Strategy, a.Protocol, c.seed); a.WithMechanism != want {
+			t.Errorf("%s (S%d/%s): ablation with=%.3f, registry model %.3f",
+				a.Name, a.Strategy, a.Protocol, a.WithMechanism, want)
+		}
+	}
+	multi, _ := SingleBoxAblation(trials)
+	for _, proto := range ChinaProtocols {
+		if want := rate(5, proto, int64(1100+protoSeed(proto))); multi[proto] != want {
+			t.Errorf("S5/%s: multi-box %.3f, registry model %.3f", proto, multi[proto], want)
+		}
+	}
+}

@@ -199,10 +199,10 @@ func (e *Evaluator) sample(s *core.Strategy, trialPool bool) float64 {
 		Tries:    TriesFor(e.protocol),
 		Seed:     e.seedBase,
 	}
-	if trialPool {
-		return Rate(cfg, e.trials)
+	if !trialPool {
+		cfg.Workers = 1
 	}
-	return rateSequential(cfg, e.trials).Rate()
+	return Rate(cfg, e.trials)
 }
 
 // Stats returns a snapshot of the cache counters.

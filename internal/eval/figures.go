@@ -132,8 +132,8 @@ func probeAtTTL(protocol string, ttl uint8, seed int64) bool {
 		Country: CountryChina,
 		Session: SessionFor(CountryChina, protocol, true),
 		Seed:    seed,
-		ClientHook: func(ep *tcpstack.Endpoint) {
-			ep.Outbound = func(p *packet.Packet) []*packet.Packet {
+		Hook: func(r *Rig) {
+			r.Client.Outbound = func(p *packet.Packet) []*packet.Packet {
 				if len(p.TCP.Payload) > 0 && bytes.Contains(p.TCP.Payload, token) {
 					p.IP.TTL = ttl
 				}

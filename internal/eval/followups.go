@@ -10,7 +10,6 @@ import (
 	"geneva/internal/core"
 	"geneva/internal/packet"
 	"geneva/internal/strategies"
-	"geneva/internal/tcpstack"
 )
 
 // --- §3: client-side strategies do not generalize (E6) ---
@@ -42,9 +41,9 @@ func ClientSideTCBTeardownWorks(trials int) float64 {
 			Country: CountryChina,
 			Session: SessionFor(CountryChina, "http", true),
 			Seed:    int64(4000 + i),
-			ClientHook: func(ep *tcpstack.Endpoint) {
+			Hook: func(r *Rig) {
 				sentTeardown := false
-				ep.Outbound = func(p *packet.Packet) []*packet.Packet {
+				r.Client.Outbound = func(p *packet.Packet) []*packet.Packet {
 					// After the handshake completes (first pure ACK),
 					// insert a TTL-limited RST with the correct seq.
 					if !sentTeardown && p.TCP.Flags == packet.FlagACK && len(p.TCP.Payload) == 0 {
@@ -69,9 +68,9 @@ func ClientSideTCBTeardownWorks(trials int) float64 {
 
 // seqOffsetHook shifts the sequence number of every client data packet by
 // delta (the paper's desynchronization-confirmation instrumentation).
-func seqOffsetHook(delta int32) func(*tcpstack.Endpoint) {
-	return func(ep *tcpstack.Endpoint) {
-		ep.Outbound = func(p *packet.Packet) []*packet.Packet {
+func seqOffsetHook(delta int32) func(*Rig) {
+	return func(r *Rig) {
+		r.Client.Outbound = func(p *packet.Packet) []*packet.Packet {
 			if len(p.TCP.Payload) > 0 {
 				p.TCP.Seq += uint32(delta)
 			}
@@ -90,11 +89,11 @@ func DesyncConfirmation(trials int) (withStrategy, withoutStrategy float64) {
 		n := 0
 		for i := 0; i < trials; i++ {
 			cfg := Config{
-				Country:    CountryChina,
-				Session:    SessionFor(CountryChina, "http", true),
-				Strategy:   strategy,
-				Seed:       seedBase + int64(i),
-				ClientHook: seqOffsetHook(-1),
+				Country:  CountryChina,
+				Session:  SessionFor(CountryChina, "http", true),
+				Strategy: strategy,
+				Seed:     seedBase + int64(i),
+				Hook:     seqOffsetHook(-1),
 			}
 			if Run(cfg).CensorEvents > 0 {
 				n++
@@ -107,8 +106,8 @@ func DesyncConfirmation(trials int) (withStrategy, withoutStrategy float64) {
 
 // dropInducedRstHook makes the client swallow the RSTs its own stack emits
 // (the §5.1 instrumentation separating Strategy 5 from Strategy 6).
-func dropInducedRstHook(ep *tcpstack.Endpoint) {
-	ep.Outbound = func(p *packet.Packet) []*packet.Packet {
+func dropInducedRstHook(r *Rig) {
+	r.Client.Outbound = func(p *packet.Packet) []*packet.Packet {
 		if p.TCP.Flags == packet.FlagRST {
 			return nil
 		}
@@ -131,7 +130,7 @@ func InducedRstCriticality(trials int) (s5Normal, s5Dropped, s6Normal, s6Dropped
 			Seed:     seed,
 		}
 		if drop {
-			cfg.ClientHook = dropInducedRstHook
+			cfg.Hook = dropInducedRstHook
 		}
 		return Rate(cfg, trials)
 	}
@@ -142,10 +141,10 @@ func InducedRstCriticality(trials int) (s5Normal, s5Dropped, s6Normal, s6Dropped
 // matchRstSeqHook records the last RST the client emitted and rebases the
 // client's data packets onto its sequence number (E9: confirming Strategy 7
 // re-syncs on the induced RST).
-func matchRstSeqHook(ep *tcpstack.Endpoint) {
+func matchRstSeqHook(r *Rig) {
 	var rstSeq uint32
 	var haveRst bool
-	ep.Outbound = func(p *packet.Packet) []*packet.Packet {
+	r.Client.Outbound = func(p *packet.Packet) []*packet.Packet {
 		if p.TCP.Flags == packet.FlagRST {
 			rstSeq = p.TCP.Seq
 			haveRst = true
@@ -164,11 +163,11 @@ func Strategy7ResyncTarget(trials int) (censoredRate float64) {
 	n := 0
 	for i := 0; i < trials; i++ {
 		cfg := Config{
-			Country:    CountryChina,
-			Session:    SessionFor(CountryChina, "http", true),
-			Strategy:   s7,
-			Seed:       8000 + int64(i),
-			ClientHook: matchRstSeqHook,
+			Country:  CountryChina,
+			Session:  SessionFor(CountryChina, "http", true),
+			Strategy: s7,
+			Seed:     8000 + int64(i),
+			Hook:     matchRstSeqHook,
 		}
 		if Run(cfg).CensorEvents > 0 {
 			n++
@@ -206,6 +205,7 @@ func ResidualCensorshipExperiment() []ResidualResult {
 			rig.Attempt()
 		}
 		if rig.CensorEvents() == 0 {
+			rig.rngs.Release()
 			out = append(out, ResidualResult{Protocol: proto})
 			continue
 		}
@@ -218,6 +218,7 @@ func ResidualCensorshipExperiment() []ResidualResult {
 		// Wait out the residual window and retry.
 		rig.Net.Clock.Advance(95 * time.Second)
 		app2 := rig.Attempt()
+		rig.rngs.Release()
 		out = append(out, ResidualResult{
 			Protocol:         proto,
 			ImmediateBlocked: immediateBlocked,
@@ -303,6 +304,7 @@ func KazakhFlagSweep(trials int) map[string]float64 {
 // censor processes the *second* request).
 func KazakhProbing() (twoForbidden, forbiddenThenBenign bool) {
 	probe := func(first, second string) bool {
+		var kz *kazakh.Kazakh
 		cfg := Config{
 			Country: CountryKazakhstan,
 			Session: SessionFor(CountryKazakhstan, "http", true),
@@ -310,10 +312,10 @@ func KazakhProbing() (twoForbidden, forbiddenThenBenign bool) {
 				`[TCP:flags:SA]-duplicate(tamper{TCP:load:replace:%s},duplicate(tamper{TCP:load:replace:%s},))-| \/ `,
 				first, second)),
 			Seed: 130,
+			Hook: func(r *Rig) { kz = r.Censor.(*kazakh.Kazakh) },
 		}
-		res := Run(cfg)
-		kz, ok := res.Censor.(*kazakh.Kazakh)
-		return ok && kz.ProbeResponses > 0
+		Run(cfg)
+		return kz.ProbeResponses > 0
 	}
 	const forbidden = "GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n"
 	const benign = "GET / HTTP/1.1\r\nHost: allowed.example\r\n\r\n"
@@ -371,6 +373,7 @@ func Statelessness() map[string]bool {
 		rig.Net.Send(rig.Client, pkt)
 		rig.Net.Run(0)
 		out[country] = rig.CensorEvents() > 0
+		rig.rngs.Release()
 	}
 	return out
 }

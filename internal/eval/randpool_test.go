@@ -12,9 +12,9 @@ import (
 	"geneva/internal/strategies"
 )
 
-// TestRandPoolBalance checks that every generator a fleet run or a fitness
-// batch acquires goes back to the pool: the outstanding count returns to
-// where it started.
+// TestRandPoolBalance checks that every generator a fleet run, a fitness
+// batch, a trial or an experiment acquires goes back to the pool: the
+// outstanding count returns to where it started.
 func TestRandPoolBalance(t *testing.T) {
 	base := fleet.Workload{
 		Countries:   []string{eval.CountryChina, eval.CountryIran, eval.CountryKazakhstan, eval.CountryNone},
@@ -53,6 +53,23 @@ func TestRandPoolBalance(t *testing.T) {
 		}
 	}
 
+	s5, _ := strategies.ByNumber(5)
+	trial := eval.Config{
+		Country:     eval.CountryChina,
+		Session:     eval.SessionFor(eval.CountryChina, "http", true),
+		Strategy:    s5.Parse(),
+		Seed:        11,
+		Impairments: netsim.Symmetric(netsim.Profile{Loss: 0.05}),
+	}
+	rateStats := func(workers int) func() error {
+		return func() error {
+			cfg := trial
+			cfg.Workers = workers
+			eval.RateStats(cfg, 6)
+			return nil
+		}
+	}
+
 	for _, tc := range []struct {
 		name string
 		run  func() error
@@ -62,6 +79,12 @@ func TestRandPoolBalance(t *testing.T) {
 		{"fleet/keep-alive-reconnect", runFleet(keepAlive)},
 		{"batch-fitness/workers=1", runBatch(1)},
 		{"batch-fitness/workers=2", runBatch(2)},
+		{"run", func() error { eval.Run(trial); return nil }},
+		{"rate-stats/workers=1", rateStats(1)},
+		{"rate-stats/workers=2", rateStats(2)},
+		{"ablations", func() error { eval.Ablations(2); return nil }},
+		{"residual-censorship", func() error { eval.ResidualCensorshipExperiment(); return nil }},
+		{"statelessness", func() error { eval.Statelessness(); return nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := eval.RandOutstanding()

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"geneva/internal/core"
-	"geneva/internal/tcpstack"
 )
 
 // RouterPrefixes stands in for the paper's §8 country-level IP geolocation:
@@ -137,8 +136,8 @@ func RouterDeployment(trials int) map[string]float64 {
 				Session: SessionFor(country, proto, true),
 				Tries:   TriesFor(proto),
 				Seed:    seed,
-				ServerHook: func(ep *tcpstack.Endpoint) {
-					ep.Outbound = NewDeploymentRouter(seed).Outbound
+				Hook: func(r *Rig) {
+					r.Server.Outbound = NewDeploymentRouter(seed).Outbound
 				},
 			}
 			if country != CountryNone {

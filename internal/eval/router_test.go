@@ -1,10 +1,6 @@
 package eval
 
-import (
-	"testing"
-
-	"geneva/internal/tcpstack"
-)
+import "testing"
 
 func TestRouterDeployment(t *testing.T) {
 	got := RouterDeployment(40)
@@ -34,8 +30,8 @@ func TestRouterDoesNotHurtBenignTraffic(t *testing.T) {
 		ClientAddress: routerClientAddr(CountryChina),
 		Seed:          7,
 	}
-	cfg.ServerHook = func(ep *tcpstack.Endpoint) {
-		ep.Outbound = NewDeploymentRouter(7).Outbound
+	cfg.Hook = func(r *Rig) {
+		r.Server.Outbound = NewDeploymentRouter(7).Outbound
 	}
 	rate := Rate(cfg, 30)
 	if rate != 1 {

@@ -13,6 +13,7 @@ import (
 	"geneva/internal/censor"
 	"geneva/internal/core"
 	"geneva/internal/netsim"
+	"geneva/internal/obs"
 	"geneva/internal/tcpstack"
 )
 
@@ -74,16 +75,14 @@ type Config struct {
 	Tries int
 	// Seed makes the trial reproducible.
 	Seed int64
-	// ClientHook, if set, can instrument the client endpoint before the
-	// connection starts (the §5 follow-up experiments).
-	ClientHook func(*tcpstack.Endpoint)
 	// ClientAddress overrides the client's address (the §8 router
 	// experiment places clients in different regions' prefixes).
 	ClientAddress netip.Addr
-	// ServerHook, if set, configures the server endpoint before the
-	// connection starts (e.g. installing a core.Router instead of a
-	// single-strategy engine).
-	ServerHook func(*tcpstack.Endpoint)
+	// Hook, if set, is called once on the wired rig before the first
+	// connection: it can instrument the client (the §5 follow-up
+	// experiments), reconfigure the server (a core.Router instead of a
+	// single-strategy engine), or keep the censor for inspection.
+	Hook func(*Rig)
 	// WithTrace records a packet trace (waterfalls).
 	WithTrace bool
 	// Impairments adds seedable loss/duplication/reordering/jitter to the
@@ -108,11 +107,6 @@ type Result struct {
 	CensorEvents int
 	// Attempts is how many connections were made.
 	Attempts int
-	// Censor exposes the middlebox for model-specific inspection.
-	Censor netsim.Middlebox
-	// Rig remains usable for follow-on connections (residual
-	// censorship experiments).
-	Rig *Rig
 	// Trace is the packet trace of the *last* attempt (if requested).
 	Trace *netsim.Trace
 }
@@ -126,9 +120,37 @@ type Rig struct {
 	Censor  CensorCounter
 	Session *apps.Session
 
-	// rngs are the rig's generators; the rate loops release them once a
-	// trial's counts are read.
+	// rngs are the rig's generators. Once they are released nothing in the
+	// rig may draw, so no connection may run on it.
 	rngs Rands
+}
+
+// The trial seed schedule: trial i of a rate loop runs at seed
+// base + i*trialSeedStride, and a rig built at seed s draws each stream
+// from s plus the stream's offset. SeedSchedule records it in manifests.
+const (
+	trialSeedStride = 7919
+
+	streamClient      = 0 // client ISNs and ephemeral ports
+	streamServer      = 1
+	streamEngine      = 2
+	streamCensor      = 3
+	streamImpairments = 4
+)
+
+// SeedSchedule is the manifest record of the trial seed schedule at base.
+func SeedSchedule(base int64) obs.SeedSchedule {
+	return obs.SeedSchedule{
+		Base:      base,
+		TrialStep: trialSeedStride,
+		Streams: map[string]int64{
+			"client":      streamClient,
+			"server":      streamServer,
+			"engine":      streamEngine,
+			"censor":      streamCensor,
+			"impairments": streamImpairments,
+		},
+	}
 }
 
 // NewRig builds the sandbox for a config.
@@ -142,15 +164,15 @@ func NewRig(cfg Config) *Rig {
 		clientAddr = ClientAddr
 	}
 	rngs := make(Rands, 0, 5)
-	client := tcpstack.NewEndpoint(clientAddr, cfg.ClientOS, rngs.Acquire(seed))
-	server := tcpstack.NewEndpoint(ServerAddr, tcpstack.DefaultServer, rngs.Acquire(seed+1))
+	client := tcpstack.NewEndpoint(clientAddr, cfg.ClientOS, rngs.Acquire(seed+streamClient))
+	server := tcpstack.NewEndpoint(ServerAddr, tcpstack.DefaultServer, rngs.Acquire(seed+streamServer))
 	server.NewServerApp = cfg.Session.ServerFactory()
 	server.Listen(cfg.Session.Port)
 	if cfg.Strategy != nil {
-		server.Outbound = core.NewEngine(cfg.Strategy, rngs.Acquire(seed+2)).Outbound
+		server.Outbound = core.NewEngine(cfg.Strategy, rngs.Acquire(seed+streamEngine)).Outbound
 	}
 
-	cen := NewCensor(cfg.Country, censor.Default(), rngs.Acquire(seed+3))
+	cen := NewCensor(cfg.Country, censor.Default(), rngs.Acquire(seed+streamCensor))
 	var n *netsim.Network
 	if cen != nil {
 		n = netsim.New(client, server, cen)
@@ -166,21 +188,19 @@ func NewRig(cfg Config) *Rig {
 		n.Trace = &netsim.Trace{}
 	}
 	if cfg.Impairments.Enabled() {
-		// seed+4 keeps the impairment schedule independent of the ISN,
-		// engine, and censor rng streams (seed..seed+3).
-		n.SetImpairments(cfg.Impairments, rngs.Acquire(seed+4))
+		// A stream of its own keeps the impairment schedule independent
+		// of the ISN, engine, and censor streams.
+		n.SetImpairments(cfg.Impairments, rngs.Acquire(seed+streamImpairments))
 		client.Retransmit = tcpstack.DefaultRetransmit
 		server.Retransmit = tcpstack.DefaultRetransmit
 	}
 	client.Attach(n)
 	server.Attach(n)
-	if cfg.ClientHook != nil {
-		cfg.ClientHook(client)
+	rig := &Rig{Client: client, Server: server, Net: n, Censor: cen, Session: cfg.Session, rngs: rngs}
+	if cfg.Hook != nil {
+		cfg.Hook(rig)
 	}
-	if cfg.ServerHook != nil {
-		cfg.ServerHook(server)
-	}
-	return &Rig{Client: client, Server: server, Net: n, Censor: cen, Session: cfg.Session, rngs: rngs}
+	return rig
 }
 
 // Attempt runs one connection to completion (network quiet) and returns the
@@ -203,16 +223,18 @@ func (r *Rig) CensorEvents() int {
 	return r.Censor.CensoredCount()
 }
 
-// Run executes the trial: up to cfg.Tries attempts, retrying only when the
-// previous connection was torn down (the RFC 7766 client behaviour the
-// paper leans on for DNS success rates).
+// Run executes the trial on a rig of its own: up to cfg.Tries attempts,
+// retrying only when the previous connection was torn down (the RFC 7766
+// client behaviour the paper leans on for DNS success rates). The rig's
+// generators go back to the pool before Run returns.
 func Run(cfg Config) Result {
 	rig := NewRig(cfg)
+	defer rig.rngs.Release()
 	tries := cfg.Tries
 	if tries <= 0 {
 		tries = 1
 	}
-	res := Result{Censor: rig.Censor, Rig: rig}
+	var res Result
 	for i := 0; i < tries; i++ {
 		app := rig.Attempt()
 		res.Attempts++
@@ -275,15 +297,11 @@ func RateStats(cfg Config, trials int) RateResult {
 	if workers <= 0 {
 		workers = Workers()
 	}
-	if workers > trials {
-		workers = trials
-	}
-	if workers <= 1 {
-		return rateSequential(cfg, trials)
-	}
 	results := make([]Result, trials)
 	RunParallel(workers, trials, func(i int) {
-		results[i] = rateTrial(cfg, i)
+		c := cfg
+		c.Seed += int64(i) * trialSeedStride
+		results[i] = Run(c)
 	})
 	out := RateResult{Trials: trials}
 	for i := range results {
@@ -295,24 +313,6 @@ func RateStats(cfg Config, trials int) RateResult {
 // Rate is RateStats reduced to the success fraction.
 func Rate(cfg Config, trials int) float64 {
 	return RateStats(cfg, trials).Rate()
-}
-
-func rateSequential(cfg Config, trials int) RateResult {
-	out := RateResult{Trials: trials}
-	for i := 0; i < trials; i++ {
-		out.add(rateTrial(cfg, i))
-	}
-	return out
-}
-
-// rateTrial runs trial i of a rate loop. Only the outcome counts survive
-// it, so the rig's generators go straight back to the pool.
-func rateTrial(cfg Config, i int) Result {
-	cfg.Seed += int64(i) * 7919
-	res := Run(cfg)
-	res.Rig.rngs.Release()
-	res.Rig, res.Censor = nil, nil
-	return res
 }
 
 // add folds one trial's outcome into the counts.

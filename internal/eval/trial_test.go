@@ -3,6 +3,7 @@ package eval
 import (
 	"testing"
 
+	"geneva/internal/netsim"
 	"geneva/internal/strategies"
 )
 
@@ -173,5 +174,49 @@ func TestKazakhstanHTTPSInactive(t *testing.T) {
 	}
 	if !Run(cfg).Success {
 		t.Error("Kazakhstan HTTPS censorship should be inactive (§5.3)")
+	}
+}
+
+// TestSeedScheduleMatchesRig checks that each stream offset SeedSchedule
+// records reproduces the generator NewRig draws that stream from: the
+// rig's next draw on each stream is one of the first draws of a fresh
+// generator at the trial seed plus the recorded offset (the endpoints draw
+// a few values while the rig is built).
+func TestSeedScheduleMatchesRig(t *testing.T) {
+	const seed = 4242
+	s1, _ := strategies.ByNumber(1)
+	rig := NewRig(Config{
+		Country:     CountryChina,
+		Session:     SessionFor(CountryChina, "http", true),
+		Strategy:    s1.Parse(),
+		Seed:        seed,
+		Impairments: netsim.Symmetric(netsim.Profile{Loss: 0.01}),
+	})
+	defer rig.rngs.Release()
+	sched := SeedSchedule(seed)
+	// The order NewRig acquires its streams in.
+	order := []string{"client", "server", "engine", "censor", "impairments"}
+	if len(rig.rngs) != len(order) || len(sched.Streams) != len(order) {
+		t.Fatalf("rig holds %d streams, schedule records %d, want %d",
+			len(rig.rngs), len(sched.Streams), len(order))
+	}
+	for i, name := range order {
+		off, ok := sched.Streams[name]
+		if !ok {
+			t.Fatalf("schedule records no %q stream", name)
+		}
+		fresh := AcquireRand(sched.Base + off)
+		got, found := rig.rngs[i].Int63(), false
+		for j := 0; j < 16 && !found; j++ {
+			found = fresh.Int63() == got
+		}
+		ReleaseRand(fresh)
+		if !found {
+			t.Errorf("%s stream: rig drew %d, not among the first draws at seed %d+%d",
+				name, got, sched.Base, off)
+		}
+	}
+	if sched.TrialStep != trialSeedStride {
+		t.Errorf("trial step %d, want %d", sched.TrialStep, trialSeedStride)
 	}
 }

@@ -12,9 +12,9 @@ const ManifestSchema = "geneva-run-manifest/v1"
 
 // SeedSchedule documents how every random stream in a run derives from the
 // base seed, so a manifest alone is enough to reproduce the run. The
-// derivation rules are fixed by the harness (see eval.NewRig and eval.Rate);
-// the manifest records them next to the base value rather than asking the
-// reader to find them in source.
+// derivation rules are fixed by the harness (eval.SeedSchedule builds this
+// record from them); the manifest records them next to the base value
+// rather than asking the reader to find them in source.
 type SeedSchedule struct {
 	// Base is the user-supplied seed every stream derives from.
 	Base int64 `json:"base"`
@@ -23,23 +23,6 @@ type SeedSchedule struct {
 	// Streams maps each per-trial rng stream to its offset from the trial
 	// seed (client ISN/ports, server, engine, censor, impairments).
 	Streams map[string]int64 `json:"streams"`
-}
-
-// DefaultSeedSchedule is the schedule the eval harness uses: trial seeds
-// stride by 7919 (eval.Rate) and each rig derives five offset streams
-// (eval.NewRig).
-func DefaultSeedSchedule(base int64) SeedSchedule {
-	return SeedSchedule{
-		Base:      base,
-		TrialStep: 7919,
-		Streams: map[string]int64{
-			"client":      0,
-			"server":      1,
-			"engine":      2,
-			"censor":      3,
-			"impairments": 4,
-		},
-	}
 }
 
 // Manifest is the diffable record of one instrumented run: what was asked

@@ -146,7 +146,7 @@ func TestManifestRoundtrip(t *testing.T) {
 	Reset()
 	testCounter.Add(42)
 	m := NewManifest("evaluate -trials 2", map[string]string{"trials": "2"},
-		DefaultSeedSchedule(7))
+		SeedSchedule{Base: 7, TrialStep: 7919, Streams: map[string]int64{"censor": 3}})
 	path := filepath.Join(t.TempDir(), "manifest.json")
 	if err := m.WriteFile(path); err != nil {
 		t.Fatal(err)

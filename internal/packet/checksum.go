@@ -20,8 +20,8 @@ func Checksum(data []byte) uint16 {
 	return ^uint16(sum)
 }
 
-// pseudoHeaderSum returns the unfolded checksum contribution of the
-// IPv4/IPv6 pseudo-header used by TCP and UDP.
+// pseudoHeaderSum returns the unfolded checksum contribution of the IPv4
+// pseudo-header used by TCP.
 func pseudoHeaderSum(src, dst []byte, proto uint8, length int) uint32 {
 	var sum uint32
 	for i := 0; i+1 < len(src); i += 2 {
@@ -35,7 +35,7 @@ func pseudoHeaderSum(src, dst []byte, proto uint8, length int) uint32 {
 	return sum
 }
 
-// transportChecksum computes the TCP/UDP checksum of segment with the
+// transportChecksum computes the TCP checksum of segment with the
 // pseudo-header derived from src, dst and proto. The checksum field inside
 // segment must already be zeroed by the caller.
 func transportChecksum(src, dst []byte, proto uint8, segment []byte) uint16 {

@@ -1,6 +1,7 @@
-// Package packet implements the wire formats Geneva manipulates: IPv4 and
-// IPv6 headers, TCP (including options), and UDP, with checksum computation
-// over the appropriate pseudo-headers.
+// Package packet implements the wire formats Geneva manipulates: IPv4
+// headers and TCP segments (including options), with the TCP checksum
+// computed over the IPv4 pseudo-header. IPv4/TCP is the only transport the
+// evaluation models, as in the paper.
 //
 // The design follows gopacket's layered model in miniature: each layer type
 // has Marshal/Unmarshal methods that are exact inverses, and a Packet ties an

@@ -2,7 +2,6 @@ package packet
 
 import (
 	"bytes"
-	"net/netip"
 	"testing"
 	"testing/quick"
 )
@@ -134,67 +133,5 @@ func TestPacketRoundtripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIPv6Roundtrip(t *testing.T) {
-	src := netip.MustParseAddr("2001:db8::1")
-	dst := netip.MustParseAddr("2001:db8::2")
-	in := IPv6{TrafficClass: 3, FlowLabel: 0xabcde, NextHeader: ProtoTCP, HopLimit: 60, Src: src, Dst: dst}
-	payload := []byte("payload")
-	wire, err := in.Marshal(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out IPv6
-	got, err := out.Unmarshal(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) || out.Src != src || out.Dst != dst ||
-		out.FlowLabel != 0xabcde || out.HopLimit != 60 {
-		t.Errorf("roundtrip mismatch: %+v payload=%q", out, got)
-	}
-}
-
-func TestIPv6RejectsV4(t *testing.T) {
-	in := IPv6{Src: addrA, Dst: addrB}
-	if _, err := in.Marshal(nil); err == nil {
-		t.Error("IPv6 accepted 4-byte addresses")
-	}
-	var out IPv6
-	if _, err := out.Unmarshal(make([]byte, 39)); err == nil {
-		t.Error("IPv6 accepted truncated header")
-	}
-	bad := make([]byte, 40)
-	bad[0] = 4 << 4
-	if _, err := out.Unmarshal(bad); err == nil {
-		t.Error("IPv6 accepted version 4")
-	}
-}
-
-func TestUDPRoundtrip(t *testing.T) {
-	src, dst := tcpAddrs()
-	in := UDP{SrcPort: 53, DstPort: 31000, Payload: []byte("dns query")}
-	wire, err := in.Marshal(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out UDP
-	if err := out.Unmarshal(wire); err != nil {
-		t.Fatal(err)
-	}
-	if out.SrcPort != 53 || !bytes.Equal(out.Payload, in.Payload) {
-		t.Errorf("roundtrip mismatch: %+v", out)
-	}
-	if out.Length != uint16(8+len(in.Payload)) {
-		t.Errorf("Length = %d", out.Length)
-	}
-}
-
-func TestUDPTruncated(t *testing.T) {
-	var out UDP
-	if err := out.Unmarshal(make([]byte, 7)); err == nil {
-		t.Error("UDP accepted truncated datagram")
 	}
 }
