@@ -74,7 +74,7 @@ func main() {
 	best := res.Best.Strategy
 	fmt.Printf("\nBest strategy: %s\n", best.String())
 	if *minimize {
-		fitness := eval.FitnessFor(*country, *protocol, *trials*2, *seed+50000)
+		fitness := eval.NewEvaluator(*country, *protocol, *trials*2, *seed+50000).Fitness
 		pruned, fit := genetic.Minimize(best, fitness, 0.05)
 		if pruned.Size() < best.Size() {
 			fmt.Printf("Minimized:     %s (fitness %.2f, %d -> %d nodes)\n",

@@ -83,7 +83,7 @@ func main() {
 	reorder := flag.Float64("reorder", 0, "per-packet reordering probability")
 	jitter := flag.Duration("jitter", 0, "max random extra delivery delay (e.g. 3ms)")
 	asJSON := flag.Bool("json", false, "print the full FleetResult as JSON instead of the table")
-	metrics := flag.Bool("metrics", false, "enable cross-layer counters and print the nonzero ones after the run")
+	metrics := flag.Bool("metrics", false, "enable cross-layer metrics and print the nonzero ones after the run")
 	manifest := flag.String("manifest", "", "write the run manifest (JSON) to this file; implies -metrics")
 	flag.Parse()
 
@@ -168,7 +168,7 @@ func main() {
 		fmt.Printf("manifest written to %s\n", *manifest)
 	}
 	if *metrics {
-		printCounters()
+		fmt.Printf("\n--- metrics ---\n%s", obs.Take().Format())
 	}
 	// Rate from the unrounded elapsed time: at 10^5+ connections a run can
 	// finish in near-millisecond territory per cell, and rounding before
@@ -286,20 +286,5 @@ func printSelection(res geneva.FleetResult, countries []string) {
 			fmt.Printf("%-14s %6d %6d %6d %8d  %s\n",
 				c, arm.Pulls, arm.Served, arm.TornDown, arm.Unestablished, n)
 		}
-	}
-}
-
-func printCounters() {
-	s := obs.Take()
-	names := make([]string, 0, len(s.Counters))
-	for n, v := range s.Counters {
-		if v != 0 {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	fmt.Println("\ncounters:")
-	for _, n := range names {
-		fmt.Printf("  %-42s %d\n", n, s.Counters[n])
 	}
 }

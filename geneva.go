@@ -330,9 +330,9 @@ type EvolutionResult = genetic.Result
 // the paper trains against real ones: populations of strategies mutate and
 // recombine, with fitness measured by real simulated connections.
 // Populations are scored by a parallel, memoizing evaluation engine whose
-// output is bit-identical to sequential scoring (fitness is a pure function
-// of the canonical strategy and the seed); set EvolveOptions.Workers to
-// bound the pool or EvolveOptions.Sequential to force the reference path.
+// output is bit-identical to scoring each strategy afresh (fitness is a
+// pure function of the canonical strategy and the seed); set
+// EvolveOptions.Workers to bound the pool.
 // An unknown Country or Protocol returns an error matching
 // ErrUnknownCountry/ErrUnknownProtocol instead of panicking inside the rig.
 func Evolve(opt EvolveOptions) (EvolutionResult, error) { return eval.Evolve(opt) }

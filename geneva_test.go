@@ -210,7 +210,8 @@ func TestRunRejectsUnknownCountryAndProtocol(t *testing.T) {
 // completion with wrong results instead of failing: more clients per cell
 // than host addresses (slots alias in the network's client map and their
 // connections never establish), impairment probabilities outside [0,1] or
-// NaN, negative jitter, and non-finite selection tuning.
+// NaN, negative jitter, non-finite selection tuning, and a negative
+// reconnect backoff (which credited uptime beyond lifetime).
 func TestRejectsSilentlyWrongInputs(t *testing.T) {
 	nan := math.NaN()
 	badImpairments := []struct {
@@ -239,6 +240,8 @@ func TestRejectsSilentlyWrongInputs(t *testing.T) {
 		{"NaN epsilon", Deployment{Connections: 8, Selection: Selection{Policy: EpsilonGreedy, Epsilon: nan}}},
 		{"infinite UCB coefficient", Deployment{Connections: 8, Selection: Selection{Policy: UCB1, UCBC: math.Inf(1)}}},
 		{"infinite collapse threshold", Deployment{Connections: 8, Selection: Selection{Policy: UCB1, CollapseBelow: math.Inf(-1)}}},
+		{"negative reconnect backoff", Deployment{Connections: 400, Seed: 3, SessionRequests: 3, RequestGap: 10 * time.Second,
+			Reconnect: ReconnectPolicy{Backoff: -time.Hour, RetryAll: true, MaxAttempts: 4}}},
 	} {
 		if _, err := RunDeployment(c.d); err == nil {
 			t.Errorf("RunDeployment with %s: want error, got nil", c.name)

@@ -13,11 +13,12 @@ type Matcher func(*packet.Packet) bool
 
 func matchNone(*packet.Packet) bool { return false }
 
-// Compile lowers the trigger into a Matcher with semantics identical to
-// Matches — including its quirks: a flags value that is not in canonical
-// FSRPAU order (or repeats a letter) never matches, because Matches compares
-// against FlagsString output; a non-numeric value on a numeric field never
-// matches; an unknown proto/field never matches.
+// Compile lowers the trigger into a Matcher, the only way packets are
+// matched against triggers. A flags trigger compares all eight flag bits
+// exactly, so a SYN+ACK that also carries ECE or CWR does not match
+// [TCP:flags:SA]. A flags value that is not in canonical FSRPAU order (or
+// repeats a letter) never matches; a non-numeric value on a numeric field
+// never matches; an unknown proto/field never matches.
 func (tr Trigger) Compile() Matcher {
 	switch tr.Proto {
 	case "TCP":

@@ -69,12 +69,23 @@ func TestNonMatchingPacketPassesThrough(t *testing.T) {
 func TestTriggerExactMatch(t *testing.T) {
 	tr := Trigger{Proto: "TCP", Field: "flags", Value: "S"}
 	p := synAck()
-	if tr.Matches(p) {
+	if tr.Compile()(p) {
 		t.Error("TCP:flags:S matched a SYN+ACK (triggers demand exact match)")
 	}
 	p.TCP.Flags = packet.FlagSYN
-	if !tr.Matches(p) {
+	if !tr.Compile()(p) {
 		t.Error("TCP:flags:S did not match a SYN")
+	}
+	// Every flag bit counts, including ECE (0x40), which FSRPAU notation
+	// cannot name: an ECE-marked SYN+ACK is not [TCP:flags:SA].
+	sa := Trigger{Proto: "TCP", Field: "flags", Value: "SA"}
+	p = synAck()
+	if !sa.Compile()(p) {
+		t.Error("TCP:flags:SA did not match a SYN+ACK")
+	}
+	p.TCP.Flags |= 0x40
+	if sa.Compile()(p) {
+		t.Error("TCP:flags:SA matched a SYN+ACK carrying ECE")
 	}
 }
 

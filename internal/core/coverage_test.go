@@ -26,8 +26,8 @@ func TestTriggerNumericFields(t *testing.T) {
 		{Trigger{Proto: "UDP", Field: "sport", Value: "80"}, false},
 	}
 	for _, c := range cases {
-		if got := c.tr.Matches(p); got != c.want {
-			t.Errorf("%s.Matches = %v, want %v", c.tr, got, c.want)
+		if got := c.tr.Compile()(p); got != c.want {
+			t.Errorf("%s.Compile()(p) = %v, want %v", c.tr, got, c.want)
 		}
 	}
 }

@@ -53,8 +53,9 @@ func (s EvalStats) String() string {
 // fitness cache and a bounded worker pool over individuals. Because a
 // strategy's fitness here is a pure function of its canonical text and the
 // seed base (every sample reuses the same seed schedule), cached and
-// parallel evaluation return bit-identical values to the sequential path;
-// the determinism suite in engine_test.go enforces exactly that.
+// parallel evaluation return bit-identical values to measuring each
+// strategy afresh with Rate; the determinism suite in engine_test.go
+// enforces exactly that.
 //
 // Its BatchFitness method satisfies genetic.Config.BatchFitness. An
 // Evaluator is safe for concurrent use.
@@ -62,11 +63,6 @@ type Evaluator struct {
 	// Workers bounds the population pool (0 = the package default,
 	// Workers()). Set before first use.
 	Workers int
-	// NoCache disables cross-call memoization — every call re-measures,
-	// though canonical duplicates within one batch still share a single
-	// computation. Fitness is pure, so results are identical either way;
-	// this is the knob the determinism suite turns to prove it.
-	NoCache bool
 
 	country  string
 	protocol string
@@ -80,8 +76,7 @@ type Evaluator struct {
 
 // NewEvaluator builds an evaluator for one training configuration: fitness
 // is the success rate over trials connections through country's censor,
-// sampled from the seed schedule rooted at seedBase (the exact schedule
-// FitnessFor uses).
+// sampled from the seed schedule rooted at seedBase.
 func NewEvaluator(country, protocol string, trials int, seedBase int64) *Evaluator {
 	return &Evaluator{
 		country:  country,
@@ -101,8 +96,7 @@ func (e *Evaluator) key(s *core.Strategy) string {
 	return s.String()
 }
 
-// Fitness scores one strategy (the genetic.Config.Fitness shape), through
-// the same cache as BatchFitness.
+// Fitness scores one strategy through the same cache as BatchFitness.
 func (e *Evaluator) Fitness(s *core.Strategy) float64 {
 	return e.BatchFitness([]*core.Strategy{s})[0]
 }
@@ -126,13 +120,11 @@ func (e *Evaluator) BatchFitness(batch []*core.Strategy) []float64 {
 			mCacheHits.Inc()
 			continue
 		}
-		if !e.NoCache {
-			if f, ok := e.cache[k]; ok {
-				resolved[k] = f
-				e.stats.Hits++
-				mCacheHits.Inc()
-				continue
-			}
+		if f, ok := e.cache[k]; ok {
+			resolved[k] = f
+			e.stats.Hits++
+			mCacheHits.Inc()
+			continue
 		}
 		if pending[k] {
 			e.stats.Dedups++
@@ -154,27 +146,19 @@ func (e *Evaluator) BatchFitness(batch []*core.Strategy) []float64 {
 	if workers > len(todo) {
 		workers = len(todo)
 	}
-	if workers <= 1 {
-		// The population pool is idle, so each sample may fan its trials
-		// out on the per-trial pool in trial.go.
-		for j, i := range todo {
-			results[j] = e.sample(batch[i], true)
-		}
-	} else {
-		// Population-level parallelism: individuals run concurrently and
-		// each samples its trials sequentially, so the two pool layers
-		// never oversubscribe the CPUs.
-		RunParallel(workers, len(todo), func(j int) {
-			results[j] = e.sample(batch[todo[j]], false)
-		})
-	}
+	// With one worker the population pool is idle, so each sample may fan
+	// its trials out on the per-trial pool in trial.go. With more,
+	// individuals run concurrently and each samples its trials
+	// sequentially, so the two pool layers never oversubscribe the CPUs.
+	trialPool := workers <= 1
+	RunParallel(workers, len(todo), func(j int) {
+		results[j] = e.sample(batch[todo[j]], trialPool)
+	})
 
 	e.mu.Lock()
 	for j, i := range todo {
 		resolved[keys[i]] = results[j]
-		if !e.NoCache {
-			e.cache[keys[i]] = results[j]
-		}
+		e.cache[keys[i]] = results[j]
 	}
 	e.stats.Entries = len(e.cache)
 	mCacheEntries.SetMax(uint64(len(e.cache)))

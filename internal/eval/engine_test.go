@@ -9,14 +9,34 @@ import (
 
 	"geneva/internal/censor"
 	"geneva/internal/core"
+	"geneva/internal/genetic"
 )
+
+// referenceFitness is the scorer the engine is tested against: it
+// measures every strategy afresh with Rate at Workers 1 — no cache, no
+// in-batch dedup, no pool.
+func referenceFitness(country, protocol string, trials int, seedBase int64) func([]*core.Strategy) []float64 {
+	return func(batch []*core.Strategy) []float64 {
+		out := make([]float64, len(batch))
+		for i, s := range batch {
+			out[i] = Rate(Config{
+				Country:  country,
+				Session:  SessionFor(country, protocol, true),
+				Strategy: s,
+				Tries:    TriesFor(protocol),
+				Seed:     seedBase,
+				Workers:  1,
+			}, trials)
+		}
+		return out
+	}
+}
 
 // resultKey flattens the fields of a genetic.Result that define a training
 // outcome: best strategy text, best fitness, and the full per-generation
 // history (which pins generation count, means, and distinct counts too).
-func resultKey(t *testing.T, country, proto string, opt EvolveOptions) string {
+func resultKey(t *testing.T, country, proto string, res genetic.Result) string {
 	t.Helper()
-	res, _ := Evolve(opt)
 	if res.Best.Strategy == nil {
 		t.Fatalf("%s/%s: no best strategy", country, proto)
 	}
@@ -26,8 +46,8 @@ func resultKey(t *testing.T, country, proto string, opt EvolveOptions) string {
 
 // TestEvolveBatchMatchesSequentialSeedPath is the GA determinism
 // regression: the parallel+cached engine, at GOMAXPROCS 1, 2, and 8 and
-// with the cache disabled, must produce the exact Result the original
-// sequential per-individual path produces, for {china, kazakhstan} x
+// with a fresh (empty-cache) Evaluator every generation, must produce the
+// exact Result the reference scorer produces, for {china, kazakhstan} x
 // {http, ftp}. Fitness is a pure function of (canonical strategy, seed
 // base), so any divergence means the engine leaked scheduling order or
 // cache state into the trajectory.
@@ -44,20 +64,21 @@ func TestEvolveBatchMatchesSequentialSeedPath(t *testing.T) {
 				TrialsPerEval: 2,
 				Seed:          5,
 			}
-			seqOpt := opt
-			seqOpt.Sequential = true
 			runtime.GOMAXPROCS(1)
-			want := resultKey(t, country, proto, seqOpt)
+			want := resultKey(t, country, proto,
+				evolve(opt, referenceFitness(country, proto, opt.TrialsPerEval, opt.Seed)))
 			for _, procs := range []int{1, 2, 8} {
 				runtime.GOMAXPROCS(procs)
-				if got := resultKey(t, country, proto, opt); got != want {
-					t.Errorf("%s/%s GOMAXPROCS=%d: batch engine diverged from sequential path\n got %s\nwant %s",
+				res, _ := Evolve(opt)
+				if got := resultKey(t, country, proto, res); got != want {
+					t.Errorf("%s/%s GOMAXPROCS=%d: batch engine diverged from the reference scorer\n got %s\nwant %s",
 						country, proto, procs, got, want)
 				}
-				noCache := opt
-				noCache.NoCache = true
-				if got := resultKey(t, country, proto, noCache); got != want {
-					t.Errorf("%s/%s GOMAXPROCS=%d (cache disabled): diverged\n got %s\nwant %s",
+				fresh := func(batch []*core.Strategy) []float64 {
+					return NewEvaluator(country, proto, opt.TrialsPerEval, opt.Seed).BatchFitness(batch)
+				}
+				if got := resultKey(t, country, proto, evolve(opt, fresh)); got != want {
+					t.Errorf("%s/%s GOMAXPROCS=%d (fresh Evaluator per generation): diverged\n got %s\nwant %s",
 						country, proto, procs, got, want)
 				}
 			}
@@ -86,9 +107,9 @@ func TestEvaluatorWorkerWidthInvariance(t *testing.T) {
 }
 
 // TestFitnessCacheProperty is the cache property test: for randomly
-// generated GA-shaped strategies, cached and uncached fitness agree
-// exactly, repeat calls are pure hits, and canonical duplicates share one
-// cache entry.
+// generated GA-shaped strategies, cached fitness agrees exactly with the
+// reference scorer, in-batch duplicates share one computation, repeat
+// calls are pure hits, and canonical duplicates share one cache entry.
 func TestFitnessCacheProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var batch []*core.Strategy
@@ -104,13 +125,13 @@ func TestFitnessCacheProperty(t *testing.T) {
 	}
 
 	cached := NewEvaluator(CountryKazakhstan, "http", 2, 5)
-	uncached := NewEvaluator(CountryKazakhstan, "http", 2, 5)
-	uncached.NoCache = true
-
 	a := cached.BatchFitness(batch)
-	b := uncached.BatchFitness(batch)
+	b := referenceFitness(CountryKazakhstan, "http", 2, 5)(batch)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("cached scores %v != uncached scores %v", a, b)
+		t.Fatalf("cached scores %v != reference scores %v", a, b)
+	}
+	if st := cached.Stats(); st.Dedups != len(batch)-len(distinct) {
+		t.Errorf("in-batch dedups = %d, want %d", st.Dedups, len(batch)-len(distinct))
 	}
 	for i, s := range batch {
 		if f := cached.Fitness(s); f != a[i] {
@@ -124,15 +145,6 @@ func TestFitnessCacheProperty(t *testing.T) {
 	}
 	if st.Misses != len(distinct) {
 		t.Errorf("%d computations for %d distinct strategies", st.Misses, len(distinct))
-	}
-	// The uncached evaluator still collapses in-batch duplicates but keeps
-	// no entries across calls.
-	ust := uncached.Stats()
-	if ust.Entries != 0 {
-		t.Errorf("NoCache evaluator kept %d entries", ust.Entries)
-	}
-	if ust.Dedups != len(batch)-len(distinct) {
-		t.Errorf("NoCache dedups = %d, want %d", ust.Dedups, len(batch)-len(distinct))
 	}
 
 	// Re-scoring the whole batch must be answered entirely from the cache.

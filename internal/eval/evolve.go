@@ -7,22 +7,6 @@ import (
 	"geneva/internal/genetic"
 )
 
-// FitnessFor builds the fitness function Geneva trains with (§4.1): the
-// fraction of trials in which a strategy lets an unmodified client fetch
-// the forbidden content through the given country's censor.
-func FitnessFor(country, protocol string, trials int, seedBase int64) func(*core.Strategy) float64 {
-	return func(s *core.Strategy) float64 {
-		cfg := Config{
-			Country:  country,
-			Session:  SessionFor(country, protocol, true),
-			Strategy: s,
-			Tries:    TriesFor(protocol),
-			Seed:     seedBase,
-		}
-		return Rate(cfg, trials)
-	}
-}
-
 // EvolveOptions configures a server-side training run.
 type EvolveOptions struct {
 	Country  string
@@ -36,14 +20,6 @@ type EvolveOptions struct {
 	// Workers bounds the population-evaluation pool (0 = Workers(), one
 	// worker per CPU). Any width returns the same Result.
 	Workers int
-	// NoCache disables the cross-generation fitness memo, re-measuring
-	// every canonical strategy each generation. Fitness is pure, so the
-	// Result is identical; the determinism suite turns this knob.
-	NoCache bool
-	// Sequential forces the original one-strategy-at-a-time fitness path
-	// (no batch seam, no population pool, no eval-side cache) — the
-	// reference implementation the parallel engine is tested against.
-	Sequential bool
 }
 
 // Evolve runs Geneva server-side against a simulated censor, as the paper
@@ -59,7 +35,6 @@ func Evolve(opt EvolveOptions) (genetic.Result, error) {
 }
 
 // EvolveWithStats is Evolve plus the evaluation engine's cache statistics.
-// On the Sequential path the stats are zero (there is no engine).
 func EvolveWithStats(opt EvolveOptions) (genetic.Result, EvalStats, error) {
 	if err := CheckCountryProtocol(opt.Country, opt.Protocol); err != nil {
 		return genetic.Result{}, EvalStats{}, err
@@ -67,9 +42,18 @@ func EvolveWithStats(opt EvolveOptions) (genetic.Result, EvalStats, error) {
 	if opt.TrialsPerEval == 0 {
 		opt.TrialsPerEval = 10
 	}
+	ev := NewEvaluator(opt.Country, opt.Protocol, opt.TrialsPerEval, opt.Seed)
+	ev.Workers = opt.Workers
+	res := evolve(opt, ev.BatchFitness)
+	return res, ev.Stats(), nil
+}
+
+// evolve runs the GA with the paper's server-side configuration, scoring
+// each generation through batch.
+func evolve(opt EvolveOptions, batch func([]*core.Strategy) []float64) genetic.Result {
 	rng := AcquireRand(opt.Seed)
 	defer ReleaseRand(rng)
-	cfg := genetic.Config{
+	return genetic.Evolve(genetic.Config{
 		PopulationSize: opt.Population,
 		Generations:    opt.Generations,
 		TriggerValue:   "SA",
@@ -78,18 +62,9 @@ func EvolveWithStats(opt EvolveOptions) (genetic.Result, EvalStats, error) {
 		// restricted to it; FTP servers speak first (the 220 greeting),
 		// so there the trigger itself evolves.
 		EvolveTrigger: opt.Protocol == "ftp",
+		BatchFitness:  batch,
 		Rng:           rng,
-	}
-	if opt.Sequential {
-		cfg.Fitness = FitnessFor(opt.Country, opt.Protocol, opt.TrialsPerEval, opt.Seed)
-		return genetic.Evolve(cfg), EvalStats{}, nil
-	}
-	ev := NewEvaluator(opt.Country, opt.Protocol, opt.TrialsPerEval, opt.Seed)
-	ev.Workers = opt.Workers
-	ev.NoCache = opt.NoCache
-	cfg.BatchFitness = ev.BatchFitness
-	res := genetic.Evolve(cfg)
-	return res, ev.Stats(), nil
+	})
 }
 
 // randomEvolvable builds a random GA-shaped strategy (exposed for the fuzz

@@ -37,9 +37,13 @@ func TestMetricsNeutralEvolve(t *testing.T) {
 		TrialsPerEval: 2,
 		Seed:          11,
 	}
+	key := func() string {
+		res, _ := Evolve(opt)
+		return resultKey(t, opt.Country, opt.Protocol, res)
+	}
 	var off, on string
-	withMetrics(t, false, func() { off = resultKey(t, opt.Country, opt.Protocol, opt) })
-	withMetrics(t, true, func() { on = resultKey(t, opt.Country, opt.Protocol, opt) })
+	withMetrics(t, false, func() { off = key() })
+	withMetrics(t, true, func() { on = key() })
 	if on != off {
 		t.Errorf("evolve diverged with metrics enabled\n on  %s\n off %s", on, off)
 	}

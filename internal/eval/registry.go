@@ -31,9 +31,6 @@ type CensorDef struct {
 	// InPath marks censors that can drop packets (blackholing); on-path
 	// censors only ever inject.
 	InPath bool
-	// Residual marks censors carrying cross-connection state through
-	// censor.ResidualCarrier (the fleet's residual ledger).
-	Residual bool
 	// RouterPrefix is the country's client prefix in the §8 deployment.
 	RouterPrefix netip.Prefix
 	// Deploy is the strategy the §8 router serves this country.
@@ -56,7 +53,6 @@ var censorRegistry = []CensorDef{
 		Display:      "China (GFW)",
 		MetricLabel:  "china",
 		Protocols:    []string{"dns", "ftp", "http", "https", "smtp"},
-		Residual:     true,
 		RouterPrefix: netip.MustParsePrefix("10.1.0.0/16"),
 		Deploy:       strategies.Strategy1,
 		New: func(bl censor.Blocklist, rng *rand.Rand) CensorCounter {
@@ -131,7 +127,6 @@ var censorRegistry = []CensorDef{
 		Display:      "Turkmenistan (TMC)",
 		MetricLabel:  "turkmenistan",
 		Protocols:    []string{"dns", "http", "https"},
-		Residual:     true,
 		RouterPrefix: netip.MustParsePrefix("10.7.0.0/16"),
 		Deploy:       strategies.Strategy8,
 		Table2:       []strategies.Strategy{strategies.Strategy8},

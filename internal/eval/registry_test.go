@@ -73,13 +73,6 @@ func TestRegistryWellFormed(t *testing.T) {
 		if n := c.CensoredCount(); n != 0 {
 			t.Errorf("%s: fresh censor reports %d censored flows", d.Country, n)
 		}
-		// The Residual flag is the fleet ledger's contract: flagged censors
-		// must speak censor.ResidualCarrier, unflagged ones must not (or the
-		// fleet would silently drop their cross-connection state).
-		_, carrier := c.(censor.ResidualCarrier)
-		if carrier != d.Residual {
-			t.Errorf("%s: Residual=%v but ResidualCarrier=%v", d.Country, d.Residual, carrier)
-		}
 	}
 }
 

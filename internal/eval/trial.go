@@ -191,8 +191,8 @@ func NewRig(cfg Config) *Rig {
 		// A stream of its own keeps the impairment schedule independent
 		// of the ISN, engine, and censor streams.
 		n.SetImpairments(cfg.Impairments, rngs.Acquire(seed+streamImpairments))
-		client.Retransmit = tcpstack.DefaultRetransmit
-		server.Retransmit = tcpstack.DefaultRetransmit
+		client.Retransmit = true
+		server.Retransmit = true
 	}
 	client.Attach(n)
 	server.Attach(n)

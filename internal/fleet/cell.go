@@ -174,9 +174,9 @@ func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 	c.net.RecyclePackets = true
 	if im := netsim.Symmetric(wl.Impairments); im.Enabled() {
 		c.net.SetImpairments(im, c.rngs.Acquire(cellSeed+seedImpairments))
-		c.server.Retransmit = tcpstack.DefaultRetransmit
+		c.server.Retransmit = true
 		for _, ep := range c.slots {
-			ep.Retransmit = tcpstack.DefaultRetransmit
+			ep.Retransmit = true
 		}
 	}
 	c.server.Attach(c.net)

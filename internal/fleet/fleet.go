@@ -375,6 +375,11 @@ func (wl Workload) validate() error {
 	if err := eval.CheckProfile(wl.Impairments); err != nil {
 		return fmt.Errorf("fleet: %w", err)
 	}
+	// A negative backoff would start a reconnect in the virtual past,
+	// crediting uptime beyond the session's lifetime.
+	if wl.Reconnect.Backoff < 0 {
+		return fmt.Errorf("fleet: Reconnect.Backoff = %v is negative", wl.Reconnect.Backoff)
+	}
 	if wl.Selection.Enabled() {
 		if err := wl.Selection.Validate(); err != nil {
 			return fmt.Errorf("fleet: %w", err)
@@ -487,7 +492,7 @@ func Run(wl Workload) (Result, error) {
 		results[i] = cells[i].finish()
 	})
 	out := aggregate(results, ctl)
-	out.Manifest = manifest(wl, len(cells), ctl)
 	record(out, results)
+	out.Manifest = manifest(wl, len(cells), ctl)
 	return out, nil
 }

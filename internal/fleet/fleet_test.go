@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -216,6 +217,13 @@ func TestFleetMetricsMatchResult(t *testing.T) {
 		return r, obs.Take()
 	}
 	r, s := snap(1)
+	// The manifest is built after the fleet counters are published, so it
+	// carries the same snapshot the process registry holds.
+	if m := r.Manifest.Metrics; !reflect.DeepEqual(m, s) {
+		t.Errorf("manifest metrics differ from obs.Take() (fleet.connections %d vs %d, fleet.concurrent_connections %d vs %d)",
+			m.Counters["fleet.connections"], s.Counters["fleet.connections"],
+			m.Gauges["fleet.concurrent_connections"], s.Gauges["fleet.concurrent_connections"])
+	}
 	if got := s.Counters["fleet.connections"]; got != uint64(r.Connections) {
 		t.Errorf("fleet.connections = %d, want %d", got, r.Connections)
 	}

@@ -8,9 +8,10 @@
 // packets for the protocols where that is the only packet a server sends
 // before a censorship event.
 //
-// Fitness is supplied by the caller (the experiment harness evaluates a
-// strategy with real simulated connections through a censor); this package
-// owns only representation, variation, selection, and convergence.
+// Fitness is supplied by the caller through Config.BatchFitness (the
+// experiment harness evaluates a strategy with real simulated connections
+// through a censor); this package owns only representation, variation,
+// selection, and convergence.
 package genetic
 
 import (
@@ -21,9 +22,20 @@ import (
 	"geneva/internal/core"
 )
 
-// parsimony is the per-node fitness penalty (bloat control): prefer smaller
-// strategies at equal success.
-const parsimony = 0.003
+// The paper's fixed GA setup (§4.1).
+const (
+	// parsimony is the per-node fitness penalty (bloat control): prefer
+	// smaller strategies at equal success.
+	parsimony = 0.003
+	// elite individuals survive unchanged each generation.
+	elite = 4
+	// mutationRate is the per-offspring probability of mutation.
+	mutationRate = 0.9
+	// crossoverRate is the per-offspring probability of crossover.
+	crossoverRate = 0.4
+	// maxNodes caps action-tree size (bloat control).
+	maxNodes = 12
+)
 
 // Config controls one evolution run.
 type Config struct {
@@ -38,31 +50,20 @@ type Config struct {
 	// EvolveTrigger lifts the restriction and lets the trigger itself
 	// mutate (the paper does this for FTP, whose servers speak first).
 	EvolveTrigger bool
-	// Fitness evaluates a strategy in [0, 1] (success rate); the engine
-	// subtracts a small bloat penalty itself.
-	Fitness func(*core.Strategy) float64
-	// BatchFitness, if set, scores a whole generation in one call and takes
-	// precedence over Fitness: it must return one raw fitness per strategy,
-	// positionally. Fitness must be a pure function of the canonical
-	// strategy text (s.String()), so implementations are free to memoize
-	// duplicates and evaluate the batch on a worker pool — the evolution
-	// trajectory is bit-identical either way. The engine applies the
-	// parsimony penalty itself, exactly as on the Fitness path.
+	// BatchFitness scores a whole generation in one call: it must return
+	// one raw fitness in [0, 1] (success rate) per strategy, positionally.
+	// Fitness must be a pure function of the canonical strategy text
+	// (s.String()), so implementations are free to memoize duplicates and
+	// evaluate the batch on a worker pool — the evolution trajectory is
+	// bit-identical either way. The engine subtracts the parsimony penalty
+	// itself.
 	BatchFitness func([]*core.Strategy) []float64
 	// Rng drives all stochastic choices.
 	Rng *rand.Rand
-	// Elite individuals survive unchanged each generation.
-	Elite int
-	// MutationRate is the per-offspring probability of mutation.
-	MutationRate float64
-	// CrossoverRate is the per-offspring probability of crossover.
-	CrossoverRate float64
 	// ConvergeAfter stops early once the best canonical strategy has not
 	// changed for this many generations (0 = the default of 8; negative =
 	// never stop early).
 	ConvergeAfter int
-	// MaxNodes caps action-tree size (bloat control).
-	MaxNodes int
 }
 
 // withDefaults fills unset fields with the paper's configuration.
@@ -76,20 +77,8 @@ func (c Config) withDefaults() Config {
 	if c.TriggerValue == "" {
 		c.TriggerValue = "SA"
 	}
-	if c.Elite == 0 {
-		c.Elite = 4
-	}
-	if c.MutationRate == 0 {
-		c.MutationRate = 0.9
-	}
-	if c.CrossoverRate == 0 {
-		c.CrossoverRate = 0.4
-	}
 	if c.ConvergeAfter == 0 {
 		c.ConvergeAfter = 8
-	}
-	if c.MaxNodes == 0 {
-		c.MaxNodes = 12
 	}
 	return c
 }
@@ -123,32 +112,12 @@ func Evolve(cfg Config) Result {
 		rng = rand.New(rand.NewSource(0))
 	}
 
-	cache := make(map[string]float64)
-	eval := func(s *core.Strategy) float64 {
-		key := s.String()
-		if f, ok := cache[key]; ok {
-			return f
-		}
-		f := cfg.Fitness(s)
-		// Parsimony pressure: prefer smaller strategies at equal success.
-		f -= parsimony * float64(s.Size())
-		cache[key] = f
-		return f
-	}
-	// score fills in every individual's fitness: through the batch seam when
-	// one is installed (parallelism is the implementation's business), one
-	// at a time through the Fitness path otherwise. Both paths share the
-	// same penalized-fitness memo, keyed by canonical text: two trees that
+	// cache memoizes penalized fitness by canonical text: two trees that
 	// print identically can differ in Size() (elided nodes), and the seed
 	// semantics — which the determinism suite pins — are that the first
 	// occurrence's penalty wins.
+	cache := make(map[string]float64)
 	score := func(pop []Individual) {
-		if cfg.BatchFitness == nil {
-			for i := range pop {
-				pop[i].Fitness = eval(pop[i].Strategy)
-			}
-			return
-		}
 		batch := make([]*core.Strategy, len(pop))
 		for i := range pop {
 			batch[i] = pop[i].Strategy
@@ -203,7 +172,7 @@ func Evolve(cfg Config) Result {
 		}
 
 		next := make([]Individual, 0, cfg.PopulationSize)
-		for i := 0; i < cfg.Elite && i < len(pop); i++ {
+		for i := 0; i < elite && i < len(pop); i++ {
 			next = append(next, Individual{Strategy: pop[i].Strategy.Clone()})
 		}
 		// Random immigrants (10%): fresh genetic material every
@@ -214,14 +183,14 @@ func Evolve(cfg Config) Result {
 		}
 		for len(next) < cfg.PopulationSize {
 			child := tournament(rng, pop).Strategy.Clone()
-			if rng.Float64() < cfg.CrossoverRate {
+			if rng.Float64() < crossoverRate {
 				mate := tournament(rng, pop).Strategy
 				Crossover(rng, child, mate.Clone())
 			}
-			if rng.Float64() < cfg.MutationRate {
+			if rng.Float64() < mutationRate {
 				Mutate(rng, child, trigger)
 			}
-			if child.Size() > cfg.MaxNodes {
+			if child.Size() > maxNodes {
 				child = RandomStrategy(rng, trigger)
 			}
 			next = append(next, Individual{Strategy: child})

@@ -2,7 +2,6 @@ package genetic
 
 import (
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -104,7 +103,7 @@ func TestEvolveFindsSimpleTarget(t *testing.T) {
 		PopulationSize: 120,
 		Generations:    60,
 		ConvergeAfter:  -1,
-		Fitness:        fitness,
+		BatchFitness:   scoreEach(fitness),
 		Rng:            rng,
 	})
 	if res.Best.Fitness < 0.8 {
@@ -134,7 +133,7 @@ func TestEvolveConvergesEarly(t *testing.T) {
 		PopulationSize: 30,
 		Generations:    50,
 		ConvergeAfter:  3,
-		Fitness:        func(*core.Strategy) float64 { return 0.5 }, // flat landscape
+		BatchFitness:   scoreEach(func(*core.Strategy) float64 { return 0.5 }), // flat landscape
 		Rng:            rng,
 	})
 	if len(res.History) >= 50 {
@@ -147,12 +146,10 @@ func TestEvolveRespectsMaxNodes(t *testing.T) {
 	res := Evolve(Config{
 		PopulationSize: 40,
 		Generations:    10,
-		MaxNodes:       6,
 		// Reward bloat to fight the cap.
-		Fitness: func(s *core.Strategy) float64 { return float64(s.Size()) / 100 },
-		Rng:     rng,
+		BatchFitness: scoreEach(func(s *core.Strategy) float64 { return float64(s.Size()) / 100 }),
+		Rng:          rng,
 	})
-	_ = res
 	// The cap is applied pre-evaluation; just ensure no pathological blowup
 	// in the final best.
 	if res.Best.Strategy.Size() > 40 {
@@ -184,51 +181,14 @@ func TestRandomTreePropertyNoPanics(t *testing.T) {
 	}
 }
 
-// TestEvolveBatchSeamMatchesFitnessPath proves the seam itself: wrapping a
-// pure fitness function as a BatchFitness must reproduce the per-individual
-// path's Result bit for bit — same best, same fitness, same history.
-func TestEvolveBatchSeamMatchesFitnessPath(t *testing.T) {
-	fitness := func(s *core.Strategy) float64 {
-		// Pure function of the canonical text (a cheap censor surrogate).
-		str := s.String()
-		score := float64(len(str)%13) / 26
-		if strings.Contains(str, "duplicate") {
-			score += 0.4
+// scoreEach lifts a per-strategy fitness function to the BatchFitness seam.
+func scoreEach(fitness func(*core.Strategy) float64) func([]*core.Strategy) []float64 {
+	return func(pop []*core.Strategy) []float64 {
+		out := make([]float64, len(pop))
+		for i, s := range pop {
+			out[i] = fitness(s)
 		}
-		if strings.Contains(str, "corrupt") {
-			score += 0.2
-		}
-		return score
-	}
-	run := func(batch bool) Result {
-		cfg := Config{
-			PopulationSize: 40,
-			Generations:    8,
-			ConvergeAfter:  -1,
-			Rng:            rand.New(rand.NewSource(19)),
-		}
-		if batch {
-			cfg.BatchFitness = func(pop []*core.Strategy) []float64 {
-				out := make([]float64, len(pop))
-				for i, s := range pop {
-					out[i] = fitness(s)
-				}
-				return out
-			}
-		} else {
-			cfg.Fitness = fitness
-		}
-		return Evolve(cfg)
-	}
-	want, got := run(false), run(true)
-	if want.Best.Strategy.String() != got.Best.Strategy.String() {
-		t.Errorf("best diverged: %q vs %q", want.Best.Strategy, got.Best.Strategy)
-	}
-	if want.Best.Fitness != got.Best.Fitness {
-		t.Errorf("best fitness diverged: %v vs %v", want.Best.Fitness, got.Best.Fitness)
-	}
-	if !reflect.DeepEqual(want.History, got.History) {
-		t.Errorf("histories diverged:\n seq   %+v\n batch %+v", want.History, got.History)
+		return out
 	}
 }
 

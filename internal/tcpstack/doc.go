@@ -26,15 +26,14 @@
 // Retransmission is opt-in (Endpoint.Retransmit) because on a lossless link
 // it costs without helping: it would arm a virtual-clock timer for every
 // sequence-consuming segment, while the only packets that ever go missing
-// are the ones a censor drops on purpose. With the policy disabled no timer
-// is ever armed, and the experiment harness treats a quiescent, unanswered
+// are the ones a censor drops on purpose. With it off no timer is ever
+// armed, and the experiment harness treats a quiescent, unanswered
 // connection as the failure it is (e.g. Iran's blackholing). When netsim
 // impairments (loss, duplication, reordering, jitter) are active, the
-// harness enables the policy: every
-// sequence-consuming segment (SYN, SYN+ACK, data, FIN) is tracked in a
-// retransmit queue and re-sent on a virtual-clock RTO with doubling backoff,
-// aborting cleanly after a bounded number of retries. Retransmissions
-// re-enter the Outbound hook, so a Geneva engine re-processes them exactly
+// harness switches it on: every sequence-consuming segment (SYN, SYN+ACK,
+// data, FIN) is tracked in a retransmit queue and re-sent on a virtual-clock
+// RTO with doubling backoff, aborting cleanly after a bounded number of
+// retries. Retransmissions re-enter the Outbound hook, so a Geneva engine re-processes them exactly
 // as NFQueue would on a real server — which makes retransmitted payloads
 // versus GFW resynchronization triggers (§5) an observable phenomenon rather
 // than a modeling gap.

@@ -24,9 +24,9 @@ type Endpoint struct {
 	// the §5 follow-up experiments).
 	Outbound func(*packet.Packet) []*packet.Packet
 	// Retransmit arms RTO-driven retransmission for sequence-consuming
-	// segments. The zero value disables it: on a lossless network it would
-	// only arm a timer per segment (see the package doc).
-	Retransmit RetransmitPolicy
+	// segments (SYN, SYN+ACK, data, FIN). Off by default: on a lossless
+	// network it would only arm a timer per segment (see the package doc).
+	Retransmit bool
 	// ReleaseClosed opts the endpoint into connection recycling: a
 	// connection is removed from the table the moment it finishes (clean
 	// close or reset) and its struct — with the send/receive buffer

@@ -33,8 +33,8 @@ func TestTransferUnderImpairmentProperty(t *testing.T) {
 		srvApp := &testApp{response: resp}
 		client := NewEndpoint(clientAddr, DefaultClient, rand.New(rand.NewSource(seed)))
 		server := NewEndpoint(serverAddr, DefaultServer, rand.New(rand.NewSource(seed+1)))
-		client.Retransmit = DefaultRetransmit
-		server.Retransmit = DefaultRetransmit
+		client.Retransmit = true
+		server.Retransmit = true
 		server.NewServerApp = func(*Conn) App { return srvApp }
 		server.Listen(80)
 		n := netsim.New(client, server)

@@ -56,8 +56,8 @@ func (s fixedISN) Seed(int64)   {}
 func wrapRig(clientISN, serverISN uint32, boxes ...netsim.Middlebox) (*Endpoint, *netsim.Network, *testApp, *testApp) {
 	client := NewEndpoint(clientAddr, DefaultClient, rand.New(fixedISN(clientISN)))
 	server := NewEndpoint(serverAddr, DefaultServer, rand.New(fixedISN(serverISN)))
-	client.Retransmit = DefaultRetransmit
-	server.Retransmit = DefaultRetransmit
+	client.Retransmit = true
+	server.Retransmit = true
 	srvApp := &testApp{response: []byte("a response long enough to wrap"), closeAfter: true}
 	server.NewServerApp = func(*Conn) App { return srvApp }
 	server.Listen(80)
