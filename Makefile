@@ -77,6 +77,8 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzIndiaProcess$$' -fuzztime $(FUZZTIME) ./internal/censor/india/
 	$(GO) test -fuzz '^FuzzTMCProcess$$' -fuzztime $(FUZZTIME) ./internal/censor/tmc/
 	$(GO) test -fuzz '^FuzzDPIProcess$$' -fuzztime $(FUZZTIME) ./internal/censor/
+	$(GO) test -fuzz '^FuzzGFWProcess$$' -fuzztime $(FUZZTIME) ./internal/censor/gfw/
+	$(GO) test -fuzz '^FuzzKazakhProcess$$' -fuzztime $(FUZZTIME) ./internal/censor/kazakh/
 	$(GO) test -run '^FuzzRandBitIdentical$$' -fuzz '^FuzzRandBitIdentical$$' -fuzztime $(FUZZTIME) ./internal/eval/
 
 # Static checks: vet and gofmt always; gocritic (checks like hugeParam —

@@ -236,11 +236,9 @@ func concat(parts ...[]byte) []byte {
 
 // --- DPI payload parsers used by the censor models ---
 //
-// The HTTP/TLS/DNS field extractors live in internal/packet (appdata.go) so
-// packet.Packet can memoize them per packet lifecycle. The FTP/SMTP command
-// parsers stay here — no censor hot path runs them against the same payload
-// twice — and scan bytes directly instead of string-converting the whole
-// payload first.
+// The HTTP/TLS/DNS field extractors live in internal/packet (appdata.go).
+// The FTP/SMTP command parsers stay here; like those, they scan bytes
+// directly instead of string-converting the whole payload first.
 
 // FTPRetrTarget returns the argument of a RETR command in data, if fully
 // present.

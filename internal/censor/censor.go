@@ -112,18 +112,8 @@ func (b Blocklist) MatchDomain(name string) bool {
 // mid-request is not recognized as HTTP at all — the single-packet DPI
 // blind spot client segmentation (Strategy 8) exploits.
 func (b Blocklist) ForbiddenHost(pkt *packet.Packet) (string, bool) {
-	if _, ok := pkt.HTTPRequestTarget(); !ok {
-		return "", false
-	}
-	if host, ok := pkt.HTTPHostHeader(); ok && b.MatchDomain(host) {
-		return host, true
-	}
-	off := pkt.HTTPNextRequestOffset()
-	if off <= 0 {
-		return "", false
-	}
 	var host string
-	found := packet.VisitHTTPRequests(pkt.TCP.Payload[off:], func(_, h string, hok bool) bool {
+	found := packet.VisitHTTPRequests(pkt.TCP.Payload, func(_, h string, hok bool) bool {
 		if hok && b.MatchDomain(h) {
 			host = h
 			return true
@@ -160,9 +150,8 @@ func (b Blocklist) MatchEmail(addr string) bool {
 // InjectRST fabricates the tear-down packet an on-path censor sends: a
 // RST+ACK that will pass the victim's sequence checks because the censor
 // copies the numbers from its TCB.
-func InjectRST(from, to packet.Flow, seq, ack uint32) *packet.Packet {
+func InjectRST(from packet.Flow, seq, ack uint32) *packet.Packet {
 	p := packet.Get(from.SrcAddr, from.DstAddr, from.SrcPort, from.DstPort)
-	_ = to
 	p.IP.TTL = 64
 	p.TCP.Flags = packet.FlagRST | packet.FlagACK
 	p.TCP.Seq = seq

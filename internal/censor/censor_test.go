@@ -99,7 +99,7 @@ func TestInjectRSTShape(t *testing.T) {
 		SrcAddr: netip.MustParseAddr("198.51.100.9"), SrcPort: 80,
 		DstAddr: netip.MustParseAddr("10.1.0.2"), DstPort: 40000,
 	}
-	p := InjectRST(from, from.Reverse(), 1234, 5678)
+	p := InjectRST(from, 1234, 5678)
 	if p.TCP.Flags != packet.FlagRST|packet.FlagACK {
 		t.Errorf("flags = %s", packet.FlagsString(p.TCP.Flags))
 	}

@@ -207,9 +207,7 @@ func (d *DPI) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 	}
 
 	// Every engine is anchored at a well-formed single-packet message, so a
-	// segment that starts mid-message is not recognized at all (the parsed
-	// views are memoized on the packet and shared with any other censor
-	// inspecting the same bytes).
+	// segment that starts mid-message is not recognized at all.
 	var action Action
 	var what, value string
 	switch port {
@@ -217,7 +215,7 @@ func (d *DPI) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 		if d.P.DNS == ActionNone || !isDNSQuery(pkt.TCP.Payload) {
 			break
 		}
-		if name, ok := pkt.DNSQueryName(); ok && d.Block.MatchDomain(name) {
+		if name, ok := packet.ParseDNSQueryName(pkt.TCP.Payload); ok && d.Block.MatchDomain(name) {
 			action, what, value = d.P.DNS, "DNS name", name
 		}
 	case 80:
@@ -231,7 +229,7 @@ func (d *DPI) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 		if d.P.SNI == ActionNone {
 			break
 		}
-		if sni, ok := pkt.TLSServerName(); ok && d.Block.MatchDomain(sni) {
+		if sni, ok := packet.ParseTLSServerName(pkt.TCP.Payload); ok && d.Block.MatchDomain(sni) {
 			action, what, value = d.P.SNI, "SNI", sni
 		}
 	}
@@ -262,7 +260,7 @@ func (d *DPI) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 	switch action {
 	case ActionBlockPage:
 		page := BlockPage(back, seq, ack, d.P.BlockBody)
-		rst := InjectRST(back, pkt.Flow(), seq+uint32(len(page.TCP.Payload))+1, ack)
+		rst := InjectRST(back, seq+uint32(len(page.TCP.Payload))+1, ack)
 		d.P.Metrics.Pages.Inc()
 		d.P.Metrics.RSTs.Inc()
 		return toSender(dir, note, page, rst)
@@ -302,8 +300,8 @@ func (d *DPI) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 // the receiver.
 func (d *DPI) teardown(pkt *packet.Packet, dir netsim.Direction, note string) netsim.Verdict {
 	end := pkt.TCP.Seq + uint32(len(pkt.TCP.Payload))
-	fwd := InjectRST(pkt.Flow(), pkt.Flow().Reverse(), end, pkt.TCP.Ack)
-	rev := InjectRST(pkt.Flow().Reverse(), pkt.Flow(), pkt.TCP.Ack, end)
+	fwd := InjectRST(pkt.Flow(), end, pkt.TCP.Ack)
+	rev := InjectRST(pkt.Flow().Reverse(), pkt.TCP.Ack, end)
 	d.P.Metrics.RSTs.Add(2)
 	v := toSender(dir, note, rev)
 	if dir == netsim.ToServer {

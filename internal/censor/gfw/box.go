@@ -347,14 +347,7 @@ func (b *Box) processClient(t *tcb, pkt *packet.Packet, now time.Duration) netsi
 			return netsim.Verdict{} // desynchronized: invisible to DPI
 		}
 		var scan []byte
-		// usePkt: the bytes under inspection are exactly this packet's
-		// payload, so the packet's memoized app view (shared across all
-		// five boxes and any other censor on the path) can answer instead
-		// of re-parsing. True for a non-reassembling box, and for a
-		// reassembling one whose stream began with this segment.
-		usePkt := true
 		if t.reassembles {
-			usePkt = len(t.stream) == 0
 			t.stream = append(t.stream, tc.Payload...)
 			scan = t.stream
 		} else {
@@ -375,7 +368,7 @@ func (b *Box) processClient(t *tcb, pkt *packet.Packet, now time.Duration) netsi
 			scan = tc.Payload
 		}
 		t.expClient += uint32(len(tc.Payload))
-		if b.matches(pkt, scan, usePkt) && !b.chance(b.P.PMiss) {
+		if b.matches(scan) && !b.chance(b.P.PMiss) {
 			return b.censorVerdict(t, now, "forbidden "+b.P.Protocol+" request")
 		}
 	}
@@ -383,17 +376,11 @@ func (b *Box) processClient(t *tcb, pkt *packet.Packet, now time.Duration) netsi
 }
 
 // matches runs this box's protocol-specific DPI over the client stream.
-// Anything unparseable fails open (§6). When usePkt is set, stream is
-// exactly pkt's payload and the packet's memoized app view answers without
-// re-parsing; a multi-segment reassembled stream is parsed directly.
-func (b *Box) matches(pkt *packet.Packet, stream []byte, usePkt bool) bool {
+// Anything unparseable fails open (§6).
+func (b *Box) matches(stream []byte) bool {
 	switch b.P.Protocol {
 	case "dns":
-		if usePkt {
-			if name, ok := pkt.DNSQueryName(); ok {
-				return b.Block.MatchDomain(name)
-			}
-		} else if name, ok := packet.ParseDNSQueryName(stream); ok {
+		if name, ok := packet.ParseDNSQueryName(stream); ok {
 			return b.Block.MatchDomain(name)
 		}
 	case "ftp":
@@ -401,24 +388,10 @@ func (b *Box) matches(pkt *packet.Packet, stream []byte, usePkt bool) bool {
 			return b.Block.MatchKeyword(f)
 		}
 	case "http":
-		// The first request is checked exactly as before (memoized view on
-		// the usePkt path); a keep-alive client that coalesces several
-		// requests into one segment or stream then gets every follow-up
-		// request scanned too. Before that scan existed the box censored
-		// only the *first* request of a payload — a forbidden request
-		// pipelined behind a benign one sailed through.
-		if usePkt {
-			if target, ok := pkt.HTTPRequestTarget(); ok && b.Block.MatchKeyword(target) {
-				return true
-			}
-			if host, ok := pkt.HTTPHostHeader(); ok && b.Block.MatchDomain(host) {
-				return true
-			}
-			if off := pkt.HTTPNextRequestOffset(); off > 0 {
-				return packet.VisitHTTPRequests(pkt.TCP.Payload[off:], b.matchHTTPRequest)
-			}
-			return false
-		}
+		// The first request's target and the first Host line anywhere in
+		// the stream (a Host line with no request line before it still
+		// matches); then every follow-up request a keep-alive client
+		// pipelined behind the first.
 		if target, ok := packet.ParseHTTPRequestTarget(stream); ok && b.Block.MatchKeyword(target) {
 			return true
 		}
@@ -429,11 +402,7 @@ func (b *Box) matches(pkt *packet.Packet, stream []byte, usePkt bool) bool {
 			return packet.VisitHTTPRequests(stream[off:], b.matchHTTPRequest)
 		}
 	case "https":
-		if usePkt {
-			if sni, ok := pkt.TLSServerName(); ok {
-				return b.Block.MatchDomain(sni)
-			}
-		} else if sni, ok := packet.ParseTLSServerName(stream); ok {
+		if sni, ok := packet.ParseTLSServerName(stream); ok {
 			return b.Block.MatchDomain(sni)
 		}
 	case "smtp":
@@ -474,9 +443,9 @@ func (b *Box) censorVerdict(t *tcb, now time.Duration, note string) netsim.Verdi
 	v := netsim.Verdict{Note: note}
 	for i := 0; i < 3; i++ {
 		v.InjectToClient = append(v.InjectToClient,
-			censor.InjectRST(srvFlow, cliFlow, t.expServer, t.expClient))
+			censor.InjectRST(srvFlow, t.expServer, t.expClient))
 	}
 	v.InjectToServer = append(v.InjectToServer,
-		censor.InjectRST(cliFlow, srvFlow, t.expClient, t.expServer))
+		censor.InjectRST(cliFlow, t.expClient, t.expServer))
 	return v
 }

@@ -538,14 +538,13 @@ func TestFlowTableBounded(t *testing.T) {
 
 // A keep-alive client that coalesces several requests into one segment used
 // to evade the HTTP box entirely when only the *first* request was benign:
-// the DPI examined one request per payload. Both inspection paths — the
-// single-segment memoized-view path and the reassembled-stream path — must
-// scan every pipelined request.
+// the DPI examined one request per payload. Both a single segment and the
+// reassembled stream must have every pipelined request scanned.
 func TestCensorsPipelinedForbiddenRequest(t *testing.T) {
 	const benign = "GET /index.html HTTP/1.1\r\nHost: example.com\r\nAccept: */*\r\n\r\n"
 	const forbidden = "GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n"
 
-	// Single segment carrying both requests (the memoized-view path).
+	// Single segment carrying both requests.
 	g := deterministic(httpParamsAllOff())
 	pkts := append(handshake(100, 500), mk(true, pa, 101, 501, benign+forbidden))
 	vs := feed(g, pkts...)

@@ -145,9 +145,7 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 					// request is processed (the paper's second probing
 					// method).
 					if st.rolesSwapped {
-						// The stored copy holds exactly this packet's
-						// bytes, so the packet's memoized view applies.
-						return k.processServerRequest(st, st.serverGets[len(st.serverGets)-1], pkt, true)
+						return k.processServerRequest(st, st.serverGets[len(st.serverGets)-1], pkt)
 					}
 				}
 				if st.serverPayloadRun >= 3 {
@@ -161,8 +159,7 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 					// Strategy 10 / probing: the first request breaks
 					// the censor out of its handshake state; the second
 					// is processed.
-					// An earlier packet's payload: no view to reuse.
-					return k.processServerRequest(st, st.serverGets[1], pkt, false)
+					return k.processServerRequest(st, st.serverGets[1], pkt)
 				}
 			} else {
 				// A payload-less server packet breaks the run: the
@@ -185,7 +182,7 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 		// requests below are still checked — simultaneous open alone
 		// does not defeat this censor (no sim-open strategy appears in
 		// the paper's Kazakhstan results).
-		return k.processServerRequest(st, pkt.TCP.Payload, pkt, true)
+		return k.processServerRequest(st, pkt.TCP.Payload, pkt)
 	}
 	if dir == netsim.ToServer && len(pkt.TCP.Payload) > 0 {
 		// No reassembly, so a segmented request is never recognized
@@ -214,26 +211,10 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 // connection (probing, Strategy 10). A forbidden request elicits a
 // censorship response toward the sender; a benign one convinces the censor
 // the server is the client, and the connection is ignored thereafter.
-func (k *Kazakh) processServerRequest(st *flowState, payload []byte, pkt *packet.Packet, usePkt bool) netsim.Verdict {
-	// usePkt: payload holds exactly pkt's bytes, so the packet's memoized
-	// view answers; a replayed earlier request is parsed directly.
-	forbidden := false
-	if usePkt {
-		if host, ok := pkt.HTTPHostHeader(); ok && k.Block.MatchDomain(host) {
-			forbidden = true
-		}
-		if target, ok := pkt.HTTPRequestTarget(); ok && k.Block.MatchKeyword(target) {
-			forbidden = true
-		}
-	} else {
-		if host, ok := packet.ParseHTTPHostHeader(payload); ok && k.Block.MatchDomain(host) {
-			forbidden = true
-		}
-		if target, ok := packet.ParseHTTPRequestTarget(payload); ok && k.Block.MatchKeyword(target) {
-			forbidden = true
-		}
-	}
-	if forbidden {
+func (k *Kazakh) processServerRequest(st *flowState, payload []byte, pkt *packet.Packet) netsim.Verdict {
+	host, hok := packet.ParseHTTPHostHeader(payload)
+	target, tok := packet.ParseHTTPRequestTarget(payload)
+	if (hok && k.Block.MatchDomain(host)) || (tok && k.Block.MatchKeyword(target)) {
 		k.ProbeResponses++
 		mProbeResponses.Inc()
 		st.ignore = true

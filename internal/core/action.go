@@ -171,10 +171,6 @@ func fragment(pkt *packet.Packet, offset int) (f1, f2 *packet.Packet, ok bool) {
 	f2.TCP.Payload = f2.TCP.Payload[offset:]
 	f2.TCP.Seq += uint32(offset)
 	f1.TCP.Payload = f1.TCP.Payload[:offset]
-	// Both halves carry re-sliced payloads; drop any memoized app view
-	// (ClonePooled already cleared f2's, but the invariant stays local).
-	f1.ClearAppView()
-	f2.ClearAppView()
 	return f1, f2, true
 }
 

@@ -14,10 +14,6 @@ import (
 // itself a checksum or length, in which case the Raw flags pin the corrupt
 // value (the paper's insertion packets).
 func tamper(pkt *packet.Packet, proto, field, mode, value string, rng *rand.Rand) {
-	// Payload tampering (TCP:load, DNS:*) invalidates any memoized
-	// application-layer view; clearing unconditionally keeps the packet
-	// invariant local instead of depending on which field is touched.
-	pkt.ClearAppView()
 	corrupt := mode == "corrupt"
 	switch proto {
 	case "TCP":

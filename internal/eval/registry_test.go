@@ -230,10 +230,6 @@ func TestAllocBudgetCensorProcess(t *testing.T) {
 			}
 			synack.IP.Src, synack.IP.Dst = srv, cli
 			synack.TCP.DstPort = cport
-			// A fleet connection arrives with an unparsed payload; clearing
-			// the memo charges this op the parse, like the first censor on a
-			// real path pays it.
-			req.ClearAppView()
 
 			c.Process(syn, netsim.ToServer, now)
 			c.Process(synack, netsim.ToClient, now)

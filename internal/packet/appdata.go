@@ -8,13 +8,10 @@ import (
 
 // Byte-oriented application-layer parsers: the fields DPI censors extract
 // from TCP payloads (HTTP request line + Host, TLS SNI, DNS question name).
-// These used to live in internal/apps as string-converting helpers; every
-// call paid a string(payload) copy of the whole payload before scanning it.
-// The versions here scan the raw bytes and allocate only for the extracted
-// field on success — and the Packet app view (appview.go) memoizes even
-// that, so each field is parsed at most once per packet no matter how many
-// censors inspect it. internal/apps re-exports them unchanged for callers
-// that hold bare byte slices.
+// They scan the raw bytes and allocate only for the extracted field on
+// success. Every reader calls them on the bytes it inspects: one censor
+// sits on any path and each engine reads only its own protocol's field, so
+// a per-packet cache would have nothing to share.
 //
 // Semantics are pinned byte-for-byte to the originals (internal/apps keeps
 // differential fuzz targets proving it): all parsers fail closed to

@@ -13,11 +13,6 @@ import (
 type Packet struct {
 	IP  IPv4
 	TCP TCP
-
-	// view memoizes application-layer fields parsed from TCP.Payload
-	// (HTTP target/Host, TLS SNI, DNS QName); see appview.go for the
-	// invalidation contract. Never copied between packets.
-	view appView
 }
 
 // New builds a minimally valid TCP/IPv4 packet between two endpoints.
@@ -38,7 +33,6 @@ func New(src, dst netip.Addr, srcPort, dstPort uint16) *Packet {
 // every censor tap rely on this.
 func (p *Packet) Clone() *Packet {
 	q := *p
-	q.view = appView{} // views never propagate; see appview.go
 	q.IP.Options = append([]byte(nil), p.IP.Options...)
 	q.TCP.Payload = append([]byte(nil), p.TCP.Payload...)
 	q.TCP.Options = make([]Option, len(p.TCP.Options))
@@ -82,7 +76,6 @@ func Parse(data []byte) (*Packet, error) {
 // buffers when they have capacity. Parsing into a recycled packet therefore
 // does not allocate. On error p is left partially filled.
 func ParseInto(p *Packet, data []byte) error {
-	p.view = appView{} // the payload is about to be replaced
 	payload, err := p.IP.Unmarshal(data)
 	if err != nil {
 		return err
@@ -112,10 +105,6 @@ func (p *Packet) Flow() Flow {
 		SrcPort: p.TCP.SrcPort, DstPort: p.TCP.DstPort,
 	}
 }
-
-// HasFlags reports whether the packet's TCP flags are exactly f (Geneva's
-// triggers demand an exact match: TCP:flags:S does not match SYN+ACK).
-func (p *Packet) HasFlags(f uint8) bool { return p.TCP.Flags == f }
 
 func (p *Packet) String() string {
 	return fmt.Sprintf("%s | %s", p.IP.String(), p.TCP.String())

@@ -85,17 +85,6 @@ func TestFlowCanonicalSameAddrOrdersPorts(t *testing.T) {
 	}
 }
 
-func TestHasFlagsExactMatch(t *testing.T) {
-	p := New(addrA, addrB, 1, 2)
-	p.TCP.Flags = FlagSYN | FlagACK
-	if p.HasFlags(FlagSYN) {
-		t.Error("TCP:flags:S matched a SYN+ACK; Geneva triggers demand exact match")
-	}
-	if !p.HasFlags(FlagSYN | FlagACK) {
-		t.Error("exact SA match failed")
-	}
-}
-
 func TestBadChecksumInsertionPacketDetected(t *testing.T) {
 	p := samplePacket()
 	p.TCP.Checksum = 0x1111

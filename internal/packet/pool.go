@@ -72,7 +72,6 @@ func (p *Packet) CopyFrom(src *Packet) {
 	tcpOpts := p.TCP.Options
 	payload := p.TCP.Payload
 	*p = *src
-	p.view = appView{} // views never propagate to copies; see appview.go
 	p.IP.Options = append(ipOpts[:0], src.IP.Options...)
 	p.TCP.Payload = append(payload[:0], src.TCP.Payload...)
 	n := len(src.TCP.Options)
