@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint bench-smoke alloc-budget fleet-determinism selector-determinism fuzz-smoke evaluate figures short cover race
+.PHONY: all build test vet lint bench-smoke alloc-budget eval-determinism differential metrics-determinism fleet-determinism selector-determinism fuzz-smoke evaluate figures short cover race
 
 all: build vet test
 
@@ -31,6 +31,26 @@ cover:
 # bench/README.md). CI runs exactly this.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -race ./...
+
+# The evaluation-engine determinism gate: the parallel, cached population
+# engine must score every strategy bit-identically to a fresh Rate at every
+# GOMAXPROCS, pooled generators must draw what fresh ones do and all come
+# back, and the GFW ablations must measure the registry's China model.
+# CI runs exactly this.
+eval-determinism:
+	$(GO) test -race -shuffle=on -run 'Deterministic|BatchMatchesSequential|BatchSeam|Evaluator|FitnessCache|EvolveWithStats|RandBitIdentical|RandPoolBalance|AblationsMeasureRegistryModel' ./...
+
+# The cross-censor differential matrix: every censor × protocol × strategy
+# cell classified by failure cause and locked against testdata, plus the
+# registry's structural checks. CI runs exactly this.
+differential:
+	$(GO) test -race -run 'TestDifferential|TestRegistry' ./internal/eval/
+
+# Metrics observe and never steer: rates must be bit-identical with metrics
+# on and off, and counter totals identical at any worker width. CI runs
+# exactly this.
+metrics-determinism:
+	$(GO) test -race -shuffle=on -run 'TestMetrics' ./internal/eval/
 
 # The fleet determinism gate: the whole FleetResult must be bit-identical
 # across the workers × GOMAXPROCS matrix (1/2/8 × 1/2/8 plus the default

@@ -29,25 +29,33 @@ func main() {
 	protocol := flag.String("protocol", "http", "protocol to trigger censorship with")
 	trials := flag.Int("trials", 100, "trials per rate estimate")
 	flag.Parse()
-	fmt.Printf("Exploring %s / %s. Enter a Geneva strategy per line (blank to quit).\n",
-		*country, *protocol)
-	repl(os.Stdin, os.Stdout, *country, *protocol, *trials)
+	if err := repl(os.Stdin, os.Stdout, *country, *protocol, *trials); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 }
 
-// repl drives the explorer; split out so tests can feed it input.
-func repl(in io.Reader, out io.Writer, country, protocol string, trials int) {
+// repl drives the explorer; split out so tests can feed it input. It
+// returns an error, before reading any input, for an unknown country or
+// protocol.
+func repl(in io.Reader, out io.Writer, country, protocol string, trials int) error {
+	if err := eval.CheckCountryProtocol(country, protocol); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "Exploring %s / %s. Enter a Geneva strategy per line (blank to quit).\n",
+		country, protocol)
 	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	for {
 		fmt.Fprint(out, "geneva> ")
 		if !scanner.Scan() {
 			fmt.Fprintln(out)
-			return
+			return nil
 		}
 		line := strings.TrimSpace(scanner.Text())
 		switch {
 		case line == "":
-			return
+			return nil
 		case strings.HasPrefix(line, "#"):
 			continue
 		case line == "strategies":

@@ -3,9 +3,11 @@
 //
 // Usage:
 //
-//	waterfall [-country china|kazakhstan] [-strategy N]
+//	waterfall [-country C] [-strategy N]
 //
-// Without -strategy it draws all of the country's figures.
+// With -strategy it draws that strategy against any modeled country (HTTP).
+// Without it, it draws a whole figure: -country china (Figure 1) or
+// kazakhstan (Figure 2).
 package main
 
 import (
@@ -18,7 +20,7 @@ import (
 )
 
 func main() {
-	country := flag.String("country", "china", "china or kazakhstan")
+	country := flag.String("country", "china", "censor to draw against (china or kazakhstan without -strategy)")
 	number := flag.Int("strategy", 0, "strategy number (0 = the whole figure)")
 	flag.Parse()
 
@@ -29,11 +31,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "no strategy %d\n", *number)
 			os.Exit(2)
 		}
-		c := eval.CountryChina
-		if *country == "kazakhstan" {
-			c = eval.CountryKazakhstan
+		if err := eval.CheckCountryProtocol(*country, "http"); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
-		fmt.Print(eval.Waterfall(c, &s, eval.EvadingSeed(c, s)))
+		fmt.Print(eval.Waterfall(*country, &s, eval.EvadingSeed(*country, s)))
 	case *country == "china":
 		fmt.Print(eval.Figure1())
 	case *country == "kazakhstan":

@@ -64,7 +64,7 @@ var (
 )
 
 // Strategy is a parsed Geneva strategy: trigger/action-tree rules for the
-// outbound and inbound directions.
+// packets the server sends (Parse rejects inbound rules).
 type Strategy = core.Strategy
 
 // Engine applies a Strategy to a host's packet stream; its Outbound method

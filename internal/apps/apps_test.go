@@ -47,8 +47,8 @@ func TestAllSessionsSucceedWithoutCensor(t *testing.T) {
 	for name, s := range sessions {
 		app := runSession(t, s)
 		if !app.Succeeded() {
-			t.Errorf("%s: clean run failed (complete=%v corrupted=%v got=%d bytes)",
-				name, app.Complete(), app.Corrupted(), len(app.Received()))
+			t.Errorf("%s: clean run failed (corrupted=%v reset=%v served=%d)",
+				name, app.Corrupted(), app.Reset(), app.Served())
 		}
 		if !app.Established() {
 			t.Errorf("%s: never established", name)
@@ -59,7 +59,7 @@ func TestAllSessionsSucceedWithoutCensor(t *testing.T) {
 func TestScriptDetectsCorruption(t *testing.T) {
 	s := &Script{Expect: []byte("hello world")}
 	s.OnData(nil, []byte("hello"))
-	if s.Corrupted() || s.Complete() {
+	if s.Corrupted() || s.Succeeded() {
 		t.Fatal("prefix should be fine and incomplete")
 	}
 	s.OnData(nil, []byte(" worlX"))
@@ -80,8 +80,33 @@ func TestScriptCompleteExactly(t *testing.T) {
 	s := &Script{Expect: []byte("response")}
 	s.OnData(nil, []byte("resp"))
 	s.OnData(nil, []byte("onse"))
-	if !s.Complete() || !s.Succeeded() {
+	if !s.Succeeded() || s.Served() != 1 {
 		t.Fatal("split delivery should complete")
+	}
+}
+
+// TestScriptCorruptionIsSticky checks that a divergent chunk poisons the
+// run for good: later chunks are compared at their own offsets, so one that
+// happens to match the transcript there must not revive the script or
+// advance a keep-alive script's progress.
+func TestScriptCorruptionIsSticky(t *testing.T) {
+	s := &Script{Expect: []byte("hello world")}
+	s.OnData(nil, []byte("hellX"))
+	s.OnData(nil, []byte(" world")) // matches Expect[5:11]
+	if s.Succeeded() || !s.Corrupted() {
+		t.Fatalf("after a divergent chunk: succeeded=%v corrupted=%v, want false/true", s.Succeeded(), s.Corrupted())
+	}
+
+	ka := HTTPQuerySession("kittens").KeepAlive(3, time.Second).NewClient()
+	size := ka.ExchangeSize
+	ka.OnData(nil, ka.Expect[:size])
+	ka.OnData(nil, bytes.Repeat([]byte{'X'}, size))
+	ka.OnData(nil, ka.Expect[2*size:]) // the third exchange, at its own offset
+	if ka.Succeeded() || !ka.Corrupted() {
+		t.Fatalf("keep-alive after a divergent chunk: succeeded=%v corrupted=%v, want false/true", ka.Succeeded(), ka.Corrupted())
+	}
+	if ka.Served() != 1 {
+		t.Fatalf("Served = %d after corruption and a matching chunk, want frozen at 1", ka.Served())
 	}
 }
 
@@ -205,9 +230,17 @@ func TestFTPAndSMTPParsers(t *testing.T) {
 func TestSessionClientScriptsAreFresh(t *testing.T) {
 	s := HTTPQuerySession("ultrasurf")
 	a, b := s.NewClient(), s.NewClient()
+	a.OnData(nil, a.Expect)
+	if !a.Succeeded() || b.Succeeded() || b.Served() != 0 {
+		t.Error("client scripts share progress")
+	}
 	a.OnData(nil, []byte("HTTP/1.1"))
-	if len(b.Received()) != 0 {
-		t.Error("client scripts share state")
+	if !a.Corrupted() || b.Corrupted() {
+		t.Error("client scripts share corruption")
+	}
+	b.OnData(nil, b.Expect)
+	if !b.Succeeded() {
+		t.Error("a fresh script failed its own transcript")
 	}
 }
 
@@ -222,9 +255,12 @@ func TestFTPSessionDialogue(t *testing.T) {
 	s := FTPSession("ultrasurf")
 	app := runSession(t, s)
 	if !app.Succeeded() {
-		t.Fatalf("FTP dialogue failed: got %q", app.Received())
+		t.Fatalf("FTP dialogue failed (established=%v corrupted=%v reset=%v)",
+			app.Established(), app.Corrupted(), app.Reset())
 	}
-	if !strings.Contains(string(app.Received()), "226 Transfer complete") {
+	// Succeeded means every byte of Expect arrived intact, so the final
+	// response arrived iff the transcript ends with it.
+	if !strings.HasSuffix(string(app.Expect), "226 Transfer complete\r\n") {
 		t.Error("missing final FTP response")
 	}
 }
@@ -237,8 +273,8 @@ func TestKeepAliveSessionCleanRun(t *testing.T) {
 	}
 	app := runSession(t, s)
 	if !app.Succeeded() {
-		t.Fatalf("clean keep-alive run failed (complete=%v corrupted=%v got=%d bytes)",
-			app.Complete(), app.Corrupted(), len(app.Received()))
+		t.Fatalf("clean keep-alive run failed (corrupted=%v reset=%v served=%d)",
+			app.Corrupted(), app.Reset(), app.Served())
 	}
 	if app.Served() != n {
 		t.Errorf("Served = %d, want %d", app.Served(), n)
@@ -302,7 +338,7 @@ func TestKeepAliveRestartResetsProgress(t *testing.T) {
 		t.Fatalf("Served = %d, want 2", app.Served())
 	}
 	app.Restart()
-	if app.Served() != 0 || app.Established() || app.EstablishedAt() != 0 || app.LastProgressAt() != 0 {
+	if app.Served() != 0 || app.Succeeded() || app.Established() || app.EstablishedAt() != 0 || app.LastProgressAt() != 0 {
 		t.Fatal("Restart left keep-alive progress behind")
 	}
 	// The restarted script drives a fresh connection end to end.

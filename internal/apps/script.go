@@ -22,7 +22,9 @@ type SendPoint struct {
 // connection comes up, expects the peer to deliver exactly Expect, and sends
 // each SendPoint's data once reception reaches its offset. The same type
 // drives clients (Expect = the server's responses) and servers (Expect = the
-// client's requests).
+// client's requests). It keeps no copy of what it receives: each chunk is
+// checked against Expect at its offset as it arrives, and only the counts
+// are kept.
 type Script struct {
 	SendOnEstablish []byte
 	Expect          []byte
@@ -34,8 +36,8 @@ type Script struct {
 	// connection died.
 	ExchangeSize int
 
-	got            []byte
-	okLen          int // length of got's verified prefix (frozen at corruption)
+	recv           int // bytes received, corrupted ones included
+	okLen          int // length of the verified prefix (frozen at corruption)
 	nextSend       int
 	delayPending   bool
 	established    bool
@@ -58,11 +60,11 @@ func (s *Script) Clone() *Script {
 }
 
 // Restart returns the script to its un-run state so it can drive another
-// connection, keeping the received-buffer capacity. It is the recycling
-// counterpart of Clone for harnesses that run the same transcript many
-// times (the fleet's per-cell script freelists).
+// connection. It is the recycling counterpart of Clone for harnesses that
+// run the same transcript many times (the fleet's per-cell script
+// freelists), and it saves them an allocation per attempt.
 func (s *Script) Restart() {
-	s.got = s.got[:0]
+	s.recv = 0
 	s.okLen = 0
 	s.nextSend = 0
 	s.delayPending = false
@@ -87,14 +89,15 @@ func (s *Script) OnEstablished(c *tcpstack.Conn) {
 
 // OnData implements tcpstack.App.
 func (s *Script) OnData(c *tcpstack.Conn, data []byte) {
-	s.got = append(s.got, data...)
+	s.recv += len(data)
 	// The transcript must match byte-for-byte: any divergence (a block
-	// page, injected garbage, reordered bytes) marks the run corrupted.
-	if len(s.got) > len(s.Expect) || !bytes.Equal(s.got, s.Expect[:len(s.got)]) {
+	// page, injected garbage, reordered bytes) marks the run corrupted, and
+	// a corrupted run stays corrupted whatever arrives after it.
+	if s.corrupted || s.recv > len(s.Expect) || !bytes.Equal(data, s.Expect[s.okLen:s.recv]) {
 		s.corrupted = true
 		return
 	}
-	s.okLen = len(s.got)
+	s.okLen = s.recv
 	s.lastProgressAt = c.Now()
 	s.pump(c)
 }
@@ -103,7 +106,7 @@ func (s *Script) OnData(c *tcpstack.Conn, data []byte) {
 // a Delay is armed on the connection's virtual clock instead of sent inline;
 // later points wait behind it (the transcript stays strictly ordered).
 func (s *Script) pump(c *tcpstack.Conn) {
-	for !s.delayPending && s.nextSend < len(s.SendAt) && len(s.got) >= s.SendAt[s.nextSend].Off {
+	for !s.delayPending && s.nextSend < len(s.SendAt) && s.recv >= s.SendAt[s.nextSend].Off {
 		sp := &s.SendAt[s.nextSend]
 		if sp.Delay > 0 {
 			s.delayPending = true
@@ -125,7 +128,7 @@ func (s *Script) pump(c *tcpstack.Conn) {
 		c.Send(sp.Data)
 		s.nextSend++
 	}
-	if s.CloseAtEnd && s.Complete() {
+	if s.CloseAtEnd && s.Succeeded() {
 		c.Close()
 	}
 }
@@ -139,23 +142,18 @@ func (s *Script) OnClose(c *tcpstack.Conn, reset bool) {
 // Established reports whether the handshake completed.
 func (s *Script) Established() bool { return s.established }
 
-// Complete reports whether the full expected transcript arrived intact.
-func (s *Script) Complete() bool {
-	return !s.corrupted && len(s.got) == len(s.Expect)
-}
-
 // Corrupted reports whether received data diverged from the transcript.
 func (s *Script) Corrupted() bool { return s.corrupted }
 
 // Reset reports whether the connection was torn down abortively.
 func (s *Script) Reset() bool { return s.reset }
 
-// Received returns the bytes received so far.
-func (s *Script) Received() []byte { return s.got }
-
-// Succeeded is the paper's §4.2 success criterion for the client side: the
+// Succeeded reports whether the full expected transcript arrived intact.
+// For a client script it is the paper's §4.2 success criterion: the
 // connection was not torn down before the correct, unaltered data arrived.
-func (s *Script) Succeeded() bool { return s.Complete() }
+func (s *Script) Succeeded() bool {
+	return !s.corrupted && s.recv == len(s.Expect)
+}
 
 // Served reports how many whole exchanges of the transcript arrived intact:
 // okLen/ExchangeSize for a keep-alive script, or 1/0 (complete or not) for a
@@ -165,7 +163,7 @@ func (s *Script) Served() int {
 	if s.ExchangeSize > 0 {
 		return s.okLen / s.ExchangeSize
 	}
-	if s.Complete() {
+	if s.Succeeded() {
 		return 1
 	}
 	return 0

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -245,7 +247,7 @@ func TestParseEmptyStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Outbound) != 0 || len(s.Inbound) != 0 {
+	if len(s.Outbound) != 0 {
 		t.Error("empty strategy has rules")
 	}
 	// The identity engine passes everything through.
@@ -255,19 +257,21 @@ func TestParseEmptyStrategy(t *testing.T) {
 	}
 }
 
+// TestParseInboundRules checks that inbound rules are rejected, not parsed
+// and silently ignored: the engine only ever sees the server's own packets.
 func TestParseInboundRules(t *testing.T) {
-	s, err := Parse(`[TCP:flags:SA]-send-| \/ [TCP:flags:R]-drop-|`)
-	if err != nil {
-		t.Fatal(err)
+	for _, in := range []string{
+		`[TCP:flags:SA]-send-| \/ [TCP:flags:R]-drop-|`,
+		` \/ [TCP:flags:R]-drop-|`,
+		`[TCP:flags:SA]-send-| \/ garbage`,
+	} {
+		if _, err := Parse(in); !errors.Is(err, ErrInvalidStrategy) || !strings.Contains(err.Error(), "outbound rules only") {
+			t.Errorf("Parse(%q) = %v, want an ErrInvalidStrategy rejecting inbound rules", in, err)
+		}
 	}
-	if len(s.Inbound) != 1 || s.Inbound[0].Trigger.Value != "R" {
-		t.Fatalf("inbound rules: %+v", s.Inbound)
-	}
-	eng := NewEngine(s, rng())
-	rst := packet.New(cliAddr, srvAddr, 40000, 80)
-	rst.TCP.Flags = packet.FlagRST
-	if got := eng.Inbound(rst); len(got) != 0 {
-		t.Error("inbound drop rule did not drop")
+	// Whitespace after the separator is an empty inbound forest.
+	if _, err := Parse("[TCP:flags:SA]-send-| \\/ \t\n"); err != nil {
+		t.Errorf("empty inbound forest rejected: %v", err)
 	}
 }
 

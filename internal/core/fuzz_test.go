@@ -14,7 +14,7 @@ import (
 func FuzzParse(f *testing.F) {
 	f.Add(`[TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:R},tamper{TCP:flags:replace:S})-| \/ `)
 	f.Add(`[TCP:flags:SA]-tamper{TCP:window:replace:10}(tamper{TCP:options-wscale:replace:},)-| \/ `)
-	f.Add(`[TCP:flags:SA]-fragment{tcp:8:true}(drop,send)-| \/ [TCP:flags:R]-drop-|`)
+	f.Add(`[TCP:flags:SA]-fragment{tcp:8:true}(drop,send)-| \/ `)
 	f.Add(` \/ `)
 	f.Add(`[TCP:flags:SA]-tamper{DNS:qname:replace:a.b}-| \/ `)
 	f.Add(`[[[:::]]]---|||`)
@@ -35,7 +35,6 @@ func FuzzParse(f *testing.F) {
 		eng := NewEngine(s, rand.New(rand.NewSource(1)))
 		p := synAckForFuzz()
 		_ = eng.Outbound(p)
-		_ = eng.Inbound(p.Clone())
 	})
 }
 

@@ -17,19 +17,20 @@ var ErrInvalidStrategy = errors.New("invalid strategy")
 //
 //	<outbound rules> \/ <inbound rules>
 //
-// where each rule is [proto:field:value]-<action tree>-| and either forest
-// may be empty. Parse(s.String()) is the identity for any valid strategy.
+// where each rule is [proto:field:value]-<action tree>-|. The engine runs on
+// the server and rewrites only the packets it sends, so the inbound forest
+// must be empty: Parse rejects inbound rules rather than silently ignoring
+// them. Parse(s.String()) is the identity for any valid strategy.
 func Parse(input string) (*Strategy, error) {
 	outPart, inPart, _ := strings.Cut(input, "\\/")
-	s := &Strategy{}
-	var err error
-	if s.Outbound, err = parseRules(outPart); err != nil {
+	rules, err := parseRules(outPart)
+	if err != nil {
 		return nil, fmt.Errorf("%w: outbound: %w", ErrInvalidStrategy, err)
 	}
-	if s.Inbound, err = parseRules(inPart); err != nil {
-		return nil, fmt.Errorf("%w: inbound: %w", ErrInvalidStrategy, err)
+	if in := strings.Trim(inPart, " \t\n"); in != "" {
+		return nil, fmt.Errorf("%w: inbound %q: the server-side engine applies outbound rules only", ErrInvalidStrategy, in)
 	}
-	return s, nil
+	return &Strategy{Outbound: rules}, nil
 }
 
 // MustParse is Parse for statically known strategies (the library in

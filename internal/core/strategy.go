@@ -57,11 +57,11 @@ func (r Rule) Clone() Rule {
 	return Rule{Trigger: r.Trigger, Action: r.Action.Clone()}
 }
 
-// Strategy is a full Geneva strategy: rule forests for the outbound and
-// inbound directions, relative to the host the engine runs on.
+// Strategy is a Geneva strategy: the rule forest applied to the packets the
+// server sends. Geneva's syntax also has an inbound forest; a server-side
+// engine has no use for one, so Parse rejects it and String renders it empty.
 type Strategy struct {
 	Outbound []Rule
-	Inbound  []Rule
 
 	// str memoizes String(): the canonical text is rebuilt only after
 	// Invalidate. A plain field (not a lock) on purpose — strategies are
@@ -78,9 +78,6 @@ func (s *Strategy) Clone() *Strategy {
 	for _, r := range s.Outbound {
 		c.Outbound = append(c.Outbound, r.Clone())
 	}
-	for _, r := range s.Inbound {
-		c.Inbound = append(c.Inbound, r.Clone())
-	}
 	return c
 }
 
@@ -90,17 +87,15 @@ func (s *Strategy) Size() int {
 	for _, r := range s.Outbound {
 		n += r.Action.Size()
 	}
-	for _, r := range s.Inbound {
-		n += r.Action.Size()
-	}
 	return n
 }
 
 // String renders the strategy in Geneva's canonical syntax
-// ("<outbound> \/ <inbound>"). The text is memoized: repeated calls — the
-// Evaluator builds a cache key from it for every fitness lookup — return the
-// cached string without rebuilding. Any code that mutates a Strategy's rules
-// in place must call Invalidate afterwards.
+// ("<outbound> \/ ", the inbound forest always empty). The text is
+// memoized: repeated calls — the Evaluator builds a cache key from it for
+// every fitness lookup — return the cached string without rebuilding. Any
+// code that mutates a Strategy's rules in place must call Invalidate
+// afterwards.
 func (s *Strategy) String() string {
 	if s.str != "" {
 		return s.str
@@ -110,9 +105,6 @@ func (s *Strategy) String() string {
 		r.appendTo(&b)
 	}
 	b.WriteString(" \\/ ")
-	for _, r := range s.Inbound {
-		r.appendTo(&b)
-	}
 	s.str = b.String()
 	return s.str
 }
@@ -136,7 +128,6 @@ type Engine struct {
 	rng      *rand.Rand
 
 	outbound []compiledRule
-	inbound  []compiledRule
 	pass     [1]*packet.Packet // scratch for the no-match pass-through
 	out      []*packet.Packet  // scratch for matched-rule emission
 }
@@ -147,7 +138,6 @@ func NewEngine(s *Strategy, rng *rand.Rand) *Engine {
 		Strategy: s,
 		rng:      rng,
 		outbound: compileRules(s.Outbound),
-		inbound:  compileRules(s.Inbound),
 	}
 }
 
@@ -156,19 +146,9 @@ func NewEngine(s *Strategy, rng *rand.Rand) *Engine {
 // through untouched. The returned slice is only valid until the engine's
 // next call: the pass-through case reuses a scratch slot.
 func (e *Engine) Outbound(pkt *packet.Packet) []*packet.Packet {
-	return e.apply(e.outbound, pkt)
-}
-
-// Inbound transforms one received packet before the stack sees it. The
-// returned slice is only valid until the engine's next call.
-func (e *Engine) Inbound(pkt *packet.Packet) []*packet.Packet {
-	return e.apply(e.inbound, pkt)
-}
-
-func (e *Engine) apply(rules []compiledRule, pkt *packet.Packet) []*packet.Packet {
-	for i := range rules {
-		if rules[i].match(pkt) {
-			e.out = rules[i].action.appendApply(e.out[:0], pkt, e.rng)
+	for i := range e.outbound {
+		if e.outbound[i].match(pkt) {
+			e.out = e.outbound[i].action.appendApply(e.out[:0], pkt, e.rng)
 			return e.out
 		}
 	}

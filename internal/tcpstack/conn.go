@@ -43,7 +43,8 @@ type App interface {
 	// OnEstablished fires once, when the three-way handshake (or
 	// simultaneous open) completes.
 	OnEstablished(c *Conn)
-	// OnData fires for each chunk of in-order stream data.
+	// OnData fires for each chunk of in-order stream data. The stack keeps
+	// no copy: data is the segment's payload, valid only during the call.
 	OnData(c *Conn, data []byte)
 	// OnClose fires once when the connection ends. reset is true for an
 	// abortive close (RST received).
@@ -79,7 +80,6 @@ type Conn struct {
 	// consumed prefix and force every reuse to grow a fresh buffer.
 	sendQ    []byte
 	sendHead int
-	received []byte
 
 	// Retransmission state (active only under Endpoint.Retransmit).
 	rtxQ       []rtxSeg
@@ -107,9 +107,6 @@ func (c *Conn) State() State { return c.state }
 
 // Flow returns the connection's local->remote 4-tuple.
 func (c *Conn) Flow() packet.Flow { return c.flow }
-
-// Received returns all in-order stream data the connection has delivered.
-func (c *Conn) Received() []byte { return c.received }
 
 // Established reports whether the connection reached ESTABLISHED at some
 // point (it may have closed since).
@@ -484,7 +481,6 @@ func (c *Conn) handleSynchronized(pkt *packet.Packet) {
 		switch {
 		case t.Seq == c.rcvNxt:
 			c.rcvNxt += uint32(len(t.Payload))
-			c.received = append(c.received, t.Payload...)
 			ack := c.newPacket(packet.FlagACK)
 			c.ep.transmit(ack)
 			if c.app != nil {
@@ -539,7 +535,6 @@ func (c *Conn) absorbSynPayload(t *packet.TCP) {
 		return
 	}
 	if c.ep.OS.AcceptsSynAckPayload {
-		c.received = append(c.received, t.Payload...)
 		c.rcvNxt += uint32(len(t.Payload))
 		if c.app != nil {
 			c.app.OnData(c, t.Payload)

@@ -29,8 +29,8 @@ type Endpoint struct {
 	Retransmit bool
 	// ReleaseClosed opts the endpoint into connection recycling: a
 	// connection is removed from the table the moment it finishes (clean
-	// close or reset) and its struct — with the send/receive buffer
-	// capacity it grew — goes on a freelist for the next Connect or accept.
+	// close or reset) and its struct — with the send-buffer capacity it
+	// grew — goes on a freelist for the next Connect or accept.
 	// Off by default: harnesses that inspect Conns() after a run (most
 	// tests) need finished connections to stay visible. The fleet harness
 	// turns it on so long multi-wave cells don't accrete one Conn per
@@ -132,17 +132,18 @@ func (e *Endpoint) getConn() *Conn {
 // recycleConn retires a finished connection: it leaves the table
 // immediately (exactly as if it had never existed — a packet to a closed
 // connection and a packet to no connection are both ignored) and its struct
-// goes on the freelist. Buffer capacity is kept; rtxGen is preserved, NOT
-// zeroed, because retransmission timer closures in flight captured this
-// *Conn and an old generation — the generation must keep monotonically
-// increasing across reuses for those stale closures to stay invalidated.
+// goes on the freelist. The send buffer's capacity is kept (a Conn keeps no
+// receive buffer: in-order data goes straight to App.OnData); rtxGen is
+// preserved, NOT zeroed, because retransmission timer closures in flight
+// captured this *Conn and an old generation — the generation must keep
+// monotonically increasing across reuses for those stale closures to stay
+// invalidated.
 func (e *Endpoint) recycleConn(c *Conn) {
 	delete(e.conns, c.flow)
 	gen := c.rtxGen
 	appGen := c.appGen
 	sendQ := c.sendQ[:0]
-	received := c.received[:0]
-	*c = Conn{ep: e, state: StateClosed, closed: true, rtxGen: gen, appGen: appGen, sendQ: sendQ, received: received}
+	*c = Conn{ep: e, state: StateClosed, closed: true, rtxGen: gen, appGen: appGen, sendQ: sendQ}
 	e.free = append(e.free, c)
 }
 

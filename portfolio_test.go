@@ -295,3 +295,17 @@ func TestSentinelErrors(t *testing.T) {
 		t.Error("unknown selection policy: want error, got nil")
 	}
 }
+
+// TestInboundRulesRejected checks that a strategy with inbound rules is an
+// error on the entry points that parse strategies. The server-side engine
+// never sees inbound packets, so accepting the rules would score the
+// strategy as if they were not there.
+func TestInboundRulesRejected(t *testing.T) {
+	withInbound := Strategy1.DSL + "[TCP:flags:R]-drop-|"
+	if _, err := Run(Simulation{Country: China, Protocol: "http", Strategy: withInbound, Trials: 1}); !errors.Is(err, ErrInvalidStrategy) {
+		t.Errorf("Run(inbound rules) = %v, want ErrInvalidStrategy", err)
+	}
+	if _, err := NewPortfolio(Strategy1.DSL, withInbound); !errors.Is(err, ErrInvalidStrategy) {
+		t.Errorf("NewPortfolio(inbound rules) = %v, want ErrInvalidStrategy", err)
+	}
+}
