@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint bench-smoke alloc-budget eval-determinism differential metrics-determinism fleet-determinism selector-determinism fuzz-smoke evaluate figures short cover race
+.PHONY: all build test vet lint bench-smoke alloc-budget pool-safety eval-determinism differential metrics-determinism fleet-determinism selector-determinism fuzz-smoke evaluate figures short cover race
 
 all: build vet test
 
@@ -79,6 +79,12 @@ selector-determinism:
 # any host. CI runs exactly this.
 alloc-budget:
 	$(GO) test -run 'TestAllocBudget|TestTrialAllocBudget|TestFleetAllocBudget' -v ./internal/netsim/ ./internal/packet/ ./internal/core/ ./internal/eval/ ./internal/fleet/
+
+# Pool safety: GODEBUG=clobberfree poisons freed memory, so if any
+# recycled packet buffer is still referenced, the bit-identical recycling
+# tests diverge. CI runs exactly this.
+pool-safety:
+	GODEBUG=clobberfree=1 $(GO) test -run 'TestPool|TestRecycling|TestRing' ./internal/packet/ ./internal/eval/
 
 # Coverage-guided fuzzing bursts — the fuzz targets promoted from
 # seed-corpus-only to live mutation. Go's fuzz engine takes one -fuzz

@@ -9,8 +9,7 @@
 //	      [-clients N] [-waves N] [-unprotected N] [-gap D]
 //	      [-requests N] [-reqgap D]
 //	      [-reconnect-max N] [-reconnect-backoff D] [-retry-all]
-//	      [-portfolio list] [-select policy] [-epsilon P] [-ucb-c C]
-//	      [-decay F] [-min-pulls N] [-collapse-below P] [-quarantine N]
+//	      [-portfolio list] [-select policy]
 //	      [-shift-wave N] [-shift-country c] [-shift-params k=v,...]
 //	      [-seed N] [-workers N]
 //	      [-loss P] [-dup P] [-reorder P] [-jitter D]
@@ -22,6 +21,8 @@
 // the portfolio pins its first entry everywhere; with -select epsilon-greedy
 // or -select ucb1 the online control plane races the whole portfolio per
 // (country, protocol) and the table grows a per-strategy selection section.
+// -select picks only the policy; the bandit's tuning is fixed (DESIGN.md,
+// "Online strategy selection").
 // -shift-params re-tunes censor calibration (e.g. prst=0, or http.prst=0 to
 // scope by protocol) at the start of wave -shift-wave — the lever for the
 // collapse-and-recover scenario in EXPERIMENTS.md.
@@ -67,12 +68,6 @@ func main() {
 	retryAll := flag.Bool("retry-all", false, "reconnect after any failure, not only abortive teardown")
 	portfolioList := flag.String("portfolio", "", "\";\"-separated strategies (raw DSL or paper number 1-11) routed clients are served from")
 	selectPolicy := flag.String("select", "", "online selection policy: epsilon-greedy or ucb1 (default: pinned, no selection)")
-	epsilon := flag.Float64("epsilon", 0, "epsilon-greedy exploration probability (0 = default 0.1)")
-	ucbC := flag.Float64("ucb-c", 0, "UCB1 exploration constant (0 = default 1.5)")
-	decay := flag.Float64("decay", 0, "sliding-window decay applied to arm stats at every wave barrier (0 = default 0.9)")
-	minPulls := flag.Float64("min-pulls", 0, "decayed pulls before collapse detection can trigger (0 = default 3)")
-	collapseBelow := flag.Float64("collapse-below", 0, "windowed success rate under which the incumbent is quarantined (0 = default 0.2)")
-	quarantine := flag.Int("quarantine", 0, "wave barriers a collapsed arm sits out (0 = default 2)")
 	shiftWave := flag.Int("shift-wave", 0, "wave at whose start -shift-params applies")
 	shiftCountry := flag.String("shift-country", "", "restrict -shift-params to one country's cells (default all)")
 	shiftParams := flag.String("shift-params", "", "comma-separated censor re-tunes, name=value (e.g. prst=0 or http.prst=0)")
@@ -109,15 +104,7 @@ func main() {
 		Impairments: geneva.Impairments{
 			Loss: *loss, Duplicate: *dup, Reorder: *reorder, Jitter: *jitter,
 		},
-		Selection: geneva.Selection{
-			Policy:          geneva.SelectionPolicy(*selectPolicy),
-			Epsilon:         *epsilon,
-			UCBC:            *ucbC,
-			Decay:           *decay,
-			MinPulls:        *minPulls,
-			CollapseBelow:   *collapseBelow,
-			QuarantineWaves: *quarantine,
-		},
+		Selection: geneva.Selection{Policy: geneva.SelectionPolicy(*selectPolicy)},
 	}
 	if *countries != "" {
 		d.Countries = strings.Split(*countries, ",")

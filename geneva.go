@@ -259,7 +259,8 @@ func EvasionRate(s Simulation) (float64, error) {
 type Portfolio = selector.Portfolio
 
 // NewPortfolio parses and validates each strategy, in order. Errors wrap
-// ErrInvalidStrategy and name the failing strategy's position.
+// ErrInvalidStrategy and name the failing strategy's position; two entries
+// with the same canonical text are an error naming both positions.
 func NewPortfolio(strategies ...string) (Portfolio, error) {
 	return selector.NewPortfolio(strategies...)
 }
@@ -267,16 +268,17 @@ func NewPortfolio(strategies ...string) (Portfolio, error) {
 // Selection configures the online strategy-selection control plane on a
 // Deployment: a deterministic, seeded bandit that picks each connection's
 // strategy from the portfolio and learns from per-connection outcomes,
-// with sliding-window decay and collapse-quarantine fallback. The zero
-// value disables it; see the field docs on selector.Selection.
+// with sliding-window decay and collapse-quarantine fallback. Its one
+// field is the Policy; the zero value disables selection. The bandit's
+// tuning is fixed (DESIGN.md, "Online strategy selection").
 type Selection = selector.Selection
 
 // SelectionPolicy names a bandit policy for Selection.Policy.
 type SelectionPolicy = selector.Policy
 
-// The selection policies: epsilon-greedy (explore with probability
-// Epsilon, otherwise exploit the best decayed success rate) and UCB1
-// (optimism under uncertainty).
+// The selection policies: epsilon-greedy (explore with probability 0.1,
+// otherwise exploit the best decayed success rate) and UCB1 (optimism
+// under uncertainty).
 const (
 	EpsilonGreedy = selector.EpsilonGreedy
 	UCB1          = selector.UCB1

@@ -236,10 +236,12 @@ func TestRejectsSilentlyWrongInputs(t *testing.T) {
 		d    Deployment
 	}{
 		{"aliased cell clients", Deployment{Countries: []string{China}, Connections: 600, ClientsPerCell: 2, UnprotectedPerCell: 300}},
-		{"NaN decay", Deployment{Connections: 8, Selection: Selection{Policy: EpsilonGreedy, Decay: nan}}},
-		{"NaN epsilon", Deployment{Connections: 8, Selection: Selection{Policy: EpsilonGreedy, Epsilon: nan}}},
-		{"infinite UCB coefficient", Deployment{Connections: 8, Selection: Selection{Policy: UCB1, UCBC: math.Inf(1)}}},
-		{"infinite collapse threshold", Deployment{Connections: 8, Selection: Selection{Policy: UCB1, CollapseBelow: math.Inf(-1)}}},
+		{"negative reconnect budget", Deployment{Connections: 8, Reconnect: ReconnectPolicy{MaxAttempts: -2}}},
+		{"shift country outside the workload", Deployment{Connections: 8, Countries: []string{China},
+			Shift: CensorShift{Country: "chna", Params: map[string]float64{"prst": 0}}}},
+		{"negative shift wave", Deployment{Connections: 8, Shift: CensorShift{AtWave: -1, Params: map[string]float64{"prst": 0}}}},
+		{"NaN shift parameter", Deployment{Connections: 8, Shift: CensorShift{Params: map[string]float64{"prst": nan}}}},
+		{"infinite shift parameter", Deployment{Connections: 8, Shift: CensorShift{Params: map[string]float64{"residual_s": math.Inf(1)}}}},
 		{"negative reconnect backoff", Deployment{Connections: 400, Seed: 3, SessionRequests: 3, RequestGap: 10 * time.Second,
 			Reconnect: ReconnectPolicy{Backoff: -time.Hour, RetryAll: true, MaxAttempts: 4}}},
 	} {

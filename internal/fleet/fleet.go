@@ -34,6 +34,9 @@ package fleet
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"time"
 
 	"geneva/internal/eval"
@@ -167,6 +170,29 @@ type CensorShift struct {
 
 // Enabled reports whether the shift does anything.
 func (cs CensorShift) Enabled() bool { return len(cs.Params) > 0 }
+
+// validate rejects a shift that would never apply, or apply a value no
+// censor can use: a country outside the workload, a negative wave, a
+// non-finite parameter.
+func (cs CensorShift) validate(countries []string) error {
+	if cs.AtWave < 0 {
+		return fmt.Errorf("Shift.AtWave = %d is negative", cs.AtWave)
+	}
+	if cs.Country != "" && !slices.Contains(countries, cs.Country) {
+		return fmt.Errorf("Shift.Country %q is not among the workload's countries %v", cs.Country, countries)
+	}
+	names := make([]string, 0, len(cs.Params))
+	for name := range cs.Params {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if v := cs.Params[name]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("Shift.Params[%q] = %v is not finite", name, v)
+		}
+	}
+	return nil
+}
 
 // ReconnectPolicy says how a client behaves after a connection attempt
 // fails: how long it waits, how many times it tries, and which failures it
@@ -379,6 +405,16 @@ func (wl Workload) validate() error {
 	// crediting uptime beyond the session's lifetime.
 	if wl.Reconnect.Backoff < 0 {
 		return fmt.Errorf("fleet: Reconnect.Backoff = %v is negative", wl.Reconnect.Backoff)
+	}
+	// A negative budget would be recorded as such but run as the
+	// protocol's default.
+	if wl.Reconnect.MaxAttempts < 0 {
+		return fmt.Errorf("fleet: Reconnect.MaxAttempts = %d is negative", wl.Reconnect.MaxAttempts)
+	}
+	if wl.Shift.Enabled() {
+		if err := wl.Shift.validate(wl.Countries); err != nil {
+			return fmt.Errorf("fleet: %w", err)
+		}
 	}
 	if wl.Selection.Enabled() {
 		if err := wl.Selection.Validate(); err != nil {

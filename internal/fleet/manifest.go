@@ -14,7 +14,6 @@ import (
 // different widths produce byte-identical Results. Every other key is
 // always present, whether or not its feature is on.
 func manifest(wl Workload, cells int, ctl control) obs.Manifest {
-	sel := wl.Selection.WithDefaults()
 	keys := make([]string, 0, len(wl.Shift.Params))
 	for k := range wl.Shift.Params {
 		keys = append(keys, k)
@@ -30,35 +29,29 @@ func manifest(wl Workload, cells int, ctl control) obs.Manifest {
 		shift.WriteString(strconv.FormatFloat(wl.Shift.Params[k], 'g', -1, 64))
 	}
 	cfg := map[string]string{
-		"countries":                  strings.Join(wl.Countries, ","),
-		"protocols":                  strings.Join(wl.Protocols, ","),
-		"connections":                strconv.Itoa(wl.Connections),
-		"clients_per_cell":           strconv.Itoa(wl.ClientsPerCell),
-		"waves_per_cell":             strconv.Itoa(wl.WavesPerCell),
-		"unprotected_per_cell":       strconv.Itoa(wl.UnprotectedPerCell),
-		"wave_gap":                   wl.WaveGap.String(),
-		"session_requests":           strconv.Itoa(wl.SessionRequests),
-		"request_gap":                wl.RequestGap.String(),
-		"reconnect_max":              strconv.Itoa(wl.Reconnect.MaxAttempts),
-		"reconnect_backoff":          wl.Reconnect.Backoff.String(),
-		"reconnect_retry_all":        strconv.FormatBool(wl.Reconnect.RetryAll),
-		"cells":                      strconv.Itoa(cells),
-		"loss":                       strconv.FormatFloat(wl.Impairments.Loss, 'g', -1, 64),
-		"duplicate":                  strconv.FormatFloat(wl.Impairments.Duplicate, 'g', -1, 64),
-		"reorder":                    strconv.FormatFloat(wl.Impairments.Reorder, 'g', -1, 64),
-		"jitter":                     wl.Impairments.Jitter.String(),
-		"portfolio":                  ctl.portfolio.Hash(),
-		"portfolio_size":             strconv.Itoa(ctl.portfolio.Len()),
-		"selection_policy":           string(sel.Policy),
-		"selection_epsilon":          strconv.FormatFloat(sel.Epsilon, 'g', -1, 64),
-		"selection_ucb_c":            strconv.FormatFloat(sel.UCBC, 'g', -1, 64),
-		"selection_decay":            strconv.FormatFloat(sel.Decay, 'g', -1, 64),
-		"selection_min_pulls":        strconv.FormatFloat(sel.MinPulls, 'g', -1, 64),
-		"selection_collapse_below":   strconv.FormatFloat(sel.CollapseBelow, 'g', -1, 64),
-		"selection_quarantine_waves": strconv.Itoa(sel.QuarantineWaves),
-		"shift_wave":                 strconv.Itoa(wl.Shift.AtWave),
-		"shift_country":              wl.Shift.Country,
-		"shift_params":               shift.String(),
+		"countries":            strings.Join(wl.Countries, ","),
+		"protocols":            strings.Join(wl.Protocols, ","),
+		"connections":          strconv.Itoa(wl.Connections),
+		"clients_per_cell":     strconv.Itoa(wl.ClientsPerCell),
+		"waves_per_cell":       strconv.Itoa(wl.WavesPerCell),
+		"unprotected_per_cell": strconv.Itoa(wl.UnprotectedPerCell),
+		"wave_gap":             wl.WaveGap.String(),
+		"session_requests":     strconv.Itoa(wl.SessionRequests),
+		"request_gap":          wl.RequestGap.String(),
+		"reconnect_max":        strconv.Itoa(wl.Reconnect.MaxAttempts),
+		"reconnect_backoff":    wl.Reconnect.Backoff.String(),
+		"reconnect_retry_all":  strconv.FormatBool(wl.Reconnect.RetryAll),
+		"cells":                strconv.Itoa(cells),
+		"loss":                 strconv.FormatFloat(wl.Impairments.Loss, 'g', -1, 64),
+		"duplicate":            strconv.FormatFloat(wl.Impairments.Duplicate, 'g', -1, 64),
+		"reorder":              strconv.FormatFloat(wl.Impairments.Reorder, 'g', -1, 64),
+		"jitter":               wl.Impairments.Jitter.String(),
+		"portfolio":            ctl.portfolio.Hash(),
+		"portfolio_size":       strconv.Itoa(ctl.portfolio.Len()),
+		"selection_policy":     string(wl.Selection.Policy),
+		"shift_wave":           strconv.Itoa(wl.Shift.AtWave),
+		"shift_country":        wl.Shift.Country,
+		"shift_params":         shift.String(),
 	}
 	return obs.NewManifest("fleet", cfg, obs.SeedSchedule{
 		Base:      wl.Seed,

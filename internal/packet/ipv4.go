@@ -15,7 +15,6 @@ const (
 
 // IPv4 flag bits (in the 3-bit flags field).
 const (
-	IPv4EvilBit    = 0x4 // RFC 3514, kept for tamper completeness
 	IPv4DontFrag   = 0x2
 	IPv4MoreFrag   = 0x1
 	ipv4HeaderBase = 20

@@ -53,7 +53,6 @@ const (
 	OptMSS       = 2
 	OptWScale    = 3
 	OptSACKOK    = 4
-	OptSACK      = 5
 	OptTimestamp = 8
 	OptMD5       = 19
 	OptUTO       = 28

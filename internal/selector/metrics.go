@@ -3,7 +3,7 @@ package selector
 import "geneva/internal/obs"
 
 // Selector counters. All three are incremented only during the
-// single-threaded wave-barrier fold (State.Barrier), from integer deltas
+// single-threaded wave-barrier fold (State.Merge), from integer deltas
 // whose values are pure functions of the seeds and the plan — so like
 // every other instrument in the tree they are worker-width invariant.
 var (

@@ -30,16 +30,17 @@
 //
 // # Policies
 //
-// Two classic bandit policies sit behind one Selection config: epsilon-
-// greedy (explore with probability ε, otherwise exploit the best decayed
-// success rate) and UCB1 (optimism in the face of uncertainty; pulls every
-// arm once, then maximizes mean + C·sqrt(ln N / n)). Both operate on an
+// Two classic bandit policies sit behind Selection.Policy: epsilon-greedy
+// (explore with probability ε, otherwise exploit the best decayed success
+// rate) and UCB1 (optimism in the face of uncertainty; pulls every arm
+// once, then maximizes mean + C·sqrt(ln N / n)). Both operate on an
 // exponentially decayed window so old evidence ages out, and both honor the
 // collapse fallback: when the incumbent arm's windowed success rate craters
 // below a threshold, it is quarantined for a few waves — its statistics
 // zeroed so it re-earns trust — and the survivors are re-explored. That
 // fallback is what turns a mid-run censor shift from a permanent outage
-// into a few waves of degraded service.
+// into a few waves of degraded service. The tuning is fixed (see the
+// constants below); only the policy is chosen per run.
 package selector
 
 import (
@@ -60,40 +61,41 @@ import (
 // the §8 deployment table. The zero value is the empty portfolio.
 type Portfolio struct {
 	strats []*core.Strategy
-	dsls   []string // canonical texts, memoized at construction
 }
 
 // NewPortfolio parses and compiles each strategy, in order. Any strategy
 // that fails to parse aborts construction with an error wrapping
-// core.ErrInvalidStrategy (position in the portfolio included).
+// core.ErrInvalidStrategy (position in the portfolio included), and so do
+// two entries with the same canonical text: outcomes are reported per
+// canonical text, so a duplicate arm would overwrite the other's tally.
 func NewPortfolio(dsls ...string) (Portfolio, error) {
-	p := Portfolio{
-		strats: make([]*core.Strategy, 0, len(dsls)),
-		dsls:   make([]string, 0, len(dsls)),
-	}
+	strats := make([]*core.Strategy, 0, len(dsls))
+	at := make(map[string]int, len(dsls))
 	for i, dsl := range dsls {
 		s, err := core.Parse(dsl)
 		if err != nil {
 			return Portfolio{}, fmt.Errorf("portfolio strategy %d: %w", i, err)
 		}
-		p.strats = append(p.strats, s)
-		p.dsls = append(p.dsls, s.String())
+		name := s.String()
+		if j, dup := at[name]; dup {
+			return Portfolio{}, fmt.Errorf("portfolio strategies %d and %d are the same program %q: %w",
+				j, i, name, core.ErrInvalidStrategy)
+		}
+		at[name] = i
+		strats = append(strats, s)
 	}
-	return p, nil
+	return Portfolio{strats: strats}, nil
 }
 
-// FromStrategies builds a portfolio from already-compiled strategies (the
-// registry path: the deploy table is parsed once at init and shared).
+// FromStrategies builds a portfolio from already-compiled, distinct
+// strategies (the registry path: the deploy table is parsed once at init
+// and shared). It primes each strategy's memoized canonical text, so the
+// portfolio's readers never write to a shared strategy.
 func FromStrategies(strats []*core.Strategy) Portfolio {
-	p := Portfolio{
-		strats: make([]*core.Strategy, len(strats)),
-		dsls:   make([]string, len(strats)),
+	for _, s := range strats {
+		_ = s.String()
 	}
-	for i, s := range strats {
-		p.strats[i] = s
-		p.dsls[i] = s.String()
-	}
-	return p
+	return Portfolio{strats: append([]*core.Strategy(nil), strats...)}
 }
 
 // Len is the number of strategies (arms).
@@ -108,22 +110,24 @@ func (p Portfolio) Strategy(i int) *core.Strategy { return p.strats[i] }
 
 // Strategies returns the canonical strategy texts in portfolio order.
 func (p Portfolio) Strategies() []string {
-	out := make([]string, len(p.dsls))
-	copy(out, p.dsls)
+	out := make([]string, len(p.strats))
+	for i, s := range p.strats {
+		out[i] = s.String()
+	}
 	return out
 }
 
 // Name returns the i-th strategy's canonical text (the key selection
 // outcomes are reported under).
-func (p Portfolio) Name(i int) string { return p.dsls[i] }
+func (p Portfolio) Name(i int) string { return p.strats[i].String() }
 
 // Hash is a stable FNV-64a digest of the canonical strategy texts in
 // order — the manifest's portfolio identity. Two portfolios hash equal iff
 // their canonical programs and order agree.
 func (p Portfolio) Hash() string {
 	h := fnv.New64a()
-	for _, d := range p.dsls {
-		h.Write([]byte(d))
+	for _, s := range p.strats {
+		h.Write([]byte(s.String()))
 		h.Write([]byte{0})
 	}
 	return strconv.FormatUint(h.Sum64(), 16)
@@ -136,7 +140,7 @@ type Policy string
 const (
 	// Pinned is the zero value: no online selection, the §8 pinned router.
 	Pinned Policy = ""
-	// EpsilonGreedy explores with probability Epsilon and otherwise
+	// EpsilonGreedy explores with probability epsilon and otherwise
 	// exploits the best decayed success rate.
 	EpsilonGreedy Policy = "epsilon-greedy"
 	// UCB1 plays the classic upper-confidence-bound rule: try every arm
@@ -144,90 +148,46 @@ const (
 	UCB1 Policy = "ucb1"
 )
 
-// Valid reports whether p names a known policy (including Pinned).
-func (p Policy) Valid() bool {
-	switch p {
-	case Pinned, EpsilonGreedy, UCB1:
-		return true
-	}
-	return false
-}
+// The bandit's tuning, shared by every run.
+const (
+	// epsilon is EpsilonGreedy's exploration probability.
+	epsilon = 0.1
+	// ucbC is UCB1's exploration coefficient C.
+	ucbC = 1.5
+	// decay is the per-barrier multiplier applied to every arm's decayed
+	// pull/win window: lower forgets faster, 1 never forgets.
+	decay = 0.9
+	// minPulls is the decayed evidence the incumbent needs before the
+	// collapse detector judges it.
+	minPulls = 3.0
+	// collapseBelow is the windowed success rate under which the incumbent
+	// (most-pulled) arm is declared collapsed and quarantined.
+	collapseBelow = 0.2
+	// quarantineWaves is how many barriers a collapsed arm sits out before
+	// it may be selected again. Its window is zeroed on quarantine, so a
+	// returning arm re-earns trust from scratch.
+	quarantineWaves = 2
+)
 
 // Selection configures the control plane. The zero value disables it
 // entirely — the fleet reproduces the pinned-strategy deployment byte for
-// byte. Every other field has a working default resolved by WithDefaults.
+// byte.
 type Selection struct {
 	// Policy picks the bandit rule; "" (Pinned) disables selection.
 	Policy Policy
-	// Epsilon is EpsilonGreedy's exploration probability in [0,1]
-	// (default 0.1). Ignored by UCB1.
-	Epsilon float64
-	// UCBC is UCB1's exploration coefficient (default 1.5). Ignored by
-	// EpsilonGreedy.
-	UCBC float64
-	// Decay is the per-wave-barrier multiplier applied to every arm's
-	// decayed pull/win window, in (0,1] (default 0.9). Lower values forget
-	// faster and react to censor shifts sooner; 1.0 never forgets.
-	Decay float64
-	// MinPulls is the decayed evidence an arm needs before the collapse
-	// detector will judge it (default 3).
-	MinPulls float64
-	// CollapseBelow is the windowed success rate under which the incumbent
-	// (most-pulled) arm is declared collapsed and quarantined (default 0.2).
-	CollapseBelow float64
-	// QuarantineWaves is how many wave barriers a collapsed arm sits out
-	// before it may be selected again (default 2). Its statistics are
-	// zeroed on quarantine, so a returning arm re-earns trust from scratch.
-	QuarantineWaves int
 }
 
 // Enabled reports whether online selection is on.
 func (s Selection) Enabled() bool { return s.Policy != Pinned }
 
-// WithDefaults resolves zero-valued tuning fields to the documented
-// defaults. It returns a copy.
-func (s Selection) WithDefaults() Selection {
-	if s.Epsilon <= 0 {
-		s.Epsilon = 0.1
-	}
-	if s.UCBC <= 0 {
-		s.UCBC = 1.5
-	}
-	if s.Decay <= 0 || s.Decay > 1 {
-		s.Decay = 0.9
-	}
-	if s.MinPulls <= 0 {
-		s.MinPulls = 3
-	}
-	if s.CollapseBelow <= 0 {
-		s.CollapseBelow = 0.2
-	}
-	if s.QuarantineWaves <= 0 {
-		s.QuarantineWaves = 2
-	}
-	return s
-}
-
-// Validate rejects configurations the selector cannot run.
+// Validate rejects a policy the selector does not know.
 func (s Selection) Validate() error {
-	if !s.Policy.Valid() {
-		return fmt.Errorf("selector: unknown policy %q (valid: %q, %q)",
-			string(s.Policy), string(EpsilonGreedy), string(UCB1))
+	switch s.Policy {
+	case Pinned, EpsilonGreedy, UCB1:
+		return nil
 	}
-	// NaN passes every range check below and WithDefaults, then poisons
-	// every decayed window.
-	for _, v := range []float64{s.Epsilon, s.UCBC, s.Decay, s.MinPulls, s.CollapseBelow} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("selector: tuning values must be finite: %+v", s)
-		}
-	}
-	if s.Epsilon < 0 || s.Epsilon > 1 {
-		return fmt.Errorf("selector: Epsilon %v outside [0,1]", s.Epsilon)
-	}
-	if s.Decay < 0 || s.Decay > 1 {
-		return fmt.Errorf("selector: Decay %v outside (0,1]", s.Decay)
-	}
-	return nil
+	return fmt.Errorf("selector: unknown policy %q (valid: %q, %q)",
+		string(s.Policy), string(EpsilonGreedy), string(UCB1))
 }
 
 // Outcome is one connection attempt's settled result, the selector's
@@ -268,27 +228,22 @@ type key struct{ country, protocol string }
 // status. It is written only at wave barriers on a single goroutine;
 // during waves the cells read it as an immutable snapshot.
 type State struct {
-	sel   Selection
-	arms  int
-	stats map[key][]armStats
+	policy Policy
+	arms   int
+	stats  map[key][]armStats
 	// fallbacks counts collapse-quarantine events over the whole run.
 	fallbacks uint64
-	// scratch is Merge's reusable per-barrier delta table.
-	scratch [][]delta
 }
 
 // NewState builds the run's control-plane state for a portfolio of `arms`
-// strategies. sel must already be validated; defaults are resolved here.
+// strategies. sel must already be validated.
 func NewState(sel Selection, arms int) *State {
 	return &State{
-		sel:   sel.WithDefaults(),
-		arms:  arms,
-		stats: make(map[key][]armStats),
+		policy: sel.Policy,
+		arms:   arms,
+		stats:  make(map[key][]armStats),
 	}
 }
-
-// Arms returns the portfolio width the state was built for.
-func (st *State) Arms() int { return st.arms }
 
 // Fallbacks returns the number of collapse-quarantine events so far.
 func (st *State) Fallbacks() uint64 { return st.fallbacks }
@@ -304,7 +259,7 @@ func (st *State) armsFor(k key) []armStats {
 }
 
 // delta is a cell's intra-wave observation batch for one (key, arm):
-// plain integer counts, so the barrier fold is exact in any order.
+// plain integer counts, so Merge's fold is exact in any order.
 type delta struct {
 	k      key
 	arm    int
@@ -327,7 +282,7 @@ type Cell struct {
 }
 
 // NewCell hands a cell its per-wave view. The same Cell may be reused
-// across waves (the fleet keeps one per cell); Drain empties it at each
+// across waves (the fleet keeps one per cell); Merge empties it at each
 // barrier.
 func (st *State) NewCell() *Cell {
 	return &Cell{st: st}
@@ -404,7 +359,7 @@ func (c *Cell) pick(k key, rng *rand.Rand) int {
 	}
 	c.eligible = eligible
 
-	switch c.st.sel.Policy {
+	switch c.st.policy {
 	case UCB1:
 		// Pull every eligible arm once first, in index order.
 		var total float64
@@ -419,14 +374,14 @@ func (c *Cell) pick(k key, rng *rand.Rand) int {
 		lnN := math.Log(total + 1)
 		for _, a := range eligible {
 			p, w := c.view(k, a)
-			v := w/p + c.st.sel.UCBC*math.Sqrt(lnN/p)
+			v := w/p + ucbC*math.Sqrt(lnN/p)
 			if v > bestV {
 				best, bestV = a, v
 			}
 		}
 		return best
 	default: // EpsilonGreedy
-		if rng.Float64() < c.st.sel.Epsilon {
+		if rng.Float64() < epsilon {
 			return eligible[rng.Intn(len(eligible))]
 		}
 		// Exploit: best decayed mean; unpulled arms count as mean 1 (an
@@ -460,32 +415,27 @@ func (c *Cell) Observe(country, protocol string, arm int, o Outcome) {
 	}
 }
 
-// Drain empties the cell's accumulated deltas into the caller's hands (for
-// the barrier fold) and resets the cell for the next wave, keeping
-// capacity. The returned slice is valid until the cell's next use.
-func (c *Cell) Drain() []delta {
-	out := c.deltas
-	c.deltas = c.deltas[:0]
-	return out
-}
-
-// Barrier folds one wave's cell observations into the state and runs the
-// decay and collapse-detection pass. Call on a single goroutine with the
-// cells' deltas in stable cell order (the fleet passes cell-index order);
-// because the per-(key,arm) fold is integer addition, any order produces
-// the same state, but the stable order keeps the iteration obviously
-// deterministic. Returns the number of arms newly quarantined (fallbacks).
-func (st *State) Barrier(cellDeltas [][]delta) int {
+// Merge is the wave barrier: it decays every window, folds each cell's
+// wave observations in — in the caller's stable cell order — empties the
+// cells for the next wave, and runs collapse detection. nil entries (cells
+// without selection, e.g. uncensored populations) are skipped. Call on a
+// single goroutine between waves. The per-(key, arm) fold is integer
+// addition, so any cell order produces the same state; the stable order
+// keeps the iteration obviously deterministic.
+func (st *State) Merge(cells []*Cell) {
 	// 1. Decay every live window (the sliding-window forgetting step).
 	for _, arms := range st.stats {
 		for i := range arms {
-			arms[i].pulls *= st.sel.Decay
-			arms[i].wins *= st.sel.Decay
+			arms[i].pulls *= decay
+			arms[i].wins *= decay
 		}
 	}
 	// 2. Fold the wave's integer deltas in.
-	for _, ds := range cellDeltas {
-		for _, d := range ds {
+	for _, c := range cells {
+		if c == nil {
+			continue
+		}
+		for _, d := range c.deltas {
 			arms := st.armsFor(d.k)
 			a := &arms[d.arm]
 			a.pulls += float64(d.pulls)
@@ -497,10 +447,10 @@ func (st *State) Barrier(cellDeltas [][]delta) int {
 			mPulls.Add(d.pulls)
 			mRewards.Add(d.served)
 		}
+		c.deltas = c.deltas[:0]
 	}
 	// 3. Quarantine bookkeeping and collapse detection, per key in sorted
 	// order (map iteration order must not leak into anything observable).
-	newQuarantines := 0
 	for _, k := range st.sortedKeys() {
 		arms := st.stats[k]
 		for i := range arms {
@@ -517,33 +467,17 @@ func (st *State) Barrier(cellDeltas [][]delta) int {
 				inc, incPulls = i, arms[i].pulls
 			}
 		}
-		if inc >= 0 && incPulls >= st.sel.MinPulls {
-			if rate := arms[inc].wins / arms[inc].pulls; rate < st.sel.CollapseBelow {
-				arms[inc].quarantine = st.sel.QuarantineWaves
+		if inc >= 0 && incPulls >= minPulls {
+			if rate := arms[inc].wins / arms[inc].pulls; rate < collapseBelow {
+				arms[inc].quarantine = quarantineWaves
 				arms[inc].pulls = 0
 				arms[inc].wins = 0
 				arms[inc].everCollapsed = true
 				st.fallbacks++
-				newQuarantines++
 				mFallbacks.Inc()
 			}
 		}
 	}
-	return newQuarantines
-}
-
-// Merge is the fleet-facing barrier entry point: it drains each cell's
-// wave observations — in the caller's stable cell order — and folds them
-// through Barrier. nil entries (cells without selection, e.g. uncensored
-// populations) are skipped. Call on a single goroutine between waves.
-func (st *State) Merge(cells []*Cell) int {
-	st.scratch = st.scratch[:0]
-	for _, c := range cells {
-		if c != nil {
-			st.scratch = append(st.scratch, c.Drain())
-		}
-	}
-	return st.Barrier(st.scratch)
 }
 
 // sortedKeys returns the state's keys in stable (country, protocol) order.

@@ -2,7 +2,6 @@ package selector
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -31,6 +30,14 @@ func TestNewPortfolioValidation(t *testing.T) {
 	}
 }
 
+// cellWith returns a cell of st holding ds as its wave's observations,
+// ready for st.Merge.
+func cellWith(st *State, ds ...delta) *Cell {
+	c := st.NewCell()
+	c.deltas = append(c.deltas, ds...)
+	return c
+}
+
 func TestPortfolioHashStable(t *testing.T) {
 	a, _ := NewPortfolio(strategies.Strategy1.DSL, strategies.Strategy8.DSL)
 	b, _ := NewPortfolio(strategies.Strategy1.DSL, strategies.Strategy8.DSL)
@@ -47,34 +54,16 @@ func TestPortfolioHashStable(t *testing.T) {
 }
 
 func TestSelectionDefaultsAndValidate(t *testing.T) {
-	s := Selection{Policy: EpsilonGreedy}.WithDefaults()
-	if s.Epsilon != 0.1 || s.Decay != 0.9 || s.MinPulls != 3 ||
-		s.CollapseBelow != 0.2 || s.QuarantineWaves != 2 || s.UCBC != 1.5 {
-		t.Fatalf("unexpected defaults: %+v", s)
-	}
 	if err := (Selection{Policy: "thompson"}).Validate(); err == nil {
 		t.Fatal("unknown policy must fail validation")
 	}
-	if err := (Selection{Policy: UCB1}).Validate(); err != nil {
-		t.Fatalf("ucb1 should validate: %v", err)
+	for _, p := range []Policy{Pinned, EpsilonGreedy, UCB1} {
+		if err := (Selection{Policy: p}).Validate(); err != nil {
+			t.Fatalf("%q should validate: %v", p, err)
+		}
 	}
 	if (Selection{}).Enabled() {
 		t.Fatal("zero-value Selection must be disabled")
-	}
-	// NaN slips past every range check and survives WithDefaults, so
-	// Validate must reject it (and ±Inf) in each float field.
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for _, s := range []Selection{
-			{Policy: EpsilonGreedy, Epsilon: bad},
-			{Policy: UCB1, UCBC: bad},
-			{Policy: EpsilonGreedy, Decay: bad},
-			{Policy: EpsilonGreedy, MinPulls: bad},
-			{Policy: EpsilonGreedy, CollapseBelow: bad},
-		} {
-			if err := s.Validate(); err == nil {
-				t.Errorf("%+v: want error, got nil", s)
-			}
-		}
 	}
 }
 
@@ -91,9 +80,8 @@ func run(t *testing.T, st *State, rates []float64, waves, cells, pullsPerCell in
 		rngs[c] = rand.New(rand.NewSource(seed + int64(c)*100003))
 		rewards[c] = rand.New(rand.NewSource(seed + int64(c)*100003 + 7))
 	}
-	pulls := make([]uint64, st.Arms())
+	pulls := make([]uint64, len(rates))
 	for w := 0; w < waves; w++ {
-		deltas := make([][]delta, cells)
 		for c := 0; c < cells; c++ {
 			for i := 0; i < pullsPerCell; i++ {
 				arm := views[c].Next("china", "http", rngs[c])
@@ -104,9 +92,8 @@ func run(t *testing.T, st *State, rates []float64, waves, cells, pullsPerCell in
 					views[c].Observe("china", "http", arm, TornDown)
 				}
 			}
-			deltas[c] = views[c].Drain()
 		}
-		st.Barrier(deltas)
+		st.Merge(views)
 	}
 	return pulls
 }
@@ -132,16 +119,16 @@ func TestBarrierFoldIsOrderIndependent(t *testing.T) {
 	// must end bit-identical: the fold is integer addition per (key, arm).
 	mk := func(order []int) *State {
 		st := NewState(Selection{Policy: EpsilonGreedy}, 2)
-		cellDeltas := [][]delta{
-			{{k: key{"china", "http"}, arm: 0, pulls: 5, served: 3, torn: 2}},
-			{{k: key{"china", "http"}, arm: 1, pulls: 4, served: 1, unest: 3}},
-			{{k: key{"china", "http"}, arm: 0, pulls: 2, served: 2}},
+		cellDeltas := []delta{
+			{k: key{"china", "http"}, arm: 0, pulls: 5, served: 3, torn: 2},
+			{k: key{"china", "http"}, arm: 1, pulls: 4, served: 1, unest: 3},
+			{k: key{"china", "http"}, arm: 0, pulls: 2, served: 2},
 		}
-		ordered := make([][]delta, 0, len(order))
+		ordered := make([]*Cell, 0, len(order))
 		for _, i := range order {
-			ordered = append(ordered, cellDeltas[i])
+			ordered = append(ordered, cellWith(st, cellDeltas[i]))
 		}
-		st.Barrier(ordered)
+		st.Merge(ordered)
 		return st
 	}
 	a, b := mk([]int{0, 1, 2}), mk([]int{2, 0, 1})
@@ -155,17 +142,18 @@ func TestBarrierFoldIsOrderIndependent(t *testing.T) {
 }
 
 func TestDecayForgetsOldEvidence(t *testing.T) {
-	st := NewState(Selection{Policy: EpsilonGreedy, Decay: 0.5}, 1)
+	st := NewState(Selection{Policy: EpsilonGreedy}, 1)
 	k := key{"china", "http"}
-	st.Barrier([][]delta{{{k: k, arm: 0, pulls: 8, served: 8}}})
+	st.Merge([]*Cell{cellWith(st, delta{k: k, arm: 0, pulls: 8, served: 8})})
 	if got := st.stats[k][0].pulls; got != 8 {
 		t.Fatalf("after first barrier want 8 decayed pulls, got %v", got)
 	}
-	// Two empty barriers halve the window twice; lifetime totals hold.
-	st.Barrier(nil)
-	st.Barrier(nil)
-	if got := st.stats[k][0].pulls; got != 2 {
-		t.Fatalf("after two decays want 2, got %v", got)
+	// Two empty barriers decay the window twice; lifetime totals hold.
+	st.Merge(nil)
+	st.Merge(nil)
+	d := float64(decay)
+	if got, want := st.stats[k][0].pulls, 8*d*d; got != want {
+		t.Fatalf("after two decays want %v, got %v", want, got)
 	}
 	if st.stats[k][0].totalPulls != 8 {
 		t.Fatalf("lifetime pulls must not decay")
@@ -173,23 +161,20 @@ func TestDecayForgetsOldEvidence(t *testing.T) {
 }
 
 func TestCollapseQuarantineAndRecovery(t *testing.T) {
-	sel := Selection{Policy: EpsilonGreedy, QuarantineWaves: 2}
-	st := NewState(sel, 2)
+	st := NewState(Selection{Policy: EpsilonGreedy}, 2)
 	k := key{"china", "http"}
 
 	// Arm 0 earns incumbency with a healthy window.
-	st.Barrier([][]delta{{
-		{k: k, arm: 0, pulls: 10, served: 9},
-		{k: k, arm: 1, pulls: 2, served: 1},
-	}})
+	st.Merge([]*Cell{cellWith(st,
+		delta{k: k, arm: 0, pulls: 10, served: 9},
+		delta{k: k, arm: 1, pulls: 2, served: 1},
+	)})
 	if st.Fallbacks() != 0 {
 		t.Fatalf("healthy incumbent must not trip the detector")
 	}
 
 	// The censor shifts: the incumbent craters (0/40 served).
-	if n := st.Barrier([][]delta{{{k: k, arm: 0, pulls: 40, torn: 40}}}); n != 1 {
-		t.Fatalf("cratered incumbent should quarantine, got %d new quarantines", n)
-	}
+	st.Merge([]*Cell{cellWith(st, delta{k: k, arm: 0, pulls: 40, torn: 40})})
 	if st.Fallbacks() != 1 || !st.stats[k][0].everCollapsed {
 		t.Fatalf("fallback not recorded: fallbacks=%d stats=%+v", st.Fallbacks(), st.stats[k][0])
 	}
@@ -205,15 +190,15 @@ func TestCollapseQuarantineAndRecovery(t *testing.T) {
 			t.Fatalf("pull %d selected quarantined arm", i)
 		}
 	}
-	c.Drain()
+	c.deltas = c.deltas[:0]
 
-	// Quarantine expires after QuarantineWaves barriers (decremented at
-	// the first barrier after quarantine, selectable once it hits zero).
-	st.Barrier(nil)
+	// Quarantine expires after quarantineWaves (2) barriers (decremented
+	// at the first barrier after quarantine, selectable once it hits zero).
+	st.Merge(nil)
 	if st.stats[k][0].quarantine != 1 {
 		t.Fatalf("quarantine should tick down to 1, got %d", st.stats[k][0].quarantine)
 	}
-	st.Barrier(nil)
+	st.Merge(nil)
 	if st.stats[k][0].quarantine != 0 {
 		t.Fatalf("quarantine should expire, got %d", st.stats[k][0].quarantine)
 	}
@@ -226,6 +211,45 @@ func TestCollapseQuarantineAndRecovery(t *testing.T) {
 	}
 	if !picked {
 		t.Fatal("expired quarantine should make arm 0 selectable again")
+	}
+}
+
+func TestCollapseDetectorBoundaries(t *testing.T) {
+	k := key{"china", "http"}
+	// judge merges one wave where arm 0 is the sole incumbent with the
+	// given evidence and reports the state.
+	judge := func(pulls, served uint64) *State {
+		st := NewState(Selection{Policy: EpsilonGreedy}, 2)
+		st.Merge([]*Cell{cellWith(st, delta{k: k, arm: 0, pulls: pulls, served: served, torn: pulls - served})})
+		return st
+	}
+
+	// Below minPulls of evidence the incumbent is not judged, even at 0%.
+	if st := judge(minPulls-1, 0); st.Fallbacks() != 0 || st.stats[k][0].quarantine != 0 {
+		t.Fatalf("%v pulls at 0%% must not be judged: %+v", minPulls-1, st.stats[k][0])
+	}
+	if st := judge(minPulls, 0); st.Fallbacks() != 1 {
+		t.Fatalf("%v pulls at 0%% must be judged and quarantined: %+v", minPulls, st.stats[k][0])
+	}
+
+	// A windowed rate of exactly collapseBelow stays in service.
+	if st := judge(10, 2); st.Fallbacks() != 0 || st.stats[k][0].pulls != 10 {
+		t.Fatalf("rate 2/10 = collapseBelow must stay in service: %+v", st.stats[k][0])
+	}
+
+	// Just below it, the incumbent sits out quarantineWaves barriers.
+	st := judge(1000, 199)
+	if st.Fallbacks() != 1 || st.stats[k][0].quarantine != quarantineWaves {
+		t.Fatalf("rate 199/1000 must quarantine for %d barriers: %+v", quarantineWaves, st.stats[k][0])
+	}
+	for w := quarantineWaves; w > 0; w-- {
+		if got := st.stats[k][0].quarantine; got != w {
+			t.Fatalf("want %d barriers left, got %d", w, got)
+		}
+		st.Merge(nil)
+	}
+	if got := st.stats[k][0].quarantine; got != 0 {
+		t.Fatalf("quarantine should have expired after %d barriers, got %d left", quarantineWaves, got)
 	}
 }
 
@@ -242,12 +266,12 @@ func TestSingleArmPortfolioAlwaysPinsArmZero(t *testing.T) {
 
 func TestCountryReportSumsProtocols(t *testing.T) {
 	st := NewState(Selection{Policy: EpsilonGreedy}, 2)
-	st.Barrier([][]delta{{
-		{k: key{"china", "http"}, arm: 0, pulls: 3, served: 2, torn: 1},
-		{k: key{"china", "https"}, arm: 0, pulls: 2, served: 2},
-		{k: key{"china", "https"}, arm: 1, pulls: 1, unest: 1},
-		{k: key{"iran", "http"}, arm: 1, pulls: 9, served: 9},
-	}})
+	st.Merge([]*Cell{cellWith(st,
+		delta{k: key{"china", "http"}, arm: 0, pulls: 3, served: 2, torn: 1},
+		delta{k: key{"china", "https"}, arm: 0, pulls: 2, served: 2},
+		delta{k: key{"china", "https"}, arm: 1, pulls: 1, unest: 1},
+		delta{k: key{"iran", "http"}, arm: 1, pulls: 9, served: 9},
+	)})
 	rep := st.CountryReport("china")
 	if rep[0] != (ArmReport{Pulls: 5, Served: 4, TornDown: 1}) {
 		t.Fatalf("china arm 0 report %+v", rep[0])

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -307,5 +308,18 @@ func TestInboundRulesRejected(t *testing.T) {
 	}
 	if _, err := NewPortfolio(Strategy1.DSL, withInbound); !errors.Is(err, ErrInvalidStrategy) {
 		t.Errorf("NewPortfolio(inbound rules) = %v, want ErrInvalidStrategy", err)
+	}
+}
+
+// TestPortfolioRejectsDuplicateArms checks that two portfolio entries with
+// the same canonical text are an error. Selection outcomes are reported per
+// canonical text, so the second arm would overwrite the first arm's tally.
+func TestPortfolioRejectsDuplicateArms(t *testing.T) {
+	_, err := NewPortfolio(Strategy1.DSL, Strategy8.DSL, Strategy1.DSL)
+	if !errors.Is(err, ErrInvalidStrategy) {
+		t.Fatalf("NewPortfolio(duplicate arms) = %v, want ErrInvalidStrategy", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "strategies 0 and 2") {
+		t.Errorf("error %q should name both positions (0 and 2)", msg)
 	}
 }
