@@ -84,7 +84,7 @@ alloc-budget:
 # recycled packet buffer is still referenced, the bit-identical recycling
 # tests diverge. CI runs exactly this.
 pool-safety:
-	GODEBUG=clobberfree=1 $(GO) test -run 'TestPool|TestRecycling|TestRing' ./internal/packet/ ./internal/eval/
+	GODEBUG=clobberfree=1 $(GO) test -run 'TestPool|TestRecycling' ./internal/packet/ ./internal/eval/
 
 # Coverage-guided fuzzing bursts — the fuzz targets promoted from
 # seed-corpus-only to live mutation. Go's fuzz engine takes one -fuzz

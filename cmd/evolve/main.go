@@ -14,7 +14,8 @@
 //
 // -metrics enables the cross-layer counters (internal/obs) and prints the
 // nonzero ones after the run; -manifest additionally writes the structured
-// run manifest (config, seed schedule, every counter) as diffable JSON.
+// run manifest (config, the search's fitness-cache stats, seed schedule,
+// every counter) as diffable JSON.
 // Counters observe and never steer, so the evolved strategy is bit-identical
 // with and without them.
 package main
@@ -95,14 +96,18 @@ func main() {
 	}
 	if *manifest != "" {
 		cfg := map[string]string{
-			"country":     *country,
-			"protocol":    *protocol,
-			"population":  strconv.Itoa(*population),
-			"generations": strconv.Itoa(*generations),
-			"trials":      strconv.Itoa(*trials),
-			"workers":     strconv.Itoa(*workers),
-			"minimize":    strconv.FormatBool(*minimize),
-			"best":        best.String(),
+			"country":       *country,
+			"protocol":      *protocol,
+			"population":    strconv.Itoa(*population),
+			"generations":   strconv.Itoa(*generations),
+			"trials":        strconv.Itoa(*trials),
+			"workers":       strconv.Itoa(*workers),
+			"minimize":      strconv.FormatBool(*minimize),
+			"best":          best.String(),
+			"cache_hits":    strconv.Itoa(stats.Hits),
+			"cache_misses":  strconv.Itoa(stats.Misses),
+			"cache_dedups":  strconv.Itoa(stats.Dedups),
+			"cache_entries": strconv.Itoa(stats.Entries),
 		}
 		m := obs.NewManifest("evolve", cfg, eval.SeedSchedule(*seed))
 		if err := m.WriteFile(*manifest); err != nil {

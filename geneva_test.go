@@ -210,8 +210,9 @@ func TestRunRejectsUnknownCountryAndProtocol(t *testing.T) {
 // completion with wrong results instead of failing: more clients per cell
 // than host addresses (slots alias in the network's client map and their
 // connections never establish), impairment probabilities outside [0,1] or
-// NaN, negative jitter, non-finite selection tuning, and a negative
-// reconnect backoff (which credited uptime beyond lifetime).
+// NaN, negative jitter, a censor shift the workload cannot apply, a negative
+// reconnect budget or backoff (which credited uptime beyond lifetime), and
+// negative GA sizes (a panic, a crashed worker, or a nil best strategy).
 func TestRejectsSilentlyWrongInputs(t *testing.T) {
 	nan := math.NaN()
 	badImpairments := []struct {
@@ -247,6 +248,24 @@ func TestRejectsSilentlyWrongInputs(t *testing.T) {
 	} {
 		if _, err := RunDeployment(c.d); err == nil {
 			t.Errorf("RunDeployment with %s: want error, got nil", c.name)
+		}
+	}
+	for _, c := range []struct {
+		name, field string
+		opt         EvolveOptions
+	}{
+		{"negative population", "Population", EvolveOptions{Population: -1}},
+		{"negative generations", "Generations", EvolveOptions{Generations: -1}},
+		{"negative trials per evaluation", "TrialsPerEval", EvolveOptions{TrialsPerEval: -1}},
+	} {
+		c.opt.Country, c.opt.Protocol = Kazakhstan, "http"
+		if _, _, err := EvolveWithStats(c.opt); err == nil {
+			t.Errorf("EvolveWithStats with %s: want error, got nil", c.name)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("EvolveWithStats with %s: error %q does not name %s", c.name, err, c.field)
+		}
+		if _, err := Evolve(c.opt); err == nil {
+			t.Errorf("Evolve with %s: want error, got nil", c.name)
 		}
 	}
 	// The largest cell that still fits its address range runs.

@@ -117,24 +117,20 @@ func (e *Evaluator) BatchFitness(batch []*core.Strategy) []float64 {
 		keys[i] = k
 		if _, ok := resolved[k]; ok {
 			e.stats.Hits++
-			mCacheHits.Inc()
 			continue
 		}
 		if f, ok := e.cache[k]; ok {
 			resolved[k] = f
 			e.stats.Hits++
-			mCacheHits.Inc()
 			continue
 		}
 		if pending[k] {
 			e.stats.Dedups++
-			mCacheDedups.Inc()
 			continue
 		}
 		pending[k] = true
 		todo = append(todo, i)
 		e.stats.Misses++
-		mCacheMisses.Inc()
 	}
 	e.mu.Unlock()
 
@@ -161,7 +157,6 @@ func (e *Evaluator) BatchFitness(batch []*core.Strategy) []float64 {
 		e.cache[keys[i]] = results[j]
 	}
 	e.stats.Entries = len(e.cache)
-	mCacheEntries.SetMax(uint64(len(e.cache)))
 	e.mu.Unlock()
 
 	out := make([]float64, len(batch))

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math/rand"
 
 	"geneva/internal/core"
@@ -11,10 +12,11 @@ import (
 type EvolveOptions struct {
 	Country  string
 	Protocol string
-	// Population and Generations default to the paper's 300 and 50.
+	// Population and Generations default to the paper's 300 and 50 when
+	// zero; negative sizes are rejected.
 	Population  int
 	Generations int
-	// TrialsPerEval is the fitness sample size per individual.
+	// TrialsPerEval is the fitness sample size per individual (0 = 10).
 	TrialsPerEval int
 	Seed          int64
 	// Workers bounds the population-evaluation pool (0 = Workers(), one
@@ -28,7 +30,8 @@ type EvolveOptions struct {
 // by the parallel, memoizing evaluation engine (see Evaluator); use
 // EvolveWithStats to also observe the cache counters. An unknown Country or
 // Protocol returns an error wrapping ErrUnknownCountry/ErrUnknownProtocol
-// instead of panicking inside the rig.
+// instead of panicking inside the rig, and a negative Population,
+// Generations or TrialsPerEval returns an error naming the field.
 func Evolve(opt EvolveOptions) (genetic.Result, error) {
 	res, _, err := EvolveWithStats(opt)
 	return res, err
@@ -38,6 +41,14 @@ func Evolve(opt EvolveOptions) (genetic.Result, error) {
 func EvolveWithStats(opt EvolveOptions) (genetic.Result, EvalStats, error) {
 	if err := CheckCountryProtocol(opt.Country, opt.Protocol); err != nil {
 		return genetic.Result{}, EvalStats{}, err
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Population", opt.Population}, {"Generations", opt.Generations}, {"TrialsPerEval", opt.TrialsPerEval}} {
+		if f.v < 0 {
+			return genetic.Result{}, EvalStats{}, fmt.Errorf("EvolveOptions.%s = %d is negative", f.name, f.v)
+		}
 	}
 	if opt.TrialsPerEval == 0 {
 		opt.TrialsPerEval = 10

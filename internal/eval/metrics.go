@@ -2,16 +2,11 @@ package eval
 
 import "geneva/internal/obs"
 
-// Trial-outcome and fitness-cache counters. The cache counters mirror
-// EvalStats into the obs registry so run manifests carry them; EvalStats
-// itself stays the command-line summary type.
+// Trial-outcome counters. The fitness cache's tallies live only in
+// EvalStats, which the Evaluator returns and cmd/evolve's manifest records.
 var (
 	mTrials           = obs.NewCounter("eval.trials")
 	mTrialSuccess     = obs.NewCounter("eval.trials_succeeded")
 	mTrialEstablished = obs.NewCounter("eval.trials_established")
 	mAttempts         = obs.NewCounter("eval.attempts")
-	mCacheHits        = obs.NewCounter("eval.cache_hits")
-	mCacheMisses      = obs.NewCounter("eval.cache_misses")
-	mCacheDedups      = obs.NewCounter("eval.cache_dedups")
-	mCacheEntries     = obs.NewGauge("eval.cache_entries")
 )

@@ -20,9 +20,14 @@ var RouterPrefixes = func() map[string]netip.Prefix {
 	return m
 }()
 
-// routerClientAddr returns a client address inside a country's prefix.
+// routerClientAddr returns a country's routed client address: host 2 inside
+// its prefix or, for the uncensored population, 198.18.0.2, outside every
+// prefix. It is the address the fleet gives a cell's first client slot.
 func routerClientAddr(country string) netip.Addr {
-	p := RouterPrefixes[country]
+	p, ok := RouterPrefixes[country]
+	if !ok {
+		return netip.AddrFrom4([4]byte{198, 18, 0, 2})
+	}
 	a := p.Addr().As4()
 	a[3] = 2
 	return netip.AddrFrom4(a)
@@ -127,27 +132,29 @@ func ReleaseDeploymentRouter(l *RouterLease) {
 func RouterDeployment(trials int) map[string]float64 {
 	out := make(map[string]float64)
 	for _, country := range Countries() {
-		proto := SweepProtocol(country)
 		succ := 0
 		for i := 0; i < trials; i++ {
-			seed := int64(4200 + i*31)
-			cfg := Config{
-				Country: country,
-				Session: SessionFor(country, proto, true),
-				Tries:   TriesFor(proto),
-				Seed:    seed,
-				Hook: func(r *Rig) {
-					r.Server.Outbound = NewDeploymentRouter(seed).Outbound
-				},
-			}
-			if country != CountryNone {
-				cfg.ClientAddress = routerClientAddr(country)
-			} // CountryNone keeps the default (unrouted) address
-			if Run(cfg).Success {
+			if Run(routerTrial(country, int64(4200+i*31))).Success {
 				succ++
 			}
 		}
 		out[country] = float64(succ) / float64(trials)
 	}
 	return out
+}
+
+// routerTrial is one RouterDeployment trial: the client at its country's
+// routed address, the server running the deployment router.
+func routerTrial(country string, seed int64) Config {
+	proto := SweepProtocol(country)
+	return Config{
+		Country:       country,
+		Session:       SessionFor(country, proto, true),
+		Tries:         TriesFor(proto),
+		Seed:          seed,
+		ClientAddress: routerClientAddr(country),
+		Hook: func(r *Rig) {
+			r.Server.Outbound = NewDeploymentRouter(seed).Outbound
+		},
+	}
 }

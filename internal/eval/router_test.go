@@ -1,6 +1,11 @@
 package eval
 
-import "testing"
+import (
+	"testing"
+
+	"geneva/internal/netsim"
+	"geneva/internal/packet"
+)
 
 func TestRouterDeployment(t *testing.T) {
 	got := RouterDeployment(40)
@@ -18,6 +23,33 @@ func TestRouterDeployment(t *testing.T) {
 	if got[CountryNone] != 1 {
 		t.Errorf("uncensored client: %.2f, want 1.00 (no manipulation)", got[CountryNone])
 	}
+}
+
+// TestRouterLeavesUncensoredClientAlone: RouterDeployment's uncensored
+// client sits outside every route, so the deployment router must pass the
+// server's handshake through untouched — its first packet on the wire is a
+// plain SYN+ACK, not a routed strategy's manipulation.
+func TestRouterLeavesUncensoredClientAlone(t *testing.T) {
+	addr := routerClientAddr(CountryNone)
+	for country, p := range RouterPrefixes {
+		if p.Contains(addr) {
+			t.Fatalf("uncensored client %v lies inside %s's route %v", addr, country, p)
+		}
+	}
+	cfg := routerTrial(CountryNone, 4200)
+	cfg.WithTrace = true
+	rig := NewRig(cfg)
+	rig.Attempt()
+	for _, e := range rig.Net.Trace.Delivered() {
+		if e.Dir != netsim.ToClient {
+			continue
+		}
+		if f := e.Pkt.TCP.Flags; f != packet.FlagSYN|packet.FlagACK || len(e.Pkt.TCP.Payload) != 0 {
+			t.Fatalf("first server packet %s, want a plain SYN+ACK", e.Pkt)
+		}
+		return
+	}
+	t.Fatal("the server sent the client nothing")
 }
 
 func TestRouterDoesNotHurtBenignTraffic(t *testing.T) {

@@ -181,7 +181,7 @@ func NewRig(cfg Config) *Rig {
 	}
 	// Recycling is safe here because every component in the rig — endpoints,
 	// censors, apps — copies what it keeps and never retains a delivered
-	// *Packet (recorders clone at record time), so delivered packets can go
+	// *Packet (a Trace clones what it records), so delivered packets can go
 	// straight back to the pool.
 	n.RecyclePackets = true
 	if cfg.WithTrace {

@@ -130,9 +130,8 @@ func aggregate(results []cellResult, ctl control) Result {
 	return out
 }
 
-// record publishes every fleet.* counter from the finished Result plus the
-// per-cell scheduling tallies the Result does not carry.
-func record(out Result, results []cellResult) {
+// record publishes the per-cell scheduling tallies the Result does not carry.
+func record(results []cellResult) {
 	var waves, published, seeded, widest int
 	for _, cr := range results {
 		waves += cr.waves
@@ -140,27 +139,8 @@ func record(out Result, results []cellResult) {
 		seeded += cr.residualSeeded
 		widest = max(widest, cr.maxWave)
 	}
-	var reconnects, recoveries int
-	for country, cs := range out.PerCountry {
-		mCountryConns[country].Add(uint64(cs.Connections))
-		mCountryEvaded[country].Add(uint64(cs.Succeeded))
-		reconnects += cs.Reconnects
-		recoveries += cs.Recoveries
-	}
-	mCells.Add(uint64(out.Cells))
 	mWaves.Add(uint64(waves))
 	mConcurrent.SetMax(uint64(widest))
 	mResidualPublished.Add(uint64(published))
 	mResidualSeeded.Add(uint64(seeded))
-	mConnections.Add(uint64(out.Connections))
-	mAttempts.Add(uint64(out.Connections + reconnects))
-	mReconnects.Add(uint64(reconnects))
-	mRecoveries.Add(uint64(recoveries))
-	mServed.Add(uint64(out.Outcomes["served"]))
-	mTornDown.Add(uint64(out.Outcomes["torn_down"]))
-	mUnestablished.Add(uint64(out.Outcomes["never_established"]))
-	mRequestsAttempted.Add(uint64(out.RequestsAttempted))
-	mRequestsServed.Add(uint64(out.RequestsServed))
-	mUptimeVirtual.Add(uint64(out.UptimeVirtual))
-	mLifetimeVirtual.Add(uint64(out.LifetimeVirtual))
 }

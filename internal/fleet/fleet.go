@@ -528,7 +528,7 @@ func Run(wl Workload) (Result, error) {
 		results[i] = cells[i].finish()
 	})
 	out := aggregate(results, ctl)
-	record(out, results)
+	record(results)
 	out.Manifest = manifest(wl, len(cells), ctl)
 	return out, nil
 }

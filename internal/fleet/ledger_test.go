@@ -123,7 +123,7 @@ func TestFleetResidualLedgerProperty(t *testing.T) {
 		wl.Workers = workers
 		return fleetSnapshot(t, wl)
 	}
-	_, churnShort := runChurn(inside, 1)
+	churnShortRes, churnShort := runChurn(inside, 1)
 	_, churnLong := runChurn(outside, 1)
 	if churnShort["fleet.residual_ledger_seeded"] == 0 {
 		t.Error("reconnect churn at WaveGap=30s seeded no ledger windows")
@@ -132,7 +132,11 @@ func TestFleetResidualLedgerProperty(t *testing.T) {
 		t.Errorf("reconnect churn at WaveGap=120s seeded %d windows, want 0",
 			churnLong["fleet.residual_ledger_seeded"])
 	}
-	if churnShort["fleet.reconnects"] == 0 {
+	var churnShortResult Result
+	if err := json.Unmarshal([]byte(churnShortRes), &churnShortResult); err != nil {
+		t.Fatal(err)
+	}
+	if churnShortResult.PerCountry[eval.CountryChina].Reconnects == 0 {
 		t.Error("reconnect-churn workload never reconnected; property 3 exercised nothing")
 	}
 	churnRes, churnCtrs := runChurn(inside, 1)

@@ -71,19 +71,17 @@ type Network struct {
 	HopsBeyondCensor int
 	// LinkDelay is the per-hop one-way latency.
 	LinkDelay time.Duration
-	// Trace, if non-nil, records every packet event for waterfalls.
+	// Trace, if non-nil, records every packet event (send, impairment,
+	// censor decision, delivery) for waterfalls and failure classification.
+	// With Trace nil the network skips event capture entirely — no note
+	// assembly, no clones — which is the fitness-trial default.
 	Trace *Trace
-	// Recorder, if non-nil, additionally observes every packet event (a
-	// Trace is itself a Recorder; a RingRecorder bounds memory). With both
-	// Trace and Recorder nil the network skips event capture entirely —
-	// no note assembly, no clones — which is the fitness-trial default.
-	Recorder Recorder
 	// RecyclePackets returns packets to the shared pool once they reach a
 	// terminal point (delivered, dropped, lost, expired, unroutable).
 	// Opt-in: only enable when every attached Host, Middlebox, and hook
 	// copies what it keeps rather than retaining delivered *Packet
 	// pointers (true for the eval rigs, which set this). Tracing stays
-	// safe either way because recorders clone at record time.
+	// safe either way because a Trace clones each packet as it records it.
 	RecyclePackets bool
 
 	client, server Host
@@ -258,9 +256,9 @@ func (n *Network) deliver(e *event) {
 		hopsBefore, hopsAfter = n.HopsBeyondCensor, n.HopsToCensor
 	}
 	now := n.Clock.Now()
-	// Note strings exist only for recorders; skip assembling them (and the
-	// allocations that implies) when nobody is listening.
-	rec := n.recording()
+	// Note strings exist only for the Trace; skip assembling them (and the
+	// allocations that implies) when nothing is captured.
+	rec := n.Trace != nil
 
 	if !e.fromCensor {
 		// Leg 1: sender -> censor hop.
@@ -343,22 +341,15 @@ func (n *Network) deliver(e *event) {
 	n.recycle(e.pkt)
 }
 
-// recording reports whether any recorder is attached; deliver uses it to
-// skip note assembly entirely on fitness-only runs.
-func (n *Network) recording() bool { return n.Trace != nil || n.Recorder != nil }
-
 func (n *Network) trace(pkt *packet.Packet, dir Direction, note string, at time.Duration) {
 	if n.Trace != nil {
 		n.Trace.add(pkt, dir, note, at)
 	}
-	if n.Recorder != nil {
-		n.Recorder.Record(pkt, dir, note, at)
-	}
 }
 
 // recycle returns a packet that reached a terminal point to the pool when
-// RecyclePackets is enabled; recorders have already cloned anything they
-// keep by the time this runs.
+// RecyclePackets is enabled; the Trace has already cloned anything it
+// keeps by the time this runs.
 func (n *Network) recycle(p *packet.Packet) {
 	if n.RecyclePackets {
 		mRecycled.Inc()
