@@ -47,8 +47,8 @@ differential:
 	$(GO) test -race -run 'TestDifferential|TestRegistry' ./internal/eval/
 
 # Metrics observe and never steer: rates must be bit-identical with metrics
-# on and off, and counter totals identical at any worker width. CI runs
-# exactly this.
+# on and off, and counter totals identical at any worker width. CI's race,
+# shuffled test step already runs these tests; this target runs them alone.
 metrics-determinism:
 	$(GO) test -race -shuffle=on -run 'TestMetrics' ./internal/eval/
 

@@ -19,7 +19,8 @@
 // -metrics enables the cross-layer counters (internal/obs) and prints the
 // nonzero ones after the run; -manifest additionally writes the structured
 // run manifest — config, seed schedule, and every counter, zeroes included —
-// as diffable JSON. Counters observe and never steer, so every printed
+// as diffable JSON. The manifest omits -workers, which cannot change a
+// printed number. Counters observe and never steer, so every printed
 // number is identical with and without them.
 //
 // The impairment flags run the robustness sweep (evasion rate vs. loss rate
@@ -56,6 +57,10 @@ func main() {
 	metrics := flag.Bool("metrics", false, "enable cross-layer counters and print the nonzero ones after the run")
 	manifest := flag.String("manifest", "", "write a structured run manifest (JSON) to this file; implies -metrics")
 	flag.Parse()
+	if *trials < 1 {
+		fmt.Fprintf(os.Stderr, "-trials must be at least 1, got %d\n", *trials)
+		os.Exit(2)
+	}
 	if *workers > 0 {
 		runtime.GOMAXPROCS(*workers)
 	}
@@ -110,7 +115,6 @@ func main() {
 	if *manifest != "" {
 		cfg := map[string]string{
 			"trials":     strconv.Itoa(*trials),
-			"workers":    strconv.Itoa(*workers),
 			"table":      *table,
 			"figure":     *figure,
 			"experiment": *experiment,
@@ -194,7 +198,7 @@ func runFigure(which string, trials int) {
 		fmt.Print(eval.Figure2())
 	case "3":
 		header("Figure 3: multiple censorship boxes")
-		fmt.Print(eval.FormatFigure3(eval.Figure3(trials / 2)))
+		fmt.Print(eval.FormatFigure3(eval.Figure3(sample(trials, 2))))
 	default:
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", which)
 		os.Exit(2)
@@ -206,7 +210,7 @@ func runExperiment(which string, trials int) {
 		switch name {
 		case "client-side":
 			header("§3: client-side strategies do not generalize")
-			rates := eval.ClientSideGeneralization(trials / 4)
+			rates := eval.ClientSideGeneralization(sample(trials, 4))
 			names := make([]string, 0, len(rates))
 			for n := range rates {
 				names = append(names, n)
@@ -224,21 +228,21 @@ func runExperiment(which string, trials int) {
 				fmt.Printf("  %-44s %4.0f%%\n", n, 100*rates[n])
 			}
 			fmt.Printf("\nContrast — the same teardown run CLIENT-side evades at %.0f%%\n",
-				100*eval.ClientSideTCBTeardownWorks(trials/4))
+				100*eval.ClientSideTCBTeardownWorks(sample(trials, 4)))
 		case "desync":
 			header("§5.1: desynchronization confirmation (seq-1)")
-			w, wo := eval.DesyncConfirmation(trials / 2)
+			w, wo := eval.DesyncConfirmation(sample(trials, 2))
 			fmt.Printf("censorship of seq-1 request WITH Strategy 1:    %.0f%% (paper: ~50%%)\n", 100*w)
 			fmt.Printf("censorship of seq-1 request WITHOUT strategy:   %.0f%% (paper: never)\n", 100*wo)
 		case "induced-rst":
 			header("§5.1: induced-RST criticality (FTP)")
-			s5n, s5d, s6n, s6d := eval.InducedRstCriticality(trials / 2)
+			s5n, s5d, s6n, s6d := eval.InducedRstCriticality(sample(trials, 2))
 			fmt.Printf("Strategy 5: normal %.0f%%, client drops its RST %.0f%%  (RST critical)\n", 100*s5n, 100*s5d)
 			fmt.Printf("Strategy 6: normal %.0f%%, client drops its RST %.0f%%  (RST vestigial)\n", 100*s6n, 100*s6d)
 		case "s7-resync":
 			header("§5.1: Strategy 7 re-syncs on the induced RST")
 			fmt.Printf("censorship with client seq matched to the RST: %.0f%% (the GFW re-censors)\n",
-				100*eval.Strategy7ResyncTarget(trials/2))
+				100*eval.Strategy7ResyncTarget(sample(trials, 2)))
 		case "residual":
 			header("§4.2: residual censorship")
 			for _, r := range eval.ResidualCensorshipExperiment() {
@@ -282,7 +286,7 @@ func runExperiment(which string, trials int) {
 			printBoolMap(eval.Statelessness(), "censors with no handshake at all")
 		case "dns-retries":
 			header("§4.2: DNS retry amplification (RFC 7766)")
-			curve := eval.DNSRetryCurve(1, 5, trials/2)
+			curve := eval.DNSRetryCurve(1, 5, sample(trials, 2))
 			fmt.Println("Strategy 1 DNS success by client retry budget:")
 			for k := 1; k <= 5; k++ {
 				note := ""
@@ -298,12 +302,12 @@ func runExperiment(which string, trials int) {
 			}
 		case "order":
 			header("§5.1: Strategy 5 packet-order sensitivity (FTP)")
-			normal, reversed := eval.OrderSensitivity(trials / 2)
+			normal, reversed := eval.OrderSensitivity(sample(trials, 2))
 			fmt.Printf("corrupt-ack first, payload second: %3.0f%% (the published strategy)\n", 100*normal)
 			fmt.Printf("payload first, corrupt-ack second: %3.0f%% (paper: ineffective)\n", 100*reversed)
 		case "deploy":
 			header("§8: one router, per-client strategies from the SYN alone")
-			got := eval.RouterDeployment(trials / 4)
+			got := eval.RouterDeployment(sample(trials, 4))
 			for _, c := range eval.Countries() {
 				label := c
 				if label == "" {
@@ -313,7 +317,7 @@ func runExperiment(which string, trials int) {
 			}
 		case "ablations":
 			header("Model ablations: every DESIGN.md mechanism is load-bearing")
-			for _, a := range eval.Ablations(trials / 2) {
+			for _, a := range eval.Ablations(sample(trials, 2)) {
 				kind := "censor bug"
 				if !a.AidsEvasion {
 					kind = "censor capability"
@@ -322,14 +326,14 @@ func runExperiment(which string, trials int) {
 					a.Name, a.Strategy, a.Protocol, kind,
 					100*a.WithMechanism, 100*a.WithoutMechanism, a.Explanation)
 			}
-			multi, single := eval.SingleBoxAblation(trials / 2)
+			multi, single := eval.SingleBoxAblation(sample(trials, 2))
 			fmt.Println("\nSingle-box counterfactual (Strategy 5 per protocol):")
 			for _, p := range eval.ChinaProtocols {
 				fmt.Printf("  %-6s multi-box %3.0f%%   single shared box %3.0f%%\n",
 					p, 100*multi[p], 100*single[p])
 			}
 			fmt.Println("\nResync-rule knockouts (success per strategy):")
-			dep := eval.StrategyRuleDependence(trials / 2)
+			dep := eval.StrategyRuleDependence(sample(trials, 2))
 			fmt.Printf("  %-10s %8s %9s %9s %9s\n", "strategy", "full", "no-rule1", "no-rule2", "no-rule3")
 			for _, n := range []int{1, 2, 3, 5, 6, 7} {
 				r := dep[n]
@@ -381,10 +385,7 @@ func runExperiment(which string, trials int) {
 // every censor. base carries the non-loss impairments; ladder is the loss
 // rates to climb (nil = eval.DefaultLossRates).
 func runRobustness(base netsim.Profile, ladder []float64, trials int) {
-	per := trials / 2
-	if per < 1 {
-		per = 1
-	}
+	per := sample(trials, 2)
 	extra := ""
 	if base.Duplicate > 0 || base.Reorder > 0 || base.Jitter > 0 {
 		extra = fmt.Sprintf(" (dup %.0f%%, reorder %.0f%%, jitter %v)",
@@ -393,6 +394,10 @@ func runRobustness(base netsim.Profile, ladder []float64, trials int) {
 	header(fmt.Sprintf("Robustness: evasion rate vs. packet loss%s (%d trials/cell)", extra, per))
 	fmt.Print(eval.FormatRobustness(eval.Robustness(base, ladder, per)))
 }
+
+// sample is an experiment's derived sample size, trials/div floored at 1 so
+// a small -trials never runs an empty sample.
+func sample(trials, div int) int { return max(trials/div, 1) }
 
 // printBoolMap prints a country->bool map in key order.
 func printBoolMap(m map[string]bool, label string) {

@@ -15,7 +15,8 @@
 // -metrics enables the cross-layer counters (internal/obs) and prints the
 // nonzero ones after the run; -manifest additionally writes the structured
 // run manifest (config, the search's fitness-cache stats, seed schedule,
-// every counter) as diffable JSON.
+// every counter) as diffable JSON. The manifest omits -workers, which
+// cannot change the run.
 // Counters observe and never steer, so the evolved strategy is bit-identical
 // with and without them.
 package main
@@ -101,7 +102,6 @@ func main() {
 			"population":    strconv.Itoa(*population),
 			"generations":   strconv.Itoa(*generations),
 			"trials":        strconv.Itoa(*trials),
-			"workers":       strconv.Itoa(*workers),
 			"minimize":      strconv.FormatBool(*minimize),
 			"best":          best.String(),
 			"cache_hits":    strconv.Itoa(stats.Hits),

@@ -37,10 +37,13 @@ func main() {
 
 // repl drives the explorer; split out so tests can feed it input. It
 // returns an error, before reading any input, for an unknown country or
-// protocol.
+// protocol or a trial count below 1.
 func repl(in io.Reader, out io.Writer, country, protocol string, trials int) error {
 	if err := eval.CheckCountryProtocol(country, protocol); err != nil {
 		return err
+	}
+	if trials < 1 {
+		return fmt.Errorf("-trials must be at least 1, got %d", trials)
 	}
 	fmt.Fprintf(out, "Exploring %s / %s. Enter a Geneva strategy per line (blank to quit).\n",
 		country, protocol)

@@ -64,3 +64,19 @@ func TestReplRejectsUnknownCountryProtocol(t *testing.T) {
 		}
 	}
 }
+
+// TestReplRejectsNonPositiveTrials checks that a -trials below 1 is an error
+// reported before any output, not a panic (negative) or an empty sample
+// (zero) on the first strategy.
+func TestReplRejectsNonPositiveTrials(t *testing.T) {
+	for _, trials := range []int{0, -3} {
+		var out strings.Builder
+		strategy := strings.NewReader(`[TCP:flags:SA]-drop-| \/ ` + "\n")
+		if err := repl(strategy, &out, "china", "http", trials); err == nil {
+			t.Errorf("repl(trials=%d) = nil error, want one", trials)
+		}
+		if out.Len() != 0 {
+			t.Errorf("repl(trials=%d) wrote output before failing: %q", trials, out.String())
+		}
+	}
+}

@@ -80,7 +80,6 @@ type DPIParams struct {
 // DPIMetrics is a stateless-DPI censor's counter set. A calibration
 // registers the counters it reports; the rest stay nil and count nothing.
 type DPIMetrics struct {
-	Censored   *obs.Counter // censorship verdicts (every action, residual hits too)
 	Pages      *obs.Counter // injected HTTP 200 block pages
 	Redirects  *obs.Counter // injected HTTP 302 redirects
 	RSTs       *obs.Counter // injected RSTs (block-page follow-ups, both tear-down sides)
@@ -90,13 +89,12 @@ type DPIMetrics struct {
 }
 
 // NewDPIMetrics registers the named counters under prefix. Names are the
-// counters' suffixes: "censored", "injected_pages", "injected_redirects",
+// counters' suffixes: "injected_pages", "injected_redirects",
 // "injected_rsts", "blackholed_drops", "forged_dns", "residual_hits". Call
 // it from a package var block: registration panics on a duplicate name.
 func NewDPIMetrics(prefix string, names ...string) DPIMetrics {
 	var m DPIMetrics
 	slots := map[string]**obs.Counter{
-		"censored":           &m.Censored,
 		"injected_pages":     &m.Pages,
 		"injected_redirects": &m.Redirects,
 		"injected_rsts":      &m.RSTs,
@@ -198,7 +196,6 @@ func (d *DPI) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 	if d.residual.Len() > 0 && dir == netsim.ToServer && pkt.TCP.Flags&packet.FlagACK != 0 &&
 		d.residual.Live(netip.AddrPortFrom(pkt.IP.Dst, pkt.TCP.DstPort), now) {
 		d.Censored++
-		d.P.Metrics.Censored.Inc()
 		d.P.Metrics.Residual.Inc()
 		return d.teardown(pkt, dir, "residual censorship")
 	}
@@ -237,7 +234,6 @@ func (d *DPI) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 		return netsim.Verdict{}
 	}
 	d.Censored++
-	d.P.Metrics.Censored.Inc()
 
 	var note string
 	switch {

@@ -93,7 +93,7 @@ func NewBox(p Params, bl censor.Blocklist, rng *rand.Rand) *Box {
 		P:     p,
 		Block: bl,
 		rng:   rng,
-		m:     metricsFor(p.Protocol),
+		m:     protoMetrics[p.Protocol],
 	}
 }
 

@@ -38,21 +38,12 @@ func newBoxMetrics(proto string) *boxMetrics {
 // mEvicted counts flows the GFW's flow table dropped at its bound.
 var mEvicted = obs.NewCounter("censor.gfw.evicted")
 
-// protoMetrics maps each protocol to its registered counter set. The
-// "other" set catches boxes built with a protocol outside the canonical
-// five (tests, future params).
+// protoMetrics maps each of the five GFW protocols to its registered
+// counter set. ChinaParams is the only source of box protocols.
 var protoMetrics = map[string]*boxMetrics{
 	"dns":   newBoxMetrics("dns"),
 	"ftp":   newBoxMetrics("ftp"),
 	"http":  newBoxMetrics("http"),
 	"https": newBoxMetrics("https"),
 	"smtp":  newBoxMetrics("smtp"),
-	"other": newBoxMetrics("other"),
-}
-
-func metricsFor(proto string) *boxMetrics {
-	if m, ok := protoMetrics[proto]; ok {
-		return m
-	}
-	return protoMetrics["other"]
 }

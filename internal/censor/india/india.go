@@ -42,7 +42,7 @@ var (
 )
 
 func ispMetrics(isp string) censor.DPIMetrics {
-	return censor.NewDPIMetrics("censor.india."+isp+".", "censored", "injected_pages",
+	return censor.NewDPIMetrics("censor.india."+isp+".", "injected_pages",
 		"injected_redirects", "injected_rsts", "blackholed_drops")
 }
 

@@ -21,7 +21,7 @@ import (
 	"geneva/internal/censor"
 )
 
-var metrics = censor.NewDPIMetrics("censor.iran.", "censored", "blackholed_drops")
+var metrics = censor.NewDPIMetrics("censor.iran.", "blackholed_drops")
 
 // Params returns Iran's calibration: HTTP Host and TLS SNI triggers both
 // blackhole the client flow for one minute.

@@ -36,7 +36,6 @@ import (
 )
 
 var (
-	mCensored       = obs.NewCounter("censor.kazakh.censored")
 	mProbeResponses = obs.NewCounter("censor.kazakh.probe_responses")
 	mIgnoredFlows   = obs.NewCounter("censor.kazakh.flows_ignored")
 )
@@ -190,7 +189,6 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 		if host, matched := k.Block.ForbiddenHost(pkt); matched {
 			// Censor: hijack the flow and inject the block page.
 			k.Censored++
-			mCensored.Inc()
 			st.hijacked = true
 			st.hijackUntil = now + hijackDuration
 			srvFlow := pkt.Flow().Reverse()

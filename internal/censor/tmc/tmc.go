@@ -40,7 +40,7 @@ import (
 // outside the window so routed cells stay deterministic.
 const ResidualWindow = time.Minute
 
-var metrics = censor.NewDPIMetrics("censor.tmc.", "censored", "injected_rsts", "forged_dns", "residual_hits")
+var metrics = censor.NewDPIMetrics("censor.tmc.", "injected_rsts", "forged_dns", "residual_hits")
 
 // Params returns the TMC's calibration. Forged DNS answers resolve
 // forbidden names to the loopback address Nourin et al. observe.

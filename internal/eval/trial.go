@@ -250,12 +250,8 @@ func Run(cfg Config) Result {
 	res.CensorEvents = rig.CensorEvents()
 	res.Trace = rig.Net.Trace
 	mTrials.Inc()
-	mAttempts.Add(uint64(res.Attempts))
 	if res.Success {
 		mTrialSuccess.Inc()
-	}
-	if res.Established {
-		mTrialEstablished.Inc()
 	}
 	return res
 }

@@ -29,7 +29,6 @@ type cellResult struct {
 	conns        []connResult
 	censorEvents int
 	waves        int
-	maxWave      int // widest wave started (virtual-time concurrency)
 
 	// Residual-ledger traffic: windows the cell exported at wave barriers
 	// and ledger windows planted into it at wave starts.
@@ -132,15 +131,13 @@ func aggregate(results []cellResult, ctl control) Result {
 
 // record publishes the per-cell scheduling tallies the Result does not carry.
 func record(results []cellResult) {
-	var waves, published, seeded, widest int
+	var waves, published, seeded int
 	for _, cr := range results {
 		waves += cr.waves
 		published += cr.residualPublished
 		seeded += cr.residualSeeded
-		widest = max(widest, cr.maxWave)
 	}
 	mWaves.Add(uint64(waves))
-	mConcurrent.SetMax(uint64(widest))
 	mResidualPublished.Add(uint64(published))
 	mResidualSeeded.Add(uint64(seeded))
 }

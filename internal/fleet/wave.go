@@ -65,9 +65,6 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 
 	idxs := c.byWave[w]
 	c.res.waves++
-	if len(idxs) > c.res.maxWave {
-		c.res.maxWave = len(idxs)
-	}
 
 	// Start every connection of the wave, drain the network, then
 	// re-attempt failed connections under the reconnect policy (the zero

@@ -8,25 +8,15 @@ import (
 	"testing"
 )
 
-var (
-	testCounter = NewCounter("test.counter")
-	testGauge   = NewGauge("test.gauge")
-	testHist    = NewHistogram("test.hist", 1, 2, 4)
-)
+var testCounter = NewCounter("test.counter")
 
 func TestDisabledInstrumentsAreInert(t *testing.T) {
 	SetEnabled(false)
 	Reset()
 	testCounter.Inc()
 	testCounter.Add(5)
-	testGauge.SetMax(9)
-	testHist.Observe(3)
-	if testCounter.Value() != 0 || testGauge.Value() != 0 {
-		t.Fatalf("disabled instruments mutated: counter=%d gauge=%d",
-			testCounter.Value(), testGauge.Value())
-	}
-	if hs := Take().Histograms["test.hist"]; hs.Count != 0 {
-		t.Fatalf("disabled histogram recorded %d samples", hs.Count)
+	if got := testCounter.Value(); got != 0 {
+		t.Fatalf("disabled counter mutated: %d", got)
 	}
 }
 
@@ -39,10 +29,8 @@ func TestDisabledZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		testCounter.Inc()
 		testCounter.Add(3)
-		testGauge.SetMax(7)
-		testHist.Observe(2)
 	}); allocs != 0 {
-		t.Errorf("disabled instruments allocate %.1f objects/op, want 0", allocs)
+		t.Errorf("disabled counters allocate %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -53,14 +41,13 @@ func TestEnabledZeroAlloc(t *testing.T) {
 	defer SetEnabled(false)
 	if allocs := testing.AllocsPerRun(100, func() {
 		testCounter.Inc()
-		testGauge.SetMax(3)
-		testHist.Observe(5)
+		testCounter.Add(5)
 	}); allocs != 0 {
-		t.Errorf("enabled instruments allocate %.1f objects/op, want 0", allocs)
+		t.Errorf("enabled counters allocate %.1f objects/op, want 0", allocs)
 	}
 }
 
-func TestCounterGaugeHistogram(t *testing.T) {
+func TestCounterAddAndReset(t *testing.T) {
 	SetEnabled(true)
 	defer SetEnabled(false)
 	Reset()
@@ -69,33 +56,16 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if got := testCounter.Value(); got != 5 {
 		t.Errorf("counter = %d, want 5", got)
 	}
-	testGauge.SetMax(3)
-	testGauge.SetMax(10)
-	testGauge.SetMax(7) // lower: ignored
-	if got := testGauge.Value(); got != 10 {
-		t.Errorf("gauge = %d, want 10", got)
+	if got := Take().Counters["test.counter"]; got != 5 {
+		t.Errorf("snapshot counter = %d, want 5", got)
 	}
-	for _, v := range []uint64{0, 1, 2, 3, 4, 9} {
-		testHist.Observe(v)
-	}
-	hs := Take().Histograms["test.hist"]
-	// Buckets: <=1, <=2, <=4, overflow.
-	want := []uint64{2, 1, 2, 1}
-	for i, w := range want {
-		if hs.Counts[i] != w {
-			t.Errorf("bucket %d = %d, want %d (%v)", i, hs.Counts[i], w, hs.Counts)
-		}
-	}
-	if hs.Count != 6 || hs.Sum != 19 {
-		t.Errorf("count=%d sum=%d, want 6/19", hs.Count, hs.Sum)
-	}
+	var unregistered *Counter
+	unregistered.Inc() // a nil counter counts nothing and does not panic
+	unregistered.Add(2)
 
 	Reset()
-	if testCounter.Value() != 0 || testGauge.Value() != 0 {
-		t.Error("Reset did not zero instruments")
-	}
-	if hs := Take().Histograms["test.hist"]; hs.Count != 0 || hs.Sum != 0 {
-		t.Error("Reset did not zero histogram")
+	if testCounter.Value() != 0 {
+		t.Error("Reset did not zero counters")
 	}
 }
 
@@ -109,7 +79,7 @@ func TestSnapshotIncludesZeroes(t *testing.T) {
 	if s.Format() != "" {
 		// Format (the console view) skips zeroes by design.
 		for _, line := range []string{s.Format()} {
-			t.Errorf("Format rendered zero-valued instruments: %q", line)
+			t.Errorf("Format rendered zero-valued counters: %q", line)
 		}
 	}
 }
@@ -125,16 +95,12 @@ func TestConcurrentCounters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				testCounter.Inc()
-				testHist.Observe(uint64(i % 5))
 			}
 		}()
 	}
 	wg.Wait()
 	if got := testCounter.Value(); got != 8000 {
 		t.Errorf("concurrent counter = %d, want 8000", got)
-	}
-	if hs := Take().Histograms["test.hist"]; hs.Count != 8000 {
-		t.Errorf("concurrent histogram count = %d, want 8000", hs.Count)
 	}
 	Reset()
 }
@@ -182,7 +148,7 @@ func TestManifestRoundtrip(t *testing.T) {
 func TestDuplicateNamePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("duplicate instrument name did not panic")
+			t.Error("duplicate counter name did not panic")
 		}
 	}()
 	NewCounter("test.counter")

@@ -444,8 +444,6 @@ func (st *State) Merge(cells []*Cell) {
 			a.totalServed += d.served
 			a.totalTorn += d.torn
 			a.totalUnest += d.unest
-			mPulls.Add(d.pulls)
-			mRewards.Add(d.served)
 		}
 		c.deltas = c.deltas[:0]
 	}
@@ -474,7 +472,6 @@ func (st *State) Merge(cells []*Cell) {
 				arms[inc].wins = 0
 				arms[inc].everCollapsed = true
 				st.fallbacks++
-				mFallbacks.Inc()
 			}
 		}
 	}

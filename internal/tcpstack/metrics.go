@@ -10,8 +10,4 @@ var (
 	mRtxGiveUp    = obs.NewCounter("tcpstack.rtx_giveup")
 	mCloseClean   = obs.NewCounter("tcpstack.close_clean")
 	mCloseReset   = obs.NewCounter("tcpstack.close_reset")
-	// mRtxBackoff buckets each retransmission by its retry ordinal (1 =
-	// first RTO expiry, 2 = second, ...): the shape of the backoff ladder
-	// a run actually climbed.
-	mRtxBackoff = obs.NewHistogram("tcpstack.rtx_backoff", 1, 2, 3, 4, 5, 6)
 )

@@ -104,7 +104,6 @@ func (c *Conn) onRtxTimer(gen int) {
 	}
 	c.rtxRetries++
 	mRetransmits.Inc()
-	mRtxBackoff.Observe(uint64(c.rtxRetries))
 	c.ep.transmit(c.rtxQ[0].pkt.ClonePooled())
 	c.armRtx(c.rtxRTO * 2)
 }
