@@ -36,13 +36,15 @@ bench-smoke:
 # engine must score every strategy bit-identically to a fresh Rate at every
 # GOMAXPROCS, pooled generators must draw what fresh ones do and all come
 # back, and the GFW ablations must measure the registry's China model.
-# CI runs exactly this.
+# CI's race, shuffled test step already runs these tests; this target runs
+# them alone.
 eval-determinism:
 	$(GO) test -race -shuffle=on -run 'Deterministic|BatchMatchesSequential|BatchSeam|Evaluator|FitnessCache|EvolveWithStats|RandBitIdentical|RandPoolBalance|AblationsMeasureRegistryModel' ./...
 
 # The cross-censor differential matrix: every censor × protocol × strategy
 # cell classified by failure cause and locked against testdata, plus the
-# registry's structural checks. CI runs exactly this.
+# registry's structural checks. CI's race, shuffled test step already runs
+# these tests; this target runs them alone.
 differential:
 	$(GO) test -race -run 'TestDifferential|TestRegistry' ./internal/eval/
 

@@ -7,7 +7,8 @@
 //	evaluate [-trials N] [-workers N] [-table 1|2|compat] [-figure 1|2|3]
 //	         [-experiment client-side|desync|induced-rst|s7-resync|residual|
 //	                      kz-triple|kz-get|kz-flags|kz-probe|ports|stateless|
-//	                      carrier|deploy|dns-retries|order|ablations|robustness|all]
+//	                      carrier|deploy|dns-retries|order|ablations|differential|
+//	                      robustness|all]
 //	         [-loss P] [-dup P] [-reorder P] [-jitter D]
 //	         [-metrics] [-manifest out.json]
 //
@@ -32,6 +33,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -70,17 +72,18 @@ func main() {
 	}
 	start := time.Now()
 
+	w := os.Stdout
 	any := false
 	if *table != "" {
-		runTable(*table, *trials)
+		runTable(w, *table, *trials)
 		any = true
 	}
 	if *figure != "" {
-		runFigure(*figure, *trials)
+		runFigure(w, *figure, *trials)
 		any = true
 	}
 	if *experiment != "" {
-		runExperiment(*experiment, *trials)
+		runExperiment(w, *experiment, *trials)
 		any = true
 	}
 	imp := netsim.Profile{Loss: *loss, Duplicate: *dup, Reorder: *reorder, Jitter: *jitter}
@@ -96,17 +99,11 @@ func main() {
 		if *loss >= 0 {
 			ladder = []float64{*loss}
 		}
-		runRobustness(imp, ladder, *trials)
+		runRobustness(w, imp, ladder, *trials)
 		any = true
 	}
 	if !any {
-		runTable("1", *trials)
-		runTable("2", *trials)
-		runFigure("1", *trials)
-		runFigure("2", *trials)
-		runFigure("3", *trials)
-		runTable("compat", *trials)
-		runExperiment("all", *trials)
+		report(w, *trials)
 	}
 	fmt.Printf("\n[workers=%d  wall=%s]\n", eval.Workers(), time.Since(start).Round(time.Millisecond))
 	if *metrics {
@@ -123,8 +120,10 @@ func main() {
 			"reorder":    strconv.FormatFloat(*reorder, 'g', -1, 64),
 			"jitter":     jitter.String(),
 		}
-		// The harness's experiment seed bases are fixed in source; the
-		// schedule records the derivation every trial applies to its base.
+		// The harness's experiment seed bases are fixed in source. Every
+		// sampled experiment runs its trials through eval.RateStats, so
+		// the schedule records the derivation each trial applies to its
+		// experiment's base.
 		m := obs.NewManifest("evaluate", cfg, eval.SeedSchedule(0))
 		if err := m.WriteFile(*manifest); err != nil {
 			fmt.Fprintf(os.Stderr, "writing manifest: %v\n", err)
@@ -134,21 +133,32 @@ func main() {
 	}
 }
 
-func header(s string) { fmt.Printf("\n=== %s ===\n\n", s) }
+// report prints the full evaluation; at 300 trials it is docs/RESULTS.txt.
+func report(w io.Writer, trials int) {
+	runTable(w, "1", trials)
+	runTable(w, "2", trials)
+	runFigure(w, "1", trials)
+	runFigure(w, "2", trials)
+	runFigure(w, "3", trials)
+	runTable(w, "compat", trials)
+	runExperiment(w, "all", trials)
+}
 
-func runTable(which string, trials int) {
+func header(w io.Writer, s string) { fmt.Fprintf(w, "\n=== %s ===\n\n", s) }
+
+func runTable(w io.Writer, which string, trials int) {
 	switch which {
 	case "1":
-		header("Table 1: client locations and protocols")
-		fmt.Print(table1())
+		header(w, "Table 1: client locations and protocols")
+		fmt.Fprint(w, table1())
 	case "2":
-		header(fmt.Sprintf("Table 2: strategy success rates (%d trials/cell)", trials))
-		fmt.Print(eval.FormatTable2(eval.Table2(trials)))
-		fmt.Printf("\n(95%% sampling error at %d trials: up to \u00b1%.0f points per cell)\n",
+		header(w, fmt.Sprintf("Table 2: strategy success rates (%d trials/cell)", trials))
+		fmt.Fprint(w, eval.FormatTable2(eval.Table2(trials)))
+		fmt.Fprintf(w, "\n(95%% sampling error at %d trials: up to \u00b1%.0f points per cell)\n",
 			trials, 100*eval.MaxSamplingError(trials))
 	case "compat":
-		header("Section 7: client compatibility matrix")
-		fmt.Print(eval.FormatCompat(eval.ClientCompatibility()))
+		header(w, "Section 7: client compatibility matrix")
+		fmt.Fprint(w, eval.FormatCompat(eval.ClientCompatibility()))
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", which)
 		os.Exit(2)
@@ -188,28 +198,28 @@ func table1() string {
 	return b.String()
 }
 
-func runFigure(which string, trials int) {
+func runFigure(w io.Writer, which string, trials int) {
 	switch which {
 	case "1":
-		header("Figure 1: server-side evasion waterfalls (China)")
-		fmt.Print(eval.Figure1())
+		header(w, "Figure 1: server-side evasion waterfalls (China)")
+		fmt.Fprint(w, eval.Figure1())
 	case "2":
-		header("Figure 2: server-side evasion waterfalls (Kazakhstan)")
-		fmt.Print(eval.Figure2())
+		header(w, "Figure 2: server-side evasion waterfalls (Kazakhstan)")
+		fmt.Fprint(w, eval.Figure2())
 	case "3":
-		header("Figure 3: multiple censorship boxes")
-		fmt.Print(eval.FormatFigure3(eval.Figure3(sample(trials, 2))))
+		header(w, "Figure 3: multiple censorship boxes")
+		fmt.Fprint(w, eval.FormatFigure3(eval.Figure3(sample(trials, 2))))
 	default:
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", which)
 		os.Exit(2)
 	}
 }
 
-func runExperiment(which string, trials int) {
+func runExperiment(w io.Writer, which string, trials int) {
 	run := func(name string) {
 		switch name {
 		case "client-side":
-			header("§3: client-side strategies do not generalize")
+			header(w, "§3: client-side strategies do not generalize")
 			rates := eval.ClientSideGeneralization(sample(trials, 4))
 			names := make([]string, 0, len(rates))
 			for n := range rates {
@@ -222,48 +232,49 @@ func runExperiment(which string, trials int) {
 					worst = rates[n]
 				}
 			}
-			fmt.Printf("%d server-side analogs evaluated; best success rate: %.0f%% (baseline ~3%%)\n",
+			fmt.Fprintf(w, "%d server-side analogs evaluated; best success rate: %.0f%% (baseline ~3%%)\n",
 				len(rates), 100*worst)
+			col := width(names)
 			for _, n := range names {
-				fmt.Printf("  %-44s %4.0f%%\n", n, 100*rates[n])
+				fmt.Fprintf(w, "  %-*s %4.0f%%\n", col, n, 100*rates[n])
 			}
-			fmt.Printf("\nContrast — the same teardown run CLIENT-side evades at %.0f%%\n",
+			fmt.Fprintf(w, "\nContrast — the same teardown run CLIENT-side evades at %.0f%%\n",
 				100*eval.ClientSideTCBTeardownWorks(sample(trials, 4)))
 		case "desync":
-			header("§5.1: desynchronization confirmation (seq-1)")
-			w, wo := eval.DesyncConfirmation(sample(trials, 2))
-			fmt.Printf("censorship of seq-1 request WITH Strategy 1:    %.0f%% (paper: ~50%%)\n", 100*w)
-			fmt.Printf("censorship of seq-1 request WITHOUT strategy:   %.0f%% (paper: never)\n", 100*wo)
+			header(w, "§5.1: desynchronization confirmation (seq-1)")
+			with, without := eval.DesyncConfirmation(sample(trials, 2))
+			fmt.Fprintf(w, "censorship of seq-1 request WITH Strategy 1:    %.0f%% (paper: ~50%%)\n", 100*with)
+			fmt.Fprintf(w, "censorship of seq-1 request WITHOUT strategy:   %.0f%% (paper: never)\n", 100*without)
 		case "induced-rst":
-			header("§5.1: induced-RST criticality (FTP)")
+			header(w, "§5.1: induced-RST criticality (FTP)")
 			s5n, s5d, s6n, s6d := eval.InducedRstCriticality(sample(trials, 2))
-			fmt.Printf("Strategy 5: normal %.0f%%, client drops its RST %.0f%%  (RST critical)\n", 100*s5n, 100*s5d)
-			fmt.Printf("Strategy 6: normal %.0f%%, client drops its RST %.0f%%  (RST vestigial)\n", 100*s6n, 100*s6d)
+			fmt.Fprintf(w, "Strategy 5: normal %.0f%%, client drops its RST %.0f%%  (RST critical)\n", 100*s5n, 100*s5d)
+			fmt.Fprintf(w, "Strategy 6: normal %.0f%%, client drops its RST %.0f%%  (RST vestigial)\n", 100*s6n, 100*s6d)
 		case "s7-resync":
-			header("§5.1: Strategy 7 re-syncs on the induced RST")
-			fmt.Printf("censorship with client seq matched to the RST: %.0f%% (the GFW re-censors)\n",
+			header(w, "§5.1: Strategy 7 re-syncs on the induced RST")
+			fmt.Fprintf(w, "censorship with client seq matched to the RST: %.0f%% (the GFW re-censors)\n",
 				100*eval.Strategy7ResyncTarget(sample(trials, 2)))
 		case "residual":
-			header("§4.2: residual censorship")
+			header(w, "§4.2: residual censorship")
 			for _, r := range eval.ResidualCensorshipExperiment() {
-				fmt.Printf("%-6s immediate benign follow-up blocked: %-5v recovered after 95s: %v\n",
+				fmt.Fprintf(w, "%-6s immediate benign follow-up blocked: %-5v recovered after 95s: %v\n",
 					r.Protocol, r.ImmediateBlocked, r.AfterWindowOK)
 			}
 		case "kz-triple":
-			header("§5.3: Kazakhstan Triple Load sweep")
+			header(w, "§5.3: Kazakhstan Triple Load sweep")
 			s := eval.KazakhTripleLoadSweep(10)
-			fmt.Printf("1 load: %.0f%%  2 loads: %.0f%%  3 loads: %.0f%%  4 loads: %.0f%%\n",
+			fmt.Fprintf(w, "1 load: %.0f%%  2 loads: %.0f%%  3 loads: %.0f%%  4 loads: %.0f%%\n",
 				100*s.OneLoad, 100*s.TwoLoads, 100*s.ThreeLoads, 100*s.FourLoads)
-			fmt.Printf("load,empty,load: %.0f%% (back-to-back required)\n", 100*s.TwoLoadsPlusEmptyBetween)
-			fmt.Printf("1-byte payloads: %.0f%%  400-byte payloads: %.0f%% (size irrelevant)\n",
+			fmt.Fprintf(w, "load,empty,load: %.0f%% (back-to-back required)\n", 100*s.TwoLoadsPlusEmptyBetween)
+			fmt.Fprintf(w, "1-byte payloads: %.0f%%  400-byte payloads: %.0f%% (size irrelevant)\n",
 				100*s.OneByte, 100*s.Large)
 		case "kz-get":
-			header("§5.3: Kazakhstan Double GET sweep")
+			header(w, "§5.3: Kazakhstan Double GET sweep")
 			s := eval.KazakhDoubleGetSweep(10)
-			fmt.Printf("\"GET / HTTP1.\" x2: %.0f%%   without the '.': %.0f%%\n", 100*s.FullPrefix, 100*s.Truncated)
-			fmt.Printf("single GET: %.0f%%   longer well-formed GET x2: %.0f%%\n", 100*s.SingleGet, 100*s.LongerPath)
+			fmt.Fprintf(w, "\"GET / HTTP1.\" x2: %.0f%%   without the '.': %.0f%%\n", 100*s.FullPrefix, 100*s.Truncated)
+			fmt.Fprintf(w, "single GET: %.0f%%   longer well-formed GET x2: %.0f%%\n", 100*s.SingleGet, 100*s.LongerPath)
 		case "kz-flags":
-			header("§5.3: Kazakhstan flag sweep (Null Flags)")
+			header(w, "§5.3: Kazakhstan flag sweep (Null Flags)")
 			rates := eval.KazakhFlagSweep(8)
 			keys := make([]string, 0, len(rates))
 			for k := range rates {
@@ -271,23 +282,23 @@ func runExperiment(which string, trials int) {
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				fmt.Printf("  flags %-7s %4.0f%%\n", k, 100*rates[k])
+				fmt.Fprintf(w, "  flags %-7s %4.0f%%\n", k, 100*rates[k])
 			}
 		case "kz-probe":
-			header("§5.3: Kazakhstan probing (the second request is processed)")
+			header(w, "§5.3: Kazakhstan probing (the second request is processed)")
 			two, fb := eval.KazakhProbing()
-			fmt.Printf("two forbidden GETs during handshake elicit a response: %v\n", two)
-			fmt.Printf("forbidden-then-benign elicits a response:             %v\n", fb)
+			fmt.Fprintf(w, "two forbidden GETs during handshake elicit a response: %v\n", two)
+			fmt.Fprintf(w, "forbidden-then-benign elicits a response:             %v\n", fb)
 		case "ports":
-			header("§5.2: default-port sensitivity")
-			printBoolMap(eval.PortSensitivity(), "non-default port defeats censorship")
+			header(w, "§5.2: default-port sensitivity")
+			printBoolMap(w, eval.PortSensitivity(), "non-default port defeats censorship")
 		case "stateless":
-			header("§5.2: state tracking")
-			printBoolMap(eval.Statelessness(), "censors with no handshake at all")
+			header(w, "§5.2: state tracking")
+			printBoolMap(w, eval.Statelessness(), "censors with no handshake at all")
 		case "dns-retries":
-			header("§4.2: DNS retry amplification (RFC 7766)")
+			header(w, "§4.2: DNS retry amplification (RFC 7766)")
 			curve := eval.DNSRetryCurve(1, 5, sample(trials, 2))
-			fmt.Println("Strategy 1 DNS success by client retry budget:")
+			fmt.Fprintln(w, "Strategy 1 DNS success by client retry budget:")
 			for k := 1; k <= 5; k++ {
 				note := ""
 				switch k {
@@ -298,57 +309,59 @@ func runExperiment(which string, trials int) {
 				case 5:
 					note = "(Chrome: 1 + 4 retries)"
 				}
-				fmt.Printf("  %d tries: %3.0f%%  %s\n", k, 100*curve[k], note)
+				fmt.Fprintf(w, "  %d tries: %3.0f%%  %s\n", k, 100*curve[k], note)
 			}
 		case "order":
-			header("§5.1: Strategy 5 packet-order sensitivity (FTP)")
+			header(w, "§5.1: Strategy 5 packet-order sensitivity (FTP)")
 			normal, reversed := eval.OrderSensitivity(sample(trials, 2))
-			fmt.Printf("corrupt-ack first, payload second: %3.0f%% (the published strategy)\n", 100*normal)
-			fmt.Printf("payload first, corrupt-ack second: %3.0f%% (paper: ineffective)\n", 100*reversed)
+			fmt.Fprintf(w, "corrupt-ack first, payload second: %3.0f%% (the published strategy)\n", 100*normal)
+			fmt.Fprintf(w, "payload first, corrupt-ack second: %3.0f%% (paper: ineffective)\n", 100*reversed)
 		case "deploy":
-			header("§8: one router, per-client strategies from the SYN alone")
+			header(w, "§8: one router, per-client strategies from the SYN alone")
 			got := eval.RouterDeployment(sample(trials, 4))
+			const uncensored = "(uncensored)"
+			col := max(width(eval.Countries()), len(uncensored))
 			for _, c := range eval.Countries() {
 				label := c
 				if label == "" {
-					label = "(uncensored)"
+					label = uncensored
 				}
-				fmt.Printf("  %-12s routed-strategy success: %3.0f%%\n", label, 100*got[c])
+				fmt.Fprintf(w, "  %-*s routed-strategy success: %3.0f%%\n", col, label, 100*got[c])
 			}
 		case "ablations":
-			header("Model ablations: every DESIGN.md mechanism is load-bearing")
+			header(w, "Model ablations: every DESIGN.md mechanism is load-bearing")
 			for _, a := range eval.Ablations(sample(trials, 2)) {
 				kind := "censor bug"
 				if !a.AidsEvasion {
 					kind = "censor capability"
 				}
-				fmt.Printf("%-42s (S%d/%s, %s): with %3.0f%%  without %3.0f%%\n    %s\n",
+				fmt.Fprintf(w, "%-42s (S%d/%s, %s): with %3.0f%%  without %3.0f%%\n    %s\n",
 					a.Name, a.Strategy, a.Protocol, kind,
 					100*a.WithMechanism, 100*a.WithoutMechanism, a.Explanation)
 			}
 			multi, single := eval.SingleBoxAblation(sample(trials, 2))
-			fmt.Println("\nSingle-box counterfactual (Strategy 5 per protocol):")
+			fmt.Fprintln(w, "\nSingle-box counterfactual (Strategy 5 per protocol):")
 			for _, p := range eval.ChinaProtocols {
-				fmt.Printf("  %-6s multi-box %3.0f%%   single shared box %3.0f%%\n",
+				fmt.Fprintf(w, "  %-6s multi-box %3.0f%%   single shared box %3.0f%%\n",
 					p, 100*multi[p], 100*single[p])
 			}
-			fmt.Println("\nResync-rule knockouts (success per strategy):")
+			fmt.Fprintln(w, "\nResync-rule knockouts (success per strategy):")
 			dep := eval.StrategyRuleDependence(sample(trials, 2))
-			fmt.Printf("  %-10s %8s %9s %9s %9s\n", "strategy", "full", "no-rule1", "no-rule2", "no-rule3")
+			fmt.Fprintf(w, "  %-10s %8s %9s %9s %9s\n", "strategy", "full", "no-rule1", "no-rule2", "no-rule3")
 			for _, n := range []int{1, 2, 3, 5, 6, 7} {
 				r := dep[n]
-				fmt.Printf("  S%-9d %7.0f%% %8.0f%% %8.0f%% %8.0f%%\n",
+				fmt.Fprintf(w, "  S%-9d %7.0f%% %8.0f%% %8.0f%% %8.0f%%\n",
 					n, 100*r["full"], 100*r["no-rule1"], 100*r["no-rule2"], 100*r["no-rule3"])
 			}
 		case "differential":
-			header("Cross-censor differential failure-cause matrix")
-			fmt.Print(eval.FormatDifferential(eval.Differential()))
-			fmt.Println("\n(one traced trial per cell; causes classified from packet evidence —")
-			fmt.Println(" the golden copy lives in internal/eval/testdata/differential.txt)")
+			header(w, "Cross-censor differential failure-cause matrix")
+			fmt.Fprint(w, eval.FormatDifferential(eval.Differential()))
+			fmt.Fprintln(w, "\n(one traced trial per cell; causes classified from packet evidence —")
+			fmt.Fprintln(w, " the golden copy lives in internal/eval/testdata/differential.txt)")
 		case "robustness":
-			runRobustness(netsim.Profile{}, nil, trials)
+			runRobustness(w, netsim.Profile{}, nil, trials)
 		case "carrier":
-			header("§7: cellular-middlebox interference (anecdote)")
+			header(w, "§7: cellular-middlebox interference (anecdote)")
 			got := eval.CarrierInterference()
 			for _, carrier := range []string{"wifi", "tmobile", "att"} {
 				var broken []int
@@ -358,9 +371,9 @@ func runExperiment(which string, trials int) {
 					}
 				}
 				if len(broken) == 0 {
-					fmt.Printf("  %-8s all strategies work\n", carrier)
+					fmt.Fprintf(w, "  %-8s all strategies work\n", carrier)
 				} else {
-					fmt.Printf("  %-8s broken strategies: %v\n", carrier, broken)
+					fmt.Fprintf(w, "  %-8s broken strategies: %v\n", carrier, broken)
 				}
 			}
 		default:
@@ -384,15 +397,15 @@ func runExperiment(which string, trials int) {
 // runRobustness sweeps evasion rate vs. loss rate for every strategy against
 // every censor. base carries the non-loss impairments; ladder is the loss
 // rates to climb (nil = eval.DefaultLossRates).
-func runRobustness(base netsim.Profile, ladder []float64, trials int) {
+func runRobustness(w io.Writer, base netsim.Profile, ladder []float64, trials int) {
 	per := sample(trials, 2)
 	extra := ""
 	if base.Duplicate > 0 || base.Reorder > 0 || base.Jitter > 0 {
 		extra = fmt.Sprintf(" (dup %.0f%%, reorder %.0f%%, jitter %v)",
 			100*base.Duplicate, 100*base.Reorder, base.Jitter)
 	}
-	header(fmt.Sprintf("Robustness: evasion rate vs. packet loss%s (%d trials/cell)", extra, per))
-	fmt.Print(eval.FormatRobustness(eval.Robustness(base, ladder, per)))
+	header(w, fmt.Sprintf("Robustness: evasion rate vs. packet loss%s (%d trials/cell)", extra, per))
+	fmt.Fprint(w, eval.FormatRobustness(eval.Robustness(base, ladder, per)))
 }
 
 // sample is an experiment's derived sample size, trials/div floored at 1 so
@@ -400,13 +413,23 @@ func runRobustness(base netsim.Profile, ladder []float64, trials int) {
 func sample(trials, div int) int { return max(trials/div, 1) }
 
 // printBoolMap prints a country->bool map in key order.
-func printBoolMap(m map[string]bool, label string) {
+func printBoolMap(w io.Writer, m map[string]bool, label string) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	col := width(keys)
 	for _, k := range keys {
-		fmt.Printf("  %-12s %s: %v\n", k, label, m[k])
+		fmt.Fprintf(w, "  %-*s %s: %v\n", col, k, label, m[k])
 	}
+}
+
+// width is the length of the longest name, the width of a column of them.
+func width(names []string) int {
+	n := 0
+	for _, s := range names {
+		n = max(n, len(s))
+	}
+	return n
 }

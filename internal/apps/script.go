@@ -41,7 +41,6 @@ type Script struct {
 	nextSend       int
 	delayPending   bool
 	established    bool
-	closed         bool
 	reset          bool
 	corrupted      bool
 	establishedAt  time.Duration
@@ -69,7 +68,6 @@ func (s *Script) Restart() {
 	s.nextSend = 0
 	s.delayPending = false
 	s.established = false
-	s.closed = false
 	s.reset = false
 	s.corrupted = false
 	s.establishedAt = 0
@@ -135,7 +133,6 @@ func (s *Script) pump(c *tcpstack.Conn) {
 
 // OnClose implements tcpstack.App.
 func (s *Script) OnClose(c *tcpstack.Conn, reset bool) {
-	s.closed = true
 	s.reset = s.reset || reset
 }
 

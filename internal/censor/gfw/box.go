@@ -61,7 +61,6 @@ type tcb struct {
 	sawClientAck bool // the client has sent an ACK-flagged packet
 	resynced     bool // a resync actually rewrote expClient
 	torn         bool
-	censored     bool
 }
 
 // fromClient reports whether pkt was sent by the host the box decided is
@@ -426,7 +425,6 @@ func (b *Box) matchHTTPRequest(target, host string, hok bool) bool {
 func (b *Box) censorVerdict(t *tcb, now time.Duration, note string) netsim.Verdict {
 	b.Censored++
 	b.m.censored.Inc()
-	t.censored = true
 	t.torn = true // the box considers the connection dealt with
 	if b.P.Residual > 0 {
 		// Opening the window sweeps expired ones, so a long evolve run

@@ -1,38 +1,35 @@
 package eval
 
 import (
-	"time"
-
-	"geneva/internal/core"
-	"geneva/internal/netsim"
 	"geneva/internal/packet"
 	"geneva/internal/strategies"
-	"geneva/internal/tcpstack"
 )
 
-// carrierBox models the in-network cellular middleboxes of §7's anecdote:
+// carrierHook models the in-network cellular middleboxes of §7's anecdote:
 // not censors, but NATs/firewalls that silently drop server-originated SYN
 // packets (a server never initiates a connection to a mobile client, so
 // the middlebox treats such SYNs as garbage). The paper observed the
 // simultaneous-open strategies failing on T-Mobile (Strategies 1 and 3)
-// and AT&T (1, 2, and 3).
-type carrierBox struct {
-	name string
-	// dropLoadedSyn also drops SYNs carrying a payload (the AT&T model;
-	// the T-Mobile model lets Strategy 2's payload-bearing SYN through).
-	dropLoadedSyn bool
-}
-
-func (c *carrierBox) Name() string { return c.name }
-
-func (c *carrierBox) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duration) netsim.Verdict {
-	if dir != netsim.ToClient || pkt.TCP.Flags != packet.FlagSYN {
-		return netsim.Verdict{}
+// and AT&T (1, 2, and 3). dropLoaded also drops SYNs carrying a payload
+// (the AT&T model; the T-Mobile model lets Strategy 2's payload-bearing SYN
+// through). The SYNs are dropped as they leave the server: on a censor-free
+// path nothing else sees a server SYN, so dropping it there instead of
+// mid-path changes no outcome.
+func carrierHook(dropLoaded bool) func(*Rig) {
+	return func(r *Rig) {
+		engine := r.Server.Outbound
+		r.Server.Outbound = func(p *packet.Packet) []*packet.Packet {
+			out := engine(p)
+			kept := out[:0]
+			for _, q := range out {
+				if q.TCP.Flags == packet.FlagSYN && (dropLoaded || len(q.TCP.Payload) == 0) {
+					continue
+				}
+				kept = append(kept, q)
+			}
+			return kept
+		}
 	}
-	if len(pkt.TCP.Payload) > 0 && !c.dropLoadedSyn {
-		return netsim.Verdict{}
-	}
-	return netsim.Verdict{Drop: true, Note: "server-originated SYN dropped by carrier"}
 }
 
 // CarrierInterference reproduces the §7 network-compatibility anecdote:
@@ -40,45 +37,23 @@ func (c *carrierBox) Process(pkt *packet.Packet, dir netsim.Direction, now time.
 // cellular middlebox; the result maps carrier -> strategy number -> works.
 // Wifi (no middlebox) is the control.
 func CarrierInterference() map[string]map[int]bool {
-	carriers := map[string]*carrierBox{
+	carriers := map[string]func(*Rig){
 		"wifi":    nil,
-		"tmobile": {name: "T-Mobile", dropLoadedSyn: false},
-		"att":     {name: "AT&T", dropLoadedSyn: true},
+		"tmobile": carrierHook(false),
+		"att":     carrierHook(true),
 	}
 	out := make(map[string]map[int]bool)
-	for cname, box := range carriers {
+	for cname, hook := range carriers {
 		res := make(map[int]bool)
 		for _, s := range strategies.All() {
-			res[s.Number] = carrierTrial(box, s.Parse())
+			res[s.Number] = Run(Config{
+				Session:  SessionFor(CountryNone, "http", true),
+				Strategy: s.Parse(),
+				Seed:     1,
+				Hook:     hook,
+			}).Success
 		}
 		out[cname] = res
 	}
 	return out
 }
-
-// carrierTrial runs one censor-free connection behind the given middlebox.
-func carrierTrial(box *carrierBox, strategy *core.Strategy) bool {
-	session := SessionFor(CountryNone, "http", true)
-	var rngs Rands
-	defer rngs.Release()
-	client := tcpstack.NewEndpoint(ClientAddr, tcpstack.DefaultClient, rngs.Acquire(1))
-	server := tcpstack.NewEndpoint(ServerAddr, tcpstack.DefaultServer, rngs.Acquire(2))
-	server.NewServerApp = session.ServerFactory()
-	server.Listen(session.Port)
-	server.Outbound = core.NewEngine(strategy, rngs.Acquire(3)).Outbound
-	var n *netsim.Network
-	if box != nil {
-		n = netsim.New(client, server, box)
-	} else {
-		n = netsim.New(client, server)
-	}
-	client.Attach(n)
-	server.Attach(n)
-	app := session.NewClient()
-	client.Connect(ServerAddr, session.Port, app)
-	n.Run(0)
-	return app.Succeeded()
-}
-
-// Compile-time guard: the box is a Middlebox.
-var _ netsim.Middlebox = (*carrierBox)(nil)

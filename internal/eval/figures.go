@@ -111,38 +111,29 @@ func forbiddenToken(protocol string) []byte {
 // protocol: complete the handshake (and any dialogue) normally, then send
 // the forbidden query with increasing TTLs until the censor responds. It
 // returns the first TTL that elicited censorship (the censor's hop
-// distance), or -1. Several seeds are probed per TTL so a baseline DPI
-// miss does not mislocate the box.
+// distance), or -1. Five trials are probed per TTL so a baseline DPI miss
+// does not mislocate the box.
 func LocalizeCensor(protocol string, seed int64) int {
-	for ttl := 1; ttl <= 12; ttl++ {
-		for rep := int64(0); rep < 5; rep++ {
-			if probeAtTTL(protocol, uint8(ttl), seed+rep*31) {
-				return ttl
-			}
+	token := forbiddenToken(protocol)
+	for ttl := uint8(1); ttl <= 12; ttl++ {
+		cfg := Config{
+			Country: CountryChina,
+			Session: SessionFor(CountryChina, protocol, true),
+			Seed:    seed,
+			Hook: func(r *Rig) {
+				r.Client.Outbound = func(p *packet.Packet) []*packet.Packet {
+					if len(p.TCP.Payload) > 0 && bytes.Contains(p.TCP.Payload, token) {
+						p.IP.TTL = ttl
+					}
+					return []*packet.Packet{p}
+				}
+			},
+		}
+		if RateStats(cfg, 5).Censored > 0 {
+			return int(ttl)
 		}
 	}
 	return -1
-}
-
-// probeAtTTL runs a connection whose forbidden-query packets carry the
-// given TTL and reports whether censorship was triggered.
-func probeAtTTL(protocol string, ttl uint8, seed int64) bool {
-	token := forbiddenToken(protocol)
-	cfg := Config{
-		Country: CountryChina,
-		Session: SessionFor(CountryChina, protocol, true),
-		Seed:    seed,
-		Hook: func(r *Rig) {
-			r.Client.Outbound = func(p *packet.Packet) []*packet.Packet {
-				if len(p.TCP.Payload) > 0 && bytes.Contains(p.TCP.Payload, token) {
-					p.IP.TTL = ttl
-				}
-				return []*packet.Packet{p}
-			}
-		},
-	}
-	res := Run(cfg)
-	return res.CensorEvents > 0
 }
 
 // Figure3 produces the multi-box evidence (the paper's Figure 3 argument):

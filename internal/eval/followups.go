@@ -35,33 +35,27 @@ func ClientSideGeneralization(trials int) map[string]float64 {
 // packet that fails from the server evades when the *client* sends it (a
 // TTL-limited RST after the handshake, the seminal client-side strategy).
 func ClientSideTCBTeardownWorks(trials int) float64 {
-	succ := 0
-	for i := 0; i < trials; i++ {
-		cfg := Config{
-			Country: CountryChina,
-			Session: SessionFor(CountryChina, "http", true),
-			Seed:    int64(4000 + i),
-			Hook: func(r *Rig) {
-				sentTeardown := false
-				r.Client.Outbound = func(p *packet.Packet) []*packet.Packet {
-					// After the handshake completes (first pure ACK),
-					// insert a TTL-limited RST with the correct seq.
-					if !sentTeardown && p.TCP.Flags == packet.FlagACK && len(p.TCP.Payload) == 0 {
-						sentTeardown = true
-						rst := p.Clone()
-						rst.TCP.Flags = packet.FlagRST
-						rst.IP.TTL = 8 // reaches the censor, not the server
-						return []*packet.Packet{p, rst}
-					}
-					return []*packet.Packet{p}
+	cfg := Config{
+		Country: CountryChina,
+		Session: SessionFor(CountryChina, "http", true),
+		Seed:    4000,
+		Hook: func(r *Rig) {
+			sentTeardown := false
+			r.Client.Outbound = func(p *packet.Packet) []*packet.Packet {
+				// After the handshake completes (first pure ACK),
+				// insert a TTL-limited RST with the correct seq.
+				if !sentTeardown && p.TCP.Flags == packet.FlagACK && len(p.TCP.Payload) == 0 {
+					sentTeardown = true
+					rst := p.Clone()
+					rst.TCP.Flags = packet.FlagRST
+					rst.IP.TTL = 8 // reaches the censor, not the server
+					return []*packet.Packet{p, rst}
 				}
-			},
-		}
-		if Run(cfg).Success {
-			succ++
-		}
+				return []*packet.Packet{p}
+			}
+		},
 	}
-	return float64(succ) / float64(trials)
+	return Rate(cfg, trials)
 }
 
 // --- §5.1 follow-ups (E7, E8, E9) ---
@@ -85,21 +79,15 @@ func seqOffsetHook(delta int32) func(*Rig) {
 // strategy, the decremented request is never censored.
 func DesyncConfirmation(trials int) (withStrategy, withoutStrategy float64) {
 	s1, _ := byNumber(1)
-	censored := func(strategy *core.Strategy, seedBase int64) float64 {
-		n := 0
-		for i := 0; i < trials; i++ {
-			cfg := Config{
-				Country:  CountryChina,
-				Session:  SessionFor(CountryChina, "http", true),
-				Strategy: strategy,
-				Seed:     seedBase + int64(i),
-				Hook:     seqOffsetHook(-1),
-			}
-			if Run(cfg).CensorEvents > 0 {
-				n++
-			}
+	censored := func(strategy *core.Strategy, seed int64) float64 {
+		cfg := Config{
+			Country:  CountryChina,
+			Session:  SessionFor(CountryChina, "http", true),
+			Strategy: strategy,
+			Seed:     seed,
+			Hook:     seqOffsetHook(-1),
 		}
-		return float64(n) / float64(trials)
+		return float64(RateStats(cfg, trials).Censored) / float64(trials)
 	}
 	return censored(s1, 5000), censored(nil, 6000)
 }
@@ -160,20 +148,14 @@ func matchRstSeqHook(r *Rig) {
 // proving the GFW synchronized on that packet.
 func Strategy7ResyncTarget(trials int) (censoredRate float64) {
 	s7, _ := byNumber(7)
-	n := 0
-	for i := 0; i < trials; i++ {
-		cfg := Config{
-			Country:  CountryChina,
-			Session:  SessionFor(CountryChina, "http", true),
-			Strategy: s7,
-			Seed:     8000 + int64(i),
-			Hook:     matchRstSeqHook,
-		}
-		if Run(cfg).CensorEvents > 0 {
-			n++
-		}
+	cfg := Config{
+		Country:  CountryChina,
+		Session:  SessionFor(CountryChina, "http", true),
+		Strategy: s7,
+		Seed:     8000,
+		Hook:     matchRstSeqHook,
 	}
-	return float64(n) / float64(trials)
+	return float64(RateStats(cfg, trials).Censored) / float64(trials)
 }
 
 // --- §4.2 residual censorship (E10) ---

@@ -35,9 +35,8 @@ type CensorDef struct {
 	RouterPrefix netip.Prefix
 	// Deploy is the strategy the §8 router serves this country.
 	Deploy strategies.Strategy
-	// Table2 are the strategies in this censor's Table-2 block. China's
-	// block is built separately (it sweeps the full China strategy set);
-	// its entry leaves this nil.
+	// Table2 are the strategy rows of this censor's Table-2 block, below
+	// the no-evasion baseline.
 	Table2 []strategies.Strategy
 	// New builds the middlebox.
 	New func(bl censor.Blocklist, rng *rand.Rand) CensorCounter
@@ -55,6 +54,7 @@ var censorRegistry = []CensorDef{
 		Protocols:    []string{"dns", "ftp", "http", "https", "smtp"},
 		RouterPrefix: netip.MustParsePrefix("10.1.0.0/16"),
 		Deploy:       strategies.Strategy1,
+		Table2:       strategies.China(),
 		New: func(bl censor.Blocklist, rng *rand.Rand) CensorCounter {
 			return gfw.New(bl, rng)
 		},

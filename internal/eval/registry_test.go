@@ -60,8 +60,8 @@ func TestRegistryWellFormed(t *testing.T) {
 		if d.Deploy.Parse() == nil {
 			t.Errorf("%s: deployment strategy does not parse", d.Country)
 		}
-		if d.Country != CountryChina && len(d.Table2) == 0 {
-			t.Errorf("%s: no Table-2 strategies (only China's block is built specially)", d.Country)
+		if len(d.Table2) == 0 {
+			t.Errorf("%s: no Table-2 strategies", d.Country)
 		}
 		if d.New == nil {
 			t.Fatalf("%s: no constructor", d.Country)

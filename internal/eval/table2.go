@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -105,88 +106,40 @@ type Table2Block struct {
 }
 
 // Table2 computes the paper's headline table with the given number of
-// trials per cell, one block per registered censor: the GFW's full
-// strategy sweep for China, and each single-engine censor's Table2
-// strategies over its censored protocols. Seeds are fixed (and key off
-// strategy numbers and protocols, never off registry position), so two
-// runs agree exactly.
+// trials per cell, one block per registered censor: the no-evasion
+// baseline on every protocol, then each of the censor's Table2 strategies
+// on the protocols it censors ("–" elsewhere). Cell seeds are 1000 ×
+// strategy number + protoSeed (they key off strategy numbers and
+// protocols, never off registry position), so two runs agree exactly. A
+// differential-matrix cell uses the same seed, so it is trial 0 of the
+// matching Table 2 cell.
 func Table2(trials int) []Table2Block {
 	var blocks []Table2Block
 	for _, d := range Registry() {
-		if d.Country == CountryChina {
-			blocks = append(blocks, chinaBlock(trials))
-			continue
+		b := Table2Block{Country: d.Country, Protocols: ChinaProtocols}
+		for _, s := range append([]strategies.Strategy{{Name: "No evasion"}}, d.Table2...) {
+			row := Table2Row{Number: s.Number, Name: s.Name, Rates: map[string]float64{}}
+			for _, proto := range ChinaProtocols {
+				if s.Number > 0 && !slices.Contains(d.Protocols, proto) {
+					row.Rates[proto] = -1 // the paper's "–"
+					continue
+				}
+				cfg := Config{
+					Country: d.Country,
+					Session: SessionFor(d.Country, proto, true),
+					Tries:   TriesFor(proto),
+					Seed:    int64(1000*s.Number + protoSeed(proto)),
+				}
+				if s.Number > 0 {
+					cfg.Strategy = s.Parse()
+				}
+				row.Rates[proto] = Rate(cfg, trials)
+			}
+			b.Rows = append(b.Rows, row)
 		}
-		blocks = append(blocks, singleProtocolBlock(d.Country, trials, d.Table2, d.Protocols))
+		blocks = append(blocks, b)
 	}
 	return blocks
-}
-
-func chinaBlock(trials int) Table2Block {
-	b := Table2Block{Country: CountryChina, Protocols: ChinaProtocols}
-	rows := []Table2Row{{Number: 0, Name: "No evasion", Rates: map[string]float64{}}}
-	for _, s := range strategies.China() {
-		rows = append(rows, Table2Row{Number: s.Number, Name: s.Name, Rates: map[string]float64{}})
-	}
-	for _, proto := range ChinaProtocols {
-		for i := range rows {
-			cfg := Config{
-				Country: CountryChina,
-				Session: SessionFor(CountryChina, proto, true),
-				Tries:   TriesFor(proto),
-				Seed:    int64(1000*i + protoSeed(proto)),
-			}
-			if rows[i].Number > 0 {
-				s, _ := strategies.ByNumber(rows[i].Number)
-				cfg.Strategy = s.Parse()
-			}
-			rows[i].Rates[proto] = Rate(cfg, trials)
-		}
-	}
-	b.Rows = rows
-	return b
-}
-
-func singleProtocolBlock(country string, trials int, strats []strategies.Strategy, protos []string) Table2Block {
-	b := Table2Block{Country: country, Protocols: ChinaProtocols}
-	censoredHere := func(proto string) bool {
-		for _, p := range protos {
-			if p == proto {
-				return true
-			}
-		}
-		return false
-	}
-	noEvasion := Table2Row{Number: 0, Name: "No evasion", Rates: map[string]float64{}}
-	for _, proto := range ChinaProtocols {
-		cfg := Config{
-			Country: country,
-			Session: SessionFor(country, proto, true),
-			Tries:   TriesFor(proto),
-			Seed:    int64(protoSeed(proto)),
-		}
-		noEvasion.Rates[proto] = Rate(cfg, trials)
-	}
-	b.Rows = append(b.Rows, noEvasion)
-	for _, s := range strats {
-		row := Table2Row{Number: s.Number, Name: s.Name, Rates: map[string]float64{}}
-		for _, proto := range ChinaProtocols {
-			if !censoredHere(proto) {
-				row.Rates[proto] = -1 // the paper's "–"
-				continue
-			}
-			cfg := Config{
-				Country:  country,
-				Session:  SessionFor(country, proto, true),
-				Strategy: s.Parse(),
-				Tries:    TriesFor(proto),
-				Seed:     int64(100*s.Number + protoSeed(proto)),
-			}
-			row.Rates[proto] = Rate(cfg, trials)
-		}
-		b.Rows = append(b.Rows, row)
-	}
-	return b
 }
 
 func protoSeed(proto string) int {

@@ -273,6 +273,8 @@ type RateResult struct {
 	Attempts int
 	// CensorEvents is the total number of censorship actions observed.
 	CensorEvents int
+	// Censored counts trials in which the censor acted at least once.
+	Censored int
 }
 
 // Rate returns the success fraction, the §4.2 evasion rate.
@@ -318,6 +320,9 @@ func (r *RateResult) add(res Result) {
 	}
 	if res.Established {
 		r.Established++
+	}
+	if res.CensorEvents > 0 {
+		r.Censored++
 	}
 	r.Attempts += res.Attempts
 	r.CensorEvents += res.CensorEvents

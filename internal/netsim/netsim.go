@@ -93,7 +93,6 @@ type Network struct {
 
 	queue eventHeap
 	seq   int
-	steps int
 }
 
 // New builds a network with sensible defaults: 5 hops to the censor,

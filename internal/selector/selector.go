@@ -108,15 +108,6 @@ func (p Portfolio) IsZero() bool { return len(p.strats) == 0 }
 // read-only; engines compile their own rule copies.
 func (p Portfolio) Strategy(i int) *core.Strategy { return p.strats[i] }
 
-// Strategies returns the canonical strategy texts in portfolio order.
-func (p Portfolio) Strategies() []string {
-	out := make([]string, len(p.strats))
-	for i, s := range p.strats {
-		out[i] = s.String()
-	}
-	return out
-}
-
 // Name returns the i-th strategy's canonical text (the key selection
 // outcomes are reported under).
 func (p Portfolio) Name(i int) string { return p.strats[i].String() }
@@ -212,12 +203,11 @@ type armStats struct {
 	pulls float64
 	wins  float64
 	// lifetime outcome totals (undecayed), for reporting.
-	totalPulls    uint64
-	totalServed   uint64
-	totalTorn     uint64
-	totalUnest    uint64
-	quarantine    int // barriers left to sit out; 0 = selectable
-	everCollapsed bool
+	totalPulls  uint64
+	totalServed uint64
+	totalTorn   uint64
+	totalUnest  uint64
+	quarantine  int // barriers left to sit out; 0 = selectable
 }
 
 // key identifies one selector instance: a (country, protocol) pair.
@@ -470,7 +460,6 @@ func (st *State) Merge(cells []*Cell) {
 				arms[inc].quarantine = quarantineWaves
 				arms[inc].pulls = 0
 				arms[inc].wins = 0
-				arms[inc].everCollapsed = true
 				st.fallbacks++
 			}
 		}

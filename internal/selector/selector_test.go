@@ -175,7 +175,7 @@ func TestCollapseQuarantineAndRecovery(t *testing.T) {
 
 	// The censor shifts: the incumbent craters (0/40 served).
 	st.Merge([]*Cell{cellWith(st, delta{k: k, arm: 0, pulls: 40, torn: 40})})
-	if st.Fallbacks() != 1 || !st.stats[k][0].everCollapsed {
+	if st.Fallbacks() != 1 || st.stats[k][0].quarantine != quarantineWaves {
 		t.Fatalf("fallback not recorded: fallbacks=%d stats=%+v", st.Fallbacks(), st.stats[k][0])
 	}
 	if st.stats[k][0].pulls != 0 || st.stats[k][0].wins != 0 {
