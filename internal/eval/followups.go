@@ -187,7 +187,6 @@ func ResidualCensorshipExperiment() []ResidualResult {
 			rig.Attempt()
 		}
 		if rig.CensorEvents() == 0 {
-			rig.rngs.Release()
 			out = append(out, ResidualResult{Protocol: proto})
 			continue
 		}
@@ -200,7 +199,6 @@ func ResidualCensorshipExperiment() []ResidualResult {
 		// Wait out the residual window and retry.
 		rig.Net.Clock.Advance(95 * time.Second)
 		app2 := rig.Attempt()
-		rig.rngs.Release()
 		out = append(out, ResidualResult{
 			Protocol:         proto,
 			ImmediateBlocked: immediateBlocked,
@@ -355,7 +353,6 @@ func Statelessness() map[string]bool {
 		rig.Net.Send(rig.Client, pkt)
 		rig.Net.Run(0)
 		out[country] = rig.CensorEvents() > 0
-		rig.rngs.Release()
 	}
 	return out
 }

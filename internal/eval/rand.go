@@ -53,8 +53,8 @@ func ReleaseRand(r *rand.Rand) {
 	randPool.Put(r)
 }
 
-// Rands collects the generators one sandbox (a trial rig, a fleet cell)
-// acquires, so they can be released together.
+// Rands collects the generators a fleet cell acquires, so they can be
+// released together.
 type Rands []*rand.Rand
 
 // Acquire is AcquireRand(seed), remembered for Release.

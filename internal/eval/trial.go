@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"sync"
 
 	"geneva/internal/apps"
 	"geneva/internal/censor"
 	"geneva/internal/core"
 	"geneva/internal/netsim"
 	"geneva/internal/obs"
+	"geneva/internal/packet"
 	"geneva/internal/tcpstack"
 )
 
@@ -78,10 +80,15 @@ type Config struct {
 	// ClientAddress overrides the client's address (the §8 router
 	// experiment places clients in different regions' prefixes).
 	ClientAddress netip.Addr
-	// Hook, if set, is called once on the wired rig before the first
+	// Hook, if set, is called on the wired rig before the first
 	// connection: it can instrument the client (the §5 follow-up
 	// experiments), reconfigure the server (a core.Router instead of a
-	// single-strategy engine), or keep the censor for inspection.
+	// single-strategy engine), or keep the censor for inspection. Run
+	// wires a pooled rig anew for every trial and calls Hook after each
+	// wiring, exactly as NewRig does, so a hook must build any state it
+	// keeps inside itself. The censor is the one part of the rig a hook
+	// may keep past Run, and only to read it: the rig, its endpoints,
+	// network and generators go back to the pool for the next trial.
 	Hook func(*Rig)
 	// WithTrace records a packet trace (waterfalls).
 	WithTrace bool
@@ -120,9 +127,15 @@ type Rig struct {
 	Censor  CensorCounter
 	Session *apps.Session
 
-	// rngs are the rig's generators. Once they are released nothing in the
-	// rig may draw, so no connection may run on it.
-	rngs Rands
+	// gens holds one generator per stream, indexed by the stream's offset.
+	// The rig owns them for life and reset reseeds them.
+	gens [streamImpairments + 1]*rand.Rand
+	// engine is compiled from a private clone of the strategy whose
+	// canonical text is engineText; reset keeps it while the config's
+	// strategy prints the same. engineOut is its Outbound, bound once.
+	engine     *core.Engine
+	engineText string
+	engineOut  func(*packet.Packet) []*packet.Packet
 }
 
 // The trial seed schedule: trial i of a rate loop runs at seed
@@ -155,29 +168,69 @@ func SeedSchedule(base int64) obs.SeedSchedule {
 
 // NewRig builds the sandbox for a config.
 func NewRig(cfg Config) *Rig {
-	if cfg.ClientOS.Name == "" {
-		cfg.ClientOS = tcpstack.DefaultClient
+	r := new(Rig)
+	r.reset(cfg)
+	return r
+}
+
+// stream reseeds the rig's generator for one stream at the trial seed plus
+// the stream's offset, creating it on first use.
+func (r *Rig) stream(seed, offset int64) *rand.Rand {
+	g := r.gens[offset]
+	if g == nil {
+		g = newRand(seed + offset)
+		r.gens[offset] = g
+	} else {
+		g.Seed(seed + offset)
+	}
+	return g
+}
+
+// reset wires the rig for cfg, reusing what the last trial left behind:
+// the only path that wires a rig, so a reset rig is in exactly the state a
+// fresh one would be. The endpoints, the network and the generators are
+// reset in place and the engine is kept while the strategy's text is
+// unchanged. The censor, the Trace and the scripts are built anew, because
+// a caller may keep them past Run: a hook may hold the censor, Run returns
+// the Trace, and Attempt returns the script.
+func (r *Rig) reset(cfg Config) {
+	os := cfg.ClientOS
+	if os.Name == "" {
+		os = tcpstack.DefaultClient
 	}
 	seed := cfg.Seed
 	clientAddr := cfg.ClientAddress
 	if !clientAddr.IsValid() {
 		clientAddr = ClientAddr
 	}
-	rngs := make(Rands, 0, 5)
-	client := tcpstack.NewEndpoint(clientAddr, cfg.ClientOS, rngs.Acquire(seed+streamClient))
-	server := tcpstack.NewEndpoint(ServerAddr, tcpstack.DefaultServer, rngs.Acquire(seed+streamServer))
+	if r.Net == nil {
+		r.Client, r.Server, r.Net = new(tcpstack.Endpoint), new(tcpstack.Endpoint), new(netsim.Network)
+	}
+	client, server, n := r.Client, r.Server, r.Net
+	client.Reset(clientAddr, os, r.stream(seed, streamClient))
+	server.Reset(ServerAddr, tcpstack.DefaultServer, r.stream(seed, streamServer))
 	server.NewServerApp = cfg.Session.ServerFactory()
 	server.Listen(cfg.Session.Port)
 	if cfg.Strategy != nil {
-		server.Outbound = core.NewEngine(cfg.Strategy, rngs.Acquire(seed+streamEngine)).Outbound
+		rng := r.stream(seed, streamEngine)
+		// Keyed on the text, not the pointer: the GA mutates strategies in
+		// place and rescores the same pointer.
+		if text := cfg.Strategy.String(); r.engine == nil || text != r.engineText {
+			r.engine = core.NewEngine(cfg.Strategy.Clone(), rng)
+			r.engineText = text
+			r.engineOut = r.engine.Outbound
+		}
+		server.Outbound = r.engineOut
 	}
 
-	cen := NewCensor(cfg.Country, censor.Default(), rngs.Acquire(seed+streamCensor))
-	var n *netsim.Network
-	if cen != nil {
-		n = netsim.New(client, server, cen)
+	r.Censor = NewCensor(cfg.Country, censor.Default(), r.stream(seed, streamCensor))
+	// The endpoints went first because the network's client table needs
+	// the client's new address; nothing runs in between, so no timer of
+	// the last trial can fire into a recycled connection.
+	if r.Censor != nil {
+		n.Reset(client, server, r.Censor)
 	} else {
-		n = netsim.New(client, server)
+		n.Reset(client, server)
 	}
 	// Recycling is safe here because every component in the rig — endpoints,
 	// censors, apps — copies what it keeps and never retains a delivered
@@ -190,17 +243,16 @@ func NewRig(cfg Config) *Rig {
 	if cfg.Impairments.Enabled() {
 		// A stream of its own keeps the impairment schedule independent
 		// of the ISN, engine, and censor streams.
-		n.SetImpairments(cfg.Impairments, rngs.Acquire(seed+streamImpairments))
+		n.SetImpairments(cfg.Impairments, r.stream(seed, streamImpairments))
 		client.Retransmit = true
 		server.Retransmit = true
 	}
 	client.Attach(n)
 	server.Attach(n)
-	rig := &Rig{Client: client, Server: server, Net: n, Censor: cen, Session: cfg.Session, rngs: rngs}
+	r.Session = cfg.Session
 	if cfg.Hook != nil {
-		cfg.Hook(rig)
+		cfg.Hook(r)
 	}
-	return rig
 }
 
 // Attempt runs one connection to completion (network quiet) and returns the
@@ -223,20 +275,35 @@ func (r *Rig) CensorEvents() int {
 	return r.Censor.CensoredCount()
 }
 
-// Run executes the trial on a rig of its own: up to cfg.Tries attempts,
-// retrying only when the previous connection was torn down (the RFC 7766
-// client behaviour the paper leans on for DNS success rates). The rig's
-// generators go back to the pool before Run returns.
+// rigPool recycles trial rigs: Run resets a pooled rig in place instead
+// of building a fresh one per trial.
+var rigPool = sync.Pool{New: func() any { return new(Rig) }}
+
+// Run executes the trial on a pooled rig, reset for cfg: up to cfg.Tries
+// attempts, retrying only when the previous connection was torn down (the
+// RFC 7766 client behaviour the paper leans on for DNS success rates). The
+// rig goes back to the pool before Run returns; a censor a hook kept stays
+// readable, since the next reset builds a new one.
 func Run(cfg Config) Result {
-	rig := NewRig(cfg)
-	defer rig.rngs.Release()
-	tries := cfg.Tries
+	rig := rigPool.Get().(*Rig)
+	rig.reset(cfg)
+	res := rig.run(cfg.Tries)
+	rigPool.Put(rig)
+	mTrials.Inc()
+	if res.Success {
+		mTrialSuccess.Inc()
+	}
+	return res
+}
+
+// run makes up to tries attempts (at least one) on the wired rig.
+func (r *Rig) run(tries int) Result {
 	if tries <= 0 {
 		tries = 1
 	}
 	var res Result
 	for i := 0; i < tries; i++ {
-		app := rig.Attempt()
+		app := r.Attempt()
 		res.Attempts++
 		res.Established = res.Established || app.Established()
 		if app.Succeeded() {
@@ -247,12 +314,8 @@ func Run(cfg Config) Result {
 			break // blackholed or corrupted: real clients stop retrying
 		}
 	}
-	res.CensorEvents = rig.CensorEvents()
-	res.Trace = rig.Net.Trace
-	mTrials.Inc()
-	if res.Success {
-		mTrialSuccess.Inc()
-	}
+	res.CensorEvents = r.CensorEvents()
+	res.Trace = r.Net.Trace
 	return res
 }
 
@@ -287,13 +350,16 @@ func (r RateResult) Rate() float64 {
 
 // RateStats runs trials independent trials of cfg (varying the seed) and
 // returns the aggregated outcome counts. Trials share no state — every rig
-// is built from its own seed — so they run on a worker pool bounded by
+// is wired afresh from its own seed — so they run on a worker pool bounded by
 // cfg.Workers (0 = the process default); the result is identical to a
 // sequential run because every field is a commutative sum.
 func RateStats(cfg Config, trials int) RateResult {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = Workers()
+	}
+	if cfg.Strategy != nil {
+		_ = cfg.Strategy.String() // memoize before the workers read it
 	}
 	results := make([]Result, trials)
 	RunParallel(workers, trials, func(i int) {

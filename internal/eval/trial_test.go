@@ -179,9 +179,9 @@ func TestKazakhstanHTTPSInactive(t *testing.T) {
 
 // TestSeedScheduleMatchesRig checks that each stream offset SeedSchedule
 // records reproduces the generator NewRig draws that stream from: the
-// rig's next draw on each stream is one of the first draws of a fresh
-// generator at the trial seed plus the recorded offset (the endpoints draw
-// a few values while the rig is built).
+// rig's next draw on each of its owned generators is one of the first
+// draws of a fresh generator at the trial seed plus the recorded offset
+// (the endpoints draw a few values while the rig is built).
 func TestSeedScheduleMatchesRig(t *testing.T) {
 	const seed = 4242
 	s1, _ := strategies.ByNumber(1)
@@ -192,21 +192,23 @@ func TestSeedScheduleMatchesRig(t *testing.T) {
 		Seed:        seed,
 		Impairments: netsim.Symmetric(netsim.Profile{Loss: 0.01}),
 	})
-	defer rig.rngs.Release()
 	sched := SeedSchedule(seed)
-	// The order NewRig acquires its streams in.
+	// The rig's generators, indexed by stream offset.
 	order := []string{"client", "server", "engine", "censor", "impairments"}
-	if len(rig.rngs) != len(order) || len(sched.Streams) != len(order) {
+	if len(rig.gens) != len(order) || len(sched.Streams) != len(order) {
 		t.Fatalf("rig holds %d streams, schedule records %d, want %d",
-			len(rig.rngs), len(sched.Streams), len(order))
+			len(rig.gens), len(sched.Streams), len(order))
 	}
 	for i, name := range order {
 		off, ok := sched.Streams[name]
 		if !ok {
 			t.Fatalf("schedule records no %q stream", name)
 		}
+		if off != int64(i) {
+			t.Fatalf("%s stream at offset %d, but the rig keeps it at %d", name, off, i)
+		}
 		fresh := AcquireRand(sched.Base + off)
-		got, found := rig.rngs[i].Int63(), false
+		got, found := rig.gens[i].Int63(), false
 		for j := 0; j < 16 && !found; j++ {
 			found = fresh.Int63() == got
 		}

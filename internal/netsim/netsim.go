@@ -98,21 +98,55 @@ type Network struct {
 // New builds a network with sensible defaults: 5 hops to the censor,
 // 5 beyond it, 1 ms per hop.
 func New(client, server Host, boxes ...Middlebox) *Network {
-	n := &Network{
-		Clock:            &Clock{},
+	n := new(Network)
+	n.Reset(client, server, boxes...)
+	return n
+}
+
+// Reset returns n, in place, to the state New(client, server, boxes...)
+// builds: the clock and the event sequence restart at zero, packets still
+// queued go back to the pool (if RecyclePackets was on) and pending timers
+// are dropped unrun, the defaults New sets are restored, impairments are
+// off, Trace is nil and RecyclePackets is off. The event queue, the client
+// table and the box list keep their capacity, so a recycled network
+// reaches its steady state without allocating.
+func (n *Network) Reset(client, server Host, boxes ...Middlebox) {
+	q := n.queue.ev
+	for i := range q {
+		if q[i].pkt != nil {
+			n.recycle(q[i].pkt)
+		}
+		q[i] = event{}
+	}
+	if q == nil {
+		// A handshake plus a short data exchange keeps only a handful of
+		// events in flight; seeding capacity for 8 makes the steady state
+		// allocation-free instead of growing one event at a time.
+		q = make([]event, 0, 8)
+	}
+	clock := n.Clock
+	if clock == nil {
+		clock = &Clock{}
+	}
+	*clock = Clock{}
+	clients := n.clients
+	if clients == nil {
+		clients = make(map[netip.Addr]Host, 1)
+	}
+	clear(clients)
+	clients[client.Addr()] = client
+	clear(n.boxes) // drop stale boxes past the new length
+	*n = Network{
+		Clock:            clock,
 		HopsToCensor:     5,
 		HopsBeyondCensor: 5,
 		LinkDelay:        time.Millisecond,
 		client:           client,
 		server:           server,
-		clients:          map[netip.Addr]Host{client.Addr(): client},
-		boxes:            boxes,
-		// A handshake plus a short data exchange keeps only a handful of
-		// events in flight; seeding capacity for 8 makes the steady state
-		// allocation-free instead of growing one event at a time.
-		queue: eventHeap{ev: make([]event, 0, 8)},
+		clients:          clients,
+		boxes:            append(n.boxes[:0], boxes...),
+		queue:            eventHeap{ev: q[:0]},
 	}
-	return n
 }
 
 // NewMulti builds a network with one server and several clients (all on the

@@ -49,12 +49,37 @@ type Endpoint struct {
 // NewEndpoint builds an endpoint at addr with the given personality. The
 // rng drives ISN and ephemeral-port choice so trials are reproducible.
 func NewEndpoint(addr netip.Addr, os Personality, rng *rand.Rand) *Endpoint {
-	return &Endpoint{
-		OS:       os,
-		addr:     addr,
-		rng:      rng,
-		conns:    make(map[packet.Flow]*Conn, 1),
-		nextPort: uint16(32768 + rng.Intn(16384)),
+	e := new(Endpoint)
+	e.Reset(addr, os, rng)
+	return e
+}
+
+// Reset returns e, in place, to the state NewEndpoint(addr, os, rng)
+// builds: every connection, live or finished, goes on the freelist (its
+// retransmission copies back to the packet pool), the listeners are
+// cleared, the hooks and switches are unset, the endpoint is detached, and
+// nextPort is redrawn from rng. Pending timers of the old connections
+// still sit on the network's queue, so reset that network before it runs
+// again (Network.Reset drops them unrun); the generation guards would
+// ignore them anyway, so the freelist's order cannot show.
+func (e *Endpoint) Reset(addr netip.Addr, os Personality, rng *rand.Rand) {
+	for _, c := range e.conns {
+		c.releaseRtx()
+		e.recycleConn(c)
+	}
+	conns := e.conns
+	if conns == nil {
+		conns = make(map[packet.Flow]*Conn, 1)
+	}
+	clear(e.listeners)
+	*e = Endpoint{
+		OS:        os,
+		addr:      addr,
+		rng:       rng,
+		conns:     conns,
+		listeners: e.listeners,
+		free:      e.free,
+		nextPort:  uint16(32768 + rng.Intn(16384)),
 	}
 }
 
