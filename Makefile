@@ -69,7 +69,8 @@ fleet-determinism:
 # it must be byte-identical to the committed goldens; a pinned portfolio must
 # serve its first strategy only; and the collapse-and-recover scenario must
 # hold. Runs under the race detector next to the selector's own unit
-# determinism tests. CI runs exactly this.
+# determinism tests. CI's race, shuffled test step already runs these
+# tests; this target runs them alone.
 selector-determinism:
 	$(GO) test -race -run 'TestFleetSelectionDeterminism|TestFleetPinnedByteIdentity|TestFleetPinnedPortfolio|TestFleetCollapseAndRecover' -v .
 	$(GO) test -race ./internal/selector/
@@ -92,7 +93,8 @@ pool-safety:
 # Coverage-guided fuzzing bursts — the fuzz targets promoted from
 # seed-corpus-only to live mutation. Go's fuzz engine takes one -fuzz
 # pattern per package per invocation, so each target gets its own run.
-# CI runs exactly this with the default budget.
+# CI runs exactly this with the default budget; every seed corpus also
+# replays in CI's race, shuffled test step.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzDNSQueryName$$' -fuzztime $(FUZZTIME) ./internal/apps/
@@ -120,5 +122,5 @@ evaluate:
 	$(GO) run ./cmd/evaluate -trials 300
 
 figures:
-	$(GO) run ./cmd/waterfall -country china
-	$(GO) run ./cmd/waterfall -country kazakhstan
+	$(GO) run ./cmd/evaluate -experiment figure1
+	$(GO) run ./cmd/evaluate -experiment figure2

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,80 @@ func TestReportMatchesResults(t *testing.T) {
 		}
 		if g != w {
 			t.Errorf("line %d:\n  got  %q\n  want %q", k+1, g, w)
+		}
+	}
+}
+
+// TestRunRejectsUnknownName checks that a name no entry has is an error,
+// returned before any output, that lists every entry.
+func TestRunRejectsUnknownName(t *testing.T) {
+	for _, name := range []string{"all", "table", "2", "Table2", "figure4"} {
+		var b strings.Builder
+		err := run(&b, name, 1)
+		if err == nil {
+			t.Errorf("run(%q) = nil error, want one", name)
+			continue
+		}
+		if b.Len() != 0 {
+			t.Errorf("run(%q) printed %q before failing", name, b.String())
+		}
+		listed := map[string]bool{}
+		for _, f := range strings.FieldsFunc(err.Error(), func(r rune) bool {
+			return strings.ContainsRune(" ,:;", r)
+		}) {
+			listed[f] = true
+		}
+		for _, e := range experiments {
+			if !listed[e.name] {
+				t.Errorf("run(%q) error %q does not list %q", name, err, e.name)
+			}
+		}
+	}
+}
+
+func TestExperimentNamesUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range experiments {
+		if seen[e.name] {
+			t.Errorf("entry %q is listed twice", e.name)
+		}
+		seen[e.name] = true
+	}
+}
+
+// citedExperiment matches a `cmd/evaluate ... -experiment NAME` command on
+// one line of a document; NAME may join several entries with '|'.
+var citedExperiment = regexp.MustCompile("cmd/evaluate\\b[^\\n`]*?-experiment[ =]([a-z0-9|-]+)")
+
+// TestDocumentedExperimentsExist checks that every `cmd/evaluate
+// -experiment NAME` the documents cite names an entry, so a renamed or
+// removed entry cannot leave a dead command behind.
+func TestDocumentedExperimentsExist(t *testing.T) {
+	known := map[string]bool{}
+	for _, e := range experiments {
+		known[e.name] = true
+	}
+	for _, doc := range []string{
+		"../../README.md",
+		"../../DESIGN.md",
+		"../../EXPERIMENTS.md",
+		"../../Makefile",
+		"../../.claude/skills/verify/SKILL.md",
+	} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("reading %s: %v", doc, err)
+		}
+		cites := citedExperiment.FindAllStringSubmatch(string(raw), -1)
+		if len(cites) == 0 {
+			t.Errorf("%s cites no cmd/evaluate -experiment command", doc)
+		}
+		for _, c := range cites {
+			for _, name := range strings.Split(c[1], "|") {
+				if !known[name] {
+					t.Errorf("%s cites %q: no entry is named %q", doc, c[0], name)
+				}
+			}
 		}
 	}
 }

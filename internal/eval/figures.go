@@ -40,42 +40,38 @@ func Waterfall(country string, strat *strategies.Strategy, seed int64) string {
 }
 
 // Figure1 renders the China waterfalls: normal behaviour plus Strategies
-// 1-8 (the paper's Figure 1). Seeds are chosen so the probabilistic
-// strategies show their successful path.
+// 1-8 (the paper's Figure 1). Each strategy is drawn at its EvadingSeed, so
+// the probabilistic strategies show their successful path.
 func Figure1() string {
 	var b strings.Builder
 	b.WriteString(Waterfall(CountryChina, nil, 1))
 	b.WriteByte('\n')
 	for _, s := range strategies.China() {
 		s := s
-		b.WriteString(Waterfall(CountryChina, &s, figure1Seed(s.Number)))
+		seed := EvadingSeed(Config{
+			Country:  CountryChina,
+			Session:  SessionFor(CountryChina, "http", true),
+			Strategy: s.Parse(),
+		})
+		b.WriteString(Waterfall(CountryChina, &s, seed))
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-// EvadingSeed finds a seed whose trial evades for the given strategy, so a
-// waterfall shows the strategy's successful path (as the paper's figures
-// do). Falls back to seed 1 if none of the first 500 evade.
-func EvadingSeed(country string, s strategies.Strategy) int64 {
+// EvadingSeed returns the first seed in 1-499 at which cfg's trial evades,
+// so a waterfall shows the strategy's successful path (as the paper's
+// figures do), or 1 if none does. cfg.Seed is ignored, and the search runs
+// untraced whatever cfg.WithTrace says.
+func EvadingSeed(cfg Config) int64 {
+	cfg.WithTrace = false
 	for seed := int64(1); seed < 500; seed++ {
-		cfg := Config{
-			Country:  country,
-			Session:  SessionFor(country, "http", true),
-			Strategy: s.Parse(),
-			Seed:     seed,
-		}
+		cfg.Seed = seed
 		if Run(cfg).Success {
 			return seed
 		}
 	}
 	return 1
-}
-
-// figure1Seed picks, per strategy, a seed whose China trial evades.
-func figure1Seed(number int) int64 {
-	s, _ := strategies.ByNumber(number)
-	return EvadingSeed(CountryChina, s)
 }
 
 // Figure2 renders the Kazakhstan waterfalls (Strategies 9-11).

@@ -22,9 +22,9 @@ func handshakeShape(t *testing.T, country string, num int) []string {
 		Country:   country,
 		Session:   SessionFor(country, "http", true),
 		Strategy:  s.Parse(),
-		Seed:      EvadingSeed(country, s),
 		WithTrace: true,
 	}
+	cfg.Seed = EvadingSeed(cfg)
 	res := Run(cfg)
 	if !res.Success {
 		t.Fatalf("strategy %d: evading seed did not evade", num)
