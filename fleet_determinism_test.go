@@ -84,7 +84,7 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 	want := sweepSchedules(t, "", base)
 	// The process's own GOMAXPROCS must agree with every explicit setting.
-	t.Run("workers=8_shards=auto", func(t *testing.T) {
+	t.Run("workers=8_procs=auto", func(t *testing.T) {
 		if got := encodeDeployment(t, base, 8, 0); got != want {
 			t.Errorf("workers=8 at default GOMAXPROCS diverged from workers=1/procs=1:\n%s\nvs\n%s", got, want)
 		}

@@ -1,12 +1,13 @@
 package netsim
 
-// The event queue is the single hottest structure in the simulator: every
-// packet leg, timer, and impairment copy passes through one push and one pop.
-// The original implementation was a container/heap over []*event with a
-// freelist; profiles showed the interface-method sift calls (Less/Swap via
-// heap.Interface) and the any round-trips on Push/Pop as a steady ~7% of a
-// fleet run. This file replaces it with an inlined, index-based 4-ary
-// min-heap over a value slice []event:
+// The heap is the event queue's general lane (queue.go): every timer,
+// impaired or duplicated copy, and packet leg that would land below the FIFO
+// ring's tail passes through one push and one pop here. Unimpaired legs ride
+// the ring instead. The original implementation was a container/heap over
+// []*event with a freelist; profiles showed the interface-method sift calls
+// (Less/Swap via heap.Interface) and the any round-trips on Push/Pop as a
+// steady ~7% of a fleet run. This file replaces it with an inlined,
+// index-based 4-ary min-heap over a value slice []event:
 //
 //   - values, not pointers: no freelist, no per-event pointer chasing, and
 //     the slice grows amortized like any other buffer;
@@ -22,7 +23,7 @@ package netsim
 // order (FIFO) and the heap order is total — pop order is deterministic and
 // byte-identical to the container/heap implementation. heap_test.go locks
 // this in with a differential property test against a container/heap
-// reference plus FuzzEventQueue.
+// reference, and FuzzEventQueue checks the two lanes together against it.
 
 type eventHeap struct {
 	ev []event

@@ -91,7 +91,7 @@ type Network struct {
 	impair    Impairments
 	impairRNG *rand.Rand
 
-	queue eventHeap
+	queue eventQueue
 	seq   int
 }
 
@@ -107,22 +107,15 @@ func New(client, server Host, boxes ...Middlebox) *Network {
 // builds: the clock and the event sequence restart at zero, packets still
 // queued go back to the pool (if RecyclePackets was on) and pending timers
 // are dropped unrun, the defaults New sets are restored, impairments are
-// off, Trace is nil and RecyclePackets is off. The event queue, the client
+// off, Trace is nil and RecyclePackets is off. Both event lanes, the client
 // table and the box list keep their capacity, so a recycled network
 // reaches its steady state without allocating.
 func (n *Network) Reset(client, server Host, boxes ...Middlebox) {
-	q := n.queue.ev
-	for i := range q {
-		if q[i].pkt != nil {
-			n.recycle(q[i].pkt)
+	q := n.queue
+	for q.len() > 0 {
+		if e := q.pop(); e.pkt != nil {
+			n.recycle(e.pkt)
 		}
-		q[i] = event{}
-	}
-	if q == nil {
-		// A handshake plus a short data exchange keeps only a handful of
-		// events in flight; seeding capacity for 8 makes the steady state
-		// allocation-free instead of growing one event at a time.
-		q = make([]event, 0, 8)
 	}
 	clock := n.Clock
 	if clock == nil {
@@ -145,7 +138,7 @@ func (n *Network) Reset(client, server Host, boxes ...Middlebox) {
 		server:           server,
 		clients:          clients,
 		boxes:            append(n.boxes[:0], boxes...),
-		queue:            eventHeap{ev: q[:0]},
+		queue:            q,
 	}
 }
 
@@ -200,7 +193,7 @@ func (n *Network) Inject(pkt *packet.Packet, dir Direction) {
 func (n *Network) enqueue(pkt *packet.Packet, dir Direction, fromCensor bool) {
 	prof := n.impair.profile(dir)
 	if !prof.enabled() {
-		n.push(pkt, dir, fromCensor, n.LinkDelay)
+		n.queue.pushLeg(n.packetEvent(pkt, dir, fromCensor, n.LinkDelay))
 		return
 	}
 	// Impairment draws happen in a fixed order (loss, primary-copy delay,
@@ -213,23 +206,25 @@ func (n *Network) enqueue(pkt *packet.Packet, dir Direction, fromCensor bool) {
 		n.recycle(pkt)
 		return
 	}
-	n.push(pkt, dir, fromCensor, n.LinkDelay+n.impairExtra(prof))
+	n.queue.heap.push(n.packetEvent(pkt, dir, fromCensor, n.LinkDelay+n.impairExtra(prof)))
 	if n.impairRNG.Float64() < prof.Duplicate {
 		mDuplicated.Inc()
 		n.trace(pkt, dir, "duplicated (impairment)", now)
-		n.push(pkt.ClonePooled(), dir, fromCensor, n.LinkDelay+n.impairExtra(prof))
+		n.queue.heap.push(n.packetEvent(pkt.ClonePooled(), dir, fromCensor, n.LinkDelay+n.impairExtra(prof)))
 	}
 }
 
-func (n *Network) push(pkt *packet.Packet, dir Direction, fromCensor bool, delay time.Duration) {
+// packetEvent stamps one packet copy, arriving delay from now, with the
+// next sequence number.
+func (n *Network) packetEvent(pkt *packet.Packet, dir Direction, fromCensor bool, delay time.Duration) event {
 	n.seq++
-	n.queue.push(event{
+	return event{
 		at:         n.Clock.Now() + delay,
 		seq:        n.seq,
 		pkt:        pkt,
 		dir:        dir,
 		fromCensor: fromCensor,
-	})
+	}
 }
 
 // After schedules fn to run at virtual time Now()+d, interleaved with
@@ -242,7 +237,7 @@ func (n *Network) After(d time.Duration, fn func()) {
 		d = 0
 	}
 	n.seq++
-	n.queue.push(event{at: n.Clock.Now() + d, seq: n.seq, fire: fn})
+	n.queue.heap.push(event{at: n.Clock.Now() + d, seq: n.seq, fire: fn})
 }
 
 // Run processes queued packets until the network is quiet or limit events

@@ -109,7 +109,7 @@ func TestFleetSelectionDeterminism(t *testing.T) {
 		t.Error("UCB1 and epsilon-greedy produced identical output; the policy knob is dead")
 	}
 	for _, layout := range []struct{ w, p int }{{2, 2}, {8, 0}} {
-		t.Run(fmt.Sprintf("ucb1/workers=%d_shards=%d", layout.w, layout.p), func(t *testing.T) {
+		t.Run(fmt.Sprintf("ucb1/workers=%d_procs=%d", layout.w, layout.p), func(t *testing.T) {
 			if got := encodeDeployment(t, ucb, layout.w, layout.p); got != wantUCB {
 				t.Errorf("UCB1 run diverged from workers=1/procs=1:\n%s\nvs\n%s", got, wantUCB)
 			}
