@@ -382,7 +382,7 @@ func ablations(w io.Writer, trials int) {
 	}
 	multi, single := eval.SingleBoxAblation(sample(trials, 2))
 	fmt.Fprintln(w, "\nSingle-box counterfactual (Strategy 5 per protocol):")
-	for _, p := range eval.ChinaProtocols {
+	for _, p := range eval.CensoredProtocols(eval.CountryChina) {
 		fmt.Fprintf(w, "  %-6s multi-box %3.0f%%   single shared box %3.0f%%\n",
 			p, 100*multi[p], 100*single[p])
 	}

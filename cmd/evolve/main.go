@@ -84,13 +84,7 @@ func main() {
 			best = pruned
 		}
 	}
-	confirm := eval.Rate(eval.Config{
-		Country:  *country,
-		Session:  eval.SessionFor(*country, *protocol, true),
-		Strategy: best,
-		Tries:    eval.TriesFor(*protocol),
-		Seed:     *seed + 100000,
-	}, 200)
+	confirm := eval.Rate(eval.Trial(*country, *protocol, best, *seed+100000), 200)
 	fmt.Printf("Confirmed success rate over 200 fresh trials: %.0f%%\n", 100*confirm)
 	if *metrics {
 		fmt.Printf("\n--- metrics ---\n%s", obs.Take().Format())

@@ -35,6 +35,7 @@
 package geneva
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 
@@ -139,7 +140,8 @@ type Simulation struct {
 	Protocol string
 	// Strategy is the server-side Geneva program ("" = no evasion).
 	Strategy string
-	// Trials is the number of independent connections (default 100).
+	// Trials is the number of independent connections (0 = default 100;
+	// negative is rejected).
 	Trials int
 	// Seed fixes the randomness (two equal Simulations agree exactly).
 	Seed int64
@@ -184,9 +186,9 @@ type Result struct {
 }
 
 // Run executes the simulation and returns the structured result. A
-// Simulation naming an unknown Country or Protocol returns a descriptive
-// error. Results are bit-identical for equal Simulations at any Workers
-// width.
+// Simulation naming an unknown Country or Protocol, or with negative
+// Trials, returns a descriptive error. Results are bit-identical for equal
+// Simulations at any Workers width.
 func Run(s Simulation) (Result, error) {
 	if err := eval.CheckCountryProtocol(s.Country, s.Protocol); err != nil {
 		return Result{}, err
@@ -194,23 +196,22 @@ func Run(s Simulation) (Result, error) {
 	if err := eval.CheckProfile(s.Impairments); err != nil {
 		return Result{}, err
 	}
-	cfg := eval.Config{
-		Country:     s.Country,
-		Session:     eval.SessionFor(s.Country, s.Protocol, true),
-		Tries:       eval.TriesFor(s.Protocol),
-		Seed:        s.Seed,
-		Workers:     s.Workers,
-		Impairments: netsim.Symmetric(s.Impairments),
+	if s.Trials < 0 {
+		return Result{}, fmt.Errorf("Simulation.Trials = %d is negative", s.Trials)
 	}
+	var strategy *core.Strategy
 	if s.Strategy != "" {
 		parsed, err := core.Parse(s.Strategy)
 		if err != nil {
 			return Result{}, err
 		}
-		cfg.Strategy = parsed
+		strategy = parsed
 	}
+	cfg := eval.Trial(s.Country, s.Protocol, strategy, s.Seed)
+	cfg.Workers = s.Workers
+	cfg.Impairments = netsim.Symmetric(s.Impairments)
 	trials := s.Trials
-	if trials <= 0 {
+	if trials == 0 {
 		trials = 100
 	}
 	stats := eval.RateStats(cfg, trials)

@@ -250,6 +250,24 @@ func TestRejectsSilentlyWrongInputs(t *testing.T) {
 			t.Errorf("RunDeployment with %s: want error, got nil", c.name)
 		}
 	}
+	// A negative size names its field instead of silently running the
+	// default.
+	if _, err := Run(Simulation{Country: China, Protocol: "http", Trials: -5}); err == nil || !strings.Contains(err.Error(), "Trials") {
+		t.Errorf("Run with negative Trials: error %v does not name Trials", err)
+	}
+	for _, c := range []struct {
+		field string
+		d     Deployment
+	}{
+		{"Connections", Deployment{Connections: -5}},
+		{"ClientsPerCell", Deployment{Connections: 8, ClientsPerCell: -1}},
+		{"WavesPerCell", Deployment{Connections: 8, WavesPerCell: -1}},
+		{"SessionRequests", Deployment{Connections: 8, SessionRequests: -3}},
+	} {
+		if _, err := RunDeployment(c.d); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("RunDeployment with negative %s: error %v does not name %s", c.field, err, c.field)
+		}
+	}
 	for _, c := range []struct {
 		name, field string
 		opt         EvolveOptions

@@ -113,7 +113,7 @@ func (b Blocklist) MatchDomain(name string) bool {
 // blind spot client segmentation (Strategy 8) exploits.
 func (b Blocklist) ForbiddenHost(pkt *packet.Packet) (string, bool) {
 	var host string
-	found := packet.VisitHTTPRequests(pkt.TCP.Payload, func(_, h string, hok bool) bool {
+	found := packet.VisitHTTPRequests(pkt.TCP.Payload, func(_ []byte, h string, hok bool) bool {
 		if hok && b.MatchDomain(h) {
 			host = h
 			return true

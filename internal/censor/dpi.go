@@ -71,8 +71,6 @@ type DPIParams struct {
 	BlockBody        string
 	RedirectLocation string
 	ForgedAddr       [4]byte
-	// TerseNotes leaves the matched trigger out of verdict notes.
-	TerseNotes bool
 	// Metrics is the calibration's counter set.
 	Metrics DPIMetrics
 }
@@ -239,8 +237,6 @@ func (d *DPI) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 	switch {
 	case action == ActionForgeDNS:
 		note = "forged DNS response for " + value
-	case d.P.TerseNotes:
-		note = actionNotes[action]
 	case actionNotes[action] == "":
 		note = "blocked " + what + " " + value
 	default:

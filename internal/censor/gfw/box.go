@@ -415,8 +415,8 @@ func (b *Box) matches(stream []byte) bool {
 // matchHTTPRequest is the per-request predicate for the pipelined follow-up
 // scan: the same keyword-on-target / domain-on-Host pair the first-request
 // path applies.
-func (b *Box) matchHTTPRequest(target, host string, hok bool) bool {
-	return b.Block.MatchKeyword(target) || (hok && b.Block.MatchDomain(host))
+func (b *Box) matchHTTPRequest(target []byte, host string, hok bool) bool {
+	return b.Block.MatchKeyword(string(target)) || (hok && b.Block.MatchDomain(host))
 }
 
 // censorVerdict fabricates the GFW's tear-down: RST+ACK triples to the

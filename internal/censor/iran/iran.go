@@ -31,7 +31,6 @@ func Params() censor.DPIParams {
 		HTTP:            censor.ActionBlackhole,
 		SNI:             censor.ActionBlackhole,
 		BlackholeWindow: time.Minute,
-		TerseNotes:      true,
 		Metrics:         metrics,
 	}
 }

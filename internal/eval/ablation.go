@@ -13,17 +13,11 @@ import (
 // China censor — the model Table 2 measures — with every box's parameters
 // rewritten by mod.
 func gfwVariant(mod func(*gfw.Params), strategy *core.Strategy, proto string, trials int, seed int64) float64 {
-	cfg := Config{
-		Country:  CountryChina,
-		Session:  SessionFor(CountryChina, proto, true),
-		Strategy: strategy,
-		Tries:    TriesFor(proto),
-		Seed:     seed,
-		Hook: func(r *Rig) {
-			for _, b := range r.Censor.(*gfw.GFW).Boxes {
-				mod(&b.P)
-			}
-		},
+	cfg := Trial(CountryChina, proto, strategy, seed)
+	cfg.Hook = func(r *Rig) {
+		for _, b := range r.Censor.(*gfw.GFW).Boxes {
+			mod(&b.P)
+		}
 	}
 	return Rate(cfg, trials)
 }
@@ -110,8 +104,9 @@ func SingleBoxAblation(trials int) (multiBox, singleBox map[string]float64) {
 	s5, _ := byNumber(5)
 	multiBox = make(map[string]float64)
 	singleBox = make(map[string]float64)
-	for _, proto := range ChinaProtocols {
-		multiBox[proto] = gfwVariant(func(*gfw.Params) {}, s5, proto, trials, int64(1100+protoSeed(proto)))
+	for _, proto := range CensoredProtocols(CountryChina) {
+		off := protocolRow(proto).seed
+		multiBox[proto] = gfwVariant(func(*gfw.Params) {}, s5, proto, trials, 1100+off)
 		// Single box: every protocol handled by one stack with the HTTP
 		// box's transport behaviour.
 		httpParams := gfw.ChinaParams()[2]
@@ -119,7 +114,7 @@ func SingleBoxAblation(trials int) (multiBox, singleBox map[string]float64) {
 			protoName := p.Protocol
 			*p = httpParams
 			p.Protocol = protoName // keep the DPI matcher; share the stack
-		}, s5, proto, trials, int64(1200+protoSeed(proto)))
+		}, s5, proto, trials, 1200+off)
 	}
 	return multiBox, singleBox
 }

@@ -29,8 +29,8 @@ func TestSingleBoxAblationCollapsesHeterogeneity(t *testing.T) {
 	}
 	// Counterfactual single box: the spread collapses.
 	spread := 0.0
-	for _, p := range ChinaProtocols {
-		for _, q := range ChinaProtocols {
+	for _, p := range CensoredProtocols(CountryChina) {
+		for _, q := range CensoredProtocols(CountryChina) {
 			if d := single[p] - single[q]; d > spread {
 				spread = d
 			}
@@ -103,8 +103,8 @@ func TestAblationsMeasureRegistryModel(t *testing.T) {
 		}
 	}
 	multi, _ := SingleBoxAblation(trials)
-	for _, proto := range ChinaProtocols {
-		if want := rate(5, proto, int64(1100+protoSeed(proto))); multi[proto] != want {
+	for _, proto := range CensoredProtocols(CountryChina) {
+		if want := rate(5, proto, 1100+protocolRow(proto).seed); multi[proto] != want {
 			t.Errorf("S5/%s: multi-box %.3f, registry model %.3f", proto, multi[proto], want)
 		}
 	}

@@ -46,12 +46,9 @@ func CarrierInterference() map[string]map[int]bool {
 	for cname, hook := range carriers {
 		res := make(map[int]bool)
 		for _, s := range strategies.All() {
-			res[s.Number] = Run(Config{
-				Session:  SessionFor(CountryNone, "http", true),
-				Strategy: s.Parse(),
-				Seed:     1,
-				Hook:     hook,
-			}).Success
+			cfg := Trial(CountryNone, "http", s.Parse(), 1)
+			cfg.Hook = hook
+			res[s.Number] = Run(cfg).Success
 		}
 		out[cname] = res
 	}

@@ -100,13 +100,8 @@ func Differential() []DifferentialCell {
 	for _, d := range Registry() {
 		for _, proto := range d.Protocols {
 			for _, s := range DifferentialStrategies {
-				cfg := Config{
-					Country:   d.Country,
-					Session:   SessionFor(d.Country, proto, true),
-					Tries:     TriesFor(proto),
-					Seed:      int64(1000*s + protoSeed(proto)),
-					WithTrace: true,
-				}
+				cfg := Trial(d.Country, proto, nil, int64(1000*s)+protocolRow(proto).seed)
+				cfg.WithTrace = true
 				if s > 0 {
 					st, ok := strategies.ByNumber(s)
 					if !ok {

@@ -171,13 +171,7 @@ func (e *Evaluator) BatchFitness(batch []*core.Strategy) []float64 {
 // be used; the population pool passes false for itself to avoid
 // oversubscription.
 func (e *Evaluator) sample(s *core.Strategy, trialPool bool) float64 {
-	cfg := Config{
-		Country:  e.country,
-		Session:  SessionFor(e.country, e.protocol, true),
-		Strategy: s,
-		Tries:    TriesFor(e.protocol),
-		Seed:     e.seedBase,
-	}
+	cfg := Trial(e.country, e.protocol, s, e.seedBase)
 	if !trialPool {
 		cfg.Workers = 1
 	}

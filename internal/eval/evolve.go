@@ -72,7 +72,7 @@ func evolve(opt EvolveOptions, batch func([]*core.Strategy) []float64) genetic.R
 		// packet a server sends before censorship, so triggers are
 		// restricted to it; FTP servers speak first (the 220 greeting),
 		// so there the trigger itself evolves.
-		EvolveTrigger: opt.Protocol == "ftp",
+		EvolveTrigger: protocolRow(opt.Protocol).serverFirst,
 		BatchFitness:  batch,
 		Rng:           rng,
 	})

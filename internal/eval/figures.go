@@ -7,21 +7,14 @@ import (
 
 	"geneva/internal/packet"
 	"geneva/internal/strategies"
-	"geneva/internal/tcpstack"
 )
 
 // Waterfall runs one traced connection with the given strategy and renders
 // the packet exchange in the style of Figures 1 and 2. The country picks
 // the censor ("" for a censor-free diagram of pure client/server behaviour).
 func Waterfall(country string, strat *strategies.Strategy, seed int64) string {
-	proto := "http"
-	cfg := Config{
-		Country:   country,
-		Session:   SessionFor(country, proto, true),
-		ClientOS:  tcpstack.DefaultClient,
-		Seed:      seed,
-		WithTrace: true,
-	}
+	cfg := Trial(country, "http", nil, seed)
+	cfg.WithTrace = true
 	title := "Normal behavior"
 	if strat != nil {
 		cfg.Strategy = strat.Parse()
@@ -48,11 +41,7 @@ func Figure1() string {
 	b.WriteByte('\n')
 	for _, s := range strategies.China() {
 		s := s
-		seed := EvadingSeed(Config{
-			Country:  CountryChina,
-			Session:  SessionFor(CountryChina, "http", true),
-			Strategy: s.Parse(),
-		})
+		seed := EvadingSeed(Trial(CountryChina, "http", s.Parse(), 0))
 		b.WriteString(Waterfall(CountryChina, &s, seed))
 		b.WriteByte('\n')
 	}
@@ -87,43 +76,25 @@ func Figure2() string {
 	return b.String()
 }
 
-// forbiddenToken returns a byte substring that appears only in the
-// protocol's forbidden message, so TTL-limiting instrumentation can target
-// exactly the censored query (the paper's §6 method: the handshake and any
-// sign-in dialogue proceed normally; only the query is TTL-limited).
-func forbiddenToken(protocol string) []byte {
-	switch protocol {
-	case "dns", "https":
-		return []byte("wikipedia")
-	case "ftp", "http":
-		return []byte("ultrasurf")
-	case "smtp":
-		return []byte("tibetalk")
-	}
-	return nil
-}
-
 // LocalizeCensor performs the §6 TTL-limited probe experiment for one
 // protocol: complete the handshake (and any dialogue) normally, then send
 // the forbidden query with increasing TTLs until the censor responds. It
 // returns the first TTL that elicited censorship (the censor's hop
 // distance), or -1. Five trials are probed per TTL so a baseline DPI miss
-// does not mislocate the box.
+// does not mislocate the box. Only packets carrying the protocol's
+// forbidden token are TTL-limited: the handshake and any sign-in dialogue
+// proceed normally, as in the paper's §6 method.
 func LocalizeCensor(protocol string, seed int64) int {
-	token := forbiddenToken(protocol)
+	token := []byte(protocolRow(protocol).token)
 	for ttl := uint8(1); ttl <= 12; ttl++ {
-		cfg := Config{
-			Country: CountryChina,
-			Session: SessionFor(CountryChina, protocol, true),
-			Seed:    seed,
-			Hook: func(r *Rig) {
-				r.Client.Outbound = func(p *packet.Packet) []*packet.Packet {
-					if len(p.TCP.Payload) > 0 && bytes.Contains(p.TCP.Payload, token) {
-						p.IP.TTL = ttl
-					}
-					return []*packet.Packet{p}
+		cfg := Trial(CountryChina, protocol, nil, seed)
+		cfg.Hook = func(r *Rig) {
+			r.Client.Outbound = func(p *packet.Packet) []*packet.Packet {
+				if len(p.TCP.Payload) > 0 && bytes.Contains(p.TCP.Payload, token) {
+					p.IP.TTL = ttl
 				}
-			},
+				return []*packet.Packet{p}
+			}
 		}
 		if RateStats(cfg, 5).Censored > 0 {
 			return int(ttl)
@@ -149,16 +120,10 @@ func Figure3(trials int) Figure3Result {
 		CensorHops:    make(map[string]int),
 	}
 	s5, _ := byNumber(5)
-	for _, proto := range ChinaProtocols {
-		cfg := Config{
-			Country:  CountryChina,
-			Session:  SessionFor(CountryChina, proto, true),
-			Strategy: s5,
-			Tries:    TriesFor(proto),
-			Seed:     int64(500 + protoSeed(proto)),
-		}
-		res.StrategyRates[proto] = Rate(cfg, trials)
-		res.CensorHops[proto] = LocalizeCensor(proto, int64(900+protoSeed(proto)))
+	for _, proto := range CensoredProtocols(CountryChina) {
+		off := protocolRow(proto).seed
+		res.StrategyRates[proto] = Rate(Trial(CountryChina, proto, s5, 500+off), trials)
+		res.CensorHops[proto] = LocalizeCensor(proto, 900+off)
 	}
 	return res
 }
@@ -168,7 +133,7 @@ func FormatFigure3(r Figure3Result) string {
 	var b strings.Builder
 	b.WriteString("Figure 3 evidence: distinct per-protocol censorship boxes, colocated\n\n")
 	fmt.Fprintf(&b, "%-8s %22s %12s\n", "Protocol", "Strategy 5 success", "Censor hop")
-	for _, p := range ChinaProtocols {
+	for _, p := range CensoredProtocols(CountryChina) {
 		fmt.Fprintf(&b, "%-8s %21.0f%% %12d\n", p, 100*r.StrategyRates[p], r.CensorHops[p])
 	}
 	b.WriteString("\nSame hop for every protocol => colocated boxes;\n")

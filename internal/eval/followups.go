@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"geneva/internal/apps"
 	"geneva/internal/censor/kazakh"
 	"geneva/internal/core"
 	"geneva/internal/packet"
@@ -20,13 +19,7 @@ import (
 func ClientSideGeneralization(trials int) map[string]float64 {
 	out := make(map[string]float64)
 	for i, s := range strategies.ClientSideAnalogs() {
-		cfg := Config{
-			Country:  CountryChina,
-			Session:  SessionFor(CountryChina, "http", true),
-			Strategy: s.Parse(),
-			Seed:     int64(3000 + i),
-		}
-		out[s.Name] = Rate(cfg, trials)
+		out[s.Name] = Rate(Trial(CountryChina, "http", s.Parse(), int64(3000+i)), trials)
 	}
 	return out
 }
@@ -35,25 +28,21 @@ func ClientSideGeneralization(trials int) map[string]float64 {
 // packet that fails from the server evades when the *client* sends it (a
 // TTL-limited RST after the handshake, the seminal client-side strategy).
 func ClientSideTCBTeardownWorks(trials int) float64 {
-	cfg := Config{
-		Country: CountryChina,
-		Session: SessionFor(CountryChina, "http", true),
-		Seed:    4000,
-		Hook: func(r *Rig) {
-			sentTeardown := false
-			r.Client.Outbound = func(p *packet.Packet) []*packet.Packet {
-				// After the handshake completes (first pure ACK),
-				// insert a TTL-limited RST with the correct seq.
-				if !sentTeardown && p.TCP.Flags == packet.FlagACK && len(p.TCP.Payload) == 0 {
-					sentTeardown = true
-					rst := p.Clone()
-					rst.TCP.Flags = packet.FlagRST
-					rst.IP.TTL = 8 // reaches the censor, not the server
-					return []*packet.Packet{p, rst}
-				}
-				return []*packet.Packet{p}
+	cfg := Trial(CountryChina, "http", nil, 4000)
+	cfg.Hook = func(r *Rig) {
+		sentTeardown := false
+		r.Client.Outbound = func(p *packet.Packet) []*packet.Packet {
+			// After the handshake completes (first pure ACK),
+			// insert a TTL-limited RST with the correct seq.
+			if !sentTeardown && p.TCP.Flags == packet.FlagACK && len(p.TCP.Payload) == 0 {
+				sentTeardown = true
+				rst := p.Clone()
+				rst.TCP.Flags = packet.FlagRST
+				rst.IP.TTL = 8 // reaches the censor, not the server
+				return []*packet.Packet{p, rst}
 			}
-		},
+			return []*packet.Packet{p}
+		}
 	}
 	return Rate(cfg, trials)
 }
@@ -80,13 +69,8 @@ func seqOffsetHook(delta int32) func(*Rig) {
 func DesyncConfirmation(trials int) (withStrategy, withoutStrategy float64) {
 	s1, _ := byNumber(1)
 	censored := func(strategy *core.Strategy, seed int64) float64 {
-		cfg := Config{
-			Country:  CountryChina,
-			Session:  SessionFor(CountryChina, "http", true),
-			Strategy: strategy,
-			Seed:     seed,
-			Hook:     seqOffsetHook(-1),
-		}
+		cfg := Trial(CountryChina, "http", strategy, seed)
+		cfg.Hook = seqOffsetHook(-1)
 		return float64(RateStats(cfg, trials).Censored) / float64(trials)
 	}
 	return censored(s1, 5000), censored(nil, 6000)
@@ -111,12 +95,7 @@ func dropInducedRstHook(r *Rig) {
 func InducedRstCriticality(trials int) (s5Normal, s5Dropped, s6Normal, s6Dropped float64) {
 	rate := func(num int, proto string, drop bool, seed int64) float64 {
 		s, _ := byNumber(num)
-		cfg := Config{
-			Country:  CountryChina,
-			Session:  SessionFor(CountryChina, proto, true),
-			Strategy: s,
-			Seed:     seed,
-		}
+		cfg := Trial(CountryChina, proto, s, seed)
 		if drop {
 			cfg.Hook = dropInducedRstHook
 		}
@@ -148,13 +127,8 @@ func matchRstSeqHook(r *Rig) {
 // proving the GFW synchronized on that packet.
 func Strategy7ResyncTarget(trials int) (censoredRate float64) {
 	s7, _ := byNumber(7)
-	cfg := Config{
-		Country:  CountryChina,
-		Session:  SessionFor(CountryChina, "http", true),
-		Strategy: s7,
-		Seed:     8000,
-		Hook:     matchRstSeqHook,
-	}
+	cfg := Trial(CountryChina, "http", s7, 8000)
+	cfg.Hook = matchRstSeqHook
 	return float64(RateStats(cfg, trials).Censored) / float64(trials)
 }
 
@@ -173,14 +147,9 @@ type ResidualResult struct {
 // ResidualCensorshipExperiment runs E10 for every protocol.
 func ResidualCensorshipExperiment() []ResidualResult {
 	var out []ResidualResult
-	for _, proto := range ChinaProtocols {
+	for _, proto := range CensoredProtocols(CountryChina) {
 		// A rig whose censor state persists across connections.
-		cfg := Config{
-			Country: CountryChina,
-			Session: SessionFor(CountryChina, proto, true),
-			Seed:    int64(9000 + protoSeed(proto)),
-		}
-		rig := NewRig(cfg)
+		rig := NewRig(Trial(CountryChina, proto, nil, 9000+protocolRow(proto).seed))
 		// Trip the censor (retry until it fires; the baseline miss rate
 		// makes a single shot flaky).
 		for i := 0; i < 10 && rig.CensorEvents() == 0; i++ {
@@ -212,13 +181,7 @@ func ResidualCensorshipExperiment() []ResidualResult {
 
 // kzRate evaluates a raw DSL strategy against Kazakhstan HTTP.
 func kzRate(dsl string, trials int, seed int64) float64 {
-	cfg := Config{
-		Country:  CountryKazakhstan,
-		Session:  SessionFor(CountryKazakhstan, "http", true),
-		Strategy: core.MustParse(dsl),
-		Seed:     seed,
-	}
-	return Rate(cfg, trials)
+	return Rate(Trial(CountryKazakhstan, "http", core.MustParse(dsl), seed), trials)
 }
 
 // TripleLoadSweep reproduces E11: Strategy 9 needs >= 3 back-to-back
@@ -285,15 +248,10 @@ func KazakhFlagSweep(trials int) map[string]float64 {
 func KazakhProbing() (twoForbidden, forbiddenThenBenign bool) {
 	probe := func(first, second string) bool {
 		var kz *kazakh.Kazakh
-		cfg := Config{
-			Country: CountryKazakhstan,
-			Session: SessionFor(CountryKazakhstan, "http", true),
-			Strategy: core.MustParse(fmt.Sprintf(
-				`[TCP:flags:SA]-duplicate(tamper{TCP:load:replace:%s},duplicate(tamper{TCP:load:replace:%s},))-| \/ `,
-				first, second)),
-			Seed: 130,
-			Hook: func(r *Rig) { kz = r.Censor.(*kazakh.Kazakh) },
-		}
+		cfg := Trial(CountryKazakhstan, "http", core.MustParse(fmt.Sprintf(
+			`[TCP:flags:SA]-duplicate(tamper{TCP:load:replace:%s},duplicate(tamper{TCP:load:replace:%s},))-| \/ `,
+			first, second)), 130)
+		cfg.Hook = func(r *Rig) { kz = r.Censor.(*kazakh.Kazakh) }
 		Run(cfg)
 		return kz.ProbeResponses > 0
 	}
@@ -310,10 +268,8 @@ func KazakhProbing() (twoForbidden, forbiddenThenBenign bool) {
 func PortSensitivity() map[string]bool {
 	out := make(map[string]bool)
 	for _, country := range CensoredCountries() {
-		proto := SweepProtocol(country)
-		session := SessionFor(country, proto, true)
-		session.Port = 8080
-		cfg := Config{Country: country, Session: session, Tries: TriesFor(proto), Seed: 140}
+		cfg := Trial(country, SweepProtocol(country), nil, 140)
+		cfg.Session.Port = 8080
 		// "Defeats censorship" = the forbidden request goes through.
 		rate := Rate(cfg, 20)
 		out[country] = rate > 0.9
@@ -327,29 +283,14 @@ func PortSensitivity() map[string]bool {
 func Statelessness() map[string]bool {
 	out := make(map[string]bool)
 	for _, country := range CensoredCountries() {
-		proto := SweepProtocol(country)
-		cfg := Config{
-			Country: country,
-			Session: SessionFor(country, proto, true),
-			Seed:    150,
-		}
+		cfg := Trial(country, SweepProtocol(country), nil, 150)
 		rig := NewRig(cfg)
-		// A bare forbidden trigger on the censor's sweep protocol, no
-		// handshake (HTTPS-only censors like Jio get a ClientHello).
-		var port uint16
-		var payload []byte
-		switch proto {
-		case "https":
-			port, payload = 443, apps.EncodeClientHello("www.wikipedia.org")
-		case "dns":
-			port, payload = 53, apps.EncodeDNSQuery("www.wikipedia.org")
-		default:
-			port, payload = 80, []byte("GET / HTTP/1.1\r\nHost: blocked.example\r\nAccept: */*\r\n\r\n")
-		}
-		pkt := packet.Get(ClientAddr, ServerAddr, 45000, port)
+		// A bare forbidden trigger on the censor's sweep protocol — the
+		// session's opening request — with no handshake.
+		pkt := packet.Get(ClientAddr, ServerAddr, 45000, cfg.Session.Port)
 		pkt.TCP.Flags = packet.FlagPSH | packet.FlagACK
 		pkt.TCP.Seq = 1000
-		pkt.TCP.Payload = payload
+		pkt.TCP.Payload = append(pkt.TCP.Payload, cfg.Session.NewClient().SendOnEstablish...)
 		rig.Net.Send(rig.Client, pkt)
 		rig.Net.Run(0)
 		out[country] = rig.CensorEvents() > 0

@@ -167,8 +167,8 @@ func TestStatelessness(t *testing.T) {
 
 func TestLocalizationSameHopAllProtocols(t *testing.T) {
 	hops := make(map[string]int)
-	for _, proto := range ChinaProtocols {
-		hops[proto] = LocalizeCensor(proto, int64(60+protoSeed(proto)))
+	for _, proto := range CensoredProtocols(CountryChina) {
+		hops[proto] = LocalizeCensor(proto, 60+protocolRow(proto).seed)
 	}
 	for proto, h := range hops {
 		if h != 5 {

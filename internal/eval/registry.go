@@ -3,7 +3,9 @@ package eval
 import (
 	"math/rand"
 	"net/netip"
+	"sync"
 
+	"geneva/internal/apps"
 	"geneva/internal/censor"
 	"geneva/internal/censor/gfw"
 	"geneva/internal/censor/india"
@@ -134,6 +136,144 @@ var censorRegistry = []CensorDef{
 			return tmc.New(bl, rng)
 		},
 	},
+}
+
+// protocolDef is one row of the protocol table: everything a trial needs
+// to know about an application protocol. Protocols, ValidProtocol,
+// SessionFor, TriesFor and Table 2's columns all read the table, and Trial
+// turns a row into a trial Config; nothing else keeps a per-protocol fact.
+type protocolDef struct {
+	name string
+	// seed offsets the seed of a per-protocol cell (Table 2, the
+	// differential matrix, the robustness sweep), so one strategy's cells
+	// on different protocols draw different trials.
+	seed int64
+	// tries is the client's connection budget: the paper tests DNS with
+	// up to 3 tries (RFC 7766 retry behaviour), everything else with one.
+	tries int
+	// token occurs in the forbidden client transcript and not in the
+	// benign one, so the §6 TTL-limited probes can target exactly the
+	// censored query.
+	token string
+	// serverFirst marks a protocol whose server speaks first (FTP's 220
+	// greeting): the GA then evolves the trigger instead of fixing it to
+	// the SYN+ACK (§4.1).
+	serverFirst bool
+	// session builds the §4.2 exchange that triggers a country's censor;
+	// pick chooses between the forbidden and the benign content.
+	session func(country string, pick contentPick) *apps.Session
+}
+
+// contentPick returns forbidden or benign, whichever the session wants.
+type contentPick func(forbidden, benign string) string
+
+// protocolTable is the ordered protocol table; the order is Table 2's
+// column order.
+var protocolTable = []protocolDef{
+	{name: "dns", seed: 1, tries: 3, token: "wikipedia",
+		session: func(_ string, pick contentPick) *apps.Session {
+			return apps.DNSSession(pick("www.wikipedia.org", "www.kernel.org"))
+		}},
+	{name: "ftp", seed: 2, tries: 1, token: "ultrasurf", serverFirst: true,
+		session: func(_ string, pick contentPick) *apps.Session {
+			return apps.FTPSession(pick("ultrasurf", "notes.txt"))
+		}},
+	{name: "http", seed: 3, tries: 1, token: "ultrasurf",
+		session: func(country string, pick contentPick) *apps.Session {
+			if country == CountryChina || country == CountryNone {
+				// China: censored keyword in the URL parameters.
+				return apps.HTTPQuerySession(pick("ultrasurf", "kittens"))
+			}
+			// India/Iran/Kazakhstan: blacklisted website in the Host header.
+			return apps.HTTPHostSession(pick("blocked.example", "allowed.example"))
+		}},
+	{name: "https", seed: 4, tries: 1, token: "wikipedia",
+		session: func(country string, pick contentPick) *apps.Session {
+			if country == CountryIran {
+				return apps.HTTPSSession(pick("youtube.com", "example.org"))
+			}
+			return apps.HTTPSSession(pick("www.wikipedia.org", "example.org"))
+		}},
+	{name: "smtp", seed: 5, tries: 1, token: "tibetalk",
+		session: func(_ string, pick contentPick) *apps.Session {
+			return apps.SMTPSession(pick("tibetalk@yahoo.com.cn", "friend@example.org"))
+		}},
+}
+
+// protocolIndex returns a protocol's row index, or -1.
+func protocolIndex(name string) int {
+	for i := range protocolTable {
+		if protocolTable[i].name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// protocolRow returns a protocol's row. Only validated names reach it, so
+// an unknown one is a bug.
+func protocolRow(name string) *protocolDef {
+	i := protocolIndex(name)
+	if i < 0 {
+		panic("eval: unknown protocol " + name)
+	}
+	return &protocolTable[i]
+}
+
+// Protocols returns every application protocol the harness can speak, in
+// Table 2's column order.
+func Protocols() []string {
+	out := make([]string, len(protocolTable))
+	for i, p := range protocolTable {
+		out[i] = p.name
+	}
+	return out
+}
+
+// ValidProtocol reports whether protocol names a modeled application session.
+func ValidProtocol(protocol string) bool { return protocolIndex(protocol) >= 0 }
+
+// TriesFor returns the protocol's connection attempts per trial.
+func TriesFor(protocol string) int { return protocolRow(protocol).tries }
+
+// sessionCache memoizes the prototypes SessionFor builds: encoding a DNS
+// query or TLS ClientHello is pure, so the work is done once per
+// (country, protocol, forbidden) and shared across every trial.
+var sessionCache struct {
+	sync.Mutex
+	m map[sessionKey]*apps.Session
+}
+
+type sessionKey struct {
+	country, protocol string
+	forbidden         bool
+}
+
+// SessionFor builds the application exchange the paper uses to trigger each
+// country's censorship (§4.2). forbidden=false swaps in benign content.
+//
+// Callers get a shallow copy of the cached prototype: the port-sensitivity
+// follow-up retargets Session.Port, and the embedded Scripts are only ever
+// Clone()d per connection, never mutated, so sharing them is safe.
+func SessionFor(country, protocol string, forbidden bool) *apps.Session {
+	k := sessionKey{country, protocol, forbidden}
+	sessionCache.Lock()
+	proto, ok := sessionCache.m[k]
+	if !ok {
+		proto = protocolRow(protocol).session(country, func(bad, good string) string {
+			if forbidden {
+				return bad
+			}
+			return good
+		})
+		if sessionCache.m == nil {
+			sessionCache.m = make(map[sessionKey]*apps.Session)
+		}
+		sessionCache.m[k] = proto
+	}
+	sessionCache.Unlock()
+	s := *proto
+	return &s
 }
 
 // Registry returns the censor registry (a copy of the slice; the defs

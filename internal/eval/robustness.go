@@ -51,13 +51,8 @@ func Robustness(base netsim.Profile, lossRates []float64, trials int) []Robustne
 			for _, loss := range lossRates {
 				prof := base
 				prof.Loss = loss
-				cfg := Config{
-					Country:     country,
-					Session:     SessionFor(country, proto, true),
-					Tries:       TriesFor(proto),
-					Seed:        int64(100000*ci + 1000*n + protoSeed(proto)),
-					Impairments: netsim.Symmetric(prof),
-				}
+				cfg := Trial(country, proto, nil, int64(100000*ci+1000*n)+protocolRow(proto).seed)
+				cfg.Impairments = netsim.Symmetric(prof)
 				if n > 0 {
 					s, _ := strategies.ByNumber(n)
 					cfg.Strategy = s.Parse()

@@ -26,7 +26,7 @@ func TestRobustnessLossZeroMatchesUnimpaired(t *testing.T) {
 			Country: cell.Country,
 			Session: SessionFor(cell.Country, cell.Protocol, true),
 			Tries:   TriesFor(cell.Protocol),
-			Seed:    int64(100000*ci[cell.Country] + 1000*cell.Strategy + protoSeed(cell.Protocol)),
+			Seed:    int64(100000*ci[cell.Country]+1000*cell.Strategy) + protocolRow(cell.Protocol).seed,
 		}
 		if cell.Strategy > 0 {
 			s, _ := strategies.ByNumber(cell.Strategy)

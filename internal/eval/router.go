@@ -20,16 +20,17 @@ var RouterPrefixes = func() map[string]netip.Prefix {
 	return m
 }()
 
-// routerClientAddr returns a country's routed client address: host 2 inside
-// its prefix or, for the uncensored population, 198.18.0.2, outside every
-// prefix. It is the address the fleet gives a cell's first client slot.
-func routerClientAddr(country string) netip.Addr {
-	p, ok := RouterPrefixes[country]
-	if !ok {
-		return netip.AddrFrom4([4]byte{198, 18, 0, 2})
+// RoutedClientAddr returns the address of a country's routed client in
+// slot (0-based): host 2+slot inside the country's prefix or, for the
+// uncensored population, 198.18.0.(2+slot), outside every prefix. The §8
+// router experiment places its client at slot 0, and the fleet places a
+// cell's routed clients here.
+func RoutedClientAddr(country string, slot int) netip.Addr {
+	a := [4]byte{198, 18, 0, 0}
+	if p, ok := RouterPrefixes[country]; ok {
+		a = p.Addr().As4()
 	}
-	a := p.Addr().As4()
-	a[3] = 2
+	a[3] = byte(2 + slot)
 	return netip.AddrFrom4(a)
 }
 
@@ -143,15 +144,10 @@ func RouterDeployment(trials int) map[string]float64 {
 // and 11 make no random draws, so the router's streams cannot move an
 // outcome.
 func routerTrial(country string, seed int64) Config {
-	proto := SweepProtocol(country)
-	return Config{
-		Country:       country,
-		Session:       SessionFor(country, proto, true),
-		Tries:         TriesFor(proto),
-		Seed:          seed,
-		ClientAddress: routerClientAddr(country),
-		Hook: func(r *Rig) {
-			r.Server.Outbound = NewDeploymentRouter(seed).Outbound
-		},
+	cfg := Trial(country, SweepProtocol(country), nil, seed)
+	cfg.ClientAddress = RoutedClientAddr(country, 0)
+	cfg.Hook = func(r *Rig) {
+		r.Server.Outbound = NewDeploymentRouter(seed).Outbound
 	}
+	return cfg
 }

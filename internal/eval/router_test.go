@@ -30,7 +30,7 @@ func TestRouterDeployment(t *testing.T) {
 // server's handshake through untouched — its first packet on the wire is a
 // plain SYN+ACK, not a routed strategy's manipulation.
 func TestRouterLeavesUncensoredClientAlone(t *testing.T) {
-	addr := routerClientAddr(CountryNone)
+	addr := RoutedClientAddr(CountryNone, 0)
 	for country, p := range RouterPrefixes {
 		if p.Contains(addr) {
 			t.Fatalf("uncensored client %v lies inside %s's route %v", addr, country, p)
@@ -59,7 +59,7 @@ func TestRouterDoesNotHurtBenignTraffic(t *testing.T) {
 	cfg := Config{
 		Country:       CountryChina,
 		Session:       SessionFor(CountryChina, "http", false),
-		ClientAddress: routerClientAddr(CountryChina),
+		ClientAddress: RoutedClientAddr(CountryChina, 0),
 		Seed:          7,
 	}
 	cfg.Hook = func(r *Rig) {

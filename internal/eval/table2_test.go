@@ -36,7 +36,7 @@ func TestTable2ChinaMatchesPaperShape(t *testing.T) {
 		if !ok {
 			t.Fatalf("unexpected row %d", row.Number)
 		}
-		for i, proto := range ChinaProtocols {
+		for i, proto := range Protocols() {
 			got := 100 * row.Rates[proto]
 			if diff := got - want[i]; diff > tol || diff < -tol {
 				t.Errorf("strategy %d / %s: got %.0f%%, paper %.0f%%",
@@ -56,7 +56,7 @@ func TestTable2OtherCountriesExact(t *testing.T) {
 	blocks := Table2(25)
 	for _, blk := range blocks[1:] {
 		for _, row := range blk.Rows {
-			for _, proto := range ChinaProtocols {
+			for _, proto := range Protocols() {
 				r := row.Rates[proto]
 				if r < 0 {
 					continue

@@ -104,6 +104,20 @@ type Config struct {
 	Workers int
 }
 
+// Trial is the paper's §4.2 trial of protocol against country's censor:
+// the forbidden session and the protocol's retry budget, served with
+// strategy s (nil = no evasion) at seed. Every experiment builds its trials
+// here and sets on the result only the fields it changes.
+func Trial(country, protocol string, s *core.Strategy, seed int64) Config {
+	return Config{
+		Country:  country,
+		Session:  SessionFor(country, protocol, true),
+		Strategy: s,
+		Tries:    TriesFor(protocol),
+		Seed:     seed,
+	}
+}
+
 // Result of a trial.
 type Result struct {
 	// Success is the paper's criterion: no tear-down and correct data.

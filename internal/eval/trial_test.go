@@ -8,7 +8,7 @@ import (
 )
 
 func TestNoCensorAllProtocolsSucceed(t *testing.T) {
-	for _, proto := range ChinaProtocols {
+	for _, proto := range CensoredProtocols(CountryChina) {
 		cfg := Config{
 			Country: CountryNone,
 			Session: SessionFor(CountryNone, proto, true),
@@ -22,7 +22,7 @@ func TestNoCensorAllProtocolsSucceed(t *testing.T) {
 }
 
 func TestChinaCensorsForbiddenContent(t *testing.T) {
-	for _, proto := range ChinaProtocols {
+	for _, proto := range CensoredProtocols(CountryChina) {
 		cfg := Config{
 			Country: CountryChina,
 			Session: SessionFor(CountryChina, proto, true),
@@ -41,7 +41,7 @@ func TestChinaCensorsForbiddenContent(t *testing.T) {
 }
 
 func TestChinaAllowsBenignContent(t *testing.T) {
-	for _, proto := range ChinaProtocols {
+	for _, proto := range CensoredProtocols(CountryChina) {
 		cfg := Config{
 			Country: CountryChina,
 			Session: SessionFor(CountryChina, proto, false),

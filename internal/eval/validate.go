@@ -26,11 +26,6 @@ func Countries() []string {
 	return append(CensoredCountries(), CountryNone)
 }
 
-// Protocols returns every application protocol the harness can speak.
-func Protocols() []string {
-	return []string{"dns", "ftp", "http", "https", "smtp"}
-}
-
 // ValidCountry reports whether country names a modeled censor (or
 // CountryNone, the uncensored private network).
 func ValidCountry(country string) bool {
@@ -39,15 +34,6 @@ func ValidCountry(country string) bool {
 	}
 	_, ok := CensorByCountry(country)
 	return ok
-}
-
-// ValidProtocol reports whether protocol names a modeled application session.
-func ValidProtocol(protocol string) bool {
-	switch protocol {
-	case "dns", "ftp", "http", "https", "smtp":
-		return true
-	}
-	return false
 }
 
 // CheckCountryProtocol validates a (country, protocol) pair, returning a

@@ -84,15 +84,17 @@ type Workload struct {
 	// Protocols in the mix (default "http"); connections cycle through them.
 	Protocols []string
 	// Connections is the total number of client connections across the
-	// fleet (default 500), split evenly across Countries.
+	// fleet (0 = default 500; negative is rejected), split evenly across
+	// Countries.
 	Connections int
 	// ClientsPerCell is the number of routed client endpoints sharing one
 	// cell network, i.e. the number of concurrent flows per routed wave
-	// (default 4).
+	// (0 = default 4; negative is rejected).
 	ClientsPerCell int
 	// WavesPerCell is the number of connection waves each cell runs
-	// (default 4). Even waves carry routed clients only; odd waves add the
-	// unprotected clients, so collateral damage happens under observation.
+	// (0 = default 4; negative is rejected). Even waves carry routed
+	// clients only; odd waves add the unprotected clients, so collateral
+	// damage happens under observation.
 	WavesPerCell int
 	// UnprotectedPerCell is the number of clients per cell whose addresses
 	// match no router prefix — the paper's geolocation-miss case. They run
@@ -116,7 +118,8 @@ type Workload struct {
 	// the links lossless.
 	Impairments netsim.Profile
 	// SessionRequests is the number of keep-alive request/response exchanges
-	// each connection carries (default 1, the classic one-shot session).
+	// each connection carries (0 = default 1, the classic one-shot session;
+	// negative is rejected).
 	// Only protocols whose transcript is a single request answered by a
 	// single response extend (HTTP, HTTPS, DNS — see apps.Session.KeepAlive);
 	// the others run one-shot regardless, and their planned-request
@@ -338,6 +341,21 @@ func (r Result) Availability() float64 {
 	return float64(r.UptimeVirtual) / float64(r.LifetimeVirtual)
 }
 
+// checkSizes rejects a negative size, before withDefaults would silently
+// replace it with the default.
+func (wl Workload) checkSizes() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Connections", wl.Connections}, {"ClientsPerCell", wl.ClientsPerCell},
+		{"WavesPerCell", wl.WavesPerCell}, {"SessionRequests", wl.SessionRequests}} {
+		if f.v < 0 {
+			return fmt.Errorf("fleet: %s = %d is negative", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // withDefaults resolves the zero-value fields. It returns a copy; the
 // caller's Workload is never mutated.
 func (wl Workload) withDefaults() Workload {
@@ -347,13 +365,13 @@ func (wl Workload) withDefaults() Workload {
 	if len(wl.Protocols) == 0 {
 		wl.Protocols = []string{"http"}
 	}
-	if wl.Connections <= 0 {
+	if wl.Connections == 0 {
 		wl.Connections = 500
 	}
-	if wl.ClientsPerCell <= 0 {
+	if wl.ClientsPerCell == 0 {
 		wl.ClientsPerCell = 4
 	}
-	if wl.WavesPerCell <= 0 {
+	if wl.WavesPerCell == 0 {
 		wl.WavesPerCell = 4
 	}
 	switch {
@@ -368,7 +386,7 @@ func (wl Workload) withDefaults() Workload {
 	case wl.WaveGap < 0:
 		wl.WaveGap = 0
 	}
-	if wl.SessionRequests <= 0 {
+	if wl.SessionRequests == 0 {
 		wl.SessionRequests = 1
 	}
 	switch {
@@ -454,6 +472,9 @@ func resolveControl(wl Workload) control {
 // between waves), and finished; results are merged in cell order, so the
 // Result is identical at any worker width.
 func Run(wl Workload) (Result, error) {
+	if err := wl.checkSizes(); err != nil {
+		return Result{}, err
+	}
 	wl = wl.withDefaults()
 	if err := wl.validate(); err != nil {
 		return Result{}, err

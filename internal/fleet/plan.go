@@ -77,11 +77,5 @@ func clientAddr(country string, slot int, unprotected bool) netip.Addr {
 	if unprotected {
 		return netip.AddrFrom4([4]byte{172, 16, 0, byte(2 + slot)})
 	}
-	p, ok := eval.RouterPrefixes[country]
-	if !ok { // eval.CountryNone: an uncensored client outside every prefix
-		return netip.AddrFrom4([4]byte{198, 18, 0, byte(2 + slot)})
-	}
-	a := p.Addr().As4()
-	a[3] = byte(2 + slot)
-	return netip.AddrFrom4(a)
+	return eval.RoutedClientAddr(country, slot)
 }

@@ -40,22 +40,13 @@ func Symmetric(p Profile) Impairments { return Impairments{ToServer: p, ToClient
 // Enabled reports whether any impairment is active in either direction.
 func (im Impairments) Enabled() bool { return im.ToServer.enabled() || im.ToClient.enabled() }
 
-func (im Impairments) profile(dir Direction) Profile {
-	if dir == ToServer {
-		return im.ToServer
-	}
-	return im.ToClient
-}
-
 // SetImpairments installs the impairment layer. The rng is the sole source
 // of randomness — two networks configured with equal profiles and
-// equally-seeded rngs impair identically. A nil rng with active impairments
-// falls back to a fixed seed so behaviour stays reproducible.
+// equally-seeded rngs impair identically — and must be non-nil when im is
+// enabled.
 func (n *Network) SetImpairments(im Impairments, rng *rand.Rand) {
-	if rng == nil && im.Enabled() {
-		rng = rand.New(rand.NewSource(0))
-	}
-	n.impair = im
+	n.impair = [2]Profile{ToServer: im.ToServer, ToClient: im.ToClient}
+	n.impaired = [2]bool{ToServer: im.ToServer.enabled(), ToClient: im.ToClient.enabled()}
 	n.impairRNG = rng
 }
 
@@ -63,7 +54,7 @@ func (n *Network) SetImpairments(im Impairments, rng *rand.Rand) {
 // hold-back (long enough that the next packet overtakes) plus jitter. The
 // draw order is fixed — reorder, then jitter — so a given rng stream always
 // maps to the same impairment schedule.
-func (n *Network) impairExtra(p Profile) time.Duration {
+func (n *Network) impairExtra(p *Profile) time.Duration {
 	var extra time.Duration
 	if p.Reorder > 0 && n.impairRNG.Float64() < p.Reorder {
 		mReordered.Inc()

@@ -88,7 +88,11 @@ type Network struct {
 	clients        map[netip.Addr]Host
 	boxes          []Middlebox
 
-	impair    Impairments
+	// impair holds each Direction's profile and impaired whether it is
+	// active, resolved once by SetImpairments (and cleared by Reset) so
+	// the unimpaired path reads one flag per packet.
+	impair    [2]Profile
+	impaired  [2]bool
 	impairRNG *rand.Rand
 
 	queue eventQueue
@@ -191,11 +195,11 @@ func (n *Network) Inject(pkt *packet.Packet, dir Direction) {
 }
 
 func (n *Network) enqueue(pkt *packet.Packet, dir Direction, fromCensor bool) {
-	prof := n.impair.profile(dir)
-	if !prof.enabled() {
+	if !n.impaired[dir] {
 		n.queue.pushLeg(n.packetEvent(pkt, dir, fromCensor, n.LinkDelay))
 		return
 	}
+	prof := &n.impair[dir]
 	// Impairment draws happen in a fixed order (loss, primary-copy delay,
 	// duplication, duplicate-copy delay) so a seeded rng always produces
 	// the same schedule.

@@ -24,12 +24,19 @@ var crlf = []byte("\r\n")
 // line contained in data, if one is fully present (method GET or POST,
 // line terminated by CRLF, third token starting with "HTTP/").
 func ParseHTTPRequestTarget(data []byte) (string, bool) {
+	target, ok := httpRequestTarget(data)
+	return string(target), ok
+}
+
+// httpRequestTarget is ParseHTTPRequestTarget without the copy: the target
+// aliases data.
+func httpRequestTarget(data []byte) ([]byte, bool) {
 	if !bytes.HasPrefix(data, []byte("GET ")) && !bytes.HasPrefix(data, []byte("POST ")) {
-		return "", false
+		return nil, false
 	}
 	end := bytes.Index(data, crlf)
 	if end < 0 {
-		return "", false
+		return nil, false
 	}
 	line := data[:end]
 	// Request line tokens split on single spaces, exactly like
@@ -38,13 +45,13 @@ func ParseHTTPRequestTarget(data []byte) (string, bool) {
 	i1 := bytes.IndexByte(line, ' ') // after the method; >= 0 given the prefix check
 	i2 := bytes.IndexByte(line[i1+1:], ' ')
 	if i2 < 0 {
-		return "", false // no third token
+		return nil, false // no third token
 	}
 	i2 += i1 + 1
 	if !bytes.HasPrefix(line[i2+1:], []byte("HTTP/")) {
-		return "", false
+		return nil, false
 	}
-	return string(line[i1+1 : i2]), true
+	return line[i1+1 : i2], true
 }
 
 // NextHTTPRequestOffset returns the byte offset just past the first HTTP
@@ -70,16 +77,17 @@ func NextHTTPRequestOffset(data []byte) int {
 
 // VisitHTTPRequests walks the HTTP requests pipelined in data — the first
 // request and every follow-up that begins right after the previous one's
-// header block — calling visit with each request's line target and the
-// first Host header at or after it (hok false when none is present). It
-// returns true as soon as visit does. Like the single-request parsers it is
+// header block — calling visit with each request's line target (aliasing
+// data, so a visitor that ignores it costs no copy) and the first Host
+// header at or after it (hok false when none is present). It returns true
+// as soon as visit does. Like the single-request parsers it is
 // anchored: data must begin with a well-formed request line, and the walk
 // stops at the first follow-up that does not parse — the censors' fail-open
 // contract extended per request (§6).
-func VisitHTTPRequests(data []byte, visit func(target, host string, hok bool) bool) bool {
+func VisitHTTPRequests(data []byte, visit func(target []byte, host string, hok bool) bool) bool {
 	for off := 0; ; {
 		seg := data[off:]
-		target, ok := ParseHTTPRequestTarget(seg)
+		target, ok := httpRequestTarget(seg)
 		if !ok {
 			return false
 		}

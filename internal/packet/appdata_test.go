@@ -27,8 +27,8 @@ func TestNextHTTPRequestOffset(t *testing.T) {
 
 func TestVisitHTTPRequests(t *testing.T) {
 	var targets, hosts []string
-	all := func(target, host string, hok bool) bool {
-		targets = append(targets, target)
+	all := func(target []byte, host string, hok bool) bool {
+		targets = append(targets, string(target))
 		hosts = append(hosts, host)
 		return false
 	}
@@ -43,7 +43,7 @@ func TestVisitHTTPRequests(t *testing.T) {
 	}
 	// Early exit on first match.
 	calls := 0
-	if !VisitHTTPRequests([]byte(reqA+reqB), func(string, string, bool) bool {
+	if !VisitHTTPRequests([]byte(reqA+reqB), func([]byte, string, bool) bool {
 		calls++
 		return true
 	}) {
@@ -54,8 +54,8 @@ func TestVisitHTTPRequests(t *testing.T) {
 	}
 	// The walk stops at the first follow-up that does not parse.
 	targets = nil
-	VisitHTTPRequests([]byte(reqA+"garbage"), func(target, _ string, _ bool) bool {
-		targets = append(targets, target)
+	VisitHTTPRequests([]byte(reqA+"garbage"), func(target []byte, _ string, _ bool) bool {
+		targets = append(targets, string(target))
 		return false
 	})
 	if len(targets) != 1 || targets[0] != "/index" {
@@ -67,8 +67,8 @@ func TestVisitHTTPRequests(t *testing.T) {
 // payload: a forbidden Host pipelined behind a benign request matches, and
 // no request matches in a payload that does not begin with a request line.
 func TestAppViewPipelinedHTTP(t *testing.T) {
-	hostIs := func(want string) func(string, string, bool) bool {
-		return func(_, host string, hok bool) bool { return hok && host == want }
+	hostIs := func(want string) func([]byte, string, bool) bool {
+		return func(_ []byte, host string, hok bool) bool { return hok && host == want }
 	}
 	if !VisitHTTPRequests([]byte(reqB+reqA), hostIs("blocked.example")) {
 		t.Fatal("pipelined forbidden Host not matched")
@@ -76,7 +76,7 @@ func TestAppViewPipelinedHTTP(t *testing.T) {
 	if VisitHTTPRequests([]byte(reqB+reqA), hostIs("missing.example")) {
 		t.Fatal("matched a Host no request carries")
 	}
-	if VisitHTTPRequests([]byte("junk\r\n\r\n"+reqA), func(string, string, bool) bool { return true }) {
+	if VisitHTTPRequests([]byte("junk\r\n\r\n"+reqA), func([]byte, string, bool) bool { return true }) {
 		t.Fatal("matched requests in an unanchored payload")
 	}
 }
