@@ -106,21 +106,15 @@ func (b Blocklist) MatchDomain(name string) bool {
 	return false
 }
 
-// ForbiddenHost returns the first blocked Host among the HTTP requests pkt
-// carries: the first request's, then each pipelined follow-up's. The match
+// ForbiddenHost reports whether any HTTP request pkt carries names a
+// blocked Host: the first request, then each pipelined follow-up. The match
 // is anchored at a well-formed request line, so a packet that starts
 // mid-request is not recognized as HTTP at all — the single-packet DPI
 // blind spot client segmentation (Strategy 8) exploits.
-func (b Blocklist) ForbiddenHost(pkt *packet.Packet) (string, bool) {
-	var host string
-	found := packet.VisitHTTPRequests(pkt.TCP.Payload, func(_ []byte, h string, hok bool) bool {
-		if hok && b.MatchDomain(h) {
-			host = h
-			return true
-		}
-		return false
+func (b Blocklist) ForbiddenHost(pkt *packet.Packet) bool {
+	return packet.VisitHTTPRequests(pkt.TCP.Payload, func(_ []byte, h string, hok bool) bool {
+		return hok && b.MatchDomain(h)
 	})
-	return host, found
 }
 
 // MatchKeyword reports whether s contains a blocked keyword

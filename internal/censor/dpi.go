@@ -33,13 +33,15 @@ const (
 	ActionForgeDNS
 )
 
-// actionNotes is the verdict-note suffix each action appends to the
-// matched trigger.
+// actionNotes is each action's verdict note. They are constants, so a
+// censored packet builds no string; the traced packet itself carries the
+// matched Host, SNI or name.
 var actionNotes = [...]string{
-	ActionBlockPage: "",
+	ActionBlockPage: "block page injected",
 	ActionRedirect:  "302 injected",
 	ActionBlackhole: "blackhole started",
 	ActionTeardown:  "bidirectional tear-down",
+	ActionForgeDNS:  "forged DNS response",
 }
 
 // DPIParams calibrates one stateless-DPI censor. The model is the class
@@ -204,44 +206,35 @@ func (d *DPI) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 	// Every engine is anchored at a well-formed single-packet message, so a
 	// segment that starts mid-message is not recognized at all.
 	var action Action
-	var what, value string
+	var name string // the forbidden DNS name, which a forged response answers
 	switch port {
 	case 53:
 		if d.P.DNS == ActionNone || !isDNSQuery(pkt.TCP.Payload) {
 			break
 		}
-		if name, ok := packet.ParseDNSQueryName(pkt.TCP.Payload); ok && d.Block.MatchDomain(name) {
-			action, what, value = d.P.DNS, "DNS name", name
+		if n, ok := packet.ParseDNSQueryName(pkt.TCP.Payload); ok && d.Block.MatchDomain(n) {
+			action, name = d.P.DNS, n
 		}
 	case 80:
 		if d.P.HTTP == ActionNone {
 			break
 		}
-		if host, ok := d.Block.ForbiddenHost(pkt); ok {
-			action, what, value = d.P.HTTP, "Host", host
+		if d.Block.ForbiddenHost(pkt) {
+			action = d.P.HTTP
 		}
 	case 443:
 		if d.P.SNI == ActionNone {
 			break
 		}
 		if sni, ok := packet.ParseTLSServerName(pkt.TCP.Payload); ok && d.Block.MatchDomain(sni) {
-			action, what, value = d.P.SNI, "SNI", sni
+			action = d.P.SNI
 		}
 	}
 	if action == ActionNone {
 		return netsim.Verdict{}
 	}
 	d.Censored++
-
-	var note string
-	switch {
-	case action == ActionForgeDNS:
-		note = "forged DNS response for " + value
-	case actionNotes[action] == "":
-		note = "blocked " + what + " " + value
-	default:
-		note = "blocked " + what + " " + value + "; " + actionNotes[action]
-	}
+	note := actionNotes[action]
 
 	// Stateless injection: all numbers are derived from the offending
 	// packet. Replies go back toward its sender, impersonating the
@@ -282,7 +275,7 @@ func (d *DPI) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 		resp.TCP.Seq = seq
 		resp.TCP.Ack = ack
 		resp.TCP.Window = 65535
-		resp.TCP.Payload = append(resp.TCP.Payload[:0], apps.EncodeDNSResponse(value, d.P.ForgedAddr)...)
+		resp.TCP.Payload = append(resp.TCP.Payload[:0], apps.EncodeDNSResponse(name, d.P.ForgedAddr)...)
 		return toSender(dir, note, resp)
 	}
 }

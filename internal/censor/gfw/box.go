@@ -142,7 +142,7 @@ func (b *Box) step(t *tcb, pkt *packet.Packet, now time.Duration) netsim.Verdict
 	if b.P.Residual > 0 && t.fromClient(pkt) && pkt.TCP.Flags&packet.FlagACK != 0 &&
 		b.residual.Live(netip.AddrPortFrom(t.serverAddr, t.serverPort), now) {
 		b.m.residual.Inc()
-		return b.censorVerdict(t, now, "residual censorship")
+		return b.censorVerdict(t, now, b.m.residualNote)
 	}
 
 	if t.fromClient(pkt) {
@@ -368,7 +368,7 @@ func (b *Box) processClient(t *tcb, pkt *packet.Packet, now time.Duration) netsi
 		}
 		t.expClient += uint32(len(tc.Payload))
 		if b.matches(scan) && !b.chance(b.P.PMiss) {
-			return b.censorVerdict(t, now, "forbidden "+b.P.Protocol+" request")
+			return b.censorVerdict(t, now, b.m.forbiddenNote)
 		}
 	}
 	return netsim.Verdict{}

@@ -80,11 +80,10 @@ func (g *GFW) Process(pkt *packet.Packet, _ netsim.Direction, now time.Duration)
 		}
 		out.InjectToClient = append(out.InjectToClient, v.InjectToClient...)
 		out.InjectToServer = append(out.InjectToServer, v.InjectToServer...)
-		if v.Note != "" {
-			if out.Note != "" {
-				out.Note += "; "
-			}
-			out.Note += b.P.Protocol + " box: " + v.Note
+		if out.Note == "" {
+			out.Note = v.Note
+		} else if v.Note != "" {
+			out.Note += "; " + v.Note // two boxes censored one packet
 		}
 	}
 	if e.live == 0 {

@@ -2,10 +2,11 @@ package gfw
 
 import "geneva/internal/obs"
 
-// boxMetrics is the counter set for one protocol box. The five GFW
-// protocols are static, so every set is registered at package init and
-// NewBox resolves its set with a single map lookup — nothing per-packet
-// ever touches a map or allocates.
+// boxMetrics is the counter set, and the two verdict notes, for one
+// protocol box. The five GFW protocols are static, so every set is built at
+// package init and NewBox resolves its set with a single map lookup —
+// nothing per-packet ever touches a map or allocates. A box outside the
+// five has none: it never matches a request, so it never censors.
 type boxMetrics struct {
 	censored      *obs.Counter // censorship verdicts (all causes)
 	residual      *obs.Counter // verdicts caused by residual censorship
@@ -17,6 +18,9 @@ type boxMetrics struct {
 	failOpen      *obs.Counter // flows the box gave up on (window sanity, partial line)
 	residualSwept *obs.Counter // expired residual entries swept
 	tupleReuse    *obs.Counter // stale TCBs re-tracked on 4-tuple reuse
+
+	// The notes carry the protocol, so the GFW passes a lone box's on.
+	forbiddenNote, residualNote string
 }
 
 func newBoxMetrics(proto string) *boxMetrics {
@@ -32,6 +36,8 @@ func newBoxMetrics(proto string) *boxMetrics {
 		failOpen:      obs.NewCounter(p + "fail_open"),
 		residualSwept: obs.NewCounter(p + "residual_swept"),
 		tupleReuse:    obs.NewCounter(p + "tuple_reuse_resync"),
+		forbiddenNote: proto + " box: forbidden " + proto + " request",
+		residualNote:  proto + " box: residual censorship",
 	}
 }
 

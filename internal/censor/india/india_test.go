@@ -228,8 +228,12 @@ func TestPipelinedForbiddenRequestCensored(t *testing.T) {
 		if len(v.InjectToClient) == 0 {
 			t.Errorf("%s: pipelined forbidden request not censored", params.Name)
 		}
-		if !strings.Contains(v.Note, "blocked.example") {
-			t.Errorf("%s: note %q does not name the matched host", params.Name, v.Note)
+		want := map[censor.Action]string{
+			censor.ActionBlockPage: "block page injected",
+			censor.ActionRedirect:  "302 injected",
+		}[params.HTTP]
+		if v.Note != want {
+			t.Errorf("%s: note %q, want the action's %q", params.Name, v.Note, want)
 		}
 	}
 }

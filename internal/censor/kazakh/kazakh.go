@@ -186,7 +186,7 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 	if dir == netsim.ToServer && len(pkt.TCP.Payload) > 0 {
 		// No reassembly, so a segmented request is never recognized
 		// (Strategy 8); pipelined requests are each matched.
-		if host, matched := k.Block.ForbiddenHost(pkt); matched {
+		if k.Block.ForbiddenHost(pkt) {
 			// Censor: hijack the flow and inject the block page.
 			k.Censored++
 			st.hijacked = true
@@ -197,7 +197,7 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 				"<html><body>This resource is blocked in your region.</body></html>")
 			return netsim.Verdict{
 				Drop:           true,
-				Note:           "blocked Host " + host + "; flow hijacked",
+				Note:           "forbidden Host: flow hijacked",
 				InjectToClient: []*packet.Packet{page},
 			}
 		}

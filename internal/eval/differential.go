@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"geneva/internal/netsim"
 	"geneva/internal/packet"
 	"geneva/internal/strategies"
 )
@@ -16,7 +17,7 @@ import (
 // with different blocklists.
 const (
 	CauseEvaded    = "evaded"             // the trial succeeded
-	CauseHijacked  = "hijacked"           // in-path MITM intercepted the flow (Kazakhstan)
+	CauseHijacked  = "hijacked"           // in-path MITM dropped the request and answered with a page (Kazakhstan)
 	CauseForgedDNS = "forged-dns"         // injected forged DNS response (TMC)
 	Cause302       = "injected-302"       // injected HTTP redirect (Vodafone)
 	CauseBlockpage = "injected-blockpage" // injected HTTP block page (Airtel)
@@ -27,9 +28,9 @@ const (
 
 // ClassifyFailure reduces a traced trial to its failure cause: what the
 // censor mechanically did that made the connection fail. The verdict comes
-// from the packet evidence (injected packet shapes, in-path drops), with
-// censor trace notes only breaking the blockpage/hijack tie — so a censor
-// cannot claim an outcome its packets don't show.
+// from the packet evidence alone (injected packet shapes, in-path drops),
+// never from censor notes, so a censor cannot claim an outcome its packets
+// don't show. A hijack is an in-path drop beside an injected HTTP page.
 func ClassifyFailure(res Result) string {
 	if res.Success {
 		return CauseEvaded
@@ -37,10 +38,10 @@ func ClassifyFailure(res Result) string {
 	if res.CensorEvents == 0 || res.Trace == nil {
 		return CauseBroken
 	}
-	var saw302, sawPage, sawDNS, sawRST, sawDrop, sawHijack bool
+	var saw302, sawPage, sawDNS, sawRST, sawDrop bool
 	for _, e := range res.Trace.Entries {
-		switch {
-		case strings.Contains(e.Note, "injected by"):
+		switch e.Event {
+		case netsim.EventInjected:
 			p := e.Pkt
 			switch {
 			case bytes.HasPrefix(p.TCP.Payload, []byte("HTTP/1.1 302")):
@@ -52,15 +53,12 @@ func ClassifyFailure(res Result) string {
 			case p.TCP.Flags&packet.FlagRST != 0:
 				sawRST = true
 			}
-		case strings.Contains(e.Note, "dropped in-path"):
+		case netsim.EventDropped:
 			sawDrop = true
-		}
-		if strings.Contains(e.Note, "hijack") || strings.Contains(e.Note, "MITM") {
-			sawHijack = true
 		}
 	}
 	switch {
-	case sawHijack:
+	case sawDrop && sawPage:
 		return CauseHijacked
 	case sawDNS:
 		return CauseForgedDNS

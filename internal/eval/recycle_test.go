@@ -13,12 +13,12 @@ import (
 	"geneva/internal/strategies"
 )
 
-// traceText renders a trace entry-by-entry — time, direction, note, and the
-// full packet — so two traces compare byte-for-byte.
+// traceText renders a trace entry-by-entry — time, direction, event, note,
+// and the full packet — so two traces compare byte-for-byte.
 func traceText(tr *netsim.Trace) string {
 	var b strings.Builder
 	for _, e := range tr.Entries {
-		fmt.Fprintf(&b, "%v %v %q %s\n", e.Time, e.Dir, e.Note, e.Pkt.String())
+		fmt.Fprintf(&b, "%v %v %v %q %s\n", e.Time, e.Dir, e.Event, e.Note, e.Pkt.String())
 	}
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func handshakeShape(t *testing.T, country string, num int) []string {
 	}
 	var shape []string
 	for _, e := range res.Trace.Entries {
-		if !strings.Contains(e.Note, "delivered") {
+		if e.Event != netsim.EventDelivered {
 			continue
 		}
 		side := "C"
@@ -122,12 +123,33 @@ func TestStrategy8Segmentation(t *testing.T) {
 	}
 	segments := 0
 	for _, e := range res.Trace.Entries {
-		if strings.Contains(e.Note, "delivered") &&
+		if e.Event == netsim.EventDelivered &&
 			e.Dir == netsim.ToServer && len(e.Pkt.TCP.Payload) > 0 {
 			segments++
 		}
 	}
 	if segments < 2 {
 		t.Errorf("query delivered in %d segment(s); Figure 1 shows it split", segments)
+	}
+}
+
+// TestPcapWritesEachPacketOnce: a capture holds one record per packet
+// fate. China's HTTP trial at seed 1, with no strategy, delivers 10
+// packets, 4 of them the GFW's RSTs; neither an injection nor the censor's
+// note on the forbidden request may add a second record of a packet.
+func TestPcapWritesEachPacketOnce(t *testing.T) {
+	cfg := Trial(CountryChina, "http", nil, 1)
+	cfg.WithTrace = true
+	res := Run(cfg)
+	var buf bytes.Buffer
+	if err := res.Trace.WritePcap(&buf); err != nil {
+		t.Fatal(err)
+	}
+	pkts, err := netsim.ReadPcap(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delivered := len(res.Trace.Delivered()); len(pkts) != delivered || delivered != 10 {
+		t.Errorf("capture holds %d records for %d delivered packets, want 10 of each", len(pkts), delivered)
 	}
 }

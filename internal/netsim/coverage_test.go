@@ -66,7 +66,7 @@ func TestMultiClientRouting(t *testing.T) {
 	n.Run(0)
 	found := false
 	for _, e := range n.Trace.Entries {
-		if strings.Contains(e.Note, "no route") {
+		if e.Event == EventNoRoute {
 			found = true
 		}
 	}
@@ -96,30 +96,33 @@ func TestTraceDeliveredFilter(t *testing.T) {
 		t.Errorf("Delivered() = %d entries, want 2", len(del))
 	}
 	for _, e := range del {
-		if !strings.Contains(e.Note, "delivered") {
-			t.Errorf("non-delivered entry leaked: %q", e.Note)
+		if e.Event != EventDelivered {
+			t.Errorf("non-delivered entry leaked: %v", e.Event)
 		}
 	}
 }
 
 func TestWaterfallLabels(t *testing.T) {
 	tr := &Trace{}
-	mk := func(flags uint8, payload string, note string) {
+	mk := func(flags uint8, payload string, ev Event) {
 		p := packet.New(clientAddr, serverAddr, 1, 2)
 		p.TCP.Flags = flags
 		p.TCP.Payload = []byte(payload)
-		tr.add(p, ToServer, note, 0)
+		tr.add(TraceEntry{Dir: ToServer, Pkt: p, Event: ev})
 	}
-	mk(packet.FlagFIN, "x", "delivered")
-	mk(packet.FlagRST|packet.FlagACK, "", "delivered")
-	mk(packet.FlagFIN|packet.FlagPSH|packet.FlagACK, "page", "delivered")
-	mk(packet.FlagURG|packet.FlagPSH, "", "delivered")
-	mk(packet.FlagSYN, "", "dropped in-path")
-	mk(packet.FlagSYN, "", "expired before censor")
+	mk(packet.FlagFIN, "x", EventDelivered)
+	mk(packet.FlagRST|packet.FlagACK, "", EventDelivered)
+	mk(packet.FlagFIN|packet.FlagPSH|packet.FlagACK, "page", EventDelivered)
+	mk(packet.FlagURG|packet.FlagPSH, "", EventDelivered)
+	mk(packet.FlagSYN, "", EventDropped)
+	mk(packet.FlagSYN, "", EventExpiredBefore)
+	mk(packet.FlagSYN, "", EventLost)
+	mk(packet.FlagSYN, "", EventNoRoute)
+	tr.add(TraceEntry{Pkt: packet.New(clientAddr, serverAddr, 1, 2), Event: EventCensor, Note: "blocked", by: "tap"})
 	w := tr.Waterfall("labels")
 	for _, want := range []string{
 		"FIN (w/ load)", "RST/ACK", "FIN/PSH/ACK", "P/U",
-		"[dropped]", "[expired]",
+		"[dropped]", "[expired]", "[lost]", "[no route]", "* tap: blocked",
 	} {
 		if !strings.Contains(w, want) {
 			t.Errorf("waterfall missing %q:\n%s", want, w)

@@ -37,7 +37,7 @@ func TestZeroImpairmentsIsInert(t *testing.T) {
 	}
 	for i := range plain.Entries {
 		a, b := plain.Entries[i], installed.Entries[i]
-		if a.Time != b.Time || a.Dir != b.Dir || a.Note != b.Note || a.Pkt.TCP.Seq != b.Pkt.TCP.Seq {
+		if a.Time != b.Time || a.Dir != b.Dir || a.Event != b.Event || a.Pkt.TCP.Seq != b.Pkt.TCP.Seq {
 			t.Fatalf("entry %d differs: %+v vs %+v", i, a, b)
 		}
 	}
@@ -58,7 +58,7 @@ func TestTotalLossDeliversNothing(t *testing.T) {
 	}
 	lost := 0
 	for _, e := range n.Trace.Entries {
-		if strings.Contains(e.Note, "lost (impairment)") {
+		if e.Event == EventLost {
 			lost++
 		}
 	}
@@ -132,7 +132,7 @@ func TestImpairmentDeterminism(t *testing.T) {
 		n.Run(0)
 		var notes []string
 		for _, e := range n.Trace.Entries {
-			notes = append(notes, e.Time.String()+" "+e.Note)
+			notes = append(notes, e.Time.String()+" "+e.Event.String())
 		}
 		return notes
 	}

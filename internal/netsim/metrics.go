@@ -4,9 +4,11 @@ import "geneva/internal/obs"
 
 // Delivery-outcome counters. Every packet the network accepts reaches
 // exactly one terminal counter (delivered, lost, expired, no-route, or
-// dropped in-path); the others count side events. All increments sit behind
-// the obs enabled gate, so the fitness-trial hot path pays one atomic load
-// per site when metrics are off.
+// dropped in-path); the others count side events. The event kinds in
+// trace.go own the counters they bump, and FuzzImpairments checks the
+// balance from a trace. All increments sit behind the obs enabled gate, so
+// the fitness-trial hot path pays one atomic load per site when metrics are
+// off.
 var (
 	mDelivered     = obs.NewCounter("netsim.delivered")
 	mLost          = obs.NewCounter("netsim.lost_impairment")

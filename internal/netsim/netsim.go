@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"time"
@@ -49,7 +48,8 @@ type Verdict struct {
 	// They are delivered without further middlebox processing.
 	InjectToClient []*packet.Packet
 	InjectToServer []*packet.Packet
-	// Note annotates the trace (e.g. "GFW-HTTP: censored").
+	// Note is the middlebox's own text for the trace (e.g. "302 injected");
+	// the network records it only when a Trace is attached.
 	Note string
 }
 
@@ -71,10 +71,11 @@ type Network struct {
 	HopsBeyondCensor int
 	// LinkDelay is the per-hop one-way latency.
 	LinkDelay time.Duration
-	// Trace, if non-nil, records every packet event (send, impairment,
-	// censor decision, delivery) for waterfalls and failure classification.
-	// With Trace nil the network skips event capture entirely — no note
-	// assembly, no clones — which is the fitness-trial default.
+	// Trace, if non-nil, records every packet event (each packet's fate,
+	// impairment duplicates, injections, censor notes) for waterfalls and
+	// failure classification. With Trace nil the network only bumps the
+	// events' counters — no entries, no clones — which is the fitness-trial
+	// default.
 	Trace *Trace
 	// RecyclePackets returns packets to the shared pool once they reach a
 	// terminal point (delivered, dropped, lost, expired, unroutable).
@@ -203,17 +204,13 @@ func (n *Network) enqueue(pkt *packet.Packet, dir Direction, fromCensor bool) {
 	// Impairment draws happen in a fixed order (loss, primary-copy delay,
 	// duplication, duplicate-copy delay) so a seeded rng always produces
 	// the same schedule.
-	now := n.Clock.Now()
 	if n.impairRNG.Float64() < prof.Loss {
-		mLost.Inc()
-		n.trace(pkt, dir, "lost (impairment)", now)
-		n.recycle(pkt)
+		n.discard(EventLost, pkt, dir)
 		return
 	}
 	n.queue.heap.push(n.packetEvent(pkt, dir, fromCensor, n.LinkDelay+n.impairExtra(prof)))
 	if n.impairRNG.Float64() < prof.Duplicate {
-		mDuplicated.Inc()
-		n.trace(pkt, dir, "duplicated (impairment)", now)
+		n.record(EventDuplicated, pkt, dir, nil, "")
 		n.queue.heap.push(n.packetEvent(pkt.ClonePooled(), dir, fromCensor, n.LinkDelay+n.impairExtra(prof)))
 	}
 }
@@ -287,69 +284,41 @@ func (n *Network) deliver(e *event) {
 	if e.dir == ToClient {
 		hopsBefore, hopsAfter = n.HopsBeyondCensor, n.HopsToCensor
 	}
-	now := n.Clock.Now()
-	// Note strings exist only for the Trace; skip assembling them (and the
-	// allocations that implies) when nothing is captured.
-	rec := n.Trace != nil
 
 	if !e.fromCensor {
 		// Leg 1: sender -> censor hop.
 		if int(e.pkt.IP.TTL) < hopsBefore {
-			mExpiredTTL.Inc()
-			n.trace(e.pkt, e.dir, "expired before censor", now)
-			n.recycle(e.pkt)
+			n.discard(EventExpiredBefore, e.pkt, e.dir)
 			return
 		}
 		e.pkt.IP.TTL -= uint8(hopsBefore)
 
 		drop := false
-		var notes []string
+		now := n.Clock.Now()
 		for _, b := range n.boxes {
 			v := b.Process(e.pkt, e.dir, now)
-			if rec && v.Note != "" {
-				notes = append(notes, fmt.Sprintf("%s: %s", b.Name(), v.Note))
+			if v.Note != "" {
+				n.record(EventCensor, e.pkt, e.dir, b, v.Note)
 			}
 			drop = drop || v.Drop
 			for _, inj := range v.InjectToClient {
-				mInjected.Inc()
+				n.record(EventInjected, inj, ToClient, b, "")
 				n.enqueue(inj, ToClient, true)
-				if rec {
-					n.trace(inj, ToClient, "injected by "+b.Name(), now)
-				}
 			}
 			for _, inj := range v.InjectToServer {
-				mInjected.Inc()
+				n.record(EventInjected, inj, ToServer, b, "")
 				n.enqueue(inj, ToServer, true)
-				if rec {
-					n.trace(inj, ToServer, "injected by "+b.Name(), now)
-				}
 			}
-		}
-		note := ""
-		for i, s := range notes {
-			if i > 0 {
-				note += "; "
-			}
-			note += s
 		}
 		if drop {
-			mDroppedInPath.Inc()
-			if rec {
-				n.trace(e.pkt, e.dir, strjoin(note, "dropped in-path"), now)
-			}
-			n.recycle(e.pkt)
+			n.discard(EventDropped, e.pkt, e.dir)
 			return
-		}
-		if note != "" {
-			n.trace(e.pkt, e.dir, note, now)
 		}
 	}
 
 	// Leg 2: censor hop -> receiver.
 	if int(e.pkt.IP.TTL) < hopsAfter {
-		mExpiredTTL.Inc()
-		n.trace(e.pkt, e.dir, "expired after censor", now)
-		n.recycle(e.pkt)
+		n.discard(EventExpiredAfter, e.pkt, e.dir)
 		return
 	}
 	e.pkt.IP.TTL -= uint8(hopsAfter)
@@ -360,23 +329,34 @@ func (n *Network) deliver(e *event) {
 		if !ok {
 			// A packet for an address nobody holds (spoofed or stale):
 			// it falls off the edge of the network.
-			mNoRoute.Inc()
-			n.trace(e.pkt, e.dir, "no route to client", now)
-			n.recycle(e.pkt)
+			n.discard(EventNoRoute, e.pkt, e.dir)
 			return
 		}
 		dst = c
 	}
-	mDelivered.Inc()
-	n.trace(e.pkt, e.dir, "delivered", now)
+	n.record(EventDelivered, e.pkt, e.dir, nil, "")
 	dst.Receive(n, e.pkt)
 	n.recycle(e.pkt)
 }
 
-func (n *Network) trace(pkt *packet.Packet, dir Direction, note string, at time.Duration) {
-	if n.Trace != nil {
-		n.Trace.add(pkt, dir, note, at)
+// record counts one packet event on its kind's counter and, with a Trace
+// attached, traces it; by is the middlebox behind an injection or a note.
+func (n *Network) record(ev Event, pkt *packet.Packet, dir Direction, by Middlebox, note string) {
+	events[ev].counter.Inc()
+	if n.Trace == nil {
+		return
 	}
+	e := TraceEntry{Time: n.Clock.Now(), Dir: dir, Pkt: pkt, Event: ev, Note: note}
+	if by != nil {
+		e.by = by.Name()
+	}
+	n.Trace.add(e)
+}
+
+// discard ends pkt's journey short of its receiver with the fate ev.
+func (n *Network) discard(ev Event, pkt *packet.Packet, dir Direction) {
+	n.record(ev, pkt, dir, nil, "")
+	n.recycle(pkt)
 }
 
 // recycle returns a packet that reached a terminal point to the pool when
@@ -387,11 +367,4 @@ func (n *Network) recycle(p *packet.Packet) {
 		mRecycled.Inc()
 		packet.Put(p)
 	}
-}
-
-func strjoin(a, b string) string {
-	if a == "" {
-		return b
-	}
-	return a + "; " + b
 }

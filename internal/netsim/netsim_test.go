@@ -206,9 +206,16 @@ func TestTraceWaterfallContainsPackets(t *testing.T) {
 	if !strings.Contains(w, "SYN") || !strings.Contains(w, "SYN/ACK") {
 		t.Errorf("waterfall missing packets:\n%s", w)
 	}
-	toS, toC := n.Trace.Summary()
+	toS, toC := 0, 0
+	for _, e := range n.Trace.Delivered() {
+		if e.Dir == ToServer {
+			toS++
+		} else {
+			toC++
+		}
+	}
 	if toS != 1 || toC != 1 {
-		t.Errorf("summary = %d,%d", toS, toC)
+		t.Errorf("delivered = %d,%d", toS, toC)
 	}
 }
 

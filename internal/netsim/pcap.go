@@ -18,10 +18,10 @@ const (
 )
 
 // WritePcap serializes the trace's packets as a libpcap capture file
-// (LINKTYPE_RAW), readable by tcpdump and Wireshark. Packets are emitted
-// once per trace entry that represents a wire event (deliveries, drops, and
-// expiries are all included — the capture point is the censor hop).
-// Timestamps are the virtual clock offsets.
+// (LINKTYPE_RAW), readable by tcpdump and Wireshark: one record per packet
+// fate (deliveries, drops, expiries, losses and unroutable packets), so
+// each packet copy on the wire appears once. Timestamps are the virtual
+// clock offsets.
 func (t *Trace) WritePcap(w io.Writer) error {
 	hdr := make([]byte, 24)
 	binary.LittleEndian.PutUint32(hdr[0:], pcapMagicMicros)
@@ -34,6 +34,9 @@ func (t *Trace) WritePcap(w io.Writer) error {
 		return fmt.Errorf("pcap header: %w", err)
 	}
 	for i, e := range t.Entries {
+		if !e.Event.fate() {
+			continue
+		}
 		// Each entry holds a cloned packet; serialize it fresh.
 		wire, err := e.Pkt.Wire()
 		if err != nil {

@@ -15,8 +15,8 @@ func TestPcapRoundtrip(t *testing.T) {
 	p2 := packet.New(serverAddr, clientAddr, 80, 40000)
 	p2.TCP.Flags = packet.FlagSYN | packet.FlagACK
 	p2.TCP.Payload = []byte("x")
-	tr.add(p1, ToServer, "delivered", 1500*time.Microsecond)
-	tr.add(p2, ToClient, "delivered", 2*time.Second+3*time.Microsecond)
+	tr.add(TraceEntry{Time: 1500 * time.Microsecond, Dir: ToServer, Pkt: p1, Event: EventDelivered})
+	tr.add(TraceEntry{Time: 2*time.Second + 3*time.Microsecond, Dir: ToClient, Pkt: p2, Event: EventDelivered})
 
 	var buf bytes.Buffer
 	if err := tr.WritePcap(&buf); err != nil {
