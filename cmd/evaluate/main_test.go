@@ -5,6 +5,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"geneva/internal/paper"
 )
 
 // TestReportMatchesResults pins the whole default report: at 300 trials it
@@ -23,7 +25,7 @@ func TestReportMatchesResults(t *testing.T) {
 		t.Fatalf("reading golden results: %v", err)
 	}
 	var b strings.Builder
-	report(&b, 300)
+	paper.Report(&b, 300)
 	got, want := b.String(), string(raw)
 	if got == want {
 		return
@@ -48,7 +50,7 @@ func TestReportMatchesResults(t *testing.T) {
 func TestRunRejectsUnknownName(t *testing.T) {
 	for _, name := range []string{"all", "table", "2", "Table2", "figure4"} {
 		var b strings.Builder
-		err := run(&b, name, 1)
+		err := paper.Run(&b, name, 1)
 		if err == nil {
 			t.Errorf("run(%q) = nil error, want one", name)
 			continue
@@ -62,9 +64,9 @@ func TestRunRejectsUnknownName(t *testing.T) {
 		}) {
 			listed[f] = true
 		}
-		for _, e := range experiments {
-			if !listed[e.name] {
-				t.Errorf("run(%q) error %q does not list %q", name, err, e.name)
+		for _, e := range paper.Names() {
+			if !listed[e] {
+				t.Errorf("run(%q) error %q does not list %q", name, err, e)
 			}
 		}
 	}
@@ -72,11 +74,11 @@ func TestRunRejectsUnknownName(t *testing.T) {
 
 func TestExperimentNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, e := range experiments {
-		if seen[e.name] {
-			t.Errorf("entry %q is listed twice", e.name)
+	for _, e := range paper.Names() {
+		if seen[e] {
+			t.Errorf("entry %q is listed twice", e)
 		}
-		seen[e.name] = true
+		seen[e] = true
 	}
 }
 
@@ -89,8 +91,8 @@ var citedExperiment = regexp.MustCompile("cmd/evaluate\\b[^\\n`]*?-experiment[ =
 // removed entry cannot leave a dead command behind.
 func TestDocumentedExperimentsExist(t *testing.T) {
 	known := map[string]bool{}
-	for _, e := range experiments {
-		known[e.name] = true
+	for _, e := range paper.Names() {
+		known[e] = true
 	}
 	for _, doc := range []string{
 		"../../README.md",

@@ -65,9 +65,16 @@ func (w *Windows[K]) Merge(k K, last time.Duration) {
 
 // ResidualTable is the residual-censorship table behind every
 // ResidualCarrier: server endpoints that stay censored after a censorship
-// event. Windows are inclusive of their expiry. The "ip:port" key string
-// exists only at the carrier boundary; in the table a server is a
-// netip.AddrPort, so the per-packet lookup formats nothing.
+// event. Windows are inclusive of their expiry. The key is the server's
+// (IP, port) alone; the client address is not part of it, so one client's
+// censorship event taints the server for every client behind the same
+// censor. That choice decides every China HTTP fleet number: routed-only
+// Strategy 1 fleets serve 26% at 4 clients per cell and 53% at 1, against
+// Table 2's 54% (DESIGN.md, GFW). A key with the client in it moves seeded
+// draws, so it belongs to a benchmark re-baseline with a cited source.
+// The "ip:port" key string exists only at the carrier boundary; in the
+// table a server is a netip.AddrPort, so the per-packet lookup formats
+// nothing.
 type ResidualTable struct {
 	Windows[netip.AddrPort]
 }

@@ -1,12 +1,18 @@
-package eval
+package eval_test
 
-import "testing"
+import (
+	"testing"
+
+	"geneva/internal/eval"
+	"geneva/internal/paper"
+	"geneva/internal/strategies"
+)
 
 func TestAblationsShowMechanismsAreLoadBearing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("many trials")
 	}
-	for _, a := range Ablations(120) {
+	for _, a := range paper.Ablations(120) {
 		if a.AidsEvasion && a.WithMechanism < a.WithoutMechanism+0.15 {
 			t.Errorf("%s (strategy %d/%s): with=%.2f without=%.2f — removing the censor bug should collapse the strategy: %s",
 				a.Name, a.Strategy, a.Protocol, a.WithMechanism, a.WithoutMechanism, a.Explanation)
@@ -22,15 +28,15 @@ func TestSingleBoxAblationCollapsesHeterogeneity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("many trials")
 	}
-	multi, single := SingleBoxAblation(120)
+	multi, single := paper.SingleBoxAblation(120)
 	// Real model: FTP dwarfs HTTP for Strategy 5.
 	if multi["ftp"] < multi["http"]+0.5 {
 		t.Errorf("multi-box: ftp=%.2f http=%.2f — heterogeneity missing", multi["ftp"], multi["http"])
 	}
 	// Counterfactual single box: the spread collapses.
 	spread := 0.0
-	for _, p := range CensoredProtocols(CountryChina) {
-		for _, q := range CensoredProtocols(CountryChina) {
+	for _, p := range eval.CensoredProtocols(eval.CountryChina) {
+		for _, q := range eval.CensoredProtocols(eval.CountryChina) {
 			if d := single[p] - single[q]; d > spread {
 				spread = d
 			}
@@ -47,7 +53,7 @@ func TestStrategyRuleDependence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("many trials")
 	}
-	dep := StrategyRuleDependence(100)
+	dep := paper.StrategyRuleDependence(100)
 	// Strategy 1 runs on rule 2.
 	if dep[1]["no-rule2"] > dep[1]["full"]-0.3 {
 		t.Errorf("strategy 1: full=%.2f no-rule2=%.2f", dep[1]["full"], dep[1]["no-rule2"])
@@ -82,16 +88,16 @@ func TestAblationsMeasureRegistryModel(t *testing.T) {
 	}
 	const trials = 200
 	rate := func(num int, proto string, seed int64) float64 {
-		s, _ := byNumber(num)
-		return Rate(Config{
-			Country:  CountryChina,
-			Session:  SessionFor(CountryChina, proto, true),
-			Strategy: s,
-			Tries:    TriesFor(proto),
+		s, _ := strategies.ByNumber(num)
+		return eval.Rate(eval.Config{
+			Country:  eval.CountryChina,
+			Session:  eval.SessionFor(eval.CountryChina, proto, true),
+			Strategy: s.Parse(),
+			Tries:    eval.TriesFor(proto),
 			Seed:     seed,
 		}, trials)
 	}
-	rows := Ablations(trials)
+	rows := paper.Ablations(trials)
 	for _, c := range []struct {
 		row  int
 		seed int64
@@ -102,9 +108,10 @@ func TestAblationsMeasureRegistryModel(t *testing.T) {
 				a.Name, a.Strategy, a.Protocol, a.WithMechanism, want)
 		}
 	}
-	multi, _ := SingleBoxAblation(trials)
-	for _, proto := range CensoredProtocols(CountryChina) {
-		if want := rate(5, proto, 1100+protocolRow(proto).seed); multi[proto] != want {
+	multi, _ := paper.SingleBoxAblation(trials)
+	for _, proto := range eval.CensoredProtocols(eval.CountryChina) {
+		off, _ := eval.ProtocolFacts(proto)
+		if want := rate(5, proto, 1100+off); multi[proto] != want {
 			t.Errorf("S5/%s: multi-box %.3f, registry model %.3f", proto, multi[proto], want)
 		}
 	}

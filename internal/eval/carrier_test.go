@@ -1,9 +1,13 @@
-package eval
+package eval_test
 
-import "testing"
+import (
+	"testing"
+
+	"geneva/internal/paper"
+)
 
 func TestCarrierInterferenceMatchesAnecdote(t *testing.T) {
-	got := CarrierInterference()
+	got := paper.CarrierInterference()
 	for n := 1; n <= 11; n++ {
 		if !got["wifi"][n] {
 			t.Errorf("wifi: strategy %d failed; all work over wifi (§7)", n)

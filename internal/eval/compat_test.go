@@ -1,15 +1,17 @@
-package eval
+package eval_test
 
 import (
 	"strings"
 	"testing"
+
+	"geneva/internal/paper"
 )
 
 func TestClientCompatibilityMatchesSection7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("14 strategies x 17 OSes")
 	}
-	cells := ClientCompatibility()
+	cells := paper.ClientCompatibility()
 	// 11 strategies + 3 insertion variants, 17 OSes each.
 	if len(cells) != 14*17 {
 		t.Fatalf("matrix has %d cells, want %d", len(cells), 14*17)
@@ -37,7 +39,7 @@ func TestClientCompatibilityMatchesSection7(t *testing.T) {
 			}
 		}
 	}
-	out := FormatCompat(cells)
+	out := paper.FormatCompat(cells)
 	if !strings.Contains(out, "fails on:") || !strings.Contains(out, "all 17 client OSes") {
 		t.Error("FormatCompat output malformed")
 	}

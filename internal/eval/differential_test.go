@@ -1,9 +1,12 @@
-package eval
+package eval_test
 
 import (
 	"os"
 	"strings"
 	"testing"
+
+	"geneva/internal/eval"
+	"geneva/internal/paper"
 )
 
 const differentialGolden = "testdata/differential.txt"
@@ -18,7 +21,7 @@ const differentialGolden = "testdata/differential.txt"
 //
 // and review the diff like any other behaviour change.
 func TestDifferentialMatchesGolden(t *testing.T) {
-	got := FormatDifferential(Differential())
+	got := paper.FormatDifferential(paper.Differential())
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(differentialGolden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -54,13 +57,13 @@ func TestDifferentialMatchesGolden(t *testing.T) {
 // DIFFERENT mechanical reasons. One cause shared by every censor would mean
 // the models collapsed into one censor with different blocklists.
 func TestDifferentialCausesDiverge(t *testing.T) {
-	cells := Differential()
+	cells := paper.Differential()
 	best, bestStrategy := 0, -1
-	for _, s := range DifferentialStrategies {
+	for _, s := range paper.DifferentialStrategies {
 		causes := map[string]bool{}
 		censors := map[string]bool{}
 		for _, c := range cells {
-			if c.Strategy != s || c.Cause == CauseEvaded || c.Cause == CauseBroken {
+			if c.Strategy != s || c.Cause == eval.CauseEvaded || c.Cause == eval.CauseBroken {
 				continue
 			}
 			causes[c.Cause] = true
@@ -79,11 +82,11 @@ func TestDifferentialCausesDiverge(t *testing.T) {
 	// session dies by injected RST in China, an injected block page on
 	// Airtel, an injected 302 on Vodafone, and a silent blackhole in Iran.
 	want := map[string]string{
-		CountryChina:         CauseRST,
-		CountryIndia:         CauseBlockpage,
-		CountryIndiaVodafone: Cause302,
-		CountryIran:          CauseBlackhole,
-		CountryKazakhstan:    CauseHijacked,
+		eval.CountryChina:         eval.CauseRST,
+		eval.CountryIndia:         eval.CauseBlockpage,
+		eval.CountryIndiaVodafone: eval.Cause302,
+		eval.CountryIran:          eval.CauseBlackhole,
+		eval.CountryKazakhstan:    eval.CauseHijacked,
 	}
 	for _, c := range cells {
 		if c.Strategy != 0 || c.Protocol != "http" {
@@ -96,18 +99,18 @@ func TestDifferentialCausesDiverge(t *testing.T) {
 	// The TMC's DNS engine answers before the resolver can: forged data,
 	// not a tear-down.
 	for _, c := range cells {
-		if c.Country == CountryTurkmenistan && c.Protocol == "dns" && c.Strategy == 0 && c.Cause != CauseForgedDNS {
-			t.Errorf("turkmenistan/dns no-evasion: cause %s, want %s", c.Cause, CauseForgedDNS)
+		if c.Country == eval.CountryTurkmenistan && c.Protocol == "dns" && c.Strategy == 0 && c.Cause != eval.CauseForgedDNS {
+			t.Errorf("turkmenistan/dns no-evasion: cause %s, want %s", c.Cause, eval.CauseForgedDNS)
 		}
 	}
 }
 
 // TestClassifyFailureEvaded pins the trivial branches.
 func TestClassifyFailureEvaded(t *testing.T) {
-	if c := ClassifyFailure(Result{Success: true}); c != CauseEvaded {
+	if c := eval.ClassifyFailure(eval.Result{Success: true}); c != eval.CauseEvaded {
 		t.Errorf("success classified %s", c)
 	}
-	if c := ClassifyFailure(Result{}); c != CauseBroken {
+	if c := eval.ClassifyFailure(eval.Result{}); c != eval.CauseBroken {
 		t.Errorf("censor-free failure classified %s", c)
 	}
 }

@@ -1,15 +1,18 @@
-package eval
+package eval_test
 
 import (
 	"strings"
 	"testing"
+
+	"geneva/internal/eval"
+	"geneva/internal/paper"
 )
 
 func TestClientSideAnalogsAllFail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("many strategies x trials")
 	}
-	rates := ClientSideGeneralization(30)
+	rates := paper.ClientSideGeneralization(30)
 	if len(rates) != 50 {
 		t.Fatalf("analog corpus has %d strategies, want 50 (25 shapes x before/after)", len(rates))
 	}
@@ -21,13 +24,13 @@ func TestClientSideAnalogsAllFail(t *testing.T) {
 }
 
 func TestClientSideTeardownWorksFromClient(t *testing.T) {
-	if rate := ClientSideTCBTeardownWorks(30); rate < 0.9 {
+	if rate := paper.ClientSideTCBTeardownWorks(30); rate < 0.9 {
 		t.Errorf("client-side TTL-limited RST teardown rate %.2f, should evade", rate)
 	}
 }
 
 func TestDesyncConfirmation(t *testing.T) {
-	withS1, without := DesyncConfirmation(80)
+	withS1, without := paper.DesyncConfirmation(80)
 	if withS1 < 0.3 || withS1 > 0.75 {
 		t.Errorf("seq-1 censorship with Strategy 1 = %.2f, paper: ~50%%", withS1)
 	}
@@ -37,7 +40,7 @@ func TestDesyncConfirmation(t *testing.T) {
 }
 
 func TestInducedRstCriticality(t *testing.T) {
-	s5n, s5d, s6n, s6d := InducedRstCriticality(60)
+	s5n, s5d, s6n, s6d := paper.InducedRstCriticality(60)
 	if s5n < 0.85 {
 		t.Errorf("Strategy 5 FTP normal = %.2f, want ~0.97", s5n)
 	}
@@ -55,14 +58,14 @@ func TestInducedRstCriticality(t *testing.T) {
 }
 
 func TestStrategy7ResyncTarget(t *testing.T) {
-	rate := Strategy7ResyncTarget(60)
+	rate := paper.Strategy7ResyncTarget(60)
 	if rate < 0.3 {
 		t.Errorf("seq-matched-to-RST censorship under Strategy 7 = %.2f; the GFW should re-censor", rate)
 	}
 }
 
 func TestResidualCensorshipOnlyHTTP(t *testing.T) {
-	for _, r := range ResidualCensorshipExperiment() {
+	for _, r := range paper.ResidualCensorshipExperiment() {
 		switch r.Protocol {
 		case "http":
 			if !r.ImmediateBlocked {
@@ -80,7 +83,7 @@ func TestResidualCensorshipOnlyHTTP(t *testing.T) {
 }
 
 func TestKazakhTripleLoadSweep(t *testing.T) {
-	s := KazakhTripleLoadSweep(10)
+	s := paper.KazakhTripleLoadSweep(10)
 	if s.OneLoad != 0 || s.TwoLoads != 0 {
 		t.Errorf("1 load=%.2f 2 loads=%.2f: fewer than three payloads must fail", s.OneLoad, s.TwoLoads)
 	}
@@ -96,7 +99,7 @@ func TestKazakhTripleLoadSweep(t *testing.T) {
 }
 
 func TestKazakhDoubleGetSweep(t *testing.T) {
-	s := KazakhDoubleGetSweep(10)
+	s := paper.KazakhDoubleGetSweep(10)
 	if s.FullPrefix != 1 {
 		t.Errorf("full prefix rate %.2f, want 1", s.FullPrefix)
 	}
@@ -112,7 +115,7 @@ func TestKazakhDoubleGetSweep(t *testing.T) {
 }
 
 func TestKazakhFlagSweep(t *testing.T) {
-	rates := KazakhFlagSweep(8)
+	rates := paper.KazakhFlagSweep(8)
 	works := []string{"(none)", "P", "U", "PU"}
 	fails := []string{"S", "A", "R", "F", "PA"}
 	for _, f := range works {
@@ -128,7 +131,7 @@ func TestKazakhFlagSweep(t *testing.T) {
 }
 
 func TestKazakhProbing(t *testing.T) {
-	two, fb := KazakhProbing()
+	two, fb := paper.KazakhProbing()
 	if !two {
 		t.Error("two forbidden GETs during the handshake did not elicit a censor response")
 	}
@@ -138,12 +141,12 @@ func TestKazakhProbing(t *testing.T) {
 }
 
 func TestPortSensitivity(t *testing.T) {
-	got := PortSensitivity()
-	if got[CountryChina] {
+	got := paper.PortSensitivity()
+	if got[eval.CountryChina] {
 		t.Error("china: non-default port defeated the GFW; it censors all ports")
 	}
-	for _, c := range CensoredCountries() {
-		if c == CountryChina {
+	for _, c := range eval.CensoredCountries() {
+		if c == eval.CountryChina {
 			continue
 		}
 		if !got[c] {
@@ -153,12 +156,12 @@ func TestPortSensitivity(t *testing.T) {
 }
 
 func TestStatelessness(t *testing.T) {
-	got := Statelessness()
-	if got[CountryChina] {
+	got := paper.Statelessness()
+	if got[eval.CountryChina] {
 		t.Error("china: the GFW censored without a TCB")
 	}
-	for _, c := range []string{CountryIndia, CountryIndiaJio, CountryIndiaVodafone,
-		CountryIran, CountryTurkmenistan} {
+	for _, c := range []string{eval.CountryIndia, eval.CountryIndiaJio, eval.CountryIndiaVodafone,
+		eval.CountryIran, eval.CountryTurkmenistan} {
 		if !got[c] {
 			t.Errorf("%s: stateless middlebox should censor a request with no handshake", c)
 		}
@@ -167,8 +170,9 @@ func TestStatelessness(t *testing.T) {
 
 func TestLocalizationSameHopAllProtocols(t *testing.T) {
 	hops := make(map[string]int)
-	for _, proto := range CensoredProtocols(CountryChina) {
-		hops[proto] = LocalizeCensor(proto, 60+protocolRow(proto).seed)
+	for _, proto := range eval.CensoredProtocols(eval.CountryChina) {
+		off, _ := eval.ProtocolFacts(proto)
+		hops[proto] = paper.LocalizeCensor(proto, 60+off)
 	}
 	for proto, h := range hops {
 		if h != 5 {
@@ -178,7 +182,7 @@ func TestLocalizationSameHopAllProtocols(t *testing.T) {
 }
 
 func TestFigure1WaterfallsRender(t *testing.T) {
-	out := Figure1()
+	out := paper.Figure1()
 	for _, want := range []string{"Normal behavior", "Strategy 1", "Strategy 8", "SYN/ACK", "evaded censorship"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Figure 1 output missing %q", want)
@@ -187,7 +191,7 @@ func TestFigure1WaterfallsRender(t *testing.T) {
 }
 
 func TestFigure2WaterfallsRender(t *testing.T) {
-	out := Figure2()
+	out := paper.Figure2()
 	for _, want := range []string{"Strategy 9", "Strategy 10", "Strategy 11", "no flags"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Figure 2 output missing %q", want)
@@ -196,7 +200,7 @@ func TestFigure2WaterfallsRender(t *testing.T) {
 }
 
 func TestFigure3Evidence(t *testing.T) {
-	r := Figure3(40)
+	r := paper.Figure3(40)
 	if r.StrategyRates["ftp"] < 0.8 || r.StrategyRates["http"] > 0.2 {
 		t.Errorf("figure 3a heterogeneity wrong: ftp=%.2f http=%.2f",
 			r.StrategyRates["ftp"], r.StrategyRates["http"])
@@ -206,7 +210,7 @@ func TestFigure3Evidence(t *testing.T) {
 			t.Errorf("figure 3b: %s censored at hop %d, want 5", proto, hop)
 		}
 	}
-	if out := FormatFigure3(r); !strings.Contains(out, "colocated") {
+	if out := paper.FormatFigure3(r); !strings.Contains(out, "colocated") {
 		t.Error("FormatFigure3 output malformed")
 	}
 }

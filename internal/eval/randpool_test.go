@@ -8,6 +8,7 @@ import (
 	"geneva/internal/eval"
 	"geneva/internal/fleet"
 	"geneva/internal/netsim"
+	"geneva/internal/paper"
 	"geneva/internal/selector"
 	"geneva/internal/strategies"
 )
@@ -82,9 +83,9 @@ func TestRandPoolBalance(t *testing.T) {
 		{"run", func() error { eval.Run(trial); return nil }},
 		{"rate-stats/workers=1", rateStats(1)},
 		{"rate-stats/workers=2", rateStats(2)},
-		{"ablations", func() error { eval.Ablations(2); return nil }},
-		{"residual-censorship", func() error { eval.ResidualCensorshipExperiment(); return nil }},
-		{"statelessness", func() error { eval.Statelessness(); return nil }},
+		{"ablations", func() error { paper.Ablations(2); return nil }},
+		{"residual-censorship", func() error { paper.ResidualCensorshipExperiment(); return nil }},
+		{"statelessness", func() error { paper.Statelessness(); return nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := eval.RandOutstanding()

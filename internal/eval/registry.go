@@ -140,7 +140,7 @@ var censorRegistry = []CensorDef{
 
 // protocolDef is one row of the protocol table: everything a trial needs
 // to know about an application protocol. Protocols, ValidProtocol,
-// SessionFor, TriesFor and Table 2's columns all read the table, and Trial
+// SessionFor, TriesFor and ProtocolFacts all read the table, and Trial
 // turns a row into a trial Config; nothing else keeps a per-protocol fact.
 type protocolDef struct {
 	name string
@@ -230,6 +230,14 @@ func Protocols() []string {
 	return out
 }
 
+// ProtocolFacts returns the two facts of a protocol's row that the paper's
+// experiments read: the seed offset of its per-protocol cells and the
+// token only its forbidden transcript carries.
+func ProtocolFacts(protocol string) (seedOffset int64, forbiddenToken string) {
+	p := protocolRow(protocol)
+	return p.seed, p.token
+}
+
 // ValidProtocol reports whether protocol names a modeled application session.
 func ValidProtocol(protocol string) bool { return protocolIndex(protocol) >= 0 }
 
@@ -311,21 +319,4 @@ func CensoredProtocols(country string) []string {
 		return d.Protocols
 	}
 	return nil
-}
-
-// SweepProtocol returns the protocol single-protocol experiments (the
-// robustness sweep, the §8 router) exercise against a country's censor:
-// HTTP where it is censored, otherwise the censor's first censored
-// protocol. CountryNone sweeps HTTP (nothing is censored anyway).
-func SweepProtocol(country string) string {
-	d, ok := CensorByCountry(country)
-	if !ok {
-		return "http"
-	}
-	for _, p := range d.Protocols {
-		if p == "http" {
-			return p
-		}
-	}
-	return d.Protocols[0]
 }

@@ -1,12 +1,14 @@
-package eval
+package eval_test
 
 import (
 	"math"
 	"testing"
+
+	"geneva/internal/paper"
 )
 
 func TestDNSRetryCurveAmplifies(t *testing.T) {
-	curve := DNSRetryCurve(1, 5, 150)
+	curve := paper.DNSRetryCurve(1, 5, 150)
 	// Monotonically non-decreasing (allowing sampling noise).
 	for k := 2; k <= 5; k++ {
 		if curve[k] < curve[k-1]-0.08 {
@@ -33,7 +35,7 @@ func TestDNSRetryCurveAmplifies(t *testing.T) {
 }
 
 func TestOrderSensitivity(t *testing.T) {
-	normal, reversed := OrderSensitivity(120)
+	normal, reversed := paper.OrderSensitivity(120)
 	if normal < 0.85 {
 		t.Errorf("Strategy 5 normal order = %.2f, want ~0.97", normal)
 	}

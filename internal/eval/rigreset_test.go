@@ -9,6 +9,7 @@ import (
 	"geneva/internal/core"
 	"geneva/internal/genetic"
 	"geneva/internal/netsim"
+	"geneva/internal/packet"
 	"geneva/internal/strategies"
 	"geneva/internal/tcpstack"
 )
@@ -107,6 +108,29 @@ func TestRigResetMatchesFresh(t *testing.T) {
 	}
 	lossy := netsim.Symmetric(netsim.Profile{Loss: 0.2, Duplicate: 0.1, Jitter: 2 * time.Millisecond})
 	elsewhere := netip.MustParseAddr("198.18.0.2")
+	// Client hooks of the kind the §5.1 follow-ups install: one moves each
+	// data segment's sequence number back by one, the other rebases data
+	// onto the last RST's sequence number, state it keeps inside itself.
+	shiftSeq := func(r *Rig) {
+		r.Client.Outbound = func(p *packet.Packet) []*packet.Packet {
+			if len(p.TCP.Payload) > 0 {
+				p.TCP.Seq--
+			}
+			return []*packet.Packet{p}
+		}
+	}
+	matchRstSeq := func(r *Rig) {
+		var rstSeq uint32
+		var haveRst bool
+		r.Client.Outbound = func(p *packet.Packet) []*packet.Packet {
+			if p.TCP.Flags == packet.FlagRST {
+				rstSeq, haveRst = p.TCP.Seq, true
+			} else if len(p.TCP.Payload) > 0 && haveRst {
+				p.TCP.Seq = rstSeq
+			}
+			return []*packet.Packet{p}
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		a, b Config
@@ -126,8 +150,8 @@ func TestRigResetMatchesFresh(t *testing.T) {
 		{name: "default-to-address-override", a: china, b: with(func(c *Config) { c.ClientAddress = elsewhere })},
 		{name: "traced-to-untraced", a: china, b: with(func(c *Config) { c.WithTrace = false })},
 		{name: "untraced-to-traced", a: with(func(c *Config) { c.WithTrace = false }), b: china},
-		{name: "client-hook-to-none", a: with(func(c *Config) { c.Hook = seqOffsetHook(-1) }), b: china},
-		{name: "none-to-client-hook", a: china, b: with(func(c *Config) { c.Hook = matchRstSeqHook })},
+		{name: "client-hook-to-none", a: with(func(c *Config) { c.Hook = shiftSeq }), b: china},
+		{name: "none-to-client-hook", a: china, b: with(func(c *Config) { c.Hook = matchRstSeq })},
 		{name: "client-os", a: with(func(c *Config) { c.ClientOS = tcpstack.Windows10 }), b: china},
 		{name: "dns-retries-to-http", a: with(func(c *Config) {
 			c.Session, c.Tries, c.Strategy = SessionFor(CountryChina, "dns", true), TriesFor("dns"), nil

@@ -123,31 +123,3 @@ func ReleaseDeploymentRouter(l *RouterLease) {
 		routerPool.Put(l)
 	}
 }
-
-// RouterDeployment runs the §8 scenario: the SAME router serves clients in
-// every registered country (plus an uncensored client outside every
-// prefix), and each gets the right strategy purely from its address. Each
-// country is probed on its sweep protocol (HTTP where censored, otherwise
-// the censor's first censored protocol — Jio, for instance, only censors
-// HTTPS). It returns country -> success rate.
-func RouterDeployment(trials int) map[string]float64 {
-	out := make(map[string]float64)
-	for _, country := range Countries() {
-		out[country] = Rate(routerTrial(country, 4200), trials)
-	}
-	return out
-}
-
-// routerTrial is RouterDeployment's trial: the client at its country's
-// routed address, the server running the deployment router. Every trial's
-// router is seeded from the base seed, not the trial's: Strategies 1, 8
-// and 11 make no random draws, so the router's streams cannot move an
-// outcome.
-func routerTrial(country string, seed int64) Config {
-	cfg := Trial(country, SweepProtocol(country), nil, seed)
-	cfg.ClientAddress = RoutedClientAddr(country, 0)
-	cfg.Hook = func(r *Rig) {
-		r.Server.Outbound = NewDeploymentRouter(seed).Outbound
-	}
-	return cfg
-}

@@ -1,27 +1,29 @@
-package eval
+package eval_test
 
 import (
 	"testing"
 
+	"geneva/internal/eval"
 	"geneva/internal/netsim"
 	"geneva/internal/packet"
+	"geneva/internal/paper"
 )
 
 func TestRouterDeployment(t *testing.T) {
-	got := RouterDeployment(40)
+	got := paper.RouterDeployment(40)
 	// Deterministic censors: the routed strategy wins outright.
-	for _, c := range []string{CountryIndia, CountryIran, CountryKazakhstan} {
+	for _, c := range []string{eval.CountryIndia, eval.CountryIran, eval.CountryKazakhstan} {
 		if got[c] != 1 {
 			t.Errorf("%s: routed success %.2f, want 1.00", c, got[c])
 		}
 	}
 	// China: Strategy 1's ~54% through the same router.
-	if got[CountryChina] < 0.35 || got[CountryChina] > 0.75 {
-		t.Errorf("china: routed success %.2f, want ~0.54", got[CountryChina])
+	if got[eval.CountryChina] < 0.35 || got[eval.CountryChina] > 0.75 {
+		t.Errorf("china: routed success %.2f, want ~0.54", got[eval.CountryChina])
 	}
 	// An unrouted (uncensored) client is untouched and succeeds.
-	if got[CountryNone] != 1 {
-		t.Errorf("uncensored client: %.2f, want 1.00 (no manipulation)", got[CountryNone])
+	if got[eval.CountryNone] != 1 {
+		t.Errorf("uncensored client: %.2f, want 1.00 (no manipulation)", got[eval.CountryNone])
 	}
 }
 
@@ -30,15 +32,19 @@ func TestRouterDeployment(t *testing.T) {
 // server's handshake through untouched — its first packet on the wire is a
 // plain SYN+ACK, not a routed strategy's manipulation.
 func TestRouterLeavesUncensoredClientAlone(t *testing.T) {
-	addr := RoutedClientAddr(CountryNone, 0)
-	for country, p := range RouterPrefixes {
+	addr := eval.RoutedClientAddr(eval.CountryNone, 0)
+	for country, p := range eval.RouterPrefixes {
 		if p.Contains(addr) {
 			t.Fatalf("uncensored client %v lies inside %s's route %v", addr, country, p)
 		}
 	}
-	cfg := routerTrial(CountryNone, 4200)
+	cfg := eval.Trial(eval.CountryNone, "http", nil, 4200)
+	cfg.ClientAddress = addr
+	cfg.Hook = func(r *eval.Rig) {
+		r.Server.Outbound = eval.NewDeploymentRouter(4200).Outbound
+	}
 	cfg.WithTrace = true
-	rig := NewRig(cfg)
+	rig := eval.NewRig(cfg)
 	rig.Attempt()
 	for _, e := range rig.Net.Trace.Delivered() {
 		if e.Dir != netsim.ToClient {
@@ -56,16 +62,16 @@ func TestRouterDoesNotHurtBenignTraffic(t *testing.T) {
 	// A Chinese client fetching BENIGN content through the router still
 	// succeeds: the strategy manipulates only handshake packets and never
 	// harms the connection (§8: negligible overhead, no false damage).
-	cfg := Config{
-		Country:       CountryChina,
-		Session:       SessionFor(CountryChina, "http", false),
-		ClientAddress: RoutedClientAddr(CountryChina, 0),
+	cfg := eval.Config{
+		Country:       eval.CountryChina,
+		Session:       eval.SessionFor(eval.CountryChina, "http", false),
+		ClientAddress: eval.RoutedClientAddr(eval.CountryChina, 0),
 		Seed:          7,
 	}
-	cfg.Hook = func(r *Rig) {
-		r.Server.Outbound = NewDeploymentRouter(7).Outbound
+	cfg.Hook = func(r *eval.Rig) {
+		r.Server.Outbound = eval.NewDeploymentRouter(7).Outbound
 	}
-	rate := Rate(cfg, 30)
+	rate := eval.Rate(cfg, 30)
 	if rate != 1 {
 		t.Errorf("benign traffic through the router: %.2f, want 1.00", rate)
 	}

@@ -1,7 +1,11 @@
-package eval
+package eval_test
 
 import (
 	"testing"
+
+	"geneva/internal/eval"
+	"geneva/internal/paper"
+	"geneva/internal/strategies"
 )
 
 // paperTable2China is Table 2's China block, in percent, in protocol order
@@ -25,9 +29,9 @@ func TestTable2ChinaMatchesPaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table computation is expensive")
 	}
-	blocks := Table2(150)
+	blocks := paper.Table2(150)
 	china := blocks[0]
-	if china.Country != CountryChina {
+	if china.Country != eval.CountryChina {
 		t.Fatal("first block is not China")
 	}
 	const tol = 13.0 // percentage points: simulation + sampling noise
@@ -36,7 +40,7 @@ func TestTable2ChinaMatchesPaperShape(t *testing.T) {
 		if !ok {
 			t.Fatalf("unexpected row %d", row.Number)
 		}
-		for i, proto := range Protocols() {
+		for i, proto := range eval.Protocols() {
 			got := 100 * row.Rates[proto]
 			if diff := got - want[i]; diff > tol || diff < -tol {
 				t.Errorf("strategy %d / %s: got %.0f%%, paper %.0f%%",
@@ -53,10 +57,10 @@ func TestTable2OtherCountriesExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table computation is expensive")
 	}
-	blocks := Table2(25)
+	blocks := paper.Table2(25)
 	for _, blk := range blocks[1:] {
 		for _, row := range blk.Rows {
-			for _, proto := range Protocols() {
+			for _, proto := range eval.Protocols() {
 				r := row.Rates[proto]
 				if r < 0 {
 					continue
@@ -86,7 +90,7 @@ func TestTable2OtherCountriesExact(t *testing.T) {
 // censoredIn is registry-driven: a protocol is censored in a country iff
 // the censor's registry entry lists it.
 func censoredIn(country, proto string) bool {
-	for _, p := range CensoredProtocols(country) {
+	for _, p := range eval.CensoredProtocols(country) {
 		if p == proto {
 			return true
 		}
@@ -99,15 +103,15 @@ func censoredIn(country, proto string) bool {
 // the evidence for per-protocol censorship boxes.
 func TestTable2CrossProtocolHeterogeneity(t *testing.T) {
 	s5 := func(proto string) float64 {
-		cfg := Config{
-			Country: CountryChina,
-			Session: SessionFor(CountryChina, proto, true),
-			Tries:   TriesFor(proto),
+		cfg := eval.Config{
+			Country: eval.CountryChina,
+			Session: eval.SessionFor(eval.CountryChina, proto, true),
+			Tries:   eval.TriesFor(proto),
 			Seed:    77,
 		}
-		st, _ := byNumber(5)
-		cfg.Strategy = st
-		return Rate(cfg, 120)
+		st, _ := strategies.ByNumber(5)
+		cfg.Strategy = st.Parse()
+		return eval.Rate(cfg, 120)
 	}
 	ftp, http := s5("ftp"), s5("http")
 	if ftp < 0.8 {

@@ -1,7 +1,9 @@
-// Package eval is the experiment harness: it wires clients, servers,
-// censors, and server-side strategies into the virtual network and
-// reproduces every table, figure, and follow-up experiment in the paper's
-// evaluation (see DESIGN.md's per-experiment index).
+// Package eval is the trial engine: it wires clients, servers, censors,
+// and server-side strategies into the virtual network and runs trials of
+// them (Run, RateStats), over the censor registry and the protocol table.
+// The GA's evaluator, the generator streams and the pooled leases the
+// fleet runs on live here too. The paper's tables, figures and follow-ups
+// are built on it in internal/paper.
 package eval
 
 import (
@@ -308,6 +310,21 @@ func Run(cfg Config) Result {
 		mTrialSuccess.Inc()
 	}
 	return res
+}
+
+// EvadingSeed returns the first seed in 1-499 at which cfg's trial evades,
+// so a waterfall shows the strategy's successful path (as the paper's
+// figures do), or 1 if none does. cfg.Seed is ignored, and the search runs
+// untraced whatever cfg.WithTrace says.
+func EvadingSeed(cfg Config) int64 {
+	cfg.WithTrace = false
+	for seed := int64(1); seed < 500; seed++ {
+		cfg.Seed = seed
+		if Run(cfg).Success {
+			return seed
+		}
+	}
+	return 1
 }
 
 // run makes up to tries attempts (at least one) on the wired rig.

@@ -1,8 +1,12 @@
-package eval
+package paper
 
 import (
+	"fmt"
+	"io"
+
 	"geneva/internal/censor/gfw"
 	"geneva/internal/core"
+	"geneva/internal/eval"
 )
 
 // This file ablates the GFW model's load-bearing design choices, showing
@@ -13,13 +17,13 @@ import (
 // China censor — the model Table 2 measures — with every box's parameters
 // rewritten by mod.
 func gfwVariant(mod func(*gfw.Params), strategy *core.Strategy, proto string, trials int, seed int64) float64 {
-	cfg := Trial(CountryChina, proto, strategy, seed)
-	cfg.Hook = func(r *Rig) {
+	cfg := eval.Trial(eval.CountryChina, proto, strategy, seed)
+	cfg.Hook = func(r *eval.Rig) {
 		for _, b := range r.Censor.(*gfw.GFW).Boxes {
 			mod(&b.P)
 		}
 	}
-	return Rate(cfg, trials)
+	return eval.Rate(cfg, trials)
 }
 
 // AblationResult contrasts a strategy's success with a mechanism present
@@ -104,8 +108,8 @@ func SingleBoxAblation(trials int) (multiBox, singleBox map[string]float64) {
 	s5, _ := byNumber(5)
 	multiBox = make(map[string]float64)
 	singleBox = make(map[string]float64)
-	for _, proto := range CensoredProtocols(CountryChina) {
-		off := protocolRow(proto).seed
+	for _, proto := range eval.CensoredProtocols(eval.CountryChina) {
+		off, _ := eval.ProtocolFacts(proto)
 		multiBox[proto] = gfwVariant(func(*gfw.Params) {}, s5, proto, trials, 1100+off)
 		// Single box: every protocol handled by one stack with the HTTP
 		// box's transport behaviour.
@@ -143,4 +147,31 @@ func StrategyRuleDependence(trials int) map[int]map[string]float64 {
 		out[num] = row
 	}
 	return out
+}
+
+func printAblations(w io.Writer, trials int) {
+	header(w, "Model ablations: every DESIGN.md mechanism is load-bearing")
+	for _, a := range Ablations(sample(trials, 2)) {
+		kind := "censor bug"
+		if !a.AidsEvasion {
+			kind = "censor capability"
+		}
+		fmt.Fprintf(w, "%-42s (S%d/%s, %s): with %3.0f%%  without %3.0f%%\n    %s\n",
+			a.Name, a.Strategy, a.Protocol, kind,
+			100*a.WithMechanism, 100*a.WithoutMechanism, a.Explanation)
+	}
+	multi, single := SingleBoxAblation(sample(trials, 2))
+	fmt.Fprintln(w, "\nSingle-box counterfactual (Strategy 5 per protocol):")
+	for _, p := range eval.CensoredProtocols(eval.CountryChina) {
+		fmt.Fprintf(w, "  %-6s multi-box %3.0f%%   single shared box %3.0f%%\n",
+			p, 100*multi[p], 100*single[p])
+	}
+	fmt.Fprintln(w, "\nResync-rule knockouts (success per strategy):")
+	dep := StrategyRuleDependence(sample(trials, 2))
+	fmt.Fprintf(w, "  %-10s %8s %9s %9s %9s\n", "strategy", "full", "no-rule1", "no-rule2", "no-rule3")
+	for _, n := range []int{1, 2, 3, 5, 6, 7} {
+		r := dep[n]
+		fmt.Fprintf(w, "  S%-9d %7.0f%% %8.0f%% %8.0f%% %8.0f%%\n",
+			n, 100*r["full"], 100*r["no-rule1"], 100*r["no-rule2"], 100*r["no-rule3"])
+	}
 }

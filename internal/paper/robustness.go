@@ -1,9 +1,11 @@
-package eval
+package paper
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
+	"geneva/internal/eval"
 	"geneva/internal/netsim"
 	"geneva/internal/strategies"
 )
@@ -25,7 +27,7 @@ var DefaultLossRates = []float64{0, 0.01, 0.02, 0.05, 0.10}
 
 // RobustnessCountries are the censors the sweep runs against — every
 // registered censor, in registry order.
-var RobustnessCountries = CensoredCountries()
+var RobustnessCountries = eval.CensoredCountries()
 
 // Robustness sweeps evasion rate versus loss rate for every paper strategy
 // (plus the no-evasion baseline) against every censor, on each censor's
@@ -46,12 +48,13 @@ func Robustness(base netsim.Profile, lossRates []float64, trials int) []Robustne
 	}
 	var cells []RobustnessCell
 	for ci, country := range RobustnessCountries {
-		proto := SweepProtocol(country)
+		proto := sweepProtocol(country)
+		off, _ := eval.ProtocolFacts(proto)
 		for n := 0; n <= 11; n++ {
 			for _, loss := range lossRates {
 				prof := base
 				prof.Loss = loss
-				cfg := Trial(country, proto, nil, int64(100000*ci+1000*n)+protocolRow(proto).seed)
+				cfg := eval.Trial(country, proto, nil, int64(100000*ci+1000*n)+off)
 				cfg.Impairments = netsim.Symmetric(prof)
 				if n > 0 {
 					s, _ := strategies.ByNumber(n)
@@ -62,7 +65,7 @@ func Robustness(base netsim.Profile, lossRates []float64, trials int) []Robustne
 					Protocol: proto,
 					Strategy: n,
 					Loss:     loss,
-					Rate:     Rate(cfg, trials),
+					Rate:     eval.Rate(cfg, trials),
 				})
 			}
 		}
@@ -130,4 +133,18 @@ func FormatRobustness(cells []RobustnessCell) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// PrintRobustness prints the sweep as a report block. base carries the
+// non-loss impairments; ladder is the loss rates to climb (nil =
+// DefaultLossRates).
+func PrintRobustness(w io.Writer, base netsim.Profile, ladder []float64, trials int) {
+	per := sample(trials, 2)
+	extra := ""
+	if base.Duplicate > 0 || base.Reorder > 0 || base.Jitter > 0 {
+		extra = fmt.Sprintf(" (dup %.0f%%, reorder %.0f%%, jitter %v)",
+			100*base.Duplicate, 100*base.Reorder, base.Jitter)
+	}
+	header(w, fmt.Sprintf("Robustness: evasion rate vs. packet loss%s (%d trials/cell)", extra, per))
+	fmt.Fprint(w, FormatRobustness(Robustness(base, ladder, per)))
 }
