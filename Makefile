@@ -81,7 +81,7 @@ selector-determinism:
 # budgets regress. Allocation counts are deterministic, so these gate on
 # any host. CI runs exactly this.
 alloc-budget:
-	$(GO) test -run 'TestAllocBudget|TestTrialAllocBudget|TestFleetAllocBudget' -v ./internal/netsim/ ./internal/packet/ ./internal/core/ ./internal/eval/ ./internal/fleet/
+	$(GO) test -run 'TestAllocBudget|TestTrialAllocBudget|TestFleetAllocBudget' -v ./internal/apps/ ./internal/netsim/ ./internal/packet/ ./internal/core/ ./internal/eval/ ./internal/fleet/
 
 # Pool safety: GODEBUG=clobberfree poisons freed memory, so if any
 # recycled packet buffer is still referenced, the bit-identical recycling

@@ -47,7 +47,8 @@ type Script struct {
 	lastProgressAt time.Duration
 }
 
-// Clone returns a fresh, un-run copy of the script.
+// Clone returns a fresh, un-run copy of the script. Scripts.Lease is the
+// program's way to copy a template; bench/'s replay still clones.
 func (s *Script) Clone() *Script {
 	return &Script{
 		SendOnEstablish: s.SendOnEstablish,
@@ -59,9 +60,9 @@ func (s *Script) Clone() *Script {
 }
 
 // Restart returns the script to its un-run state so it can drive another
-// connection. It is the recycling counterpart of Clone for harnesses that
-// run the same transcript many times (the fleet's per-cell script
-// freelists), and it saves them an allocation per attempt.
+// connection of the same transcript. Its only caller is bench/'s replay of
+// the fleet cell; the program recycles scripts through Scripts, which
+// copies a template over a spent script of any shape.
 func (s *Script) Restart() {
 	s.recv = 0
 	s.okLen = 0
@@ -73,6 +74,31 @@ func (s *Script) Restart() {
 	s.establishedAt = 0
 	s.lastProgressAt = 0
 }
+
+// Scripts is a freelist of spent scripts. A script that has not run is
+// fully described by its template fields, so copying an un-run template
+// over any spent script, whatever its shape or side, gives an un-run
+// script: one freelist serves every transcript a harness runs. The zero
+// value is empty and ready to use; it is not safe for concurrent use.
+type Scripts struct{ free []*Script }
+
+// Lease returns an un-run copy of tmpl, reusing a released script when
+// there is one. tmpl must not have run; it is only read.
+func (f *Scripts) Lease(tmpl *Script) *Script {
+	var s *Script
+	if n := len(f.free); n > 0 {
+		s, f.free = f.free[n-1], f.free[:n-1]
+	} else {
+		s = new(Script)
+	}
+	*s = *tmpl
+	return s
+}
+
+// Release hands spent scripts back for later leases. The caller must be
+// sure nothing will call into them again: their connections can receive
+// no further packet and fire no further timer.
+func (f *Scripts) Release(ss ...*Script) { f.free = append(f.free, ss...) }
 
 // OnEstablished implements tcpstack.App.
 func (s *Script) OnEstablished(c *tcpstack.Conn) {

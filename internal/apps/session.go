@@ -9,8 +9,10 @@ import (
 	"geneva/internal/tcpstack"
 )
 
-// Session is one ready-to-run application exchange: a fresh client script
-// per attempt and a server-app factory to install on the server endpoint.
+// Session is one ready-to-run application exchange: an un-run template
+// script for each side. Harnesses run copies of the templates (see
+// Scripts) and never run or modify the templates themselves, which may be
+// shared across goroutines.
 type Session struct {
 	Protocol  string
 	Port      uint16
@@ -19,11 +21,21 @@ type Session struct {
 	exchanges int // request/response exchanges per connection (0 or 1 = one-shot)
 }
 
-// NewClient returns a fresh client application for one connection attempt
-// (DNS retries, for example, need one per try).
+// Client returns the session's un-run client template. It is read-only:
+// lease a copy to run it.
+func (s *Session) Client() *Script { return s.client }
+
+// Server returns the session's un-run server template. It is read-only:
+// lease a copy to run it.
+func (s *Session) Server() *Script { return s.server }
+
+// NewClient returns a fresh client application for one connection attempt.
+// Its only caller outside tests is bench/'s replay.
 func (s *Session) NewClient() *Script { return s.client.Clone() }
 
-// ServerFactory returns the function to install as Endpoint.NewServerApp.
+// ServerFactory returns a function to install as Endpoint.NewServerApp
+// that clones the server template per connection. Its only caller outside
+// tests is bench/'s replay.
 func (s *Session) ServerFactory() func(*tcpstack.Conn) tcpstack.App {
 	return func(*tcpstack.Conn) tcpstack.App { return s.server.Clone() }
 }
@@ -46,8 +58,8 @@ func (s *Session) Exchanges() int {
 // unchanged — their transcripts don't repeat.
 //
 // The server side answers each request as it arrives with no delay of its
-// own, so the same server factory also serves a reconnecting client that
-// runs fewer than n exchanges and closes early.
+// own, so copies of the same server template also serve a reconnecting
+// client that runs fewer than n exchanges and closes early.
 func (s *Session) KeepAlive(n int, gap time.Duration) *Session {
 	if n <= 1 {
 		return s

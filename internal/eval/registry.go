@@ -261,8 +261,9 @@ type sessionKey struct {
 // country's censorship (§4.2). forbidden=false swaps in benign content.
 //
 // Callers get a shallow copy of the cached prototype: the port-sensitivity
-// follow-up retargets Session.Port, and the embedded Scripts are only ever
-// Clone()d per connection, never mutated, so sharing them is safe.
+// follow-up retargets Session.Port, and the embedded template scripts are
+// only ever copied per connection (apps.Scripts.Lease), never run or
+// mutated, so sharing them is safe.
 func SessionFor(country, protocol string, forbidden bool) *apps.Session {
 	k := sessionKey{country, protocol, forbidden}
 	sessionCache.Lock()

@@ -90,7 +90,8 @@ type Config struct {
 	// wiring, exactly as NewRig does, so a hook must build any state it
 	// keeps inside itself. The censor is the one part of the rig a hook
 	// may keep past Run, and only to read it: the rig, its endpoints,
-	// network and generators go back to the pool for the next trial.
+	// network, generators and scripts go back to the pool for the next
+	// trial.
 	Hook func(*Rig)
 	// WithTrace records a packet trace (waterfalls).
 	WithTrace bool
@@ -152,6 +153,14 @@ type Rig struct {
 	engine     *core.Engine
 	engineText string
 	engineOut  func(*packet.Packet) []*packet.Packet
+
+	// scripts recycles the application scripts: each client and server
+	// script is a copy of Session's template, leased from scripts and
+	// listed in leased until the next reset releases it. serverApp is the
+	// server's NewServerApp, bound once.
+	scripts   apps.Scripts
+	leased    []*apps.Script
+	serverApp func(*tcpstack.Conn) tcpstack.App
 }
 
 // The trial seed schedule: trial i of a rate loop runs at seed
@@ -205,10 +214,11 @@ func (r *Rig) stream(seed, offset int64) *rand.Rand {
 // reset wires the rig for cfg, reusing what the last trial left behind:
 // the only path that wires a rig, so a reset rig is in exactly the state a
 // fresh one would be. The endpoints, the network and the generators are
-// reset in place and the engine is kept while the strategy's text is
-// unchanged. The censor, the Trace and the scripts are built anew, because
-// a caller may keep them past Run: a hook may hold the censor, Run returns
-// the Trace, and Attempt returns the script.
+// reset in place, the engine is kept while the strategy's text is
+// unchanged, and the last trial's scripts go back to the rig's freelist,
+// so a script Attempt returned stays valid until the next reset. The
+// censor and the Trace are built anew, because a caller may keep them
+// past Run: a hook may hold the censor, and Run returns the Trace.
 func (r *Rig) reset(cfg Config) {
 	os := cfg.ClientOS
 	if os.Name == "" {
@@ -221,11 +231,14 @@ func (r *Rig) reset(cfg Config) {
 	}
 	if r.Net == nil {
 		r.Client, r.Server, r.Net = new(tcpstack.Endpoint), new(tcpstack.Endpoint), new(netsim.Network)
+		r.serverApp = r.serve
 	}
 	client, server, n := r.Client, r.Server, r.Net
 	client.Reset(clientAddr, os, r.stream(seed, streamClient))
 	server.Reset(ServerAddr, tcpstack.DefaultServer, r.stream(seed, streamServer))
-	server.NewServerApp = cfg.Session.ServerFactory()
+	r.scripts.Release(r.leased...)
+	r.leased = r.leased[:0]
+	server.NewServerApp = r.serverApp
 	server.Listen(cfg.Session.Port)
 	if cfg.Strategy != nil {
 		rng := r.stream(seed, streamEngine)
@@ -272,15 +285,26 @@ func (r *Rig) reset(cfg Config) {
 }
 
 // Attempt runs one connection to completion (network quiet) and returns the
-// client application.
+// client application, which stays valid until the rig is next reset.
 func (r *Rig) Attempt() *apps.Script {
 	if r.Net.Trace != nil {
 		r.Net.Trace.Entries = nil // keep only the current attempt
 	}
-	app := r.Session.NewClient()
+	app := r.lease(r.Session.Client())
 	r.Client.Connect(ServerAddr, r.Session.Port, app)
 	r.Net.Run(0)
 	return app
+}
+
+// serve is the server's NewServerApp: a copy of the session's server
+// template per accepted connection.
+func (r *Rig) serve(*tcpstack.Conn) tcpstack.App { return r.lease(r.Session.Server()) }
+
+// lease copies tmpl into a recycled script that the next reset releases.
+func (r *Rig) lease(tmpl *apps.Script) *apps.Script {
+	s := r.scripts.Lease(tmpl)
+	r.leased = append(r.leased, s)
+	return s
 }
 
 // CensorEvents returns the censor's event count (0 with no censor).

@@ -13,18 +13,11 @@ import (
 
 // scriptKey identifies one client-script shape: scripts of the same protocol
 // but different keep-alive lengths (a reconnect resumes with only the
-// remaining exchanges) have different transcripts, so the freelists keep
-// them apart.
+// remaining exchanges) have different transcripts, so each shape has a
+// template of its own.
 type scriptKey struct {
 	proto string
 	exch  int
-}
-
-// portedScript is a leased server-side script, keyed by the port whose
-// session template it clones.
-type portedScript struct {
-	port uint16
-	s    *apps.Script
 }
 
 // cell is one wired cell network, alive from construction to the end of its
@@ -35,19 +28,16 @@ type cell struct {
 	wl   Workload
 	plan cellPlan
 
-	server    *tcpstack.Endpoint
-	slots     map[int]*tcpstack.Endpoint
-	sessions  map[string]*apps.Session // full-length session per protocol
-	base      map[string]*apps.Session // single-exchange originals (reconnect tails derive from these)
-	tails     map[scriptKey]*apps.Session
-	factories map[uint16]func(*tcpstack.Conn) tcpstack.App
-	net       *netsim.Network
-	cen       eval.CensorCounter
-	resid     censor.ResidualCarrier // non-nil iff the censor shares residual state
-	shifter   censor.ParamShifter    // non-nil iff the censor can shift mid-run
-	shifted   bool
-	lease     *eval.RouterLease
-	rngs      eval.Rands
+	server   *tcpstack.Endpoint
+	slots    map[int]*tcpstack.Endpoint
+	sessions map[string]*apps.Session // full-length session per protocol
+	net      *netsim.Network
+	cen      eval.CensorCounter
+	resid    censor.ResidualCarrier // non-nil iff the censor shares residual state
+	shifter  censor.ParamShifter    // non-nil iff the censor can shift mid-run
+	shifted  bool
+	lease    *eval.RouterLease
+	rngs     eval.Rands
 
 	// Portfolio delivery: armLease is nil without a portfolio and on
 	// unrouted-country cells (the uncensored population matches no route,
@@ -66,13 +56,17 @@ type cell struct {
 	res     cellResult
 	started bool
 
-	// Script freelists: client scripts by protocol and exchange count,
-	// server scripts by port. Leases are reclaimed once their connection
-	// can no longer receive a packet (settled attempts; wave end for
-	// server scripts).
-	clientFree map[scriptKey][]*apps.Script
-	serverFree map[uint16][]*apps.Script
-	serverLive []portedScript
+	// Every script the cell runs is a copy of a template leased from
+	// scripts: client templates by shape, server templates by port. The
+	// templates are read-only (a full session's are SessionFor's cached
+	// scripts, shared across goroutines), so only the copies are ever run
+	// or modified. A copy goes back once its connection can no longer
+	// receive a packet: a client's when its attempt settles, a server's
+	// (listed in serverLive) at wave end.
+	clients    map[scriptKey]*apps.Script
+	servers    map[uint16]*apps.Script
+	scripts    apps.Scripts
+	serverLive []*apps.Script
 	live       []inflight
 }
 
@@ -108,41 +102,30 @@ func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 	// that, a 10^5-connection run accretes every connection ever served in
 	// the server's table.
 	c.sessions = map[string]*apps.Session{}
-	c.base = map[string]*apps.Session{}
-	c.factories = map[uint16]func(*tcpstack.Conn) tcpstack.App{}
+	c.clients = map[scriptKey]*apps.Script{}
+	c.servers = map[uint16]*apps.Script{}
 	for _, cn := range cp.conns {
 		if _, ok := c.sessions[cn.protocol]; ok {
 			continue
 		}
 		sess := eval.SessionFor(cp.country, cn.protocol, true)
-		c.base[cn.protocol] = sess
 		if wl.SessionRequests > 1 {
 			// Extend the one-shot session into a keep-alive one. Protocols
 			// whose transcript isn't a single exchange come back unchanged
-			// and keep running one-shot. The server factory installed below
-			// answers each request as it arrives, so the same listener also
-			// serves shorter reconnect-tail sessions.
+			// and keep running one-shot. The server template answers each
+			// request as it arrives, so the same listener also serves
+			// shorter reconnect tails.
 			sess = sess.KeepAlive(wl.SessionRequests, wl.RequestGap)
 		}
 		c.sessions[cn.protocol] = sess
-		c.factories[sess.Port] = sess.ServerFactory()
+		c.clients[scriptKey{proto: cn.protocol, exch: sess.Exchanges()}] = sess.Client()
+		c.servers[sess.Port] = sess.Server()
 		c.server.Listen(sess.Port)
 	}
-	c.clientFree = make(map[scriptKey][]*apps.Script, len(c.sessions))
-	c.serverFree = make(map[uint16][]*apps.Script, len(c.sessions))
 	c.server.NewServerApp = func(conn *tcpstack.Conn) tcpstack.App {
-		port := conn.Flow().SrcPort
-		if l := c.serverFree[port]; len(l) > 0 {
-			s := l[len(l)-1]
-			l[len(l)-1] = nil
-			c.serverFree[port] = l[:len(l)-1]
-			s.Restart()
-			c.serverLive = append(c.serverLive, portedScript{port: port, s: s})
-			return s
-		}
-		s := c.factories[port](conn).(*apps.Script)
+		s := c.scripts.Lease(c.servers[conn.Flow().SrcPort])
 		s.CloseAtEnd = true
-		c.serverLive = append(c.serverLive, portedScript{port: port, s: s})
+		c.serverLive = append(c.serverLive, s)
 		return s
 	}
 
@@ -207,52 +190,20 @@ func (c *cell) drain() {
 	}
 }
 
-// sessionFor returns the session a new attempt should run: the protocol's
-// full session when the whole transcript is still owed, or a shorter
-// keep-alive tail carrying only the m exchanges a reconnecting client has
-// left. Tails are cached per length — a cell reconnects into the same few
-// shapes over and over.
-func (c *cell) sessionFor(proto string, m int) *apps.Session {
-	full := c.sessions[proto]
-	if m >= full.Exchanges() {
-		return full
-	}
-	if m <= 1 {
-		return c.base[proto]
-	}
+// leaseClient leases the client script for an attempt owing m exchanges
+// of proto: a copy of the template of that shape. A reconnecting client's
+// shorter keep-alive tail gets its template on first use; a cell
+// reconnects into the same few shapes over and over.
+func (c *cell) leaseClient(proto string, m int) *apps.Script {
 	k := scriptKey{proto: proto, exch: m}
-	if s, ok := c.tails[k]; ok {
-		return s
+	tmpl, ok := c.clients[k]
+	if !ok {
+		tmpl = eval.SessionFor(c.plan.country, proto, true).KeepAlive(m, c.wl.RequestGap).Client()
+		c.clients[k] = tmpl
 	}
-	s := c.base[proto].KeepAlive(m, c.wl.RequestGap)
-	if c.tails == nil {
-		c.tails = map[scriptKey]*apps.Session{}
-	}
-	c.tails[k] = s
-	return s
-}
-
-// clientScript leases a client script for one session shape: freelist first,
-// session clone after.
-func (c *cell) clientScript(sess *apps.Session, key scriptKey) *apps.Script {
-	if l := c.clientFree[key]; len(l) > 0 {
-		s := l[len(l)-1]
-		l[len(l)-1] = nil
-		c.clientFree[key] = l[:len(l)-1]
-		s.Restart()
-		return s
-	}
-	s := sess.NewClient()
+	s := c.scripts.Lease(tmpl)
 	s.CloseAtEnd = true
 	return s
-}
-
-// releaseClient returns a settled attempt's script to the freelist. Safe
-// because a settled attempt's flow can never receive another packet: client
-// ports only move forward, and the wave drained to quiescence before
-// settlement was read.
-func (c *cell) releaseClient(key scriptKey, s *apps.Script) {
-	c.clientFree[key] = append(c.clientFree[key], s)
 }
 
 // pullArm picks the portfolio arm serving one connection attempt — the

@@ -18,7 +18,6 @@ type inflight struct {
 	idx       int // index into plan.conns / res.conns
 	app       *apps.Script
 	connectAt time.Duration // virtual time the attempt's SYN left
-	exchanges int           // exchanges this attempt's script carries
 	arm       int           // portfolio arm serving the attempt (-1 = none)
 }
 
@@ -83,11 +82,11 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 		r := &c.res.conns[idx]
 		r.planned = m
 		r.startAt = now
-		app := c.clientScript(sess, scriptKey{proto: cn.protocol, exch: m})
+		app := c.leaseClient(cn.protocol, m)
 		arm := c.pullArm(cn)
 		c.slots[cn.slot].Connect(eval.ServerAddr, sess.Port, app)
 		r.attempts++
-		live = append(live, inflight{idx: idx, app: app, connectAt: now, exchanges: m, arm: arm})
+		live = append(live, inflight{idx: idx, app: app, connectAt: now, arm: arm})
 	}
 	for len(live) > 0 {
 		c.drain()
@@ -124,22 +123,17 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 			}
 			retryable := f.app.Reset() || (pol.RetryAll && !f.app.Succeeded())
 			if !f.app.Succeeded() && retryable && r.attempts < budget {
-				// Reconnect with a session carrying only the exchanges still
+				// Reconnect with a script carrying only the exchanges still
 				// owed: whole exchanges already served stay served.
-				remaining := r.planned - r.served
-				if remaining < 1 {
-					remaining = 1
-				}
-				sess := c.sessionFor(cn.protocol, remaining)
-				app := c.clientScript(sess, scriptKey{proto: cn.protocol, exch: sess.Exchanges()})
+				app := c.leaseClient(cn.protocol, r.planned-r.served)
 				arm := c.pullArm(cn) // a reconnect is a fresh pull
 				r.attempts++
-				slot, port := c.slots[cn.slot], sess.Port
+				slot, port := c.slots[cn.slot], c.sessions[cn.protocol].Port
 				c.net.After(pol.Backoff, func() {
 					slot.Connect(eval.ServerAddr, port, app)
 				})
 				at := c.net.Clock.Now() + pol.Backoff
-				live[n] = inflight{idx: f.idx, app: app, connectAt: at, exchanges: sess.Exchanges(), arm: arm}
+				live[n] = inflight{idx: f.idx, app: app, connectAt: at, arm: arm}
 				n++
 			} else {
 				// Settled for good. The session succeeded if every planned
@@ -153,7 +147,10 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 					r.lifetime = span
 				}
 			}
-			c.releaseClient(scriptKey{proto: cn.protocol, exch: f.exchanges}, f.app)
+			// The settled attempt's flow can never receive another packet:
+			// client ports only move forward, and the wave drained to
+			// quiescence before settlement was read.
+			c.scripts.Release(f.app)
 		}
 		live = live[:n]
 	}
@@ -161,10 +158,7 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 
 	// Every connection of the wave has settled, so no server-side script
 	// can see another byte; reclaim the leases for the next wave.
-	for i, ps := range c.serverLive {
-		c.serverFree[ps.port] = append(c.serverFree[ps.port], ps.s)
-		c.serverLive[i] = portedScript{}
-	}
+	c.scripts.Release(c.serverLive...)
 	c.serverLive = c.serverLive[:0]
 
 	if c.resid != nil {

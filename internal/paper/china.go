@@ -75,7 +75,7 @@ func InducedRstCriticality(trials int) (s5Normal, s5Dropped, s6Normal, s6Dropped
 }
 
 func printInducedRst(w io.Writer, trials int) {
-	header(w, "§5.1: induced-RST criticality (FTP)")
+	header(w, "§5.1: induced-RST criticality (Strategy 5 over FTP, 6 over HTTP)")
 	s5n, s5d, s6n, s6d := InducedRstCriticality(sample(trials, 2))
 	fmt.Fprintf(w, "Strategy 5: normal %.0f%%, client drops its RST %.0f%%  (RST critical)\n", 100*s5n, 100*s5d)
 	fmt.Fprintf(w, "Strategy 6: normal %.0f%%, client drops its RST %.0f%%  (RST vestigial)\n", 100*s6n, 100*s6d)

@@ -42,7 +42,7 @@ func Statelessness() map[string]bool {
 		pkt := packet.Get(eval.ClientAddr, eval.ServerAddr, 45000, cfg.Session.Port)
 		pkt.TCP.Flags = packet.FlagPSH | packet.FlagACK
 		pkt.TCP.Seq = 1000
-		pkt.TCP.Payload = append(pkt.TCP.Payload, cfg.Session.NewClient().SendOnEstablish...)
+		pkt.TCP.Payload = append(pkt.TCP.Payload, cfg.Session.Client().SendOnEstablish...)
 		rig.Net.Send(rig.Client, pkt)
 		rig.Net.Run(0)
 		out[country] = rig.CensorEvents() > 0

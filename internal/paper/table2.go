@@ -165,10 +165,9 @@ func ResidualCensorshipExperiment() []ResidualResult {
 			out = append(out, ResidualResult{Protocol: proto})
 			continue
 		}
-		// Immediately retry with *benign* content on the same server.
-		benign := eval.SessionFor(eval.CountryChina, proto, false)
-		rig.Session = benign
-		rig.Server.NewServerApp = benign.ServerFactory()
+		// Immediately retry with *benign* content on the same server; the
+		// rig serves whatever its Session is.
+		rig.Session = eval.SessionFor(eval.CountryChina, proto, false)
 		app := rig.Attempt()
 		immediateBlocked := !app.Succeeded()
 		// Wait out the residual window and retry.
