@@ -86,10 +86,10 @@ alloc-budget:
 # Pool safety: GODEBUG=clobberfree poisons freed memory, so if any
 # recycled packet buffer is still referenced, the bit-identical recycling
 # tests diverge, a reset network must hand back every queued packet once,
-# and a recycled trial rig must still match a fresh one. CI runs exactly
-# this.
+# a reset censor must reuse its flow slots as a fresh one starts, and a
+# recycled trial rig must still match a fresh one. CI runs exactly this.
 pool-safety:
-	GODEBUG=clobberfree=1 $(GO) test -run 'TestPool|TestRecycling|TestRigReset' ./internal/packet/ ./internal/netsim/ ./internal/eval/
+	GODEBUG=clobberfree=1 $(GO) test -run 'TestPool|TestRecycling|TestRigReset|TestCensorReset' ./internal/packet/ ./internal/netsim/ ./internal/censor/... ./internal/eval/
 
 # Coverage-guided fuzzing bursts — the fuzz targets promoted from
 # seed-corpus-only to live mutation. Go's fuzz engine takes one -fuzz

@@ -1,6 +1,7 @@
 package censor
 
 import (
+	"math/rand"
 	"net/netip"
 	"time"
 
@@ -120,13 +121,24 @@ type DPI struct {
 	// Censored counts censorship events.
 	Censored int
 
+	// cal is the calibration NewDPI was given, which Reset restores P to.
+	cal        DPIParams
 	blackholes Windows[packet.Flow]
 	residual   ResidualTable
 }
 
 // NewDPI builds the censor for a calibration.
 func NewDPI(p DPIParams, bl Blocklist) *DPI {
-	return &DPI{Block: bl, P: p}
+	return &DPI{Block: bl, P: p, cal: p}
+}
+
+// Reset returns the censor to the state NewDPI left it in, keeping its
+// tables' capacity: no events counted, no window open, and P back at the
+// calibration. The model draws no randomness, so rng is unused.
+func (d *DPI) Reset(*rand.Rand) {
+	d.P, d.Censored = d.cal, 0
+	d.blackholes.Reset()
+	d.residual.Reset()
 }
 
 // Name implements netsim.Middlebox.

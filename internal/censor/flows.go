@@ -70,6 +70,17 @@ func (t *FlowTable[V]) Add(k packet.Flow) (v *V, evicted int) {
 	return &s.val, evicted
 }
 
+// Reset stops tracking every flow and keeps the table's capacity: the
+// index is emptied in place and every slot goes on the freelist, oldest
+// created first. A reset table behaves as a new one does.
+func (t *FlowTable[V]) Reset() {
+	clear(t.index)
+	for s := t.oldest; s != nil; s = s.next {
+		t.free = append(t.free, s)
+	}
+	t.oldest, t.newest = nil, nil
+}
+
 // Delete stops tracking k and frees its slot; an untracked k is a no-op.
 func (t *FlowTable[V]) Delete(k packet.Flow) {
 	s := t.index[k]

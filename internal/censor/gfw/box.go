@@ -75,6 +75,8 @@ type Box struct {
 	P     Params
 	Block censor.Blocklist
 
+	// cal is the calibration NewBox was given, which reset restores P to.
+	cal Params
 	rng *rand.Rand
 	m   *boxMetrics
 	// residual holds the poisoned server windows (boxes with Residual only).
@@ -91,9 +93,18 @@ func NewBox(p Params, bl censor.Blocklist, rng *rand.Rand) *Box {
 	return &Box{
 		P:     p,
 		Block: bl,
+		cal:   p,
 		rng:   rng,
 		m:     protoMetrics[p.Protocol],
 	}
+}
+
+// reset returns the box to the state NewBox left it in on rng, keeping its
+// residual table's capacity. P goes back to the calibration, because
+// ShiftParams and the ablation hooks edit it in place.
+func (b *Box) reset(rng *rand.Rand) {
+	b.P, b.rng, b.Censored = b.cal, rng, 0
+	b.residual.Reset()
 }
 
 // resetTCB zeroes a TCB while keeping its reassembly buffer's capacity for

@@ -39,6 +39,16 @@ func New(bl censor.Blocklist, rng *rand.Rand) *GFW {
 	return g
 }
 
+// Reset returns the GFW to the state New left it in on rng, keeping its
+// tables' capacity: every box back at its calibration with no events
+// counted and no residual window open, and no flow tracked.
+func (g *GFW) Reset(rng *rand.Rand) {
+	for _, b := range g.Boxes {
+		b.reset(rng)
+	}
+	g.flows.Reset()
+}
+
 // Name implements netsim.Middlebox.
 func (g *GFW) Name() string { return "GFW" }
 

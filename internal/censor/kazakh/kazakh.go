@@ -79,6 +79,13 @@ func New(bl censor.Blocklist, _ *rand.Rand) *Kazakh {
 	return &Kazakh{Block: bl}
 }
 
+// Reset returns the censor to the state New left it in, keeping its flow
+// table's capacity. The model draws no randomness, so rng is unused.
+func (k *Kazakh) Reset(*rand.Rand) {
+	k.Censored, k.ProbeResponses = 0, 0
+	k.flows.Reset()
+}
+
 // Name implements netsim.Middlebox.
 func (k *Kazakh) Name() string { return "Kazakhstan" }
 

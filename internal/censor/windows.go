@@ -19,6 +19,9 @@ type Windows[K comparable] struct {
 // yet swept.
 func (w *Windows[K]) Len() int { return len(w.last) }
 
+// Reset drops every window and keeps the table's capacity.
+func (w *Windows[K]) Reset() { clear(w.last) }
+
 // Live reports whether k's window covers now. An expired window found on
 // the way is deleted.
 func (w *Windows[K]) Live(k K, now time.Duration) bool {

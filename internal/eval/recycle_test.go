@@ -95,11 +95,12 @@ func TestRecyclingBitIdentical(t *testing.T) {
 // path ran at 50, four fewer than when a Result still carried its live
 // rig and censor, then 47 once neither the TCP stack nor the scripts
 // copied received bytes, at 20 once Run reset a pooled rig instead of
-// building one, then 18, and runs at 15 now that the rig leases its
-// scripts as copies of the session's templates instead of cloning them and
-// installing a server factory per trial (what is left is mostly the fresh
-// GFW). The budget is that plus 10% for cross-seed variance, floored, so a
-// couple of new allocations per trial fail it.
+// building one, then 18, then 15 once the rig leased its scripts as copies
+// of the session's templates instead of cloning them and installing a
+// server factory per trial, and runs at 2 now that the rig keeps its GFW
+// and resets it in place instead of building one per trial. The budget is
+// that plus 10% for cross-seed variance, floored, so one new allocation
+// per trial fails it.
 // It runs with metrics explicitly disabled: the obs layer's
 // zero-cost-when-off guarantee is part of what this tripwire enforces.
 func TestTrialAllocBudget(t *testing.T) {
@@ -124,7 +125,7 @@ func TestTrialAllocBudget(t *testing.T) {
 		})
 	})
 	t.Logf("%.0f allocs per trial", allocs)
-	const budget = 16
+	const budget = 2
 	if allocs > budget {
 		t.Errorf("full trial allocates %.0f objects/op, budget is %d (seed baseline was ~151)",
 			allocs, budget)
@@ -139,10 +140,12 @@ func TestTrialAllocBudget(t *testing.T) {
 // trial; it took 384 and ~51 KB, then 364 and ~48 KB once received bytes
 // were not copied, 104 and 13,344 bytes once its trials reset a pooled rig,
 // which keeps its generators, endpoints, network and compiled engine, then
-// 94 and 12,864, and takes 64 and 9,824 bytes now that the rig leases its
-// scripts from a freelist it keeps. Both budgets are those counts plus
-// 10%, floored. The byte bound fails if even one generator per sample goes
-// back to allocating its ~4.9 KB table.
+// 94 and 12,864, then 64 and 9,824 once the rig leased its scripts from a
+// freelist it keeps, and takes 24 and 864 bytes now that the rig keeps its
+// Kazakhstan censor and resets it in place instead of building one per
+// trial. Both budgets are those counts plus 10%, floored. The byte bound
+// fails if even one generator per sample goes back to allocating its
+// ~4.9 KB table, or the censor to being built anew per trial.
 func TestAllocBudgetFitnessSample(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; budgets are enforced by make alloc-budget")
@@ -166,7 +169,7 @@ func TestAllocBudgetFitnessSample(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / samples
 	t.Logf("%.0f allocs, %.0f bytes per sample", allocs, bytes)
-	const budget, bytesBudget = 70, 10806
+	const budget, bytesBudget = 26, 950
 	if allocs > budget {
 		t.Errorf("a fitness sample allocates %.0f objects, budget is %d", allocs, budget)
 	}

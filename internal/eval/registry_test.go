@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -225,6 +226,55 @@ var censorProcessBudget = map[string]float64{
 	CountryTurkmenistan:  5,
 }
 
+// censoredConnection returns a driver of one canned forbidden connection
+// through a country's censor: handshake plus a triggering request, sent
+// straight to Process. Connection i has addresses and a client port of its
+// own and runs at i seconds.
+func censoredConnection(country string) func(c CensorCounter, i int) {
+	// The trigger: HTTPS censors that ignore port 80 get a forbidden
+	// ClientHello; everyone else a forbidden GET.
+	port := uint16(80)
+	payload := []byte("GET /?q=ultrasurf HTTP/1.1\r\nHost: www.wikipedia.org\r\n\r\n")
+	if country == CountryIndiaJio {
+		port = 443
+		payload = apps.EncodeClientHello("youtube.com")
+	}
+	syn := packet.New(netip.IPv4Unspecified(), netip.IPv4Unspecified(), 0, port)
+	syn.TCP.Flags = packet.FlagSYN
+	syn.TCP.Seq = 1000
+	synack := packet.New(netip.IPv4Unspecified(), netip.IPv4Unspecified(), port, 0)
+	synack.TCP.Flags = packet.FlagSYN | packet.FlagACK
+	synack.TCP.Seq = 5000
+	synack.TCP.Ack = 1001
+	ack := packet.New(netip.IPv4Unspecified(), netip.IPv4Unspecified(), 0, port)
+	ack.TCP.Flags = packet.FlagACK
+	ack.TCP.Seq = 1001
+	ack.TCP.Ack = 5001
+	req := packet.New(netip.IPv4Unspecified(), netip.IPv4Unspecified(), 0, port)
+	req.TCP.Flags = packet.FlagPSH | packet.FlagACK
+	req.TCP.Seq = 1001
+	req.TCP.Ack = 5001
+	req.TCP.Payload = payload
+
+	return func(c CensorCounter, i int) {
+		cli := netip.AddrFrom4([4]byte{10, 9, byte(i >> 8), byte(i)})
+		srv := netip.AddrFrom4([4]byte{10, 8, byte(i >> 8), byte(i)})
+		cport := uint16(32768 + i%16384)
+		now := time.Duration(i) * time.Second
+		for _, p := range []*packet.Packet{syn, ack, req} {
+			p.IP.Src, p.IP.Dst = cli, srv
+			p.TCP.SrcPort = cport
+		}
+		synack.IP.Src, synack.IP.Dst = srv, cli
+		synack.TCP.DstPort = cport
+
+		c.Process(syn, netsim.ToServer, now)
+		c.Process(synack, netsim.ToClient, now)
+		c.Process(ack, netsim.ToServer, now)
+		c.Process(req, netsim.ToServer, now)
+	}
+}
+
 // TestAllocBudgetCensorProcess pins the per-connection allocation cost of
 // each registry censor's Process path. Each op drives one canned forbidden
 // connection — handshake plus a triggering request — straight through the
@@ -245,50 +295,11 @@ func TestAllocBudgetCensorProcess(t *testing.T) {
 			continue
 		}
 		c := def.New(censor.Default(), rand.New(rand.NewSource(1)))
-
-		// The trigger: HTTPS censors that ignore port 80 get a forbidden
-		// ClientHello; everyone else a forbidden GET.
-		port := uint16(80)
-		payload := []byte("GET /?q=ultrasurf HTTP/1.1\r\nHost: www.wikipedia.org\r\n\r\n")
-		if def.Country == CountryIndiaJio {
-			port = 443
-			payload = apps.EncodeClientHello("youtube.com")
-		}
-		syn := packet.New(netip.IPv4Unspecified(), netip.IPv4Unspecified(), 0, port)
-		syn.TCP.Flags = packet.FlagSYN
-		syn.TCP.Seq = 1000
-		synack := packet.New(netip.IPv4Unspecified(), netip.IPv4Unspecified(), port, 0)
-		synack.TCP.Flags = packet.FlagSYN | packet.FlagACK
-		synack.TCP.Seq = 5000
-		synack.TCP.Ack = 1001
-		ack := packet.New(netip.IPv4Unspecified(), netip.IPv4Unspecified(), 0, port)
-		ack.TCP.Flags = packet.FlagACK
-		ack.TCP.Seq = 1001
-		ack.TCP.Ack = 5001
-		req := packet.New(netip.IPv4Unspecified(), netip.IPv4Unspecified(), 0, port)
-		req.TCP.Flags = packet.FlagPSH | packet.FlagACK
-		req.TCP.Seq = 1001
-		req.TCP.Ack = 5001
-		req.TCP.Payload = payload
-
+		connect := censoredConnection(def.Country)
 		i := 0
 		allocs := testing.AllocsPerRun(2000, func() {
 			i++
-			cli := netip.AddrFrom4([4]byte{10, 9, byte(i >> 8), byte(i)})
-			srv := netip.AddrFrom4([4]byte{10, 8, byte(i >> 8), byte(i)})
-			cport := uint16(32768 + i%16384)
-			now := time.Duration(i) * time.Second
-			for _, p := range []*packet.Packet{syn, ack, req} {
-				p.IP.Src, p.IP.Dst = cli, srv
-				p.TCP.SrcPort = cport
-			}
-			synack.IP.Src, synack.IP.Dst = srv, cli
-			synack.TCP.DstPort = cport
-
-			c.Process(syn, netsim.ToServer, now)
-			c.Process(synack, netsim.ToClient, now)
-			c.Process(ack, netsim.ToServer, now)
-			c.Process(req, netsim.ToServer, now)
+			connect(c, i)
 		})
 		if c.CensoredCount() == 0 {
 			t.Errorf("%s: canned forbidden connection was never censored; the budget is not measuring the censored path", def.Country)
@@ -296,6 +307,45 @@ func TestAllocBudgetCensorProcess(t *testing.T) {
 		t.Logf("%s: %.0f allocs per censored connection (budget %.0f)", def.Country, allocs, budget)
 		if allocs > budget {
 			t.Errorf("%s: censoring one connection allocates %.0f objects, budget is %.0f", def.Country, allocs, budget)
+		}
+	}
+}
+
+// TestAllocBudgetCensorReset pins what keeping a censor across trials
+// costs: after one censored connection, Reset allocates nothing, for every
+// registry censor and so for each censor type (the GFW, DPI and its
+// residual form, Kazakhstan). The first Reset is left out of the count:
+// it grows the flow table's freelist to hold the slot the table made.
+func TestAllocBudgetCensorReset(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; budgets are enforced by make alloc-budget")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 100
+	for _, def := range Registry() {
+		rng := rand.New(rand.NewSource(1))
+		c := def.New(censor.Default(), rng)
+		connect := censoredConnection(def.Country)
+		connect(c, 0)
+		c.Reset(rng)
+		var mallocs uint64
+		var censored int
+		var before, after runtime.MemStats
+		for i := 1; i <= runs; i++ {
+			connect(c, i)
+			censored += c.CensoredCount()
+			runtime.ReadMemStats(&before)
+			c.Reset(rng)
+			runtime.ReadMemStats(&after)
+			mallocs += after.Mallocs - before.Mallocs
+		}
+		if censored == 0 {
+			t.Errorf("%s: the canned connection was never censored; the budget is not measuring a reset of censor state", def.Country)
+		}
+		t.Logf("%s: %d allocs in %d resets (%d censored)", def.Country, mallocs, runs, censored)
+		if mallocs != 0 {
+			t.Errorf("%s: Reset allocates %.2f objects after a censored connection, budget is 0",
+				def.Country, float64(mallocs)/runs)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"geneva/internal/censor/gfw"
 	"geneva/internal/core"
 	"geneva/internal/genetic"
 	"geneva/internal/netsim"
@@ -45,7 +46,10 @@ func checkReset(t *testing.T, rig *Rig, b Config) {
 // registry country and protocol, each without a strategy and with every
 // Table 2 row, with an uncensored cell after each country, so the walk
 // switches censors, censor present and absent, protocols, and strategy and
-// none. The pairs below cover the switches the walk does not make.
+// none. The pairs below cover the switches the walk does not make, and
+// the same-country pairs check that the kept censor, reset in place,
+// carries nothing of the last trial into the next: no hook's params, flow
+// state, blackhole or residual window.
 func TestRigResetMatchesFresh(t *testing.T) {
 	s1, _ := strategies.ByNumber(1)
 	var walk []Config
@@ -106,6 +110,27 @@ func TestRigResetMatchesFresh(t *testing.T) {
 	iran := func(c *Config) {
 		c.Country, c.Session, c.Strategy = CountryIran, SessionFor(CountryIran, "http", true), nil
 	}
+	// Kazakhstan hijacks the unprotected request; Strategy 8 segments it.
+	s8, _ := strategies.ByNumber(8)
+	kazakhstan := func(s *core.Strategy) func(*Config) {
+		return func(c *Config) {
+			c.Country, c.Session, c.Strategy = CountryKazakhstan, SessionFor(CountryKazakhstan, "http", true), s
+		}
+	}
+	// Turkmenistan tears the request down and taints the server for a
+	// minute, so a kept window would tear down the next trial's handshake.
+	tmc := func(c *Config) {
+		c.Country, c.Session, c.Strategy = CountryTurkmenistan, SessionFor(CountryTurkmenistan, "http", true), nil
+	}
+	// An ablation hook of the kind internal/paper's GFW variants install:
+	// it edits every box's params in place. At seed 44 Strategy 1 evades
+	// through the RST-triggered resync the hook turns off.
+	noRstResync := func(r *Rig) {
+		for _, b := range r.Censor.(*gfw.GFW).Boxes {
+			b.P.PRst = 0
+		}
+	}
+	seed44 := func(c *Config) { c.Seed = 44 }
 	lossy := netsim.Symmetric(netsim.Profile{Loss: 0.2, Duplicate: 0.1, Jitter: 2 * time.Millisecond})
 	elsewhere := netip.MustParseAddr("198.18.0.2")
 	// Client hooks of the kind the §5.1 follow-ups install: one moves each
@@ -137,6 +162,10 @@ func TestRigResetMatchesFresh(t *testing.T) {
 		// partial stops a's run after a few events, so its packets are
 		// still queued and its timers pending when the rig is reset.
 		partial bool
+		// censored requires a's run to draw a censorship event, so the
+		// censor b reuses holds the state the pair is about. Same-country
+		// pairs run at one seed, so b's flow is a's 4-tuple.
+		censored bool
 	}{
 		{name: "censor-to-none", a: china, b: with(func(c *Config) { c.Country = CountryNone })},
 		{name: "none-to-censor", a: with(func(c *Config) { c.Country = CountryNone }), b: china},
@@ -156,6 +185,10 @@ func TestRigResetMatchesFresh(t *testing.T) {
 		{name: "dns-retries-to-http", a: with(func(c *Config) {
 			c.Session, c.Tries, c.Strategy = SessionFor(CountryChina, "dns", true), TriesFor("dns"), nil
 		}), b: china},
+		{name: "china-hooked-to-china", a: with(func(c *Config) { seed44(c); c.Hook = noRstResync }), b: with(seed44)},
+		{name: "kazakhstan-hijacked-to-strategy", a: with(kazakhstan(nil)), b: with(kazakhstan(s8.Parse())), censored: true},
+		{name: "iran-blackholed-to-iran", a: with(iran), b: with(iran), censored: true},
+		{name: "tmc-residual-to-tmc", a: with(tmc), b: with(tmc), censored: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rig := NewRig(tc.a)
@@ -165,10 +198,14 @@ func TestRigResetMatchesFresh(t *testing.T) {
 				if rig.Net.Quiet() {
 					t.Fatal("the interrupted run left nothing queued")
 				}
-			} else {
-				rig.run(tc.a.Tries)
+			} else if res := rig.run(tc.a.Tries); tc.censored && res.CensorEvents == 0 {
+				t.Fatal("the first trial drew no censorship event")
 			}
+			kept := rig.Censor
 			checkReset(t, rig, tc.b)
+			if tc.a.Country == tc.b.Country && rig.Censor != kept {
+				t.Error("the rig built a new censor for an unchanged country")
+			}
 			if !tc.b.WithTrace && rig.Net.Trace != nil {
 				t.Error("an untraced config kept the last trial's trace")
 			}

@@ -44,10 +44,13 @@ var (
 )
 
 // CensorCounter is implemented by every censor model: a middlebox that
-// counts its censorship events.
+// counts its censorship events and resets in place.
 type CensorCounter interface {
 	netsim.Middlebox
 	CensoredCount() int
+	// Reset returns the censor to the state its registry constructor
+	// leaves it in when given rng, keeping its tables' capacity.
+	Reset(rng *rand.Rand)
 }
 
 // NewCensor builds the middlebox for a country, or nil for CountryNone.
@@ -85,13 +88,10 @@ type Config struct {
 	// Hook, if set, is called on the wired rig before the first
 	// connection: it can instrument the client (the §5 follow-up
 	// experiments), reconfigure the server (a core.Router instead of a
-	// single-strategy engine), or keep the censor for inspection. Run
-	// wires a pooled rig anew for every trial and calls Hook after each
-	// wiring, exactly as NewRig does, so a hook must build any state it
-	// keeps inside itself. The censor is the one part of the rig a hook
-	// may keep past Run, and only to read it: the rig, its endpoints,
-	// network, generators and scripts go back to the pool for the next
-	// trial.
+	// single-strategy engine), or re-tune the censor (the GFW ablations).
+	// Run wires a pooled rig anew for every trial and calls Hook after
+	// each wiring, exactly as NewRig does, so a hook must build any state
+	// it keeps inside itself.
 	Hook func(*Rig)
 	// WithTrace records a packet trace (waterfalls).
 	WithTrace bool
@@ -136,13 +136,18 @@ type Result struct {
 }
 
 // Rig is a wired-up client/censor/server sandbox that can run repeated
-// connections against the same censor state.
+// connections against the same censor state. Run recycles rigs: reset
+// rewires one for the next trial in place, censor included while the
+// country is unchanged.
 type Rig struct {
 	Client  *tcpstack.Endpoint
 	Server  *tcpstack.Endpoint
 	Net     *netsim.Network
 	Censor  CensorCounter
 	Session *apps.Session
+
+	// country is the country Censor was built for.
+	country string
 
 	// gens holds one generator per stream, indexed by the stream's offset.
 	// The rig owns them for life and reset reseeds them.
@@ -214,11 +219,11 @@ func (r *Rig) stream(seed, offset int64) *rand.Rand {
 // reset wires the rig for cfg, reusing what the last trial left behind:
 // the only path that wires a rig, so a reset rig is in exactly the state a
 // fresh one would be. The endpoints, the network and the generators are
-// reset in place, the engine is kept while the strategy's text is
-// unchanged, and the last trial's scripts go back to the rig's freelist,
-// so a script Attempt returned stays valid until the next reset. The
-// censor and the Trace are built anew, because a caller may keep them
-// past Run: a hook may hold the censor, and Run returns the Trace.
+// reset in place, the censor is reset in place while the country is
+// unchanged, the engine is kept while the strategy's text is unchanged,
+// and the last trial's scripts go back to the rig's freelist, so a script
+// Attempt returned stays valid until the next reset. Only the Trace is
+// built anew, because Run returns it.
 func (r *Rig) reset(cfg Config) {
 	os := cfg.ClientOS
 	if os.Name == "" {
@@ -252,7 +257,13 @@ func (r *Rig) reset(cfg Config) {
 		server.Outbound = r.engineOut
 	}
 
-	r.Censor = NewCensor(cfg.Country, censor.Default(), r.stream(seed, streamCensor))
+	switch {
+	case cfg.Country != r.country:
+		r.Censor = NewCensor(cfg.Country, censor.Default(), r.stream(seed, streamCensor))
+		r.country = cfg.Country
+	case r.Censor != nil:
+		r.Censor.Reset(r.stream(seed, streamCensor))
+	}
 	// The endpoints went first because the network's client table needs
 	// the client's new address; nothing runs in between, so no timer of
 	// the last trial can fire into a recycled connection.
@@ -322,8 +333,7 @@ var rigPool = sync.Pool{New: func() any { return new(Rig) }}
 // Run executes the trial on a pooled rig, reset for cfg: up to cfg.Tries
 // attempts, retrying only when the previous connection was torn down (the
 // RFC 7766 client behaviour the paper leans on for DNS success rates). The
-// rig goes back to the pool before Run returns; a censor a hook kept stays
-// readable, since the next reset builds a new one.
+// rig goes back to the pool before Run returns.
 func Run(cfg Config) Result {
 	rig := rigPool.Get().(*Rig)
 	rig.reset(cfg)

@@ -111,13 +111,13 @@ func printKzFlags(w io.Writer, _ int) {
 // censor processes the *second* request).
 func KazakhProbing() (twoForbidden, forbiddenThenBenign bool) {
 	probe := func(first, second string) bool {
-		var kz *kazakh.Kazakh
-		cfg := eval.Trial(eval.CountryKazakhstan, "http", core.MustParse(fmt.Sprintf(
+		// A rig of its own: Run's pooled rig resets its censor for the
+		// next trial, and the count is read after the attempt.
+		rig := eval.NewRig(eval.Trial(eval.CountryKazakhstan, "http", core.MustParse(fmt.Sprintf(
 			`[TCP:flags:SA]-duplicate(tamper{TCP:load:replace:%s},duplicate(tamper{TCP:load:replace:%s},))-| \/ `,
-			first, second)), 130)
-		cfg.Hook = func(r *eval.Rig) { kz = r.Censor.(*kazakh.Kazakh) }
-		eval.Run(cfg)
-		return kz.ProbeResponses > 0
+			first, second)), 130))
+		rig.Attempt()
+		return rig.Censor.(*kazakh.Kazakh).ProbeResponses > 0
 	}
 	const forbidden = "GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n"
 	const benign = "GET / HTTP/1.1\r\nHost: allowed.example\r\n\r\n"
