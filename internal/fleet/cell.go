@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"math/rand"
+	"sync"
+	"time"
 
 	"geneva/internal/apps"
 	"geneva/internal/censor"
 	"geneva/internal/eval"
 	"geneva/internal/netsim"
+	"geneva/internal/packet"
 	"geneva/internal/selector"
 	"geneva/internal/tcpstack"
 )
@@ -20,22 +23,66 @@ type scriptKey struct {
 	exch  int
 }
 
-// cell is one wired cell network, alive from construction to the end of its
-// last wave so the scheduler can drive all cells in wave lockstep.
-// Everything in a cell runs on a single goroutine per wave against the
-// cell's own virtual clock; only its residual exports leave it.
+// cellKey is what a cell's censor and templates are built from: the
+// country picks the censor and every session, and SessionRequests and
+// RequestGap extend each session and each reconnect tail. A cell keeps its
+// censor and templates from run to run, so it only ever serves its own key.
+type cellKey struct {
+	country  string
+	requests int
+	gap      time.Duration
+}
+
+// keyOf is the key of wl's cells in country.
+func keyOf(wl Workload, country string) cellKey {
+	return cellKey{country: country, requests: wl.SessionRequests, gap: wl.RequestGap}
+}
+
+// cellPools holds one pool of idle cells per key. A cell goes back to its
+// pool when its run has been aggregated and comes out, for a plan of the
+// same key, through reset.
+var cellPools struct {
+	sync.Mutex
+	m map[cellKey]*sync.Pool
+}
+
+// cellPool returns the pool of key's cells.
+func cellPool(key cellKey) *sync.Pool {
+	cellPools.Lock()
+	defer cellPools.Unlock()
+	p := cellPools.m[key]
+	if p == nil {
+		if cellPools.m == nil {
+			cellPools.m = map[cellKey]*sync.Pool{}
+		}
+		p = &sync.Pool{New: func() any { return new(cell) }}
+		cellPools.m[key] = p
+	}
+	return p
+}
+
+// cell is one wired cell network, leased from its key's pool for one run:
+// newCell wires it, it stays alive to the end of its last wave so the
+// scheduler can drive all cells in wave lockstep, and Run puts it back once
+// the run's result is aggregated. Everything in a cell runs on a single
+// goroutine per wave against the cell's own virtual clock; only its
+// residual exports leave it.
 type cell struct {
 	wl   Workload
 	plan cellPlan
+	home *sync.Pool // the pool of the cell's key
 
-	server   *tcpstack.Endpoint
-	slots    map[int]*tcpstack.Endpoint
+	server *tcpstack.Endpoint
+	// slots holds one client endpoint per slot index. A pooled cell may
+	// hold more than its plan uses; only the plan's slots are wired, and
+	// hosts lists them for the network.
+	slots    []*tcpstack.Endpoint
+	hosts    []netsim.Host
 	sessions map[string]*apps.Session // full-length session per protocol
 	net      *netsim.Network
 	cen      eval.CensorCounter
 	resid    censor.ResidualCarrier // non-nil iff the censor shares residual state
 	shifter  censor.ParamShifter    // non-nil iff the censor can shift mid-run
-	shifted  bool
 	lease    *eval.RouterLease
 	rngs     eval.Rands
 
@@ -52,9 +99,11 @@ type cell struct {
 	// folds and clears it.
 	exports residualLedger
 
-	byWave  [][]int // wave -> indices into plan.conns (contiguous from 0)
-	res     cellResult
-	started bool
+	// waveStart[w] is the index into plan.conns of wave w's first
+	// connection, and waveStart[waves()] is len(plan.conns): plan appends
+	// a cell's connections wave by wave, so each wave is one range.
+	waveStart []int
+	res       cellResult
 
 	// Every script the cell runs is a copy of a template leased from
 	// scripts: client templates by shape, server templates by port. The
@@ -62,31 +111,62 @@ type cell struct {
 	// scripts, shared across goroutines), so only the copies are ever run
 	// or modified. A copy goes back once its connection can no longer
 	// receive a packet: a client's when its attempt settles, a server's
-	// (listed in serverLive) at wave end.
+	// (listed in serverLive) at wave end. The templates depend only on the
+	// cell's key, so a pooled cell keeps them.
 	clients    map[scriptKey]*apps.Script
 	servers    map[uint16]*apps.Script
 	scripts    apps.Scripts
 	serverLive []*apps.Script
 	live       []inflight
+
+	// serveApp and routeOut are the server's NewServerApp and Outbound,
+	// bound once when the cell is first built.
+	serveApp func(*tcpstack.Conn) tcpstack.App
+	routeOut func(*packet.Packet) []*packet.Packet
 }
 
 // newCell wires one cell — server + pooled deployment router, censor,
-// clients — without running anything. The construction order (and thus
-// every rng draw) is exactly the plan order, never scheduling order.
+// clients — without running anything: a pooled cell of the plan's key, or
+// an empty one, reset for cp.
 func newCell(wl Workload, cp cellPlan, ctl control) *cell {
-	c := &cell{wl: wl, plan: cp}
-	cellSeed := wl.Seed + int64(cp.index)*cellSeedStride
+	home := cellPool(keyOf(wl, cp.country))
+	c := home.Get().(*cell)
+	c.home = home
+	c.reset(wl, cp, ctl)
+	return c
+}
 
-	c.server = tcpstack.NewEndpoint(eval.ServerAddr, tcpstack.DefaultServer, c.rngs.Acquire(cellSeed+seedServer))
+// reset wires c for cp, in place: the only path that wires a cell, so a
+// pooled cell is in exactly the state an empty one reaches. The endpoints,
+// the censor and the network are reset in place, the template maps keep
+// what earlier runs of the key built, and every freelist keeps its
+// capacity. Each stream is seeded from the cell's plan index, so the order
+// of the draws is the plan's, never the scheduler's.
+func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
+	if c.net == nil {
+		c.server, c.net = new(tcpstack.Endpoint), new(netsim.Network)
+		c.sessions = map[string]*apps.Session{}
+		c.clients = map[scriptKey]*apps.Script{}
+		c.servers = map[uint16]*apps.Script{}
+		c.serveApp = c.serve
+		c.routeOut = c.route
+	}
+	c.wl, c.plan = wl, cp
+	cellSeed := wl.Seed + int64(cp.index)*cellSeedStride
+	// Impaired links arm every endpoint's retransmission.
+	im := netsim.Symmetric(wl.Impairments)
+
+	c.server.Reset(eval.ServerAddr, tcpstack.DefaultServer, c.rngs.Acquire(cellSeed+seedServer))
 	c.lease = eval.AcquireDeploymentRouter(cellSeed + seedRouter)
-	c.server.Outbound = c.lease.Router.Outbound
-	c.server.ReleaseClosed = true
+	c.server.Outbound = c.routeOut
+	c.server.ReleaseClosed, c.server.Retransmit = true, im.Enabled()
+	c.server.Attach(c.net)
 
 	// Portfolio delivery: routed countries get one engine per arm, seeded
 	// per cell at cellSeed + eval.SeedArmBase + arm, and pullArm pins an
 	// arm to the client's address per attempt. Unrouted countries (the
 	// uncensored population) keep matching no route — the server doesn't
-	// know them, selected or not.
+	// know them, selected or not. (finish dropped the last run's leases.)
 	if _, routed := eval.RouterPrefixes[cp.country]; routed && !ctl.portfolio.IsZero() {
 		c.armLease = eval.AcquirePortfolioEngines(ctl.portfolio, cellSeed)
 		if ctl.state != nil {
@@ -96,92 +176,109 @@ func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 	}
 
 	// One forbidden session per protocol in the cell; the server listens on
-	// every port and dispatches the matching application by the port the
-	// client connected to. Fleet scripts close after their transcripts
-	// (CloseAtEnd) so both sides' connections finish and recycle — without
-	// that, a 10^5-connection run accretes every connection ever served in
-	// the server's table.
-	c.sessions = map[string]*apps.Session{}
-	c.clients = map[scriptKey]*apps.Script{}
-	c.servers = map[uint16]*apps.Script{}
+	// the port of every protocol the plan runs and dispatches the matching
+	// application by the port the client connected to. Fleet scripts close
+	// after their transcripts (CloseAtEnd) so both sides' connections
+	// finish and recycle — without that, a 10^5-connection run accretes
+	// every connection ever served in the server's table.
 	for _, cn := range cp.conns {
-		if _, ok := c.sessions[cn.protocol]; ok {
-			continue
+		sess, ok := c.sessions[cn.protocol]
+		if !ok {
+			sess = eval.SessionFor(cp.country, cn.protocol, true)
+			if wl.SessionRequests > 1 {
+				// Extend the one-shot session into a keep-alive one.
+				// Protocols whose transcript isn't a single exchange come
+				// back unchanged and keep running one-shot. The server
+				// template answers each request as it arrives, so the same
+				// listener also serves shorter reconnect tails.
+				sess = sess.KeepAlive(wl.SessionRequests, wl.RequestGap)
+			}
+			c.sessions[cn.protocol] = sess
+			c.clients[scriptKey{proto: cn.protocol, exch: sess.Exchanges()}] = sess.Client()
+			c.servers[sess.Port] = sess.Server()
 		}
-		sess := eval.SessionFor(cp.country, cn.protocol, true)
-		if wl.SessionRequests > 1 {
-			// Extend the one-shot session into a keep-alive one. Protocols
-			// whose transcript isn't a single exchange come back unchanged
-			// and keep running one-shot. The server template answers each
-			// request as it arrives, so the same listener also serves
-			// shorter reconnect tails.
-			sess = sess.KeepAlive(wl.SessionRequests, wl.RequestGap)
-		}
-		c.sessions[cn.protocol] = sess
-		c.clients[scriptKey{proto: cn.protocol, exch: sess.Exchanges()}] = sess.Client()
-		c.servers[sess.Port] = sess.Server()
 		c.server.Listen(sess.Port)
 	}
-	c.server.NewServerApp = func(conn *tcpstack.Conn) tcpstack.App {
-		s := c.scripts.Lease(c.servers[conn.Flow().SrcPort])
-		s.CloseAtEnd = true
-		c.serverLive = append(c.serverLive, s)
-		return s
-	}
+	c.server.NewServerApp = c.serveApp
 
-	// Client endpoints, one per slot the plan uses.
-	c.slots = map[int]*tcpstack.Endpoint{}
-	var hosts []netsim.Host
+	// Client endpoints, one per slot the plan uses. plan numbers a cell's
+	// slots from 0 in order of first use (the routed slots in wave 0, the
+	// unprotected ones after them in wave 1), so they are 0..n-1 and slot
+	// order is the order of first use.
+	n := 0
 	for _, cn := range cp.conns {
-		if _, ok := c.slots[cn.slot]; ok {
-			continue
-		}
-		ep := tcpstack.NewEndpoint(clientAddr(cp.country, cn.slot, cn.unprotected),
-			tcpstack.DefaultClient, c.rngs.Acquire(cellSeed+seedClients+int64(cn.slot)))
-		ep.ReleaseClosed = true
-		c.slots[cn.slot] = ep
-		hosts = append(hosts, ep)
+		n = max(n, cn.slot+1)
+	}
+	for len(c.slots) < n {
+		c.slots = append(c.slots, new(tcpstack.Endpoint))
+	}
+	c.hosts = c.hosts[:0]
+	for s, ep := range c.slots[:n] {
+		ep.Reset(clientAddr(cp.country, s, s >= wl.ClientsPerCell),
+			tcpstack.DefaultClient, c.rngs.Acquire(cellSeed+seedClients+int64(s)))
+		ep.ReleaseClosed, ep.Retransmit = true, im.Enabled()
+		ep.Attach(c.net)
+		c.hosts = append(c.hosts, ep)
 	}
 
-	c.cen = eval.NewCensor(cp.country, censor.Default(), c.rngs.Acquire(cellSeed+seedCensor))
-	c.resid, _ = c.cen.(censor.ResidualCarrier)
-	if c.resid != nil {
+	// The pool key holds the country, so a pooled cell's censor is the
+	// country's: Reset returns it to what NewCensor builds, undoing a
+	// Shift too.
+	if rng := c.rngs.Acquire(cellSeed + seedCensor); c.cen != nil {
+		c.cen.Reset(rng)
+	} else {
+		c.cen = eval.NewCensor(cp.country, censor.Default(), rng)
+		c.resid, _ = c.cen.(censor.ResidualCarrier)
+		c.shifter, _ = c.cen.(censor.ParamShifter)
+	}
+	if c.resid != nil && c.exports == nil {
 		c.exports = residualLedger{}
 	}
-	c.shifter, _ = c.cen.(censor.ParamShifter)
+
+	// The endpoints went first because the network's client table needs
+	// their new addresses; nothing runs in between.
 	if c.cen != nil {
-		c.net = netsim.NewMulti(c.server, hosts, c.cen)
+		c.net.ResetMulti(c.server, c.hosts, c.cen)
 	} else {
-		c.net = netsim.NewMulti(c.server, hosts)
+		c.net.ResetMulti(c.server, c.hosts)
 	}
 	c.net.RecyclePackets = true
-	if im := netsim.Symmetric(wl.Impairments); im.Enabled() {
+	if im.Enabled() {
 		c.net.SetImpairments(im, c.rngs.Acquire(cellSeed+seedImpairments))
-		c.server.Retransmit = true
-		for _, ep := range c.slots {
-			ep.Retransmit = true
-		}
-	}
-	c.server.Attach(c.net)
-	for _, ep := range c.slots {
-		ep.Attach(c.net)
 	}
 
-	// Waves are assigned contiguously from 0 by plan, so the per-wave
-	// index lists slot straight into a slice.
-	waves := 0
-	for _, cn := range cp.conns {
-		if cn.wave+1 > waves {
-			waves = cn.wave + 1
+	c.waveStart = c.waveStart[:0]
+	for i, cn := range cp.conns {
+		for len(c.waveStart) <= cn.wave {
+			c.waveStart = append(c.waveStart, i)
 		}
 	}
-	c.byWave = make([][]int, waves)
-	for i, cn := range cp.conns {
-		c.byWave[cn.wave] = append(c.byWave[cn.wave], i)
+	c.waveStart = append(c.waveStart, len(cp.conns))
+
+	conns := c.res.conns
+	if cap(conns) < len(cp.conns) {
+		conns = make([]connResult, len(cp.conns))
+	} else {
+		conns = conns[:len(cp.conns)]
+		clear(conns)
 	}
-	c.res = cellResult{country: cp.country, conns: make([]connResult, len(cp.conns))}
-	return c
+	c.res = cellResult{country: cp.country, conns: conns}
 }
+
+// waves is the number of waves the cell runs.
+func (c *cell) waves() int { return len(c.waveStart) - 1 }
+
+// serve is the server's NewServerApp: a copy of the template of the port
+// the client connected to, released at wave end.
+func (c *cell) serve(conn *tcpstack.Conn) tcpstack.App {
+	s := c.scripts.Lease(c.servers[conn.Flow().SrcPort])
+	s.CloseAtEnd = true
+	c.serverLive = append(c.serverLive, s)
+	return s
+}
+
+// route is the server's Outbound: the leased deployment router.
+func (c *cell) route(p *packet.Packet) []*packet.Packet { return c.lease.Router.Outbound(p) }
 
 // drain runs the cell network until no event is pending.
 func (c *cell) drain() {
@@ -227,7 +324,9 @@ func (c *cell) pullArm(cn *connPlan) int {
 }
 
 // finish closes the cell out: stamp plans and censor totals into the
-// result, and hand the pooled router and rngs back.
+// result, and hand the leased router, engines and rngs back. The result's
+// connection slice stays the cell's: Run reads it before it puts the cell
+// back in its pool, and the next reset reuses it.
 func (c *cell) finish() cellResult {
 	for i := range c.res.conns {
 		c.res.conns[i].plan = c.plan.conns[i]
@@ -236,10 +335,8 @@ func (c *cell) finish() cellResult {
 		c.res.censorEvents = c.cen.CensoredCount()
 	}
 	eval.ReleaseDeploymentRouter(c.lease)
-	c.lease = nil
 	eval.ReleasePortfolioEngines(c.armLease)
-	c.armLease, c.selCell, c.selRng = nil, nil, nil
+	c.lease, c.armLease, c.selCell, c.selRng = nil, nil, nil, nil
 	c.rngs.Release()
-	c.server, c.slots, c.net, c.cen, c.resid, c.exports = nil, nil, nil, nil, nil, nil
 	return c.res
 }

@@ -467,10 +467,11 @@ func resolveControl(wl Workload) control {
 }
 
 // Run executes the workload and aggregates the fleet result. Cells are
-// built, driven wave by wave (one wave of every cell runs concurrently on a
-// pool of up to wl.Workers goroutines, meeting at a residual-merge barrier
-// between waves), and finished; results are merged in cell order, so the
-// Result is identical at any worker width.
+// taken from their pools and wired, driven wave by wave (one wave of every
+// cell runs concurrently on a pool of up to wl.Workers goroutines, meeting
+// at a residual-merge barrier between waves), finished, and put back;
+// results are merged in cell order, so the Result is identical at any
+// worker width.
 func Run(wl Workload) (Result, error) {
 	if err := wl.checkSizes(); err != nil {
 		return Result{}, err
@@ -503,7 +504,7 @@ func Run(wl Workload) (Result, error) {
 	}
 	maxWaves := 0
 	for _, c := range cells {
-		maxWaves = max(maxWaves, len(c.byWave))
+		maxWaves = max(maxWaves, c.waves())
 	}
 
 	// Wave lockstep: every cell runs wave w, then the barrier folds their
@@ -550,6 +551,11 @@ func Run(wl Workload) (Result, error) {
 	})
 	out := aggregate(results, ctl)
 	record(results)
+	// Each result's connections are its cell's, so the cells go back to
+	// their pools only now that aggregate and record have read them.
+	for _, c := range cells {
+		c.home.Put(c)
+	}
 	out.Manifest = manifest(wl, len(cells), ctl)
 	return out, nil
 }

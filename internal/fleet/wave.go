@@ -24,26 +24,23 @@ type inflight struct {
 // runWave drives one wave of the cell to completion: advance the wave gap,
 // plant ledger windows into the censor, start every connection of the wave,
 // drain and retry until settled, then export the censor's live residual
-// windows for the barrier to fold. Waves a cell does not participate in are
-// skipped entirely (its clock does not advance — the cell's run is over).
+// windows for the barrier to fold. A cell runs waves 0 to waves()-1, one
+// after another; later waves are skipped entirely (its clock does not
+// advance — the cell's run is over).
 func (c *cell) runWave(w int, ledger residualLedger) {
-	if w >= len(c.byWave) {
+	if w >= c.waves() {
 		return
 	}
-	if c.started {
+	if w > 0 {
 		c.net.Clock.Advance(c.wl.WaveGap)
 	}
-	c.started = true
 
 	// Apply the censor shift once, at the start of its wave. Purely a
 	// constant re-tune (no randomness, no flow state), so it is identical
 	// at any worker width.
-	if !c.shifted && c.wl.Shift.Enabled() && w >= c.wl.Shift.AtWave &&
+	if w == c.wl.Shift.AtWave && c.wl.Shift.Enabled() && c.shifter != nil &&
 		(c.wl.Shift.Country == "" || c.wl.Shift.Country == c.plan.country) {
-		c.shifted = true
-		if c.shifter != nil {
-			c.shifter.ShiftParams(c.wl.Shift.Params)
-		}
+		c.shifter.ShiftParams(c.wl.Shift.Params)
 	}
 
 	// Seed the country ledger's windows that survive the gap. The expiry
@@ -62,7 +59,6 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 		}
 	}
 
-	idxs := c.byWave[w]
 	c.res.waves++
 
 	// Start every connection of the wave, drain the network, then
@@ -75,7 +71,7 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 	pol := c.wl.Reconnect
 	now := c.net.Clock.Now()
 	live := c.live[:0]
-	for _, idx := range idxs {
+	for idx := c.waveStart[w]; idx < c.waveStart[w+1]; idx++ {
 		cn := &c.plan.conns[idx]
 		sess := c.sessions[cn.protocol]
 		m := sess.Exchanges()

@@ -109,13 +109,33 @@ func New(client, server Host, boxes ...Middlebox) *Network {
 }
 
 // Reset returns n, in place, to the state New(client, server, boxes...)
-// builds: the clock and the event sequence restart at zero, packets still
-// queued go back to the pool (if RecyclePackets was on) and pending timers
-// are dropped unrun, the defaults New sets are restored, impairments are
-// off, Trace is nil and RecyclePackets is off. Both event lanes, the client
-// table and the box list keep their capacity, so a recycled network
-// reaches its steady state without allocating.
+// builds; it is ResetMulti with one client.
 func (n *Network) Reset(client, server Host, boxes ...Middlebox) {
+	n.ResetMulti(server, []Host{client}, boxes...)
+}
+
+// NewMulti builds a network with one server and several clients (all on the
+// censored side of the middleboxes). Client-bound packets route by
+// destination address.
+func NewMulti(server Host, clients []Host, boxes ...Middlebox) *Network {
+	n := new(Network)
+	n.ResetMulti(server, clients, boxes...)
+	return n
+}
+
+// ResetMulti returns n, in place, to the state NewMulti(server, clients,
+// boxes...) builds, and is the one path that wires a network: the clock and
+// the event sequence restart at zero, packets still queued go back to the
+// pool (if RecyclePackets was on) and pending timers are dropped unrun, the
+// defaults New sets are restored, impairments are off, Trace is nil and
+// RecyclePackets is off. The client table holds exactly clients afterwards,
+// and Client is the first of them. Both event lanes, the client table and
+// the box list keep their capacity, so a recycled network reaches its
+// steady state without allocating.
+func (n *Network) ResetMulti(server Host, clients []Host, boxes ...Middlebox) {
+	if len(clients) == 0 {
+		panic("netsim: a network requires at least one client")
+	}
 	q := n.queue
 	for q.len() > 0 {
 		if e := q.pop(); e.pkt != nil {
@@ -127,38 +147,26 @@ func (n *Network) Reset(client, server Host, boxes ...Middlebox) {
 		clock = &Clock{}
 	}
 	*clock = Clock{}
-	clients := n.clients
-	if clients == nil {
-		clients = make(map[netip.Addr]Host, 1)
+	table := n.clients
+	if table == nil {
+		table = make(map[netip.Addr]Host, len(clients))
 	}
-	clear(clients)
-	clients[client.Addr()] = client
+	clear(table)
+	for _, c := range clients {
+		table[c.Addr()] = c
+	}
 	clear(n.boxes) // drop stale boxes past the new length
 	*n = Network{
 		Clock:            clock,
 		HopsToCensor:     5,
 		HopsBeyondCensor: 5,
 		LinkDelay:        time.Millisecond,
-		client:           client,
+		client:           clients[0],
 		server:           server,
-		clients:          clients,
+		clients:          table,
 		boxes:            append(n.boxes[:0], boxes...),
 		queue:            q,
 	}
-}
-
-// NewMulti builds a network with one server and several clients (all on the
-// censored side of the middleboxes). Client-bound packets route by
-// destination address.
-func NewMulti(server Host, clients []Host, boxes ...Middlebox) *Network {
-	if len(clients) == 0 {
-		panic("netsim: NewMulti requires at least one client")
-	}
-	n := New(clients[0], server, boxes...)
-	for _, c := range clients {
-		n.clients[c.Addr()] = c
-	}
-	return n
 }
 
 // Client returns the attached client host.
