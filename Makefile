@@ -34,12 +34,12 @@ bench-smoke:
 
 # The evaluation-engine determinism gate: the parallel, cached population
 # engine must score every strategy bit-identically to a fresh Rate at every
-# GOMAXPROCS, pooled generators must draw what fresh ones do and all come
-# back, and the GFW ablations must measure the registry's China model.
+# GOMAXPROCS, reseeded generators must draw what fresh ones do, and the GFW
+# ablations must measure the registry's China model.
 # CI's race, shuffled test step already runs these tests; this target runs
 # them alone.
 eval-determinism:
-	$(GO) test -race -shuffle=on -run 'Deterministic|BatchMatchesSequential|BatchSeam|Evaluator|FitnessCache|EvolveWithStats|RandBitIdentical|RandPoolBalance|AblationsMeasureRegistryModel' ./...
+	$(GO) test -race -shuffle=on -run 'Deterministic|BatchMatchesSequential|BatchSeam|Evaluator|FitnessCache|EvolveWithStats|RandBitIdentical|ReseedBitIdentical|AblationsMeasureRegistryModel' ./...
 
 # The cross-censor differential matrix: every censor × protocol × strategy
 # cell classified by failure cause and locked against testdata, plus the

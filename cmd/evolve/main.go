@@ -22,8 +22,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -33,25 +35,53 @@ import (
 	"geneva/internal/obs"
 )
 
+// usageError is a bad flag or option, on which the command exits 2; it
+// exits 1 on any other error. A bad flag's usageError carries no error:
+// the flag set has already reported it.
+type usageError struct{ error }
+
 func main() {
-	country := flag.String("country", "china", "censor to evolve against: "+strings.Join(eval.CensoredCountries(), ", "))
-	protocol := flag.String("protocol", "http", "dns, ftp, http, https, or smtp")
-	population := flag.Int("population", 300, "population size (paper: 300)")
-	generations := flag.Int("generations", 50, "generation budget (paper: 50)")
-	trials := flag.Int("trials", 10, "fitness trials per individual")
-	seed := flag.Int64("seed", 0, "RNG seed")
-	minimize := flag.Bool("minimize", true, "prune the winner while fitness holds")
-	workers := flag.Int("workers", 0, "population-evaluation workers (0 = one per CPU); any width gives the same result")
-	metrics := flag.Bool("metrics", false, "enable cross-layer counters and print the nonzero ones after the run")
-	manifest := flag.String("manifest", "", "write a structured run manifest (JSON) to this file; implies -metrics")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	var usage usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &usage):
+		if usage.error != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs the search and writes its report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("evolve", flag.ContinueOnError)
+	country := fs.String("country", "china", "censor to evolve against: "+strings.Join(eval.CensoredCountries(), ", "))
+	protocol := fs.String("protocol", "http", "dns, ftp, http, https, or smtp")
+	population := fs.Int("population", 300, "population size (paper: 300)")
+	generations := fs.Int("generations", 50, "generation budget (paper: 50)")
+	trials := fs.Int("trials", 10, "fitness trials per individual")
+	seed := fs.Int64("seed", 0, "RNG seed")
+	minimize := fs.Bool("minimize", true, "prune the winner while fitness holds")
+	workers := fs.Int("workers", 0, "population-evaluation workers (0 = one per CPU); any width gives the same result")
+	metrics := fs.Bool("metrics", false, "enable cross-layer counters and print the nonzero ones after the run")
+	manifest := fs.String("manifest", "", "write a structured run manifest (JSON) to this file; implies -metrics")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{}
+	}
 
 	if *metrics || *manifest != "" {
 		obs.SetEnabled(true)
 		obs.Reset()
 	}
 
-	fmt.Printf("Evolving server-side strategies against %s / %s (population %d, <= %d generations, %d trials/individual)\n\n",
+	fmt.Fprintf(w, "Evolving server-side strategies against %s / %s (population %d, <= %d generations, %d trials/individual)\n\n",
 		*country, *protocol, *population, *generations, *trials)
 
 	res, stats, err := eval.EvolveWithStats(eval.EvolveOptions{
@@ -64,30 +94,29 @@ func main() {
 		Workers:       *workers,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(2)
+		return usageError{err}
 	}
 	for _, g := range res.History {
-		fmt.Printf("gen %2d: best %.2f  mean %.2f  distinct %3d  %s\n",
+		fmt.Fprintf(w, "gen %2d: best %.2f  mean %.2f  distinct %3d  %s\n",
 			g.Generation, g.Best, g.Mean, g.Distinct, g.BestDSL)
 	}
-	fmt.Printf("\n%s\n", stats)
+	fmt.Fprintf(w, "\n%s\n", stats)
 
 	best := res.Best.Strategy
-	fmt.Printf("\nBest strategy: %s\n", best.String())
+	fmt.Fprintf(w, "\nBest strategy: %s\n", best.String())
 	if *minimize {
 		fitness := eval.NewEvaluator(*country, *protocol, *trials*2, *seed+50000).Fitness
 		pruned, fit := genetic.Minimize(best, fitness, 0.05)
 		if pruned.Size() < best.Size() {
-			fmt.Printf("Minimized:     %s (fitness %.2f, %d -> %d nodes)\n",
+			fmt.Fprintf(w, "Minimized:     %s (fitness %.2f, %d -> %d nodes)\n",
 				pruned.String(), fit, best.Size(), pruned.Size())
 			best = pruned
 		}
 	}
 	confirm := eval.Rate(eval.Trial(*country, *protocol, best, *seed+100000), 200)
-	fmt.Printf("Confirmed success rate over 200 fresh trials: %.0f%%\n", 100*confirm)
+	fmt.Fprintf(w, "Confirmed success rate over 200 fresh trials: %.0f%%\n", 100*confirm)
 	if *metrics {
-		fmt.Printf("\n--- metrics ---\n%s", obs.Take().Format())
+		fmt.Fprintf(w, "\n--- metrics ---\n%s", obs.Take().Format())
 	}
 	if *manifest != "" {
 		cfg := map[string]string{
@@ -105,9 +134,9 @@ func main() {
 		}
 		m := obs.NewManifest("evolve", cfg, eval.SeedSchedule(*seed))
 		if err := m.WriteFile(*manifest); err != nil {
-			fmt.Fprintf(os.Stderr, "writing manifest: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("writing manifest: %w", err)
 		}
-		fmt.Printf("manifest written to %s\n", *manifest)
+		fmt.Fprintf(w, "manifest written to %s\n", *manifest)
 	}
+	return nil
 }

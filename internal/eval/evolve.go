@@ -62,8 +62,6 @@ func EvolveWithStats(opt EvolveOptions) (genetic.Result, EvalStats, error) {
 // evolve runs the GA with the paper's server-side configuration, scoring
 // each generation through batch.
 func evolve(opt EvolveOptions, batch func([]*core.Strategy) []float64) genetic.Result {
-	rng := AcquireRand(opt.Seed)
-	defer ReleaseRand(rng)
 	return genetic.Evolve(genetic.Config{
 		PopulationSize: opt.Population,
 		Generations:    opt.Generations,
@@ -74,7 +72,7 @@ func evolve(opt EvolveOptions, batch func([]*core.Strategy) []float64) genetic.R
 		// so there the trigger itself evolves.
 		EvolveTrigger: protocolRow(opt.Protocol).serverFirst,
 		BatchFitness:  batch,
-		Rng:           rng,
+		Rng:           newRand(opt.Seed),
 	})
 }
 

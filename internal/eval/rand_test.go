@@ -44,13 +44,13 @@ func equalDraws(t *testing.T, label string, got, want []uint64) {
 	}
 }
 
-// TestAcquireRandBitIdentical pins the generator pool's contract: a pooled
-// generator draws exactly what rand.New(rand.NewSource(seed)) draws, through
-// every method, across a mid-stream reseed, after being released mid-Read
-// and acquired again under another seed, and, for 1,024 seeds, through the
-// first 2,048 draws after a reseed at each of the draw counts where the
-// source's fill-on-first-read rules change.
-func TestAcquireRandBitIdentical(t *testing.T) {
+// TestReseedBitIdentical pins the contract every owned generator relies
+// on: a generator draws exactly what rand.New(rand.NewSource(seed)) draws,
+// through every method, fresh, across a mid-stream reseed, after Reseed
+// reuses it under another seed with a Read cut short, and, for 1,024
+// seeds, through the first 2,048 draws after a reseed at each of the draw
+// counts where the source's fill-on-first-read rules change.
+func TestReseedBitIdentical(t *testing.T) {
 	seeds := []int64{0, 1, -1, math.MaxInt32, math.MaxInt32 + 1, math.MinInt64}
 	pick := rand.New(rand.NewSource(20))
 	for i := 0; i < 6; i++ {
@@ -58,7 +58,7 @@ func TestAcquireRandBitIdentical(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		want := rand.New(rand.NewSource(seed))
-		got := AcquireRand(seed)
+		got := Reseed(nil, seed)
 		equalDraws(t, "fresh", drawScript(got), drawScript(want))
 
 		// Reseed mid-stream, with the Read buffer partly consumed.
@@ -67,7 +67,6 @@ func TestAcquireRandBitIdentical(t *testing.T) {
 		got.Seed(seed ^ 0x5eed)
 		want.Seed(seed ^ 0x5eed)
 		equalDraws(t, "reseeded", drawScript(got), drawScript(want))
-		ReleaseRand(got)
 
 		// A never-drawn generator reseeded before its first draw.
 		twice := newRand(seed + 1)
@@ -75,25 +74,17 @@ func TestAcquireRandBitIdentical(t *testing.T) {
 		equalDraws(t, "seeded twice before drawing", drawScript(twice), drawScript(rand.New(rand.NewSource(seed))))
 	}
 
-	// Release generators mid-Read and acquire again under new seeds. The
-	// pool hands a released generator back to the same goroutine; unless
-	// AcquireRand reseeds through (*rand.Rand).Seed, the stale Read buffer
-	// leaks into the next stream.
-	reused := 0
+	// Cut a Read short and reuse the generator under a new seed. Unless
+	// Reseed goes through (*rand.Rand).Seed, the stale Read buffer leaks
+	// into the next stream.
 	for i, seed := range seeds {
-		r := AcquireRand(seed)
+		r := newRand(seed)
 		r.Read(make([]byte, 1+i%6))
-		ReleaseRand(r)
 		next := seed*31 + int64(i)
-		again := AcquireRand(next)
-		if again == r {
-			reused++
+		if Reseed(r, next) != r {
+			t.Fatal("Reseed replaced the generator it was given")
 		}
-		equalDraws(t, "re-acquired", drawScript(again), drawScript(rand.New(rand.NewSource(next))))
-		ReleaseRand(again)
-	}
-	if reused == 0 {
-		t.Error("the pool never handed a released generator back; the re-acquire path went untested")
+		equalDraws(t, "reused", drawScript(r), drawScript(rand.New(rand.NewSource(next))))
 	}
 
 	t.Run("fill boundaries", testFillBoundaries)
@@ -128,11 +119,11 @@ func boundarySeeds() []int64 {
 }
 
 // testFillBoundaries pins rngSource to rand.NewSource across the draws
-// where its fill rules change. Every seed draws 2,048 values fresh from the
-// pool; then, on both a pooled and an unpooled generator, a stream under the
-// previous seed is cut after each boundary draw count and reseeded, so the
-// table a reseed leaves behind holds stale words at every position the
-// fill rules must overwrite before reading.
+// where its fill rules change. Every seed draws 2,048 values from a fresh
+// generator; then a used generator's stream under the previous seed is cut
+// after each boundary draw count and reseeded, so the table a reseed
+// leaves behind holds stale words at every position the fill rules must
+// overwrite before reading.
 func testFillBoundaries(t *testing.T) {
 	const draws = 2048
 	seeds := boundarySeeds()
@@ -150,30 +141,23 @@ func testFillBoundaries(t *testing.T) {
 		for j := range want {
 			want[j] = ref.Uint64()
 		}
-		r := AcquireRand(seed)
-		check("fresh from the pool", seed, r)
-		ReleaseRand(r)
+		check("fresh", seed, Reseed(nil, seed))
 
 		prev := seeds[(i+len(seeds)-1)%len(seeds)]
 		for _, n := range fillBoundaries {
-			pooled, own := AcquireRand(prev), newRand(prev)
+			used := newRand(prev)
 			for k := 0; k < n; k++ {
-				pooled.Uint64()
-				own.Uint64()
+				used.Uint64()
 			}
-			pooled.Seed(seed)
-			own.Seed(seed)
-			check(fmt.Sprintf("pooled, reseeded after %d draws", n), seed, pooled)
-			check(fmt.Sprintf("unpooled, reseeded after %d draws", n), seed, own)
-			ReleaseRand(pooled)
+			check(fmt.Sprintf("reseeded after %d draws", n), seed, Reseed(used, seed))
 		}
 	}
 }
 
-// FuzzRandBitIdentical drives a pooled and an unpooled generator next to
-// rand.New(rand.NewSource(seed)) through a mix of Int63, Uint64, Intn and
-// Read calls, reseeding all three after reseedAt calls, and requires every
-// value to match.
+// FuzzRandBitIdentical drives a fresh generator and a used one reseeded
+// through (*rand.Rand).Seed next to rand.New(rand.NewSource(seed)) through
+// a mix of Int63, Uint64, Intn and Read calls, reseeding all three after
+// reseedAt calls, and requires every value to match.
 func FuzzRandBitIdentical(f *testing.F) {
 	for _, n := range fillBoundaries {
 		f.Add(int64(n), uint16(n+1), uint16(0), int64(-n))
@@ -183,9 +167,10 @@ func FuzzRandBitIdentical(f *testing.F) {
 	f.Add(int64(int32max), uint16(2500), uint16(1000), int64(89482311))
 	f.Fuzz(func(t *testing.T, seed int64, draws uint16, reseedAt uint16, reseed int64) {
 		want := rand.New(rand.NewSource(seed))
-		pooled, own := AcquireRand(seed), newRand(seed)
-		defer ReleaseRand(pooled)
-		gens := []*rand.Rand{pooled, own}
+		used := newRand(^seed)
+		used.Read(make([]byte, 5))
+		used.Seed(seed)
+		gens := []*rand.Rand{newRand(seed), used}
 		var wbuf, gbuf [9]byte
 		for i := 0; i < int(draws); i++ {
 			if i == int(reseedAt) {

@@ -7,13 +7,11 @@
 package eval
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"sync"
 
 	"geneva/internal/apps"
-	"geneva/internal/censor"
 	"geneva/internal/core"
 	"geneva/internal/netsim"
 	"geneva/internal/obs"
@@ -51,19 +49,6 @@ type CensorCounter interface {
 	// Reset returns the censor to the state its registry constructor
 	// leaves it in when given rng, keeping its tables' capacity.
 	Reset(rng *rand.Rand)
-}
-
-// NewCensor builds the middlebox for a country, or nil for CountryNone.
-// The registry is the single source of truth: adding a CensorDef makes the
-// country constructible here with no further wiring.
-func NewCensor(country string, bl censor.Blocklist, rng *rand.Rand) CensorCounter {
-	if country == CountryNone {
-		return nil
-	}
-	if d, ok := CensorByCountry(country); ok {
-		return d.New(bl, rng)
-	}
-	panic(fmt.Sprintf("eval: unknown country %q", country))
 }
 
 // Config describes one trial.
@@ -135,37 +120,23 @@ type Result struct {
 	Trace *netsim.Trace
 }
 
-// Rig is a wired-up client/censor/server sandbox that can run repeated
-// connections against the same censor state. Run recycles rigs: reset
-// rewires one for the next trial in place, censor included while the
-// country is unchanged.
+// Rig is the §4.2 trial's sandbox: one client, the country's censor and a
+// server running the strategy, which can run repeated connections against
+// the same censor state. Run recycles rigs: reset rewires one for the next
+// trial in place, censor included while the country is unchanged.
 type Rig struct {
-	Client  *tcpstack.Endpoint
-	Server  *tcpstack.Endpoint
-	Net     *netsim.Network
-	Censor  CensorCounter
+	Sandbox
+	Client  *tcpstack.Endpoint // the one client slot
 	Session *apps.Session
 
-	// country is the country Censor was built for.
-	country string
-
-	// gens holds one generator per stream, indexed by the stream's offset.
-	// The rig owns them for life and reset reseeds them.
-	gens [streamImpairments + 1]*rand.Rand
 	// engine is compiled from a private clone of the strategy whose
 	// canonical text is engineText; reset keeps it while the config's
-	// strategy prints the same. engineOut is its Outbound, bound once.
+	// strategy prints the same. engineOut is its Outbound, bound once, and
+	// engineRng the engine stream's generator, the rig's for life.
 	engine     *core.Engine
 	engineText string
 	engineOut  func(*packet.Packet) []*packet.Packet
-
-	// scripts recycles the application scripts: each client and server
-	// script is a copy of Session's template, leased from scripts and
-	// listed in leased until the next reset releases it. serverApp is the
-	// server's NewServerApp, bound once.
-	scripts   apps.Scripts
-	leased    []*apps.Script
-	serverApp func(*tcpstack.Conn) tcpstack.App
+	engineRng  *rand.Rand
 }
 
 // The trial seed schedule: trial i of a rate loop runs at seed
@@ -203,27 +174,12 @@ func NewRig(cfg Config) *Rig {
 	return r
 }
 
-// stream reseeds the rig's generator for one stream at the trial seed plus
-// the stream's offset, creating it on first use.
-func (r *Rig) stream(seed, offset int64) *rand.Rand {
-	g := r.gens[offset]
-	if g == nil {
-		g = newRand(seed + offset)
-		r.gens[offset] = g
-	} else {
-		g.Seed(seed + offset)
-	}
-	return g
-}
-
-// reset wires the rig for cfg, reusing what the last trial left behind:
-// the only path that wires a rig, so a reset rig is in exactly the state a
-// fresh one would be. The endpoints, the network and the generators are
-// reset in place, the censor is reset in place while the country is
-// unchanged, the engine is kept while the strategy's text is unchanged,
-// and the last trial's scripts go back to the rig's freelist, so a script
-// Attempt returned stays valid until the next reset. Only the Trace is
-// built anew, because Run returns it.
+// reset wires the rig for cfg through the sandbox's Reset, reusing what
+// the last trial left behind: the only path that wires a rig, so a reset
+// rig is in exactly the state a fresh one would be. The engine is kept
+// while the strategy's text is unchanged, and a script Attempt returned
+// stays valid until the next reset. Only the Trace is built anew, because
+// Run returns it.
 func (r *Rig) reset(cfg Config) {
 	os := cfg.ClientOS
 	if os.Name == "" {
@@ -234,96 +190,49 @@ func (r *Rig) reset(cfg Config) {
 	if !clientAddr.IsValid() {
 		clientAddr = ClientAddr
 	}
-	if r.Net == nil {
-		r.Client, r.Server, r.Net = new(tcpstack.Endpoint), new(tcpstack.Endpoint), new(netsim.Network)
-		r.serverApp = r.serve
-	}
-	client, server, n := r.Client, r.Server, r.Net
-	client.Reset(clientAddr, os, r.stream(seed, streamClient))
-	server.Reset(ServerAddr, tcpstack.DefaultServer, r.stream(seed, streamServer))
-	r.scripts.Release(r.leased...)
-	r.leased = r.leased[:0]
-	server.NewServerApp = r.serverApp
-	server.Listen(cfg.Session.Port)
+	var out func(*packet.Packet) []*packet.Packet
 	if cfg.Strategy != nil {
-		rng := r.stream(seed, streamEngine)
+		r.engineRng = Reseed(r.engineRng, seed+streamEngine)
 		// Keyed on the text, not the pointer: the GA mutates strategies in
 		// place and rescores the same pointer.
 		if text := cfg.Strategy.String(); r.engine == nil || text != r.engineText {
-			r.engine = core.NewEngine(cfg.Strategy.Clone(), rng)
+			r.engine = core.NewEngine(cfg.Strategy.Clone(), r.engineRng)
 			r.engineText = text
 			r.engineOut = r.engine.Outbound
 		}
-		server.Outbound = r.engineOut
+		out = r.engineOut
 	}
-
-	switch {
-	case cfg.Country != r.country:
-		r.Censor = NewCensor(cfg.Country, censor.Default(), r.stream(seed, streamCensor))
-		r.country = cfg.Country
-	case r.Censor != nil:
-		r.Censor.Reset(r.stream(seed, streamCensor))
-	}
-	// The endpoints went first because the network's client table needs
-	// the client's new address; nothing runs in between, so no timer of
-	// the last trial can fire into a recycled connection.
-	if r.Censor != nil {
-		n.Reset(client, server, r.Censor)
-	} else {
-		n.Reset(client, server)
-	}
-	// Recycling is safe here because every component in the rig — endpoints,
-	// censors, apps — copies what it keeps and never retains a delivered
-	// *Packet (a Trace clones what it records), so delivered packets can go
-	// straight back to the pool.
-	n.RecyclePackets = true
+	r.Reset(cfg.Country, []netip.Addr{clientAddr}, os, out, cfg.Impairments, Seeds{
+		Server:      seed + streamServer,
+		Censor:      seed + streamCensor,
+		Impairments: seed + streamImpairments,
+		Clients:     seed + streamClient,
+	})
+	r.Client = r.Clients[0]
+	r.Serve(cfg.Session.Port, cfg.Session.Server())
+	r.Server.Listen(cfg.Session.Port)
 	if cfg.WithTrace {
-		n.Trace = &netsim.Trace{}
+		r.Net.Trace = &netsim.Trace{}
 	}
-	if cfg.Impairments.Enabled() {
-		// A stream of its own keeps the impairment schedule independent
-		// of the ISN, engine, and censor streams.
-		n.SetImpairments(cfg.Impairments, r.stream(seed, streamImpairments))
-		client.Retransmit = true
-		server.Retransmit = true
-	}
-	client.Attach(n)
-	server.Attach(n)
 	r.Session = cfg.Session
 	if cfg.Hook != nil {
 		cfg.Hook(r)
 	}
 }
 
-// Attempt runs one connection to completion (network quiet) and returns the
-// client application, which stays valid until the rig is next reset.
+// Attempt runs one connection of Session to completion (network quiet) and
+// returns the client application, which stays valid until the rig is next
+// reset. Session may change between attempts: the server serves the
+// current one's template.
 func (r *Rig) Attempt() *apps.Script {
 	if r.Net.Trace != nil {
 		r.Net.Trace.Entries = nil // keep only the current attempt
 	}
-	app := r.lease(r.Session.Client())
+	r.Serve(r.Session.Port, r.Session.Server())
+	app := r.Lease(r.Session.Client())
 	r.Client.Connect(ServerAddr, r.Session.Port, app)
 	r.Net.Run(0)
 	return app
-}
-
-// serve is the server's NewServerApp: a copy of the session's server
-// template per accepted connection.
-func (r *Rig) serve(*tcpstack.Conn) tcpstack.App { return r.lease(r.Session.Server()) }
-
-// lease copies tmpl into a recycled script that the next reset releases.
-func (r *Rig) lease(tmpl *apps.Script) *apps.Script {
-	s := r.scripts.Lease(tmpl)
-	r.leased = append(r.leased, s)
-	return s
-}
-
-// CensorEvents returns the censor's event count (0 with no censor).
-func (r *Rig) CensorEvents() int {
-	if r.Censor == nil {
-		return 0
-	}
-	return r.Censor.CensoredCount()
 }
 
 // rigPool recycles trial rigs: Run resets a pooled rig in place instead

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math/rand"
 	"testing"
 
 	"geneva/internal/netsim"
@@ -179,9 +180,9 @@ func TestKazakhstanHTTPSInactive(t *testing.T) {
 
 // TestSeedScheduleMatchesRig checks that each stream offset SeedSchedule
 // records reproduces the generator NewRig draws that stream from: the
-// rig's next draw on each of its owned generators is one of the first
-// draws of a fresh generator at the trial seed plus the recorded offset
-// (the endpoints draw a few values while the rig is built).
+// next draw on each generator the rig and its sandbox own is one of the
+// first draws of a fresh generator at the trial seed plus the recorded
+// offset (the endpoints draw a few values while the rig is built).
 func TestSeedScheduleMatchesRig(t *testing.T) {
 	const seed = 4242
 	s1, _ := strategies.ByNumber(1)
@@ -193,11 +194,12 @@ func TestSeedScheduleMatchesRig(t *testing.T) {
 		Impairments: netsim.Symmetric(netsim.Profile{Loss: 0.01}),
 	})
 	sched := SeedSchedule(seed)
-	// The rig's generators, indexed by stream offset.
+	// The rig's generators, in stream-offset order.
 	order := []string{"client", "server", "engine", "censor", "impairments"}
-	if len(rig.gens) != len(order) || len(sched.Streams) != len(order) {
-		t.Fatalf("rig holds %d streams, schedule records %d, want %d",
-			len(rig.gens), len(sched.Streams), len(order))
+	gens := []*rand.Rand{rig.Gens.Clients[0], rig.Gens.Server, rig.engineRng, rig.Gens.Censor, rig.Gens.Impairments}
+	if len(rig.Gens.Clients) != 1 || len(sched.Streams) != len(order) {
+		t.Fatalf("rig holds %d client streams, schedule records %d streams, want 1 and %d",
+			len(rig.Gens.Clients), len(sched.Streams), len(order))
 	}
 	for i, name := range order {
 		off, ok := sched.Streams[name]
@@ -207,12 +209,11 @@ func TestSeedScheduleMatchesRig(t *testing.T) {
 		if off != int64(i) {
 			t.Fatalf("%s stream at offset %d, but the rig keeps it at %d", name, off, i)
 		}
-		fresh := AcquireRand(sched.Base + off)
-		got, found := rig.gens[i].Int63(), false
+		fresh := newRand(sched.Base + off)
+		got, found := gens[i].Int63(), false
 		for j := 0; j < 16 && !found; j++ {
 			found = fresh.Int63() == got
 		}
-		ReleaseRand(fresh)
 		if !found {
 			t.Errorf("%s stream: rig drew %d, not among the first draws at seed %d+%d",
 				name, got, sched.Base, off)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math/rand"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -62,34 +63,29 @@ func cellPool(key cellKey) *sync.Pool {
 }
 
 // cell is one wired cell network, leased from its key's pool for one run:
+// an eval.Sandbox with a slot per client, behind the deployment router.
 // newCell wires it, it stays alive to the end of its last wave so the
 // scheduler can drive all cells in wave lockstep, and Run puts it back once
 // the run's result is aggregated. Everything in a cell runs on a single
 // goroutine per wave against the cell's own virtual clock; only its
 // residual exports leave it.
 type cell struct {
+	eval.Sandbox
 	wl   Workload
 	plan cellPlan
 	home *sync.Pool // the pool of the cell's key
 
-	server *tcpstack.Endpoint
-	// slots holds one client endpoint per slot index. A pooled cell may
-	// hold more than its plan uses; only the plan's slots are wired, and
-	// hosts lists them for the network.
-	slots    []*tcpstack.Endpoint
-	hosts    []netsim.Host
+	addrs    []netip.Addr             // the plan's slot addresses
 	sessions map[string]*apps.Session // full-length session per protocol
-	net      *netsim.Network
-	cen      eval.CensorCounter
-	resid    censor.ResidualCarrier // non-nil iff the censor shares residual state
-	shifter  censor.ParamShifter    // non-nil iff the censor can shift mid-run
+	resid    censor.ResidualCarrier   // non-nil iff the censor shares residual state
+	shifter  censor.ParamShifter      // non-nil iff the censor can shift mid-run
 	lease    *eval.RouterLease
-	rngs     eval.Rands
 
 	// Portfolio delivery: armLease is nil without a portfolio and on
 	// unrouted-country cells (the uncensored population matches no route,
-	// so no server-side strategy applies to it either way); selCell and
-	// selRng are nil unless Selection is on as well.
+	// so no server-side strategy applies to it either way); selCell is nil
+	// unless Selection is on as well. selRng is the selector stream's
+	// generator, the cell's for life.
 	armLease *eval.PortfolioLease
 	selCell  *selector.Cell
 	selRng   *rand.Rand
@@ -105,23 +101,17 @@ type cell struct {
 	waveStart []int
 	res       cellResult
 
-	// Every script the cell runs is a copy of a template leased from
-	// scripts: client templates by shape, server templates by port. The
-	// templates are read-only (a full session's are SessionFor's cached
-	// scripts, shared across goroutines), so only the copies are ever run
-	// or modified. A copy goes back once its connection can no longer
-	// receive a packet: a client's when its attempt settles, a server's
-	// (listed in serverLive) at wave end. The templates depend only on the
-	// cell's key, so a pooled cell keeps them.
-	clients    map[scriptKey]*apps.Script
-	servers    map[uint16]*apps.Script
-	scripts    apps.Scripts
-	serverLive []*apps.Script
-	live       []inflight
+	// Every script the cell runs is a copy of a read-only template leased
+	// from the sandbox's Scripts: client templates by shape, server
+	// templates (registered with Serve) by port. A full session's client
+	// templates are SessionFor's cached scripts, shared across goroutines.
+	// A copy goes back once its connection can no longer receive a packet:
+	// a client's when its attempt settles, a server's at wave end. The
+	// templates depend only on the cell's key, so a pooled cell keeps them.
+	clients map[scriptKey]*apps.Script
+	live    []inflight
 
-	// serveApp and routeOut are the server's NewServerApp and Outbound,
-	// bound once when the cell is first built.
-	serveApp func(*tcpstack.Conn) tcpstack.App
+	// routeOut is the server's Outbound, bound once.
 	routeOut func(*packet.Packet) []*packet.Packet
 }
 
@@ -136,31 +126,21 @@ func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 	return c
 }
 
-// reset wires c for cp, in place: the only path that wires a cell, so a
-// pooled cell is in exactly the state an empty one reaches. The endpoints,
-// the censor and the network are reset in place, the template maps keep
-// what earlier runs of the key built, and every freelist keeps its
-// capacity. Each stream is seeded from the cell's plan index, so the order
-// of the draws is the plan's, never the scheduler's.
+// reset wires c for cp, in place, through the sandbox's Reset: the only
+// path that wires a cell, so a pooled cell is in exactly the state an
+// empty one reaches. The template maps keep what earlier runs of the key
+// built, and every freelist keeps its capacity. Each stream is seeded from
+// the cell's plan index, so the order of the draws is the plan's, never
+// the scheduler's.
 func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
-	if c.net == nil {
-		c.server, c.net = new(tcpstack.Endpoint), new(netsim.Network)
+	if c.sessions == nil {
 		c.sessions = map[string]*apps.Session{}
 		c.clients = map[scriptKey]*apps.Script{}
-		c.servers = map[uint16]*apps.Script{}
-		c.serveApp = c.serve
 		c.routeOut = c.route
 	}
 	c.wl, c.plan = wl, cp
 	cellSeed := wl.Seed + int64(cp.index)*cellSeedStride
-	// Impaired links arm every endpoint's retransmission.
-	im := netsim.Symmetric(wl.Impairments)
-
-	c.server.Reset(eval.ServerAddr, tcpstack.DefaultServer, c.rngs.Acquire(cellSeed+seedServer))
 	c.lease = eval.AcquireDeploymentRouter(cellSeed + seedRouter)
-	c.server.Outbound = c.routeOut
-	c.server.ReleaseClosed, c.server.Retransmit = true, im.Enabled()
-	c.server.Attach(c.net)
 
 	// Portfolio delivery: routed countries get one engine per arm, seeded
 	// per cell at cellSeed + eval.SeedArmBase + arm, and pullArm pins an
@@ -171,8 +151,35 @@ func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 		c.armLease = eval.AcquirePortfolioEngines(ctl.portfolio, cellSeed)
 		if ctl.state != nil {
 			c.selCell = ctl.state.NewCell()
-			c.selRng = c.rngs.Acquire(cellSeed + seedSelector)
+			c.selRng = eval.Reseed(c.selRng, cellSeed+seedSelector)
 		}
+	}
+
+	// One client slot per slot the plan uses. plan numbers a cell's slots
+	// from 0 in order of first use (the routed slots in wave 0, the
+	// unprotected ones after them in wave 1), so they are 0..n-1.
+	c.addrs = c.addrs[:0]
+	for _, cn := range cp.conns {
+		for s := len(c.addrs); s <= cn.slot; s++ {
+			c.addrs = append(c.addrs, clientAddr(cp.country, s, s >= wl.ClientsPerCell))
+		}
+	}
+	// The pool key holds the country, so a pooled cell's censor is the
+	// country's, and Reset undoes a Shift too.
+	c.Reset(cp.country, c.addrs, tcpstack.DefaultClient, c.routeOut, netsim.Symmetric(wl.Impairments), eval.Seeds{
+		Server:      cellSeed + seedServer,
+		Censor:      cellSeed + seedCensor,
+		Impairments: cellSeed + seedImpairments,
+		Clients:     cellSeed + seedClients,
+	})
+	c.Server.ReleaseClosed = true
+	for _, ep := range c.Clients[:len(c.addrs)] {
+		ep.ReleaseClosed = true
+	}
+	c.resid, _ = c.Censor.(censor.ResidualCarrier)
+	c.shifter, _ = c.Censor.(censor.ParamShifter)
+	if c.resid != nil && c.exports == nil {
+		c.exports = residualLedger{}
 	}
 
 	// One forbidden session per protocol in the cell; the server listens on
@@ -195,56 +202,11 @@ func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 			}
 			c.sessions[cn.protocol] = sess
 			c.clients[scriptKey{proto: cn.protocol, exch: sess.Exchanges()}] = sess.Client()
-			c.servers[sess.Port] = sess.Server()
+			server := *sess.Server()
+			server.CloseAtEnd = true
+			c.Serve(sess.Port, &server)
 		}
-		c.server.Listen(sess.Port)
-	}
-	c.server.NewServerApp = c.serveApp
-
-	// Client endpoints, one per slot the plan uses. plan numbers a cell's
-	// slots from 0 in order of first use (the routed slots in wave 0, the
-	// unprotected ones after them in wave 1), so they are 0..n-1 and slot
-	// order is the order of first use.
-	n := 0
-	for _, cn := range cp.conns {
-		n = max(n, cn.slot+1)
-	}
-	for len(c.slots) < n {
-		c.slots = append(c.slots, new(tcpstack.Endpoint))
-	}
-	c.hosts = c.hosts[:0]
-	for s, ep := range c.slots[:n] {
-		ep.Reset(clientAddr(cp.country, s, s >= wl.ClientsPerCell),
-			tcpstack.DefaultClient, c.rngs.Acquire(cellSeed+seedClients+int64(s)))
-		ep.ReleaseClosed, ep.Retransmit = true, im.Enabled()
-		ep.Attach(c.net)
-		c.hosts = append(c.hosts, ep)
-	}
-
-	// The pool key holds the country, so a pooled cell's censor is the
-	// country's: Reset returns it to what NewCensor builds, undoing a
-	// Shift too.
-	if rng := c.rngs.Acquire(cellSeed + seedCensor); c.cen != nil {
-		c.cen.Reset(rng)
-	} else {
-		c.cen = eval.NewCensor(cp.country, censor.Default(), rng)
-		c.resid, _ = c.cen.(censor.ResidualCarrier)
-		c.shifter, _ = c.cen.(censor.ParamShifter)
-	}
-	if c.resid != nil && c.exports == nil {
-		c.exports = residualLedger{}
-	}
-
-	// The endpoints went first because the network's client table needs
-	// their new addresses; nothing runs in between.
-	if c.cen != nil {
-		c.net.ResetMulti(c.server, c.hosts, c.cen)
-	} else {
-		c.net.ResetMulti(c.server, c.hosts)
-	}
-	c.net.RecyclePackets = true
-	if im.Enabled() {
-		c.net.SetImpairments(im, c.rngs.Acquire(cellSeed+seedImpairments))
+		c.Server.Listen(sess.Port)
 	}
 
 	c.waveStart = c.waveStart[:0]
@@ -268,22 +230,13 @@ func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 // waves is the number of waves the cell runs.
 func (c *cell) waves() int { return len(c.waveStart) - 1 }
 
-// serve is the server's NewServerApp: a copy of the template of the port
-// the client connected to, released at wave end.
-func (c *cell) serve(conn *tcpstack.Conn) tcpstack.App {
-	s := c.scripts.Lease(c.servers[conn.Flow().SrcPort])
-	s.CloseAtEnd = true
-	c.serverLive = append(c.serverLive, s)
-	return s
-}
-
 // route is the server's Outbound: the leased deployment router.
 func (c *cell) route(p *packet.Packet) []*packet.Packet { return c.lease.Router.Outbound(p) }
 
 // drain runs the cell network until no event is pending.
 func (c *cell) drain() {
-	for !c.net.Quiet() {
-		c.net.Run(0)
+	for !c.Net.Quiet() {
+		c.Net.Run(0)
 	}
 }
 
@@ -298,7 +251,7 @@ func (c *cell) leaseClient(proto string, m int) *apps.Script {
 		tmpl = eval.SessionFor(c.plan.country, proto, true).KeepAlive(m, c.wl.RequestGap).Client()
 		c.clients[k] = tmpl
 	}
-	s := c.scripts.Lease(tmpl)
+	s := c.Scripts.Lease(tmpl)
 	s.CloseAtEnd = true
 	return s
 }
@@ -324,19 +277,16 @@ func (c *cell) pullArm(cn *connPlan) int {
 }
 
 // finish closes the cell out: stamp plans and censor totals into the
-// result, and hand the leased router, engines and rngs back. The result's
+// result, and hand the leased router and engines back. The result's
 // connection slice stays the cell's: Run reads it before it puts the cell
 // back in its pool, and the next reset reuses it.
 func (c *cell) finish() cellResult {
 	for i := range c.res.conns {
 		c.res.conns[i].plan = c.plan.conns[i]
 	}
-	if c.cen != nil {
-		c.res.censorEvents = c.cen.CensoredCount()
-	}
+	c.res.censorEvents = c.CensorEvents()
 	eval.ReleaseDeploymentRouter(c.lease)
 	eval.ReleasePortfolioEngines(c.armLease)
-	c.lease, c.armLease, c.selCell, c.selRng = nil, nil, nil, nil
-	c.rngs.Release()
+	c.lease, c.armLease, c.selCell = nil, nil, nil
 	return c.res
 }

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -27,7 +29,7 @@ func pooledCells(key cellKey) []*cell {
 	var out []*cell
 	for {
 		c := p.Get().(*cell)
-		if c.net == nil {
+		if c.Net == nil {
 			return out
 		}
 		out = append(out, c)
@@ -166,29 +168,93 @@ func TestCellResetMatchesFresh(t *testing.T) {
 // connection exactly when the plan runs the protocol.
 func probeCell(t *testing.T, name string, c *cell, protocols []string) {
 	t.Helper()
-	c.net.RecyclePackets = false // the probes are not pool packets
-	c.net.Trace = &netsim.Trace{}
+	c.Net.RecyclePackets = false // the probes are not pool packets
+	c.Net.Trace = &netsim.Trace{}
 	used := map[int]bool{}
 	for _, cn := range c.plan.conns {
 		used[cn.slot] = true
 	}
-	for s, ep := range c.slots {
-		c.net.Inject(packet.New(eval.ServerAddr, ep.Addr(), 80, 9), netsim.ToClient)
+	for s, ep := range c.Clients {
+		c.Net.Inject(packet.New(eval.ServerAddr, ep.Addr(), 80, 9), netsim.ToClient)
 		c.drain()
-		last := c.net.Trace.Entries[len(c.net.Trace.Entries)-1]
+		last := c.Net.Trace.Entries[len(c.Net.Trace.Entries)-1]
 		if got, want := last.Event == netsim.EventDelivered, used[s]; got != want {
 			t.Errorf("after %s: cell %d slot %d (%v) routed = %v, want %v", name, c.plan.index, s, ep.Addr(), got, want)
 		}
 	}
 	for _, proto := range eval.Protocols() {
 		port := eval.SessionFor(c.plan.country, proto, true).Port
-		syn := packet.New(c.slots[0].Addr(), eval.ServerAddr, 40000, port)
+		syn := packet.New(c.Clients[0].Addr(), eval.ServerAddr, 40000, port)
 		syn.TCP.Flags = packet.FlagSYN
-		before := len(c.server.Conns())
-		c.net.Inject(syn, netsim.ToServer)
+		before := len(c.Server.Conns())
+		c.Net.Inject(syn, netsim.ToServer)
 		c.drain()
-		if got, want := len(c.server.Conns()) > before, slices.Contains(protocols, proto); got != want {
+		if got, want := len(c.Server.Conns()) > before, slices.Contains(protocols, proto); got != want {
 			t.Errorf("after %s: cell %d listens on %s's port %d = %v, want %v", name, c.plan.index, proto, port, got, want)
+		}
+	}
+}
+
+// TestSeedScheduleMatchesCell is TestSeedScheduleMatchesRig's twin for
+// cells: every stream the manifest records must seed the generator the
+// cell's wiring draws it from. A wired cell's next draw on each of its
+// generators is one of the first draws of a fresh generator at the cell's
+// seed plus the recorded offset (the endpoints and the censor draw a few
+// values while the cell is wired).
+func TestSeedScheduleMatchesCell(t *testing.T) {
+	wl := Workload{
+		Countries:   []string{eval.CountryChina},
+		Connections: 40,
+		Impairments: netsim.Profile{Loss: 0.01},
+		Selection:   selector.Selection{Policy: selector.EpsilonGreedy},
+		Seed:        4242,
+	}.withDefaults()
+	ctl := resolveControl(wl)
+	plans := plan(wl)
+	sched := manifest(wl, len(plans), ctl).Seeds
+	if sched.Base != wl.Seed || sched.TrialStep != cellSeedStride {
+		t.Fatalf("schedule base %d step %d, want %d and %d", sched.Base, sched.TrialStep, wl.Seed, cellSeedStride)
+	}
+	cp := plans[1] // a cell whose seed is not the base
+	c := new(cell)
+	c.reset(wl, cp, ctl)
+	defer c.finish()
+	cellSeed := sched.Base + int64(cp.index)*sched.TrialStep
+
+	gens := map[string]*rand.Rand{
+		"server":      c.Gens.Server,
+		"censor":      c.Gens.Censor,
+		"impairments": c.Gens.Impairments,
+		"selector":    c.selRng,
+	}
+	offsets := map[string]int64{}
+	for name, g := range gens {
+		off, ok := sched.Streams[name]
+		if !ok {
+			t.Fatalf("the manifest records no %q stream", name)
+		}
+		offsets[name] = off
+		if g == nil {
+			t.Fatalf("the cell holds no %s generator", name)
+		}
+	}
+	if len(c.Gens.Clients) != wl.ClientsPerCell+wl.UnprotectedPerCell {
+		t.Fatalf("the cell holds %d client generators, want %d",
+			len(c.Gens.Clients), wl.ClientsPerCell+wl.UnprotectedPerCell)
+	}
+	for s, g := range c.Gens.Clients {
+		name := fmt.Sprintf("clients+%d", s)
+		gens[name], offsets[name] = g, sched.Streams["clients"]+int64(s)
+	}
+	for name, g := range gens {
+		seed := cellSeed + offsets[name]
+		fresh := rand.New(rand.NewSource(seed))
+		got, found := g.Int63(), false
+		for j := 0; j < 16 && !found; j++ {
+			found = fresh.Int63() == got
+		}
+		if !found {
+			t.Errorf("%s stream: the cell drew %d, not among the first draws at seed %d", name, got, seed)
 		}
 	}
 }

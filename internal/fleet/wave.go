@@ -32,7 +32,7 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 		return
 	}
 	if w > 0 {
-		c.net.Clock.Advance(c.wl.WaveGap)
+		c.Net.Clock.Advance(c.wl.WaveGap)
 	}
 
 	// Apply the censor shift once, at the start of its wave. Purely a
@@ -49,7 +49,7 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 	// SeedResidual turns self-seeding into a no-op: a cell's behaviour is
 	// unchanged by its own ledger contribution.
 	if c.resid != nil && len(ledger) > 0 {
-		now := c.net.Clock.Now()
+		now := c.Net.Clock.Now()
 		for key, remaining := range ledger {
 			if remaining <= c.wl.WaveGap {
 				continue
@@ -69,7 +69,7 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 	// drained when they are scheduled, so zero-backoff reconnects fire at
 	// once, in the order they were scheduled.
 	pol := c.wl.Reconnect
-	now := c.net.Clock.Now()
+	now := c.Net.Clock.Now()
 	live := c.live[:0]
 	for idx := c.waveStart[w]; idx < c.waveStart[w+1]; idx++ {
 		cn := &c.plan.conns[idx]
@@ -80,7 +80,7 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 		r.startAt = now
 		app := c.leaseClient(cn.protocol, m)
 		arm := c.pullArm(cn)
-		c.slots[cn.slot].Connect(eval.ServerAddr, sess.Port, app)
+		c.Clients[cn.slot].Connect(eval.ServerAddr, sess.Port, app)
 		r.attempts++
 		live = append(live, inflight{idx: idx, app: app, connectAt: now, arm: arm})
 	}
@@ -124,11 +124,11 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 				app := c.leaseClient(cn.protocol, r.planned-r.served)
 				arm := c.pullArm(cn) // a reconnect is a fresh pull
 				r.attempts++
-				slot, port := c.slots[cn.slot], c.sessions[cn.protocol].Port
-				c.net.After(pol.Backoff, func() {
+				slot, port := c.Clients[cn.slot], c.sessions[cn.protocol].Port
+				c.Net.After(pol.Backoff, func() {
 					slot.Connect(eval.ServerAddr, port, app)
 				})
-				at := c.net.Clock.Now() + pol.Backoff
+				at := c.Net.Clock.Now() + pol.Backoff
 				live[n] = inflight{idx: f.idx, app: app, connectAt: at, arm: arm}
 				n++
 			} else {
@@ -136,7 +136,7 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 				// exchange was served, whether on the first attempt or
 				// across reconnects.
 				r.success = r.served >= r.planned
-				r.lifetime = c.net.Clock.Now() - r.startAt
+				r.lifetime = c.Net.Clock.Now() - r.startAt
 				if span := time.Duration(r.planned-1) * c.wl.RequestGap; r.lifetime < span {
 					// A give-up-early policy doesn't shrink the denominator:
 					// the user wanted service across the whole planned span.
@@ -146,7 +146,7 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 			// The settled attempt's flow can never receive another packet:
 			// client ports only move forward, and the wave drained to
 			// quiescence before settlement was read.
-			c.scripts.Release(f.app)
+			c.Scripts.Release(f.app)
 		}
 		live = live[:n]
 	}
@@ -154,11 +154,10 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 
 	// Every connection of the wave has settled, so no server-side script
 	// can see another byte; reclaim the leases for the next wave.
-	c.scripts.Release(c.serverLive...)
-	c.serverLive = c.serverLive[:0]
+	c.ReleaseLeased()
 
 	if c.resid != nil {
-		now := c.net.Clock.Now()
+		now := c.Net.Clock.Now()
 		c.resid.ExportResidual(now, func(key string, remaining time.Duration) {
 			if cur, ok := c.exports[key]; !ok || remaining > cur {
 				c.exports[key] = remaining

@@ -90,7 +90,7 @@ type Network struct {
 	boxes          []Middlebox
 
 	// impair holds each Direction's profile and impaired whether it is
-	// active, resolved once by SetImpairments (and cleared by Reset) so
+	// active, resolved once by SetImpairments (and cleared by ResetMulti) so
 	// the unimpaired path reads one flag per packet.
 	impair    [2]Profile
 	impaired  [2]bool
@@ -104,14 +104,8 @@ type Network struct {
 // 5 beyond it, 1 ms per hop.
 func New(client, server Host, boxes ...Middlebox) *Network {
 	n := new(Network)
-	n.Reset(client, server, boxes...)
-	return n
-}
-
-// Reset returns n, in place, to the state New(client, server, boxes...)
-// builds; it is ResetMulti with one client.
-func (n *Network) Reset(client, server Host, boxes ...Middlebox) {
 	n.ResetMulti(server, []Host{client}, boxes...)
+	return n
 }
 
 // NewMulti builds a network with one server and several clients (all on the

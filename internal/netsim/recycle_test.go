@@ -35,7 +35,7 @@ func TestRecyclingResetDrainsBothLanes(t *testing.T) {
 	}
 
 	before := mRecycled.Value()
-	n.Reset(c, s)
+	n.ResetMulti(s, []Host{c})
 	if got := mRecycled.Value() - before; got != 5 {
 		t.Fatalf("reset recycled %d packets, want the 5 queued", got)
 	}
@@ -52,7 +52,7 @@ func TestRecyclingResetDrainsBothLanes(t *testing.T) {
 			t.Fatalf("heap slot %d still holds an event after reset", i)
 		}
 	}
-	n.Reset(c, s)
+	n.ResetMulti(s, []Host{c})
 	if got := mRecycled.Value() - before; got != 5 {
 		t.Fatalf("a second reset recycled %d more packets, want none", got-5)
 	}
