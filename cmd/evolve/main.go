@@ -76,6 +76,18 @@ func run(args []string, w io.Writer) error {
 		return usageError{}
 	}
 
+	opt := eval.EvolveOptions{
+		Country:       *country,
+		Protocol:      *protocol,
+		Population:    *population,
+		Generations:   *generations,
+		TrialsPerEval: *trials,
+		Seed:          *seed,
+		Workers:       *workers,
+	}
+	if err := opt.Check(); err != nil {
+		return usageError{err}
+	}
 	if *metrics || *manifest != "" {
 		obs.SetEnabled(true)
 		obs.Reset()
@@ -84,17 +96,9 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "Evolving server-side strategies against %s / %s (population %d, <= %d generations, %d trials/individual)\n\n",
 		*country, *protocol, *population, *generations, *trials)
 
-	res, stats, err := eval.EvolveWithStats(eval.EvolveOptions{
-		Country:       *country,
-		Protocol:      *protocol,
-		Population:    *population,
-		Generations:   *generations,
-		TrialsPerEval: *trials,
-		Seed:          *seed,
-		Workers:       *workers,
-	})
+	res, stats, err := eval.EvolveWithStats(opt)
 	if err != nil {
-		return usageError{err}
+		return err
 	}
 	for _, g := range res.History {
 		fmt.Fprintf(w, "gen %2d: best %.2f  mean %.2f  distinct %3d  %s\n",

@@ -30,17 +30,24 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadOptions checks that an unknown flag and an unknown
-// country are usage errors, returned before any search runs.
+// TestRunRejectsBadOptions checks that a bad flag or option is a usage
+// error, returned before the command writes anything.
 func TestRunRejectsBadOptions(t *testing.T) {
-	for _, args := range [][]string{{"-nosuchflag"}, {"-country", "atlantis", "-population", "4"}} {
+	for _, args := range [][]string{
+		{"-nosuchflag"},
+		{"-country", "atlantis", "-population", "4"},
+		{"-protocol", "gopher", "-population", "4"},
+		{"-population", "-1"},
+		{"-generations", "-1"},
+		{"-trials", "-1"},
+	} {
 		var b strings.Builder
 		err := run(args, &b)
 		if _, ok := err.(usageError); !ok {
 			t.Errorf("run(%q) = %v, want a usage error", args, err)
 		}
-		if strings.Contains(b.String(), "gen ") {
-			t.Errorf("run(%q) ran a search:\n%s", args, b.String())
+		if b.Len() != 0 {
+			t.Errorf("run(%q) wrote output:\n%s", args, b.String())
 		}
 	}
 }

@@ -40,8 +40,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -52,40 +54,64 @@ import (
 	"geneva/internal/obs"
 )
 
-func main() {
-	connections := flag.Int("connections", 500, "total client connections across the fleet")
-	countries := flag.String("countries", "", "comma-separated countries (default "+
-		strings.Join(geneva.Countries()[:len(geneva.Countries())-1], ",")+")")
-	protocols := flag.String("protocols", "", "comma-separated protocols the fleet cycles through (default http)")
-	clients := flag.Int("clients", 0, "routed clients per cell network (0 = default 4)")
-	waves := flag.Int("waves", 0, "connection waves per cell (0 = default 4)")
-	unprotected := flag.Int("unprotected", 0, "unrouted clients per cell's mixed waves (0 = default 1, negative = none)")
-	gap := flag.Duration("gap", 0, "virtual idle time between waves (0 = default 120s, past the GFW residual window; negative = none)")
-	requests := flag.Int("requests", 0, "keep-alive exchanges per connection (0 = one-shot sessions)")
-	reqgap := flag.Duration("reqgap", 0, "virtual think time between keep-alive exchanges (0 = default 30s)")
-	reconnectMax := flag.Int("reconnect-max", 0, "max connection attempts per session, reconnects included (0 = per-protocol default)")
-	reconnectBackoff := flag.Duration("reconnect-backoff", 0, "virtual wait before each reconnect (0 = immediate)")
-	retryAll := flag.Bool("retry-all", false, "reconnect after any failure, not only abortive teardown")
-	portfolioList := flag.String("portfolio", "", "\";\"-separated strategies (raw DSL or paper number 1-11) routed clients are served from")
-	selectPolicy := flag.String("select", "", "online selection policy: epsilon-greedy or ucb1 (default: pinned, no selection)")
-	shiftWave := flag.Int("shift-wave", 0, "wave at whose start -shift-params applies")
-	shiftCountry := flag.String("shift-country", "", "restrict -shift-params to one country's cells (default all)")
-	shiftParams := flag.String("shift-params", "", "comma-separated censor re-tunes, name=value (e.g. prst=0 or http.prst=0)")
-	seed := flag.Int64("seed", 1, "base seed; equal workloads agree exactly")
-	workers := flag.Int("workers", 0, "wave worker-pool width (0 = one per CPU); results are identical at any width")
-	loss := flag.Float64("loss", 0, "per-packet loss probability on every cell network")
-	dup := flag.Float64("dup", 0, "per-packet duplication probability")
-	reorder := flag.Float64("reorder", 0, "per-packet reordering probability")
-	jitter := flag.Duration("jitter", 0, "max random extra delivery delay (e.g. 3ms)")
-	asJSON := flag.Bool("json", false, "print the full FleetResult as JSON instead of the table")
-	metrics := flag.Bool("metrics", false, "enable cross-layer metrics and print the nonzero ones after the run")
-	manifest := flag.String("manifest", "", "write the run manifest (JSON) to this file; implies -metrics")
-	flag.Parse()
+// usageError is a bad flag or option, on which the command exits 2; it
+// exits 1 on any other error. A bad flag's usageError carries no error:
+// the flag set has already reported it.
+type usageError struct{ error }
 
-	if *metrics || *manifest != "" {
-		obs.SetEnabled(true)
-		obs.Reset()
+func main() {
+	err := run(os.Args[1:], os.Stdout)
+	var usage usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &usage):
+		if usage.error != nil {
+			fmt.Fprintln(os.Stderr, "fleet:", err)
+		}
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "fleet:", err)
+		os.Exit(1)
 	}
+}
+
+// run parses args, runs the deployment and writes its report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
+	connections := fs.Int("connections", 500, "total client connections across the fleet")
+	countries := fs.String("countries", "", "comma-separated countries (default "+
+		strings.Join(geneva.Countries()[:len(geneva.Countries())-1], ",")+")")
+	protocols := fs.String("protocols", "", "comma-separated protocols the fleet cycles through (default http)")
+	clients := fs.Int("clients", 0, "routed clients per cell network (0 = default 4)")
+	waves := fs.Int("waves", 0, "connection waves per cell (0 = default 4)")
+	unprotected := fs.Int("unprotected", 0, "unrouted clients per cell's mixed waves (0 = default 1, negative = none)")
+	gap := fs.Duration("gap", 0, "virtual idle time between waves (0 = default 120s, past the GFW residual window; negative = none)")
+	requests := fs.Int("requests", 0, "keep-alive exchanges per connection (0 = one-shot sessions)")
+	reqgap := fs.Duration("reqgap", 0, "virtual think time between keep-alive exchanges (0 = default 30s)")
+	reconnectMax := fs.Int("reconnect-max", 0, "max connection attempts per session, reconnects included (0 = per-protocol default)")
+	reconnectBackoff := fs.Duration("reconnect-backoff", 0, "virtual wait before each reconnect (0 = immediate)")
+	retryAll := fs.Bool("retry-all", false, "reconnect after any failure, not only abortive teardown")
+	portfolioList := fs.String("portfolio", "", "\";\"-separated strategies (raw DSL or paper number 1-11) routed clients are served from")
+	selectPolicy := fs.String("select", "", "online selection policy: epsilon-greedy or ucb1 (default: pinned, no selection)")
+	shiftWave := fs.Int("shift-wave", 0, "wave at whose start -shift-params applies")
+	shiftCountry := fs.String("shift-country", "", "restrict -shift-params to one country's cells (default all)")
+	shiftParams := fs.String("shift-params", "", "comma-separated censor re-tunes, name=value (e.g. prst=0 or http.prst=0)")
+	seed := fs.Int64("seed", 1, "base seed; equal workloads agree exactly")
+	workers := fs.Int("workers", 0, "wave worker-pool width (0 = one per CPU); results are identical at any width")
+	loss := fs.Float64("loss", 0, "per-packet loss probability on every cell network")
+	dup := fs.Float64("dup", 0, "per-packet duplication probability")
+	reorder := fs.Float64("reorder", 0, "per-packet reordering probability")
+	jitter := fs.Duration("jitter", 0, "max random extra delivery delay (e.g. 3ms)")
+	asJSON := fs.Bool("json", false, "print the full FleetResult as JSON instead of the table")
+	metrics := fs.Bool("metrics", false, "enable cross-layer metrics and print the nonzero ones after the run")
+	manifest := fs.String("manifest", "", "write the run manifest (JSON) to this file; implies -metrics")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{}
+	}
+
 	d := geneva.Deployment{
 		Connections:        *connections,
 		ClientsPerCell:     *clients,
@@ -115,47 +141,47 @@ func main() {
 	if *portfolioList != "" {
 		p, err := parsePortfolio(*portfolioList)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", err)
-			os.Exit(2)
+			return usageError{err}
 		}
 		d.Portfolio = p
 	}
 	if *shiftParams != "" {
 		params, err := parseShiftParams(*shiftParams)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", err)
-			os.Exit(2)
+			return usageError{err}
 		}
 		d.Shift = geneva.CensorShift{AtWave: *shiftWave, Country: *shiftCountry, Params: params}
 	}
 
+	if *metrics || *manifest != "" {
+		obs.SetEnabled(true)
+		obs.Reset()
+	}
 	start := time.Now()
 	res, err := geneva.RunDeployment(d)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fleet:", err)
-		os.Exit(1)
+		// RunDeployment rejects an invalid Deployment before it runs.
+		return usageError{err}
 	}
 	elapsed := time.Since(start)
 
 	if *asJSON {
 		b, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Println(string(b))
+		fmt.Fprintln(w, string(b))
 	} else {
-		printTable(res)
+		printTable(w, res)
 	}
 	if *manifest != "" {
 		if err := res.Manifest.WriteFile(*manifest); err != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("manifest written to %s\n", *manifest)
+		fmt.Fprintf(w, "manifest written to %s\n", *manifest)
 	}
 	if *metrics {
-		fmt.Printf("\n--- metrics ---\n%s", obs.Take().Format())
+		fmt.Fprintf(w, "\n--- metrics ---\n%s", obs.Take().Format())
 	}
 	// Rate from the unrounded elapsed time: at 10^5+ connections a run can
 	// finish in near-millisecond territory per cell, and rounding before
@@ -165,9 +191,10 @@ func main() {
 	if secs := elapsed.Seconds(); secs > 0 {
 		rate = fmt.Sprintf("%.0f", float64(res.Connections)/secs)
 	}
-	fmt.Printf("\n%d connections in %d cells in %v (%s conns/sec, workers=%d)\n",
+	fmt.Fprintf(w, "\n%d connections in %d cells in %v (%s conns/sec, workers=%d)\n",
 		res.Connections, res.Cells, elapsed.Round(time.Millisecond),
 		rate, *workers)
+	return nil
 }
 
 // parsePortfolio resolves a ";"-separated strategy list: each entry is a raw
@@ -217,13 +244,13 @@ func parseShiftParams(list string) (map[string]float64, error) {
 	return params, nil
 }
 
-func printTable(res geneva.FleetResult) {
+func printTable(w io.Writer, res geneva.FleetResult) {
 	countries := make([]string, 0, len(res.PerCountry))
 	for c := range res.PerCountry {
 		countries = append(countries, c)
 	}
 	sort.Strings(countries)
-	fmt.Printf("%-14s %6s %6s %8s %10s %12s %8s %10s %6s\n",
+	fmt.Fprintf(w, "%-14s %6s %6s %8s %10s %12s %8s %10s %6s\n",
 		"country", "conns", "served", "routed", "contested", "unprotected", "evasion", "requests", "avail")
 	for _, c := range countries {
 		cs := res.PerCountry[c]
@@ -231,7 +258,7 @@ func printTable(res geneva.FleetResult) {
 		if name == "" {
 			name = "(uncensored)"
 		}
-		fmt.Printf("%-14s %6d %6d %3d/%-4d %4d/%-5d %5d/%-6d %7.0f%% %4d/%-5d %5.0f%%\n",
+		fmt.Fprintf(w, "%-14s %6d %6d %3d/%-4d %4d/%-5d %5d/%-6d %7.0f%% %4d/%-5d %5.0f%%\n",
 			name, cs.Connections, cs.Succeeded,
 			cs.RoutedSucceeded, cs.Routed,
 			cs.ContestedSucceeded, cs.Contested,
@@ -240,17 +267,17 @@ func printTable(res geneva.FleetResult) {
 			cs.RequestsServed, cs.RequestsAttempted,
 			100*cs.Availability())
 	}
-	fmt.Printf("\noutcomes: %d served, %d torn down, %d never established\n",
+	fmt.Fprintf(w, "\noutcomes: %d served, %d torn down, %d never established\n",
 		res.Outcomes["served"], res.Outcomes["torn_down"], res.Outcomes["never_established"])
-	fmt.Printf("requests: %d/%d served, availability %.1f%%\n",
+	fmt.Fprintf(w, "requests: %d/%d served, availability %.1f%%\n",
 		res.RequestsServed, res.RequestsAttempted, 100*res.Availability())
-	printSelection(res, countries)
+	printSelection(w, res, countries)
 }
 
 // printSelection renders the per-country selection table of a control-plane
 // run: one row per (country, portfolio strategy) with pulls and outcome mix.
 // Pinned runs have no selection state and print nothing.
-func printSelection(res geneva.FleetResult, countries []string) {
+func printSelection(w io.Writer, res geneva.FleetResult, countries []string) {
 	any := false
 	for _, c := range countries {
 		sel := res.PerCountry[c].Selection
@@ -258,8 +285,8 @@ func printSelection(res geneva.FleetResult, countries []string) {
 			continue
 		}
 		if !any {
-			fmt.Printf("\nselection (%d fallbacks fleet-wide):\n", res.Fallbacks)
-			fmt.Printf("%-14s %6s %6s %6s %8s  %s\n",
+			fmt.Fprintf(w, "\nselection (%d fallbacks fleet-wide):\n", res.Fallbacks)
+			fmt.Fprintf(w, "%-14s %6s %6s %6s %8s  %s\n",
 				"country", "pulls", "served", "torn", "unestab", "strategy")
 			any = true
 		}
@@ -270,7 +297,7 @@ func printSelection(res geneva.FleetResult, countries []string) {
 		sort.Strings(names)
 		for _, n := range names {
 			arm := sel[n]
-			fmt.Printf("%-14s %6d %6d %6d %8d  %s\n",
+			fmt.Fprintf(w, "%-14s %6d %6d %6d %8d  %s\n",
 				c, arm.Pulls, arm.Served, arm.TornDown, arm.Unestablished, n)
 		}
 	}

@@ -24,6 +24,23 @@ type EvolveOptions struct {
 	Workers int
 }
 
+// Check returns the error Evolve would return for opt without running it:
+// an unknown Country or Protocol, or a negative size.
+func (opt EvolveOptions) Check() error {
+	if err := CheckCountryProtocol(opt.Country, opt.Protocol); err != nil {
+		return err
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Population", opt.Population}, {"Generations", opt.Generations}, {"TrialsPerEval", opt.TrialsPerEval}} {
+		if f.v < 0 {
+			return fmt.Errorf("EvolveOptions.%s = %d is negative", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Evolve runs Geneva server-side against a simulated censor, as the paper
 // does against the real ones, and returns the evolution result. Triggers
 // are restricted to SYN+ACK (the §4.1 optimization). Populations are scored
@@ -39,16 +56,8 @@ func Evolve(opt EvolveOptions) (genetic.Result, error) {
 
 // EvolveWithStats is Evolve plus the evaluation engine's cache statistics.
 func EvolveWithStats(opt EvolveOptions) (genetic.Result, EvalStats, error) {
-	if err := CheckCountryProtocol(opt.Country, opt.Protocol); err != nil {
+	if err := opt.Check(); err != nil {
 		return genetic.Result{}, EvalStats{}, err
-	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"Population", opt.Population}, {"Generations", opt.Generations}, {"TrialsPerEval", opt.TrialsPerEval}} {
-		if f.v < 0 {
-			return genetic.Result{}, EvalStats{}, fmt.Errorf("EvolveOptions.%s = %d is negative", f.name, f.v)
-		}
 	}
 	if opt.TrialsPerEval == 0 {
 		opt.TrialsPerEval = 10

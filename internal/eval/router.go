@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"math/rand"
 	"net/netip"
 	"sync"
 
@@ -39,9 +38,10 @@ func RoutedClientAddr(country string, slot int) netip.Addr {
 // strategy's paper number) that pins the route's random stream to the
 // strategy rather than to installation order.
 type deployRoute struct {
-	prefix netip.Prefix
-	strat  *core.Strategy
-	offset int64
+	country string
+	prefix  netip.Prefix
+	strat   *core.Strategy
+	offset  int64
 }
 
 var (
@@ -51,7 +51,7 @@ var (
 
 // deployTable parses and compiles the deployment strategies exactly once,
 // in a fixed order. The *core.Strategy values are shared read-only by every
-// router built from the table (engines compile their own rule copies);
+// engine built from the table (engines compile their own rule copies);
 // String() is pre-memoized so the sharing is race-free.
 func deployTable() []deployRoute {
 	deployOnce.Do(func() {
@@ -59,13 +59,27 @@ func deployTable() []deployRoute {
 			cs := d.Deploy.Parse()
 			_ = cs.String()
 			deployRoutes = append(deployRoutes, deployRoute{
-				prefix: d.RouterPrefix,
-				strat:  cs,
-				offset: int64(d.Deploy.Number),
+				country: d.Country,
+				prefix:  d.RouterPrefix,
+				strat:   cs,
+				offset:  int64(d.Deploy.Number),
 			})
 		}
 	})
 	return deployRoutes
+}
+
+// DeployStrategy returns the strategy the §8 deployment serves country's
+// clients and its paper number, the offset its engine's stream is seeded
+// at; ok is false for a country with no route (the uncensored
+// population). The strategy is the deployment table's shared parse.
+func DeployStrategy(country string) (s *core.Strategy, number int64, ok bool) {
+	for _, dr := range deployTable() {
+		if dr.country == country {
+			return dr.strat, dr.offset, true
+		}
+	}
+	return nil, 0, false
 }
 
 // NewDeploymentRouter builds the §8 deployment: one router serving clients
@@ -81,45 +95,18 @@ func NewDeploymentRouter(seed int64) *core.Router {
 	return r
 }
 
-// RouterLease is a pooled deployment router (see AcquireDeploymentRouter).
+// RouterLease holds a deployment router (see AcquireDeploymentRouter).
 type RouterLease struct {
 	Router *core.Router
-	rngs   []*rand.Rand
 }
 
-// routerPool recycles deployment routers across cells: strategy parsing,
-// rule compilation, and engine construction are identical for every lease,
-// so only the per-run state — flow pins and rng streams — is reset on reuse.
-// A lease owns its generators for life; reseeding one is O(1), and a route
-// whose strategy never draws computes no word of its table.
-var routerPool sync.Pool
-
-// AcquireDeploymentRouter returns a deployment router identical in behaviour
-// to NewDeploymentRouter(seed) — same routes, same per-strategy rng streams
-// — but recycled through a pool. Callers hand it back with
-// ReleaseDeploymentRouter once the simulation using it has been torn down.
+// AcquireDeploymentRouter returns NewDeploymentRouter(seed) in a lease, and
+// ReleaseDeploymentRouter does nothing. Their only caller is bench/'s
+// replay, which keeps its own copy of the fleet cell; a fleet cell owns its
+// router for life.
 func AcquireDeploymentRouter(seed int64) *RouterLease {
-	table := deployTable()
-	if v := routerPool.Get(); v != nil {
-		l := v.(*RouterLease)
-		l.Router.ResetFlows()
-		for i := range table {
-			l.rngs[i].Seed(seed + table[i].offset)
-		}
-		return l
-	}
-	l := &RouterLease{Router: core.NewRouter(nil), rngs: make([]*rand.Rand, len(table))}
-	for i, dr := range table {
-		l.rngs[i] = newRand(seed + dr.offset)
-		l.Router.Route(dr.prefix, dr.strat, l.rngs[i])
-	}
-	return l
+	return &RouterLease{Router: NewDeploymentRouter(seed)}
 }
 
-// ReleaseDeploymentRouter returns a lease to the pool. The caller must not
-// use the router afterwards.
-func ReleaseDeploymentRouter(l *RouterLease) {
-	if l != nil {
-		routerPool.Put(l)
-	}
-}
+// ReleaseDeploymentRouter does nothing; see AcquireDeploymentRouter.
+func ReleaseDeploymentRouter(*RouterLease) {}

@@ -8,6 +8,7 @@ import (
 
 	"geneva/internal/apps"
 	"geneva/internal/censor"
+	"geneva/internal/core"
 	"geneva/internal/eval"
 	"geneva/internal/netsim"
 	"geneva/internal/packet"
@@ -63,8 +64,9 @@ func cellPool(key cellKey) *sync.Pool {
 }
 
 // cell is one wired cell network, leased from its key's pool for one run:
-// an eval.Sandbox with a slot per client, behind the deployment router.
-// newCell wires it, it stays alive to the end of its last wave so the
+// an eval.Sandbox with a slot per client, whose server sends through the
+// cell's router. The cell owns the router and the engines it pins for
+// life. newCell wires it, it stays alive to the end of its last wave so the
 // scheduler can drive all cells in wave lockstep, and Run puts it back once
 // the run's result is aggregated. Everything in a cell runs on a single
 // goroutine per wave against the cell's own virtual clock; only its
@@ -79,14 +81,18 @@ type cell struct {
 	sessions map[string]*apps.Session // full-length session per protocol
 	resid    censor.ResidualCarrier   // non-nil iff the censor shares residual state
 	shifter  censor.ParamShifter      // non-nil iff the censor can shift mid-run
-	lease    *eval.RouterLease
 
-	// Portfolio delivery: armLease is nil without a portfolio and on
-	// unrouted-country cells (the uncensored population matches no route,
-	// so no server-side strategy applies to it either way); selCell is nil
-	// unless Selection is on as well. selRng is the selector stream's
-	// generator, the cell's for life.
-	armLease *eval.PortfolioLease
+	// Strategy delivery. The server sends through router, which has no
+	// routes: a flow runs the engine pullArm pinned to its client, and an
+	// unpinned client's flows pass through. arms are the engines of the
+	// country's arm set (none for the uncensored population), armGens
+	// their generators and armsID the set's id. selCell is nil unless
+	// Selection is on and the country is routed.
+	router   *core.Router
+	routeOut func(*packet.Packet) []*packet.Packet // router.Outbound, bound once
+	arms     []*core.Engine
+	armGens  []*rand.Rand
+	armsID   string
 	selCell  *selector.Cell
 	selRng   *rand.Rand
 
@@ -110,14 +116,11 @@ type cell struct {
 	// templates depend only on the cell's key, so a pooled cell keeps them.
 	clients map[scriptKey]*apps.Script
 	live    []inflight
-
-	// routeOut is the server's Outbound, bound once.
-	routeOut func(*packet.Packet) []*packet.Packet
 }
 
-// newCell wires one cell — server + pooled deployment router, censor,
-// clients — without running anything: a pooled cell of the plan's key, or
-// an empty one, reset for cp.
+// newCell wires one cell — server and router, censor, clients — without
+// running anything: a pooled cell of the plan's key, or an empty one,
+// reset for cp.
 func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 	home := cellPool(keyOf(wl, cp.country))
 	c := home.Get().(*cell)
@@ -128,31 +131,40 @@ func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 
 // reset wires c for cp, in place, through the sandbox's Reset: the only
 // path that wires a cell, so a pooled cell is in exactly the state an
-// empty one reaches. The template maps keep what earlier runs of the key
-// built, and every freelist keeps its capacity. Each stream is seeded from
-// the cell's plan index, so the order of the draws is the plan's, never
-// the scheduler's.
+// empty one reaches. The router drops its flows and pins, the arm engines
+// are kept while the country's arm set is unchanged (rebuilt otherwise, as
+// the sandbox rebuilds its censor for another country), the template maps
+// keep what earlier runs of the key built, and every freelist keeps its
+// capacity. Each stream is seeded from the cell's plan index, so the order
+// of the draws is the plan's, never the scheduler's.
 func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 	if c.sessions == nil {
 		c.sessions = map[string]*apps.Session{}
 		c.clients = map[scriptKey]*apps.Script{}
-		c.routeOut = c.route
+		c.router = core.NewRouter(nil)
+		c.routeOut = c.router.Outbound
 	}
 	c.wl, c.plan = wl, cp
 	cellSeed := wl.Seed + int64(cp.index)*cellSeedStride
-	c.lease = eval.AcquireDeploymentRouter(cellSeed + seedRouter)
+	c.router.ResetFlows()
 
-	// Portfolio delivery: routed countries get one engine per arm, seeded
-	// per cell at cellSeed + eval.SeedArmBase + arm, and pullArm pins an
-	// arm to the client's address per attempt. Unrouted countries (the
-	// uncensored population) keep matching no route — the server doesn't
-	// know them, selected or not. (finish dropped the last run's leases.)
-	if _, routed := eval.RouterPrefixes[cp.country]; routed && !ctl.portfolio.IsZero() {
-		c.armLease = eval.AcquirePortfolioEngines(ctl.portfolio, cellSeed)
-		if ctl.state != nil {
-			c.selCell = ctl.state.NewCell()
-			c.selRng = eval.Reseed(c.selRng, cellSeed+seedSelector)
+	set := ctl.arms[cp.country]
+	if set.id != c.armsID {
+		c.armsID = set.id
+		c.arms, c.armGens = c.arms[:0], c.armGens[:0]
+		for a := 0; a < set.strats.Len(); a++ {
+			g := eval.Reseed(nil, 0)
+			c.armGens = append(c.armGens, g)
+			c.arms = append(c.arms, core.NewEngine(set.strats.Strategy(a), g))
 		}
+	}
+	for a, g := range c.armGens {
+		g.Seed(cellSeed + set.seed + int64(a))
+	}
+	c.selCell = nil
+	if ctl.state != nil && len(c.arms) > 0 {
+		c.selCell = ctl.state.NewCell()
+		c.selRng = eval.Reseed(c.selRng, cellSeed+seedSelector)
 	}
 
 	// One client slot per slot the plan uses. plan numbers a cell's slots
@@ -230,9 +242,6 @@ func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 // waves is the number of waves the cell runs.
 func (c *cell) waves() int { return len(c.waveStart) - 1 }
 
-// route is the server's Outbound: the leased deployment router.
-func (c *cell) route(p *packet.Packet) []*packet.Packet { return c.lease.Router.Outbound(p) }
-
 // drain runs the cell network until no event is pending.
 func (c *cell) drain() {
 	for !c.Net.Quiet() {
@@ -256,37 +265,34 @@ func (c *cell) leaseClient(proto string, m int) *apps.Script {
 	return s
 }
 
-// pullArm picks the portfolio arm serving one connection attempt — the
-// bandit's choice with Selection on, arm 0 without — and pins its engine to
-// the client's address, so the router delivers it when the SYN+ACK opens
-// the flow. Returns -1 (and touches nothing) when the cell has no portfolio
-// or the client is unprotected; the router's §8 prefix routes then apply.
-// Safe against concurrent wave-mates: each slot address has at most one
-// un-opened flow at a time, and opened flows cache their engine, so re-pins
-// never switch a strategy mid-connection.
+// pullArm picks the arm serving one connection attempt — the bandit's
+// choice with Selection on, arm 0 without — and pins its engine to the
+// client's address, so the router delivers it when the SYN+ACK opens the
+// flow. It is the only code that picks a routed client's engine. Returns
+// -1 (and touches nothing) when the cell has no arms or the client is
+// unprotected; the client's flows then pass through. Safe against
+// concurrent wave-mates: each slot address has at most one un-opened flow
+// at a time, and opened flows cache their engine, so re-pins never switch
+// a strategy mid-connection.
 func (c *cell) pullArm(cn *connPlan) int {
-	if c.armLease == nil || cn.unprotected {
+	if len(c.arms) == 0 || cn.unprotected {
 		return -1
 	}
 	arm := 0
 	if c.selCell != nil {
 		arm = c.selCell.Next(c.plan.country, cn.protocol, c.selRng)
 	}
-	c.lease.Router.PinClient(clientAddr(c.plan.country, cn.slot, false), c.armLease.Engines[arm])
+	c.router.PinClient(c.addrs[cn.slot], c.arms[arm])
 	return arm
 }
 
 // finish closes the cell out: stamp plans and censor totals into the
-// result, and hand the leased router and engines back. The result's
-// connection slice stays the cell's: Run reads it before it puts the cell
-// back in its pool, and the next reset reuses it.
+// result. The result's connection slice stays the cell's: Run reads it
+// before it puts the cell back in its pool, and the next reset reuses it.
 func (c *cell) finish() cellResult {
 	for i := range c.res.conns {
 		c.res.conns[i].plan = c.plan.conns[i]
 	}
 	c.res.censorEvents = c.CensorEvents()
-	eval.ReleaseDeploymentRouter(c.lease)
-	eval.ReleasePortfolioEngines(c.armLease)
-	c.lease, c.armLease, c.selCell = nil, nil, nil
 	return c.res
 }

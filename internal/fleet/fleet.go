@@ -4,13 +4,13 @@
 // strategy from nothing but the address in its SYN.
 //
 // The workload is partitioned into cells. A cell is one shared virtual
-// network — one censor instance, one server running the deployment router,
-// and several client endpoints inside the same country — on which
-// connections run in waves of genuinely concurrent flows (their packets
-// interleave through the same censor, so per-flow TCB isolation and
-// cross-connection censor state are exercised for real: a GFW residual
-// window opened by one client's censored flow tears down other clients'
-// flows to the same server port).
+// network — one censor instance, one server whose router pins each routed
+// client its strategy, and several client endpoints inside the same
+// country — on which connections run in waves of genuinely concurrent
+// flows (their packets interleave through the same censor, so per-flow TCB
+// isolation and cross-connection censor state are exercised for real: a
+// GFW residual window opened by one client's censored flow tears down
+// other clients' flows to the same server port).
 //
 // Every cell owns its own virtual clock and event queue, so cells are
 // independent between wave barriers, and the cell is the scheduling unit:
@@ -39,6 +39,7 @@ import (
 	"sort"
 	"time"
 
+	"geneva/internal/core"
 	"geneva/internal/eval"
 	"geneva/internal/netsim"
 	"geneva/internal/obs"
@@ -54,7 +55,7 @@ const cellSeedStride = 100003
 // documents how to reproduce the run.
 const (
 	seedServer      = 1  // server endpoint ISN/port rng
-	seedRouter      = 2  // base for the router's per-strategy engine rngs
+	seedRouter      = 2  // the §8 pin's engine: paper strategy N at seedRouter + N
 	seedCensor      = 3  // censor model rng
 	seedImpairments = 4  // network impairment schedule
 	seedSelector    = 5  // strategy-selection exploration rng (Selection on)
@@ -444,24 +445,45 @@ func (wl Workload) validate() error {
 
 // control is the run's resolved strategy-delivery mode.
 type control struct {
-	// portfolio is the arm list; zero when routed clients get the §8
-	// router's registry pins.
-	portfolio selector.Portfolio
-	// state is the merged bandit state; nil when Selection is disabled
-	// (a non-zero portfolio then serves its first strategy everywhere).
-	state *selector.State
+	portfolio selector.Portfolio // raced or pinned; zero for the §8 pins
+	hash      string             // portfolio's Hash, the manifest's identity
+	arms      map[string]armSet  // per routed country
+	state     *selector.State    // merged bandit state; nil without Selection
 }
 
-// resolveControl interprets the Portfolio × Selection matrix. Selection
-// without a portfolio races the distinct §8 deployment strategies against
-// each other.
+// armSet is what a routed country's cells serve, one engine per arm: the
+// portfolio, or the country's §8 strategy alone (id is then its text).
+// Arm a's generator is seeded at cellSeed + seed + a. A pooled cell keeps
+// its engines while id is unchanged.
+type armSet struct {
+	strats selector.Portfolio
+	id     string
+	seed   int64
+}
+
+// resolveControl interprets the Portfolio × Selection matrix, once per
+// run. Selection without a portfolio races the distinct §8 deployment
+// strategies; with neither, each routed country serves its §8 strategy as
+// a one-arm set on the router stream. Arm 0 serves without Selection.
 func resolveControl(wl Workload) control {
-	ctl := control{portfolio: wl.Portfolio}
+	ctl := control{portfolio: wl.Portfolio, arms: map[string]armSet{}}
 	if wl.Selection.Enabled() {
 		if ctl.portfolio.IsZero() {
 			ctl.portfolio = eval.DefaultPortfolio()
 		}
 		ctl.state = selector.NewState(wl.Selection, ctl.portfolio.Len())
+	}
+	ctl.hash = ctl.portfolio.Hash()
+	for _, country := range wl.Countries {
+		s, number, routed := eval.DeployStrategy(country)
+		switch {
+		case !routed:
+		case ctl.portfolio.IsZero():
+			pin := selector.FromStrategies([]*core.Strategy{s})
+			ctl.arms[country] = armSet{strats: pin, id: s.String(), seed: seedRouter + number}
+		default:
+			ctl.arms[country] = armSet{strats: ctl.portfolio, id: ctl.hash, seed: eval.SeedArmBase}
+		}
 	}
 	return ctl
 }

@@ -228,12 +228,13 @@ func TestFleetAllocBudget(t *testing.T) {
 	// The online-selection rung: the same one-shot shape with a
 	// three-strategy portfolio raced by the epsilon-greedy bandit. The
 	// control plane's whole steady-state cost is integer delta accumulation
-	// plus a router pin per attempt — pooled engines, reused scratch — so
-	// its budget is the measured pinned cost plus 1 alloc/conn (3.02
-	// against 2.46 on pooled cells), not a separate absolute plateau.
+	// plus a router pin per attempt — cell-owned engines, reused scratch.
+	// 3.02/conn on pooled cells, 2.75 once cells owned their arm engines;
+	// the budget is that plus 10%, and never above the pinned cost plus 1.
 	sel := wl
 	sel.Portfolio = eval.DefaultPortfolio()
 	sel.Selection = selector.Selection{Policy: selector.EpsilonGreedy}
+	const selBudget = 3.0
 	pinnedPerConn := perConnOneShot
 	selAllocs := testing.AllocsPerRun(5, func() {
 		seed++
@@ -245,8 +246,8 @@ func TestFleetAllocBudget(t *testing.T) {
 	})
 	selPerConn := selAllocs / float64(sel.Connections)
 	t.Logf("selection: %.2f allocs/conn", selPerConn)
-	if selPerConn > pinnedPerConn+1 {
-		t.Errorf("selection fleet allocates %.1f objects per connection, pinned path costs %.1f; budget is pinned+1",
-			selPerConn, pinnedPerConn)
+	if selPerConn > min(selBudget, pinnedPerConn+1) {
+		t.Errorf("selection fleet allocates %.2f objects per connection, pinned path costs %.2f; budget is min(%.1f, pinned+1)",
+			selPerConn, pinnedPerConn, selBudget)
 	}
 }

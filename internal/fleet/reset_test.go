@@ -13,6 +13,7 @@ import (
 	"geneva/internal/packet"
 	"geneva/internal/race"
 	"geneva/internal/selector"
+	"geneva/internal/strategies"
 )
 
 // emptyCellPools drops every pooled cell, so the next run builds its cells
@@ -45,19 +46,27 @@ func cellsPerCountry(wl Workload) map[string]int {
 	return n
 }
 
+// dirtyRun is a workload whose cells a reset test leaves in the pools.
+type dirtyRun struct {
+	name string
+	wl   Workload
+}
+
 // TestCellResetMatchesFresh: a cell taken from its pool and reset for a
 // plan runs exactly as an empty cell does. Workload b runs once on empty
 // pools; then, for each dirtying workload, the pools are emptied, the
 // dirtying workload leaves its cells in them, and b must reproduce its
 // first Result and counters byte for byte on those cells. The series makes
 // the reset undo every kind of state a cell carries out of a run: a shifted
-// censor, impaired links and retransmitting endpoints, portfolio leases
-// and router pins, more slot endpoints than b's cells use, listeners for
-// other protocols, and the templates of other keep-alive shapes, which the
-// pool key must keep away from b. Finally each dirtied pool wires b's cells
+// censor, impaired links and retransmitting endpoints, portfolio arms and
+// router pins, more slot endpoints than b's cells use, listeners for other
+// protocols, and the templates of other keep-alive shapes, which the pool
+// key must keep away from b. Finally each dirtied pool wires b's cells
 // once more and probes them: only the plan's slots may be on the network
 // and only the plan's protocols' ports may accept a connection, two things
-// no Result shows.
+// no Result shows. A second series checks the arm engines' identity: a
+// cell that served one portfolio must not serve another of the same size
+// with the first one's engines.
 func TestCellResetMatchesFresh(t *testing.T) {
 	// A collection would empty the pools under the test.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -76,41 +85,63 @@ func TestCellResetMatchesFresh(t *testing.T) {
 		Workers:         1,
 		Seed:            11,
 	}
-	emptyCellPools()
-	want, wantCtrs := fleetSnapshot(t, b)
-
-	with := func(edit func(*Workload)) Workload {
-		wl := b
+	with := func(base Workload, edit func(*Workload)) Workload {
+		wl := base
 		wl.Seed = 23
 		edit(&wl)
 		return wl
 	}
-	dirt := []struct {
-		name string
-		wl   Workload
-	}{
-		{"china-shift", with(func(wl *Workload) {
+	checkResetMatchesFresh(t, b, []dirtyRun{
+		{"china-shift", with(b, func(wl *Workload) {
 			wl.Shift = CensorShift{AtWave: 1, Country: eval.CountryChina,
 				Params: map[string]float64{"prst": 0, "pmiss": 0.5}}
 		})},
-		{"impairments", with(func(wl *Workload) {
+		{"impairments", with(b, func(wl *Workload) {
 			wl.Impairments = netsim.Profile{Loss: 0.05, Duplicate: 0.02, Reorder: 0.05, Jitter: 3 * time.Millisecond}
 		})},
-		{"selection", with(func(wl *Workload) {
+		{"selection", with(b, func(wl *Workload) {
 			wl.Portfolio = eval.DefaultPortfolio()
 			wl.Selection = selector.Selection{Policy: selector.EpsilonGreedy}
 		})},
-		{"more-slots", with(func(wl *Workload) {
+		{"more-slots", with(b, func(wl *Workload) {
 			wl.ClientsPerCell, wl.UnprotectedPerCell = 6, 3
 			wl.Connections = 3 * b.Connections
 		})},
-		{"other-protocols", with(func(wl *Workload) { wl.Protocols = []string{"ftp", "smtp", "http"} })},
-		{"no-censor", with(func(wl *Workload) { wl.Countries = []string{eval.CountryNone} })},
+		{"other-protocols", with(b, func(wl *Workload) { wl.Protocols = []string{"ftp", "smtp", "http"} })},
+		{"no-censor", with(b, func(wl *Workload) { wl.Countries = []string{eval.CountryNone} })},
 		// Other keep-alive shapes with reconnects, each differing from b's
 		// key in one field: their templates must never reach b's cells.
-		{"other-gap", with(func(wl *Workload) { wl.RequestGap = 20 * time.Second })},
-		{"other-requests", with(func(wl *Workload) { wl.SessionRequests = 2 })},
+		{"other-gap", with(b, func(wl *Workload) { wl.RequestGap = 20 * time.Second })},
+		{"other-requests", with(b, func(wl *Workload) { wl.SessionRequests = 2 })},
+	})
+
+	portfolio := func(strats ...strategies.Strategy) selector.Portfolio {
+		dsls := make([]string, len(strats))
+		for i, s := range strats {
+			dsls[i] = s.DSL
+		}
+		p, err := selector.NewPortfolio(dsls...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
+	bp := b
+	bp.Portfolio = portfolio(strategies.Strategy2, strategies.Strategy11)
+	checkResetMatchesFresh(t, bp, []dirtyRun{
+		{"other-portfolio", with(bp, func(wl *Workload) {
+			wl.Portfolio = portfolio(strategies.Strategy11, strategies.Strategy2)
+		})},
+	})
+}
+
+// checkResetMatchesFresh is TestCellResetMatchesFresh's series: b on
+// empty pools, then b on the cells each dirtying run leaves, then a probe
+// of b's cells wired on each dirtied pool.
+func checkResetMatchesFresh(t *testing.T, b Workload, dirt []dirtyRun) {
+	t.Helper()
+	emptyCellPools()
+	want, wantCtrs := fleetSnapshot(t, b)
 	needed := cellsPerCountry(b)
 	for _, d := range dirt {
 		emptyCellPools()
@@ -155,9 +186,7 @@ func TestCellResetMatchesFresh(t *testing.T) {
 		wl := b.withDefaults()
 		ctl := resolveControl(wl)
 		for _, cp := range plan(wl) {
-			c := newCell(wl, cp, ctl)
-			probeCell(t, d.name, c, wl.Protocols)
-			c.finish()
+			probeCell(t, d.name, newCell(wl, cp, ctl), wl.Protocols)
 		}
 	}
 }
@@ -200,7 +229,10 @@ func probeCell(t *testing.T, name string, c *cell, protocols []string) {
 // cell's wiring draws it from. A wired cell's next draw on each of its
 // generators is one of the first draws of a fresh generator at the cell's
 // seed plus the recorded offset (the endpoints and the censor draw a few
-// values while the cell is wired).
+// values while the cell is wired). That covers the arm engines' streams,
+// which no golden can see: no §8 strategy draws. A portfolio's arm a draws
+// at portfolio_arms + a, and a pinned cell's one arm at router + the
+// country's §8 strategy number.
 func TestSeedScheduleMatchesCell(t *testing.T) {
 	wl := Workload{
 		Countries:   []string{eval.CountryChina},
@@ -218,7 +250,6 @@ func TestSeedScheduleMatchesCell(t *testing.T) {
 	cp := plans[1] // a cell whose seed is not the base
 	c := new(cell)
 	c.reset(wl, cp, ctl)
-	defer c.finish()
 	cellSeed := sched.Base + int64(cp.index)*sched.TrialStep
 
 	gens := map[string]*rand.Rand{
@@ -246,6 +277,25 @@ func TestSeedScheduleMatchesCell(t *testing.T) {
 		name := fmt.Sprintf("clients+%d", s)
 		gens[name], offsets[name] = g, sched.Streams["clients"]+int64(s)
 	}
+	if len(c.armGens) != ctl.portfolio.Len() {
+		t.Fatalf("the cell holds %d arm generators, want %d", len(c.armGens), ctl.portfolio.Len())
+	}
+	for a, g := range c.armGens {
+		name := fmt.Sprintf("portfolio_arms+%d", a)
+		gens[name], offsets[name] = g, sched.Streams["portfolio_arms"]+int64(a)
+	}
+
+	// The same plan pinned: the cell's one arm is China's §8 strategy.
+	pinned := wl
+	pinned.Selection = selector.Selection{}
+	pc := new(cell)
+	pc.reset(pinned, cp, resolveControl(pinned))
+	if len(pc.armGens) != 1 {
+		t.Fatalf("the pinned cell holds %d arm generators, want 1", len(pc.armGens))
+	}
+	def, _ := eval.CensorByCountry(eval.CountryChina)
+	name := fmt.Sprintf("router+%d", def.Deploy.Number)
+	gens[name], offsets[name] = pc.armGens[0], sched.Streams["router"]+int64(def.Deploy.Number)
 	for name, g := range gens {
 		seed := cellSeed + offsets[name]
 		fresh := rand.New(rand.NewSource(seed))

@@ -60,7 +60,7 @@ func NewEndpoint(addr netip.Addr, os Personality, rng *rand.Rand) *Endpoint {
 // cleared, the hooks and switches are unset, the endpoint is detached, and
 // nextPort is redrawn from rng. Pending timers of the old connections
 // still sit on the network's queue, so reset that network before it runs
-// again (Network.Reset drops them unrun); the generation guards would
+// again (Network.ResetMulti drops them unrun); the generation guards would
 // ignore them anyway, so the freelist's order cannot show.
 func (e *Endpoint) Reset(addr netip.Addr, os Personality, rng *rand.Rand) {
 	for _, c := range e.conns {
