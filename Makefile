@@ -87,10 +87,12 @@ alloc-budget:
 # recycled packet buffer is still referenced, the bit-identical recycling
 # tests diverge, a reset network must hand back every queued packet once,
 # a reset censor must reuse its flow slots as a fresh one starts, a
-# recycled trial rig must still match a fresh one, and a pooled fleet cell
-# reset for a run must still match a fresh one. CI runs exactly this.
+# recycled trial rig must still match a fresh one, a reset sandbox must
+# clear its pins and keep only the engines whose strategies print the
+# same, and a pooled fleet cell reset for a run must still match a fresh
+# one. CI runs exactly this.
 pool-safety:
-	GODEBUG=clobberfree=1 $(GO) test -run 'TestPool|TestRecycling|TestRigReset|TestCensorReset|TestCellReset' ./internal/packet/ ./internal/netsim/ ./internal/censor/... ./internal/eval/ ./internal/fleet/
+	GODEBUG=clobberfree=1 $(GO) test -run 'TestPool|TestRecycling|TestRigReset|TestSandbox|TestCensorReset|TestCellReset' ./internal/packet/ ./internal/netsim/ ./internal/censor/... ./internal/eval/ ./internal/fleet/
 
 # Coverage-guided fuzzing bursts — the fuzz targets promoted from
 # seed-corpus-only to live mutation. Go's fuzz engine takes one -fuzz

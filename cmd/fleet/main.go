@@ -59,20 +59,24 @@ import (
 // the flag set has already reported it.
 type usageError struct{ error }
 
-func main() {
-	err := run(os.Args[1:], os.Stdout)
+func main() { os.Exit(exit(run(os.Args[1:], os.Stdout), os.Stderr)) }
+
+// exit reports run's error on stderr, prefixed once with the command's
+// name (the library's errors already carry it), and returns the status the
+// command exits with.
+func exit(err error, stderr io.Writer) int {
 	var usage usageError
+	isUsage := errors.As(err, &usage)
 	switch {
 	case err == nil, errors.Is(err, flag.ErrHelp):
-	case errors.As(err, &usage):
-		if usage.error != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", err)
-		}
-		os.Exit(2)
-	default:
-		fmt.Fprintln(os.Stderr, "fleet:", err)
-		os.Exit(1)
+		return 0
+	case !isUsage || usage.error != nil:
+		fmt.Fprintln(stderr, "fleet:", strings.TrimPrefix(err.Error(), "fleet: "))
 	}
+	if isUsage {
+		return 2
+	}
+	return 1
 }
 
 // run parses args, runs the deployment and writes its report to w.

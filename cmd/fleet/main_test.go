@@ -63,3 +63,22 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestExitReportsUnknownCountry pins what the command prints for an
+// unknown country: one line on stderr, prefixed with the command's name
+// once, and exit status 2.
+func TestExitReportsUnknownCountry(t *testing.T) {
+	var stdout, stderr strings.Builder
+	code := exit(run([]string{"-countries", "atlantis"}, &stdout), &stderr)
+	if code != 2 {
+		t.Errorf("exit status %d, want 2", code)
+	}
+	msg := stderr.String()
+	if !strings.HasPrefix(msg, `fleet: unknown country "atlantis" (valid: ["china" `) ||
+		strings.Count(msg, "fleet:") != 1 || strings.Count(msg, "\n") != 1 || !strings.HasSuffix(msg, "\n") {
+		t.Errorf("stderr = %q, want one line: fleet: unknown country \"atlantis\" (valid: ...)", msg)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout = %q, want nothing", stdout.String())
+	}
+}

@@ -23,14 +23,11 @@ type Router struct {
 	routes   []route
 	fallback *Engine
 	flows    map[packet.Flow]*Engine
-	// pins override the prefix table per client address — the online
-	// selection control plane's delivery mechanism: the fleet pins the
-	// selected arm's engine to the client's address just before the
-	// client connects, and the pin is read when the server's first
-	// outbound packet opens the flow. A pin only affects NEW flows; flows
-	// already cached in `flows` keep the engine they started with, so
-	// re-pinning between a client's attempts never switches a strategy
-	// mid-connection.
+	// pins override the prefix table per client address for NEW flows;
+	// flows already cached in `flows` keep their engine, so a re-pin
+	// never switches a strategy mid-connection. PinClient's only caller
+	// is bench/'s replay of a fleet cell (the fleet pins through
+	// eval.Sandbox.Pin).
 	pins map[netip.Addr]*Engine
 	// pass is the reusable pass-through result for flows with no engine,
 	// mirroring Engine's scratch: Outbound's result is only valid until
@@ -115,18 +112,6 @@ func (r *Router) Outbound(p *packet.Packet) []*packet.Packet {
 		return r.pass[:1]
 	}
 	return eng.Outbound(p)
-}
-
-// ResetFlows clears the per-flow engine cache and the per-client pins while
-// keeping the route table (and the compiled engines behind it) intact. It
-// is what lets a router be pooled and reused across independent
-// simulations: the routes are pure configuration, the flow cache and pins
-// are per-run state.
-func (r *Router) ResetFlows() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	clear(r.flows)
-	clear(r.pins)
 }
 
 // Flows reports how many flows have pinned engines (for tests/metrics).

@@ -41,7 +41,7 @@ type PortfolioLease struct {
 // AcquirePortfolioEngines builds one engine per portfolio arm, rng-seeded
 // at seed + SeedArmBase + arm, and ReleasePortfolioEngines does nothing.
 // Their only caller is bench/'s replay, which keeps its own copy of the
-// fleet cell; a fleet cell owns its arm engines for life.
+// fleet cell; a fleet cell's sandbox owns its arm engines for life.
 func AcquirePortfolioEngines(p selector.Portfolio, seed int64) *PortfolioLease {
 	l := &PortfolioLease{Engines: make([]*core.Engine, p.Len())}
 	for a := range l.Engines {

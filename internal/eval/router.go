@@ -102,8 +102,8 @@ type RouterLease struct {
 
 // AcquireDeploymentRouter returns NewDeploymentRouter(seed) in a lease, and
 // ReleaseDeploymentRouter does nothing. Their only caller is bench/'s
-// replay, which keeps its own copy of the fleet cell; a fleet cell owns its
-// router for life.
+// replay, which keeps its own copy of the fleet cell; a fleet cell uses no
+// router.
 func AcquireDeploymentRouter(seed int64) *RouterLease {
 	return &RouterLease{Router: NewDeploymentRouter(seed)}
 }

@@ -7,6 +7,7 @@ import (
 
 	"geneva/internal/apps"
 	"geneva/internal/censor"
+	"geneva/internal/core"
 	"geneva/internal/netsim"
 	"geneva/internal/packet"
 	"geneva/internal/tcpstack"
@@ -17,6 +18,9 @@ import (
 // virtual network. A trial rig wires it with one slot, a fleet cell with
 // one per client. Reset is the only path that wires it, so a reused
 // sandbox is in exactly the state a new one reaches.
+//
+// Its server serves the run's strategies as §8's does: each packet goes
+// through the engine Pin chose for the slot at its destination address.
 type Sandbox struct {
 	Server *tcpstack.Endpoint
 	// Clients holds one endpoint per slot. A reused sandbox may hold more
@@ -35,41 +39,67 @@ type Sandbox struct {
 	servers  map[uint16]*apps.Script // server templates by port
 	leased   []*apps.Script
 	serveApp func(*tcpstack.Conn) tcpstack.App
+
+	arms     []arm          // one per strategy; may outnumber the last Reset's
+	pins     []*core.Engine // pins[s]: the engine Pin chose for slot s (nil = none)
+	pass     [1]*packet.Packet
+	outbound func(*packet.Packet) []*packet.Packet // route, bound once
+}
+
+// arm is an engine running a private clone of the strategy whose
+// canonical text is text.
+type arm struct {
+	engine *core.Engine
+	text   string
 }
 
 // Seeds are the seeds of a sandbox's streams. Client slot s seeds at
-// Clients + s. Each caller keeps its own layout of them (SeedSchedule for
-// trials, the fleet manifest's for cells).
-type Seeds struct{ Server, Censor, Impairments, Clients int64 }
+// Clients + s, and arm a at Arms + a. Each caller keeps its own layout of
+// them (SeedSchedule for trials, the fleet manifest's for cells).
+type Seeds struct{ Server, Censor, Impairments, Clients, Arms int64 }
 
 // Gens are a sandbox's generators, one per stream of Seeds.
 type Gens struct {
 	Server, Censor, Impairments *rand.Rand
-	Clients                     []*rand.Rand
+	Clients, Arms               []*rand.Rand
 }
 
 // Reset wires the sandbox for one run, in place: the server at ServerAddr
-// sending through out (nil = no strategy), a client of personality os at
-// each of addrs, country's censor between them (kept and reset while the
-// country is unchanged), and a network impaired by im, whose endpoints
-// retransmit when it is impaired. Scripts leased through Lease go back
-// first. The server serves every port's template registered with Serve;
+// serving strats (empty for none) with no slot pinned, a client of
+// personality os at each of addrs, country's censor between them (kept and
+// reset while the country is unchanged), and a network impaired by im,
+// whose endpoints retransmit when it is impaired. Arm a's engine is kept
+// while strats[a] prints the same, whatever its pointer (the GA mutates
+// and rescores one pointer); otherwise it is rebuilt from a clone, which
+// no later mutation reaches. Scripts leased through Lease go back first.
+// The server serves every port's template registered with Serve;
 // listening is the caller's.
 func (sb *Sandbox) Reset(country string, addrs []netip.Addr, os tcpstack.Personality,
-	out func(*packet.Packet) []*packet.Packet, im netsim.Impairments, seeds Seeds) {
+	strats []*core.Strategy, im netsim.Impairments, seeds Seeds) {
 	if sb.Net == nil {
 		sb.Server, sb.Net = new(tcpstack.Endpoint), new(netsim.Network)
 		sb.servers = map[uint16]*apps.Script{}
 		sb.serveApp = sb.serve
+		sb.outbound = sb.route
 	}
 	sb.ReleaseLeased()
 	g := &sb.Gens
+	for a, s := range strats {
+		if a == len(sb.arms) {
+			sb.arms = append(sb.arms, arm{})
+			g.Arms = append(g.Arms, nil)
+		}
+		g.Arms[a] = Reseed(g.Arms[a], seeds.Arms+int64(a))
+		if text := s.String(); sb.arms[a].engine == nil || text != sb.arms[a].text {
+			sb.arms[a] = arm{engine: core.NewEngine(s.Clone(), g.Arms[a]), text: text}
+		}
+	}
 	g.Server = Reseed(g.Server, seeds.Server)
 	sb.Server.Reset(ServerAddr, tcpstack.DefaultServer, g.Server)
-	sb.Server.Outbound, sb.Server.NewServerApp = out, sb.serveApp
+	sb.Server.Outbound, sb.Server.NewServerApp = sb.outbound, sb.serveApp
 	sb.Server.Retransmit = im.Enabled()
 	sb.Server.Attach(sb.Net)
-	sb.hosts = sb.hosts[:0]
+	sb.hosts, sb.pins = sb.hosts[:0], sb.pins[:0]
 	for s, addr := range addrs {
 		if s == len(sb.Clients) {
 			sb.Clients = append(sb.Clients, new(tcpstack.Endpoint))
@@ -81,6 +111,7 @@ func (sb *Sandbox) Reset(country string, addrs []netip.Addr, os tcpstack.Persona
 		ep.Retransmit = im.Enabled()
 		ep.Attach(sb.Net)
 		sb.hosts = append(sb.hosts, ep)
+		sb.pins = append(sb.pins, nil)
 	}
 
 	g.Censor = Reseed(g.Censor, seeds.Censor)
@@ -107,6 +138,23 @@ func (sb *Sandbox) Reset(country string, addrs []netip.Addr, os tcpstack.Persona
 		g.Impairments = Reseed(g.Impairments, seeds.Impairments)
 		sb.Net.SetImpairments(im, g.Impairments)
 	}
+}
+
+// Pin serves slot's packets, from the next one the server sends, with the
+// engine of arm, one of the last Reset's strategies.
+func (sb *Sandbox) Pin(slot, arm int) { sb.pins[slot] = sb.arms[arm].engine }
+
+// route is the server's Outbound: each packet goes through the engine
+// pinned to the slot it is addressed to, or passes through unchanged. The
+// result is valid until the next call, as Engine.Outbound's is.
+func (sb *Sandbox) route(p *packet.Packet) []*packet.Packet {
+	for s, e := range sb.pins {
+		if e != nil && sb.Clients[s].Addr() == p.IP.Dst {
+			return e.Outbound(p)
+		}
+	}
+	sb.pass[0] = p
+	return sb.pass[:1]
 }
 
 // NewCensor builds the middlebox for a country, or nil for CountryNone.

@@ -15,7 +15,6 @@ import (
 	"geneva/internal/core"
 	"geneva/internal/netsim"
 	"geneva/internal/obs"
-	"geneva/internal/packet"
 	"geneva/internal/tcpstack"
 )
 
@@ -128,15 +127,6 @@ type Rig struct {
 	Sandbox
 	Client  *tcpstack.Endpoint // the one client slot
 	Session *apps.Session
-
-	// engine is compiled from a private clone of the strategy whose
-	// canonical text is engineText; reset keeps it while the config's
-	// strategy prints the same. engineOut is its Outbound, bound once, and
-	// engineRng the engine stream's generator, the rig's for life.
-	engine     *core.Engine
-	engineText string
-	engineOut  func(*packet.Packet) []*packet.Packet
-	engineRng  *rand.Rand
 }
 
 // The trial seed schedule: trial i of a rate loop runs at seed
@@ -190,24 +180,20 @@ func (r *Rig) reset(cfg Config) {
 	if !clientAddr.IsValid() {
 		clientAddr = ClientAddr
 	}
-	var out func(*packet.Packet) []*packet.Packet
+	var strats []*core.Strategy
 	if cfg.Strategy != nil {
-		r.engineRng = Reseed(r.engineRng, seed+streamEngine)
-		// Keyed on the text, not the pointer: the GA mutates strategies in
-		// place and rescores the same pointer.
-		if text := cfg.Strategy.String(); r.engine == nil || text != r.engineText {
-			r.engine = core.NewEngine(cfg.Strategy.Clone(), r.engineRng)
-			r.engineText = text
-			r.engineOut = r.engine.Outbound
-		}
-		out = r.engineOut
+		strats = []*core.Strategy{cfg.Strategy}
 	}
-	r.Reset(cfg.Country, []netip.Addr{clientAddr}, os, out, cfg.Impairments, Seeds{
+	r.Reset(cfg.Country, []netip.Addr{clientAddr}, os, strats, cfg.Impairments, Seeds{
 		Server:      seed + streamServer,
 		Censor:      seed + streamCensor,
 		Impairments: seed + streamImpairments,
 		Clients:     seed + streamClient,
+		Arms:        seed + streamEngine,
 	})
+	if strats != nil {
+		r.Pin(0, 0)
+	}
 	r.Client = r.Clients[0]
 	r.Serve(cfg.Session.Port, cfg.Session.Server())
 	r.Server.Listen(cfg.Session.Port)

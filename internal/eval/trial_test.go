@@ -196,11 +196,11 @@ func TestSeedScheduleMatchesRig(t *testing.T) {
 	sched := SeedSchedule(seed)
 	// The rig's generators, in stream-offset order.
 	order := []string{"client", "server", "engine", "censor", "impairments"}
-	gens := []*rand.Rand{rig.Gens.Clients[0], rig.Gens.Server, rig.engineRng, rig.Gens.Censor, rig.Gens.Impairments}
-	if len(rig.Gens.Clients) != 1 || len(sched.Streams) != len(order) {
-		t.Fatalf("rig holds %d client streams, schedule records %d streams, want 1 and %d",
-			len(rig.Gens.Clients), len(sched.Streams), len(order))
+	if len(rig.Gens.Clients) != 1 || len(rig.Gens.Arms) != 1 || len(sched.Streams) != len(order) {
+		t.Fatalf("rig holds %d client and %d arm streams, schedule records %d streams, want 1, 1 and %d",
+			len(rig.Gens.Clients), len(rig.Gens.Arms), len(sched.Streams), len(order))
 	}
+	gens := []*rand.Rand{rig.Gens.Clients[0], rig.Gens.Server, rig.Gens.Arms[0], rig.Gens.Censor, rig.Gens.Impairments}
 	for i, name := range order {
 		off, ok := sched.Streams[name]
 		if !ok {

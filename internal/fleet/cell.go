@@ -8,10 +8,8 @@ import (
 
 	"geneva/internal/apps"
 	"geneva/internal/censor"
-	"geneva/internal/core"
 	"geneva/internal/eval"
 	"geneva/internal/netsim"
-	"geneva/internal/packet"
 	"geneva/internal/selector"
 	"geneva/internal/tcpstack"
 )
@@ -64,9 +62,9 @@ func cellPool(key cellKey) *sync.Pool {
 }
 
 // cell is one wired cell network, leased from its key's pool for one run:
-// an eval.Sandbox with a slot per client, whose server sends through the
-// cell's router. The cell owns the router and the engines it pins for
-// life. newCell wires it, it stays alive to the end of its last wave so the
+// an eval.Sandbox with a slot per client, whose server serves the
+// country's arms, one engine each, pinned per attempt by pullArm. newCell
+// wires it, it stays alive to the end of its last wave so the
 // scheduler can drive all cells in wave lockstep, and Run puts it back once
 // the run's result is aggregated. Everything in a cell runs on a single
 // goroutine per wave against the cell's own virtual clock; only its
@@ -82,19 +80,12 @@ type cell struct {
 	resid    censor.ResidualCarrier   // non-nil iff the censor shares residual state
 	shifter  censor.ParamShifter      // non-nil iff the censor can shift mid-run
 
-	// Strategy delivery. The server sends through router, which has no
-	// routes: a flow runs the engine pullArm pinned to its client, and an
-	// unpinned client's flows pass through. arms are the engines of the
-	// country's arm set (none for the uncensored population), armGens
-	// their generators and armsID the set's id. selCell is nil unless
-	// Selection is on and the country is routed.
-	router   *core.Router
-	routeOut func(*packet.Packet) []*packet.Packet // router.Outbound, bound once
-	arms     []*core.Engine
-	armGens  []*rand.Rand
-	armsID   string
-	selCell  *selector.Cell
-	selRng   *rand.Rand
+	// arms is the number of strategies the country's cells serve (none
+	// for the uncensored population). selCell is nil unless Selection is
+	// on and the country is routed.
+	arms    int
+	selCell *selector.Cell
+	selRng  *rand.Rand
 
 	// exports holds the residual windows the cell published in the current
 	// wave (nil when its censor shares no residual state); the barrier
@@ -118,7 +109,7 @@ type cell struct {
 	live    []inflight
 }
 
-// newCell wires one cell — server and router, censor, clients — without
+// newCell wires one cell — server and strategies, censor, clients — without
 // running anything: a pooled cell of the plan's key, or an empty one,
 // reset for cp.
 func newCell(wl Workload, cp cellPlan, ctl control) *cell {
@@ -131,38 +122,23 @@ func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 
 // reset wires c for cp, in place, through the sandbox's Reset: the only
 // path that wires a cell, so a pooled cell is in exactly the state an
-// empty one reaches. The router drops its flows and pins, the arm engines
-// are kept while the country's arm set is unchanged (rebuilt otherwise, as
-// the sandbox rebuilds its censor for another country), the template maps
-// keep what earlier runs of the key built, and every freelist keeps its
+// empty one reaches. The sandbox drops its pins and keeps each arm's
+// engine while the arm's strategy prints the same, the template maps keep
+// what earlier runs of the key built, and every freelist keeps its
 // capacity. Each stream is seeded from the cell's plan index, so the order
 // of the draws is the plan's, never the scheduler's.
 func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 	if c.sessions == nil {
 		c.sessions = map[string]*apps.Session{}
 		c.clients = map[scriptKey]*apps.Script{}
-		c.router = core.NewRouter(nil)
-		c.routeOut = c.router.Outbound
 	}
 	c.wl, c.plan = wl, cp
 	cellSeed := wl.Seed + int64(cp.index)*cellSeedStride
-	c.router.ResetFlows()
 
 	set := ctl.arms[cp.country]
-	if set.id != c.armsID {
-		c.armsID = set.id
-		c.arms, c.armGens = c.arms[:0], c.armGens[:0]
-		for a := 0; a < set.strats.Len(); a++ {
-			g := eval.Reseed(nil, 0)
-			c.armGens = append(c.armGens, g)
-			c.arms = append(c.arms, core.NewEngine(set.strats.Strategy(a), g))
-		}
-	}
-	for a, g := range c.armGens {
-		g.Seed(cellSeed + set.seed + int64(a))
-	}
+	c.arms = len(set.strats)
 	c.selCell = nil
-	if ctl.state != nil && len(c.arms) > 0 {
+	if ctl.state != nil && c.arms > 0 {
 		c.selCell = ctl.state.NewCell()
 		c.selRng = eval.Reseed(c.selRng, cellSeed+seedSelector)
 	}
@@ -178,11 +154,12 @@ func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 	}
 	// The pool key holds the country, so a pooled cell's censor is the
 	// country's, and Reset undoes a Shift too.
-	c.Reset(cp.country, c.addrs, tcpstack.DefaultClient, c.routeOut, netsim.Symmetric(wl.Impairments), eval.Seeds{
+	c.Reset(cp.country, c.addrs, tcpstack.DefaultClient, set.strats, netsim.Symmetric(wl.Impairments), eval.Seeds{
 		Server:      cellSeed + seedServer,
 		Censor:      cellSeed + seedCensor,
 		Impairments: cellSeed + seedImpairments,
 		Clients:     cellSeed + seedClients,
+		Arms:        cellSeed + set.seed,
 	})
 	c.Server.ReleaseClosed = true
 	for _, ep := range c.Clients[:len(c.addrs)] {
@@ -266,23 +243,22 @@ func (c *cell) leaseClient(proto string, m int) *apps.Script {
 }
 
 // pullArm picks the arm serving one connection attempt — the bandit's
-// choice with Selection on, arm 0 without — and pins its engine to the
-// client's address, so the router delivers it when the SYN+ACK opens the
-// flow. It is the only code that picks a routed client's engine. Returns
+// choice with Selection on, arm 0 without — and pins it to the client's
+// slot. It is the only code that picks a routed client's engine. Returns
 // -1 (and touches nothing) when the cell has no arms or the client is
-// unprotected; the client's flows then pass through. Safe against
-// concurrent wave-mates: each slot address has at most one un-opened flow
-// at a time, and opened flows cache their engine, so re-pins never switch
-// a strategy mid-connection.
+// unprotected; the client's packets then pass through. A re-pin reaches
+// every packet the server sends the slot from then on, and it never
+// switches a strategy mid-connection: a slot is re-pinned only between
+// its own attempts, once the drained network holds none of its packets.
 func (c *cell) pullArm(cn *connPlan) int {
-	if len(c.arms) == 0 || cn.unprotected {
+	if c.arms == 0 || cn.unprotected {
 		return -1
 	}
 	arm := 0
 	if c.selCell != nil {
 		arm = c.selCell.Next(c.plan.country, cn.protocol, c.selRng)
 	}
-	c.router.PinClient(c.addrs[cn.slot], c.arms[arm])
+	c.Pin(cn.slot, arm)
 	return arm
 }
 

@@ -1,11 +1,11 @@
 // Package fleet is the deployment-scale serving harness for the paper's §8
-// model: one server endpoint behind a core.Router serves a mixed-country,
-// mixed-protocol population of unmodified clients, picking each client's
-// strategy from nothing but the address in its SYN.
+// model: one server endpoint serves a mixed-country, mixed-protocol
+// population of unmodified clients, picking each client's strategy from
+// nothing but the client's address.
 //
 // The workload is partitioned into cells. A cell is one shared virtual
-// network — one censor instance, one server whose router pins each routed
-// client its strategy, and several client endpoints inside the same
+// network — one censor instance, one server that pins each routed client's
+// slot its strategy, and several client endpoints inside the same
 // country — on which connections run in waves of genuinely concurrent
 // flows (their packets interleave through the same censor, so per-flow TCB
 // isolation and cross-connection censor state are exercised for real: a
@@ -446,18 +446,15 @@ func (wl Workload) validate() error {
 // control is the run's resolved strategy-delivery mode.
 type control struct {
 	portfolio selector.Portfolio // raced or pinned; zero for the §8 pins
-	hash      string             // portfolio's Hash, the manifest's identity
 	arms      map[string]armSet  // per routed country
 	state     *selector.State    // merged bandit state; nil without Selection
 }
 
-// armSet is what a routed country's cells serve, one engine per arm: the
-// portfolio, or the country's §8 strategy alone (id is then its text).
-// Arm a's generator is seeded at cellSeed + seed + a. A pooled cell keeps
-// its engines while id is unchanged.
+// armSet is what a routed country's cells serve, one engine per strategy:
+// the portfolio's, or the country's §8 strategy alone. Arm a's generator
+// is seeded at cellSeed + seed + a.
 type armSet struct {
-	strats selector.Portfolio
-	id     string
+	strats []*core.Strategy
 	seed   int64
 }
 
@@ -473,16 +470,18 @@ func resolveControl(wl Workload) control {
 		}
 		ctl.state = selector.NewState(wl.Selection, ctl.portfolio.Len())
 	}
-	ctl.hash = ctl.portfolio.Hash()
+	portfolio := make([]*core.Strategy, ctl.portfolio.Len())
+	for a := range portfolio {
+		portfolio[a] = ctl.portfolio.Strategy(a)
+	}
 	for _, country := range wl.Countries {
 		s, number, routed := eval.DeployStrategy(country)
 		switch {
 		case !routed:
 		case ctl.portfolio.IsZero():
-			pin := selector.FromStrategies([]*core.Strategy{s})
-			ctl.arms[country] = armSet{strats: pin, id: s.String(), seed: seedRouter + number}
+			ctl.arms[country] = armSet{strats: []*core.Strategy{s}, seed: seedRouter + number}
 		default:
-			ctl.arms[country] = armSet{strats: ctl.portfolio, id: ctl.hash, seed: eval.SeedArmBase}
+			ctl.arms[country] = armSet{strats: portfolio, seed: eval.SeedArmBase}
 		}
 	}
 	return ctl

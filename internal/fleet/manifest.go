@@ -46,7 +46,7 @@ func manifest(wl Workload, cells int, ctl control) obs.Manifest {
 		"duplicate":            strconv.FormatFloat(wl.Impairments.Duplicate, 'g', -1, 64),
 		"reorder":              strconv.FormatFloat(wl.Impairments.Reorder, 'g', -1, 64),
 		"jitter":               wl.Impairments.Jitter.String(),
-		"portfolio":            ctl.hash,
+		"portfolio":            ctl.portfolio.Hash(),
 		"portfolio_size":       strconv.Itoa(ctl.portfolio.Len()),
 		"selection_policy":     string(wl.Selection.Policy),
 		"shift_wave":           strconv.Itoa(wl.Shift.AtWave),

@@ -277,10 +277,10 @@ func TestSeedScheduleMatchesCell(t *testing.T) {
 		name := fmt.Sprintf("clients+%d", s)
 		gens[name], offsets[name] = g, sched.Streams["clients"]+int64(s)
 	}
-	if len(c.armGens) != ctl.portfolio.Len() {
-		t.Fatalf("the cell holds %d arm generators, want %d", len(c.armGens), ctl.portfolio.Len())
+	if len(c.Gens.Arms) != ctl.portfolio.Len() {
+		t.Fatalf("the cell holds %d arm generators, want %d", len(c.Gens.Arms), ctl.portfolio.Len())
 	}
-	for a, g := range c.armGens {
+	for a, g := range c.Gens.Arms {
 		name := fmt.Sprintf("portfolio_arms+%d", a)
 		gens[name], offsets[name] = g, sched.Streams["portfolio_arms"]+int64(a)
 	}
@@ -290,12 +290,12 @@ func TestSeedScheduleMatchesCell(t *testing.T) {
 	pinned.Selection = selector.Selection{}
 	pc := new(cell)
 	pc.reset(pinned, cp, resolveControl(pinned))
-	if len(pc.armGens) != 1 {
-		t.Fatalf("the pinned cell holds %d arm generators, want 1", len(pc.armGens))
+	if len(pc.Gens.Arms) != 1 {
+		t.Fatalf("the pinned cell holds %d arm generators, want 1", len(pc.Gens.Arms))
 	}
 	def, _ := eval.CensorByCountry(eval.CountryChina)
 	name := fmt.Sprintf("router+%d", def.Deploy.Number)
-	gens[name], offsets[name] = pc.armGens[0], sched.Streams["router"]+int64(def.Deploy.Number)
+	gens[name], offsets[name] = pc.Gens.Arms[0], sched.Streams["router"]+int64(def.Deploy.Number)
 	for name, g := range gens {
 		seed := cellSeed + offsets[name]
 		fresh := rand.New(rand.NewSource(seed))

@@ -31,12 +31,22 @@ func pinnedGolden(t *testing.T, d Deployment) []byte {
 	return append(b, '\n')
 }
 
+func mustPortfolio(t *testing.T, strategies ...string) Portfolio {
+	t.Helper()
+	p, err := NewPortfolio(strategies...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestFleetPinnedByteIdentity pins the registry-pinned fleet — Portfolio and
 // Selection both unset — byte-for-byte: the FleetResult and manifest of the
 // exact TestFleetDeterminism and TestFleetDeterminismLongHorizon workload
-// shapes must match the committed goldens under testdata/. Any change to a
-// served connection, a seed stream or a manifest key shows up here as a
-// reviewable diff; regenerate with
+// shapes must match the committed goldens under testdata/. A third golden
+// pins a selection run whose bandit re-pins client slots between attempts.
+// Any change to a served connection, a seed stream or a manifest key shows
+// up here as a reviewable diff; regenerate with
 //
 //	UPDATE_GOLDEN=1 go test -run TestFleetPinnedByteIdentity .
 func TestFleetPinnedByteIdentity(t *testing.T) {
@@ -59,6 +69,21 @@ func TestFleetPinnedByteIdentity(t *testing.T) {
 			RequestGap:      40 * time.Second,
 			Reconnect:       ReconnectPolicy{MaxAttempts: 3, Backoff: 50 * time.Second, RetryAll: true},
 			Seed:            1234,
+		}},
+		// Re-pins: the bandit moves each client slot between arms across
+		// attempts, under loss, jitter and backoff reconnects, so a change
+		// to which engine a slot's packets reach shows up here. Strategy
+		// 9's arm draws from its engine stream, though the bytes it draws
+		// move no outcome (TestSeedScheduleMatchesCell checks the seed).
+		{"testdata/fleet_selection.json", Deployment{
+			Countries:   []string{China, Kazakhstan, NoCensor},
+			Protocols:   []string{"http", "https", "dns"},
+			Connections: 300,
+			Seed:        1234,
+			Portfolio:   mustPortfolio(t, Strategy1.DSL, Strategy9.DSL, Strategy11.DSL),
+			Selection:   Selection{Policy: EpsilonGreedy},
+			Impairments: Impairments{Loss: 0.02, Jitter: 3 * time.Millisecond},
+			Reconnect:   ReconnectPolicy{Backoff: 20 * time.Second, RetryAll: true},
 		}},
 	}
 	for _, tc := range cases {
