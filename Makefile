@@ -76,23 +76,24 @@ selector-determinism:
 	$(GO) test -race ./internal/selector/
 
 # The allocation-budget tripwires: fail when the zero-alloc hot paths (the
-# event queue, pooled packets, compiled triggers), the per-censor
-# connection budgets, the per-trial budget, or the fleet's per-connection
-# budgets regress. Allocation counts are deterministic, so these gate on
-# any host. CI runs exactly this.
+# event queue, pooled packets, compiled triggers, the DPI's in-place name
+# reading), the per-censor connection budgets, the per-trial budget, or the
+# fleet's per-connection budgets regress. Allocation counts are
+# deterministic, so these gate on any host. CI runs exactly this.
 alloc-budget:
-	$(GO) test -run 'TestAllocBudget|TestTrialAllocBudget|TestFleetAllocBudget' -v ./internal/apps/ ./internal/netsim/ ./internal/packet/ ./internal/core/ ./internal/eval/ ./internal/fleet/
+	$(GO) test -run 'TestAllocBudget|TestTrialAllocBudget|TestFleetAllocBudget' -v ./internal/apps/ ./internal/netsim/ ./internal/packet/ ./internal/core/ ./internal/censor/ ./internal/eval/ ./internal/fleet/
 
 # Pool safety: GODEBUG=clobberfree poisons freed memory, so if any
 # recycled packet buffer is still referenced, the bit-identical recycling
 # tests diverge, a reset network must hand back every queued packet once,
-# a reset censor must reuse its flow slots as a fresh one starts, a
-# recycled trial rig must still match a fresh one, a reset sandbox must
-# clear its pins and keep only the engines whose strategies print the
-# same, and a pooled fleet cell reset for a run must still match a fresh
-# one. CI runs exactly this.
+# a network must deliver each injection of a verdict that borrows its
+# box's scratch exactly once and in order, a reset censor must reuse its
+# flow slots as a fresh one starts, a recycled trial rig must still match
+# a fresh one, a reset sandbox must clear its pins and keep only the
+# engines whose strategies print the same, and a pooled fleet cell reset
+# for a run must still match a fresh one. CI runs exactly this.
 pool-safety:
-	GODEBUG=clobberfree=1 $(GO) test -run 'TestPool|TestRecycling|TestRigReset|TestSandbox|TestCensorReset|TestCellReset' ./internal/packet/ ./internal/netsim/ ./internal/censor/... ./internal/eval/ ./internal/fleet/
+	GODEBUG=clobberfree=1 $(GO) test -run 'TestPool|TestRecycling|TestVerdictBorrow|TestRigReset|TestSandbox|TestCensorReset|TestCellReset' ./internal/packet/ ./internal/netsim/ ./internal/censor/... ./internal/eval/ ./internal/fleet/
 
 # Coverage-guided fuzzing bursts — the fuzz targets promoted from
 # seed-corpus-only to live mutation. Go's fuzz engine takes one -fuzz

@@ -112,8 +112,8 @@ func TestScriptCorruptionIsSticky(t *testing.T) {
 
 func TestDNSEncodingRoundtrip(t *testing.T) {
 	q := EncodeDNSQuery("www.wikipedia.org")
-	name, ok := packet.ParseDNSQueryName(q)
-	if !ok || name != "www.wikipedia.org" {
+	name, ok := packet.ParseDNSQueryName(nil, q)
+	if !ok || string(name) != "www.wikipedia.org" {
 		t.Errorf("DNSQueryName = %q, %v", name, ok)
 	}
 	// Length prefix must match.
@@ -128,24 +128,24 @@ func TestDNSQueryNameFailsOpenOnFragments(t *testing.T) {
 	// open (no name) until the QNAME is fully present, and never panic.
 	nameEnd := 2 + 12 + len("www.wikipedia.org") + 2 // prefix + header + labels + root
 	for cut := 1; cut < len(q)-1; cut++ {
-		name, ok := packet.ParseDNSQueryName(q[:cut])
+		name, ok := packet.ParseDNSQueryName(nil, q[:cut])
 		if ok && cut < nameEnd {
 			t.Errorf("name %q parsed from %d-byte fragment (QNAME ends at %d)", name, cut, nameEnd)
 		}
-		if cut >= nameEnd && (!ok || name != "www.wikipedia.org") {
+		if cut >= nameEnd && (!ok || string(name) != "www.wikipedia.org") {
 			t.Errorf("complete QNAME at %d bytes not parsed", cut)
 		}
 	}
-	if _, ok := packet.ParseDNSQueryName(nil); ok {
+	if _, ok := packet.ParseDNSQueryName(nil, nil); ok {
 		t.Error("parsed empty data")
 	}
-	if _, ok := packet.ParseDNSQueryName([]byte{0, 3, 1, 2, 3}); ok {
+	if _, ok := packet.ParseDNSQueryName(nil, []byte{0, 3, 1, 2, 3}); ok {
 		t.Error("parsed garbage")
 	}
 }
 
 func TestDNSResponseParses(t *testing.T) {
-	r := EncodeDNSResponse("example.com", [4]byte{1, 2, 3, 4})
+	r := AppendDNSResponse(nil, []byte("example.com"), [4]byte{1, 2, 3, 4})
 	if len(r) < 14 {
 		t.Fatal("response too short")
 	}
@@ -157,7 +157,7 @@ func TestDNSResponseParses(t *testing.T) {
 func TestExtractSNI(t *testing.T) {
 	hello := EncodeClientHello("youtube.com")
 	sni, ok := packet.ParseTLSServerName(hello)
-	if !ok || sni != "youtube.com" {
+	if !ok || string(sni) != "youtube.com" {
 		t.Errorf("ExtractSNI = %q, %v", sni, ok)
 	}
 }
@@ -193,11 +193,11 @@ func TestExtractSNIProperty(t *testing.T) {
 func TestHTTPParsers(t *testing.T) {
 	req := []byte("GET /?q=ultrasurf HTTP/1.1\r\nHost: example.com\r\n\r\n")
 	target, ok := packet.ParseHTTPRequestTarget(req)
-	if !ok || target != "/?q=ultrasurf" {
+	if !ok || string(target) != "/?q=ultrasurf" {
 		t.Errorf("target = %q, %v", target, ok)
 	}
 	host, ok := packet.ParseHTTPHostHeader(req)
-	if !ok || host != "example.com" {
+	if !ok || string(host) != "example.com" {
 		t.Errorf("host = %q, %v", host, ok)
 	}
 	// Split requests must fail open.
@@ -213,13 +213,13 @@ func TestHTTPParsers(t *testing.T) {
 }
 
 func TestFTPAndSMTPParsers(t *testing.T) {
-	if f, ok := FTPRetrTarget([]byte("RETR ultrasurf\r\n")); !ok || f != "ultrasurf" {
+	if f, ok := FTPRetrTarget([]byte("RETR ultrasurf\r\n")); !ok || string(f) != "ultrasurf" {
 		t.Errorf("FTPRetrTarget = %q, %v", f, ok)
 	}
 	if _, ok := FTPRetrTarget([]byte("RETR ultra")); ok {
 		t.Error("parsed unterminated RETR")
 	}
-	if r, ok := SMTPRcptTarget([]byte("RCPT TO:<tibetalk@yahoo.com.cn>\r\n")); !ok || r != "tibetalk@yahoo.com.cn" {
+	if r, ok := SMTPRcptTarget([]byte("RCPT TO:<tibetalk@yahoo.com.cn>\r\n")); !ok || string(r) != "tibetalk@yahoo.com.cn" {
 		t.Errorf("SMTPRcptTarget = %q, %v", r, ok)
 	}
 	if _, ok := SMTPRcptTarget([]byte("MAIL FROM:<a@b>\r\n")); ok {

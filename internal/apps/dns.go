@@ -1,8 +1,8 @@
 package apps
 
 import (
+	"bytes"
 	"encoding/binary"
-	"strings"
 )
 
 // dnsQueryID is the fixed transaction ID used by the simulated resolver
@@ -12,53 +12,58 @@ const dnsQueryID = 0x1337
 // EncodeDNSQuery builds a DNS-over-TCP query (RFC 7766: 2-byte length
 // prefix) for an A record of name.
 func EncodeDNSQuery(name string) []byte {
-	msg := encodeDNSHeader(dnsQueryID, 0x0100, 1, 0) // RD set, 1 question
-	msg = append(msg, encodeDNSName(name)...)
-	msg = binary.BigEndian.AppendUint16(msg, 1) // QTYPE A
-	msg = binary.BigEndian.AppendUint16(msg, 1) // QCLASS IN
-	return prefixLen(msg)
+	return appendDNSMessage(nil, 0x0100, []byte(name), false, [4]byte{}) // RD set
 }
 
-// EncodeDNSResponse builds the matching DNS-over-TCP answer, resolving name
-// to addr (an IPv4 4-byte slice).
-func EncodeDNSResponse(name string, addr [4]byte) []byte {
-	msg := encodeDNSHeader(dnsQueryID, 0x8180, 1, 1) // QR|RD|RA
-	q := encodeDNSName(name)
-	msg = append(msg, q...)
-	msg = binary.BigEndian.AppendUint16(msg, 1)
-	msg = binary.BigEndian.AppendUint16(msg, 1)
-	// Answer: pointer to the question name.
-	msg = append(msg, 0xc0, 0x0c)
-	msg = binary.BigEndian.AppendUint16(msg, 1)   // TYPE A
-	msg = binary.BigEndian.AppendUint16(msg, 1)   // CLASS IN
-	msg = binary.BigEndian.AppendUint32(msg, 300) // TTL
-	msg = binary.BigEndian.AppendUint16(msg, 4)   // RDLENGTH
-	msg = append(msg, addr[:]...)
-	return prefixLen(msg)
+// AppendDNSResponse appends the DNS-over-TCP answer matching
+// EncodeDNSQuery(name), resolving name to addr, to dst and returns the
+// extended buffer. It allocates only if dst lacks the capacity.
+func AppendDNSResponse(dst, name []byte, addr [4]byte) []byte {
+	return appendDNSMessage(dst, 0x8180, name, true, addr) // QR|RD|RA
 }
 
-func encodeDNSHeader(id, flags uint16, qd, an uint16) []byte {
-	h := make([]byte, 0, 12)
-	h = binary.BigEndian.AppendUint16(h, id)
-	h = binary.BigEndian.AppendUint16(h, flags)
-	h = binary.BigEndian.AppendUint16(h, qd)
-	h = binary.BigEndian.AppendUint16(h, an)
-	h = binary.BigEndian.AppendUint16(h, 0)
-	h = binary.BigEndian.AppendUint16(h, 0)
-	return h
-}
-
-func encodeDNSName(name string) []byte {
-	var b []byte
-	for _, label := range strings.Split(strings.TrimSuffix(name, "."), ".") {
-		b = append(b, byte(len(label)))
-		b = append(b, label...)
+// appendDNSMessage appends a length-prefixed message with the given header
+// flags and one question, an A record of name, answered with addr when
+// answer is set.
+func appendDNSMessage(dst []byte, flags uint16, name []byte, answer bool, addr [4]byte) []byte {
+	start := len(dst)
+	var an uint16
+	if answer {
+		an = 1
 	}
-	return append(b, 0)
+	dst = append(dst, 0, 0) // the length prefix, filled in last
+	dst = binary.BigEndian.AppendUint16(dst, dnsQueryID)
+	dst = binary.BigEndian.AppendUint16(dst, flags)
+	dst = binary.BigEndian.AppendUint16(dst, 1) // QDCOUNT
+	dst = binary.BigEndian.AppendUint16(dst, an)
+	dst = append(dst, 0, 0, 0, 0) // NSCOUNT, ARCOUNT
+	dst = appendDNSName(dst, name)
+	dst = binary.BigEndian.AppendUint16(dst, 1) // QTYPE A
+	dst = binary.BigEndian.AppendUint16(dst, 1) // QCLASS IN
+	if answer {
+		dst = append(dst, 0xc0, 0x0c)                 // pointer to the question name
+		dst = binary.BigEndian.AppendUint16(dst, 1)   // TYPE A
+		dst = binary.BigEndian.AppendUint16(dst, 1)   // CLASS IN
+		dst = binary.BigEndian.AppendUint32(dst, 300) // TTL
+		dst = binary.BigEndian.AppendUint16(dst, 4)   // RDLENGTH
+		dst = append(dst, addr[:]...)
+	}
+	binary.BigEndian.PutUint16(dst[start:], uint16(len(dst)-start-2))
+	return dst
 }
 
-func prefixLen(msg []byte) []byte {
-	out := make([]byte, 2, 2+len(msg))
-	binary.BigEndian.PutUint16(out, uint16(len(msg)))
-	return append(out, msg...)
+// appendDNSName appends name's labels, split at every dot once one
+// trailing dot is dropped, and the root label.
+func appendDNSName(dst, name []byte) []byte {
+	if n := len(name); n > 0 && name[n-1] == '.' {
+		name = name[:n-1]
+	}
+	for {
+		i := bytes.IndexByte(name, '.')
+		if i < 0 {
+			return append(append(append(dst, byte(len(name))), name...), 0)
+		}
+		dst = append(append(dst, byte(i)), name[:i]...)
+		name = name[i+1:]
+	}
 }

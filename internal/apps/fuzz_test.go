@@ -14,11 +14,11 @@ func FuzzDNSQueryName(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		name, ok := packet.ParseDNSQueryName(data)
+		name, ok := packet.ParseDNSQueryName(nil, data)
 		if ok && len(name) == 0 {
 			t.Fatal("claimed success with an empty name")
 		}
-		if rn, rok := refDNSQueryName(data); rn != name || rok != ok {
+		if rn, rok := refDNSQueryName(data); rn != string(name) || rok != ok {
 			t.Fatalf("byte parser diverged from reference: got (%q,%v), want (%q,%v)", name, ok, rn, rok)
 		}
 	})
@@ -31,7 +31,7 @@ func FuzzExtractSNI(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sni, ok := packet.ParseTLSServerName(data)
-		if ok && sni == "" {
+		if ok && len(sni) == 0 {
 			t.Fatal("claimed success with an empty SNI")
 		}
 	})
@@ -45,11 +45,11 @@ func FuzzHTTPParsers(f *testing.F) {
 	f.Add([]byte{})
 	// Each live parser must agree with the frozen string-based reference on
 	// every input — the fail-open edges are load-bearing.
-	check := func(t *testing.T, name string, live, ref func([]byte) (string, bool), data []byte) {
+	check := func(t *testing.T, name string, live func([]byte) ([]byte, bool), ref func([]byte) (string, bool), data []byte) {
 		t.Helper()
 		g, gok := live(data)
 		w, wok := ref(data)
-		if g != w || gok != wok {
+		if string(g) != w || gok != wok {
 			t.Fatalf("%s diverged: got (%q,%v), want (%q,%v)", name, g, gok, w, wok)
 		}
 	}

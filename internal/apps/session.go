@@ -3,7 +3,6 @@ package apps
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"time"
 
 	"geneva/internal/tcpstack"
@@ -101,7 +100,7 @@ func (s *Session) KeepAlive(n int, gap time.Duration) *Session {
 // everything to 93.184.216.34.
 func DNSSession(name string) *Session {
 	query := EncodeDNSQuery(name)
-	resp := EncodeDNSResponse(name, [4]byte{93, 184, 216, 34})
+	resp := AppendDNSResponse(nil, []byte(name), [4]byte{93, 184, 216, 34})
 	return &Session{
 		Protocol: "dns",
 		Port:     53,
@@ -249,34 +248,34 @@ func concat(parts ...[]byte) []byte {
 // --- DPI payload parsers used by the censor models ---
 //
 // The HTTP/TLS/DNS field extractors live in internal/packet (appdata.go).
-// The FTP/SMTP command parsers stay here; like those, they scan bytes
-// directly instead of string-converting the whole payload first.
+// The FTP/SMTP command parsers stay here; like those, they read the
+// argument in place.
 
 // FTPRetrTarget returns the argument of a RETR command in data, if fully
-// present.
-func FTPRetrTarget(data []byte) (string, bool) {
+// present. The argument aliases data.
+func FTPRetrTarget(data []byte) ([]byte, bool) {
 	return commandArg(data, "RETR ")
 }
 
 // SMTPRcptTarget returns the address in a RCPT TO command in data, if fully
-// present.
-func SMTPRcptTarget(data []byte) (string, bool) {
+// present. The address aliases data.
+func SMTPRcptTarget(data []byte) ([]byte, bool) {
 	arg, ok := commandArg(data, "RCPT TO:")
 	if !ok {
-		return "", false
+		return nil, false
 	}
-	return strings.Trim(arg, "<>"), true
+	return bytes.Trim(arg, "<>"), true
 }
 
-func commandArg(data []byte, cmd string) (string, bool) {
+func commandArg(data []byte, cmd string) ([]byte, bool) {
 	idx := bytes.Index(data, []byte(cmd))
 	if idx < 0 {
-		return "", false
+		return nil, false
 	}
 	rest := data[idx+len(cmd):]
 	end := bytes.Index(rest, []byte("\r\n"))
 	if end < 0 {
-		return "", false
+		return nil, false
 	}
-	return string(bytes.TrimSpace(rest[:end])), true
+	return bytes.TrimSpace(rest[:end]), true
 }

@@ -13,9 +13,11 @@
 package censor
 
 import (
+	"bytes"
 	"strings"
 	"time"
 
+	"geneva/internal/netsim"
 	"geneva/internal/packet"
 )
 
@@ -81,25 +83,19 @@ func Default() Blocklist {
 	return defaultBlocklist
 }
 
-func normDomain(d string) string {
-	return strings.ToLower(strings.TrimSuffix(strings.TrimSpace(d), "."))
-}
-
-func normEmail(e string) string {
-	return strings.ToLower(strings.TrimSpace(e))
-}
-
-// MatchDomain reports whether name is blocked (exact or subdomain match).
-// Both the probed name and the blocklist entries are compared
-// case-insensitively: a mixed-case entry ("Wikipedia.ORG") must block
-// "wikipedia.org" and vice versa. Entry normalization here is free for
-// already-normalized lists (strings.ToLower returns its argument unchanged),
-// so the Default()-driven hot path stays allocation-free.
-func (b Blocklist) MatchDomain(name string) bool {
-	name = strings.ToLower(strings.TrimSuffix(name, "."))
+// MatchDomain reports whether name is blocked (exact or subdomain match),
+// reading name in place. One trailing dot is dropped from name and from
+// each entry, as are an entry's surrounding spaces. Letters compare
+// case-insensitively, as DNS names do (RFC 4343): a mixed-case entry
+// ("Wikipedia.ORG") blocks "wikipedia.org" and vice versa.
+func (b Blocklist) MatchDomain(name []byte) bool {
+	name = trimDot(name)
 	for _, d := range b.Domains {
-		d = normDomain(d)
-		if name == d || strings.HasSuffix(name, "."+d) {
+		d = strings.TrimSuffix(strings.TrimSpace(d), ".")
+		if len(name) < len(d) || !equalFold(name[len(name)-len(d):], d) {
+			continue
+		}
+		if rest := len(name) - len(d); rest == 0 || name[rest-1] == '.' {
 			return true
 		}
 	}
@@ -112,33 +108,100 @@ func (b Blocklist) MatchDomain(name string) bool {
 // mid-request is not recognized as HTTP at all — the single-packet DPI
 // blind spot client segmentation (Strategy 8) exploits.
 func (b Blocklist) ForbiddenHost(pkt *packet.Packet) bool {
-	return packet.VisitHTTPRequests(pkt.TCP.Payload, func(_ []byte, h string, hok bool) bool {
+	return packet.VisitHTTPRequests(pkt.TCP.Payload, func(_, h []byte, hok bool) bool {
 		return hok && b.MatchDomain(h)
 	})
 }
 
-// MatchKeyword reports whether s contains a blocked keyword
-// (case-insensitively, on both sides).
-func (b Blocklist) MatchKeyword(s string) bool {
-	s = strings.ToLower(s)
+// MatchKeyword reports whether s contains a blocked keyword, letters
+// compared case-insensitively on both sides.
+func (b Blocklist) MatchKeyword(s []byte) bool {
 	for _, k := range b.Keywords {
-		if strings.Contains(s, strings.ToLower(k)) {
+		for i := 0; i+len(k) <= len(s); i++ {
+			if equalFold(s[i:i+len(k)], k) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// MatchEmail reports whether addr is a blocked recipient, surrounding
+// spaces dropped and letters compared case-insensitively on both sides.
+func (b Blocklist) MatchEmail(addr []byte) bool {
+	addr = bytes.TrimSpace(addr)
+	for _, e := range b.Emails {
+		if equalFold(addr, strings.TrimSpace(e)) {
 			return true
 		}
 	}
 	return false
 }
 
-// MatchEmail reports whether addr is a blocked recipient
-// (case-insensitively, on both sides).
-func (b Blocklist) MatchEmail(addr string) bool {
-	addr = strings.ToLower(strings.TrimSpace(addr))
-	for _, e := range b.Emails {
-		if addr == normEmail(e) {
-			return true
+// trimDot drops one trailing dot.
+func trimDot(name []byte) []byte {
+	if n := len(name); n > 0 && name[n-1] == '.' {
+		return name[:n-1]
+	}
+	return name
+}
+
+// equalFold reports whether b and s are equal with ASCII letters folded to
+// lower case. Names, keywords and mailboxes on the wire are ASCII; a
+// non-ASCII byte matches only itself.
+func equalFold(b []byte, s string) bool {
+	if len(b) != len(s) {
+		return false
+	}
+	for i := range b {
+		if lower(b[i]) != lower(s[i]) {
+			return false
 		}
 	}
-	return false
+	return true
+}
+
+func lower(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// Injections is a censor's scratch pair for the packets one Process call
+// fabricates, one slice per receiving endpoint. The verdict it builds
+// borrows both slices (see netsim.Verdict): the censor resets them at the
+// top of its next Process call, so once they have grown to what one packet
+// elicits, injecting allocates nothing.
+type Injections struct {
+	toClient, toServer []*packet.Packet
+}
+
+// Reset empties both slices and keeps their capacity.
+func (in *Injections) Reset() {
+	in.toClient, in.toServer = in.toClient[:0], in.toServer[:0]
+}
+
+// Add queues pkts for injection toward dir's receiver.
+func (in *Injections) Add(dir netsim.Direction, pkts ...*packet.Packet) {
+	if dir == netsim.ToClient {
+		in.toClient = append(in.toClient, pkts...)
+	} else {
+		in.toServer = append(in.toServer, pkts...)
+	}
+}
+
+// Verdict returns the verdict injecting everything added since Reset. A
+// direction with nothing to inject gets a nil slice.
+func (in *Injections) Verdict(drop bool, note string) netsim.Verdict {
+	v := netsim.Verdict{Drop: drop, Note: note}
+	if len(in.toClient) > 0 {
+		v.InjectToClient = in.toClient
+	}
+	if len(in.toServer) > 0 {
+		v.InjectToServer = in.toServer
+	}
+	return v
 }
 
 // InjectRST fabricates the tear-down packet an on-path censor sends: a

@@ -24,7 +24,7 @@ func TestBlocklistDomainMatching(t *testing.T) {
 		{"example.com", false},
 	}
 	for _, c := range cases {
-		if got := bl.MatchDomain(c.name); got != c.want {
+		if got := bl.MatchDomain([]byte(c.name)); got != c.want {
 			t.Errorf("MatchDomain(%q) = %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -40,22 +40,22 @@ func TestBlocklistMixedCaseEntries(t *testing.T) {
 		Keywords: []string{"UltraSurf"},
 		Emails:   []string{" TibeTalk@Yahoo.com.CN "},
 	}
-	if !bl.MatchDomain("wikipedia.org") {
+	if !bl.MatchDomain([]byte("wikipedia.org")) {
 		t.Error("mixed-case domain entry did not match lowercase name")
 	}
-	if !bl.MatchDomain("M.WIKIPEDIA.org") {
+	if !bl.MatchDomain([]byte("M.WIKIPEDIA.org")) {
 		t.Error("mixed-case entry did not match mixed-case subdomain")
 	}
-	if !bl.MatchDomain("blocked.example") {
+	if !bl.MatchDomain([]byte("blocked.example")) {
 		t.Error("padded dotted mixed-case entry did not match")
 	}
-	if !bl.MatchKeyword("/?q=ultrasurf") {
+	if !bl.MatchKeyword([]byte("/?q=ultrasurf")) {
 		t.Error("mixed-case keyword entry did not match")
 	}
-	if !bl.MatchEmail("tibetalk@yahoo.com.cn") {
+	if !bl.MatchEmail([]byte("tibetalk@yahoo.com.cn")) {
 		t.Error("mixed-case email entry did not match")
 	}
-	if bl.MatchDomain("wikipedia.org.example") {
+	if bl.MatchDomain([]byte("wikipedia.org.example")) {
 		t.Error("suffix without dot boundary matched")
 	}
 }
@@ -64,11 +64,13 @@ func TestBlocklistMixedCaseEntries(t *testing.T) {
 // already-normalized (Default) blocklist allocates nothing.
 func TestMatchDomainNoAlloc(t *testing.T) {
 	bl := Default()
+	blocked, benign := []byte("www.wikipedia.org"), []byte("example.com")
+	target, rcpt := []byte("/?q=ultrasurf"), []byte("tibetalk@yahoo.com.cn")
 	if allocs := testing.AllocsPerRun(100, func() {
-		bl.MatchDomain("www.wikipedia.org")
-		bl.MatchDomain("example.com")
-		bl.MatchKeyword("/?q=ultrasurf")
-		bl.MatchEmail("tibetalk@yahoo.com.cn")
+		bl.MatchDomain(blocked)
+		bl.MatchDomain(benign)
+		bl.MatchKeyword(target)
+		bl.MatchEmail(rcpt)
 	}); allocs != 0 {
 		t.Errorf("Match* against normalized list allocates %.1f/op, want 0", allocs)
 	}
@@ -76,20 +78,20 @@ func TestMatchDomainNoAlloc(t *testing.T) {
 
 func TestBlocklistKeywordMatching(t *testing.T) {
 	bl := Default()
-	if !bl.MatchKeyword("/?q=ultrasurf") || !bl.MatchKeyword("ULTRASURF") {
+	if !bl.MatchKeyword([]byte("/?q=ultrasurf")) || !bl.MatchKeyword([]byte("ULTRASURF")) {
 		t.Error("keyword matching should be case-insensitive substring")
 	}
-	if bl.MatchKeyword("/?q=kittens") {
+	if bl.MatchKeyword([]byte("/?q=kittens")) {
 		t.Error("benign keyword matched")
 	}
 }
 
 func TestBlocklistEmailMatching(t *testing.T) {
 	bl := Default()
-	if !bl.MatchEmail("tibetalk@yahoo.com.cn") || !bl.MatchEmail(" TIBETALK@yahoo.com.cn ") {
+	if !bl.MatchEmail([]byte("tibetalk@yahoo.com.cn")) || !bl.MatchEmail([]byte(" TIBETALK@yahoo.com.cn ")) {
 		t.Error("email matching failed")
 	}
-	if bl.MatchEmail("friend@example.org") {
+	if bl.MatchEmail([]byte("friend@example.org")) {
 		t.Error("benign email matched")
 	}
 }

@@ -125,6 +125,10 @@ type DPI struct {
 	cal        DPIParams
 	blackholes Windows[packet.Flow]
 	residual   ResidualTable
+	// inj and name are Process's scratch: the injected packets, which the
+	// verdict borrows, and the DNS name a query is read into.
+	inj  Injections
+	name []byte
 }
 
 // NewDPI builds the censor for a calibration.
@@ -191,8 +195,10 @@ func isDNSQuery(payload []byte) bool {
 	return len(payload) >= 6 && payload[4]&0x80 == 0
 }
 
-// Process implements netsim.Middlebox.
+// Process implements netsim.Middlebox. The verdict's injections borrow the
+// censor's scratch until the next call.
 func (d *DPI) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duration) netsim.Verdict {
+	d.inj.Reset()
 	port := d.servicePort(pkt, dir)
 	if port == 0 {
 		return netsim.Verdict{}
@@ -218,13 +224,15 @@ func (d *DPI) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 	// Every engine is anchored at a well-formed single-packet message, so a
 	// segment that starts mid-message is not recognized at all.
 	var action Action
-	var name string // the forbidden DNS name, which a forged response answers
+	var name []byte // the forbidden DNS name, which a forged response answers
 	switch port {
 	case 53:
 		if d.P.DNS == ActionNone || !isDNSQuery(pkt.TCP.Payload) {
 			break
 		}
-		if n, ok := packet.ParseDNSQueryName(pkt.TCP.Payload); ok && d.Block.MatchDomain(n) {
+		n, ok := packet.ParseDNSQueryName(d.name[:0], pkt.TCP.Payload)
+		d.name = n // keep the buffer's capacity for the next query
+		if ok && d.Block.MatchDomain(n) {
 			action, name = d.P.DNS, n
 		}
 	case 80:
@@ -260,10 +268,10 @@ func (d *DPI) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 		rst := InjectRST(back, seq+uint32(len(page.TCP.Payload))+1, ack)
 		d.P.Metrics.Pages.Inc()
 		d.P.Metrics.RSTs.Inc()
-		return toSender(dir, note, page, rst)
+		d.inj.Add(dir.Reverse(), page, rst)
 	case ActionRedirect:
 		d.P.Metrics.Redirects.Inc()
-		return toSender(dir, note, Redirect302(back, seq, ack, d.P.RedirectLocation))
+		d.inj.Add(dir.Reverse(), Redirect302(back, seq, ack, d.P.RedirectLocation))
 	case ActionBlackhole:
 		// Stored one tick short: the blackhole ends before start+window.
 		d.blackholes.Open(pkt.Flow(), now, now+d.P.BlackholeWindow-1)
@@ -287,9 +295,10 @@ func (d *DPI) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 		resp.TCP.Seq = seq
 		resp.TCP.Ack = ack
 		resp.TCP.Window = 65535
-		resp.TCP.Payload = append(resp.TCP.Payload[:0], apps.EncodeDNSResponse(name, d.P.ForgedAddr)...)
-		return toSender(dir, note, resp)
+		resp.TCP.Payload = apps.AppendDNSResponse(resp.TCP.Payload[:0], name, d.P.ForgedAddr)
+		d.inj.Add(dir.Reverse(), resp)
 	}
+	return d.inj.Verdict(false, note)
 }
 
 // teardown fabricates the two-sided tear-down: one RST toward the packet's
@@ -300,20 +309,7 @@ func (d *DPI) teardown(pkt *packet.Packet, dir netsim.Direction, note string) ne
 	fwd := InjectRST(pkt.Flow(), end, pkt.TCP.Ack)
 	rev := InjectRST(pkt.Flow().Reverse(), pkt.TCP.Ack, end)
 	d.P.Metrics.RSTs.Add(2)
-	v := toSender(dir, note, rev)
-	if dir == netsim.ToServer {
-		v.InjectToServer = []*packet.Packet{fwd}
-	} else {
-		v.InjectToClient = []*packet.Packet{fwd}
-	}
-	return v
-}
-
-// toSender is a verdict injecting pkts back toward the sender of a packet
-// travelling in dir.
-func toSender(dir netsim.Direction, note string, pkts ...*packet.Packet) netsim.Verdict {
-	if dir == netsim.ToServer {
-		return netsim.Verdict{Note: note, InjectToClient: pkts}
-	}
-	return netsim.Verdict{Note: note, InjectToServer: pkts}
+	d.inj.Add(dir.Reverse(), rev)
+	d.inj.Add(dir, fwd)
+	return d.inj.Verdict(false, note)
 }

@@ -44,7 +44,7 @@ func FuzzDPIProcess(f *testing.F) {
 	f.Add([]byte("GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n"), uint16(80), uint8(packet.FlagPSH|packet.FlagACK), true)
 	f.Add([]byte("GET / HTTP/1.1\r\nHost: a.example\r\n\r\nGET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n"), uint16(80), uint8(packet.FlagACK), false)
 	f.Add(apps.EncodeClientHello("www.wikipedia.org"), uint16(443), uint8(packet.FlagPSH|packet.FlagACK), false)
-	f.Add(apps.EncodeDNSResponse("www.wikipedia.org", [4]byte{93, 184, 216, 34}), uint16(53), uint8(packet.FlagACK), false)
+	f.Add(apps.AppendDNSResponse(nil, []byte("www.wikipedia.org"), [4]byte{93, 184, 216, 34}), uint16(53), uint8(packet.FlagACK), false)
 	f.Add(apps.EncodeClientHello("www.wikipedia.org")[:20], uint16(443), uint8(packet.FlagACK), true)
 	f.Add([]byte{}, uint16(80), uint8(packet.FlagSYN), true)
 	f.Fuzz(func(t *testing.T, payload []byte, port uint16, flags uint8, toServer bool) {

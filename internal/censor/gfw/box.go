@@ -81,6 +81,8 @@ type Box struct {
 	m   *boxMetrics
 	// residual holds the poisoned server windows (boxes with Residual only).
 	residual censor.ResidualTable
+	// name is the DNS box's scratch for the query name it reads.
+	name []byte
 
 	// Censored counts censorship events (for experiments).
 	Censored int
@@ -128,10 +130,12 @@ func (b *Box) track(t *tcb, pkt *packet.Packet) {
 	t.reassembles = !b.chance(b.P.PNoReassembly)
 }
 
-// step runs the box over one packet of a flow it tracks. It never looks at
-// checksums: insertion packets with corrupted checksums are processed like
-// any other. A flow the box is done with comes back with t.torn set.
-func (b *Box) step(t *tcb, pkt *packet.Packet, now time.Duration) netsim.Verdict {
+// step runs the box over one packet of a flow it tracks, appending any
+// tear-down it fabricates to inj and returning its note for the trace. It
+// never looks at checksums: insertion packets with corrupted checksums are
+// processed like any other. A flow the box is done with comes back with
+// t.torn set.
+func (b *Box) step(t *tcb, pkt *packet.Packet, now time.Duration, inj *censor.Injections) string {
 	// Stale-TCB resync: a fresh client SYN with a *new* ISN on a tracked
 	// 4-tuple means the endpoint reused the port for a new connection (an
 	// endpoint that churns through >33k reconnects wraps its ephemeral-port
@@ -143,7 +147,7 @@ func (b *Box) step(t *tcb, pkt *packet.Packet, now time.Duration) netsim.Verdict
 	if pkt.TCP.Flags == packet.FlagSYN && t.fromClient(pkt) && pkt.TCP.Seq != t.clientISS {
 		b.m.tupleReuse.Inc()
 		b.track(t, pkt)
-		return netsim.Verdict{}
+		return ""
 	}
 
 	// Residual censorship (HTTP box): a poisoned server IP:port elicits
@@ -153,13 +157,15 @@ func (b *Box) step(t *tcb, pkt *packet.Packet, now time.Duration) netsim.Verdict
 	if b.P.Residual > 0 && t.fromClient(pkt) && pkt.TCP.Flags&packet.FlagACK != 0 &&
 		b.residual.Live(netip.AddrPortFrom(t.serverAddr, t.serverPort), now) {
 		b.m.residual.Inc()
-		return b.censorVerdict(t, now, b.m.residualNote)
+		b.tearDown(t, now, inj)
+		return b.m.residualNote
 	}
 
 	if t.fromClient(pkt) {
-		return b.processClient(t, pkt, now)
+		return b.processClient(t, pkt, now, inj)
 	}
-	return b.processServer(t, pkt)
+	b.processServer(t, pkt)
+	return ""
 }
 
 // ExportResidual implements censor.ResidualCarrier over the box's residual
@@ -177,8 +183,9 @@ func (b *Box) SeedResidual(key string, expiry time.Duration) {
 }
 
 // processServer applies the resynchronization triggers, which all key off
-// server behaviour during/around the handshake.
-func (b *Box) processServer(t *tcb, pkt *packet.Packet) netsim.Verdict {
+// server behaviour during/around the handshake. A server packet never
+// elicits censorship.
+func (b *Box) processServer(t *tcb, pkt *packet.Packet) {
 	tc := &pkt.TCP
 	isSA := tc.Flags == packet.FlagSYN|packet.FlagACK
 	hasRST := tc.Flags&packet.FlagRST != 0
@@ -204,7 +211,7 @@ func (b *Box) processServer(t *tcb, pkt *packet.Packet) netsim.Verdict {
 			t.expClient = tc.Ack
 			t.resynced = true
 			t.target = resyncNone
-			return netsim.Verdict{}
+			return
 		}
 		corruptAck := tc.Ack != t.clientISS+1
 		switch {
@@ -283,10 +290,11 @@ func (b *Box) processServer(t *tcb, pkt *packet.Packet) netsim.Verdict {
 			}
 		}
 	}
-	return netsim.Verdict{}
 }
 
-func (b *Box) processClient(t *tcb, pkt *packet.Packet, now time.Duration) netsim.Verdict {
+// processClient runs the box over a client packet, returning the note of a
+// tear-down it appends to inj.
+func (b *Box) processClient(t *tcb, pkt *packet.Packet, now time.Duration, inj *censor.Injections) string {
 	tc := &pkt.TCP
 	hasACK := tc.Flags&packet.FlagACK != 0
 	hasSYN := tc.Flags&packet.FlagSYN != 0
@@ -318,7 +326,7 @@ func (b *Box) processClient(t *tcb, pkt *packet.Packet, now time.Duration) netsi
 			// Re-syncing onto a tear-down packet does not tear the TCB
 			// down — the §5.1 Strategy 7 follow-up experiment shows the
 			// GFW censors a request whose seq is adjusted to match.
-			return netsim.Verdict{}
+			return ""
 		}
 		// Fall through: a data-bearing resync target is still inspected.
 	}
@@ -345,16 +353,16 @@ func (b *Box) processClient(t *tcb, pkt *packet.Packet, now time.Duration) netsi
 	// sequence number (§2.1, §3).
 	if (hasRST || hasFIN) && tc.Seq == t.expClient {
 		t.torn = true
-		return netsim.Verdict{}
+		return ""
 	}
 	if hasRST {
-		return netsim.Verdict{} // invalid RST: ignored
+		return "" // invalid RST: ignored
 	}
 
 	// DPI over client data.
 	if len(tc.Payload) > 0 && !hasSYN {
 		if tc.Seq != t.expClient {
-			return netsim.Verdict{} // desynchronized: invisible to DPI
+			return "" // desynchronized: invisible to DPI
 		}
 		var scan []byte
 		if t.reassembles {
@@ -373,16 +381,17 @@ func (b *Box) processClient(t *tcb, pkt *packet.Packet, now time.Duration) netsi
 				!bytes.HasSuffix(tc.Payload, []byte("\r\n")) {
 				b.m.failOpen.Inc()
 				t.torn = true
-				return netsim.Verdict{}
+				return ""
 			}
 			scan = tc.Payload
 		}
 		t.expClient += uint32(len(tc.Payload))
 		if b.matches(scan) && !b.chance(b.P.PMiss) {
-			return b.censorVerdict(t, now, b.m.forbiddenNote)
+			b.tearDown(t, now, inj)
+			return b.m.forbiddenNote
 		}
 	}
-	return netsim.Verdict{}
+	return ""
 }
 
 // matches runs this box's protocol-specific DPI over the client stream.
@@ -390,8 +399,9 @@ func (b *Box) processClient(t *tcb, pkt *packet.Packet, now time.Duration) netsi
 func (b *Box) matches(stream []byte) bool {
 	switch b.P.Protocol {
 	case "dns":
-		if name, ok := packet.ParseDNSQueryName(stream); ok {
-			return b.Block.MatchDomain(name)
+		var ok bool
+		if b.name, ok = packet.ParseDNSQueryName(b.name[:0], stream); ok {
+			return b.Block.MatchDomain(b.name)
 		}
 	case "ftp":
 		if f, ok := apps.FTPRetrTarget(stream); ok {
@@ -426,14 +436,14 @@ func (b *Box) matches(stream []byte) bool {
 // matchHTTPRequest is the per-request predicate for the pipelined follow-up
 // scan: the same keyword-on-target / domain-on-Host pair the first-request
 // path applies.
-func (b *Box) matchHTTPRequest(target []byte, host string, hok bool) bool {
-	return b.Block.MatchKeyword(string(target)) || (hok && b.Block.MatchDomain(host))
+func (b *Box) matchHTTPRequest(target, host []byte, hok bool) bool {
+	return b.Block.MatchKeyword(target) || (hok && b.Block.MatchDomain(host))
 }
 
-// censorVerdict fabricates the GFW's tear-down: RST+ACK triples to the
-// client and a RST to the server, numbered from the TCB so the endpoints
-// accept them (§2.1).
-func (b *Box) censorVerdict(t *tcb, now time.Duration, note string) netsim.Verdict {
+// tearDown censors the flow, appending the GFW's tear-down to inj: RST+ACK
+// triples to the client and a RST to the server, numbered from the TCB so
+// the endpoints accept them (§2.1).
+func (b *Box) tearDown(t *tcb, now time.Duration, inj *censor.Injections) {
 	b.Censored++
 	b.m.censored.Inc()
 	t.torn = true // the box considers the connection dealt with
@@ -449,12 +459,8 @@ func (b *Box) censorVerdict(t *tcb, now time.Duration, note string) netsim.Verdi
 		DstAddr: t.clientAddr, DstPort: t.clientPort,
 	}
 	cliFlow := srvFlow.Reverse()
-	v := netsim.Verdict{Note: note}
 	for i := 0; i < 3; i++ {
-		v.InjectToClient = append(v.InjectToClient,
-			censor.InjectRST(srvFlow, t.expServer, t.expClient))
+		inj.Add(netsim.ToClient, censor.InjectRST(srvFlow, t.expServer, t.expClient))
 	}
-	v.InjectToServer = append(v.InjectToServer,
-		censor.InjectRST(cliFlow, t.expClient, t.expServer))
-	return v
+	inj.Add(netsim.ToServer, censor.InjectRST(cliFlow, t.expClient, t.expServer))
 }

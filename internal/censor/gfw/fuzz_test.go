@@ -51,7 +51,7 @@ func FuzzGFWProcess(f *testing.F) {
 					if len(v.InjectToClient)+len(v.InjectToServer) > 0 && g.CensoredCount() == before {
 						t.Fatalf("conn %d packet %d: injected without a censorship event", conn, i)
 					}
-					out = append(out, v)
+					out = append(out, kept(v))
 				}
 			}
 			return out

@@ -20,6 +20,9 @@ type GFW struct {
 	Boxes []*Box
 
 	flows censor.FlowTable[entry]
+	// inj is Process's scratch: every box appends its injections here,
+	// and the verdict borrows them until the next call.
+	inj censor.Injections
 }
 
 // entry is one tracked flow: a TCB slot per box, and a bit per box whose
@@ -53,9 +56,11 @@ func (g *GFW) Reset(rng *rand.Rand) {
 func (g *GFW) Name() string { return "GFW" }
 
 // Process implements netsim.Middlebox: one flow-table lookup, then every
-// box's state machine over its own TCB slot, in box order, merging their
-// verdicts. The GFW is on-path: it can inject but never drop.
+// box's state machine over its own TCB slot, in box order, each appending
+// what it injects to the GFW's scratch, which the verdict borrows until the
+// next call. The GFW is on-path: it can inject but never drop.
 func (g *GFW) Process(pkt *packet.Packet, _ netsim.Direction, now time.Duration) netsim.Verdict {
+	g.inj.Reset()
 	key := pkt.Flow().Canonical()
 	syn := pkt.TCP.Flags == packet.FlagSYN
 	e := g.flows.Get(key)
@@ -71,7 +76,7 @@ func (g *GFW) Process(pkt *packet.Packet, _ netsim.Direction, now time.Duration)
 		mEvicted.Add(uint64(evicted))
 		e.live = 0
 	}
-	var out netsim.Verdict
+	var notes string
 	for i, b := range g.Boxes {
 		bit := uint8(1) << i
 		t := &e.tcbs[i]
@@ -82,24 +87,22 @@ func (g *GFW) Process(pkt *packet.Packet, _ netsim.Direction, now time.Duration)
 			}
 			continue
 		}
-		v := b.step(t, pkt, now)
+		note := b.step(t, pkt, now, &g.inj)
 		if t.torn {
 			// The flow is dealt with (censored, torn down, or failed
 			// open): the box retires its TCB.
 			e.live &^= bit
 		}
-		out.InjectToClient = append(out.InjectToClient, v.InjectToClient...)
-		out.InjectToServer = append(out.InjectToServer, v.InjectToServer...)
-		if out.Note == "" {
-			out.Note = v.Note
-		} else if v.Note != "" {
-			out.Note += "; " + v.Note // two boxes censored one packet
+		if notes == "" {
+			notes = note
+		} else if note != "" {
+			notes += "; " + note // two boxes censored one packet
 		}
 	}
 	if e.live == 0 {
 		g.flows.Delete(key)
 	}
-	return out
+	return g.inj.Verdict(false, notes)
 }
 
 // CensoredCount returns the number of censorship events across all boxes

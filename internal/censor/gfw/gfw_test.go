@@ -3,6 +3,7 @@ package gfw
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -66,9 +67,17 @@ func feed(g *GFW, pkts ...*packet.Packet) []netsim.Verdict {
 		if p.IP.Src == srv {
 			dir = netsim.ToClient
 		}
-		out = append(out, g.Process(p, dir, time.Duration(i)*time.Millisecond))
+		out = append(out, kept(g.Process(p, dir, time.Duration(i)*time.Millisecond)))
 	}
 	return out
+}
+
+// kept copies a verdict's injection slices, which borrow the censor's
+// scratch only until its next Process call, so the verdict can be kept.
+func kept(v netsim.Verdict) netsim.Verdict {
+	v.InjectToClient = slices.Clone(v.InjectToClient)
+	v.InjectToServer = slices.Clone(v.InjectToServer)
+	return v
 }
 
 const forbiddenGET = "GET /?q=ultrasurf HTTP/1.1\r\nHost: example.com\r\n\r\n"
@@ -354,7 +363,7 @@ func TestResidualCensorship(t *testing.T) {
 		if pk.IP.Src == srv {
 			dir = netsim.ToClient
 		}
-		verdicts = append(verdicts, g.Process(pk, dir, time.Duration(i)*time.Millisecond))
+		verdicts = append(verdicts, kept(g.Process(pk, dir, time.Duration(i)*time.Millisecond)))
 	}
 	if len(verdicts[2].InjectToClient) == 0 {
 		t.Error("no residual tear-down right after the handshake")

@@ -49,7 +49,7 @@ func FuzzKazakhProcess(f *testing.F) {
 					if len(v.InjectToClient)+len(v.InjectToServer) > 0 && k.Censored+k.ProbeResponses == before {
 						t.Fatalf("conn %d packet %d: injected without a censorship event", conn, i)
 					}
-					out = append(out, v)
+					out = append(out, kept(v))
 				}
 			}
 			return out

@@ -43,6 +43,9 @@ var (
 // hijackDuration is how long the MITM intercepts the flow after censoring.
 const hijackDuration = 15 * time.Second
 
+// blockBody is the injected block page's HTML.
+const blockBody = "<html><body>This resource is blocked in your region.</body></html>"
+
 // getPrefix matches a payload that is a well-formed benign HTTP GET prefix
 // reaching at least through "HTTP1." (the paper's observed minimum; both
 // "HTTP/1." and the Geneva-notation "HTTP1." are accepted).
@@ -51,9 +54,9 @@ var getPrefix = regexp.MustCompile(`^GET /\S* HTTP/?1\.`)
 // flowState is one flow's entry in the censor's flow table; its fields are
 // ordered to pack.
 type flowState struct {
-	serverGets       [][]byte
 	hijackUntil      time.Duration
 	serverPayloadRun int
+	serverGets       int    // handshake server payloads that were GET prefixes
 	clientISN        uint32 // the tracked connection's client SYN sequence number
 	sawSYN           bool
 	handshakeDone    bool
@@ -72,6 +75,9 @@ type Kazakh struct {
 	ProbeResponses int
 
 	flows censor.FlowTable[flowState]
+	// inj is Process's scratch for the block page, which the verdict
+	// borrows until the next call.
+	inj censor.Injections
 }
 
 // New builds the censor (deterministic; rng accepted for symmetry).
@@ -89,8 +95,10 @@ func (k *Kazakh) Reset(*rand.Rand) {
 // Name implements netsim.Middlebox.
 func (k *Kazakh) Name() string { return "Kazakhstan" }
 
-// Process implements netsim.Middlebox.
+// Process implements netsim.Middlebox. The verdict's injections borrow the
+// censor's scratch until the next call.
 func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duration) netsim.Verdict {
+	k.inj.Reset()
 	// Only HTTP on its default port is censored (the HTTPS MITM is
 	// defunct, §5.3).
 	port := pkt.TCP.DstPort
@@ -145,13 +153,13 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 			if len(pkt.TCP.Payload) > 0 {
 				st.serverPayloadRun++
 				if getPrefix.Match(pkt.TCP.Payload) {
-					st.serverGets = append(st.serverGets, append([]byte(nil), pkt.TCP.Payload...))
+					st.serverGets++
 					// After a simultaneous open the censor has already
 					// broken out of its handshake state: a single
 					// request is processed (the paper's second probing
 					// method).
 					if st.rolesSwapped {
-						return k.processServerRequest(st, st.serverGets[len(st.serverGets)-1], pkt)
+						return k.processServerRequest(st, pkt)
 					}
 				}
 				if st.serverPayloadRun >= 3 {
@@ -161,11 +169,12 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 					mIgnoredFlows.Inc()
 					return netsim.Verdict{Note: "server payloads during handshake: connection ignored"}
 				}
-				if len(st.serverGets) >= 2 {
+				if st.serverGets >= 2 {
 					// Strategy 10 / probing: the first request breaks
 					// the censor out of its handshake state; the second
-					// is processed.
-					return k.processServerRequest(st, st.serverGets[1], pkt)
+					// (this packet: either outcome ignores the flow
+					// from here on) is processed.
+					return k.processServerRequest(st, pkt)
 				}
 			} else {
 				// A payload-less server packet breaks the run: the
@@ -188,7 +197,7 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 		// requests below are still checked — simultaneous open alone
 		// does not defeat this censor (no sim-open strategy appears in
 		// the paper's Kazakhstan results).
-		return k.processServerRequest(st, pkt.TCP.Payload, pkt)
+		return k.processServerRequest(st, pkt)
 	}
 	if dir == netsim.ToServer && len(pkt.TCP.Payload) > 0 {
 		// No reassembly, so a segmented request is never recognized
@@ -199,40 +208,32 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 			st.hijacked = true
 			st.hijackUntil = now + hijackDuration
 			srvFlow := pkt.Flow().Reverse()
-			page := censor.BlockPage(srvFlow,
-				pkt.TCP.Ack, pkt.TCP.Seq+uint32(len(pkt.TCP.Payload)),
-				"<html><body>This resource is blocked in your region.</body></html>")
-			return netsim.Verdict{
-				Drop:           true,
-				Note:           "forbidden Host: flow hijacked",
-				InjectToClient: []*packet.Packet{page},
-			}
+			k.inj.Add(netsim.ToClient, censor.BlockPage(srvFlow,
+				pkt.TCP.Ack, pkt.TCP.Seq+uint32(len(pkt.TCP.Payload)), blockBody))
+			return k.inj.Verdict(true, "forbidden Host: flow hijacked")
 		}
 	}
 	return netsim.Verdict{}
 }
 
-// processServerRequest handles a request observed from the server side of a
-// connection (probing, Strategy 10). A forbidden request elicits a
+// processServerRequest handles a request pkt carries from the server side
+// of a connection (probing, Strategy 10). A forbidden request elicits a
 // censorship response toward the sender; a benign one convinces the censor
-// the server is the client, and the connection is ignored thereafter.
-func (k *Kazakh) processServerRequest(st *flowState, payload []byte, pkt *packet.Packet) netsim.Verdict {
-	host, hok := packet.ParseHTTPHostHeader(payload)
-	target, tok := packet.ParseHTTPRequestTarget(payload)
+// the server is the client. Either way the connection is ignored
+// thereafter.
+func (k *Kazakh) processServerRequest(st *flowState, pkt *packet.Packet) netsim.Verdict {
+	host, hok := packet.ParseHTTPHostHeader(pkt.TCP.Payload)
+	target, tok := packet.ParseHTTPRequestTarget(pkt.TCP.Payload)
 	if (hok && k.Block.MatchDomain(host)) || (tok && k.Block.MatchKeyword(target)) {
 		k.ProbeResponses++
 		mProbeResponses.Inc()
 		st.ignore = true
 		mIgnoredFlows.Inc()
-		flow := pkt.Flow().Reverse()
-		page := censor.BlockPage(flow, pkt.TCP.Ack, pkt.TCP.Seq+uint32(len(pkt.TCP.Payload)),
-			"<html><body>This resource is blocked in your region.</body></html>")
-		return netsim.Verdict{
-			Note: "forbidden probe from server censored",
-			// The "client" from the censor's (confused) perspective is
-			// the probing server.
-			InjectToServer: []*packet.Packet{page},
-		}
+		// The "client" from the censor's (confused) perspective is the
+		// probing server.
+		k.inj.Add(netsim.ToServer, censor.BlockPage(pkt.Flow().Reverse(),
+			pkt.TCP.Ack, pkt.TCP.Seq+uint32(len(pkt.TCP.Payload)), blockBody))
+		return k.inj.Verdict(false, "forbidden probe from server censored")
 	}
 	st.ignore = true
 	mIgnoredFlows.Inc()

@@ -2,6 +2,7 @@ package kazakh
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -45,9 +46,17 @@ func feed(k *Kazakh, at time.Duration, pkts ...*packet.Packet) []netsim.Verdict 
 		if p.IP.Src == srv {
 			dir = netsim.ToClient
 		}
-		out = append(out, k.Process(p, dir, at))
+		out = append(out, kept(k.Process(p, dir, at)))
 	}
 	return out
+}
+
+// kept copies a verdict's injection slices, which borrow the censor's
+// scratch only until its next Process call, so the verdict can be kept.
+func kept(v netsim.Verdict) netsim.Verdict {
+	v.InjectToClient = slices.Clone(v.InjectToClient)
+	v.InjectToServer = slices.Clone(v.InjectToServer)
+	return v
 }
 
 func TestHijacksForbiddenRequest(t *testing.T) {

@@ -19,7 +19,7 @@ func FuzzTMCProcess(f *testing.F) {
 	// Tricky corpus found while developing: a response re-carrying the
 	// forbidden question (QR must gate it), a length prefix longer than
 	// the segment, a header-only query, and a query on the wrong port.
-	f.Add(apps.EncodeDNSResponse("www.wikipedia.org", [4]byte{93, 184, 216, 34}), uint16(53), false)
+	f.Add(apps.AppendDNSResponse(nil, []byte("www.wikipedia.org"), [4]byte{93, 184, 216, 34}), uint16(53), false)
 	f.Add([]byte{0xff, 0xff, 0, 0, 0, 0}, uint16(53), true)
 	f.Add(apps.EncodeDNSQuery("www.wikipedia.org")[:14], uint16(53), true)
 	f.Add(apps.EncodeDNSQuery("www.wikipedia.org"), uint16(5353), true)

@@ -15,7 +15,9 @@ import (
 // ACK inside both. It renders the verdicts, the count, the tables and the
 // windows the carrier exports.
 func resetSequence(c censor.ResidualDPI) string {
-	req := c.Process(trigger(80, []byte("GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n")), netsim.ToServer, 0)
+	// Rendered at once: the verdict's slices borrow the censor's scratch
+	// only until its next Process call.
+	req := fmt.Sprint(c.Process(trigger(80, []byte("GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n")), netsim.ToServer, 0))
 	c.SeedResidual("198.51.100.10:443", time.Minute)
 	ack := packet.New(cli, srv, 40001, 80)
 	ack.TCP.Flags = packet.FlagACK
@@ -23,7 +25,7 @@ func resetSequence(c censor.ResidualDPI) string {
 	b, r := c.Tracked()
 	exported := 0
 	c.ExportResidual(time.Second, func(string, time.Duration) { exported++ })
-	return fmt.Sprintf("%v\n%v\ncensored=%d blackholes=%d residual=%d exported=%d",
+	return fmt.Sprintf("%s\n%v\ncensored=%d blackholes=%d residual=%d exported=%d",
 		req, again, c.Censored, b, r, exported)
 }
 

@@ -52,7 +52,7 @@ func TestForgedDNSResponse(t *testing.T) {
 		t.Fatalf("injected %d packets toward the client, want the forged response", len(v.InjectToClient))
 	}
 	resp := v.InjectToClient[0]
-	want := apps.EncodeDNSResponse("www.wikipedia.org", [4]byte{127, 0, 0, 1})
+	want := apps.AppendDNSResponse(nil, []byte("www.wikipedia.org"), [4]byte{127, 0, 0, 1})
 	if !bytes.Equal(resp.TCP.Payload, want) {
 		t.Errorf("forged payload = %x, want bogus-address response", resp.TCP.Payload)
 	}
@@ -70,7 +70,7 @@ func TestRealDNSResponseDoesNotRetrigger(t *testing.T) {
 	c := New(censor.Default(), nil)
 	// The real server response carries the forbidden name in its question
 	// section; the QR bit must keep the engine from re-triggering on it.
-	resp := mirrored(53, apps.EncodeDNSResponse("www.wikipedia.org", [4]byte{93, 184, 216, 34}))
+	resp := mirrored(53, apps.AppendDNSResponse(nil, []byte("www.wikipedia.org"), [4]byte{93, 184, 216, 34}))
 	if v := c.Process(resp, netsim.ToClient, 0); len(v.InjectToClient) != 0 || len(v.InjectToServer) != 0 {
 		t.Error("TMC triggered on a DNS response (QR=1)")
 	}

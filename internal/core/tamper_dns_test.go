@@ -21,8 +21,8 @@ func TestTamperDNSQnameReplace(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("emitted %d packets", len(out))
 	}
-	name, ok := packet.ParseDNSQueryName(out[0].TCP.Payload)
-	if !ok || name != "benign.example" {
+	name, ok := packet.ParseDNSQueryName(nil, out[0].TCP.Payload)
+	if !ok || string(name) != "benign.example" {
 		t.Errorf("rewritten qname = %q, %v", name, ok)
 	}
 	// The length prefix must have been re-fixed.
@@ -35,11 +35,11 @@ func TestTamperDNSQnameReplace(t *testing.T) {
 func TestTamperDNSQnameCorruptKeepsStructure(t *testing.T) {
 	s := MustParse(`[TCP:flags:PA]-tamper{DNS:qname:corrupt}-| \/ `)
 	out := NewEngine(s, rng()).Outbound(dnsPacket("www.wikipedia.org"))
-	name, ok := packet.ParseDNSQueryName(out[0].TCP.Payload)
+	name, ok := packet.ParseDNSQueryName(nil, out[0].TCP.Payload)
 	if !ok {
 		t.Fatal("corrupted message no longer parses; corruption must keep label structure")
 	}
-	if name == "www.wikipedia.org" {
+	if string(name) == "www.wikipedia.org" {
 		t.Error("qname unchanged after corrupt")
 	}
 	if len(name) != len("www.wikipedia.org") {

@@ -45,7 +45,11 @@ type Verdict struct {
 	// physically cannot drop, §2.1).
 	Drop bool
 	// InjectToClient / InjectToServer are packets the box fabricates.
-	// They are delivered without further middlebox processing.
+	// They are delivered without further middlebox processing. The slices
+	// belong to the box and stay valid only until its next Process call,
+	// which may reuse their backing arrays: a caller that keeps the
+	// packets past that copies the slices first. The packets themselves
+	// pass to the caller.
 	InjectToClient []*packet.Packet
 	InjectToServer []*packet.Packet
 	// Note is the middlebox's own text for the trace (e.g. "302 injected");
@@ -57,7 +61,10 @@ type Verdict struct {
 type Middlebox interface {
 	Name() string
 	// Process sees every packet crossing the censor hop, in order, with
-	// the censor-relative direction and the current virtual time.
+	// the censor-relative direction and the current virtual time. The
+	// verdict's injection slices may borrow the box's buffers, valid until
+	// its next Process call; the network enqueues their packets before it
+	// calls any box again.
 	Process(pkt *packet.Packet, dir Direction, now time.Duration) Verdict
 }
 

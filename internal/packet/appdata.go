@@ -3,34 +3,29 @@ package packet
 import (
 	"bytes"
 	"encoding/binary"
-	"strings"
 )
 
 // Byte-oriented application-layer parsers: the fields DPI censors extract
 // from TCP payloads (HTTP request line + Host, TLS SNI, DNS question name).
-// They scan the raw bytes and allocate only for the extracted field on
-// success. Every reader calls them on the bytes it inspects: one censor
+// They read the fields in place and allocate nothing: every field they
+// return is a sub-slice of the bytes they were given, valid as long as
+// those bytes are, except the DNS name, which is appended to a buffer the
+// caller owns. Every reader calls them on the bytes it inspects: one censor
 // sits on any path and each engine reads only its own protocol's field, so
 // a per-packet cache would have nothing to share.
 //
 // Semantics are pinned byte-for-byte to the originals (internal/apps keeps
 // differential fuzz targets proving it): all parsers fail closed to
-// ("", false) on anything malformed or truncated, which per §6 makes the
+// (nil, false) on anything malformed or truncated, which per §6 makes the
 // censors fail *open* — the root of the paper's segmentation strategies.
 
 var crlf = []byte("\r\n")
 
 // ParseHTTPRequestTarget returns the request path+query of an HTTP request
 // line contained in data, if one is fully present (method GET or POST,
-// line terminated by CRLF, third token starting with "HTTP/").
-func ParseHTTPRequestTarget(data []byte) (string, bool) {
-	target, ok := httpRequestTarget(data)
-	return string(target), ok
-}
-
-// httpRequestTarget is ParseHTTPRequestTarget without the copy: the target
+// line terminated by CRLF, third token starting with "HTTP/"). The target
 // aliases data.
-func httpRequestTarget(data []byte) ([]byte, bool) {
+func ParseHTTPRequestTarget(data []byte) ([]byte, bool) {
 	if !bytes.HasPrefix(data, []byte("GET ")) && !bytes.HasPrefix(data, []byte("POST ")) {
 		return nil, false
 	}
@@ -84,10 +79,10 @@ func NextHTTPRequestOffset(data []byte) int {
 // anchored: data must begin with a well-formed request line, and the walk
 // stops at the first follow-up that does not parse — the censors' fail-open
 // contract extended per request (§6).
-func VisitHTTPRequests(data []byte, visit func(target []byte, host string, hok bool) bool) bool {
+func VisitHTTPRequests(data []byte, visit func(target, host []byte, hok bool) bool) bool {
 	for off := 0; ; {
 		seg := data[off:]
-		target, ok := httpRequestTarget(seg)
+		target, ok := ParseHTTPRequestTarget(seg)
 		if !ok {
 			return false
 		}
@@ -104,99 +99,103 @@ func VisitHTTPRequests(data []byte, visit func(target []byte, host string, hok b
 }
 
 // ParseHTTPHostHeader returns the Host header value of an HTTP request
-// contained in data, if fully present (terminated by CRLF).
-func ParseHTTPHostHeader(data []byte) (string, bool) {
+// contained in data, if fully present (terminated by CRLF). The value
+// aliases data.
+func ParseHTTPHostHeader(data []byte) ([]byte, bool) {
 	idx := bytes.Index(data, []byte("Host:"))
 	if idx < 0 {
-		return "", false
+		return nil, false
 	}
 	rest := data[idx+len("Host:"):]
 	end := bytes.Index(rest, crlf)
 	if end < 0 {
-		return "", false
+		return nil, false
 	}
-	return string(bytes.TrimSpace(rest[:end])), true
+	return bytes.TrimSpace(rest[:end]), true
 }
 
 // ParseTLSServerName parses a TLS record stream chunk and returns the
 // server_name from a ClientHello, if present and fully contained in data.
 // Like the real DPI boxes, it fails open (returns false) on truncation —
 // which is why segmenting the ClientHello defeats single-packet censors.
-func ParseTLSServerName(data []byte) (string, bool) {
+// The name aliases data.
+func ParseTLSServerName(data []byte) ([]byte, bool) {
 	if len(data) < 5 || data[0] != 0x16 {
-		return "", false
+		return nil, false
 	}
 	recLen := int(binary.BigEndian.Uint16(data[3:]))
 	if 5+recLen > len(data) {
-		return "", false // truncated record
+		return nil, false // truncated record
 	}
 	hs := data[5 : 5+recLen]
 	if len(hs) < 4 || hs[0] != 0x01 {
-		return "", false
+		return nil, false
 	}
 	bodyLen := int(hs[1])<<16 | int(hs[2])<<8 | int(hs[3])
 	if 4+bodyLen > len(hs) {
-		return "", false
+		return nil, false
 	}
 	b := hs[4 : 4+bodyLen]
 	// client_version(2) + random(32)
 	if len(b) < 35 {
-		return "", false
+		return nil, false
 	}
 	off := 34
 	// session_id
 	if off >= len(b) {
-		return "", false
+		return nil, false
 	}
 	off += 1 + int(b[off])
 	// cipher_suites
 	if off+2 > len(b) {
-		return "", false
+		return nil, false
 	}
 	off += 2 + int(binary.BigEndian.Uint16(b[off:]))
 	// compression_methods
 	if off >= len(b) {
-		return "", false
+		return nil, false
 	}
 	off += 1 + int(b[off])
 	// extensions
 	if off+2 > len(b) {
-		return "", false
+		return nil, false
 	}
 	extLen := int(binary.BigEndian.Uint16(b[off:]))
 	off += 2
 	if off+extLen > len(b) {
-		return "", false
+		return nil, false
 	}
 	exts := b[off : off+extLen]
 	for len(exts) >= 4 {
 		typ := binary.BigEndian.Uint16(exts)
 		l := int(binary.BigEndian.Uint16(exts[2:]))
 		if 4+l > len(exts) {
-			return "", false
+			return nil, false
 		}
 		if typ == 0 {
 			e := exts[4 : 4+l]
 			if len(e) < 5 {
-				return "", false
+				return nil, false
 			}
 			nameLen := int(binary.BigEndian.Uint16(e[3:]))
 			if nameLen == 0 || 5+nameLen > len(e) {
-				return "", false // empty or truncated name: fail open
+				return nil, false // empty or truncated name: fail open
 			}
-			return string(e[5 : 5+nameLen]), true
+			return e[5 : 5+nameLen], true
 		}
 		exts = exts[4+l:]
 	}
-	return "", false
+	return nil, false
 }
 
 // ParseDNSQueryName extracts the first question name from a DNS-over-TCP
-// stream chunk (RFC 7766 length prefix + message). It fails closed to
-// ("", false) on anything malformed or truncated.
-func ParseDNSQueryName(data []byte) (string, bool) {
+// stream chunk (RFC 7766 length prefix + message), appends it in dotted
+// form to dst and returns the extended buffer. It fails closed to
+// (dst, false) on anything malformed or truncated, and on a bare root
+// query, which leaves DPI nothing to match.
+func ParseDNSQueryName(dst, data []byte) ([]byte, bool) {
 	if len(data) < 2 {
-		return "", false
+		return dst, false
 	}
 	msgLen := int(binary.BigEndian.Uint16(data))
 	msg := data[2:]
@@ -204,60 +203,36 @@ func ParseDNSQueryName(data []byte) (string, bool) {
 		msg = msg[:msgLen]
 	}
 	if len(msg) < 12 {
-		return "", false
+		return dst, false
 	}
 	qd := binary.BigEndian.Uint16(msg[4:])
 	if qd == 0 {
-		return "", false
+		return dst, false
 	}
-	name, ok := decodeDNSQuestionName(msg, 12)
-	if name == "" {
-		return "", false // a bare root query: nothing for DPI to match
-	}
-	return name, ok
+	return appendDNSQuestionName(dst, msg, 12)
 }
 
-// decodeDNSQuestionName decodes the label sequence at off into a dotted
-// name. Compression pointers never appear in questions; they are treated as
-// malformed so the censor stays fail-open.
-func decodeDNSQuestionName(msg []byte, off int) (string, bool) {
-	start := off
-	// First pass: validate the label chain and size the output, so the
-	// success path allocates exactly once.
-	total := 0
+// appendDNSQuestionName appends the label sequence at off to dst as a
+// dotted name. Compression pointers never appear in questions; they are
+// treated as malformed so the censor stays fail-open. On failure, and on
+// an empty name, dst comes back at its original length.
+func appendDNSQuestionName(dst, msg []byte, off int) ([]byte, bool) {
+	start := len(dst)
 	for {
 		if off >= len(msg) {
-			return "", false
+			return dst[:start], false
 		}
 		l := int(msg[off])
 		switch {
 		case l == 0:
-			goto valid
-		case l&0xc0 == 0xc0:
-			return "", false
-		case off+1+l > len(msg) || l > 63:
-			return "", false
-		default:
-			if total > 0 {
-				total++ // joining dot
-			}
-			total += l
-			off += 1 + l
+			return dst, len(dst) > start
+		case l&0xc0 == 0xc0, off+1+l > len(msg) || l > 63:
+			return dst[:start], false
 		}
-	}
-valid:
-	var b strings.Builder
-	b.Grow(total)
-	off = start
-	for {
-		l := int(msg[off])
-		if l == 0 {
-			return b.String(), true
+		if len(dst) > start {
+			dst = append(dst, '.')
 		}
-		if b.Len() > 0 {
-			b.WriteByte('.')
-		}
-		b.Write(msg[off+1 : off+1+l])
+		dst = append(dst, msg[off+1:off+1+l]...)
 		off += 1 + l
 	}
 }

@@ -27,9 +27,9 @@ func TestNextHTTPRequestOffset(t *testing.T) {
 
 func TestVisitHTTPRequests(t *testing.T) {
 	var targets, hosts []string
-	all := func(target []byte, host string, hok bool) bool {
+	all := func(target, host []byte, hok bool) bool {
 		targets = append(targets, string(target))
-		hosts = append(hosts, host)
+		hosts = append(hosts, string(host))
 		return false
 	}
 	if VisitHTTPRequests([]byte(reqA+reqB), all) {
@@ -43,7 +43,7 @@ func TestVisitHTTPRequests(t *testing.T) {
 	}
 	// Early exit on first match.
 	calls := 0
-	if !VisitHTTPRequests([]byte(reqA+reqB), func([]byte, string, bool) bool {
+	if !VisitHTTPRequests([]byte(reqA+reqB), func([]byte, []byte, bool) bool {
 		calls++
 		return true
 	}) {
@@ -54,7 +54,7 @@ func TestVisitHTTPRequests(t *testing.T) {
 	}
 	// The walk stops at the first follow-up that does not parse.
 	targets = nil
-	VisitHTTPRequests([]byte(reqA+"garbage"), func(target []byte, _ string, _ bool) bool {
+	VisitHTTPRequests([]byte(reqA+"garbage"), func(target, _ []byte, _ bool) bool {
 		targets = append(targets, string(target))
 		return false
 	})
@@ -67,8 +67,8 @@ func TestVisitHTTPRequests(t *testing.T) {
 // payload: a forbidden Host pipelined behind a benign request matches, and
 // no request matches in a payload that does not begin with a request line.
 func TestAppViewPipelinedHTTP(t *testing.T) {
-	hostIs := func(want string) func([]byte, string, bool) bool {
-		return func(_ []byte, host string, hok bool) bool { return hok && host == want }
+	hostIs := func(want string) func([]byte, []byte, bool) bool {
+		return func(_, host []byte, hok bool) bool { return hok && string(host) == want }
 	}
 	if !VisitHTTPRequests([]byte(reqB+reqA), hostIs("blocked.example")) {
 		t.Fatal("pipelined forbidden Host not matched")
@@ -76,7 +76,7 @@ func TestAppViewPipelinedHTTP(t *testing.T) {
 	if VisitHTTPRequests([]byte(reqB+reqA), hostIs("missing.example")) {
 		t.Fatal("matched a Host no request carries")
 	}
-	if VisitHTTPRequests([]byte("junk\r\n\r\n"+reqA), func([]byte, string, bool) bool { return true }) {
+	if VisitHTTPRequests([]byte("junk\r\n\r\n"+reqA), func([]byte, []byte, bool) bool { return true }) {
 		t.Fatal("matched requests in an unanchored payload")
 	}
 }
@@ -88,10 +88,10 @@ func TestAppViewTLSAndDNS(t *testing.T) {
 	if _, ok := ParseTLSServerName(p); ok {
 		t.Fatal("extracted SNI from an HTTP request")
 	}
-	if _, ok := ParseDNSQueryName(p); ok {
+	if _, ok := ParseDNSQueryName(nil, p); ok {
 		t.Fatal("extracted a DNS name from an HTTP request")
 	}
-	if host, ok := ParseHTTPHostHeader(p); !ok || host != "blocked.example" {
+	if host, ok := ParseHTTPHostHeader(p); !ok || string(host) != "blocked.example" {
 		t.Fatalf("ParseHTTPHostHeader = %q, %v", host, ok)
 	}
 }
