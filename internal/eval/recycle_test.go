@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"geneva/internal/allocs"
 	"geneva/internal/netsim"
 	"geneva/internal/obs"
 	"geneva/internal/race"
@@ -97,10 +98,12 @@ func TestRecyclingBitIdentical(t *testing.T) {
 // copied received bytes, at 20 once Run reset a pooled rig instead of
 // building one, then 18, then 15 once the rig leased its scripts as copies
 // of the session's templates instead of cloning them and installing a
-// server factory per trial, and runs at 2 now that the rig keeps its GFW
-// and resets it in place instead of building one per trial. The budget is
-// that plus 10% for cross-seed variance, floored, so one new allocation
-// per trial fails it.
+// server factory per trial, then ~2.8 once the rig kept its GFW and reset
+// it in place instead of building one per trial, and reads 0.000–0.001 now
+// that censors inject into their own buffers. The mean is exact
+// (allocs.Mean over 1,000 trials, not AllocsPerRun's truncated integer),
+// and the budget is its upper reading plus 10%, rounded up to one decimal,
+// so one new allocation every fifth trial fails it.
 // It runs with metrics explicitly disabled: the obs layer's
 // zero-cost-when-off guarantee is part of what this tripwire enforces.
 func TestTrialAllocBudget(t *testing.T) {
@@ -114,7 +117,7 @@ func TestTrialAllocBudget(t *testing.T) {
 	st := s1.Parse()
 	session := SessionFor(CountryChina, "http", true)
 	seed := int64(0)
-	allocs := testing.AllocsPerRun(50, func() {
+	mean := allocs.Mean(50, 1000, func() {
 		seed++
 		Run(Config{
 			Country:  CountryChina,
@@ -124,11 +127,11 @@ func TestTrialAllocBudget(t *testing.T) {
 			Seed:     seed,
 		})
 	})
-	t.Logf("%.0f allocs per trial", allocs)
-	const budget = 2
-	if allocs > budget {
-		t.Errorf("full trial allocates %.0f objects/op, budget is %d (seed baseline was ~151)",
-			allocs, budget)
+	t.Logf("%.3f allocs per trial", mean)
+	const budget = 0.1
+	if mean > budget {
+		t.Errorf("full trial allocates %.3f objects/op, budget is %.1f (seed baseline was ~151)",
+			mean, budget)
 	}
 }
 
@@ -141,11 +144,14 @@ func TestTrialAllocBudget(t *testing.T) {
 // were not copied, 104 and 13,344 bytes once its trials reset a pooled rig,
 // which keeps its generators, endpoints, network and compiled engine, then
 // 94 and 12,864, then 64 and 9,824 once the rig leased its scripts from a
-// freelist it keeps, and takes 24 and 864 bytes now that the rig keeps its
-// Kazakhstan censor and resets it in place instead of building one per
-// trial. Both budgets are those counts plus 10%, floored. The byte bound
-// fails if even one generator per sample goes back to allocating its
-// ~4.9 KB table, or the censor to being built anew per trial.
+// freelist it keeps, 24 and 864 bytes once the rig kept its Kazakhstan
+// censor and reset it in place instead of building one per trial, and
+// takes 4.00–4.01 and 624 bytes now that the DPI reads names in place.
+// Both are exact means over 100 and 20 samples, and both budgets are the
+// upper reading plus 10%, rounded up (allocations to one decimal). The
+// byte bound fails if even one generator per sample goes back to
+// allocating its ~4.9 KB table, or the censor to being built anew per
+// trial.
 func TestAllocBudgetFitnessSample(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; budgets are enforced by make alloc-budget")
@@ -156,9 +162,9 @@ func TestAllocBudgetFitnessSample(t *testing.T) {
 	s3, _ := strategies.ByNumber(3)
 	s := s3.Parse()
 	ev := NewEvaluator(CountryKazakhstan, "http", 10, 1)
-	// AllocsPerRun pins GOMAXPROCS to 1, so the trials run sequentially on
+	// allocs.Mean pins GOMAXPROCS to 1, so the trials run sequentially on
 	// this goroutine; the byte count below does the same.
-	allocs := testing.AllocsPerRun(20, func() { ev.sample(s, true) })
+	mean := allocs.Mean(5, 100, func() { ev.sample(s, true) })
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const samples = 20
 	var before, after runtime.MemStats
@@ -168,10 +174,10 @@ func TestAllocBudgetFitnessSample(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / samples
-	t.Logf("%.0f allocs, %.0f bytes per sample", allocs, bytes)
-	const budget, bytesBudget = 26, 950
-	if allocs > budget {
-		t.Errorf("a fitness sample allocates %.0f objects, budget is %d", allocs, budget)
+	t.Logf("%.3f allocs, %.0f bytes per sample", mean, bytes)
+	const budget, bytesBudget = 4.5, 687
+	if mean > budget {
+		t.Errorf("a fitness sample allocates %.3f objects, budget is %.1f", mean, budget)
 	}
 	if bytes > bytesBudget {
 		t.Errorf("a fitness sample allocates %.0f bytes, budget is %d", bytes, bytesBudget)

@@ -7,9 +7,9 @@ import (
 	"geneva/internal/core"
 )
 
-// RouterPrefixes stands in for the paper's §8 country-level IP geolocation:
-// the server decides which strategy to run from nothing but the client's
-// address in the SYN. The map is built from the censor registry, so every
+// RouterPrefixes maps each registered country to its client prefix in the
+// §8 deployment, the stand-in for country-level IP geolocation that
+// DeployFor reads. The map is built from the censor registry, so every
 // registered censor has a routable client population.
 var RouterPrefixes = func() map[string]netip.Prefix {
 	m := make(map[string]netip.Prefix, len(censorRegistry))
@@ -33,15 +33,14 @@ func RoutedClientAddr(country string, slot int) netip.Addr {
 	return netip.AddrFrom4(a)
 }
 
-// deployRoute is one row of the §8 deployment table: a country prefix, the
-// strategy the paper would pick for it, and the rng-seed offset (the
+// deployRoute is one row of the §8 deployment table: a country's client
+// prefix, the strategy the paper would pick for it, and the rng-seed offset (the
 // strategy's paper number) that pins the route's random stream to the
 // strategy rather than to installation order.
 type deployRoute struct {
-	country string
-	prefix  netip.Prefix
-	strat   *core.Strategy
-	offset  int64
+	prefix netip.Prefix
+	strat  *core.Strategy
+	offset int64
 }
 
 var (
@@ -59,40 +58,28 @@ func deployTable() []deployRoute {
 			cs := d.Deploy.Parse()
 			_ = cs.String()
 			deployRoutes = append(deployRoutes, deployRoute{
-				country: d.Country,
-				prefix:  d.RouterPrefix,
-				strat:   cs,
-				offset:  int64(d.Deploy.Number),
+				prefix: d.RouterPrefix,
+				strat:  cs,
+				offset: int64(d.Deploy.Number),
 			})
 		}
 	})
 	return deployRoutes
 }
 
-// DeployStrategy returns the strategy the §8 deployment serves country's
-// clients and its paper number, the offset its engine's stream is seeded
-// at; ok is false for a country with no route (the uncensored
-// population). The strategy is the deployment table's shared parse.
-func DeployStrategy(country string) (s *core.Strategy, number int64, ok bool) {
+// DeployFor is the §8 geolocation step: it returns the strategy the
+// deployment serves a client at addr, the first route in registry order
+// whose prefix contains it, and the strategy's paper number, the offset its
+// engine's stream is seeded at. ok is false for an address no route
+// contains (the uncensored population). The strategy is the deployment
+// table's shared parse.
+func DeployFor(addr netip.Addr) (s *core.Strategy, number int64, ok bool) {
 	for _, dr := range deployTable() {
-		if dr.country == country {
+		if dr.prefix.Contains(addr) {
 			return dr.strat, dr.offset, true
 		}
 	}
 	return nil, 0, false
-}
-
-// NewDeploymentRouter builds the §8 deployment: one router serving clients
-// everywhere, with the per-country strategy the paper would pick (Strategy
-// 1 for China HTTP, Strategy 8 for India and Iran, Strategy 11 for
-// Kazakhstan). Each route's engine rng is seeded seed + strategy number, so
-// the streams are a function of the strategy, never of table order.
-func NewDeploymentRouter(seed int64) *core.Router {
-	r := core.NewRouter(nil)
-	for _, dr := range deployTable() {
-		r.Route(dr.prefix, dr.strat, newRand(seed+dr.offset))
-	}
-	return r
 }
 
 // RouterLease holds a deployment router (see AcquireDeploymentRouter).
@@ -100,12 +87,17 @@ type RouterLease struct {
 	Router *core.Router
 }
 
-// AcquireDeploymentRouter returns NewDeploymentRouter(seed) in a lease, and
-// ReleaseDeploymentRouter does nothing. Their only caller is bench/'s
-// replay, which keeps its own copy of the fleet cell; a fleet cell uses no
-// router.
+// AcquireDeploymentRouter builds the §8 deployment as one router serving
+// clients everywhere, each route's engine seeded at seed + strategy number,
+// and returns it in a lease; ReleaseDeploymentRouter does nothing. Their
+// only caller is bench/'s replay, which keeps its own copy of the fleet
+// cell; the program serves §8 through the sandbox (DeployFor).
 func AcquireDeploymentRouter(seed int64) *RouterLease {
-	return &RouterLease{Router: NewDeploymentRouter(seed)}
+	r := core.NewRouter(nil)
+	for _, dr := range deployTable() {
+		r.Route(dr.prefix, dr.strat, newRand(seed+dr.offset))
+	}
+	return &RouterLease{Router: r}
 }
 
 // ReleaseDeploymentRouter does nothing; see AcquireDeploymentRouter.

@@ -71,8 +71,8 @@ type Config struct {
 	ClientAddress netip.Addr
 	// Hook, if set, is called on the wired rig before the first
 	// connection: it can instrument the client (the §5 follow-up
-	// experiments), reconfigure the server (a core.Router instead of a
-	// single-strategy engine), or re-tune the censor (the GFW ablations).
+	// experiments), wrap the server's Outbound (the §7 carriers' drops
+	// behind the strategy), or re-tune the censor (the GFW ablations).
 	// Run wires a pooled rig anew for every trial and calls Hook after
 	// each wiring, exactly as NewRig does, so a hook must build any state
 	// it keeps inside itself.

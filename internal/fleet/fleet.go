@@ -460,8 +460,9 @@ type armSet struct {
 
 // resolveControl interprets the Portfolio × Selection matrix, once per
 // run. Selection without a portfolio races the distinct §8 deployment
-// strategies; with neither, each routed country serves its §8 strategy as
-// a one-arm set on the router stream. Arm 0 serves without Selection.
+// strategies; with neither, each routed country serves the §8 strategy
+// its clients' addresses select (eval.DeployFor) as a one-arm set on the
+// router stream. Arm 0 serves without Selection.
 func resolveControl(wl Workload) control {
 	ctl := control{portfolio: wl.Portfolio, arms: map[string]armSet{}}
 	if wl.Selection.Enabled() {
@@ -475,7 +476,7 @@ func resolveControl(wl Workload) control {
 		portfolio[a] = ctl.portfolio.Strategy(a)
 	}
 	for _, country := range wl.Countries {
-		s, number, routed := eval.DeployStrategy(country)
+		s, number, routed := eval.DeployFor(eval.RoutedClientAddr(country, 0))
 		switch {
 		case !routed:
 		case ctl.portfolio.IsZero():

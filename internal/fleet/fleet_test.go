@@ -97,6 +97,29 @@ func TestFleetUncensoredCountry(t *testing.T) {
 	}
 }
 
+// TestFleetServesDeployFor checks the fleet's §8 pin against the
+// deployment's geolocation step: with neither a portfolio nor selection,
+// each routed country's cells serve exactly the strategy eval.DeployFor
+// picks for the country's routed clients, as one arm on the router stream
+// at that strategy's number, and the uncensored population serves none.
+func TestFleetServesDeployFor(t *testing.T) {
+	wl := Workload{Countries: eval.Countries(), Connections: len(eval.Countries()), Seed: 1}.withDefaults()
+	ctl := resolveControl(wl)
+	for _, country := range eval.Countries() {
+		set, armed := ctl.arms[country]
+		s, number, routed := eval.DeployFor(eval.RoutedClientAddr(country, 0))
+		switch {
+		case armed != routed:
+			t.Errorf("%q: armed %v, but DeployFor routes it %v", country, armed, routed)
+		case !routed:
+		case len(set.strats) != 1 || set.strats[0] != s:
+			t.Errorf("%s: arms %v, want DeployFor's %s alone", country, set.strats, s)
+		case set.seed != seedRouter+number:
+			t.Errorf("%s: arm seed %d, want router stream + Strategy %d = %d", country, set.seed, number, seedRouter+number)
+		}
+	}
+}
+
 // TestFleetCrossConnectionResidual is the cross-connection censor-state
 // regression: with no gap between waves, GFW residual censorship opened by
 // one wave's censored flows (the unprotected client guarantees some) bleeds

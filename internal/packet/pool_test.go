@@ -1,9 +1,11 @@
 package packet
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 
+	"geneva/internal/allocs"
 	"geneva/internal/race"
 )
 
@@ -81,6 +83,65 @@ func TestPoolNoBytesLeakThroughReuse(t *testing.T) {
 		t.Fatalf("wire form of pooled packet leaks recycled bytes:\n got %x\nwant %x", wire, want)
 	}
 	Put(q)
+}
+
+// TestPoolRemoveOptionKeepsSurvivors pins option removal on recycled
+// packets: across cycles of build, remove one kind, re-add it and recycle,
+// the surviving options keep their bytes and order, the re-added option
+// holds its new bytes, and no two slots share a Data buffer, so writing
+// one option never reaches another.
+func TestPoolRemoveOptionKeepsSurvivors(t *testing.T) {
+	kinds := []byte{OptMSS, OptNOP, OptWScale, OptSACKOK, OptTimestamp}
+	for cycle := 0; cycle < 40; cycle++ {
+		p := Get(poolSrc, poolDst, 40000, 80)
+		var want []Option
+		add := func(kind byte, data ...byte) {
+			p.TCP.AddOption(kind, data...)
+			want = append(want, Option{Kind: kind, Data: append([]byte(nil), data...)})
+		}
+		for i, k := range kinds {
+			if k == OptNOP {
+				add(k)
+				continue
+			}
+			add(k, bytes.Repeat([]byte{byte(cycle), byte(i)}, int(k))...)
+		}
+		gone := kinds[cycle%len(kinds)]
+		if !p.TCP.RemoveOption(gone) {
+			t.Fatalf("cycle %d: RemoveOption(%d) found nothing", cycle, gone)
+		}
+		kept := want[:0]
+		for _, o := range want {
+			if o.Kind != gone {
+				kept = append(kept, o)
+			}
+		}
+		want = kept
+		add(gone, byte(cycle), 0xEE)
+		if len(p.TCP.Options) != len(want) {
+			t.Fatalf("cycle %d: %d options, want %d", cycle, len(p.TCP.Options), len(want))
+		}
+		for i, o := range p.TCP.Options {
+			if o.Kind != want[i].Kind || !bytes.Equal(o.Data, want[i].Data) {
+				t.Fatalf("cycle %d: option %d is %d %x, want %d %x",
+					cycle, i, o.Kind, o.Data, want[i].Kind, want[i].Data)
+			}
+		}
+		for i := range p.TCP.Options {
+			if d := p.TCP.Options[i].Data; len(d) > 0 {
+				d[0] ^= 0xFF
+			}
+			for j, o := range p.TCP.Options {
+				if j != i && !bytes.Equal(o.Data, want[j].Data) {
+					t.Fatalf("cycle %d: writing option %d changed option %d", cycle, i, j)
+				}
+			}
+			if d := p.TCP.Options[i].Data; len(d) > 0 {
+				d[0] ^= 0xFF
+			}
+		}
+		Put(p)
+	}
 }
 
 // TestCopyFromDeepCopies verifies ClonePooled/CopyFrom isolation: mutating
@@ -169,5 +230,26 @@ func TestAllocBudgetChecksumValid(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("TCPChecksumValid allocates %.1f objects/op, budget is 0", allocs)
+	}
+}
+
+// TestAllocBudgetRemoveOption pins option removal on pooled packets at
+// zero allocations: a packet whose window-scale option a strategy stripped
+// (Strategy 8 does) goes back to the pool with every option slot's Data
+// buffer, so the next handshake's AddOption copies into it.
+func TestAllocBudgetRemoveOption(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; budgets are enforced by make alloc-budget")
+	}
+	mean := allocs.Mean(100, 2000, func() {
+		p := Get(poolSrc, poolDst, 40000, 80)
+		p.TCP.AddOption(OptMSS, 0x05, 0xB4)
+		p.TCP.AddOption(OptNOP)
+		p.TCP.AddOption(OptWScale, 7)
+		p.TCP.RemoveOption(OptWScale)
+		Put(p)
+	})
+	if mean > 0 {
+		t.Errorf("a remove-option cycle allocates %.3f objects/op, budget is 0", mean)
 	}
 }

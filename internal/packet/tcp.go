@@ -208,27 +208,19 @@ func (t *TCP) Option(kind byte) *Option {
 }
 
 // RemoveOption deletes all options of the given kind and reports whether any
-// were present.
+// were present. Survivors keep their order; compaction swaps slots rather
+// than copying them, so every slot, removed ones included, keeps its own
+// Data buffer for AddOption to reuse.
 func (t *TCP) RemoveOption(kind byte) bool {
-	out := t.Options[:0]
-	removed := false
-	for _, o := range t.Options {
-		if o.Kind == kind {
-			removed = true
-			continue
-		}
-		out = append(out, o)
-	}
-	// Compaction shifts surviving options down, so the vacated tail slots
-	// alias the survivors' Data; clear them or AddOption's slot reuse could
-	// scribble over a live option.
-	if removed {
-		tail := t.Options[len(out):]
-		for i := range tail {
-			tail[i] = Option{}
+	n := 0
+	for i := range t.Options {
+		if t.Options[i].Kind != kind {
+			t.Options[n], t.Options[i] = t.Options[i], t.Options[n]
+			n++
 		}
 	}
-	t.Options = out
+	removed := n < len(t.Options)
+	t.Options = t.Options[:n]
 	return removed
 }
 

@@ -9,7 +9,7 @@ import (
 
 // --- §8 one router, per-client strategies (E19) ---
 
-// RouterDeployment runs the §8 scenario: the SAME router serves clients in
+// RouterDeployment runs the §8 scenario: one server serves clients in
 // every registered country (plus an uncensored client outside every
 // prefix), and each gets the right strategy purely from its address. Each
 // country is probed on its sweep protocol (HTTP where censored, otherwise
@@ -24,16 +24,15 @@ func RouterDeployment(trials int) map[string]float64 {
 }
 
 // routerTrial is RouterDeployment's trial: the client at its country's
-// routed address, the server running the deployment router. Every trial's
-// router is seeded from the base seed, not the trial's: Strategies 1, 8
-// and 11 make no random draws, so the router's streams cannot move an
-// outcome.
+// routed address, served the strategy eval.DeployFor picks from that
+// address alone (none for the uncensored client). Its engine draws from the
+// trial's engine stream, as every trial's does; Strategies 1, 8 and 11 make
+// no random draws, so that stream cannot move an outcome.
 func routerTrial(country string, seed int64) eval.Config {
-	cfg := eval.Trial(country, sweepProtocol(country), nil, seed)
-	cfg.ClientAddress = eval.RoutedClientAddr(country, 0)
-	cfg.Hook = func(r *eval.Rig) {
-		r.Server.Outbound = eval.NewDeploymentRouter(seed).Outbound
-	}
+	addr := eval.RoutedClientAddr(country, 0)
+	s, _, _ := eval.DeployFor(addr)
+	cfg := eval.Trial(country, sweepProtocol(country), s, seed)
+	cfg.ClientAddress = addr
 	return cfg
 }
 
