@@ -77,11 +77,12 @@ selector-determinism:
 
 # The allocation-budget tripwires: fail when the zero-alloc hot paths (the
 # event queue, pooled packets, compiled triggers, the DPI's in-place name
-# reading), the per-censor connection budgets, the per-trial budget, or the
-# fleet's per-connection budgets regress. Allocation counts are
-# deterministic, so these gate on any host. CI runs exactly this.
+# reading, blocklist matching, obs counters), the per-censor connection
+# budgets, the per-trial budget, or the fleet's per-connection budgets
+# regress. Every budget is an exact mean (internal/allocs). Allocation
+# counts are deterministic, so these gate on any host. CI runs exactly this.
 alloc-budget:
-	$(GO) test -run 'TestAllocBudget|TestTrialAllocBudget|TestFleetAllocBudget' -v ./internal/apps/ ./internal/netsim/ ./internal/packet/ ./internal/core/ ./internal/censor/ ./internal/eval/ ./internal/fleet/
+	$(GO) test -run 'TestAllocBudget|TestTrialAllocBudget|TestFleetAllocBudget|ZeroAlloc|NoAlloc' -v ./internal/apps/ ./internal/netsim/ ./internal/packet/ ./internal/core/ ./internal/censor/ ./internal/eval/ ./internal/fleet/ ./internal/obs/
 
 # Pool safety: GODEBUG=clobberfree poisons freed memory, so if any
 # recycled packet buffer is still referenced, the bit-identical recycling

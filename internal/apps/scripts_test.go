@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"geneva/internal/allocs"
 	"geneva/internal/netsim"
 	"geneva/internal/race"
 	"geneva/internal/tcpstack"
@@ -131,8 +132,7 @@ func TestAllocBudgetScriptsLease(t *testing.T) {
 	}
 	tmpl := HTTPQuerySession("kittens").Client()
 	var free Scripts
-	free.Release(free.Lease(tmpl))
-	if allocs := testing.AllocsPerRun(1000, func() { free.Release(free.Lease(tmpl)) }); allocs > 0 {
-		t.Errorf("a lease from a non-empty freelist allocates %.1f objects/op, budget is 0", allocs)
+	if mean := allocs.Mean(10, 1000, func() { free.Release(free.Lease(tmpl)) }); mean > 0 {
+		t.Errorf("a lease from a non-empty freelist allocates %.3f objects/op, budget is 0", mean)
 	}
 }

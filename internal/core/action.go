@@ -85,9 +85,9 @@ func (a *Action) Clone() *Action {
 }
 
 // Apply runs the action tree on pkt and returns the packets to emit, in
-// order. pkt may be mutated; callers pass a clone when they need the
-// original. Malformed tampers are no-ops (Geneva evolves nonsense
-// routinely; the engine must never crash on it).
+// order. pkt may be mutated, its payload buffer included; callers pass a
+// clone when they need the original. Malformed tampers are no-ops (Geneva
+// evolves nonsense routinely; the engine must never crash on it).
 func (a *Action) Apply(pkt *packet.Packet, rng *rand.Rand) []*packet.Packet {
 	if pkt == nil {
 		return nil

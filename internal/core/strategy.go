@@ -143,8 +143,10 @@ func NewEngine(s *Strategy, rng *rand.Rand) *Engine {
 
 // Outbound transforms one stack-emitted packet into the packets to put on
 // the wire. The first matching rule applies; packets matching no rule pass
-// through untouched. The returned slice is only valid until the engine's
-// next call: the pass-through case reuses a scratch slot.
+// through untouched. A matched rule may rewrite pkt in place, its payload
+// buffer included, so pkt must own its buffers. The returned slice is only
+// valid until the engine's next call: the pass-through case reuses a
+// scratch slot.
 func (e *Engine) Outbound(pkt *packet.Packet) []*packet.Packet {
 	for i := range e.outbound {
 		if e.outbound[i].match(pkt) {

@@ -62,17 +62,19 @@ func tamperTCP(pkt *packet.Packet, field string, corrupt bool, value string, rng
 		}
 		t.RawDataOff = true
 	case "load":
+		// The engine owns the packet and its payload buffer (a pooled
+		// packet, a ClonePooled duplicate or a fragment half), so the new
+		// load is written in place.
 		if corrupt {
 			n := len(t.Payload)
 			if n == 0 {
 				n = 8 + rng.Intn(24)
 			}
-			load := make([]byte, n)
-			rng.Read(load)
-			t.Payload = load
+			t.Payload = append(t.Payload[:0], make([]byte, n)...)
+			rng.Read(t.Payload)
 			return
 		}
-		t.Payload = []byte(value)
+		t.Payload = append(t.Payload[:0], value...)
 	case "options-wscale":
 		tamperOption(t, packet.OptWScale, corrupt, value, 1, rng)
 	case "options-mss":

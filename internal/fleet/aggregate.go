@@ -8,27 +8,21 @@ import (
 
 // connResult is one connection's outcome.
 type connResult struct {
-	plan        connPlan
 	success     bool
 	established bool
 	attempts    int
 
 	// Long-horizon accounting.
-	planned      int  // exchanges the plan asked this connection to carry
-	served       int  // exchanges that arrived intact, across all attempts
-	firstSettled bool // the first attempt has settled (guards firstSuccess)
-	firstSuccess bool // the FIRST attempt served the whole session
-	startAt      time.Duration
+	planned      int           // exchanges the plan asked this connection to carry
+	served       int           // exchanges that arrived intact, across all attempts
+	firstSuccess bool          // the FIRST attempt served the whole session
 	uptime       time.Duration // Σ per-attempt SYN → last verified byte
 	lifetime     time.Duration // settle − start, floored at the planned span
 }
 
-// cellResult is one cell's outcome.
+// cellResult is one cell's outcome, connection by connection in plan order.
 type cellResult struct {
-	country      string
-	conns        []connResult
-	censorEvents int
-	waves        int
+	conns []connResult
 
 	// Residual-ledger traffic: windows the cell exported at wave barriers
 	// and ledger windows planted into it at wave starts.
@@ -36,25 +30,20 @@ type cellResult struct {
 	residualSeeded    int
 }
 
-// aggregate folds every settled connection, once, into its country's
-// CountryStats and the fleet outcome mix; the fleet totals are then sums
-// over PerCountry.
-func aggregate(results []cellResult, ctl control) Result {
+// aggregate folds every settled connection of the run's cells, once, into
+// its country's CountryStats and the fleet outcome mix; the fleet totals
+// are then sums over PerCountry.
+func aggregate(cells []*cell, ctl control) Result {
 	out := Result{
-		Cells:      len(results),
+		Cells:      len(cells),
 		PerCountry: map[string]CountryStats{},
 		Outcomes:   map[string]int{"served": 0, "torn_down": 0, "never_established": 0},
 	}
-	for _, cr := range results {
-		cs := out.PerCountry[cr.country]
-		cs.CensorEvents += cr.censorEvents
-		mixedWave := map[int]bool{}
-		for _, c := range cr.conns {
-			if c.plan.unprotected {
-				mixedWave[c.plan.wave] = true
-			}
-		}
-		for _, c := range cr.conns {
+	for _, cl := range cells {
+		cs := out.PerCountry[cl.plan.country]
+		cs.CensorEvents += cl.CensorEvents()
+		for i, c := range cl.res.conns {
+			cn := cl.conn(i)
 			cs.Connections++
 			cs.RequestsAttempted += c.planned
 			cs.RequestsServed += c.served
@@ -80,12 +69,12 @@ func aggregate(results []cellResult, ctl control) Result {
 				out.Outcomes["never_established"]++
 			}
 			switch {
-			case c.plan.unprotected:
+			case cn.unprotected:
 				cs.Unprotected++
 				if c.success {
 					cs.UnprotectedSucceeded++
 				}
-			case mixedWave[c.plan.wave]:
+			case cl.contested(cn.wave):
 				cs.Contested++
 				if c.success {
 					cs.ContestedSucceeded++
@@ -97,7 +86,7 @@ func aggregate(results []cellResult, ctl control) Result {
 				}
 			}
 		}
-		out.PerCountry[cr.country] = cs
+		out.PerCountry[cl.plan.country] = cs
 	}
 	for country, cs := range out.PerCountry {
 		out.Connections += cs.Connections
@@ -130,12 +119,12 @@ func aggregate(results []cellResult, ctl control) Result {
 }
 
 // record publishes the per-cell scheduling tallies the Result does not carry.
-func record(results []cellResult) {
+func record(cells []*cell) {
 	var waves, published, seeded int
-	for _, cr := range results {
-		waves += cr.waves
-		published += cr.residualPublished
-		seeded += cr.residualSeeded
+	for _, c := range cells {
+		waves += c.waves()
+		published += c.res.residualPublished
+		seeded += c.res.residualSeeded
 	}
 	mWaves.Add(uint64(waves))
 	mResidualPublished.Add(uint64(published))

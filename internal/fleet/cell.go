@@ -92,11 +92,7 @@ type cell struct {
 	// folds and clears it.
 	exports residualLedger
 
-	// waveStart[w] is the index into plan.conns of wave w's first
-	// connection, and waveStart[waves()] is len(plan.conns): plan appends
-	// a cell's connections wave by wave, so each wave is one range.
-	waveStart []int
-	res       cellResult
+	res cellResult
 
 	// Every script the cell runs is a copy of a read-only template leased
 	// from the sandbox's Scripts: client templates by shape, server
@@ -143,14 +139,10 @@ func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 		c.selRng = eval.Reseed(c.selRng, cellSeed+seedSelector)
 	}
 
-	// One client slot per slot the plan uses. plan numbers a cell's slots
-	// from 0 in order of first use (the routed slots in wave 0, the
-	// unprotected ones after them in wave 1), so they are 0..n-1.
+	// One client slot per slot the plan uses.
 	c.addrs = c.addrs[:0]
-	for _, cn := range cp.conns {
-		for s := len(c.addrs); s <= cn.slot; s++ {
-			c.addrs = append(c.addrs, clientAddr(cp.country, s, s >= wl.ClientsPerCell))
-		}
+	for s := range c.slots() {
+		c.addrs = append(c.addrs, clientAddr(cp.country, s, s >= wl.ClientsPerCell))
 	}
 	// The pool key holds the country, so a pooled cell's censor is the
 	// country's, and Reset undoes a Shift too.
@@ -176,11 +168,13 @@ func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 	// application by the port the client connected to. Fleet scripts close
 	// after their transcripts (CloseAtEnd) so both sides' connections
 	// finish and recycle — without that, a 10^5-connection run accretes
-	// every connection ever served in the server's table.
-	for _, cn := range cp.conns {
-		sess, ok := c.sessions[cn.protocol]
+	// every connection ever served in the server's table. The plan cycles
+	// through the protocols, so the first few connections run every one.
+	for i := range min(cp.n, len(wl.Protocols)) {
+		proto := c.conn(i).protocol
+		sess, ok := c.sessions[proto]
 		if !ok {
-			sess = eval.SessionFor(cp.country, cn.protocol, true)
+			sess = eval.SessionFor(cp.country, proto, true)
 			if wl.SessionRequests > 1 {
 				// Extend the one-shot session into a keep-alive one.
 				// Protocols whose transcript isn't a single exchange come
@@ -189,8 +183,8 @@ func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 				// listener also serves shorter reconnect tails.
 				sess = sess.KeepAlive(wl.SessionRequests, wl.RequestGap)
 			}
-			c.sessions[cn.protocol] = sess
-			c.clients[scriptKey{proto: cn.protocol, exch: sess.Exchanges()}] = sess.Client()
+			c.sessions[proto] = sess
+			c.clients[scriptKey{proto: proto, exch: sess.Exchanges()}] = sess.Client()
 			server := *sess.Server()
 			server.CloseAtEnd = true
 			c.Serve(sess.Port, &server)
@@ -198,26 +192,15 @@ func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 		c.Server.Listen(sess.Port)
 	}
 
-	c.waveStart = c.waveStart[:0]
-	for i, cn := range cp.conns {
-		for len(c.waveStart) <= cn.wave {
-			c.waveStart = append(c.waveStart, i)
-		}
-	}
-	c.waveStart = append(c.waveStart, len(cp.conns))
-
 	conns := c.res.conns
-	if cap(conns) < len(cp.conns) {
-		conns = make([]connResult, len(cp.conns))
+	if cap(conns) < cp.n {
+		conns = make([]connResult, cp.n)
 	} else {
-		conns = conns[:len(cp.conns)]
+		conns = conns[:cp.n]
 		clear(conns)
 	}
-	c.res = cellResult{country: cp.country, conns: conns}
+	c.res = cellResult{conns: conns}
 }
-
-// waves is the number of waves the cell runs.
-func (c *cell) waves() int { return len(c.waveStart) - 1 }
 
 // drain runs the cell network until no event is pending.
 func (c *cell) drain() {
@@ -250,7 +233,7 @@ func (c *cell) leaseClient(proto string, m int) *apps.Script {
 // every packet the server sends the slot from then on, and it never
 // switches a strategy mid-connection: a slot is re-pinned only between
 // its own attempts, once the drained network holds none of its packets.
-func (c *cell) pullArm(cn *connPlan) int {
+func (c *cell) pullArm(cn connPlan) int {
 	if c.arms == 0 || cn.unprotected {
 		return -1
 	}
@@ -260,15 +243,4 @@ func (c *cell) pullArm(cn *connPlan) int {
 	}
 	c.Pin(cn.slot, arm)
 	return arm
-}
-
-// finish closes the cell out: stamp plans and censor totals into the
-// result. The result's connection slice stays the cell's: Run reads it
-// before it puts the cell back in its pool, and the next reset reuses it.
-func (c *cell) finish() cellResult {
-	for i := range c.res.conns {
-		c.res.conns[i].plan = c.plan.conns[i]
-	}
-	c.res.censorEvents = c.CensorEvents()
-	return c.res
 }

@@ -491,9 +491,8 @@ func resolveControl(wl Workload) control {
 // Run executes the workload and aggregates the fleet result. Cells are
 // taken from their pools and wired, driven wave by wave (one wave of every
 // cell runs concurrently on a pool of up to wl.Workers goroutines, meeting
-// at a residual-merge barrier between waves), finished, and put back;
-// results are merged in cell order, so the Result is identical at any
-// worker width.
+// at a residual-merge barrier between waves), read in cell order, and put
+// back, so the Result is identical at any worker width.
 func Run(wl Workload) (Result, error) {
 	if err := wl.checkSizes(); err != nil {
 		return Result{}, err
@@ -567,14 +566,10 @@ func Run(wl Workload) (Result, error) {
 		}
 	}
 
-	results := make([]cellResult, len(cells))
-	eval.RunParallel(workers, len(cells), func(i int) {
-		results[i] = cells[i].finish()
-	})
-	out := aggregate(results, ctl)
-	record(results)
-	// Each result's connections are its cell's, so the cells go back to
-	// their pools only now that aggregate and record have read them.
+	out := aggregate(cells, ctl)
+	record(cells)
+	// The cells go back to their pools only now that aggregate and record
+	// have read their results.
 	for _, c := range cells {
 		c.home.Put(c)
 	}

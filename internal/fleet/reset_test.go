@@ -200,8 +200,8 @@ func probeCell(t *testing.T, name string, c *cell, protocols []string) {
 	c.Net.RecyclePackets = false // the probes are not pool packets
 	c.Net.Trace = &netsim.Trace{}
 	used := map[int]bool{}
-	for _, cn := range c.plan.conns {
-		used[cn.slot] = true
+	for i := range c.plan.n {
+		used[c.conn(i).slot] = true
 	}
 	for s, ep := range c.Clients {
 		c.Net.Inject(packet.New(eval.ServerAddr, ep.Addr(), 80, 9), netsim.ToClient)

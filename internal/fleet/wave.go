@@ -15,7 +15,7 @@ type residualLedger map[string]time.Duration
 
 // inflight is one connection attempt awaiting settlement in a wave.
 type inflight struct {
-	idx       int // index into plan.conns / res.conns
+	idx       int // the connection's index in the cell
 	app       *apps.Script
 	connectAt time.Duration // virtual time the attempt's SYN left
 	arm       int           // portfolio arm serving the attempt (-1 = none)
@@ -59,25 +59,23 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 		}
 	}
 
-	c.res.waves++
-
 	// Start every connection of the wave, drain the network, then
 	// re-attempt failed connections under the reconnect policy (the zero
 	// value retries torn-down attempts immediately within eval.TriesFor,
 	// RFC 7766 DNS behaviour, same as eval.Run) until the wave settles.
 	// Every reconnect is a timer on the cell clock; the network has
 	// drained when they are scheduled, so zero-backoff reconnects fire at
-	// once, in the order they were scheduled.
+	// once, in the order they were scheduled. Every connection of the
+	// wave starts now.
 	pol := c.wl.Reconnect
 	now := c.Net.Clock.Now()
 	live := c.live[:0]
-	for idx := c.waveStart[w]; idx < c.waveStart[w+1]; idx++ {
-		cn := &c.plan.conns[idx]
+	for idx := c.start(w); idx < c.start(w+1); idx++ {
+		cn := c.conn(idx)
 		sess := c.sessions[cn.protocol]
 		m := sess.Exchanges()
 		r := &c.res.conns[idx]
 		r.planned = m
-		r.startAt = now
 		app := c.leaseClient(cn.protocol, m)
 		arm := c.pullArm(cn)
 		c.Clients[cn.slot].Connect(eval.ServerAddr, sess.Port, app)
@@ -89,7 +87,7 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 		n := 0
 		for _, f := range live {
 			r := &c.res.conns[f.idx]
-			cn := &c.plan.conns[f.idx]
+			cn := c.conn(f.idx)
 			if c.selCell != nil && f.arm >= 0 {
 				// Credit the settled attempt back to the arm that served
 				// it — the control plane's per-attempt reward signal.
@@ -109,8 +107,8 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 				// verified byte landed.
 				r.uptime += f.app.LastProgressAt() - f.connectAt
 			}
-			if !r.firstSettled {
-				r.firstSettled = true
+			if r.attempts == 1 {
+				// The first attempt settles before any reconnect starts.
 				r.firstSuccess = f.app.Succeeded()
 			}
 			budget := eval.TriesFor(cn.protocol)
@@ -136,7 +134,7 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 				// exchange was served, whether on the first attempt or
 				// across reconnects.
 				r.success = r.served >= r.planned
-				r.lifetime = c.Net.Clock.Now() - r.startAt
+				r.lifetime = c.Net.Clock.Now() - now
 				if span := time.Duration(r.planned-1) * c.wl.RequestGap; r.lifetime < span {
 					// A give-up-early policy doesn't shrink the denominator:
 					// the user wanted service across the whole planned span.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"geneva/internal/allocs"
 	"geneva/internal/race"
 )
 
@@ -399,8 +400,8 @@ func TestAllocBudgetEventQueue(t *testing.T) {
 	}
 	for _, c := range churns {
 		for _, depth := range queueDepths {
-			if allocs := testing.AllocsPerRun(1000, c.step(depth)); allocs > 0 {
-				t.Errorf("%s depth=%d: event queue churn allocates %.1f objects/op, budget is 0", c.name, depth, allocs)
+			if mean := allocs.Mean(10, 1000, c.step(depth)); mean > 0 {
+				t.Errorf("%s depth=%d: event queue churn allocates %.3f objects/op, budget is 0", c.name, depth, mean)
 			}
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"geneva/internal/allocs"
 )
 
 var testCounter = NewCounter("test.counter")
@@ -26,11 +28,11 @@ func TestDisabledInstrumentsAreInert(t *testing.T) {
 // runs a whole instrumented trial under the PR 3 budget.)
 func TestDisabledZeroAlloc(t *testing.T) {
 	SetEnabled(false)
-	if allocs := testing.AllocsPerRun(100, func() {
+	if mean := allocs.Mean(10, 100, func() {
 		testCounter.Inc()
 		testCounter.Add(3)
-	}); allocs != 0 {
-		t.Errorf("disabled counters allocate %.1f objects/op, want 0", allocs)
+	}); mean != 0 {
+		t.Errorf("disabled counters allocate %.3f objects/op, want 0", mean)
 	}
 }
 
@@ -39,11 +41,11 @@ func TestDisabledZeroAlloc(t *testing.T) {
 func TestEnabledZeroAlloc(t *testing.T) {
 	SetEnabled(true)
 	defer SetEnabled(false)
-	if allocs := testing.AllocsPerRun(100, func() {
+	if mean := allocs.Mean(10, 100, func() {
 		testCounter.Inc()
 		testCounter.Add(5)
-	}); allocs != 0 {
-		t.Errorf("enabled counters allocate %.1f objects/op, want 0", allocs)
+	}); mean != 0 {
+		t.Errorf("enabled counters allocate %.3f objects/op, want 0", mean)
 	}
 }
 

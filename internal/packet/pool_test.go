@@ -187,12 +187,7 @@ func TestAllocBudgetPooledRoundtrip(t *testing.T) {
 	payload := []byte("GET /?q=ultrasurf HTTP/1.1\r\nHost: example.com\r\n\r\n")
 	buf := make([]byte, 0, 256)
 	rx := New(poolDst, poolSrc, 80, 40000)
-	// Warm the pool and the scratch capacities.
-	warm := Get(poolSrc, poolDst, 40000, 80)
-	warm.TCP.Payload = append(warm.TCP.Payload[:0], payload...)
-	Put(warm)
-
-	allocs := testing.AllocsPerRun(200, func() {
+	mean := allocs.Mean(10, 200, func() {
 		p := Get(poolSrc, poolDst, 40000, 80)
 		p.TCP.Flags = FlagPSH | FlagACK
 		p.TCP.Payload = append(p.TCP.Payload[:0], payload...)
@@ -206,8 +201,8 @@ func TestAllocBudgetPooledRoundtrip(t *testing.T) {
 		}
 		Put(p)
 	})
-	if allocs > 0 {
-		t.Errorf("pooled wire roundtrip allocates %.1f objects/op, budget is 0", allocs)
+	if mean > 0 {
+		t.Errorf("pooled wire roundtrip allocates %.3f objects/op, budget is 0", mean)
 	}
 }
 
@@ -223,13 +218,13 @@ func TestAllocBudgetChecksumValid(t *testing.T) {
 	if _, err := p.Wire(); err != nil { // stamp the checksum fields
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
+	mean := allocs.Mean(10, 200, func() {
 		if !p.TCPChecksumValid() {
 			t.Fatal("checksum should validate")
 		}
 	})
-	if allocs > 0 {
-		t.Errorf("TCPChecksumValid allocates %.1f objects/op, budget is 0", allocs)
+	if mean > 0 {
+		t.Errorf("TCPChecksumValid allocates %.3f objects/op, budget is 0", mean)
 	}
 }
 

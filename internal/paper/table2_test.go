@@ -1,4 +1,4 @@
-package eval_test
+package paper_test
 
 import (
 	"testing"

@@ -2,7 +2,7 @@
 
 // Package race reports whether the race detector is enabled, so tests with
 // allocation budgets can skip themselves: race instrumentation allocates on
-// its own, which makes testing.AllocsPerRun counts meaningless. The budgets
+// its own, which makes allocation counts meaningless. The budgets
 // are still enforced in CI by the non-race `make alloc-budget` step.
 package race
 
