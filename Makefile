@@ -76,10 +76,10 @@ selector-determinism:
 	$(GO) test -race ./internal/selector/
 
 # The allocation-budget tripwires: fail when the zero-alloc hot paths (the
-# event queue, pooled packets, compiled triggers, the DPI's in-place name
-# reading, blocklist matching, obs counters), the per-censor connection
-# budgets, the per-trial budget, or the fleet's per-connection budgets
-# regress. Every budget is an exact mean (internal/allocs). Allocation
+# event queue, timers and keep-alive delayed sends, pooled packets,
+# compiled triggers and tampers, the DPI's in-place name reading, blocklist
+# matching, obs counters), the per-censor connection budgets, the
+# per-trial budget, or the fleet's per-connection budgets regress. Every budget is an exact mean (internal/allocs). Allocation
 # counts are deterministic, so these gate on any host. CI runs exactly this.
 alloc-budget:
 	$(GO) test -run 'TestAllocBudget|TestTrialAllocBudget|TestFleetAllocBudget|ZeroAlloc|NoAlloc' -v ./internal/apps/ ./internal/netsim/ ./internal/packet/ ./internal/core/ ./internal/censor/ ./internal/eval/ ./internal/fleet/ ./internal/obs/
@@ -94,7 +94,7 @@ alloc-budget:
 # engines whose strategies print the same, and a pooled fleet cell reset
 # for a run must still match a fresh one. CI runs exactly this.
 pool-safety:
-	GODEBUG=clobberfree=1 $(GO) test -run 'TestPool|TestRecycling|TestVerdictBorrow|TestRigReset|TestSandbox|TestCensorReset|TestCellReset' ./internal/packet/ ./internal/netsim/ ./internal/censor/... ./internal/eval/ ./internal/fleet/
+	GODEBUG=clobberfree=1 $(GO) test -run 'TestPool|TestRecycling|TestVerdictBorrow|TestRigReset|TestSandbox|TestCensorReset|TestCellReset|TestCellPools' ./internal/packet/ ./internal/netsim/ ./internal/censor/... ./internal/eval/ ./internal/fleet/
 
 # Coverage-guided fuzzing bursts — the fuzz targets promoted from
 # seed-corpus-only to live mutation. Go's fuzz engine takes one -fuzz

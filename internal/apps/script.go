@@ -127,26 +127,16 @@ func (s *Script) OnData(c *tcpstack.Conn, data []byte) {
 }
 
 // pump sends every SendPoint whose offset has been reached. A SendPoint with
-// a Delay is armed on the connection's virtual clock instead of sent inline;
-// later points wait behind it (the transcript stays strictly ordered).
+// a Delay is armed on the connection's application timer instead of sent
+// inline, with the script as the timer's target and the point's index as
+// its argument; later points wait behind it (the transcript stays strictly
+// ordered).
 func (s *Script) pump(c *tcpstack.Conn) {
 	for !s.delayPending && s.nextSend < len(s.SendAt) && s.recv >= s.SendAt[s.nextSend].Off {
 		sp := &s.SendAt[s.nextSend]
 		if sp.Delay > 0 {
 			s.delayPending = true
-			idx := s.nextSend
-			// Conn.After already refuses to fire into a closed or recycled
-			// connection; the index check additionally kills the timer if
-			// the script itself was restarted for a new attempt.
-			c.After(sp.Delay, func() {
-				if !s.delayPending || s.nextSend != idx {
-					return
-				}
-				s.delayPending = false
-				c.Send(sp.Data)
-				s.nextSend++
-				s.pump(c)
-			})
+			c.After(sp.Delay, s, s.nextSend)
 			return
 		}
 		c.Send(sp.Data)
@@ -155,6 +145,20 @@ func (s *Script) pump(c *tcpstack.Conn) {
 	if s.CloseAtEnd && s.Succeeded() {
 		c.Close()
 	}
+}
+
+// OnTimer implements tcpstack.AppTimer: the delayed send of SendAt[idx] is
+// due on c. The connection only fires a timer into the tenant it was armed
+// on; the index check additionally drops the timer if the script itself
+// was restarted for a new attempt.
+func (s *Script) OnTimer(c *tcpstack.Conn, idx int) {
+	if !s.delayPending || s.nextSend != idx {
+		return
+	}
+	s.delayPending = false
+	c.Send(s.SendAt[idx].Data)
+	s.nextSend++
+	s.pump(c)
 }
 
 // OnClose implements tcpstack.App.

@@ -136,3 +136,141 @@ func TestAllocBudgetScriptsLease(t *testing.T) {
 		t.Errorf("a lease from a non-empty freelist allocates %.3f objects/op, budget is 0", mean)
 	}
 }
+
+// keepAliveRig is a client endpoint wired to a server endpoint that serves
+// each connection of a session with a copy of its server template leased
+// from free. Both endpoints recycle finished connections, and the network
+// recycles packets.
+type keepAliveRig struct {
+	client *tcpstack.Endpoint
+	net    *netsim.Network
+	free   Scripts
+	served []*Script // server scripts leased since the last release
+}
+
+func newKeepAliveRig(sess *Session) *keepAliveRig {
+	r := &keepAliveRig{}
+	r.client = tcpstack.NewEndpoint(clientAddr, tcpstack.DefaultClient, rand.New(rand.NewSource(1)))
+	se := tcpstack.NewEndpoint(serverAddr, tcpstack.DefaultServer, rand.New(rand.NewSource(2)))
+	tmpl := *sess.Server()
+	tmpl.CloseAtEnd = true
+	se.NewServerApp = func(*tcpstack.Conn) tcpstack.App {
+		s := r.free.Lease(&tmpl)
+		r.served = append(r.served, s)
+		return s
+	}
+	se.Listen(sess.Port)
+	r.client.ReleaseClosed, se.ReleaseClosed = true, true
+	r.net = netsim.New(r.client, se)
+	r.net.RecyclePackets = true
+	r.client.Attach(r.net)
+	se.Attach(r.net)
+	return r
+}
+
+// TestReleasedScriptTimerSkipsNewConn: a script whose delayed send is
+// pending is released and re-leased onto a fresh connection that reuses the
+// old one's struct, and so starts from the same timer generation. The old
+// timer must send nothing on the new connection: the new one's first
+// delayed send still waits its full gap.
+func TestReleasedScriptTimerSkipsNewConn(t *testing.T) {
+	const gap = time.Second
+	ka := HTTPQuerySession("kittens").KeepAlive(3, gap)
+	r := newKeepAliveRig(ka)
+	ce, n, free := r.client, r.net, &r.free
+	s := free.Lease(ka.Client())
+	old := ce.Connect(serverAddr, ka.Port, s)
+	for i := 0; i < 1000 && !s.delayPending; i++ {
+		n.Run(1)
+	}
+	if !s.delayPending {
+		t.Fatal("the keep-alive client never armed its delayed send")
+	}
+	// Drop the old connection without finishing it: its struct goes back on
+	// the freelist with its timer generation unchanged.
+	ce.Reset(clientAddr, tcpstack.DefaultClient, rand.New(rand.NewSource(3)))
+	ce.ReleaseClosed = true
+	ce.Attach(n)
+	free.Release(s)
+	if free.Lease(ka.Client()) != s {
+		t.Fatal("the lease did not reuse the released script")
+	}
+	if ce.Connect(serverAddr, ka.Port, s) != old {
+		t.Fatal("the fresh connection did not reuse the old one's struct")
+	}
+	for i := 0; i < 1000 && !s.delayPending; i++ {
+		n.Run(1)
+	}
+	if !s.delayPending {
+		t.Fatal("the re-leased client never armed its delayed send")
+	}
+	armed := n.Clock.Now()
+	for s.nextSend == 0 && !n.Quiet() {
+		n.Run(1)
+	}
+	if sent := n.Clock.Now(); s.nextSend != 1 || sent != armed+gap {
+		t.Fatalf("the new connection's first delayed send went at %v (nextSend %d), want %v", sent, s.nextSend, armed+gap)
+	}
+	n.Run(0)
+	if !s.Succeeded() {
+		t.Fatalf("the re-leased client did not finish its transcript: served %d", s.Served())
+	}
+}
+
+// TestRestartedScriptIgnoresOldTimer: a script restarted for a new attempt
+// while its old connection is still live, with a delayed send pending on
+// it, must not send when that old timer fires — on either connection —
+// and runs its new attempt to the end.
+func TestRestartedScriptIgnoresOldTimer(t *testing.T) {
+	ka := HTTPQuerySession("kittens").KeepAlive(3, time.Second)
+	r := newKeepAliveRig(ka)
+	s := ka.NewClient()
+	s.CloseAtEnd = true
+	r.client.Connect(serverAddr, ka.Port, s)
+	for i := 0; i < 1000 && !s.delayPending; i++ {
+		r.net.Run(1)
+	}
+	if !s.delayPending {
+		t.Fatal("the keep-alive client never armed its delayed send")
+	}
+	s.Restart()
+	r.net.Run(0) // the old timer fires into the restarted script
+	if len(r.served) != 1 || r.served[0].recv != len(ka.Client().SendOnEstablish) {
+		t.Fatalf("the old connection's server received %d bytes, want only the first request", r.served[0].recv)
+	}
+	r.client.Connect(serverAddr, ka.Port, s)
+	r.net.Run(0)
+	if !s.Succeeded() {
+		t.Fatalf("the restarted script's new attempt did not finish: served %d", s.Served())
+	}
+}
+
+// TestAllocBudgetDelayedSend pins a keep-alive script's delayed sends at
+// zero allocations: the connection's application timer targets the script
+// itself with the send's index, so arming and firing build no closure. The
+// whole exchange runs warm (recycled connections, packets and scripts), and
+// its allocations are counted per delayed send.
+func TestAllocBudgetDelayedSend(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; budgets are enforced by make alloc-budget")
+	}
+	const requests = 4
+	ka := HTTPQuerySession("kittens").KeepAlive(requests, time.Second)
+	tmpl := *ka.Client()
+	tmpl.CloseAtEnd = true
+	r := newKeepAliveRig(ka)
+	mean := allocs.Mean(10, 200, func() {
+		s := r.free.Lease(&tmpl)
+		r.client.Connect(serverAddr, ka.Port, s)
+		r.net.Run(0)
+		if !s.Succeeded() {
+			t.Fatal("keep-alive exchange failed")
+		}
+		r.served = append(r.served, s)
+		r.free.Release(r.served...)
+		r.served = r.served[:0]
+	})
+	if perSend := mean / (requests - 1); perSend > 0 {
+		t.Errorf("a keep-alive exchange allocates %.3f objects per delayed send, budget is 0", perSend)
+	}
+}

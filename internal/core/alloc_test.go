@@ -83,15 +83,18 @@ func TestAllocBudgetEnginePassThrough(t *testing.T) {
 
 // TestAllocBudgetEngineMatch pins the matched path at zero allocations on
 // pooled trigger packets: a duplicate's copy comes from the packet pool, a
-// tampered load is written into the packet's own payload buffer, and the
-// emission buffer is the engine's. Every emitted packet goes back to the
-// pool, as the network recycles them.
+// tampered load is written into the packet's own payload buffer, a
+// tampered option into its option slot's own buffer, and the emission
+// buffer is the engine's. Every emitted packet goes back to the pool, as
+// the network recycles them.
 func TestAllocBudgetEngineMatch(t *testing.T) {
 	skipUnderRace(t)
 	for _, dsl := range []string{
 		"[TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:R},send)-| \\/",
 		"[TCP:flags:SA]-tamper{TCP:load:corrupt}-| \\/",
 		"[TCP:flags:SA]-tamper{TCP:load:replace:GET / HTTP/1.1}-| \\/",
+		"[TCP:flags:SA]-tamper{TCP:options-mss:replace:1460}-| \\/",
+		"[TCP:flags:SA]-tamper{TCP:options-wscale:corrupt}-| \\/",
 	} {
 		eng := NewEngine(MustParse(dsl), rand.New(rand.NewSource(1)))
 		mean := allocs.Mean(50, 500, func() {

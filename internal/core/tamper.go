@@ -92,14 +92,15 @@ func tamperTCP(pkt *packet.Packet, field string, corrupt bool, value string, rng
 	}
 }
 
-// tamperOption replaces or corrupts a TCP option. Geneva's
+// tamperOption replaces or corrupts a TCP option. The new value is written
+// into the option slot's own Data buffer, as a tampered load is written
+// into the payload's: the engine owns every packet it tampers, option
+// buffers included (AddOption, CopyFrom and Unmarshal all copy). Geneva's
 // tamper{TCP:options-X:replace:} with an empty value removes the option —
 // Strategy 8 strips wscale this way.
 func tamperOption(t *packet.TCP, kind byte, corrupt bool, value string, width int, rng *rand.Rand) {
 	if corrupt {
-		data := make([]byte, width)
-		rng.Read(data)
-		t.SetOption(kind, data)
+		rng.Read(optionData(t, kind, width))
 		return
 	}
 	if value == "" {
@@ -107,15 +108,32 @@ func tamperOption(t *packet.TCP, kind byte, corrupt bool, value string, width in
 		return
 	}
 	if v, err := strconv.ParseUint(value, 10, 64); err == nil && width > 0 {
-		data := make([]byte, width)
+		data := optionData(t, kind, width)
 		for i := width - 1; i >= 0; i-- {
 			data[i] = byte(v)
 			v >>= 8
 		}
-		t.SetOption(kind, data)
 		return
 	}
-	t.SetOption(kind, []byte(value))
+	copy(optionData(t, kind, len(value)), value)
+}
+
+// optionData returns the Data of the first option of kind, n bytes long,
+// adding the option if it is absent. The slot's buffer is resized within
+// its capacity when that suffices; its old bytes are the caller's to
+// overwrite.
+func optionData(t *packet.TCP, kind byte, n int) []byte {
+	o := t.Option(kind)
+	if o == nil {
+		t.AddOption(kind)
+		o = &t.Options[len(t.Options)-1]
+	}
+	if cap(o.Data) < n {
+		o.Data = make([]byte, n)
+	} else {
+		o.Data = o.Data[:n]
+	}
+	return o.Data
 }
 
 func tamperIP(pkt *packet.Packet, field string, corrupt bool, value string, rng *rand.Rand) {

@@ -3,6 +3,7 @@ package fleet
 import (
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"sync"
 	"time"
 
@@ -38,32 +39,97 @@ func keyOf(wl Workload, country string) cellKey {
 	return cellKey{country: country, requests: wl.SessionRequests, gap: wl.RequestGap}
 }
 
-// cellPools holds one pool of idle cells per key. A cell goes back to its
-// pool when its run has been aggregated and comes out, for a plan of the
-// same key, through reset.
+// cellPools holds the idle cells of each key on a stack. takeCells pops a
+// run's cells in plan order and putCells pushes them back in reverse, so a
+// rerun of a workload gives each plan the cell that served it last time,
+// whose buffers already fit it. (A sync.Pool hands cells out as the
+// scheduler happens to ask, so each rerun met cells with plans they had not
+// served, and their buffers kept growing for dozens of reruns.) Like a
+// sync.Pool, the pools let idle cells go: a collection drops every stack
+// that no run has taken from or put to since the collection before it.
 var cellPools struct {
 	sync.Mutex
-	m map[cellKey]*sync.Pool
+	m map[cellKey]*cellStack
 }
 
-// cellPool returns the pool of key's cells.
-func cellPool(key cellKey) *sync.Pool {
+// cellStack is one key's idle cells, the next one to take on top.
+type cellStack struct {
+	idle []*cell
+	used bool // taken from or put to since the last collection
+}
+
+func init() { sweepAfterCollection() }
+
+// gcSentinel is garbage from the moment it is made; its finalizer runs
+// after the collection that finds it.
+type gcSentinel struct{ _ *byte }
+
+// sweepAfterCollection runs sweepCellPools after the next collection, and
+// again after every one after that.
+func sweepAfterCollection() {
+	runtime.SetFinalizer(new(gcSentinel), func(*gcSentinel) {
+		sweepCellPools()
+		sweepAfterCollection()
+	})
+}
+
+// sweepCellPools drops the stacks left idle since the last sweep and marks
+// the others idle.
+func sweepCellPools() {
 	cellPools.Lock()
 	defer cellPools.Unlock()
-	p := cellPools.m[key]
-	if p == nil {
-		if cellPools.m == nil {
-			cellPools.m = map[cellKey]*sync.Pool{}
+	// order: each stack is kept or dropped on its own flag.
+	for k, st := range cellPools.m {
+		if !st.used {
+			delete(cellPools.m, k)
 		}
-		p = &sync.Pool{New: func() any { return new(cell) }}
-		cellPools.m[key] = p
+		st.used = false
 	}
-	return p
 }
 
-// cell is one wired cell network, leased from its key's pool for one run:
+// takeCells takes a cell for each plan, in plan order: the top of the
+// plan's key's stack, or an empty cell. It wires none of them.
+func takeCells(wl Workload, plans []cellPlan) []*cell {
+	cellPools.Lock()
+	defer cellPools.Unlock()
+	cells := make([]*cell, len(plans))
+	for i, cp := range plans {
+		st := cellPools.m[keyOf(wl, cp.country)]
+		if st == nil || len(st.idle) == 0 {
+			cells[i] = new(cell)
+			continue
+		}
+		n := len(st.idle) - 1
+		cells[i], st.idle[n] = st.idle[n], nil
+		st.idle, st.used = st.idle[:n], true
+	}
+	return cells
+}
+
+// putCells puts cells, taken by takeCells for wl, back on their keys'
+// stacks in reverse, so the next takeCells of the same plans takes them in
+// the same order.
+func putCells(wl Workload, cells []*cell) {
+	cellPools.Lock()
+	defer cellPools.Unlock()
+	if cellPools.m == nil {
+		cellPools.m = map[cellKey]*cellStack{}
+	}
+	for i := len(cells) - 1; i >= 0; i-- {
+		c := cells[i]
+		k := keyOf(wl, c.plan.country)
+		st := cellPools.m[k]
+		if st == nil {
+			st = new(cellStack)
+			cellPools.m[k] = st
+		}
+		st.idle, st.used = append(st.idle, c), true
+	}
+}
+
+// cell is one wired cell network, taken from its key's pool for one run:
 // an eval.Sandbox with a slot per client, whose server serves the
-// country's arms, one engine each, pinned per attempt by pullArm. newCell
+// country's arms, one engine each, pinned per attempt by pullArm. newCells
 // wires it, it stays alive to the end of its last wave so the
 // scheduler can drive all cells in wave lockstep, and Run puts it back once
 // the run's result is aggregated. Everything in a cell runs on a single
@@ -73,7 +139,6 @@ type cell struct {
 	eval.Sandbox
 	wl   Workload
 	plan cellPlan
-	home *sync.Pool // the pool of the cell's key
 
 	addrs    []netip.Addr             // the plan's slot addresses
 	sessions map[string]*apps.Session // full-length session per protocol
@@ -89,8 +154,9 @@ type cell struct {
 
 	// exports holds the residual windows the cell published in the current
 	// wave (nil when its censor shares no residual state); the barrier
-	// folds and clears it.
+	// folds and clears it. publish is exportResidual bound to the cell.
 	exports residualLedger
+	publish func(key string, remaining time.Duration)
 
 	res cellResult
 
@@ -105,15 +171,15 @@ type cell struct {
 	live    []inflight
 }
 
-// newCell wires one cell — server and strategies, censor, clients — without
-// running anything: a pooled cell of the plan's key, or an empty one,
-// reset for cp.
-func newCell(wl Workload, cp cellPlan, ctl control) *cell {
-	home := cellPool(keyOf(wl, cp.country))
-	c := home.Get().(*cell)
-	c.home = home
-	c.reset(wl, cp, ctl)
-	return c
+// newCells wires a cell for each plan — server and strategies, censor,
+// clients — without running anything: a pooled cell of the plan's key, or
+// an empty one, reset for the plan on up to workers goroutines.
+func newCells(wl Workload, plans []cellPlan, ctl control, workers int) []*cell {
+	cells := takeCells(wl, plans)
+	eval.RunParallel(workers, len(cells), func(i int) {
+		cells[i].reset(wl, plans[i], ctl)
+	})
+	return cells
 }
 
 // reset wires c for cp, in place, through the sandbox's Reset: the only
@@ -127,6 +193,7 @@ func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 	if c.sessions == nil {
 		c.sessions = map[string]*apps.Session{}
 		c.clients = map[scriptKey]*apps.Script{}
+		c.publish = c.exportResidual
 	}
 	c.wl, c.plan = wl, cp
 	cellSeed := wl.Seed + int64(cp.index)*cellSeedStride

@@ -509,10 +509,7 @@ func Run(wl Workload) (Result, error) {
 		workers = eval.Workers()
 	}
 
-	cells := make([]*cell, len(plans))
-	eval.RunParallel(workers, len(plans), func(i int) {
-		cells[i] = newCell(wl, plans[i], ctl)
-	})
+	cells := newCells(wl, plans, ctl, workers)
 	// The selector's wave barrier drains cells in stable cell-index order
 	// (the fold is integer addition, so any order gives the same state —
 	// but the stable order keeps it obviously scheduling-independent).
@@ -570,9 +567,7 @@ func Run(wl Workload) (Result, error) {
 	record(cells)
 	// The cells go back to their pools only now that aggregate and record
 	// have read their results.
-	for _, c := range cells {
-		c.home.Put(c)
-	}
+	putCells(wl, cells)
 	out.Manifest = manifest(wl, len(cells), ctl)
 	return out, nil
 }

@@ -11,7 +11,6 @@ import (
 	"geneva/internal/eval"
 	"geneva/internal/netsim"
 	"geneva/internal/packet"
-	"geneva/internal/race"
 	"geneva/internal/selector"
 	"geneva/internal/strategies"
 )
@@ -24,17 +23,14 @@ func emptyCellPools() {
 	cellPools.Unlock()
 }
 
-// pooledCells takes every built cell out of key's pool.
+// pooledCells lists key's pooled cells, which stay in the pool.
 func pooledCells(key cellKey) []*cell {
-	p := cellPool(key)
-	var out []*cell
-	for {
-		c := p.Get().(*cell)
-		if c.Net == nil {
-			return out
-		}
-		out = append(out, c)
+	cellPools.Lock()
+	defer cellPools.Unlock()
+	if st := cellPools.m[key]; st != nil {
+		return slices.Clone(st.idle)
 	}
+	return nil
 }
 
 // cellsPerCountry counts the cells wl's plan gives each country.
@@ -149,8 +145,7 @@ func checkResetMatchesFresh(t *testing.T, b Workload, dirt []dirtyRun) {
 			t.Fatalf("%s: %v", d.name, err)
 		}
 		// Every b cell of a key the dirtying workload shares must come out
-		// of the pool dirty. (The race detector's sync.Pool drops a random
-		// quarter of what is put, so under it one dirty cell must do.)
+		// of the pool dirty.
 		shared := cellsPerCountry(d.wl)
 		for country, n := range needed {
 			key := keyOf(b.withDefaults(), country)
@@ -158,15 +153,13 @@ func checkResetMatchesFresh(t *testing.T, b Workload, dirt []dirtyRun) {
 				continue
 			}
 			cells := pooledCells(key)
-			floor := n
-			if race.Enabled {
-				floor = 1
-			}
-			if len(cells) < floor {
-				t.Fatalf("%s: %d pooled %q cells, want at least %d", d.name, len(cells), country, floor)
+			if len(cells) < n {
+				t.Fatalf("%s: %d pooled %q cells, want at least %d", d.name, len(cells), country, n)
 			}
 			for _, c := range cells {
-				c.home.Put(c)
+				if c.Net == nil {
+					t.Fatalf("%s: a pooled %q cell was never wired", d.name, country)
+				}
 			}
 		}
 		got, gotCtrs := fleetSnapshot(t, b)
@@ -185,8 +178,8 @@ func checkResetMatchesFresh(t *testing.T, b Workload, dirt []dirtyRun) {
 		}
 		wl := b.withDefaults()
 		ctl := resolveControl(wl)
-		for _, cp := range plan(wl) {
-			probeCell(t, d.name, newCell(wl, cp, ctl), wl.Protocols)
+		for _, c := range newCells(wl, plan(wl), ctl, 1) {
+			probeCell(t, d.name, c, wl.Protocols)
 		}
 	}
 }

@@ -17,7 +17,7 @@ var crossFlow = map[[2]string]bool{
 	{eval.CountryTurkmenistan, "https"}: true,
 }
 
-// TestFleetMatchesTable2: a fleet cell (newCell) and a trial rig
+// TestFleetMatchesTable2: a fleet cell (newCells) and a trial rig
 // (eval.Rig.reset) are two wirings of the same §4.2 trial, so wherever the
 // censor keeps only per-flow state a routed-only one-shot fleet must serve
 // the fraction eval.RateStats measures for the strategy the §8 router

@@ -83,6 +83,9 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 		live = append(live, inflight{idx: idx, app: app, connectAt: now, arm: arm})
 	}
 	for len(live) > 0 {
+		// A reconnect timer names its attempt by its index in c.live,
+		// which holds still while the network drains.
+		c.live = live
 		c.drain()
 		n := 0
 		for _, f := range live {
@@ -122,10 +125,7 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 				app := c.leaseClient(cn.protocol, r.planned-r.served)
 				arm := c.pullArm(cn) // a reconnect is a fresh pull
 				r.attempts++
-				slot, port := c.Clients[cn.slot], c.sessions[cn.protocol].Port
-				c.Net.After(pol.Backoff, func() {
-					slot.Connect(eval.ServerAddr, port, app)
-				})
+				c.Net.AfterTimer(pol.Backoff, (*reconnect)(c), uint64(n))
 				at := c.Net.Clock.Now() + pol.Backoff
 				live[n] = inflight{idx: f.idx, app: app, connectAt: at, arm: arm}
 				n++
@@ -156,11 +156,27 @@ func (c *cell) runWave(w int, ledger residualLedger) {
 
 	if c.resid != nil {
 		now := c.Net.Clock.Now()
-		c.resid.ExportResidual(now, func(key string, remaining time.Duration) {
-			if cur, ok := c.exports[key]; !ok || remaining > cur {
-				c.exports[key] = remaining
-			}
-			c.res.residualPublished++
-		})
+		c.resid.ExportResidual(now, c.publish)
 	}
+}
+
+// reconnect is a cell as the target of its reconnect timers: the argument
+// is the attempt's index in c.live.
+type reconnect cell
+
+func (r *reconnect) Fire(i uint64) {
+	c := (*cell)(r)
+	f := &c.live[i]
+	cn := c.conn(f.idx)
+	c.Clients[cn.slot].Connect(eval.ServerAddr, c.sessions[cn.protocol].Port, f.app)
+}
+
+// exportResidual records one residual window the cell's censor exports at
+// a wave's end: the longest per key. The cell binds it to c.publish once,
+// when it is first built, so a wave's export allocates no closure.
+func (c *cell) exportResidual(key string, remaining time.Duration) {
+	if cur, ok := c.exports[key]; !ok || remaining > cur {
+		c.exports[key] = remaining
+	}
+	c.res.residualPublished++
 }

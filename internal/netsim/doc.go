@@ -16,8 +16,10 @@
 //     in-path boxes can additionally drop or hijack traffic (§2.1);
 //   - a virtual clock, so residual censorship (~90 s) and blackholing
 //     (60 s) can be exercised without real waiting; hosts can schedule
-//     callbacks on it (After), which is what drives the tcpstack
-//     retransmission timers under impairment.
+//     timers on it (AfterTimer, which fires a Timer target with an
+//     argument, or After for a plain func). The tcpstack retransmission
+//     and application timers and the fleet's reconnects target their own
+//     long-lived objects, so arming a timer allocates nothing.
 //
 // Everything is single-goroutine and seedable, so trials are reproducible.
 package netsim

@@ -58,7 +58,7 @@ func (h *eventHeap) push(e event) {
 }
 
 // pop removes and returns the minimum event. The vacated tail slot is zeroed
-// so the heap's spare capacity holds no stale *Packet or timer-closure
+// so the heap's spare capacity holds no stale *Packet or timer-target
 // references that would keep them reachable.
 func (h *eventHeap) pop() event {
 	ev := h.ev

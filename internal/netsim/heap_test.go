@@ -133,19 +133,19 @@ func TestEventHeapBurst(t *testing.T) {
 }
 
 // TestEventHeapPopClearsSlot checks pop zeroes the vacated tail slot so the
-// spare capacity retains no packet or closure references (the value-slice
+// spare capacity retains no packet or timer references (the value-slice
 // equivalent of the old freelist's *e = event{}).
 func TestEventHeapPopClearsSlot(t *testing.T) {
 	var h eventHeap
 	fired := false
-	h.push(event{at: 1, seq: 1, fire: func() { fired = true }})
-	h.push(event{at: 2, seq: 2, fire: func() { fired = true }})
+	h.push(event{at: 1, seq: 1, timer: funcTimer(func() { fired = true })})
+	h.push(event{at: 2, seq: 2, timer: funcTimer(func() { fired = true })})
 	h.pop()
 	h.pop()
 	_ = fired
 	for i := 0; i < cap(h.ev); i++ {
 		slot := h.ev[:cap(h.ev)][i]
-		if slot.fire != nil || slot.pkt != nil {
+		if slot.timer != nil || slot.pkt != nil {
 			t.Fatalf("slot %d retains references after pop: %+v", i, slot)
 		}
 	}

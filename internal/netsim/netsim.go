@@ -179,14 +179,39 @@ func (n *Network) Server() Host { return n.server }
 // Boxes returns the attached middleboxes.
 func (n *Network) Boxes() []Middlebox { return n.boxes }
 
+// event is one packet leg or one timer on the queue. A leg has no target and
+// a timer has no packet or direction, so arg serves both: a timer's
+// argument, or a leg's direction (its low bit) and legInjected. Sharing the
+// word keeps an event at 48 bytes and a timer's argument at 64 bits, wide
+// enough for any generation counter.
 type event struct {
-	at         time.Duration
-	seq        int
-	pkt        *packet.Packet
-	dir        Direction
-	fromCensor bool   // injected by a box: skip middlebox processing
-	fire       func() // a timer, not a packet (pkt is nil)
+	at    time.Duration
+	seq   int
+	pkt   *packet.Packet // a leg's packet; nil for a timer
+	timer Timer          // a timer's target; nil for a leg
+	arg   uint64
 }
+
+// legInjected marks a leg a box injected, which skips middlebox processing.
+const legInjected = 2
+
+func (e *event) dir() Direction { return Direction(e.arg & 1) }
+
+func (e *event) injected() bool { return e.arg&legInjected != 0 }
+
+// Timer is the target of a timer event. Fire runs when the timer is due,
+// with the argument it was armed with. A target is typically a long-lived
+// object that arms many timers (a connection, a cell), so arming one
+// allocates nothing; the argument tells its firings apart.
+type Timer interface {
+	Fire(arg uint64)
+}
+
+// funcTimer adapts a func to Timer. A func value is pointer-shaped, so
+// storing one in the interface allocates nothing.
+type funcTimer func()
+
+func (f funcTimer) Fire(uint64) { f() }
 
 // Send transmits pkt from the given host toward the other endpoint. Hosts
 // call this from Receive; harnesses call it to start a connection.
@@ -228,27 +253,29 @@ func (n *Network) enqueue(pkt *packet.Packet, dir Direction, fromCensor bool) {
 // next sequence number.
 func (n *Network) packetEvent(pkt *packet.Packet, dir Direction, fromCensor bool, delay time.Duration) event {
 	n.seq++
-	return event{
-		at:         n.Clock.Now() + delay,
-		seq:        n.seq,
-		pkt:        pkt,
-		dir:        dir,
-		fromCensor: fromCensor,
+	arg := uint64(dir)
+	if fromCensor {
+		arg |= legInjected
 	}
+	return event{at: n.Clock.Now() + delay, seq: n.seq, pkt: pkt, arg: arg}
 }
 
-// After schedules fn to run at virtual time Now()+d, interleaved with
+// AfterTimer schedules t.Fire(arg) at virtual time Now()+d, interleaved with
 // packet deliveries in timestamp order. Endpoint retransmission timers are
 // built on this; a pending timer keeps the network non-quiet, so timer
 // users must bound their rearming (the tcpstack retransmit machinery caps
 // its retries for exactly this reason).
-func (n *Network) After(d time.Duration, fn func()) {
+func (n *Network) AfterTimer(d time.Duration, t Timer, arg uint64) {
 	if d < 0 {
 		d = 0
 	}
 	n.seq++
-	n.queue.heap.push(event{at: n.Clock.Now() + d, seq: n.seq, fire: fn})
+	n.queue.heap.push(event{at: n.Clock.Now() + d, seq: n.seq, timer: t, arg: arg})
 }
+
+// After schedules fn to run at virtual time Now()+d: AfterTimer with fn as
+// the target.
+func (n *Network) After(d time.Duration, fn func()) { n.AfterTimer(d, funcTimer(fn), 0) }
 
 // Run processes queued packets until the network is quiet or limit events
 // have been handled. It returns the number of events processed. A limit of
@@ -261,9 +288,9 @@ func (n *Network) Run(limit int) int {
 	for n.queue.len() > 0 && processed < limit {
 		e := n.queue.pop()
 		n.Clock.advanceTo(e.at)
-		if e.fire != nil {
+		if e.timer != nil {
 			mTimersFired.Inc()
-			e.fire()
+			e.timer.Fire(e.arg)
 		} else {
 			n.deliver(&e)
 		}
@@ -289,15 +316,16 @@ func (n *Network) Quiet() bool { return n.queue.len() == 0 }
 // half (TTL tuned to die between censor and server), and changing either
 // edge would silently shift every evolved TTL value by one hop.
 func (n *Network) deliver(e *event) {
+	dir := e.dir()
 	hopsBefore, hopsAfter := n.HopsToCensor, n.HopsBeyondCensor
-	if e.dir == ToClient {
+	if dir == ToClient {
 		hopsBefore, hopsAfter = n.HopsBeyondCensor, n.HopsToCensor
 	}
 
-	if !e.fromCensor {
+	if !e.injected() {
 		// Leg 1: sender -> censor hop.
 		if int(e.pkt.IP.TTL) < hopsBefore {
-			n.discard(EventExpiredBefore, e.pkt, e.dir)
+			n.discard(EventExpiredBefore, e.pkt, dir)
 			return
 		}
 		e.pkt.IP.TTL -= uint8(hopsBefore)
@@ -305,9 +333,9 @@ func (n *Network) deliver(e *event) {
 		drop := false
 		now := n.Clock.Now()
 		for _, b := range n.boxes {
-			v := b.Process(e.pkt, e.dir, now)
+			v := b.Process(e.pkt, dir, now)
 			if v.Note != "" {
-				n.record(EventCensor, e.pkt, e.dir, b, v.Note)
+				n.record(EventCensor, e.pkt, dir, b, v.Note)
 			}
 			drop = drop || v.Drop
 			for _, inj := range v.InjectToClient {
@@ -320,30 +348,30 @@ func (n *Network) deliver(e *event) {
 			}
 		}
 		if drop {
-			n.discard(EventDropped, e.pkt, e.dir)
+			n.discard(EventDropped, e.pkt, dir)
 			return
 		}
 	}
 
 	// Leg 2: censor hop -> receiver.
 	if int(e.pkt.IP.TTL) < hopsAfter {
-		n.discard(EventExpiredAfter, e.pkt, e.dir)
+		n.discard(EventExpiredAfter, e.pkt, dir)
 		return
 	}
 	e.pkt.IP.TTL -= uint8(hopsAfter)
 
 	dst := n.server
-	if e.dir == ToClient {
+	if dir == ToClient {
 		c, ok := n.clients[e.pkt.IP.Dst]
 		if !ok {
 			// A packet for an address nobody holds (spoofed or stale):
 			// it falls off the edge of the network.
-			n.discard(EventNoRoute, e.pkt, e.dir)
+			n.discard(EventNoRoute, e.pkt, dir)
 			return
 		}
 		dst = c
 	}
-	n.record(EventDelivered, e.pkt, e.dir, nil, "")
+	n.record(EventDelivered, e.pkt, dir, nil, "")
 	dst.Receive(n, e.pkt)
 	n.recycle(e.pkt)
 }

@@ -43,12 +43,12 @@ func TestRecyclingResetDrainsBothLanes(t *testing.T) {
 		t.Fatal("network not quiet after reset")
 	}
 	for i, e := range n.queue.ring.buf {
-		if e.pkt != nil || e.fire != nil {
+		if e.pkt != nil || e.timer != nil {
 			t.Fatalf("ring slot %d still holds an event after reset", i)
 		}
 	}
 	for i, e := range n.queue.heap.ev[:cap(n.queue.heap.ev)] {
-		if e.pkt != nil || e.fire != nil {
+		if e.pkt != nil || e.timer != nil {
 			t.Fatalf("heap slot %d still holds an event after reset", i)
 		}
 	}

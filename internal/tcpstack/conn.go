@@ -83,15 +83,19 @@ type Conn struct {
 
 	// Retransmission state (active only under Endpoint.Retransmit).
 	rtxQ       []rtxSeg
-	rtxGen     int
+	rtxGen     uint64
 	rtxRetries int
 	rtxRTO     time.Duration
 
-	// appGen invalidates application timers (After) across the connection's
-	// lifetime: finish bumps it, and — like rtxGen — it is preserved across
-	// recycling so a timer closure armed on a previous tenant of this struct
-	// can never fire into the next one.
-	appGen int
+	// The application timer (After): its target and argument, and appGen,
+	// which every After and finish bump. Each timer event carries the
+	// generation it was armed at and fires only while that is still
+	// current. Like rtxGen, appGen is preserved across recycling, so a
+	// timer armed on a previous tenant of this struct can never fire into
+	// the next one.
+	appGen    uint64
+	appTarget AppTimer
+	appArg    int
 
 	// SimOpen records that this end completed the handshake via TCP
 	// simultaneous open.
@@ -124,24 +128,44 @@ func (c *Conn) Now() time.Duration {
 	return c.ep.net.Clock.Now()
 }
 
-// After schedules fn after d of virtual time on the connection's network —
-// the application-side counterpart of the retransmission timer, used for
-// think-time pauses between keep-alive requests. The callback is dropped if
-// the connection finishes (or its struct is recycled onto another flow)
-// before the timer fires; the generation guard is the same pattern armRtx
-// uses, so a recycled Conn can never receive a previous tenant's timer.
-// Like Now it tolerates a nil receiver (the timer is silently dropped).
-func (c *Conn) After(d time.Duration, fn func()) {
+// AppTimer is the target of a connection's application timer (Conn.After).
+type AppTimer interface {
+	// OnTimer runs when the timer is due, with the connection it was
+	// armed on and the argument it was armed with.
+	OnTimer(c *Conn, arg int)
+}
+
+// After arms the connection's application timer: d of virtual time from
+// now, t.OnTimer(c, arg) runs. It is the application-side counterpart of
+// the retransmission timer, used for think-time pauses between keep-alive
+// requests. A connection has one application timer, so arming it again
+// before it fires replaces the pending one. The timer is dropped if the
+// connection finishes (or its struct is recycled onto another flow)
+// before it fires: the generation guard is the one armRtx uses, so a
+// recycled Conn can never receive a previous tenant's timer. The network
+// event targets the Conn itself, so arming allocates nothing. Like Now it
+// tolerates a nil receiver (the timer is silently dropped).
+func (c *Conn) After(d time.Duration, t AppTimer, arg int) {
 	if c == nil || c.closed || c.ep == nil || c.ep.net == nil {
 		return
 	}
-	gen := c.appGen
-	c.ep.net.After(d, func() {
-		if c.closed || c.appGen != gen {
-			return
-		}
-		fn()
-	})
+	c.appGen++
+	c.appTarget, c.appArg = t, arg
+	c.ep.net.AfterTimer(d, (*appTimer)(c), c.appGen)
+}
+
+// appTimer is a Conn as the target of its application timer's events;
+// the argument is the generation the timer was armed at.
+type appTimer Conn
+
+func (t *appTimer) Fire(gen uint64) {
+	c := (*Conn)(t)
+	if gen != c.appGen || c.appTarget == nil {
+		return // replaced, finished, or armed on an earlier tenant
+	}
+	target := c.appTarget
+	c.appTarget = nil
+	target.OnTimer(c, c.appArg)
 }
 
 // newPacket builds an outbound packet for this connection with the current
@@ -290,7 +314,8 @@ func (c *Conn) finish(reset bool) {
 		return
 	}
 	c.closed = true
-	c.appGen++ // invalidate pending application timers (After)
+	c.appGen++ // invalidate the pending application timer (After)
+	c.appTarget = nil
 	if reset {
 		mCloseReset.Inc()
 	} else {
@@ -306,8 +331,8 @@ func (c *Conn) finish(reset bool) {
 	// Recycling is safe exactly here: every finish call site returns
 	// without touching the connection again, a packet addressed to a
 	// vanished flow is ignored just like one addressed to a closed
-	// connection, and stale retransmission-timer closures are invalidated
-	// by the preserved generation counter (see recycleConn).
+	// connection, and stale timer events are invalidated by the preserved
+	// generation counters (see recycleConn).
 	if c.ep.ReleaseClosed {
 		c.ep.recycleConn(c)
 	}

@@ -158,10 +158,10 @@ func (e *Endpoint) getConn() *Conn {
 // immediately (exactly as if it had never existed — a packet to a closed
 // connection and a packet to no connection are both ignored) and its struct
 // goes on the freelist. The send buffer's capacity is kept (a Conn keeps no
-// receive buffer: in-order data goes straight to App.OnData); rtxGen is
-// preserved, NOT zeroed, because retransmission timer closures in flight
-// captured this *Conn and an old generation — the generation must keep
-// monotonically increasing across reuses for those stale closures to stay
+// receive buffer: in-order data goes straight to App.OnData); rtxGen and
+// appGen are preserved, NOT zeroed, because timer events in flight target
+// this *Conn with an old generation — the generations must keep
+// monotonically increasing across reuses for those stale events to stay
 // invalidated.
 func (e *Endpoint) recycleConn(c *Conn) {
 	delete(e.conns, c.flow)

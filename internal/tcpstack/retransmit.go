@@ -44,10 +44,15 @@ func (c *Conn) trackRtx(p *packet.Packet, end uint32) {
 // generations are ignored when they fire).
 func (c *Conn) armRtx(d time.Duration) {
 	c.rtxGen++
-	gen := c.rtxGen
 	c.rtxRTO = d
-	c.ep.net.After(d, func() { c.onRtxTimer(gen) })
+	c.ep.net.AfterTimer(d, (*rtxTimer)(c), c.rtxGen)
 }
+
+// rtxTimer is a Conn as the target of its retransmission timer's events;
+// the argument is the generation the timer was armed at.
+type rtxTimer Conn
+
+func (t *rtxTimer) Fire(gen uint64) { (*Conn)(t).onRtxTimer(gen) }
 
 func (c *Conn) disarmRtx() { c.rtxGen++ }
 
@@ -91,7 +96,7 @@ func (c *Conn) ackRtx() {
 // segment with doubled timeout, or give up cleanly once the retry budget is
 // spent. Giving up is what turns a blackholed connection into a bounded,
 // observable failure instead of an eternal hang.
-func (c *Conn) onRtxTimer(gen int) {
+func (c *Conn) onRtxTimer(gen uint64) {
 	if gen != c.rtxGen || c.closed || len(c.rtxQ) == 0 {
 		return
 	}
