@@ -91,8 +91,9 @@ alloc-budget:
 # box's scratch exactly once and in order, a reset censor must reuse its
 # flow slots as a fresh one starts, a recycled trial rig must still match
 # a fresh one, a reset sandbox must clear its pins and keep only the
-# engines whose strategies print the same, and a pooled fleet cell reset
-# for a run must still match a fresh one. CI runs exactly this.
+# engines whose strategies print the same, a pooled fleet cell reset for
+# a run must still match a fresh one, and the cell pool must balance (no
+# cell pooled twice, every pooled cell wired). CI runs exactly this.
 pool-safety:
 	GODEBUG=clobberfree=1 $(GO) test -run 'TestPool|TestRecycling|TestVerdictBorrow|TestRigReset|TestSandbox|TestCensorReset|TestCellReset|TestCellPools' ./internal/packet/ ./internal/netsim/ ./internal/censor/... ./internal/eval/ ./internal/fleet/
 

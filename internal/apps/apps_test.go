@@ -304,6 +304,68 @@ func TestKeepAliveOnlyExtendsOneShotSessions(t *testing.T) {
 	}
 }
 
+// TestCutToMatchesKeepAlive: a lease of an n-exchange client template cut
+// to m exchanges is KeepAlive(m)'s client script, field by field, for
+// every m from 0 to n; a cut to more than n exchanges, or of a session
+// KeepAlive does not extend, leaves the script whole.
+func TestCutToMatchesKeepAlive(t *testing.T) {
+	const gap = 40 * time.Second
+	same := func(a, b *Script) bool {
+		if !bytes.Equal(a.SendOnEstablish, b.SendOnEstablish) || !bytes.Equal(a.Expect, b.Expect) ||
+			a.ExchangeSize != b.ExchangeSize || a.CloseAtEnd != b.CloseAtEnd || len(a.SendAt) != len(b.SendAt) {
+			return false
+		}
+		for i := range a.SendAt {
+			p, q := a.SendAt[i], b.SendAt[i]
+			if p.Off != q.Off || p.Delay != q.Delay || !bytes.Equal(p.Data, q.Data) {
+				return false
+			}
+		}
+		return true
+	}
+	var leases Scripts
+	for name, base := range map[string]*Session{
+		"http":  HTTPQuerySession("kittens"),
+		"https": HTTPSSession("www.wikipedia.org"),
+		"dns":   DNSSession("example.com"),
+	} {
+		for _, n := range []int{2, 3, 5} {
+			tmpl := base.KeepAlive(n, gap).Client()
+			for m := 0; m <= n+1; m++ {
+				got := leases.Lease(tmpl)
+				got.CutTo(m)
+				want := base.KeepAlive(min(m, n), gap).Client()
+				if !same(got, want) {
+					t.Errorf("%s: %d-exchange template cut to %d differs from KeepAlive(%d): "+
+						"%d expected bytes, %d sends, exchange size %d; want %d, %d, %d",
+						name, n, m, min(m, n), len(got.Expect), len(got.SendAt), got.ExchangeSize,
+						len(want.Expect), len(want.SendAt), want.ExchangeSize)
+				}
+				if m <= 1 {
+					// A whole response and then stray bytes serve nothing.
+					got.OnData(nil, got.Expect)
+					got.OnData(nil, []byte("stray"))
+					if got.Served() != 0 {
+						t.Errorf("%s: cut to %d, a response and stray bytes serve %d exchanges, want 0", name, m, got.Served())
+					}
+				}
+			}
+		}
+	}
+	for name, base := range map[string]*Session{
+		"ftp":  FTPSession("ultrasurf"),
+		"smtp": SMTPSession("tibetalk@yahoo.com.cn"),
+	} {
+		for m := 0; m <= 3; m++ {
+			got := leases.Lease(base.KeepAlive(3, gap).Client())
+			got.CutTo(m)
+			if !same(got, base.Client()) {
+				t.Errorf("%s: cut to %d changed the script", name, m)
+			}
+		}
+	}
+}
+
 func TestServedCountsWholeExchanges(t *testing.T) {
 	s := HTTPQuerySession("kittens").KeepAlive(3, time.Second)
 	app := s.NewClient()

@@ -96,6 +96,24 @@ func (s *Session) KeepAlive(n int, gap time.Duration) *Session {
 	}
 }
 
+// CutTo cuts s, an un-run copy of a KeepAlive client template, to its
+// first m exchanges: every exchange repeats one request and one response,
+// so the first m of n exchanges are exactly KeepAlive(m)'s client script.
+// For m ≤ 1 that is the one-shot client, with no ExchangeSize (KeepAlive
+// returns the one-shot session then). A script of m or fewer exchanges,
+// or one that does not count exchanges, stays whole. The cut shares the
+// template's bytes.
+func (s *Script) CutTo(m int) {
+	if s.ExchangeSize == 0 || m*s.ExchangeSize >= len(s.Expect) {
+		return
+	}
+	m = max(m, 1)
+	s.Expect, s.SendAt = s.Expect[:m*s.ExchangeSize], s.SendAt[:m-1]
+	if m == 1 {
+		s.ExchangeSize = 0
+	}
+}
+
 // DNSSession builds a DNS-over-TCP lookup of name. The server resolves
 // everything to 93.184.216.34.
 func DNSSession(name string) *Session {

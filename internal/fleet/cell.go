@@ -15,45 +15,28 @@ import (
 	"geneva/internal/tcpstack"
 )
 
-// scriptKey identifies one client-script shape: scripts of the same protocol
-// but different keep-alive lengths (a reconnect resumes with only the
-// remaining exchanges) have different transcripts, so each shape has a
-// template of its own.
-type scriptKey struct {
-	proto string
-	exch  int
-}
-
 // cellKey is what a cell's censor and templates are built from: the
 // country picks the censor and every session, and SessionRequests and
-// RequestGap extend each session and each reconnect tail. A cell keeps its
-// censor and templates from run to run, so it only ever serves its own key.
+// RequestGap extend each session. A cell keeps its censor and templates
+// from run to run and stamps the key they were built for; a run of
+// another key rebuilds them.
 type cellKey struct {
 	country  string
 	requests int
 	gap      time.Duration
 }
 
-// keyOf is the key of wl's cells in country.
-func keyOf(wl Workload, country string) cellKey {
-	return cellKey{country: country, requests: wl.SessionRequests, gap: wl.RequestGap}
-}
-
-// cellPools holds the idle cells of each key on a stack. takeCells pops a
-// run's cells in plan order and putCells pushes them back in reverse, so a
-// rerun of a workload gives each plan the cell that served it last time,
-// whose buffers already fit it. (A sync.Pool hands cells out as the
-// scheduler happens to ask, so each rerun met cells with plans they had not
-// served, and their buffers kept growing for dozens of reruns.) Like a
-// sync.Pool, the pools let idle cells go: a collection drops every stack
-// that no run has taken from or put to since the collection before it.
+// cellPools holds the idle cells on one stack, the next one to take on
+// top. takeCells pops a run's cells in plan order and putCells pushes them
+// back in reverse, so a rerun of a workload gives each plan the cell that
+// served it last time, whose key stamp and buffers already fit it. (A
+// sync.Pool hands cells out as the scheduler happens to ask, so each rerun
+// met cells with plans they had not served, and their buffers kept growing
+// for dozens of reruns.) Like a sync.Pool, the stack lets idle cells go: a
+// collection drops it if no run has taken from or put to it since the
+// collection before it.
 var cellPools struct {
 	sync.Mutex
-	m map[cellKey]*cellStack
-}
-
-// cellStack is one key's idle cells, the next one to take on top.
-type cellStack struct {
 	idle []*cell
 	used bool // taken from or put to since the last collection
 }
@@ -73,61 +56,49 @@ func sweepAfterCollection() {
 	})
 }
 
-// sweepCellPools drops the stacks left idle since the last sweep and marks
-// the others idle.
+// sweepCellPools drops the stack if it was left idle since the last sweep
+// and marks it idle.
 func sweepCellPools() {
 	cellPools.Lock()
 	defer cellPools.Unlock()
-	// order: each stack is kept or dropped on its own flag.
-	for k, st := range cellPools.m {
-		if !st.used {
-			delete(cellPools.m, k)
-		}
-		st.used = false
+	if !cellPools.used {
+		cellPools.idle = nil
 	}
+	cellPools.used = false
 }
 
-// takeCells takes a cell for each plan, in plan order: the top of the
-// plan's key's stack, or an empty cell. It wires none of them.
-func takeCells(wl Workload, plans []cellPlan) []*cell {
+// takeCells takes n cells, one for each plan in plan order: the top of
+// the stack, or an empty cell. It wires none of them.
+func takeCells(n int) []*cell {
 	cellPools.Lock()
 	defer cellPools.Unlock()
-	cells := make([]*cell, len(plans))
-	for i, cp := range plans {
-		st := cellPools.m[keyOf(wl, cp.country)]
-		if st == nil || len(st.idle) == 0 {
+	cells := make([]*cell, n)
+	for i := range cells {
+		top := len(cellPools.idle) - 1
+		if top < 0 {
 			cells[i] = new(cell)
 			continue
 		}
-		n := len(st.idle) - 1
-		cells[i], st.idle[n] = st.idle[n], nil
-		st.idle, st.used = st.idle[:n], true
+		cells[i], cellPools.idle[top] = cellPools.idle[top], nil
+		cellPools.idle = cellPools.idle[:top]
 	}
+	cellPools.used = true
 	return cells
 }
 
-// putCells puts cells, taken by takeCells for wl, back on their keys'
-// stacks in reverse, so the next takeCells of the same plans takes them in
-// the same order.
-func putCells(wl Workload, cells []*cell) {
+// putCells pushes cells, taken by takeCells, back on the stack in
+// reverse, so the next takeCells of as many plans takes them in the same
+// order.
+func putCells(cells []*cell) {
 	cellPools.Lock()
 	defer cellPools.Unlock()
-	if cellPools.m == nil {
-		cellPools.m = map[cellKey]*cellStack{}
-	}
 	for i := len(cells) - 1; i >= 0; i-- {
-		c := cells[i]
-		k := keyOf(wl, c.plan.country)
-		st := cellPools.m[k]
-		if st == nil {
-			st = new(cellStack)
-			cellPools.m[k] = st
-		}
-		st.idle, st.used = append(st.idle, c), true
+		cellPools.idle = append(cellPools.idle, cells[i])
 	}
+	cellPools.used = true
 }
 
-// cell is one wired cell network, taken from its key's pool for one run:
+// cell is one wired cell network, taken from the pool for one run:
 // an eval.Sandbox with a slot per client, whose server serves the
 // country's arms, one engine each, pinned per attempt by pullArm. newCells
 // wires it, it stays alive to the end of its last wave so the
@@ -139,6 +110,7 @@ type cell struct {
 	eval.Sandbox
 	wl   Workload
 	plan cellPlan
+	key  cellKey // the key sessions were built for
 
 	addrs    []netip.Addr             // the plan's slot addresses
 	sessions map[string]*apps.Session // full-length session per protocol
@@ -152,30 +124,29 @@ type cell struct {
 	selCell *selector.Cell
 	selRng  *rand.Rand
 
-	// exports holds the residual windows the cell published in the current
-	// wave (nil when its censor shares no residual state); the barrier
-	// folds and clears it. publish is exportResidual bound to the cell.
-	exports residualLedger
+	// exports lists the residual windows the cell published in the
+	// current wave, in order; the barrier folds and empties it. publish is
+	// exportResidual bound to the cell.
+	exports []residualExport
 	publish func(key string, remaining time.Duration)
 
 	res cellResult
 
 	// Every script the cell runs is a copy of a read-only template leased
-	// from the sandbox's Scripts: client templates by shape, server
-	// templates (registered with Serve) by port. A full session's client
-	// templates are SessionFor's cached scripts, shared across goroutines.
-	// A copy goes back once its connection can no longer receive a packet:
-	// a client's when its attempt settles, a server's at wave end. The
-	// templates depend only on the cell's key, so a pooled cell keeps them.
-	clients map[scriptKey]*apps.Script
-	live    []inflight
+	// from the sandbox's Scripts: a session's client template, cut to the
+	// exchanges its attempt owes, or a server template (registered with
+	// Serve) by port. The client templates are SessionFor's cached
+	// scripts, shared across goroutines. A copy goes back once its
+	// connection can no longer receive a packet: a client's when its
+	// attempt settles, a server's at wave end.
+	live []inflight
 }
 
 // newCells wires a cell for each plan — server and strategies, censor,
-// clients — without running anything: a pooled cell of the plan's key, or
-// an empty one, reset for the plan on up to workers goroutines.
+// clients — without running anything: a pooled cell or an empty one,
+// reset for the plan on up to workers goroutines.
 func newCells(wl Workload, plans []cellPlan, ctl control, workers int) []*cell {
-	cells := takeCells(wl, plans)
+	cells := takeCells(len(plans))
 	eval.RunParallel(workers, len(cells), func(i int) {
 		cells[i].reset(wl, plans[i], ctl)
 	})
@@ -185,15 +156,18 @@ func newCells(wl Workload, plans []cellPlan, ctl control, workers int) []*cell {
 // reset wires c for cp, in place, through the sandbox's Reset: the only
 // path that wires a cell, so a pooled cell is in exactly the state an
 // empty one reaches. The sandbox drops its pins and keeps each arm's
-// engine while the arm's strategy prints the same, the template maps keep
-// what earlier runs of the key built, and every freelist keeps its
-// capacity. Each stream is seeded from the cell's plan index, so the order
-// of the draws is the plan's, never the scheduler's.
+// engine while the arm's strategy prints the same, the sessions stay
+// while the cell's key does, and every freelist keeps its capacity. Each
+// stream is seeded from the cell's plan index, so the order of the draws
+// is the plan's, never the scheduler's.
 func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 	if c.sessions == nil {
 		c.sessions = map[string]*apps.Session{}
-		c.clients = map[scriptKey]*apps.Script{}
 		c.publish = c.exportResidual
+	}
+	if k := (cellKey{cp.country, wl.SessionRequests, wl.RequestGap}); k != c.key {
+		clear(c.sessions)
+		c.key = k
 	}
 	c.wl, c.plan = wl, cp
 	cellSeed := wl.Seed + int64(cp.index)*cellSeedStride
@@ -211,8 +185,7 @@ func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 	for s := range c.slots() {
 		c.addrs = append(c.addrs, clientAddr(cp.country, s, s >= wl.ClientsPerCell))
 	}
-	// The pool key holds the country, so a pooled cell's censor is the
-	// country's, and Reset undoes a Shift too.
+	// Reset rebuilds the censor for a new country and undoes a Shift.
 	c.Reset(cp.country, c.addrs, tcpstack.DefaultClient, set.strats, netsim.Symmetric(wl.Impairments), eval.Seeds{
 		Server:      cellSeed + seedServer,
 		Censor:      cellSeed + seedCensor,
@@ -226,9 +199,6 @@ func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 	}
 	c.resid, _ = c.Censor.(censor.ResidualCarrier)
 	c.shifter, _ = c.Censor.(censor.ParamShifter)
-	if c.resid != nil && c.exports == nil {
-		c.exports = residualLedger{}
-	}
 
 	// One forbidden session per protocol in the cell; the server listens on
 	// the port of every protocol the plan runs and dispatches the matching
@@ -251,7 +221,6 @@ func (c *cell) reset(wl Workload, cp cellPlan, ctl control) {
 				sess = sess.KeepAlive(wl.SessionRequests, wl.RequestGap)
 			}
 			c.sessions[proto] = sess
-			c.clients[scriptKey{proto: proto, exch: sess.Exchanges()}] = sess.Client()
 			server := *sess.Server()
 			server.CloseAtEnd = true
 			c.Serve(sess.Port, &server)
@@ -277,17 +246,12 @@ func (c *cell) drain() {
 }
 
 // leaseClient leases the client script for an attempt owing m exchanges
-// of proto: a copy of the template of that shape. A reconnecting client's
-// shorter keep-alive tail gets its template on first use; a cell
-// reconnects into the same few shapes over and over.
+// of proto: a copy of the session's client template cut to its first m
+// exchanges. A reconnecting client owes a prefix of its session's script,
+// since every exchange repeats the same request and response.
 func (c *cell) leaseClient(proto string, m int) *apps.Script {
-	k := scriptKey{proto: proto, exch: m}
-	tmpl, ok := c.clients[k]
-	if !ok {
-		tmpl = eval.SessionFor(c.plan.country, proto, true).KeepAlive(m, c.wl.RequestGap).Client()
-		c.clients[k] = tmpl
-	}
-	s := c.Scripts.Lease(tmpl)
+	s := c.Scripts.Lease(c.sessions[proto].Client())
+	s.CutTo(m)
 	s.CloseAtEnd = true
 	return s
 }

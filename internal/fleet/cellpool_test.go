@@ -11,8 +11,8 @@ import (
 )
 
 // TestCellPoolsOrderAndSweep: a rerun of the same plans takes back the
-// cell that served each plan, whatever the other keys hold; a stack
-// survives one sweep after its last use and the next sweep drops it.
+// cell that served each plan; the stack survives one sweep after its last
+// use and the next sweep drops it.
 func TestCellPoolsOrderAndSweep(t *testing.T) {
 	// A collection would sweep the pools under the test.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -27,37 +27,37 @@ func TestCellPoolsOrderAndSweep(t *testing.T) {
 	}.withDefaults()
 	plans := plan(wl)
 	take := func() []*cell {
-		cells := takeCells(wl, plans)
+		cells := takeCells(len(plans))
 		for i, c := range cells {
 			c.plan = plans[i] // what reset would set
 		}
 		return cells
 	}
 	first := take()
-	putCells(wl, first)
+	putCells(first)
 	again := take()
 	for i := range plans {
 		if again[i] != first[i] {
 			t.Fatalf("plan %d (%s) took another cell on the rerun", i, plans[i].country)
 		}
 	}
-	putCells(wl, again)
+	putCells(again)
 
-	key := keyOf(wl, eval.CountryChina)
-	n := cellsPerCountry(wl)[eval.CountryChina]
 	sweepCellPools()
-	if got := len(pooledCells(key)); got != n {
-		t.Fatalf("after one sweep: %d pooled cells, want %d", got, n)
+	if got := len(pooledCells()); got != len(plans) {
+		t.Fatalf("after one sweep: %d pooled cells, want %d", got, len(plans))
 	}
 	sweepCellPools()
-	if got := len(pooledCells(key)); got != 0 {
+	if got := len(pooledCells()); got != 0 {
 		t.Fatalf("after two idle sweeps: %d pooled cells, want 0", got)
 	}
 }
 
 // TestCellPoolsConcurrentRuns: workloads sharing keys run at once, with
-// collections sweeping the pools between and during them, and each must
-// give the Result it gives alone. Run it under -race.
+// collections sweeping the pool between and during them, and each must
+// give the Result it gives alone. After every lone run and after the
+// rounds the pool must balance: it holds no cell twice, and every cell it
+// holds was wired by a run. Run it under -race.
 func TestCellPoolsConcurrentRuns(t *testing.T) {
 	defer emptyCellPools()
 	base := Workload{
@@ -90,6 +90,7 @@ func TestCellPoolsConcurrentRuns(t *testing.T) {
 	want := make([]string, len(wls))
 	for i, wl := range wls {
 		want[i] = result(wl)
+		checkPoolBalance(t)
 	}
 	for round := 0; round < 3; round++ {
 		got := make([]string, len(wls)+1)
@@ -106,5 +107,22 @@ func TestCellPoolsConcurrentRuns(t *testing.T) {
 				t.Fatalf("round %d: seed %d's Result differs when run beside the others", round, wls[i].Seed)
 			}
 		}
+	}
+	checkPoolBalance(t)
+}
+
+// checkPoolBalance fails unless the pool holds each cell at most once and
+// only cells a run wired.
+func checkPoolBalance(t *testing.T) {
+	t.Helper()
+	seen := map[*cell]bool{}
+	for _, c := range pooledCells() {
+		if seen[c] {
+			t.Fatal("the pool holds a cell twice")
+		}
+		if c.Net == nil {
+			t.Fatal("the pool holds a cell no run wired")
+		}
+		seen[c] = true
 	}
 }

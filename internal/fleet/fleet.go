@@ -547,12 +547,12 @@ func Run(wl Workload) (Result, error) {
 				led = residualLedger{}
 				next[c.plan.country] = led
 			}
-			for k, rem := range c.exports {
-				if cur, ok := led[k]; !ok || rem > cur {
-					led[k] = rem
+			for _, e := range c.exports {
+				if cur, ok := led[e.key]; !ok || e.remaining > cur {
+					led[e.key] = e.remaining
 				}
 			}
-			clear(c.exports)
+			c.exports = c.exports[:0]
 		}
 		ledgers = next
 		if ctl.state != nil {
@@ -567,7 +567,7 @@ func Run(wl Workload) (Result, error) {
 	record(cells)
 	// The cells go back to their pools only now that aggregate and record
 	// have read their results.
-	putCells(wl, cells)
+	putCells(cells)
 	out.Manifest = manifest(wl, len(cells), ctl)
 	return out, nil
 }

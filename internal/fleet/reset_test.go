@@ -19,27 +19,15 @@ import (
 // from empty ones.
 func emptyCellPools() {
 	cellPools.Lock()
-	cellPools.m = nil
+	cellPools.idle = nil
 	cellPools.Unlock()
 }
 
-// pooledCells lists key's pooled cells, which stay in the pool.
-func pooledCells(key cellKey) []*cell {
+// pooledCells lists the pooled cells, top last; they stay in the pool.
+func pooledCells() []*cell {
 	cellPools.Lock()
 	defer cellPools.Unlock()
-	if st := cellPools.m[key]; st != nil {
-		return slices.Clone(st.idle)
-	}
-	return nil
-}
-
-// cellsPerCountry counts the cells wl's plan gives each country.
-func cellsPerCountry(wl Workload) map[string]int {
-	n := map[string]int{}
-	for _, cp := range plan(wl.withDefaults()) {
-		n[cp.country]++
-	}
-	return n
+	return slices.Clone(cellPools.idle)
 }
 
 // dirtyRun is a workload whose cells a reset test leaves in the pools.
@@ -56,8 +44,10 @@ type dirtyRun struct {
 // the reset undo every kind of state a cell carries out of a run: a shifted
 // censor, impaired links and retransmitting endpoints, portfolio arms and
 // router pins, more slot endpoints than b's cells use, listeners for other
-// protocols, and the templates of other keep-alive shapes, which the pool
-// key must keep away from b. Finally each dirtied pool wires b's cells
+// protocols, another country's censor, and sessions built for other keys,
+// which the cell's key stamp must have rebuilt for b. The cells b takes
+// are only ever the ones the dirtying run wired. Finally each dirtied pool
+// wires b's cells
 // once more and probes them: only the plan's slots may be on the network
 // and only the plan's protocols' ports may accept a connection, two things
 // no Result shows. A second series checks the arm engines' identity: a
@@ -104,9 +94,13 @@ func TestCellResetMatchesFresh(t *testing.T) {
 			wl.Connections = 3 * b.Connections
 		})},
 		{"other-protocols", with(b, func(wl *Workload) { wl.Protocols = []string{"ftp", "smtp", "http"} })},
-		{"no-censor", with(b, func(wl *Workload) { wl.Countries = []string{eval.CountryNone} })},
+		{"no-censor", with(b, func(wl *Workload) {
+			// Twice the connections: one country's cells are fuller than
+			// b's, and the run must leave a cell for each of b's plans.
+			wl.Countries, wl.Connections = []string{eval.CountryNone}, 2*b.Connections
+		})},
 		// Other keep-alive shapes with reconnects, each differing from b's
-		// key in one field: their templates must never reach b's cells.
+		// key in one field: their sessions must never serve b's cells.
 		{"other-gap", with(b, func(wl *Workload) { wl.RequestGap = 20 * time.Second })},
 		{"other-requests", with(b, func(wl *Workload) { wl.SessionRequests = 2 })},
 	})
@@ -138,31 +132,29 @@ func checkResetMatchesFresh(t *testing.T, b Workload, dirt []dirtyRun) {
 	t.Helper()
 	emptyCellPools()
 	want, wantCtrs := fleetSnapshot(t, b)
-	needed := cellsPerCountry(b)
+	needed := len(plan(b.withDefaults()))
 	for _, d := range dirt {
 		emptyCellPools()
 		if _, err := Run(d.wl); err != nil {
 			t.Fatalf("%s: %v", d.name, err)
 		}
-		// Every b cell of a key the dirtying workload shares must come out
-		// of the pool dirty.
-		shared := cellsPerCountry(d.wl)
-		for country, n := range needed {
-			key := keyOf(b.withDefaults(), country)
-			if shared[country] == 0 || keyOf(d.wl.withDefaults(), country) != key {
-				continue
-			}
-			cells := pooledCells(key)
-			if len(cells) < n {
-				t.Fatalf("%s: %d pooled %q cells, want at least %d", d.name, len(cells), country, n)
-			}
-			for _, c := range cells {
-				if c.Net == nil {
-					t.Fatalf("%s: a pooled %q cell was never wired", d.name, country)
-				}
+		// b must take only cells the dirtying run wired: the pool holds
+		// enough of them, and b puts back no cell the pool did not hold.
+		dirty := pooledCells()
+		if len(dirty) < needed {
+			t.Fatalf("%s: %d pooled cells, want at least %d", d.name, len(dirty), needed)
+		}
+		for _, c := range dirty {
+			if c.Net == nil {
+				t.Fatalf("%s: a pooled cell was never wired", d.name)
 			}
 		}
 		got, gotCtrs := fleetSnapshot(t, b)
+		for _, c := range pooledCells() {
+			if !slices.Contains(dirty, c) {
+				t.Fatalf("%s: b ran on a cell the dirtying run did not wire", d.name)
+			}
+		}
 		if got != want {
 			t.Errorf("after %s: reset cells' Result differs from fresh cells':\n%s\nvs\n%s", d.name, got, want)
 		}

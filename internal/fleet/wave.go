@@ -13,6 +13,13 @@ import (
 // barrier.
 type residualLedger map[string]time.Duration
 
+// residualExport is one residual window a cell's censor exported at a
+// wave's end.
+type residualExport struct {
+	key       string
+	remaining time.Duration
+}
+
 // inflight is one connection attempt awaiting settlement in a wave.
 type inflight struct {
 	idx       int // the connection's index in the cell
@@ -172,11 +179,10 @@ func (r *reconnect) Fire(i uint64) {
 }
 
 // exportResidual records one residual window the cell's censor exports at
-// a wave's end: the longest per key. The cell binds it to c.publish once,
-// when it is first built, so a wave's export allocates no closure.
+// a wave's end; the barrier keeps the longest per key. The cell binds it
+// to c.publish once, when it is first built, so a wave's export allocates
+// no closure.
 func (c *cell) exportResidual(key string, remaining time.Duration) {
-	if cur, ok := c.exports[key]; !ok || remaining > cur {
-		c.exports[key] = remaining
-	}
+	c.exports = append(c.exports, residualExport{key, remaining})
 	c.res.residualPublished++
 }

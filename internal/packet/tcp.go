@@ -224,15 +224,6 @@ func (t *TCP) RemoveOption(kind byte) bool {
 	return removed
 }
 
-// SetOption replaces the first option of the given kind or appends one.
-func (t *TCP) SetOption(kind byte, data []byte) {
-	if o := t.Option(kind); o != nil {
-		o.Data = data
-		return
-	}
-	t.Options = append(t.Options, Option{Kind: kind, Data: data})
-}
-
 // FlagsString renders the flag bits in Geneva's letter notation (e.g. "SA").
 func FlagsString(f uint8) string {
 	var b strings.Builder

@@ -115,13 +115,18 @@ func TestTCPRemoveAndSetOption(t *testing.T) {
 	if tc.RemoveOption(OptWScale) {
 		t.Error("second RemoveOption reported true")
 	}
-	tc.SetOption(OptMSS, []byte{5, 6})
-	if o := tc.Option(OptMSS); o == nil || !bytes.Equal(o.Data, []byte{5, 6}) {
-		t.Errorf("SetOption replace failed: %+v", o)
+	// Replacing an option is RemoveOption followed by AddOption, which
+	// copies the caller's bytes.
+	mss := []byte{5, 6}
+	tc.RemoveOption(OptMSS)
+	tc.AddOption(OptMSS, mss...)
+	mss[0] = 7
+	if o := tc.Option(OptMSS); o == nil || !bytes.Equal(o.Data, []byte{5, 6}) || len(tc.Options) != 1 {
+		t.Errorf("replacing MSS failed: %+v", tc.Options)
 	}
-	tc.SetOption(OptSACKOK, nil)
+	tc.AddOption(OptSACKOK)
 	if tc.Option(OptSACKOK) == nil {
-		t.Error("SetOption append failed")
+		t.Error("AddOption append failed")
 	}
 }
 

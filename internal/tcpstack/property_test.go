@@ -35,7 +35,8 @@ func TestTransferIntegrityProperty(t *testing.T) {
 				}
 				if clampMSS%3 == 0 {
 					mss := clampMSS%128 + 8
-					p.TCP.SetOption(packet.OptMSS, []byte{byte(mss >> 8), byte(mss)})
+					p.TCP.RemoveOption(packet.OptMSS)
+					p.TCP.AddOption(packet.OptMSS, byte(mss>>8), byte(mss))
 				}
 			}
 			return []*packet.Packet{p}
